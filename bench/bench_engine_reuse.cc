@@ -121,9 +121,10 @@ void EngineShowdown(bench::JsonReport* report) {
     // Shared engine, decision cache off: every call runs the pipeline but
     // off shared chases/rewritings and a surviving oracle memo.
     std::vector<SemAcAnswer> oracle_answers;
-    EngineConfig no_decision_cache;
-    no_decision_cache.cache_decisions = false;
-    Engine oracle_engine(w.sigma, options, no_decision_cache);
+    EngineOptions no_decision_cache;
+    no_decision_cache.semac = options;
+    no_decision_cache.decisions.enabled = false;
+    Engine oracle_engine(w.sigma, no_decision_cache);
     auto oracle_start = Clock::now();
     {
       std::vector<PreparedQuery> prepared;

@@ -142,20 +142,24 @@ class BareRunner {
   explicit BareRunner(const Workload& w)
       : w_(w),
         chase_(ChaseQuery(w.q, w.sigma, chase_options_)),
-        oracle_(w.q, w.sigma, chase_options_, rewrite_options_,
-                /*try_rewriting=*/true, /*memoize=*/true) {}
+        oracle_(w.q, w.sigma, chase_options_, rewrite_options_) {}
 
   void Once(Run* run) {
     auto start = Clock::now();
     WitnessSearchOutcome outcome =
         ExhaustiveWitnessSearch(w_.q, w_.sigma, chase_, oracle_, w_.max_atoms,
-                                w_.budget, w_.target, tuning_);
+                                w_.budget, w_.target);
     double ms = MillisSince(start);
     if (run->ms < 0 || ms < run->ms) run->ms = ms;
     run->answer = outcome.answer == Tri::kYes ? SemAcAnswer::kYes
                                               : SemAcAnswer::kUnknown;
     run->candidates = outcome.candidates_tested;
-    run->witness = outcome.witness;
+    // The engine prints witnesses under parseable names; rename the
+    // same way so the parity check compares like with like.
+    run->witness.reset();
+    if (outcome.witness.has_value()) {
+      run->witness = WithParseableVariables(*outcome.witness);
+    }
   }
 
  private:
@@ -164,7 +168,6 @@ class BareRunner {
   RewriteOptions rewrite_options_;
   QueryChaseResult chase_;
   ContainmentOracle oracle_;
-  WitnessTuning tuning_;
 };
 
 /// The instrumented pipeline: Engine::Decide with metrics always on and

@@ -167,119 +167,4 @@ GammaResult DecideGamma(const Hypergraph& hg) {
   return result;
 }
 
-GammaResult DecideGammaRounds(const Hypergraph& hg) {
-  GammaResult result;
-  std::vector<std::vector<int>> set(hg.edges);
-  std::vector<char> alive(hg.edges.size(), 1);
-  std::vector<char> present(static_cast<size_t>(hg.num_vertices), 0);
-  std::vector<int> deg(static_cast<size_t>(hg.num_vertices), 0);
-  int vertices_left = 0;
-  int edges_left = static_cast<int>(hg.edges.size());
-  for (const auto& e : hg.edges) {
-    for (int v : e) {
-      if (!present[static_cast<size_t>(v)]) {
-        present[static_cast<size_t>(v)] = 1;
-        ++vertices_left;
-      }
-      ++deg[static_cast<size_t>(v)];
-    }
-  }
-
-  auto drop_vertex = [&](int v, GammaResult::Rule rule, int partner) {
-    for (size_t e = 0; e < set.size(); ++e) {
-      if (!alive[e]) continue;
-      auto it = std::lower_bound(set[e].begin(), set[e].end(), v);
-      if (it != set[e].end() && *it == v) set[e].erase(it);
-    }
-    present[static_cast<size_t>(v)] = 0;
-    deg[static_cast<size_t>(v)] = 0;
-    --vertices_left;
-    result.trace.push_back({rule, v, -1, partner});
-  };
-  auto drop_edge = [&](int e, GammaResult::Rule rule, int partner) {
-    for (int v : set[static_cast<size_t>(e)]) --deg[static_cast<size_t>(v)];
-    alive[static_cast<size_t>(e)] = 0;
-    --edges_left;
-    result.trace.push_back({rule, -1, e, partner});
-  };
-
-  // Round-based fixpoint: each round sweeps all five rules once over the
-  // whole hypergraph, so disjoint reducible regions shrink in parallel.
-  bool changed = true;
-  while (changed && (vertices_left > 0 || edges_left > 0)) {
-    changed = false;
-
-    // Edge rules: empty, singleton, duplicate (hash-bucketed).
-    std::unordered_map<uint64_t, std::vector<int>> buckets;
-    for (size_t e = 0; e < set.size(); ++e) {
-      if (!alive[e]) continue;
-      if (set[e].empty()) {
-        drop_edge(static_cast<int>(e), GammaResult::Rule::kEmptyEdge, -1);
-        changed = true;
-        continue;
-      }
-      if (set[e].size() == 1) {
-        drop_edge(static_cast<int>(e), GammaResult::Rule::kSingletonEdge, -1);
-        changed = true;
-        continue;
-      }
-      std::vector<int>& twins = buckets[HashInts(set[e])];
-      int rep = -1;
-      for (int r : twins) {
-        if (set[static_cast<size_t>(r)] == set[e]) {
-          rep = r;
-          break;
-        }
-      }
-      if (rep >= 0) {
-        drop_edge(static_cast<int>(e), GammaResult::Rule::kDuplicateEdge, rep);
-        changed = true;
-      } else {
-        twins.push_back(static_cast<int>(e));
-      }
-    }
-
-    // Vertex rule: isolated (in at most one alive edge).
-    for (int v = 0; v < hg.num_vertices; ++v) {
-      if (present[static_cast<size_t>(v)] && deg[static_cast<size_t>(v)] <= 1) {
-        drop_vertex(v, GammaResult::Rule::kIsolatedVertex, -1);
-        changed = true;
-      }
-    }
-
-    // Vertex rule: duplicates (identical incidence signatures).
-    std::vector<std::vector<int>> signature(
-        static_cast<size_t>(hg.num_vertices));
-    for (size_t e = 0; e < set.size(); ++e) {
-      if (!alive[e]) continue;
-      for (int v : set[e]) {
-        signature[static_cast<size_t>(v)].push_back(static_cast<int>(e));
-      }
-    }
-    std::unordered_map<uint64_t, std::vector<int>> vertex_buckets;
-    for (int v = 0; v < hg.num_vertices; ++v) {
-      if (!present[static_cast<size_t>(v)]) continue;
-      std::vector<int>& twins =
-          vertex_buckets[HashInts(signature[static_cast<size_t>(v)])];
-      int rep = -1;
-      for (int r : twins) {
-        if (signature[static_cast<size_t>(r)] ==
-            signature[static_cast<size_t>(v)]) {
-          rep = r;
-          break;
-        }
-      }
-      if (rep >= 0) {
-        drop_vertex(v, GammaResult::Rule::kDuplicateVertex, rep);
-        changed = true;
-      } else {
-        twins.push_back(v);
-      }
-    }
-  }
-
-  result.gamma_acyclic = (vertices_left == 0 && edges_left == 0);
-  return result;
-}
-
 }  // namespace semacyc::acyclic

@@ -40,14 +40,9 @@ struct GammaResult {
 /// Worklist reduction: a vertex is re-examined only when an incident edge
 /// dies (the only events that change its degree or incidence signature),
 /// an edge only when it shrinks (the only event that can make it empty, a
-/// singleton, or a duplicate). Near-linear on the deep Berge trees where
-/// the round-based sweep pays O(depth) full rescans.
+/// singleton, or a duplicate). Near-linear on deep Berge trees, where a
+/// round-based sweep of all five rules would pay O(depth) full rescans.
 GammaResult DecideGamma(const Hypergraph& hg);
-
-/// The round-based fixpoint (full sweep of all five rules per round).
-/// Kept as the reference implementation and the bench baseline; worst-case
-/// O(rounds · m · a) with rounds up to the reduction depth.
-GammaResult DecideGammaRounds(const Hypergraph& hg);
 
 }  // namespace semacyc::acyclic
 

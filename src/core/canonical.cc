@@ -69,10 +69,10 @@ uint64_t Mix(uint64_t h, uint64_t x) {
 
 namespace {
 
-/// The same invariant as StructuralKey, hash-mixed instead of
-/// string-built: per-variable occurrence signatures (sorted (pred, pos)
-/// multiset plus head position), folded into per-atom hashes over the
-/// intra-atom equality pattern, combined order-independently by sorting.
+/// The renaming/reordering invariant, hash-mixed: per-variable occurrence
+/// signatures (sorted (pred, pos) multiset plus head position), folded
+/// into per-atom hashes over the intra-atom equality pattern, combined
+/// order-independently by sorting.
 /// N independent salted chains are computed in one walk; each salt
 /// perturbs every leaf, so the chains collide independently.
 template <size_t N>
@@ -160,63 +160,6 @@ std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
   std::array<uint64_t, 2> key =
       FingerprintChains<2>(q, {0, kSecondFingerprintSalt});
   return {key[0], key[1]};
-}
-
-std::string StructuralKey(const ConjunctiveQuery& q) {
-  // Atom shapes: predicate plus the intra-atom equality pattern plus which
-  // positions are constants / head variables.
-  std::unordered_map<Term, int> head_pos;
-  for (size_t i = 0; i < q.head().size(); ++i) {
-    head_pos.emplace(q.head()[i], static_cast<int>(i));
-  }
-  // Per-variable occurrence multiset: (pred id, position) sorted.
-  std::unordered_map<Term, std::vector<std::pair<uint32_t, int>>> occ;
-  for (const Atom& a : q.body()) {
-    for (size_t pos = 0; pos < a.arity(); ++pos) {
-      Term t = a.arg(pos);
-      if (t.IsVariable()) {
-        occ[t].push_back({a.predicate().id(), static_cast<int>(pos)});
-      }
-    }
-  }
-  std::unordered_map<Term, std::string> var_sig;
-  for (auto& [v, list] : occ) {
-    std::sort(list.begin(), list.end());
-    std::string s;
-    for (auto& [p, i] : list) {
-      s += std::to_string(p) + ":" + std::to_string(i) + ";";
-    }
-    auto it = head_pos.find(v);
-    s += it == head_pos.end() ? "E" : ("H" + std::to_string(it->second));
-    var_sig[v] = s;
-  }
-  std::vector<std::string> atom_keys;
-  for (const Atom& a : q.body()) {
-    std::string s = std::to_string(a.predicate().id()) + "(";
-    // Intra-atom equality pattern + variable signatures.
-    for (size_t pos = 0; pos < a.arity(); ++pos) {
-      Term t = a.arg(pos);
-      if (t.IsConstant()) {
-        s += "c" + std::to_string(t.raw_bits());
-      } else {
-        size_t first = pos;
-        for (size_t k = 0; k < pos; ++k) {
-          if (a.arg(k) == t) {
-            first = k;
-            break;
-          }
-        }
-        s += "v" + std::to_string(first) + "[" + var_sig[t] + "]";
-      }
-      s += ",";
-    }
-    s += ")";
-    atom_keys.push_back(std::move(s));
-  }
-  std::sort(atom_keys.begin(), atom_keys.end());
-  std::string key = "A" + std::to_string(q.arity()) + "|";
-  for (const std::string& s : atom_keys) key += s + "&";
-  return key;
 }
 
 }  // namespace semacyc

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <utility>
 
 #include "core/query.h"
@@ -22,17 +21,17 @@ bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 std::optional<Substitution> FindIsomorphism(const ConjunctiveQuery& q1,
                                             const ConjunctiveQuery& q2);
 
-/// A hash-interned canonical form: a 64-bit fingerprint of the same
-/// renaming/reordering-invariant that StructuralKey encodes (isomorphic
-/// queries get equal fingerprints; unequal fingerprints imply
-/// non-isomorphic). The hot-path replacement for StructuralKey — no
-/// string building, no allocation beyond small scratch vectors. Exact
-/// stores resolve fingerprint collisions with AreIsomorphic; pure-hash
-/// dedup should combine two fingerprints with different `salt`s (the
-/// salt perturbs every leaf of the hash, so the two values collide
+/// A hash-interned canonical form: a 64-bit fingerprint of a
+/// renaming/reordering invariant — per-variable occurrence signatures
+/// folded over each atom's equality pattern (isomorphic queries get equal
+/// fingerprints; unequal fingerprints imply non-isomorphic). No string
+/// building, no allocation beyond small scratch vectors. Exact stores
+/// resolve fingerprint collisions with AreIsomorphic; pure-hash dedup
+/// should combine two fingerprints with different `salt`s (the salt
+/// perturbs every leaf of the hash, so the two values collide
 /// independently — a 128-bit key whose conflation probability is
-/// negligible against the invariant-level conflation StructuralKey
-/// dedup already accepted).
+/// negligible against the invariant's own conflations, which candidate
+/// dedup accepts).
 uint64_t CanonicalFingerprint(const ConjunctiveQuery& q, uint64_t salt = 0);
 
 /// A 128-bit key computed in one walk of the query (for pure-hash dedup
@@ -43,11 +42,6 @@ uint64_t CanonicalFingerprint(const ConjunctiveQuery& q, uint64_t salt = 0);
 inline constexpr uint64_t kSecondFingerprintSalt = 0x9e3779b97f4a7c15ull;
 std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
     const ConjunctiveQuery& q);
-
-/// The string form of the same invariant (seed implementation). Kept for
-/// the legacy candidate pipeline that benches measure against and as a
-/// readable debugging rendition; new code should use CanonicalFingerprint.
-std::string StructuralKey(const ConjunctiveQuery& q);
 
 }  // namespace semacyc
 

@@ -89,8 +89,6 @@ bool FailpointRegistry::ArmFromSpec(const std::string& spec) {
       action = FailpointAction::kCancel;
     } else if (action_str == "bad_alloc") {
       action = FailpointAction::kBadAlloc;
-    } else if (action_str == "flip") {
-      action = FailpointAction::kFlipBranch;
     } else {
       ok = false;
       continue;
@@ -119,30 +117,6 @@ void FailpointRegistry::HitSlow(const char* name, CancelToken* cancel) {
       break;
     case FailpointAction::kBadAlloc:
       throw std::bad_alloc();
-    case FailpointAction::kFlipBranch:
-      break;  // only meaningful at SEMACYC_FAILPOINT_FLIP sites
-  }
-}
-
-void FailpointRegistry::HitFlipSlow(const char* name, bool* flag) {
-  FailpointAction action;
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    auto it = state_->points.find(name);
-    if (it == state_->points.end()) return;
-    State::Point& p = it->second;
-    if (++p.hits != p.fire_on_hit) return;
-    p.fired = true;
-    action = p.action;
-  }
-  switch (action) {
-    case FailpointAction::kFlipBranch:
-      if (flag != nullptr) *flag = !*flag;
-      break;
-    case FailpointAction::kBadAlloc:
-      throw std::bad_alloc();
-    case FailpointAction::kCancel:
-      break;  // no token at flip sites
   }
 }
 

@@ -119,9 +119,8 @@ class CancelToken {
 
 /// What an armed failpoint does when it fires.
 enum class FailpointAction {
-  kCancel,      ///< RequestCancel() on the decision's token.
-  kBadAlloc,    ///< throw std::bad_alloc (simulated allocation failure).
-  kFlipBranch,  ///< invert the bool at a SEMACYC_FAILPOINT_FLIP site.
+  kCancel,    ///< RequestCancel() on the decision's token.
+  kBadAlloc,  ///< throw std::bad_alloc (simulated allocation failure).
 };
 
 /// Process-global registry of named failpoints at pipeline phase
@@ -132,7 +131,7 @@ enum class FailpointAction {
 ///
 ///   SEMACYC_FAILPOINTS="subsets.visit=cancel@100,decide.after_chase=bad_alloc"
 ///
-/// (action one of cancel | bad_alloc | flip; `@K` fires on the K-th hit,
+/// (action one of cancel | bad_alloc; `@K` fires on the K-th hit,
 /// default the 1st). Arming data lives behind a mutex touched only on
 /// the armed slow path.
 class FailpointRegistry {
@@ -160,14 +159,6 @@ class FailpointRegistry {
     HitSlow(name, cancel);
   }
 
-  /// Hook behind SEMACYC_FAILPOINT_FLIP: on the K-th hit of a point
-  /// armed with kFlipBranch, inverts `*flag` (other actions behave as in
-  /// Hit with no token).
-  void HitFlip(const char* name, bool* flag) {
-    if (armed_count_.load(std::memory_order_relaxed) == 0) return;
-    HitFlipSlow(name, flag);
-  }
-
   /// Observability for tests: hits seen by an armed point, and whether
   /// it has fired. Unarmed (or never-armed) names report 0 / false.
   uint64_t HitCount(const std::string& name) const;
@@ -177,7 +168,6 @@ class FailpointRegistry {
  private:
   FailpointRegistry();
   void HitSlow(const char* name, CancelToken* cancel);
-  void HitFlipSlow(const char* name, bool* flag);
 
   struct State;
   std::atomic<uint64_t> armed_count_{0};
@@ -192,11 +182,8 @@ class FailpointRegistry {
 #if defined(SEMACYC_FAILPOINTS_ENABLED) && SEMACYC_FAILPOINTS_ENABLED
 #define SEMACYC_FAILPOINT(name, cancel) \
   ::semacyc::FailpointRegistry::Global().Hit((name), (cancel))
-#define SEMACYC_FAILPOINT_FLIP(name, flag) \
-  ::semacyc::FailpointRegistry::Global().HitFlip((name), (flag))
 #else
 #define SEMACYC_FAILPOINT(name, cancel) ((void)0)
-#define SEMACYC_FAILPOINT_FLIP(name, flag) ((void)0)
 #endif
 
 #endif  // SEMACYC_CORE_INTERRUPT_H_

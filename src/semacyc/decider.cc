@@ -1,6 +1,8 @@
 #include "semacyc/decider.h"
 
 #include <algorithm>
+#include <cctype>
+#include <unordered_set>
 
 #include "deps/classify.h"
 #include "semacyc/engine.h"
@@ -92,6 +94,48 @@ size_t SmallQueryBound(const ConjunctiveQuery& q, const DependencySet& sigma,
                        bool* theoretically_justified) {
   return BoundFromFacts(q, sigma, facts.egds_bounded, facts.guarded,
                         facts.nr_or_sticky, theoretically_justified);
+}
+
+namespace {
+
+/// True when `name` lexes as a ParseQuery identifier. The engine's own
+/// variable pools ("s$3", "h$0", "w$1", "v$17") deliberately do not.
+bool IsIdentifier(const std::string& name) {
+  if (name.empty()) return false;
+  if (!std::isalpha(static_cast<unsigned char>(name[0])) && name[0] != '_') {
+    return false;
+  }
+  for (char c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+ConjunctiveQuery WithParseableVariables(const ConjunctiveQuery& witness) {
+  std::vector<Term> terms = witness.head();
+  for (const Atom& a : witness.body()) {
+    terms.insert(terms.end(), a.args().begin(), a.args().end());
+  }
+  std::unordered_set<std::string> taken;
+  for (Term t : terms) taken.insert(t.name());
+  Substitution rename;
+  size_t next = 0;
+  for (Term t : terms) {
+    if (!t.IsVariable() || IsIdentifier(t.name()) || rename.count(t) != 0) {
+      continue;
+    }
+    std::string name;
+    do {
+      name = "x" + std::to_string(next++);
+    } while (taken.count(name) != 0);
+    rename.emplace(t, Term::Variable(name));
+  }
+  if (rename.empty()) return witness;
+  std::vector<Term> head;
+  for (Term t : witness.head()) head.push_back(Apply(rename, t));
+  return ConjunctiveQuery(std::move(head), Apply(rename, witness.body()));
 }
 
 SemAcResult DecideSemanticAcyclicity(const ConjunctiveQuery& q,

@@ -66,7 +66,7 @@ struct SemAcOptions {
   /// path; N > 1 runs the same ordered search space over N workers with
   /// the deterministic commit protocol, so answers, strategies, budgets
   /// and witnesses are bitwise identical to 1 thread — threads buy
-  /// latency, never a different result. Ignored by the legacy tuning.
+  /// latency, never a different result.
   size_t decide_threads = 1;
   /// Cap applied on top of the theoretical small-query bound when
   /// enumerating witnesses exhaustively (the theoretical bound for NR/S is
@@ -78,12 +78,6 @@ struct SemAcOptions {
   bool enable_images = true;
   bool enable_subsets = true;
   bool enable_exhaustive = true;
-  /// Per-candidate machinery switches for the witness strategies (the
-  /// incremental classifier / incremental chase-homomorphism fast paths
-  /// vs the legacy reference pipeline). The defaults are the fast
-  /// configuration; every switch changes cost only, never answers — see
-  /// WitnessTuning in witness_search.h.
-  WitnessTuning witness;
   /// Wall-clock deadline per decision in milliseconds (0 = none, the
   /// default). When it elapses, the pipeline aborts at the next poll
   /// point and the result reports Strategy::kDeadlineExceeded with
@@ -101,6 +95,8 @@ struct SemAcOptions {
 };
 
 /// Result of the decision procedure, with a machine-checkable witness.
+/// The engine renames witness variables with WithParseableVariables, so
+/// ToString() of a witness reads back through ParseQuery.
 struct SemAcResult {
   SemAcAnswer answer = SemAcAnswer::kUnknown;
   /// When kYes: an acyclic CQ q' with q ≡Σ q'.
@@ -144,6 +140,15 @@ struct SemAcResult {
 SemAcResult DecideSemanticAcyclicity(const ConjunctiveQuery& q,
                                      const DependencySet& sigma,
                                      const SemAcOptions& options = {});
+
+/// `witness` with every variable whose name ParseQuery rejects (the
+/// engine's pooled "s$3", "h$0", "w$1", "v$17") renamed to x0, x1, ... in
+/// first-occurrence order (head, then body), skipping every name the
+/// witness already uses; parseable variables keep their names. A pure
+/// function of the witness, so equal witnesses stay bitwise equal (the
+/// 1-vs-N-thread parity contract). The engine applies it to every YES
+/// witness it returns; `$` names stay reserved for the engine's pools.
+ConjunctiveQuery WithParseableVariables(const ConjunctiveQuery& witness);
 
 /// The paper's small-query bound for (q, Σ): 2·|q| when Σ is guarded or a
 /// set of egds (acyclicity-preserving chase classes, Props 8/22), and

@@ -37,8 +37,7 @@ Engine::OracleEntry::OracleEntry(ConjunctiveQuery q,
     : query(std::move(q)),
       oracle(query, schema.sigma, options.chase,
              WithCancel(options.rewrite, cancel), schema.facts, rewrite_cache,
-             /*try_rewriting=*/true, /*memoize=*/true,
-             /*synchronized=*/true) {}
+             /*try_rewriting=*/true, /*synchronized=*/true) {}
 
 size_t Engine::OracleEntry::ApproxBytes() const {
   // The rewriting (when built) is shared with the RewriteCache; the memo
@@ -49,12 +48,9 @@ size_t Engine::OracleEntry::ApproxBytes() const {
 
 namespace {
 
-EngineOptions FromLegacyConfig(SemAcOptions options, EngineConfig config) {
+EngineOptions WithPipeline(SemAcOptions options) {
   EngineOptions out;
   out.semac = options;
-  out.decisions.enabled = config.cache_decisions;
-  out.chase.enabled = config.cache_chases;
-  out.oracles.enabled = config.reuse_oracles;
   return out;
 }
 
@@ -81,8 +77,8 @@ int64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-Engine::Engine(DependencySet sigma, SemAcOptions options, EngineConfig config)
-    : Engine(std::move(sigma), FromLegacyConfig(options, config)) {}
+Engine::Engine(DependencySet sigma, SemAcOptions options)
+    : Engine(std::move(sigma), WithPipeline(options)) {}
 
 Engine::Engine(DependencySet sigma, EngineOptions options)
     : options_(options.semac),
@@ -294,11 +290,13 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   SEMACYC_FAILPOINT("decide.start", cancel);
   if (cancel != nullptr && cancel->PollNow()) return abort_result();
 
-  // Records a witness together with its (tightest) classification.
-  auto accept = [&result](ConjunctiveQuery witness, Strategy strategy) {
+  // Records a witness together with its (tightest) classification. Every
+  // YES witness of every strategy passes through here, so this is the one
+  // place its pooled variable names become parseable.
+  auto accept = [&result](const ConjunctiveQuery& witness, Strategy strategy) {
     result.witness_class = ClassifyQuery(witness).cls;
     result.answer = SemAcAnswer::kYes;
-    result.witness = std::move(witness);
+    result.witness = WithParseableVariables(witness);
     result.strategy = strategy;
     result.exact = true;
   };
@@ -452,16 +450,15 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   // Strategy 3: homomorphic images of q inside the chase.
   if (options_.enable_images) {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kImages);
-    WitnessSearchOutcome images =
-        FindWitnessInQueryImages(q, chase, *oracle, options_.image_homs,
-                                 target, options_.witness, cancel);
+    WitnessSearchOutcome images = FindWitnessInQueryImages(
+        q, chase, *oracle, options_.image_homs, target, cancel);
     result.candidates_tested += images.candidates_tested;
     metrics_.Add(obs::Counter::kCandidatesTested, images.candidates_tested);
     timer.Counter("candidates_tested",
                   static_cast<int64_t>(images.candidates_tested));
     timer.Counter("exhausted", images.exhausted ? 1 : 0);
     if (images.answer == Tri::kYes) {
-      accept(std::move(*images.witness), Strategy::kImages);
+      accept(*images.witness, Strategy::kImages);
       return result;
     }
   }
@@ -471,14 +468,9 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   // Strategy 4: target-acyclic sub-instances of the chase.
   if (options_.enable_subsets) {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kSubsets);
-    WitnessSearchOutcome subsets =
-        options_.decide_threads > 1 && !options_.witness.legacy
-            ? ParallelFindWitnessInChaseSubsets(
-                  q, chase, *oracle, bound, options_.subset_budget,
-                  options_.decide_threads, target, options_.witness, cancel)
-            : FindWitnessInChaseSubsets(q, chase, *oracle, bound,
-                                        options_.subset_budget, target,
-                                        options_.witness, cancel);
+    WitnessSearchOutcome subsets = ParallelFindWitnessInChaseSubsets(
+        q, chase, *oracle, bound, options_.subset_budget,
+        options_.decide_threads, target, cancel);
     AddParallelStats(subsets.parallel);
     result.candidates_tested += subsets.candidates_tested;
     metrics_.Add(obs::Counter::kCandidatesTested, subsets.candidates_tested);
@@ -498,7 +490,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
                                        std::min(subsets.visits,
                                                 options_.subset_budget)));
     if (subsets.answer == Tri::kYes) {
-      accept(std::move(*subsets.witness), Strategy::kSubsets);
+      accept(*subsets.witness, Strategy::kSubsets);
       return result;
     }
   }
@@ -508,17 +500,9 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   // Strategy 5: exhaustive canonical enumeration up to the bound.
   if (options_.enable_exhaustive) {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kEnumerate);
-    WitnessTuning tuning = options_.witness;
-    SEMACYC_FAILPOINT_FLIP("exhaustive.flip_inc_hom",
-                           &tuning.incremental_hom);
-    WitnessSearchOutcome exhaustive =
-        options_.decide_threads > 1 && !tuning.legacy
-            ? ParallelExhaustiveWitnessSearch(
-                  q, sigma, chase, *oracle, bound, options_.exhaustive_budget,
-                  options_.decide_threads, target, tuning, cancel)
-            : ExhaustiveWitnessSearch(q, sigma, chase, *oracle, bound,
-                                      options_.exhaustive_budget, target,
-                                      tuning, cancel);
+    WitnessSearchOutcome exhaustive = ParallelExhaustiveWitnessSearch(
+        q, sigma, chase, *oracle, bound, options_.exhaustive_budget,
+        options_.decide_threads, target, cancel);
     AddParallelStats(exhaustive.parallel);
     result.candidates_tested += exhaustive.candidates_tested;
     metrics_.Add(obs::Counter::kCandidatesTested,
@@ -561,7 +545,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
             static_cast<int64_t>(exhaustive.hom.dead_prefix)}});
     }
     if (exhaustive.answer == Tri::kYes) {
-      accept(std::move(*exhaustive.witness), Strategy::kExhaustive);
+      accept(*exhaustive.witness, Strategy::kExhaustive);
       return result;
     }
     // A definitive NO needs: full enumeration, saturated chase, exact

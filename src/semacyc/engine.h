@@ -100,31 +100,15 @@ class PreparedQuery {
   bool bound_justified_ = false;
 };
 
-/// Cache/behavior switches. The defaults are the production configuration;
-/// tests and benches disable individual layers to expose the one below
-/// (e.g. cache_decisions = false measures oracle-memo reuse in isolation).
-/// Each toggle maps onto the `enabled` flag of the corresponding
-/// CacheConfig in EngineOptions; this struct survives as the legacy
-/// surface of the original constructor.
-struct EngineConfig {
-  /// Serve repeat decisions of the same query from a result cache
-  /// (isomorphism-resolved: an isomorphic query gets the cached result,
-  /// whose witness is stated over the original query's variables).
-  bool cache_decisions = true;
-  /// Share chase(q, Σ) across entrypoints and repeat calls.
-  bool cache_chases = true;
-  /// Keep one containment oracle per query alive across calls, so its
-  /// memo/rewriting survive (the free functions rebuild one per call).
-  bool reuse_oracles = true;
-};
-
 /// Full construction surface of an Engine: the decision-pipeline options
 /// plus one CacheConfig per cache. The defaults are the production
-/// configuration — all four caches enabled and unbounded, exactly the
-/// legacy-constructor behavior; set max_bytes/max_entries to turn on LRU
-/// eviction per cache (multi-tenant / long-running services).
+/// configuration — all four caches enabled and unbounded; set
+/// max_bytes/max_entries to turn on LRU eviction per cache (multi-tenant /
+/// long-running services), or `enabled = false` to expose the layer below
+/// (e.g. decisions.enabled = false measures oracle-memo reuse in
+/// isolation).
 struct EngineOptions {
-  /// Decision-pipeline options (budgets, target class, witness tuning).
+  /// Decision-pipeline options (budgets, target class, strategies).
   /// Default: the production configuration of SemAcOptions.
   SemAcOptions semac;
   /// chase(q, Σ) memo (iso-resolved with a rename layer; see
@@ -262,11 +246,10 @@ struct EvalOutcome {
 /// with threads > 1 is exactly concurrent Decide over the batch.
 class Engine {
  public:
-  explicit Engine(DependencySet sigma, SemAcOptions options = {},
-                  EngineConfig config = {});
-  /// Full construction surface: per-cache budgets and policies. The legacy
-  /// constructor above delegates here (its EngineConfig toggles become the
-  /// caches' `enabled` flags).
+  /// Production caches (EngineOptions defaults) with the given pipeline
+  /// options; delegates to the constructor below.
+  explicit Engine(DependencySet sigma, SemAcOptions options = {});
+  /// Full construction surface: per-cache budgets and policies.
   Engine(DependencySet sigma, EngineOptions options);
 
   Engine(const Engine&) = delete;

@@ -60,10 +60,10 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
                                      const DependencySet& sigma,
                                      const ChaseOptions& chase_options,
                                      const RewriteOptions& rewrite_options,
-                                     bool try_rewriting, bool memoize)
+                                     bool try_rewriting)
     : ContainmentOracle(q, sigma, chase_options, rewrite_options,
                         SchemaFacts::Compute(sigma), /*rewrite_cache=*/nullptr,
-                        try_rewriting, memoize, /*synchronized=*/false) {}
+                        try_rewriting, /*synchronized=*/false) {}
 
 ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
                                      const DependencySet& sigma,
@@ -71,12 +71,10 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
                                      const RewriteOptions& rewrite_options,
                                      const SchemaFacts& facts,
                                      RewriteCache* rewrite_cache,
-                                     bool try_rewriting, bool memoize,
-                                     bool synchronized)
+                                     bool try_rewriting, bool synchronized)
     : q_(q),
       sigma_(sigma),
       chase_options_(chase_options),
-      memoize_(memoize),
       synchronized_(synchronized) {
   exact_ = facts.chase_exact;
   // Rewriting is only worth its (possibly exponential) construction cost
@@ -92,12 +90,12 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
       exact_ = true;
     }
   }
-  // Predicate-reachability prefilter (fast path only). Sound for kNo only
-  // when the candidate's chase cannot fail, i.e. Σ has no egds: tgds never
-  // invent predicates outside the body→head predicate graph, so a q
-  // predicate unreachable from every candidate predicate can never appear
-  // in chase(candidate, Σ).
-  if (memoize_ && !sigma.HasEgds()) {
+  // Predicate-reachability prefilter. Sound for kNo only when the
+  // candidate's chase cannot fail, i.e. Σ has no egds: tgds never invent
+  // predicates outside the body→head predicate graph, so a q predicate
+  // unreachable from every candidate predicate can never appear in
+  // chase(candidate, Σ).
+  if (!sigma.HasEgds()) {
     // Chase-free degeneration: tgds only ever add atoms whose predicate is
     // some tgd head predicate. If none of those occur in q, the
     // q-homomorphism into chase(candidate, Σ) can only use candidate's own
@@ -284,7 +282,6 @@ Tri ContainmentOracle::ContainedInQ(const ConjunctiveQuery& candidate,
   // (plus relaxed counter bumps), so synchronized oracles run these
   // paths — the per-candidate inner loops of the parallel strategies —
   // without touching the lock.
-  if (!memoize_) return Decide(candidate, cancel);
   if (prefilter_ && !PassesPredicateFilter(candidate)) {
     prefiltered_.fetch_add(1, std::memory_order_relaxed);
     return Tri::kNo;
@@ -355,33 +352,74 @@ std::vector<Term> RequiredHeadTerms(const QueryChaseResult& chase) {
   return out;
 }
 
-/// Candidate dedup modulo the renaming-invariant key. The fast path keys
-/// on a 128-bit salted fingerprint pair of the same invariant the seed's
-/// StructuralKey dedup used (which likewise never resolved its own
-/// conflations) — the conflation probability a dropped candidate rides
-/// on is ~n²/2¹²⁸, negligible against every other failure mode. Legacy
-/// mode keeps the seed's string keys.
-class CandidateDedup {
- public:
-  explicit CandidateDedup(bool legacy) : legacy_(legacy) {}
+/// Read-only view of the subsets search space, precomputed once per
+/// search: connecting vertices per chase atom (one vertex numbering for
+/// every classifier session) and the required head terms each atom
+/// covers. Nothing here mutates after construction, so parallel workers
+/// share it.
+struct SubsetsSpace {
+  const std::vector<Atom>* atoms;
+  std::vector<Term> required;
+  std::vector<std::vector<int>> atom_verts;
+  std::vector<std::vector<size_t>> atom_required;
 
-  /// True iff the candidate was not seen before.
-  bool Insert(const ConjunctiveQuery& q) {
-    if (legacy_) return strings_.insert(StructuralKey(q)).second;
-    return keys_.insert(CanonicalFingerprint128(q)).second;
-  }
-
- private:
-  using Key128 = std::pair<uint64_t, uint64_t>;
-  struct Key128Hash {
-    size_t operator()(const Key128& k) const {
-      return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ull));
+  explicit SubsetsSpace(const QueryChaseResult& chase)
+      : atoms(&chase.instance.atoms()), required(RequiredHeadTerms(chase)) {
+    const size_t m = atoms->size();
+    atom_verts.resize(m);
+    atom_required.resize(m);
+    std::unordered_map<Term, int, TermHash> vertex_of;
+    for (size_t i = 0; i < m; ++i) {
+      // kAllTerms: in a frozen-query chase every term connects.
+      for (Term t : (*atoms)[i].DistinctTerms()) {
+        atom_verts[i].push_back(
+            vertex_of.emplace(t, static_cast<int>(vertex_of.size()))
+                .first->second);
+      }
+      for (size_t k = 0; k < required.size(); ++k) {
+        if ((*atoms)[i].Mentions(required[k])) atom_required[i].push_back(k);
+      }
     }
-  };
-  bool legacy_;
-  std::unordered_set<std::string> strings_;
-  std::unordered_set<Key128, Key128Hash> keys_;
+  }
 };
+
+/// Inverse freezing of a chase subset over a stable variable pool: fresh
+/// per-candidate names would intern a new symbol for every variable of
+/// every candidate; reusing "s$<i>" across candidates interns each name
+/// exactly once per process, and the sequential and parallel searches
+/// build bitwise-identical candidates for the same subset.
+ConjunctiveQuery PooledQuery(const SubsetsSpace& space,
+                             const std::vector<uint32_t>& subset,
+                             const std::vector<Term>& frozen_head,
+                             std::vector<Term>* var_pool) {
+  Substitution rename;
+  size_t next_var = 0;
+  auto var_of = [&](Term t) -> Term {
+    if (t.IsConstant() && !t.IsFrozenNull()) return t;  // real constant
+    auto it = rename.find(t);
+    if (it != rename.end()) return it->second;
+    if (next_var == var_pool->size()) {
+      var_pool->push_back(
+          Term::Variable("s$" + std::to_string(var_pool->size())));
+    }
+    Term v = (*var_pool)[next_var++];
+    rename.emplace(t, v);
+    return v;
+  };
+  std::vector<Atom> body;
+  body.reserve(subset.size());
+  for (uint32_t i : subset) {
+    const Atom& a = (*space.atoms)[i];
+    std::vector<Term> args;
+    args.reserve(a.arity());
+    for (Term t : a.args()) args.push_back(var_of(t));
+    body.emplace_back(a.predicate(), std::move(args));
+  }
+  std::vector<Term> head;
+  head.reserve(frozen_head.size());
+  for (Term t : frozen_head) head.push_back(var_of(t));
+  return ConjunctiveQuery(std::move(head), std::move(body));
+}
 
 /// Enumeration signature of the exhaustive strategy: the predicates that
 /// can occur in chase(q,Σ), the constants available to candidates, and
@@ -455,6 +493,21 @@ struct Key128Hash {
   }
 };
 
+/// Candidate dedup modulo the renaming-invariant key: a 128-bit salted
+/// fingerprint pair of the canonical invariant (conflations are never
+/// resolved) — the conflation probability a dropped candidate rides on is
+/// ~n²/2¹²⁸, negligible against every other failure mode.
+class CandidateDedup {
+ public:
+  /// True iff the candidate was not seen before.
+  bool Insert(const ConjunctiveQuery& q) {
+    return keys_.insert(CanonicalFingerprint128(q)).second;
+  }
+
+ private:
+  std::unordered_set<Key128, Key128Hash> keys_;
+};
+
 /// One candidate test inside a parallel unit, recorded at per-unit dedup
 /// insert time (even when the shared NO-set suppressed the oracle call).
 /// The commit-time replay walks these in unit order through one global
@@ -496,7 +549,6 @@ WitnessSearchOutcome FindWitnessInQueryImages(const ConjunctiveQuery& q,
                                               const ContainmentOracle& oracle,
                                               size_t max_homs,
                                               acyclic::AcyclicityClass target,
-                                              const WitnessTuning& tuning,
                                               CancelToken* cancel) {
   WitnessSearchOutcome outcome;
   Substitution fixed;
@@ -512,7 +564,7 @@ WitnessSearchOutcome FindWitnessInQueryImages(const ConjunctiveQuery& q,
   HomResult homs = FindHomomorphisms(q.body(), chase.instance, options);
   outcome.exhausted = !homs.budget_exhausted &&
                       (max_homs == 0 || homs.solutions.size() < max_homs);
-  CandidateDedup tested(tuning.legacy);
+  CandidateDedup tested;
   for (const Substitution& h : homs.solutions) {
     if (cancel != nullptr && cancel->Poll()) {
       outcome.exhausted = false;
@@ -542,79 +594,23 @@ WitnessSearchOutcome FindWitnessInChaseSubsets(const ConjunctiveQuery& q,
                                                const ContainmentOracle& oracle,
                                                size_t max_atoms, size_t budget,
                                                acyclic::AcyclicityClass target,
-                                               const WitnessTuning& tuning,
                                                CancelToken* cancel) {
   (void)q;  // the chase already encodes q; kept for interface symmetry
   WitnessSearchOutcome outcome;
-  const auto& atoms = chase.instance.atoms();
-  const size_t m = atoms.size();
-  std::vector<Term> required = RequiredHeadTerms(chase);
-  CandidateDedup tested(tuning.legacy);
+  // A push/pop classifier threaded along the DFS path and required-term
+  // coverage maintained by counters, so a DFS node costs a
+  // component-local re-check instead of an Instance build plus a
+  // from-scratch hypergraph classification.
+  const SubsetsSpace space(chase);
+  const size_t m = space.atoms->size();
+  CandidateDedup tested;
   size_t visits = 0;
   bool truncated = false;
-
-  // Incremental machinery (fast path): connecting vertices per chase atom
-  // interned once up front, a push/pop classifier threaded along the DFS
-  // path, and required-term coverage maintained by counters — so a DFS
-  // node costs a component-local re-check instead of an Instance build
-  // plus a from-scratch hypergraph classification.
-  std::vector<std::vector<int>> atom_verts;
-  std::vector<std::vector<size_t>> atom_required;
   acyclic::IncrementalClassifier inc(target);
-  std::vector<int> req_cover(required.size(), 0);
+  std::vector<int> req_cover(space.required.size(), 0);
   size_t covered = 0;
-  if (!tuning.legacy) {
-    atom_verts.resize(m);
-    atom_required.resize(m);
-    std::unordered_map<Term, int, TermHash> vertex_of;
-    for (size_t i = 0; i < m; ++i) {
-      // kAllTerms: in a frozen-query chase every term connects.
-      for (Term t : atoms[i].DistinctTerms()) {
-        atom_verts[i].push_back(
-            vertex_of.emplace(t, static_cast<int>(vertex_of.size()))
-                .first->second);
-      }
-      for (size_t k = 0; k < required.size(); ++k) {
-        if (atoms[i].Mentions(required[k])) atom_required[i].push_back(k);
-      }
-    }
-  }
-
-  // Stable variable pool for inverse freezing on the fast path: fresh
-  // per-candidate names would intern a new symbol for every variable of
-  // every candidate; reusing "s$<i>" across candidates interns each name
-  // exactly once per process.
   std::vector<Term> var_pool;
   std::vector<uint32_t> subset;
-  auto pooled_query = [&]() {
-    Substitution rename;
-    size_t next_var = 0;
-    auto var_of = [&](Term t) -> Term {
-      if (t.IsConstant() && !t.IsFrozenNull()) return t;  // real constant
-      auto it = rename.find(t);
-      if (it != rename.end()) return it->second;
-      if (next_var == var_pool.size()) {
-        var_pool.push_back(
-            Term::Variable("s$" + std::to_string(var_pool.size())));
-      }
-      Term v = var_pool[next_var++];
-      rename.emplace(t, v);
-      return v;
-    };
-    std::vector<Atom> body;
-    body.reserve(subset.size());
-    for (uint32_t i : subset) {
-      const Atom& a = atoms[i];
-      std::vector<Term> args;
-      args.reserve(a.arity());
-      for (Term t : a.args()) args.push_back(var_of(t));
-      body.emplace_back(a.predicate(), std::move(args));
-    }
-    std::vector<Term> head;
-    head.reserve(chase.frozen_head.size());
-    for (Term t : chase.frozen_head) head.push_back(var_of(t));
-    return ConjunctiveQuery(std::move(head), std::move(body));
-  };
 
   auto test_candidate = [&](ConjunctiveQuery candidate) -> bool {
     if (!tested.Insert(candidate)) return false;
@@ -641,46 +637,24 @@ WitnessSearchOutcome FindWitnessInChaseSubsets(const ConjunctiveQuery& q,
       truncated = true;  // a fired token truncates like an exhausted budget
       return false;
     }
-    if (!subset.empty()) {
-      if (tuning.legacy) {
-        Instance sub = chase.instance.Restrict(subset);
-        bool covers = true;
-        for (Term t : required) {
-          if (sub.AtomsMentioning(t).empty()) {
-            covers = false;
-            break;
-          }
-        }
-        if (covers &&
-            MeetsAcyclicityClass(sub.atoms(), ConnectingTerms::kAllTerms,
-                                 target) &&
-            test_candidate(QueryFromInstance(sub, chase.frozen_head))) {
-          return true;
-        }
-      } else if (covered == required.size() && inc.Meets() &&
-                 test_candidate(pooled_query())) {
-        return true;
-      }
+    if (!subset.empty() && covered == space.required.size() && inc.Meets() &&
+        test_candidate(
+            PooledQuery(space, subset, chase.frozen_head, &var_pool))) {
+      return true;
     }
     if (subset.size() >= limit) return false;
     for (size_t i = next; i < m; ++i) {
       subset.push_back(static_cast<uint32_t>(i));
-      bool pruned = false;
-      if (!tuning.legacy) {
-        for (size_t k : atom_required[i]) {
-          if (req_cover[k]++ == 0) ++covered;
-        }
-        inc.PushEdge(atom_verts[i]);
-        // β/γ/Berge are hereditary: a violated prefix can never recover,
-        // so the whole subtree (including this subset itself) is dead.
-        pruned = inc.CannotRecover();
+      for (size_t k : space.atom_required[i]) {
+        if (req_cover[k]++ == 0) ++covered;
       }
-      bool found = !pruned && dfs(i + 1, limit);
-      if (!tuning.legacy) {
-        inc.PopEdge();
-        for (size_t k : atom_required[i]) {
-          if (--req_cover[k] == 0) --covered;
-        }
+      inc.PushEdge(space.atom_verts[i]);
+      // β/γ/Berge are hereditary: a violated prefix can never recover, so
+      // the whole subtree (including this subset itself) is dead.
+      bool found = !inc.CannotRecover() && dfs(i + 1, limit);
+      inc.PopEdge();
+      for (size_t k : space.atom_required[i]) {
+        if (--req_cover[k] == 0) --covered;
       }
       subset.pop_back();
       if (found) return true;
@@ -708,16 +682,6 @@ WitnessSearchOutcome FindWitnessInChaseSubsets(const ConjunctiveQuery& q,
 }
 
 namespace {
-
-/// Shared read-only view of the subsets search space, precomputed once by
-/// the orchestrator. The vertex interning fixes one vertex numbering all
-/// workers share; nothing here mutates after construction.
-struct SubsetsSpace {
-  const std::vector<Atom>* atoms = nullptr;
-  std::vector<Term> required;
-  std::vector<std::vector<int>> atom_verts;
-  std::vector<std::vector<size_t>> atom_required;
-};
 
 /// One subtree-root unit of the subsets DFS, in sequential visit order:
 /// the root visit of an iterative-deepening round (first < 0), or the
@@ -845,7 +809,11 @@ class SubsetsWorker {
   }
 
   bool TestSubset() {
-    ConjunctiveQuery candidate = PooledQuery();
+    // Per-worker variable pool: the "s$<i>" names intern to the same
+    // process-wide Terms, so the published witness is bitwise-identical
+    // to the sequential one.
+    ConjunctiveQuery candidate =
+        PooledQuery(space_, subset_, chase_.frozen_head, &var_pool_);
     Key128 key = CanonicalFingerprint128(candidate);
     // Per-unit dedup decides event recording; the shared NO-set only
     // suppresses the oracle CALL for already-refuted candidates (answers
@@ -862,40 +830,6 @@ class SubsetsWorker {
     }
     if (r == Tri::kNo) shared_no_->Insert(key);
     return false;
-  }
-
-  /// The sequential strategy's pooled inverse freezing, per worker: the
-  /// "s$<i>" names intern to the same process-wide Terms, so candidates
-  /// (and the published witness) are bitwise-identical to the sequential
-  /// build for the same subset.
-  ConjunctiveQuery PooledQuery() {
-    Substitution rename;
-    size_t next_var = 0;
-    auto var_of = [&](Term t) -> Term {
-      if (t.IsConstant() && !t.IsFrozenNull()) return t;  // real constant
-      auto it = rename.find(t);
-      if (it != rename.end()) return it->second;
-      if (next_var == var_pool_.size()) {
-        var_pool_.push_back(
-            Term::Variable("s$" + std::to_string(var_pool_.size())));
-      }
-      Term v = var_pool_[next_var++];
-      rename.emplace(t, v);
-      return v;
-    };
-    std::vector<Atom> body;
-    body.reserve(subset_.size());
-    for (uint32_t i : subset_) {
-      const Atom& a = (*space_.atoms)[i];
-      std::vector<Term> args;
-      args.reserve(a.arity());
-      for (Term t : a.args()) args.push_back(var_of(t));
-      body.emplace_back(a.predicate(), std::move(args));
-    }
-    std::vector<Term> head;
-    head.reserve(chase_.frozen_head.size());
-    for (Term t : chase_.frozen_head) head.push_back(var_of(t));
-    return ConjunctiveQuery(std::move(head), std::move(body));
   }
 
   const SubsetsSpace& space_;
@@ -924,36 +858,15 @@ class SubsetsWorker {
 WitnessSearchOutcome ParallelFindWitnessInChaseSubsets(
     const ConjunctiveQuery& q, const QueryChaseResult& chase,
     const ContainmentOracle& oracle, size_t max_atoms, size_t budget,
-    size_t threads, acyclic::AcyclicityClass target,
-    const WitnessTuning& tuning, CancelToken* cancel) {
-  if (threads <= 1 || tuning.legacy) {
+    size_t threads, acyclic::AcyclicityClass target, CancelToken* cancel) {
+  if (threads <= 1) {
     return FindWitnessInChaseSubsets(q, chase, oracle, max_atoms, budget,
-                                     target, tuning, cancel);
+                                     target, cancel);
   }
   (void)q;  // the chase already encodes q; kept for interface symmetry
   WitnessSearchOutcome outcome;
-  SubsetsSpace space;
-  space.atoms = &chase.instance.atoms();
-  space.required = RequiredHeadTerms(chase);
+  const SubsetsSpace space(chase);
   const size_t m = space.atoms->size();
-  space.atom_verts.resize(m);
-  space.atom_required.resize(m);
-  {
-    std::unordered_map<Term, int, TermHash> vertex_of;
-    for (size_t i = 0; i < m; ++i) {
-      // kAllTerms: in a frozen-query chase every term connects.
-      for (Term t : (*space.atoms)[i].DistinctTerms()) {
-        space.atom_verts[i].push_back(
-            vertex_of.emplace(t, static_cast<int>(vertex_of.size()))
-                .first->second);
-      }
-      for (size_t k = 0; k < space.required.size(); ++k) {
-        if ((*space.atoms)[i].Mentions(space.required[k])) {
-          space.atom_required[i].push_back(k);
-        }
-      }
-    }
-  }
   // Ordered unit list = the sequential visit order: per deepening round,
   // the root visit, then one subtree per first chase atom.
   std::vector<SubsetsUnit> units;
@@ -1001,8 +914,7 @@ WitnessSearchOutcome ParallelFindWitnessInChaseSubsets(
 namespace {
 
 /// Fixed total order on atoms for canonical-growth enumeration: predicate
-/// id, then argument handles lexicographically. The allocation-free
-/// replacement for comparing EncodeAtom strings.
+/// id, then argument handles lexicographically.
 bool AtomOrderLess(const Atom& a, const Atom& b) {
   if (a.predicate() != b.predicate()) {
     return a.predicate().id() < b.predicate().id();
@@ -1171,24 +1083,19 @@ class CandidateEnumerator {
                       const QueryChaseResult& chase,
                       const ContainmentOracle& oracle, size_t max_atoms,
                       size_t budget, acyclic::AcyclicityClass target,
-                      const WitnessTuning& tuning, CancelToken* cancel)
+                      CancelToken* cancel)
       : q_(q),
         chase_(chase),
         oracle_(oracle),
         max_atoms_(max_atoms),
         budget_(budget),
-        target_(target),
-        tuning_(tuning),
         cancel_(cancel),
         inc_(target),
         hom_(chase.instance),
-        use_inc_hom_(!tuning.legacy && tuning.incremental_hom),
-        tested_(tuning.legacy),
         failpoint_token_(cancel) {
     // The incremental session bails from repair search once the token
     // fires; its outcomes are then discarded with the whole enumeration.
     hom_.SetCancel(cancel);
-    hom_options_.cancel = cancel;
     EnumSignature sig(q, sigma, max_atoms);
     predicates_ = std::move(sig.predicates);
     constants_ = std::move(sig.constants);
@@ -1212,7 +1119,6 @@ class CandidateEnumerator {
     if (parent != nullptr) child_.SetParent(parent);
     cancel_ = &child_;
     hom_.SetCancel(&child_);
-    hom_options_.cancel = &child_;
   }
 
   SearchUnitOutcome RunUnit(const ExhaustivePlan& plan, const ExhUnit& u,
@@ -1271,8 +1177,8 @@ class CandidateEnumerator {
 
   size_t classifier_pushes() const { return inc_.pushes(); }
   size_t classifier_pops() const { return inc_.pops(); }
-  const IncrementalHomomorphism::Stats* hom_stats() const {
-    return use_inc_hom_ ? &hom_.stats() : nullptr;
+  const IncrementalHomomorphism::Stats& hom_stats() const {
+    return hom_.stats();
   }
 
   WitnessSearchOutcome Run() {
@@ -1289,7 +1195,7 @@ class CandidateEnumerator {
     outcome_.visits = visits_;
     outcome_.classifier_pushes = inc_.pushes();
     outcome_.classifier_pops = inc_.pops();
-    if (use_inc_hom_) outcome_.hom = hom_.stats();
+    outcome_.hom = hom_.stats();
     return outcome_;
   }
 
@@ -1308,17 +1214,13 @@ class CandidateEnumerator {
       }
       for (size_t i = 0; i < k; ++i) head_[i] = block_var[(*block)[i]];
       // Head variables must map to the frozen head position-wise; seed the
-      // candidate search with that binding. Both the binding and the
-      // argument choices are loop invariants of the whole pattern — build
-      // them once here, not per enumeration node.
-      hom_options_.fixed.clear();
-      for (size_t i = 0; i < k; ++i) {
-        hom_options_.fixed[head_[i]] = chase_.frozen_head[i];
-      }
-      hom_options_.max_solutions = 1;
-      // The incremental session is per head pattern, like the fixed
-      // binding it mirrors: Reset re-seeds it and keeps pooled storage.
-      if (use_inc_hom_) hom_.Reset(hom_options_.fixed);
+      // hom session with that binding. Both the binding and the argument
+      // choices are loop invariants of the whole pattern — build them once
+      // here, not per enumeration node. Reset re-seeds the session and
+      // keeps its pooled storage.
+      Substitution fixed;
+      for (size_t i = 0; i < k; ++i) fixed[head_[i]] = chase_.frozen_head[i];
+      hom_.Reset(fixed);
       choices_ = ArgChoices();
       atoms_.clear();
       used_frontier_ = 0;
@@ -1357,28 +1259,6 @@ class CandidateEnumerator {
     return out;
   }
 
-  std::string EncodeAtom(const Atom& a) {
-    std::string s = std::to_string(a.predicate().id()) + "(";
-    for (Term t : a.args()) s += std::to_string(t.raw_bits()) + ",";
-    return s + ")";
-  }
-
-  /// Pre-PR frontier computation (legacy mode only): rescans every atom
-  /// argument against the whole pool — O(atoms · arity · pool) per
-  /// BuildArgs position. The fast path threads `used` down the recursion
-  /// instead (see BuildArgs).
-  size_t CountUsedPool(const std::vector<Atom>& atoms) {
-    size_t used = 0;
-    for (const Atom& a : atoms) {
-      for (Term t : a.args()) {
-        for (size_t i = 0; i < pool_.size(); ++i) {
-          if (t == pool_[i]) used = std::max(used, i + 1);
-        }
-      }
-    }
-    return used;
-  }
-
   /// The atom's connecting vertices (kVariables: constants never connect),
   /// interned against the enumerator-wide vertex table. Fills the shared
   /// scratch buffer (the classifier copies and sorts/dedups).
@@ -1407,12 +1287,6 @@ class CandidateEnumerator {
     return true;
   }
 
-  /// The candidate (with current atoms) still maps into the chase with the
-  /// head bound position-wise — the certificate for q ⊆Σ candidate.
-  bool MapsIntoChase() {
-    return FindHomomorphisms(atoms_, chase_.instance, hom_options_).found;
-  }
-
   /// Parallel mode: install one head pattern's invariants from the plan
   /// (identical to the pos == k arm of EnumerateHeadPatterns). A pattern
   /// switch is a session replay: the hom session re-seeds to the new
@@ -1423,9 +1297,7 @@ class CandidateEnumerator {
     pctx_->NoteReplay();
     const HpPlan& h = plan.hps[hp];
     head_ = h.head;
-    hom_options_.fixed = h.fixed;
-    hom_options_.max_solutions = 1;
-    if (use_inc_hom_) hom_.Reset(hom_options_.fixed);
+    hom_.Reset(h.fixed);
     choices_ = h.choices;
     cur_hp_ = static_cast<int64_t>(hp);
   }
@@ -1442,12 +1314,8 @@ class CandidateEnumerator {
     inc_.PushEdge(VarVertices(atom));
     bool ok = !inc_.CannotRecover();
     if (ok) {
-      if (use_inc_hom_) {
-        ok = hom_.PushAtom(atom);
-        if (!ok) hom_.PopAtom();
-      } else {
-        ok = MapsIntoChase();
-      }
+      ok = hom_.PushAtom(atom);
+      if (!ok) hom_.PopAtom();
     }
     if (!ok) {
       inc_.PopEdge();
@@ -1462,7 +1330,7 @@ class CandidateEnumerator {
 
   void PopPrefix(size_t pushed) {
     while (pushed-- > 0) {
-      if (use_inc_hom_) hom_.PopAtom();
+      hom_.PopAtom();
       inc_.PopEdge();
       atoms_.pop_back();
       used_frontier_ = frontier_stack_.back();
@@ -1498,12 +1366,7 @@ class CandidateEnumerator {
   }
 
   void TestCandidate() {
-    if (atoms_.empty() || !HeadCovered()) return;
-    bool meets = tuning_.legacy
-                     ? MeetsAcyclicityClass(atoms_, ConnectingTerms::kVariables,
-                                            target_)
-                     : inc_.Meets();
-    if (!meets) return;
+    if (atoms_.empty() || !HeadCovered() || !inc_.Meets()) return;
     ConjunctiveQuery candidate(head_, atoms_);
     if (parallel_) {
       // Per-unit dedup gates the event record; the shared NO-set only
@@ -1558,68 +1421,44 @@ class CandidateEnumerator {
     TestCandidate();
     if (outcome_.answer == Tri::kYes) return;
     if (atoms_.size() >= max_atoms_) return;
-    std::string last_code;
-    if (tuning_.legacy && !atoms_.empty()) last_code = EncodeAtom(atoms_.back());
     for (Predicate p : predicates_) {
       std::vector<Term> args(static_cast<size_t>(p.arity()));
-      BuildArgs(p, 0, &args, choices_, last_code, used_frontier_);
+      BuildArgs(p, 0, &args, choices_, used_frontier_);
       if (truncated_ || outcome_.answer == Tri::kYes) return;
     }
   }
 
   void BuildArgs(Predicate p, size_t pos, std::vector<Term>* args,
-                 const std::vector<Term>& choices,
-                 const std::string& last_code, size_t used) {
+                 const std::vector<Term>& choices, size_t used) {
     if (truncated_ || outcome_.answer == Tri::kYes) return;
     if (pos == args->size()) {
       Atom atom(p, *args);
       // Canonical growth: non-decreasing atom order; no duplicate atoms.
-      if (!atoms_.empty()) {
-        if (tuning_.legacy) {
-          if (EncodeAtom(atom) < last_code) return;
-        } else if (AtomOrderLess(atom, atoms_.back())) {
-          return;
-        }
-      }
-      if (tuning_.legacy) {
-        // Pre-PR duplicate check: a linear scan of the whole prefix.
-        for (const Atom& existing : atoms_) {
-          if (existing == atom) return;
-        }
-      } else {
-        // Atoms grow in non-decreasing AtomOrderLess order, so only the
-        // trailing run of order-equal atoms can collide with the
-        // candidate: the scan stops at the first atom strictly below it.
-        for (auto it = atoms_.rbegin();
-             it != atoms_.rend() && !AtomOrderLess(*it, atom); ++it) {
-          if (*it == atom) return;
-        }
+      if (!atoms_.empty() && AtomOrderLess(atom, atoms_.back())) return;
+      // Atoms grow in non-decreasing AtomOrderLess order, so only the
+      // trailing run of order-equal atoms can collide with the candidate:
+      // the scan stops at the first atom strictly below it.
+      for (auto it = atoms_.rbegin();
+           it != atoms_.rend() && !AtomOrderLess(*it, atom); ++it) {
+        if (*it == atom) return;
       }
       atoms_.push_back(atom);
       size_t saved_frontier = used_frontier_;
       used_frontier_ = used;
-      if (tuning_.legacy) {
-        if (MapsIntoChase()) Search();
-      } else {
-        // The classifier push costs nanoseconds (scratch deciders), so it
-        // runs before the chase homomorphism: a hereditarily violated
-        // prefix can never recover, and pruning it here skips the hom for
-        // the whole subtree.
-        inc_.PushEdge(VarVertices(atom));
-        if (!inc_.CannotRecover()) {
-          if (use_inc_hom_) {
-            // Incremental per-atom chase check, mirroring the classifier's
-            // push/pop discipline: the session's stack tracks atoms_ along
-            // the DFS path, so this push costs O(what the atom changed)
-            // instead of a from-scratch backtracking search.
-            if (hom_.PushAtom(atom)) Search();
-            hom_.PopAtom();
-          } else if (MapsIntoChase()) {
-            Search();
-          }
-        }
-        inc_.PopEdge();
+      // The classifier push costs nanoseconds (scratch deciders), so it
+      // runs before the chase homomorphism: a hereditarily violated prefix
+      // can never recover, and pruning it here skips the hom for the whole
+      // subtree.
+      inc_.PushEdge(VarVertices(atom));
+      if (!inc_.CannotRecover()) {
+        // Incremental per-atom chase check, mirroring the classifier's
+        // push/pop discipline: the session's stack tracks atoms_ along the
+        // DFS path, so this push costs O(what the atom changed) instead of
+        // a from-scratch backtracking search.
+        if (hom_.PushAtom(atom)) Search();
+        hom_.PopAtom();
       }
+      inc_.PopEdge();
       used_frontier_ = saved_frontier;
       atoms_.pop_back();
       return;
@@ -1627,28 +1466,6 @@ class CandidateEnumerator {
     // Fresh pool variables must be introduced in order; `used` carries the
     // frontier (pool variables consumed by atoms_ plus the args prefix)
     // down the recursion instead of rescanning atoms and prefix.
-    if (tuning_.legacy) {
-      // Pre-PR: recompute the frontier from scratch at every position.
-      size_t rescan = CountUsedPool(atoms_);
-      for (size_t i = 0; i < pos; ++i) {
-        for (size_t j = 0; j < pool_.size(); ++j) {
-          if ((*args)[i] == pool_[j]) rescan = std::max(rescan, j + 1);
-        }
-      }
-      for (Term t : choices) {
-        bool skip = false;
-        for (size_t j = 0; j < pool_.size(); ++j) {
-          if (t == pool_[j] && j > rescan) {
-            skip = true;
-            break;
-          }
-        }
-        if (skip) continue;
-        (*args)[pos] = t;
-        BuildArgs(p, pos + 1, args, choices, last_code, used);
-      }
-      return;
-    }
     for (Term t : choices) {
       size_t next_used = used;
       auto it = pool_index_.find(t);
@@ -1657,7 +1474,7 @@ class CandidateEnumerator {
         next_used = std::max(used, it->second + 1);
       }
       (*args)[pos] = t;
-      BuildArgs(p, pos + 1, args, choices, last_code, next_used);
+      BuildArgs(p, pos + 1, args, choices, next_used);
     }
   }
 
@@ -1666,8 +1483,6 @@ class CandidateEnumerator {
   const ContainmentOracle& oracle_;
   size_t max_atoms_;
   size_t budget_;
-  acyclic::AcyclicityClass target_;
-  WitnessTuning tuning_;
   CancelToken* cancel_;
 
   std::vector<Predicate> predicates_;
@@ -1678,13 +1493,11 @@ class CandidateEnumerator {
   std::vector<Atom> atoms_;
   /// Per-head-pattern invariants, hoisted out of the enumeration loop.
   std::vector<Term> choices_;
-  HomOptions hom_options_;
   acyclic::IncrementalClassifier inc_;
-  /// Incremental chase-homomorphism session (fast path): PushAtom/PopAtom
-  /// mirror inc_'s PushEdge/PopEdge along the DFS path, replacing the
-  /// per-push MapsIntoChase full search.
+  /// Incremental chase-homomorphism session: PushAtom/PopAtom mirror inc_'s
+  /// PushEdge/PopEdge along the DFS path — the certificate that the
+  /// candidate maps into the chase with the head bound position-wise.
   IncrementalHomomorphism hom_;
-  bool use_inc_hom_;
   std::unordered_map<Term, int, TermHash> vertex_of_;
   std::vector<int> verts_scratch_;
   /// Pool variables consumed by atoms_ (the in-order-introduction
@@ -1718,10 +1531,9 @@ WitnessSearchOutcome ExhaustiveWitnessSearch(const ConjunctiveQuery& q,
                                              const ContainmentOracle& oracle,
                                              size_t max_atoms, size_t budget,
                                              acyclic::AcyclicityClass target,
-                                             const WitnessTuning& tuning,
                                              CancelToken* cancel) {
   CandidateEnumerator enumerator(q, sigma, chase, oracle, max_atoms, budget,
-                                 target, tuning, cancel);
+                                 target, cancel);
   return enumerator.Run();
 }
 
@@ -1729,11 +1541,10 @@ WitnessSearchOutcome ParallelExhaustiveWitnessSearch(
     const ConjunctiveQuery& q, const DependencySet& sigma,
     const QueryChaseResult& chase, const ContainmentOracle& oracle,
     size_t max_atoms, size_t budget, size_t threads,
-    acyclic::AcyclicityClass target, const WitnessTuning& tuning,
-    CancelToken* cancel) {
-  if (threads <= 1 || tuning.legacy) {
+    acyclic::AcyclicityClass target, CancelToken* cancel) {
+  if (threads <= 1) {
     return ExhaustiveWitnessSearch(q, sigma, chase, oracle, max_atoms, budget,
-                                   target, tuning, cancel);
+                                   target, cancel);
   }
   WitnessSearchOutcome outcome;
   EnumSignature sig(q, sigma, max_atoms);
@@ -1750,9 +1561,8 @@ WitnessSearchOutcome ParallelExhaustiveWitnessSearch(
       pool.Run([&](size_t u, ParallelSearchPool::WorkerContext& ctx) {
         std::unique_ptr<CandidateEnumerator>& w = workers[ctx.worker()];
         if (w == nullptr) {
-          w = std::make_unique<CandidateEnumerator>(q, sigma, chase, oracle,
-                                                    max_atoms, budget, target,
-                                                    tuning, nullptr);
+          w = std::make_unique<CandidateEnumerator>(
+              q, sigma, chase, oracle, max_atoms, budget, target, nullptr);
           w->EnterParallelMode(cancel, &shared_no);
         }
         return w->RunUnit(plan, plan.units[u], ctx, &unit_events[u],
@@ -1776,14 +1586,13 @@ WitnessSearchOutcome ParallelExhaustiveWitnessSearch(
     if (w == nullptr) continue;
     outcome.classifier_pushes += w->classifier_pushes();
     outcome.classifier_pops += w->classifier_pops();
-    if (const IncrementalHomomorphism::Stats* hs = w->hom_stats()) {
-      outcome.hom.pushes += hs->pushes;
-      outcome.hom.fc_rejects += hs->fc_rejects;
-      outcome.hom.extends += hs->extends;
-      outcome.hom.repairs += hs->repairs;
-      outcome.hom.repair_fails += hs->repair_fails;
-      outcome.hom.dead_prefix += hs->dead_prefix;
-    }
+    const IncrementalHomomorphism::Stats& hs = w->hom_stats();
+    outcome.hom.pushes += hs.pushes;
+    outcome.hom.fc_rejects += hs.fc_rejects;
+    outcome.hom.extends += hs.extends;
+    outcome.hom.repairs += hs.repairs;
+    outcome.hom.repair_fails += hs.repair_fails;
+    outcome.hom.dead_prefix += hs.dead_prefix;
   }
   outcome.parallel = pool.stats();
   return outcome;

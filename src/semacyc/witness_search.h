@@ -24,7 +24,7 @@ namespace semacyc {
 /// Σ-only facts shared by every per-query containment oracle and by the
 /// small-query-bound computation for a fixed schema — the analyze-once
 /// payload of semacyc::Engine's prepared schema. The free-function
-/// entrypoints recompute them per call (via the oracle's legacy
+/// entrypoints recompute them per call (via the oracle's standalone
 /// constructor); an Engine computes them once and hands them to every
 /// oracle it builds.
 struct SchemaFacts {
@@ -58,8 +58,7 @@ struct SchemaFacts {
 /// against the cached rewriting (exact, no chase of the candidate needed);
 /// otherwise the candidate is chased (exact when that chase saturates).
 ///
-/// With `memoize = true` (the default) the per-candidate work is cut two
-/// ways:
+/// The per-candidate work is cut three ways:
 ///  * answers are memoized by the hash-interned canonical form of the
 ///    candidate (collisions resolved with AreIsomorphic, so the cache is
 ///    exact): isomorphic candidates revisited across witness strategies,
@@ -75,14 +74,14 @@ struct SchemaFacts {
 ///    use, so containment degenerates to the classical Chandra–Merlin
 ///    check against the candidate itself — exact, chase-free, and cheap
 ///    enough that memoizing it would cost more than deciding.
-/// `memoize = false` reproduces the pre-PR per-candidate cost and is the
-/// bench baseline.
+/// tests/reference_check_test.cc re-derives every answer this oracle
+/// certifies with the plain chase (ContainedUnder), sharing none of it.
 class ContainmentOracle {
  public:
   ContainmentOracle(const ConjunctiveQuery& q, const DependencySet& sigma,
                     const ChaseOptions& chase_options,
                     const RewriteOptions& rewrite_options,
-                    bool try_rewriting = true, bool memoize = true);
+                    bool try_rewriting = true);
 
   /// Prepared-schema constructor (Engine path): `facts` carries the Σ-only
   /// analysis (consumed during construction, not stored), `rewrite_cache`
@@ -95,8 +94,7 @@ class ContainmentOracle {
                     const ChaseOptions& chase_options,
                     const RewriteOptions& rewrite_options,
                     const SchemaFacts& facts, RewriteCache* rewrite_cache,
-                    bool try_rewriting = true, bool memoize = true,
-                    bool synchronized = false);
+                    bool try_rewriting = true, bool synchronized = false);
 
   /// candidate ⊆Σ q. `cancel` (nullptr = not cancellable) is polled per
   /// check and threaded into the candidate's chase; once the token has
@@ -155,7 +153,7 @@ class ContainmentOracle {
   /// backtracking over a dense binding array. The compiled form is
   /// immutable after construction; per-check scratch lives in
   /// thread_local buffers (witness_search.cc), so this path — like the
-  /// prefilter and the non-memoized Decide — needs no lock even from
+  /// prefilter — needs no lock even from
   /// concurrent workers. Only the memo takes mu_ (when synchronized).
   struct CmAtom {
     Predicate pred;
@@ -181,30 +179,6 @@ class ContainmentOracle {
   mutable std::atomic<size_t> memo_bytes_{0};
 };
 
-/// Per-candidate machinery switches for the witness strategies. The
-/// default is the full incremental pipeline: push/pop acyclicity
-/// classification along the DFS path (with hereditary subtree pruning for
-/// β/γ/Berge targets), an incrementally maintained chase homomorphism,
-/// and fingerprint-based candidate dedup. Every switch changes cost only,
-/// never answers (parity pinned by witness_pipeline_test and
-/// incremental_hom_test).
-struct WitnessTuning {
-  /// Default false (fast pipeline). true reproduces the pre-incremental
-  /// seed pipeline — a from-scratch hypergraph build and batch decider run
-  /// per candidate, string StructuralKey dedup, a full homomorphism search
-  /// per pushed atom — and exists so benches can measure the pipeline at
-  /// identical budgets. Never enable in production.
-  bool legacy = false;
-  /// Default true. The exhaustive enumerator maintains its per-atom chase
-  /// homomorphism check incrementally along the DFS path
-  /// (core/incremental_hom: candidate domains + forward checking + witness
-  /// extension) instead of re-running the full backtracking search on
-  /// every pushed atom. Exact — answers, witnesses and budget consumption
-  /// are identical either way; set to false only to benchmark the full
-  /// re-search. Ignored under `legacy` (legacy always re-searches).
-  bool incremental_hom = true;
-};
-
 /// Outcome of one witness-search strategy.
 struct WitnessSearchOutcome {
   Tri answer = Tri::kUnknown;
@@ -220,7 +194,7 @@ struct WitnessSearchOutcome {
   size_t classifier_pushes = 0;
   size_t classifier_pops = 0;
   /// Incremental chase-homomorphism session totals (exhaustive strategy
-  /// with tuning.incremental_hom only; all-zero otherwise). Under the
+  /// only; all-zero otherwise). Under the
   /// parallel strategies these sum over workers — real work performed,
   /// scheduling-dependent, and deliberately outside the parity contract.
   IncrementalHomomorphism::Stats hom;
@@ -229,6 +203,11 @@ struct WitnessSearchOutcome {
   WorkStealStats parallel;
 };
 
+/// Each strategy has exactly one per-candidate pipeline: push/pop
+/// acyclicity classification along the DFS path (with hereditary subtree
+/// pruning for β/γ/Berge targets), an incrementally maintained chase
+/// homomorphism (exhaustive), and 128-bit fingerprint candidate dedup.
+///
 /// Every strategy takes a `target` acyclicity class: candidates are kept
 /// only when their hypergraph lies in `target` or a stricter class. kAlpha
 /// reproduces the paper's notion; kBeta/kGamma search for witnesses from
@@ -248,7 +227,7 @@ WitnessSearchOutcome FindWitnessInQueryImages(
     const ConjunctiveQuery& q, const QueryChaseResult& chase,
     const ContainmentOracle& oracle, size_t max_homs,
     acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
-    const WitnessTuning& tuning = {}, CancelToken* cancel = nullptr);
+    CancelToken* cancel = nullptr);
 
 /// Strategy "subsets": `target`-acyclic sub-instances of the chase
 /// mentioning all answer terms, up to `max_atoms` atoms (q ⊆Σ subset by
@@ -257,7 +236,7 @@ WitnessSearchOutcome FindWitnessInChaseSubsets(
     const ConjunctiveQuery& q, const QueryChaseResult& chase,
     const ContainmentOracle& oracle, size_t max_atoms, size_t budget,
     acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
-    const WitnessTuning& tuning = {}, CancelToken* cancel = nullptr);
+    CancelToken* cancel = nullptr);
 
 /// Strategy "exhaustive": canonical enumeration of `target`-acyclic CQs up
 /// to `max_atoms` atoms over the predicates that can occur in chase(q,Σ),
@@ -272,7 +251,7 @@ WitnessSearchOutcome ExhaustiveWitnessSearch(
     const QueryChaseResult& chase, const ContainmentOracle& oracle,
     size_t max_atoms, size_t budget,
     acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
-    const WitnessTuning& tuning = {}, CancelToken* cancel = nullptr);
+    CancelToken* cancel = nullptr);
 
 /// Work-stealing parallel variants of the two budgeted strategies
 /// (core/worksteal.h has the determinism argument; docs/ARCHITECTURE.md
@@ -285,21 +264,21 @@ WitnessSearchOutcome ExhaustiveWitnessSearch(
 /// sequential budget semantics exactly — answer, witness, exhausted,
 /// visits and candidates_tested are bitwise-identical to the sequential
 /// strategy at the same budget, for every thread count. The oracle must
-/// be `synchronized` when threads > 1. Requires the fast pipeline
-/// (callers route legacy tuning to the sequential strategies).
+/// be `synchronized` when threads > 1; threads <= 1 runs the sequential
+/// strategy.
 WitnessSearchOutcome ParallelFindWitnessInChaseSubsets(
     const ConjunctiveQuery& q, const QueryChaseResult& chase,
     const ContainmentOracle& oracle, size_t max_atoms, size_t budget,
     size_t threads,
     acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
-    const WitnessTuning& tuning = {}, CancelToken* cancel = nullptr);
+    CancelToken* cancel = nullptr);
 
 WitnessSearchOutcome ParallelExhaustiveWitnessSearch(
     const ConjunctiveQuery& q, const DependencySet& sigma,
     const QueryChaseResult& chase, const ContainmentOracle& oracle,
     size_t max_atoms, size_t budget, size_t threads,
     acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
-    const WitnessTuning& tuning = {}, CancelToken* cancel = nullptr);
+    CancelToken* cancel = nullptr);
 
 }  // namespace semacyc
 

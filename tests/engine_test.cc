@@ -178,9 +178,10 @@ TEST(EngineTest, OracleMemoSurvivesAcrossCalls) {
   DependencySet sigma = MustParseDependencySet("E(x,y), E(y,z) -> E(x,z)");
   Generator gen(2);
   ConjunctiveQuery triangle = gen.CycleQuery(3);
-  EngineConfig config;
-  config.cache_decisions = false;
-  Engine engine(sigma, SweepOptions(), config);
+  EngineOptions options;
+  options.semac = SweepOptions();
+  options.decisions.enabled = false;
+  Engine engine(sigma, options);
   PreparedQuery pq = engine.Prepare(triangle);
 
   SemAcResult first = engine.Decide(pq);
@@ -200,9 +201,10 @@ TEST(EngineTest, OracleMemoSurvivesAcrossCalls) {
 
 TEST(EngineTest, ChaseCacheSharedAcrossEntrypoints) {
   Workload w = GuardedWorkload(7);
-  EngineConfig config;
-  config.cache_decisions = false;
-  Engine engine(w.sigma, SweepOptions(), config);
+  EngineOptions options;
+  options.semac = SweepOptions();
+  options.decisions.enabled = false;
+  Engine engine(w.sigma, options);
   PreparedQuery pq = engine.Prepare(w.queries[1]);  // cyclic triangle
   engine.Decide(pq);
   size_t misses_once = engine.stats().chase_cache_misses;
@@ -412,9 +414,10 @@ TEST(EngineTest, ChaseCacheResolvesIsomorphicQueries) {
 
   // Engine level: with the decision cache off, deciding an α-renamed
   // variant still hits the shared chase memo and answers identically.
-  EngineConfig config;
-  config.cache_decisions = false;
-  Engine engine(sigma, SweepOptions(), config);
+  EngineOptions options;
+  options.semac = SweepOptions();
+  options.decisions.enabled = false;
+  Engine engine(sigma, options);
   SemAcResult first = engine.Decide(q);
   size_t misses_after_first = engine.stats().chase_cache_misses;
   SemAcResult second = engine.Decide(renamed);

@@ -273,30 +273,6 @@ TEST(FaultInjectionTest, ParallelStealFailpointsAbortAndRecover) {
   }
 }
 
-/// The flip failpoint drives the exhaustive strategy through its
-/// non-default hom-machinery configuration; WitnessTuning switches are
-/// answer-preserving, so the decision must not change.
-TEST(FaultInjectionTest, FlipIncrementalHomPreservesAnswers) {
-  DisarmOnExit cleanup;
-  auto& reg = FailpointRegistry::Global();
-  Generator gen(23);
-  DependencySet sigma = MustParseDependencySet("T(x,y) -> E(y,z), E(z,x)");
-  // A cyclic query that walks the full pipeline into the exhaustive
-  // strategy (budgets high enough for the flip site to be reached).
-  ConjunctiveQuery q = gen.CycleQuery(4);
-
-  Engine plain(sigma, SweepOptions());
-  SemAcResult reference = plain.Decide(plain.Prepare(q));
-
-  reg.Arm("exhaustive.flip_inc_hom", FailpointAction::kFlipBranch);
-  Engine flipped(sigma, SweepOptions());
-  SemAcResult flipped_result = flipped.Decide(flipped.Prepare(q));
-  EXPECT_TRUE(reg.Fired("exhaustive.flip_inc_hom"));
-  reg.DisarmAll();
-
-  ExpectSameDecision(reference, flipped_result, "flip_inc_hom");
-}
-
 /// Environment-spec arming is how CI and operators reach the registry;
 /// make sure a spec armed through the same parser the env path uses
 /// actually aborts a decision.

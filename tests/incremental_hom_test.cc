@@ -1,8 +1,7 @@
 // Tests for the incremental chase-homomorphism checker
 // (core/incremental_hom): exact parity with a from-scratch
 // FindHomomorphisms at every step of random push/pop walks (found flag AND
-// witness validity), plus end-to-end witness-search outcome parity between
-// the incremental and the full per-push check at equal budgets.
+// witness validity).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -14,12 +13,9 @@
 #include "core/incremental_hom.h"
 #include "core/parser.h"
 #include "gen/generators.h"
-#include "semacyc/witness_search.h"
 
 namespace semacyc {
 namespace {
-
-using acyclic::AcyclicityClass;
 
 /// One (query, schema) pair whose chase is the walk target.
 struct ChaseCase {
@@ -198,112 +194,6 @@ TEST(IncrementalHomTest, RepeatedVariableAndGroundEdgeCases) {
   hom.PopAtom();
   EXPECT_TRUE(hom.PushAtom(Atom(e, {y, y})));  // seed unused: fine
   EXPECT_EQ(hom.Witness().at(x), Term::Constant("elsewhere"));
-}
-
-// ------------------------------- end-to-end witness-search parity --------
-
-struct ParityCase {
-  const char* name;
-  const char* query;
-  const char* sigma;
-};
-
-/// The exhaustive strategy with the incremental checker must equal the
-/// full per-push re-search in EVERY outcome field — the checker is exact,
-/// so the two search trees coincide node for node, including where a
-/// budget truncates them.
-TEST(IncrementalHomTest, ExhaustiveOutcomeBitwiseParityIncVsFull) {
-  const ParityCase cases[] = {
-      {"example1", "q(x,y) :- Interest(x,z), Class(y,z), Owns(x,y)",
-       "Interest(x,z), Class(y,z) -> Owns(x,y)"},
-      {"guarded-linear", "T(x,y), E(y,z), E(z,x)",
-       "T(x,y) -> E(y,z), E(z,x)"},
-      {"triangle-unrelated", "E(a,b), E(b,c), E(c,a)", "A(x) -> B(x)"},
-      {"full-tgd", "E(x,y), E(y,z), E(z,x), A(x)", "A(x) -> E(x,x)"},
-  };
-  const AcyclicityClass targets[] = {AcyclicityClass::kAlpha,
-                                     AcyclicityClass::kBeta,
-                                     AcyclicityClass::kBerge};
-  // Generous and deliberately tiny budgets: with an exact checker the
-  // truncation point is identical too.
-  const size_t budgets[] = {500000, 200, 37};
-  for (const ParityCase& c : cases) {
-    ConjunctiveQuery q = MustParseQuery(c.query);
-    DependencySet sigma = MustParseDependencySet(c.sigma);
-    ChaseOptions chase_options;
-    RewriteOptions rewrite_options;
-    QueryChaseResult chase = ChaseQuery(q, sigma, chase_options);
-    ASSERT_FALSE(chase.failed);
-    ContainmentOracle oracle(q, sigma, chase_options, rewrite_options);
-    for (AcyclicityClass target : targets) {
-      for (size_t budget : budgets) {
-        WitnessTuning inc;
-        inc.incremental_hom = true;
-        WitnessTuning full;
-        full.incremental_hom = false;
-        WitnessSearchOutcome with_inc = ExhaustiveWitnessSearch(
-            q, sigma, chase, oracle, 3, budget, target, inc);
-        WitnessSearchOutcome with_full = ExhaustiveWitnessSearch(
-            q, sigma, chase, oracle, 3, budget, target, full);
-        std::string context = std::string(c.name) + " target " +
-                              acyclic::ToString(target) + " budget " +
-                              std::to_string(budget);
-        EXPECT_EQ(with_inc.answer, with_full.answer) << context;
-        EXPECT_EQ(with_inc.exhausted, with_full.exhausted) << context;
-        EXPECT_EQ(with_inc.candidates_tested, with_full.candidates_tested)
-            << context;
-        ASSERT_EQ(with_inc.witness.has_value(), with_full.witness.has_value())
-            << context;
-        if (with_inc.witness.has_value()) {
-          EXPECT_EQ(*with_inc.witness, *with_full.witness) << context;
-        }
-      }
-    }
-  }
-}
-
-/// Fast (incremental everything) vs legacy (seed pipeline) at equal,
-/// exhausting budgets: identical answers always; and identical
-/// candidates_tested whenever no witness cut a search short (both dedups
-/// are renaming-invariant, so the distinct-candidate sets coincide).
-TEST(IncrementalHomTest, ExhaustiveFastVsLegacyOutcomeParity) {
-  const ParityCase cases[] = {
-      {"example1", "q(x,y) :- Interest(x,z), Class(y,z), Owns(x,y)",
-       "Interest(x,z), Class(y,z) -> Owns(x,y)"},
-      {"full-tgd", "E(x,y), E(y,z), E(z,x), A(x)", "A(x) -> E(x,x)"},
-  };
-  const AcyclicityClass targets[] = {AcyclicityClass::kAlpha,
-                                     AcyclicityClass::kGamma};
-  for (const ParityCase& c : cases) {
-    ConjunctiveQuery q = MustParseQuery(c.query);
-    DependencySet sigma = MustParseDependencySet(c.sigma);
-    ChaseOptions chase_options;
-    RewriteOptions rewrite_options;
-    QueryChaseResult chase = ChaseQuery(q, sigma, chase_options);
-    ASSERT_FALSE(chase.failed);
-    ContainmentOracle oracle(q, sigma, chase_options, rewrite_options);
-    for (AcyclicityClass target : targets) {
-      WitnessTuning fast;
-      WitnessTuning legacy;
-      legacy.legacy = true;
-      WitnessSearchOutcome with_fast = ExhaustiveWitnessSearch(
-          q, sigma, chase, oracle, 3, 500000, target, fast);
-      WitnessSearchOutcome with_legacy = ExhaustiveWitnessSearch(
-          q, sigma, chase, oracle, 3, 500000, target, legacy);
-      std::string context =
-          std::string(c.name) + " target " + acyclic::ToString(target);
-      ASSERT_TRUE(with_fast.exhausted || with_fast.answer == Tri::kYes)
-          << context;
-      ASSERT_TRUE(with_legacy.exhausted || with_legacy.answer == Tri::kYes)
-          << context;
-      EXPECT_EQ(with_fast.answer, with_legacy.answer) << context;
-      if (with_fast.answer != Tri::kYes) {
-        EXPECT_EQ(with_fast.exhausted, with_legacy.exhausted) << context;
-        EXPECT_EQ(with_fast.candidates_tested, with_legacy.candidates_tested)
-            << context;
-      }
-    }
-  }
 }
 
 }  // namespace

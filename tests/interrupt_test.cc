@@ -152,23 +152,10 @@ TEST(FailpointRegistryTest, BadAllocActionThrows) {
   reg.DisarmAll();
 }
 
-TEST(FailpointRegistryTest, FlipActionInvertsFlag) {
-  auto& reg = FailpointRegistry::Global();
-  reg.Arm("test.flip", FailpointAction::kFlipBranch, 2);
-  bool flag = true;
-  reg.HitFlip("test.flip", &flag);
-  EXPECT_TRUE(flag);  // 1st hit: not yet
-  reg.HitFlip("test.flip", &flag);
-  EXPECT_FALSE(flag);  // 2nd hit: inverted
-  reg.HitFlip("test.flip", &flag);
-  EXPECT_FALSE(flag);  // later hits: inert
-  reg.DisarmAll();
-}
-
 TEST(FailpointRegistryTest, ArmFromSpecParsesWellFormedEntries) {
   auto& reg = FailpointRegistry::Global();
-  EXPECT_TRUE(reg.ArmFromSpec("a.one=cancel@2,b.two=bad_alloc,c.three=flip"));
-  EXPECT_EQ(reg.ArmedNames().size(), 3u);
+  EXPECT_TRUE(reg.ArmFromSpec("a.one=cancel@2,b.two=bad_alloc"));
+  EXPECT_EQ(reg.ArmedNames().size(), 2u);
   CancelToken token;
   reg.Hit("a.one", &token);
   EXPECT_FALSE(token.PollNow());
@@ -182,6 +169,7 @@ TEST(FailpointRegistryTest, ArmFromSpecRejectsMalformedEntries) {
   EXPECT_FALSE(reg.ArmFromSpec("=cancel"));
   EXPECT_FALSE(reg.ArmFromSpec("x"));
   EXPECT_FALSE(reg.ArmFromSpec("x=nosuchaction"));
+  EXPECT_FALSE(reg.ArmFromSpec("c.three=flip"));
   EXPECT_FALSE(reg.ArmFromSpec("x=cancel@"));
   EXPECT_FALSE(reg.ArmFromSpec("x=cancel@12q"));
   // Valid entries before a malformed one stay armed.
