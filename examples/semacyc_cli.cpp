@@ -34,7 +34,7 @@
 //   --decide-threads N  worker threads for the subsets/exhaustive witness
 //                 searches of each single decision (core/worksteal.h);
 //                 answers, strategies and witnesses are bitwise identical
-//                 to one thread. Default 1 (sequential).
+//                 to one thread. Default 1 (the calling thread only).
 //
 // Serve mode (the semacycd network server as a CLI flag; one setup path,
 // docs/SERVING.md):
@@ -312,7 +312,7 @@ void PrintUsage(FILE* out, const char* prog) {
                "answers, strategies\n"
                "                and witnesses are bitwise identical to 1 "
                "thread — threads\n"
-               "                buy latency only; default 1 (sequential)\n"
+               "                buy latency only; default 1 (no extra thread)\n"
                "  --serve:      run the semacycd network server on "
                "127.0.0.1:<port>\n"
                "                (0 = ephemeral) over <schema-file> — the "
@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return Usage(argv[0]);
       const char* text = argv[++i];
       // Same validation shape as --cache-mb: digits only (strtoull would
-      // silently wrap "-1"), no zero (1 already means sequential; 0 is
+      // silently wrap "-1"), no zero (1 already means no extra thread; 0 is
       // more likely a typo), no absurd widths.
       if (*text == '\0') return Usage(argv[0]);
       for (const char* c = text; *c != '\0'; ++c) {

@@ -19,8 +19,10 @@ namespace semacyc {
 ///
 /// Tokens chain: a per-query token in DecideBatch points at the
 /// batch-level token, inherits the tighter of the two deadlines at
-/// SetParent() time, and observes the parent's RequestCancel() on every
-/// poll — a batch deadline cancels stragglers without touching them.
+/// SetParent() time, and observes the RequestCancel() of its parent and
+/// of every ancestor above it on every poll — a batch deadline cancels
+/// stragglers without touching them, and a server drain reaches the
+/// search workers' tokens two links down.
 ///
 /// Thread contract: Poll()/PollNow() are called by the single thread
 /// executing the decision; RequestCancel() and triggered() are safe from
@@ -53,8 +55,9 @@ class CancelToken {
     if (ms > 0) SetDeadline(Clock::now() + std::chrono::milliseconds(ms));
   }
 
-  /// Chains this token under `parent`: polls observe the parent's
-  /// RequestCancel(), and the parent's deadline (as of this call) is
+  /// Chains this token under `parent`: polls observe RequestCancel() on
+  /// the parent or any of its ancestors, and the parent's deadline (as of
+  /// this call, which includes its ancestors' at their chaining) is
   /// folded into this token's own — the effective deadline is
   /// min(own, parent). Set the parent's deadline before chaining.
   void SetParent(const CancelToken* parent) {
@@ -100,9 +103,11 @@ class CancelToken {
   Clock::time_point deadline() const { return deadline_; }
 
  private:
+  /// Requested or tripped here or anywhere up the chain.
   bool CancelRequested() const {
     return cancel_requested_.load(std::memory_order_relaxed) ||
-           triggered_.load(std::memory_order_relaxed);
+           triggered_.load(std::memory_order_relaxed) ||
+           (parent_ != nullptr && parent_->CancelRequested());
   }
   bool Trip() {
     triggered_.store(true, std::memory_order_relaxed);

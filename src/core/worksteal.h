@@ -17,13 +17,14 @@
 /// The search space is decomposed — by the caller, combinatorially,
 /// without running the search — into an ORDERED list of independent
 /// subtree-root *units* whose concatenation in index order is exactly the
-/// sequential DFS visit order. Idle workers steal the lowest unclaimed
-/// unit (an atomic ticket; "stealing" is claiming ahead of the committed
-/// frontier), explore it with their own replayed session state, and
-/// record its outcome. A commit protocol then replays the outcomes in
-/// strict unit order against the sequential budget semantics, so the
-/// official result is a pure function of (search space, budget) — bitwise
-/// identical for 1 and N workers:
+/// DFS preorder. Idle workers steal the lowest unclaimed unit (an atomic
+/// ticket; "stealing" is claiming ahead of the committed frontier),
+/// explore it with their own replayed session state, and record its
+/// outcome. A commit protocol then replays the outcomes in strict unit
+/// order against the preorder budget semantics, so the official result is
+/// a pure function of (search space, budget) — bitwise identical for 1 and
+/// N workers (one worker runs every unit in order on the calling thread,
+/// so the 1-thread search is this same path):
 ///
 ///  * Each unit's exploration is sequential and deterministic: the local
 ///    visit count, the local visit index of the first YES, and whether
@@ -32,8 +33,8 @@
 ///    charged so far). Unit u's allowance is a_u = budget - committed.
 ///    A YES at local visit y <= a_u wins (official visits committed + y);
 ///    an exhausted unit with visits <= a_u commits in full; anything else
-///    is exactly where the sequential search would have run out of budget
-///    (official visits budget + 1, truncated).
+///    is exactly where the preorder search runs out of budget (official
+///    visits budget + 1, truncated).
 ///  * Workers cap speculative exploration at Cap() = budget - committed
 ///    (a relaxed read). Because commits only ever grow `committed`,
 ///    Cap-at-poll >= the unit's final allowance — a capped unit has
@@ -46,7 +47,8 @@
 /// candidate events) live in the caller's unit runner.
 namespace semacyc {
 
-/// Per-run observability of one parallel search; the engine folds these
+/// Per-run observability of one pool search (at every thread count; steals,
+/// waste and commit waits stay 0 with one worker); the engine folds these
 /// into obs counters (parallel_units, parallel_steals, ...).
 struct WorkStealStats {
   /// Units claimed and run (including pruned zero-visit units).
@@ -54,11 +56,11 @@ struct WorkStealStats {
   /// Claims that jumped past another worker's units (the claimed index
   /// did not follow the worker's previous unit).
   size_t steals = 0;
-  /// Worker session replays (state rebuilt to a stolen prefix), counted
-  /// by the unit runner via WorkerContext::NoteReplay.
+  /// Worker session replays (state rebuilt to a claimed unit's prefix),
+  /// counted by the unit runner via WorkerContext::NoteReplay.
   size_t replays = 0;
-  /// Speculative visits beyond the official prefix (work a 1-thread run
-  /// would not have done).
+  /// Speculative visits beyond the official prefix (work a 1-worker run
+  /// does not do).
   uint64_t wasted_visits = 0;
   /// Finished units that could not commit yet because an earlier unit
   /// was still in flight (shared-budget contention at the commit lock).
@@ -114,7 +116,7 @@ class ParallelSearchPool {
   using UnitRunner =
       std::function<SearchUnitOutcome(size_t unit, WorkerContext& ctx)>;
 
-  /// The official (sequential-equivalent) reconciliation.
+  /// The official (preorder-equivalent) reconciliation.
   struct Result {
     static constexpr size_t kNoUnit = static_cast<size_t>(-1);
     bool found = false;
@@ -126,18 +128,25 @@ class ParallelSearchPool {
     size_t final_unit = kNoUnit;
     /// Local-visit cutoff inside final_unit: found_at for a win, the
     /// unit's allowance for a truncation. Callers replay per-unit test
-    /// events up to this cutoff to reconstruct sequential counters.
+    /// events up to this cutoff to reconstruct preorder counters.
     uint64_t final_unit_cutoff = 0;
-    /// Total visits the sequential search would report (budget + 1 on
+    /// Total visits the preorder search reports (budget + 1 on
     /// truncation, mirroring the post-increment budget check).
     uint64_t official_visits = 0;
+
+    /// Whether local visit `visit` of `unit` lies in the official prefix.
+    bool InPrefix(size_t unit, uint64_t visit) const {
+      return unit < committed_units ||
+             (unit == final_unit && visit <= final_unit_cutoff);
+    }
   };
 
   ParallelSearchPool(size_t num_units, size_t num_threads, uint64_t budget);
 
-  /// Runs all units to the official result. Rethrows the first exception
-  /// any unit runner threw (after joining every worker), so bad_alloc
-  /// containment behaves exactly like the sequential strategies.
+  /// Runs all units to the official result. Worker 0 is the calling
+  /// thread; workers() - 1 threads are spawned. Rethrows the first
+  /// exception any unit runner threw (after joining every worker), so
+  /// bad_alloc propagates to the caller as from any other pipeline stage.
   Result Run(const UnitRunner& run_unit);
 
   /// Worker slots actually used (min(threads, units), at least 1);
@@ -174,11 +183,10 @@ class ParallelSearchPool {
 };
 
 /// Sharded concurrent fingerprint set — the shared dedup table of the
-/// parallel witness searches. Only definitive NO answers are inserted
-/// (YES stops the search, kUnknown is never recorded), so a hit merely
+/// witness-search workers. Only definitive NO answers are inserted (YES
+/// stops the search, kUnknown is never recorded), so a hit merely
 /// suppresses a redundant oracle call and can never change an answer.
-/// Keys are the same CanonicalFingerprint128 pairs the sequential
-/// candidate dedup uses.
+/// Keys are the CanonicalFingerprint128 pairs of the candidates.
 class ConcurrentFingerprintSet {
  public:
   using Key = std::pair<uint64_t, uint64_t>;
@@ -194,15 +202,6 @@ class ConcurrentFingerprintSet {
     Shard& s = ShardOf(k);
     std::lock_guard<std::mutex> lock(s.mu);
     return s.set.insert(k).second;
-  }
-
-  size_t size() const {
-    size_t n = 0;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      n += s.set.size();
-    }
-    return n;
   }
 
  private:

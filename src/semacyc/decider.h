@@ -62,11 +62,11 @@ struct SemAcOptions {
   size_t subset_budget = 200000;
   size_t exhaustive_budget = 300000;
   /// Worker threads for the subsets/exhaustive witness searches of ONE
-  /// decision (core/worksteal.h). 1 (the default) keeps the sequential
-  /// path; N > 1 runs the same ordered search space over N workers with
-  /// the deterministic commit protocol, so answers, strategies, budgets
-  /// and witnesses are bitwise identical to 1 thread — threads buy
-  /// latency, never a different result.
+  /// decision (core/worksteal.h). Every thread count runs the same ordered
+  /// search space under the deterministic commit protocol — 1 (the
+  /// default) runs it on the calling thread — so answers, strategies,
+  /// budgets and witnesses are bitwise identical across thread counts:
+  /// threads buy latency, never a different result.
   size_t decide_threads = 1;
   /// Cap applied on top of the theoretical small-query bound when
   /// enumerating witnesses exhaustively (the theoretical bound for NR/S is

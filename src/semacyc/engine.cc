@@ -468,7 +468,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   // Strategy 4: target-acyclic sub-instances of the chase.
   if (options_.enable_subsets) {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kSubsets);
-    WitnessSearchOutcome subsets = ParallelFindWitnessInChaseSubsets(
+    WitnessSearchOutcome subsets = FindWitnessInChaseSubsets(
         q, chase, *oracle, bound, options_.subset_budget,
         options_.decide_threads, target, cancel);
     AddParallelStats(subsets.parallel);
@@ -500,7 +500,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   // Strategy 5: exhaustive canonical enumeration up to the bound.
   if (options_.enable_exhaustive) {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kEnumerate);
-    WitnessSearchOutcome exhaustive = ParallelExhaustiveWitnessSearch(
+    WitnessSearchOutcome exhaustive = ExhaustiveWitnessSearch(
         q, sigma, chase, *oracle, bound, options_.exhaustive_budget,
         options_.decide_threads, target, cancel);
     AddParallelStats(exhaustive.parallel);
@@ -624,7 +624,6 @@ Tri Engine::ContainedUnderCached(const ConjunctiveQuery& q1,
 }
 
 void Engine::AddParallelStats(const WorkStealStats& s) const {
-  if (s.units_claimed == 0) return;
   metrics_.Add(obs::Counter::kParallelUnits, s.units_claimed);
   metrics_.Add(obs::Counter::kParallelSteals, s.steals);
   metrics_.Add(obs::Counter::kParallelReplays, s.replays);

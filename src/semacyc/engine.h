@@ -411,9 +411,8 @@ class Engine {
   Tri ContainedUnderCached(const ConjunctiveQuery& q1,
                            const ConjunctiveQuery& q2) const;
 
-  /// Folds one parallel witness search's scheduling stats into the
-  /// registry. No-op for sequential runs (zero units claimed), so the
-  /// sequential counter stream is untouched by the parallel plumbing.
+  /// Folds one budgeted witness search's work-stealing stats into the
+  /// registry (units and replays count at every thread count).
   void AddParallelStats(const WorkStealStats& s) const;
 
   /// Shared Eval prologue: Decide under `cancel`, extract the witness into

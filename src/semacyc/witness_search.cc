@@ -1,7 +1,6 @@
 #include "semacyc/witness_search.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 #include <memory>
 #include <unordered_set>
@@ -508,38 +507,187 @@ class CandidateDedup {
   std::unordered_set<Key128, Key128Hash> keys_;
 };
 
-/// One candidate test inside a parallel unit, recorded at per-unit dedup
-/// insert time (even when the shared NO-set suppressed the oracle call).
-/// The commit-time replay walks these in unit order through one global
-/// dedup set, reconstructing the sequential candidates_tested exactly.
+/// One candidate test, logged by the worker that ran its unit. The
+/// official candidates_tested counts the distinct keys among the events
+/// of the official prefix (ParallelSearchPool::Result::InPrefix).
 struct CandidateEvent {
+  size_t unit;
   uint64_t local_visit;
   Key128 key;
 };
 
-/// Sequential-equivalent candidates_tested from per-unit test events:
-/// committed units count in full, the final unit up to its cutoff
-/// (found_at for a win, the unit's allowance for a truncation); a global
-/// dedup replay makes per-unit re-tests of earlier-seen candidates count
-/// exactly once, like the sequential global dedup.
-size_t ReplayCandidatesTested(
-    const ParallelSearchPool::Result& res,
-    const std::vector<std::vector<CandidateEvent>>& unit_events) {
-  std::unordered_set<Key128, Key128Hash> seen;
-  size_t tested = 0;
-  auto count_unit = [&](size_t u, uint64_t cutoff) {
-    for (const CandidateEvent& e : unit_events[u]) {
-      if (e.local_visit > cutoff) break;  // events ascend in local visit
-      if (seen.insert(e.key).second) ++tested;
+/// The per-worker half shared by both budgeted strategies: the visit
+/// prefix (failpoint, allowance cap, count, cancel poll), the candidate
+/// test (worker-wide dedup, event log, shared NO-set, oracle) and the
+/// unit's outcome. `shared_no` is null for a lone worker, whose own dedup
+/// already covers every repeat. Each worker owns a child cancel token for
+/// its polls and oracle calls (CancelToken::Poll is single-caller);
+/// failpoints take the PARENT token (RequestCancel is thread-safe), and a
+/// tripped child cancels the parent, so every cancel a worker sees aborts
+/// the whole decision. Without a parent the worker is not cancellable.
+class UnitWorker {
+ public:
+  UnitWorker(const ContainmentOracle& oracle, acyclic::AcyclicityClass target,
+             CancelToken* parent, ConcurrentFingerprintSet* shared_no)
+      : oracle_(oracle),
+        parent_(parent),
+        cancel_(parent != nullptr ? &child_ : nullptr),
+        shared_no_(shared_no),
+        inc_(target) {
+    if (parent != nullptr) child_.SetParent(parent);
+  }
+
+  const std::vector<CandidateEvent>& events() const { return events_; }
+
+  /// The witness this worker found in `unit`, if any.
+  std::optional<ConjunctiveQuery> TakeWitness(size_t unit) {
+    for (auto& [u, witness] : witnesses_) {
+      if (u == unit) return std::move(witness);
     }
-  };
-  for (size_t u = 0; u < res.committed_units; ++u) {
-    count_unit(u, ~uint64_t{0});
+    return std::nullopt;
   }
-  if (res.final_unit != ParallelSearchPool::Result::kNoUnit) {
-    count_unit(res.final_unit, res.final_unit_cutoff);
+
+  void AddStats(WitnessSearchOutcome* outcome) const {
+    outcome->classifier_pushes += inc_.pushes();
+    outcome->classifier_pops += inc_.pops();
   }
-  return tested;
+
+ protected:
+  void BeginUnit(size_t unit, ParallelSearchPool::WorkerContext& ctx) {
+    SEMACYC_FAILPOINT("parallel.steal", parent_);
+    unit_ = unit;
+    ctx_ = &ctx;
+    visits_ = 0;
+    truncated_ = false;
+    found_ = false;
+  }
+
+  /// One DFS node. Cap() stands in for the budget: it can only be too
+  /// generous while earlier units are in flight, so a capped unit provably
+  /// overran its final allowance. False stops the unit (not exhausted).
+  bool Visit(const char* failpoint) {
+    SEMACYC_FAILPOINT(failpoint, parent_);
+    if (visits_ >= ctx_->Cap()) {
+      truncated_ = true;
+      return false;
+    }
+    ++visits_;
+    if (cancel_ != nullptr && cancel_->Poll()) {
+      truncated_ = true;
+      return false;
+    }
+    return true;
+  }
+
+  /// Tests one candidate at the current visit; true on a witness. The
+  /// worker-wide dedup never drops an event the official count needs: a
+  /// worker claims units in index order, so the earlier test of the same
+  /// key is in the official prefix whenever this one is. The shared
+  /// NO-set only suppresses oracle CALLS for candidates other workers
+  /// refuted (kYes stops the search, kUnknown is never inserted —
+  /// answer-invariant).
+  bool Test(ConjunctiveQuery candidate) {
+    Key128 key = CanonicalFingerprint128(candidate);
+    if (!seen_.insert(key).second) return false;
+    events_.push_back({unit_, visits_, key});
+    if (shared_no_ != nullptr && shared_no_->Contains(key)) return false;
+    Tri r = oracle_.ContainedInQ(candidate, cancel_);
+    if (r == Tri::kYes) {
+      found_ = true;
+      found_at_ = visits_;
+      witnesses_.emplace_back(unit_, std::move(candidate));
+      return true;
+    }
+    if (r == Tri::kNo && shared_no_ != nullptr) shared_no_->Insert(key);
+    return false;
+  }
+
+  SearchUnitOutcome EndUnit() {
+    // A trip during the unit's last oracle check may have hidden an
+    // answer (kUnknown reads as "not contained"), so the unit never counts
+    // as exhausted; and the decision aborts, whatever tripped the token.
+    if (cancel_ != nullptr && child_.triggered()) {
+      truncated_ = true;
+      parent_->RequestCancel();
+    }
+    SearchUnitOutcome out;
+    out.visits = visits_;
+    out.found = found_;
+    out.found_at = found_ ? found_at_ : 0;
+    out.exhausted = !found_ && !truncated_;
+    return out;
+  }
+
+  const ContainmentOracle& oracle_;
+  CancelToken* const parent_;
+  CancelToken child_;
+  CancelToken* const cancel_;
+  ConcurrentFingerprintSet* const shared_no_;
+  acyclic::IncrementalClassifier inc_;
+  ParallelSearchPool::WorkerContext* ctx_ = nullptr;
+  uint64_t visits_ = 0;
+  bool truncated_ = false;
+  bool found_ = false;
+
+ private:
+  size_t unit_ = 0;
+  uint64_t found_at_ = 0;
+  std::unordered_set<Key128, Key128Hash> seen_;
+  std::vector<CandidateEvent> events_;
+  std::vector<std::pair<size_t, ConjunctiveQuery>> witnesses_;
+};
+
+/// Runs an ordered unit list through the pool on `threads` workers, each
+/// built by `make_worker(shared_no)` on its own thread at its first claim,
+/// and folds the official result into one outcome: answer and witness of
+/// the official YES, official visits, candidates_tested counted over the
+/// official prefix's events, and the workers' session totals.
+template <typename Worker, typename MakeWorker>
+WitnessSearchOutcome RunUnits(size_t units, size_t threads, size_t budget,
+                              CancelToken* cancel,
+                              const MakeWorker& make_worker) {
+  ParallelSearchPool pool(units, threads, budget);
+  ConcurrentFingerprintSet shared_no;
+  ConcurrentFingerprintSet* shared =
+      pool.workers() > 1 ? &shared_no : nullptr;
+  std::vector<std::unique_ptr<Worker>> workers(pool.workers());
+  ParallelSearchPool::Result res =
+      pool.Run([&](size_t u, ParallelSearchPool::WorkerContext& ctx) {
+        std::unique_ptr<Worker>& w = workers[ctx.worker()];
+        if (w == nullptr) w = make_worker(shared);
+        return w->RunUnit(u, ctx);
+      });
+  WitnessSearchOutcome outcome;
+  // A token fired during the last oracle check truncates the search even
+  // when no later DFS poll ran to observe it.
+  bool truncated =
+      res.truncated || (cancel != nullptr && cancel->triggered());
+  // Keys are distinct within one worker's log, so only the keys of
+  // earlier logs need remembering.
+  std::unordered_set<Key128, Key128Hash> earlier;
+  for (size_t i = 0; i < workers.size(); ++i) {
+    Worker* w = workers[i].get();
+    if (w == nullptr) continue;
+    if (res.found && !outcome.witness.has_value()) {
+      outcome.witness = w->TakeWitness(res.final_unit);
+    }
+    for (const CandidateEvent& e : w->events()) {
+      if (!res.InPrefix(e.unit, e.local_visit) || earlier.count(e.key) != 0) {
+        continue;
+      }
+      ++outcome.candidates_tested;
+      if (i + 1 < workers.size()) earlier.insert(e.key);
+    }
+    w->AddStats(&outcome);
+  }
+  if (res.found) {
+    outcome.answer = Tri::kYes;
+  } else {
+    outcome.exhausted = !truncated;
+  }
+  outcome.visits = res.official_visits;
+  outcome.parallel = pool.stats();
+  return outcome;
 }
 
 }  // namespace
@@ -589,286 +737,116 @@ WitnessSearchOutcome FindWitnessInQueryImages(const ConjunctiveQuery& q,
   return outcome;
 }
 
-WitnessSearchOutcome FindWitnessInChaseSubsets(const ConjunctiveQuery& q,
-                                               const QueryChaseResult& chase,
-                                               const ContainmentOracle& oracle,
-                                               size_t max_atoms, size_t budget,
-                                               acyclic::AcyclicityClass target,
-                                               CancelToken* cancel) {
-  (void)q;  // the chase already encodes q; kept for interface symmetry
-  WitnessSearchOutcome outcome;
-  // A push/pop classifier threaded along the DFS path and required-term
-  // coverage maintained by counters, so a DFS node costs a
-  // component-local re-check instead of an Instance build plus a
-  // from-scratch hypergraph classification.
-  const SubsetsSpace space(chase);
-  const size_t m = space.atoms->size();
-  CandidateDedup tested;
-  size_t visits = 0;
-  bool truncated = false;
-  acyclic::IncrementalClassifier inc(target);
-  std::vector<int> req_cover(space.required.size(), 0);
-  size_t covered = 0;
-  std::vector<Term> var_pool;
-  std::vector<uint32_t> subset;
-
-  auto test_candidate = [&](ConjunctiveQuery candidate) -> bool {
-    if (!tested.Insert(candidate)) return false;
-    ++outcome.candidates_tested;
-    if (oracle.ContainedInQ(candidate, cancel) == Tri::kYes) {
-      outcome.answer = Tri::kYes;
-      outcome.witness = std::move(candidate);
-      return true;
-    }
-    return false;
-  };
-
-  // DFS over index-increasing subsets, testing each acyclic subset that
-  // covers the required terms. Small subsets are explored first through
-  // iterative deepening on the subset size.
-  std::function<bool(size_t, size_t)> dfs = [&](size_t next,
-                                                size_t limit) -> bool {
-    SEMACYC_FAILPOINT("subsets.visit", cancel);
-    if (++visits > budget) {
-      truncated = true;
-      return false;
-    }
-    if (cancel != nullptr && cancel->Poll()) {
-      truncated = true;  // a fired token truncates like an exhausted budget
-      return false;
-    }
-    if (!subset.empty() && covered == space.required.size() && inc.Meets() &&
-        test_candidate(
-            PooledQuery(space, subset, chase.frozen_head, &var_pool))) {
-      return true;
-    }
-    if (subset.size() >= limit) return false;
-    for (size_t i = next; i < m; ++i) {
-      subset.push_back(static_cast<uint32_t>(i));
-      for (size_t k : space.atom_required[i]) {
-        if (req_cover[k]++ == 0) ++covered;
-      }
-      inc.PushEdge(space.atom_verts[i]);
-      // β/γ/Berge are hereditary: a violated prefix can never recover, so
-      // the whole subtree (including this subset itself) is dead.
-      bool found = !inc.CannotRecover() && dfs(i + 1, limit);
-      inc.PopEdge();
-      for (size_t k : space.atom_required[i]) {
-        if (--req_cover[k] == 0) --covered;
-      }
-      subset.pop_back();
-      if (found) return true;
-      if (truncated) return false;
-    }
-    return false;
-  };
-
-  bool found = false;
-  for (size_t limit = 1; limit <= max_atoms && !truncated; ++limit) {
-    subset.clear();
-    if (dfs(0, limit)) {
-      found = true;
-      break;
-    }
-  }
-  // A token fired during the last oracle check truncates the search even
-  // when no later DFS poll ran to observe it.
-  if (cancel != nullptr && cancel->triggered()) truncated = true;
-  if (!found) outcome.exhausted = !truncated;
-  outcome.visits = visits;
-  outcome.classifier_pushes = inc.pushes();
-  outcome.classifier_pops = inc.pops();
-  return outcome;
-}
-
 namespace {
 
-/// One subtree-root unit of the subsets DFS, in sequential visit order:
-/// the root visit of an iterative-deepening round (first < 0), or the
-/// dfs subtree rooted at subset = {first} within that round.
+/// One subtree-root unit of the subsets DFS, in preorder: the root visit
+/// of an iterative-deepening round (first < 0), or the subtree rooted at
+/// subset = {first} within that round.
 struct SubsetsUnit {
   size_t limit;
   int64_t first;
 };
 
-/// Per-worker subsets search state: own classifier session, own coverage
-/// counters, own child cancel token, own variable pool — sharing only the
-/// immutable SubsetsSpace, the synchronized oracle, and the NO-only
-/// fingerprint set. Failpoints take the PARENT token (RequestCancel is
-/// thread-safe; a fired steal/replay/visit failpoint aborts the whole
-/// decision, like the sequential strategies); per-visit polls use the
-/// child (CancelToken::Poll is single-caller).
-class SubsetsWorker {
+/// One worker of the subsets search: own classifier session, coverage
+/// counters and variable pool over the shared immutable SubsetsSpace.
+/// A push/pop classifier threaded along the DFS path and required-term
+/// coverage maintained by counters make a DFS node cost a component-local
+/// re-check instead of an Instance build plus a from-scratch
+/// classification.
+class SubsetsWorker : public UnitWorker {
  public:
-  SubsetsWorker(const SubsetsSpace& space, const QueryChaseResult& chase,
+  SubsetsWorker(const std::vector<SubsetsUnit>& units,
+                const SubsetsSpace& space, const QueryChaseResult& chase,
                 const ContainmentOracle& oracle,
                 acyclic::AcyclicityClass target, CancelToken* parent,
                 ConcurrentFingerprintSet* shared_no)
-      : space_(space),
+      : UnitWorker(oracle, target, parent, shared_no),
+        units_(units),
+        space_(space),
         chase_(chase),
-        oracle_(oracle),
-        parent_(parent),
-        shared_no_(shared_no),
-        inc_(target),
-        req_cover_(space.required.size(), 0) {
-    if (parent != nullptr) child_.SetParent(parent);
-  }
+        req_cover_(space.required.size(), 0) {}
 
-  SearchUnitOutcome RunUnit(const SubsetsUnit& u,
-                            ParallelSearchPool::WorkerContext& ctx,
-                            std::vector<CandidateEvent>* events,
-                            std::optional<ConjunctiveQuery>* witness_slot) {
-    ctx_ = &ctx;
-    events_ = events;
-    witness_slot_ = witness_slot;
-    visits_ = 0;
-    truncated_ = false;
-    found_ = false;
-    found_at_ = 0;
-    unit_seen_.clear();
-    SEMACYC_FAILPOINT("parallel.steal", parent_);
+  SearchUnitOutcome RunUnit(size_t unit,
+                            ParallelSearchPool::WorkerContext& ctx) {
+    BeginUnit(unit, ctx);
+    const SubsetsUnit& u = units_[unit];
     if (u.first < 0) {
       // The round's root visit: subset is empty, nothing is tested.
-      Visit();
+      Visit("subsets.visit");
     } else {
-      // Replay the stolen prefix: push the first atom into the fresh
-      // session exactly as the sequential child loop would, pruned
-      // prefixes yielding zero-visit exhausted units.
+      // Replay the unit's prefix: push the first atom exactly as the
+      // preorder child loop would, a pruned prefix yielding a zero-visit
+      // exhausted unit.
       SEMACYC_FAILPOINT("parallel.replay", parent_);
       ctx.NoteReplay();
       const size_t i = static_cast<size_t>(u.first);
-      subset_.push_back(static_cast<uint32_t>(i));
-      for (size_t k : space_.atom_required[i]) {
-        if (req_cover_[k]++ == 0) ++covered_;
-      }
-      inc_.PushEdge(space_.atom_verts[i]);
+      Push(i);
       if (!inc_.CannotRecover()) Dfs(i + 1, u.limit);
-      inc_.PopEdge();
-      for (size_t k : space_.atom_required[i]) {
-        if (--req_cover_[k] == 0) --covered_;
-      }
-      subset_.pop_back();
+      Pop(i);
     }
-    // A token fired during the unit's last oracle check may have hidden
-    // an answer (kUnknown reads as "not contained"); never let such a
-    // unit count as exhausted — mirrors the sequential post-run check.
-    if (child_.triggered()) truncated_ = true;
-    SearchUnitOutcome out;
-    out.visits = visits_;
-    out.found = found_;
-    out.found_at = found_at_;
-    out.exhausted = !found_ && !truncated_;
-    return out;
+    return EndUnit();
   }
-
-  size_t classifier_pushes() const { return inc_.pushes(); }
-  size_t classifier_pops() const { return inc_.pops(); }
 
  private:
-  /// One DFS node: failpoint, allowance cap, visit count, cancel poll —
-  /// the sequential visit prefix with Cap() standing in for the budget.
-  /// False stops the unit (cap or cancel → not exhausted).
-  bool Visit() {
-    SEMACYC_FAILPOINT("subsets.visit", parent_);
-    if (visits_ >= ctx_->Cap()) {
-      truncated_ = true;
-      return false;
+  void Push(size_t i) {
+    subset_.push_back(static_cast<uint32_t>(i));
+    for (size_t k : space_.atom_required[i]) {
+      if (req_cover_[k]++ == 0) ++covered_;
     }
-    ++visits_;
-    if (child_.Poll()) {
-      truncated_ = true;
-      return false;
-    }
-    return true;
+    inc_.PushEdge(space_.atom_verts[i]);
   }
 
+  void Pop(size_t i) {
+    inc_.PopEdge();
+    for (size_t k : space_.atom_required[i]) {
+      if (--req_cover_[k] == 0) --covered_;
+    }
+    subset_.pop_back();
+  }
+
+  /// DFS over index-increasing subsets, testing each acyclic subset that
+  /// covers the required terms.
   bool Dfs(size_t next, size_t limit) {
-    if (!Visit()) return false;
+    if (!Visit("subsets.visit")) return false;
     if (!subset_.empty() && covered_ == space_.required.size() &&
-        inc_.Meets() && TestSubset()) {
+        inc_.Meets() &&
+        Test(PooledQuery(space_, subset_, chase_.frozen_head, &var_pool_))) {
       return true;
     }
     if (subset_.size() >= limit) return false;
     const size_t m = space_.atoms->size();
     for (size_t i = next; i < m; ++i) {
-      subset_.push_back(static_cast<uint32_t>(i));
-      for (size_t k : space_.atom_required[i]) {
-        if (req_cover_[k]++ == 0) ++covered_;
-      }
-      inc_.PushEdge(space_.atom_verts[i]);
+      Push(i);
+      // β/γ/Berge are hereditary: a violated prefix can never recover, so
+      // the whole subtree (including this subset itself) is dead.
       bool found = !inc_.CannotRecover() && Dfs(i + 1, limit);
-      inc_.PopEdge();
-      for (size_t k : space_.atom_required[i]) {
-        if (--req_cover_[k] == 0) --covered_;
-      }
-      subset_.pop_back();
+      Pop(i);
       if (found) return true;
       if (truncated_) return false;
     }
     return false;
   }
 
-  bool TestSubset() {
-    // Per-worker variable pool: the "s$<i>" names intern to the same
-    // process-wide Terms, so the published witness is bitwise-identical
-    // to the sequential one.
-    ConjunctiveQuery candidate =
-        PooledQuery(space_, subset_, chase_.frozen_head, &var_pool_);
-    Key128 key = CanonicalFingerprint128(candidate);
-    // Per-unit dedup decides event recording; the shared NO-set only
-    // suppresses the oracle CALL for already-refuted candidates (answers
-    // are invariant — kYes stops the search, kUnknown is never inserted).
-    if (!unit_seen_.insert(key).second) return false;
-    events_->push_back({visits_, key});
-    if (shared_no_->Contains(key)) return false;
-    Tri r = oracle_.ContainedInQ(candidate, &child_);
-    if (r == Tri::kYes) {
-      found_ = true;
-      found_at_ = visits_;
-      *witness_slot_ = std::move(candidate);
-      return true;
-    }
-    if (r == Tri::kNo) shared_no_->Insert(key);
-    return false;
-  }
-
+  const std::vector<SubsetsUnit>& units_;
   const SubsetsSpace& space_;
   const QueryChaseResult& chase_;
-  const ContainmentOracle& oracle_;
-  CancelToken* parent_;
-  ConcurrentFingerprintSet* shared_no_;
-  CancelToken child_;
-  acyclic::IncrementalClassifier inc_;
   std::vector<int> req_cover_;
   size_t covered_ = 0;
   std::vector<uint32_t> subset_;
   std::vector<Term> var_pool_;
-  std::unordered_set<Key128, Key128Hash> unit_seen_;
-  ParallelSearchPool::WorkerContext* ctx_ = nullptr;
-  std::vector<CandidateEvent>* events_ = nullptr;
-  std::optional<ConjunctiveQuery>* witness_slot_ = nullptr;
-  uint64_t visits_ = 0;
-  bool truncated_ = false;
-  bool found_ = false;
-  uint64_t found_at_ = 0;
 };
 
 }  // namespace
 
-WitnessSearchOutcome ParallelFindWitnessInChaseSubsets(
+WitnessSearchOutcome FindWitnessInChaseSubsets(
     const ConjunctiveQuery& q, const QueryChaseResult& chase,
     const ContainmentOracle& oracle, size_t max_atoms, size_t budget,
     size_t threads, acyclic::AcyclicityClass target, CancelToken* cancel) {
-  if (threads <= 1) {
-    return FindWitnessInChaseSubsets(q, chase, oracle, max_atoms, budget,
-                                     target, cancel);
-  }
   (void)q;  // the chase already encodes q; kept for interface symmetry
-  WitnessSearchOutcome outcome;
   const SubsetsSpace space(chase);
   const size_t m = space.atoms->size();
-  // Ordered unit list = the sequential visit order: per deepening round,
-  // the root visit, then one subtree per first chase atom.
+  // Small subsets first, through iterative deepening on the subset size:
+  // per round, the root visit, then one subtree per first chase atom.
   std::vector<SubsetsUnit> units;
   for (size_t limit = 1; limit <= max_atoms; ++limit) {
     units.push_back({limit, -1});
@@ -876,39 +854,12 @@ WitnessSearchOutcome ParallelFindWitnessInChaseSubsets(
       units.push_back({limit, static_cast<int64_t>(i)});
     }
   }
-  ConcurrentFingerprintSet shared_no;
-  std::vector<std::vector<CandidateEvent>> unit_events(units.size());
-  std::vector<std::optional<ConjunctiveQuery>> unit_witness(units.size());
-  ParallelSearchPool pool(units.size(), threads, budget);
-  std::vector<std::unique_ptr<SubsetsWorker>> workers(pool.workers());
-  ParallelSearchPool::Result res =
-      pool.Run([&](size_t u, ParallelSearchPool::WorkerContext& ctx) {
-        std::unique_ptr<SubsetsWorker>& w = workers[ctx.worker()];
-        if (w == nullptr) {
-          w = std::make_unique<SubsetsWorker>(space, chase, oracle, target,
-                                              cancel, &shared_no);
-        }
-        return w->RunUnit(units[u], ctx, &unit_events[u], &unit_witness[u]);
+  return RunUnits<SubsetsWorker>(
+      units.size(), threads, budget, cancel,
+      [&](ConcurrentFingerprintSet* shared_no) {
+        return std::make_unique<SubsetsWorker>(units, space, chase, oracle,
+                                               target, cancel, shared_no);
       });
-  bool truncated = res.truncated;
-  // A token fired during the last oracle check truncates the search even
-  // when no later DFS poll ran to observe it.
-  if (cancel != nullptr && cancel->triggered()) truncated = true;
-  if (res.found) {
-    outcome.answer = Tri::kYes;
-    outcome.witness = std::move(unit_witness[res.final_unit]);
-  } else {
-    outcome.exhausted = !truncated;
-  }
-  outcome.visits = res.official_visits;
-  outcome.candidates_tested = ReplayCandidatesTested(res, unit_events);
-  for (const auto& w : workers) {
-    if (w == nullptr) continue;
-    outcome.classifier_pushes += w->classifier_pushes();
-    outcome.classifier_pops += w->classifier_pops();
-  }
-  outcome.parallel = pool.stats();
-  return outcome;
 }
 
 namespace {
@@ -927,57 +878,54 @@ bool AtomOrderLess(const Atom& a, const Atom& b) {
   return a.arity() < b.arity();
 }
 
-/// Per-head-pattern invariants of the exhaustive enumeration,
-/// precomputed by the parallel plan in the sequential pattern order.
+/// Per-head-pattern invariants of the exhaustive enumeration.
 struct HpPlan {
   std::vector<Term> head;
   Substitution fixed;
   std::vector<Term> choices;
 };
 
-enum class ExhUnitKind {
-  kWholeHp,    // root Search() with empty prefix (coarse fallback)
-  kRootVisit,  // the root visit alone (tests nothing: atoms_ is empty)
-  kA1Visit,    // the [a1] node alone: one visit + one candidate test
-  kA1Subtree,  // full subtree rooted at [a1] (coarse fallback)
-  kA2Subtree,  // full subtree rooted at [a1, a2]
-};
-
+/// One unit of the exhaustive search: the node of head pattern `hp` at
+/// prefix [a1, a2] (indices into ExhaustivePlan::atoms; kNoAtom ends the
+/// prefix early), either that node's visit alone or its whole subtree.
 struct ExhUnit {
+  static constexpr uint32_t kNoAtom = static_cast<uint32_t>(-1);
   uint32_t hp;
-  ExhUnitKind kind;
-  std::optional<Atom> a1;
-  std::optional<Atom> a2;
+  uint32_t a1;
+  uint32_t a2;
+  bool subtree;
 };
 
 struct ExhaustivePlan {
   std::vector<HpPlan> hps;
+  std::vector<Atom> atoms;
   std::vector<ExhUnit> units;
 };
 
 /// Builds the ordered unit plan combinatorially, without running any
-/// search or session: head patterns in restricted-growth order; per
-/// pattern the root visit, then per first atom the [a1] node, then per
-/// valid second atom the full [a1,a2] subtree — the concatenation is
-/// exactly the sequential preorder. Classifier/hom pruning is NOT
-/// evaluated here; pruned prefixes become zero-visit units discovered by
-/// whichever worker claims them. Past kSplitBudget units the
+/// search or session: head patterns in restricted-growth order (set
+/// partitions of head positions refining the equality pattern of the
+/// frozen head); per pattern the root visit, then per first atom the [a1]
+/// node, then per valid second atom the full [a1,a2] subtree — the
+/// concatenation is exactly the DFS preorder. Classifier/hom pruning is
+/// NOT evaluated here; pruned prefixes become zero-visit units discovered
+/// by whichever worker claims them. Past kSplitBudget units the
 /// decomposition degrades to whole-[a1] and then whole-pattern units —
-/// granularity only, the commit protocol keeps the official outcome
-/// exact at any split.
+/// granularity only, the commit protocol keeps the official outcome exact
+/// at any split.
 ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
                                    const QueryChaseResult& chase,
                                    const EnumSignature& sig,
                                    size_t max_atoms) {
   constexpr size_t kSplitBudget = 4096;
+  constexpr uint32_t kNoAtom = ExhUnit::kNoAtom;
   ExhaustivePlan plan;
-  // Head patterns: set partitions of head positions refining the equality
-  // pattern of the frozen head (mirrors EnumerateHeadPatterns, including
-  // the "h$<b>" block-variable names — identical interned Terms).
   const size_t k = q.head().size();
   std::vector<int> block(k, -1);
   std::function<void(size_t, int)> patterns = [&](size_t pos, int num_blocks) {
     if (pos == k) {
+      // One "h$<b>" variable per block; head variables map to the frozen
+      // head position-wise.
       HpPlan hp;
       hp.head.resize(k);
       std::vector<Term> block_var(static_cast<size_t>(num_blocks));
@@ -988,7 +936,9 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
       for (size_t i = 0; i < k; ++i) {
         hp.fixed[hp.head[i]] = chase.frozen_head[i];
       }
-      // ArgChoices, verbatim: deduped head variables, the pool, constants.
+      // Terms usable as atom arguments: the deduped head variables, the
+      // whole pool (the in-order-introduction rule is enforced
+      // position-wise in BuildArgs), and the known constants.
       std::unordered_set<Term> seen;
       for (Term h : hp.head) {
         if (seen.insert(h).second) hp.choices.push_back(h);
@@ -999,6 +949,7 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
       return;
     }
     for (int b = 0; b <= num_blocks; ++b) {
+      // Refinement constraint: same block => equal frozen head terms.
       bool ok = true;
       for (size_t j = 0; j < pos; ++j) {
         if (block[j] == b && chase.frozen_head[j] != chase.frozen_head[pos]) {
@@ -1039,34 +990,37 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
     };
     go(0, used0);
   };
+  auto add_atom = [&](Atom&& a) {
+    plan.atoms.push_back(std::move(a));
+    return static_cast<uint32_t>(plan.atoms.size() - 1);
+  };
 
   for (uint32_t h = 0; h < plan.hps.size(); ++h) {
     if (plan.units.size() >= kSplitBudget) {
-      plan.units.push_back({h, ExhUnitKind::kWholeHp, {}, {}});
+      plan.units.push_back({h, kNoAtom, kNoAtom, true});
       continue;
     }
-    plan.units.push_back({h, ExhUnitKind::kRootVisit, {}, {}});
-    if (max_atoms == 0) continue;  // the root visit is the whole pattern
+    // The root visit; with max_atoms == 0 it is the whole pattern.
+    plan.units.push_back({h, kNoAtom, kNoAtom, false});
+    if (max_atoms == 0) continue;
     const HpPlan& hp = plan.hps[h];
     for (Predicate p : sig.predicates) {
       for_each_atom(p, hp.choices, 0, [&](Atom&& a1, size_t f1) {
+        const uint32_t i1 = add_atom(std::move(a1));
         if (plan.units.size() >= kSplitBudget) {
-          plan.units.push_back({h, ExhUnitKind::kA1Subtree, std::move(a1), {}});
+          plan.units.push_back({h, i1, kNoAtom, true});
           return;
         }
-        if (max_atoms == 1) {
-          // The [a1] node has no children; its visit is the subtree.
-          plan.units.push_back({h, ExhUnitKind::kA1Visit, std::move(a1), {}});
-          return;
-        }
-        plan.units.push_back({h, ExhUnitKind::kA1Visit, a1, {}});
+        // The [a1] node alone; with max_atoms == 1 it is the subtree.
+        plan.units.push_back({h, i1, kNoAtom, false});
+        if (max_atoms == 1) return;
         for (Predicate p2 : sig.predicates) {
           for_each_atom(p2, hp.choices, f1, [&](Atom&& a2, size_t) {
             // Canonical growth: non-decreasing atom order, no duplicates
-            // (the sequential BuildArgs rejections at depth 1).
-            if (AtomOrderLess(a2, a1) || a2 == a1) return;
-            plan.units.push_back(
-                {h, ExhUnitKind::kA2Subtree, a1, std::move(a2)});
+            // (the BuildArgs rejections at depth 1).
+            const Atom& first = plan.atoms[i1];
+            if (AtomOrderLess(a2, first) || a2 == first) return;
+            plan.units.push_back({h, i1, add_atom(std::move(a2)), true});
           });
         }
       });
@@ -1075,239 +1029,101 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
   return plan;
 }
 
-/// Canonical enumerator of acyclic candidate queries (strategy
-/// "exhaustive"); see the header for the completeness contract.
-class CandidateEnumerator {
+/// One worker of the exhaustive search (see the header for the
+/// completeness contract): canonical enumeration of acyclic candidate
+/// queries below the unit's prefix, with its own classifier and
+/// incremental chase-homomorphism sessions. Consecutive units replay only
+/// the suffix where their prefixes differ, so one worker running every
+/// unit in order pushes each prefix atom exactly once, like a single DFS.
+class ExhaustiveWorker : public UnitWorker {
  public:
-  CandidateEnumerator(const ConjunctiveQuery& q, const DependencySet& sigma,
-                      const QueryChaseResult& chase,
-                      const ContainmentOracle& oracle, size_t max_atoms,
-                      size_t budget, acyclic::AcyclicityClass target,
-                      CancelToken* cancel)
-      : q_(q),
-        chase_(chase),
-        oracle_(oracle),
+  ExhaustiveWorker(const ExhaustivePlan& plan, const EnumSignature& sig,
+                   const QueryChaseResult& chase,
+                   const ContainmentOracle& oracle, size_t max_atoms,
+                   acyclic::AcyclicityClass target, CancelToken* parent,
+                   ConcurrentFingerprintSet* shared_no)
+      : UnitWorker(oracle, target, parent, shared_no),
+        plan_(plan),
+        sig_(sig),
         max_atoms_(max_atoms),
-        budget_(budget),
-        cancel_(cancel),
-        inc_(target),
-        hom_(chase.instance),
-        failpoint_token_(cancel) {
+        hom_(chase.instance) {
     // The incremental session bails from repair search once the token
-    // fires; its outcomes are then discarded with the whole enumeration.
-    hom_.SetCancel(cancel);
-    EnumSignature sig(q, sigma, max_atoms);
-    predicates_ = std::move(sig.predicates);
-    constants_ = std::move(sig.constants);
-    pool_ = std::move(sig.pool);
-    pool_index_ = std::move(sig.pool_index);
+    // fires; RunUnit then reports the unit truncated.
+    hom_.SetCancel(cancel_);
   }
 
-  /// ---- Parallel-worker mode ----------------------------------------
-  /// The enumerator doubles as one worker of the parallel exhaustive
-  /// search: the SAME Search/BuildArgs drive each unit (so enumeration
-  /// order cannot diverge from the sequential strategy), with the budget
-  /// check swapped for the pool's allowance cap and TestCandidate rewired
-  /// to per-unit dedup + the shared NO-set. Failpoints take the parent
-  /// token (thread-safe RequestCancel → whole-decision abort); polls use
-  /// this worker's chained child token.
-  void EnterParallelMode(CancelToken* parent,
-                         ConcurrentFingerprintSet* shared_no) {
-    parallel_ = true;
-    failpoint_token_ = parent;
-    shared_no_ = shared_no;
-    if (parent != nullptr) child_.SetParent(parent);
-    cancel_ = &child_;
-    hom_.SetCancel(&child_);
-  }
-
-  SearchUnitOutcome RunUnit(const ExhaustivePlan& plan, const ExhUnit& u,
-                            ParallelSearchPool::WorkerContext& ctx,
-                            std::vector<CandidateEvent>* events,
-                            std::optional<ConjunctiveQuery>* witness_slot) {
-    pctx_ = &ctx;
-    events_ = events;
-    visits_ = 0;
-    truncated_ = false;
-    found_at_ = 0;
-    outcome_.answer = Tri::kUnknown;
-    outcome_.witness.reset();
-    unit_seen_.clear();
-    SEMACYC_FAILPOINT("parallel.steal", failpoint_token_);
+  SearchUnitOutcome RunUnit(size_t unit,
+                            ParallelSearchPool::WorkerContext& ctx) {
+    BeginUnit(unit, ctx);
     // Once this worker's token fired, its hom session bails spuriously —
-    // a prefix push could masquerade as a prune and mis-report a unit as
-    // exhausted. Report cancelled units as truncated instead (the commit
-    // turns the first one official; real cancels abort at the engine).
-    if (child_.PollNow()) {
-      SearchUnitOutcome out;
-      out.exhausted = false;
-      return out;
-    }
-    if (u.kind == ExhUnitKind::kRootVisit) {
-      // Root node: one visit, atoms_ empty, nothing tested (TestCandidate
-      // skips empty candidates) — no session state needed.
-      VisitNode(/*test=*/false);
-    } else {
-      SetupHeadPattern(plan, u.hp);
-      size_t pushed = 0;
-      bool pruned = false;
-      if (u.a1.has_value()) pruned = !PushPrefixAtom(*u.a1, &pushed);
-      if (!pruned && u.a2.has_value()) pruned = !PushPrefixAtom(*u.a2, &pushed);
-      if (!pruned) {
-        if (u.kind == ExhUnitKind::kA1Visit) {
-          VisitNode(/*test=*/true);
-        } else {  // kWholeHp, kA1Subtree, kA2Subtree
-          Search();
-        }
+    // a prefix push could masquerade as a prune and mis-report the unit
+    // as exhausted. EndUnit reports it truncated instead.
+    if (cancel_ != nullptr && cancel_->PollNow()) return EndUnit();
+    const ExhUnit& u = plan_.units[unit];
+    if (EnterPrefix(u, ctx)) {
+      if (u.subtree) {
+        Search();
+      } else if (Visit("exhaustive.visit")) {
+        TestCandidate();
       }
-      PopPrefix(pushed);
     }
-    // A token fired during the unit's last oracle check may have hidden
-    // an answer (kUnknown reads as "not contained"); never let such a
-    // unit count as exhausted — mirrors the sequential post-run check.
-    if (child_.triggered()) truncated_ = true;
-    SearchUnitOutcome out;
-    out.visits = visits_;
-    out.found = outcome_.answer == Tri::kYes;
-    out.found_at = found_at_;
-    out.exhausted = !out.found && !truncated_;
-    if (out.found) *witness_slot = std::move(outcome_.witness);
-    return out;
+    return EndUnit();
   }
 
-  size_t classifier_pushes() const { return inc_.pushes(); }
-  size_t classifier_pops() const { return inc_.pops(); }
-  const IncrementalHomomorphism::Stats& hom_stats() const {
-    return hom_.stats();
-  }
-
-  WitnessSearchOutcome Run() {
-    // Enumerate head patterns: set partitions of head positions refining
-    // the equality pattern of the frozen head.
-    const size_t k = q_.head().size();
-    std::vector<int> block(k, -1);
-    EnumerateHeadPatterns(0, &block, 0);
-    // A fired token may have pruned subtrees silently (a cancelled chase
-    // hom check reports "no hom" and the enumeration skips the subtree),
-    // so the whole run counts as truncated even if no visit poll tripped.
-    if (cancel_ != nullptr && cancel_->triggered()) truncated_ = true;
-    outcome_.exhausted = !truncated_;
-    outcome_.visits = visits_;
-    outcome_.classifier_pushes = inc_.pushes();
-    outcome_.classifier_pops = inc_.pops();
-    outcome_.hom = hom_.stats();
-    return outcome_;
+  void AddStats(WitnessSearchOutcome* outcome) const {
+    UnitWorker::AddStats(outcome);
+    const IncrementalHomomorphism::Stats& hs = hom_.stats();
+    outcome->hom.pushes += hs.pushes;
+    outcome->hom.fc_rejects += hs.fc_rejects;
+    outcome->hom.extends += hs.extends;
+    outcome->hom.repairs += hs.repairs;
+    outcome->hom.repair_fails += hs.repair_fails;
+    outcome->hom.dead_prefix += hs.dead_prefix;
   }
 
  private:
-  void EnumerateHeadPatterns(size_t pos, std::vector<int>* block,
-                             int num_blocks) {
-    if (truncated_ || outcome_.answer == Tri::kYes) return;
-    const size_t k = q_.head().size();
-    if (pos == k) {
-      // Build the head: one fresh variable per block.
-      head_.clear();
-      head_.resize(k);
-      std::vector<Term> block_var(static_cast<size_t>(num_blocks));
-      for (int b = 0; b < num_blocks; ++b) {
-        block_var[b] = Term::Variable("h$" + std::to_string(b));
+  /// Brings the sessions to the unit's head pattern and prefix, popping
+  /// and pushing only where it differs from the previous unit's. False =
+  /// the prefix is pruned exactly where the DFS prunes it (a zero-visit
+  /// exhausted unit). Each plan atom index sits under exactly one parent
+  /// prefix, so a remembered dead index prunes the other units below it
+  /// without another push.
+  bool EnterPrefix(const ExhUnit& u, ParallelSearchPool::WorkerContext& ctx) {
+    const uint32_t want[2] = {u.a1, u.a2};
+    size_t depth = 0;
+    if (hp_ == u.hp) {
+      while (depth < prefix_.size() && prefix_[depth] == want[depth]) ++depth;
+    }
+    PopTo(depth);
+    if (hp_ != u.hp) {
+      Replay(ctx);
+      const HpPlan& h = plan_.hps[u.hp];
+      head_ = &h.head;
+      choices_ = &h.choices;
+      hom_.Reset(h.fixed);
+      hp_ = u.hp;
+    }
+    for (; depth < 2 && want[depth] != ExhUnit::kNoAtom; ++depth) {
+      if (want[depth] == dead_) return false;
+      Replay(ctx);
+      if (!PushPrefixAtom(plan_.atoms[want[depth]])) {
+        dead_ = want[depth];
+        return false;
       }
-      for (size_t i = 0; i < k; ++i) head_[i] = block_var[(*block)[i]];
-      // Head variables must map to the frozen head position-wise; seed the
-      // hom session with that binding. Both the binding and the argument
-      // choices are loop invariants of the whole pattern — build them once
-      // here, not per enumeration node. Reset re-seeds the session and
-      // keeps its pooled storage.
-      Substitution fixed;
-      for (size_t i = 0; i < k; ++i) fixed[head_[i]] = chase_.frozen_head[i];
-      hom_.Reset(fixed);
-      choices_ = ArgChoices();
-      atoms_.clear();
-      used_frontier_ = 0;
-      Search();
-      return;
-    }
-    // Standard restricted-growth enumeration of set partitions.
-    for (int b = 0; b <= num_blocks; ++b) {
-      // Refinement constraint: same block => equal frozen head terms.
-      bool ok = true;
-      for (size_t j = 0; j < pos; ++j) {
-        if ((*block)[j] == b &&
-            chase_.frozen_head[j] != chase_.frozen_head[pos]) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      (*block)[pos] = b;
-      EnumerateHeadPatterns(pos + 1, block, std::max(num_blocks, b + 1));
-      (*block)[pos] = -1;
-    }
-  }
-
-  /// Terms usable as atom arguments: head variables, the whole pool (the
-  /// in-order-introduction rule is enforced position-wise in BuildArgs),
-  /// and the known constants.
-  std::vector<Term> ArgChoices() {
-    std::vector<Term> out;
-    std::unordered_set<Term> seen;
-    for (Term h : head_) {
-      if (seen.insert(h).second) out.push_back(h);
-    }
-    for (Term v : pool_) out.push_back(v);
-    for (Term c : constants_) out.push_back(c);
-    return out;
-  }
-
-  /// The atom's connecting vertices (kVariables: constants never connect),
-  /// interned against the enumerator-wide vertex table. Fills the shared
-  /// scratch buffer (the classifier copies and sorts/dedups).
-  const std::vector<int>& VarVertices(const Atom& atom) {
-    verts_scratch_.clear();
-    for (Term t : atom.args()) {
-      if (!t.IsVariable()) continue;
-      verts_scratch_.push_back(
-          vertex_of_.emplace(t, static_cast<int>(vertex_of_.size()))
-              .first->second);
-    }
-    return verts_scratch_;
-  }
-
-  bool HeadCovered() {
-    for (Term h : head_) {
-      bool found = false;
-      for (const Atom& a : atoms_) {
-        if (a.Mentions(h)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
+      prefix_.push_back(want[depth]);
     }
     return true;
   }
 
-  /// Parallel mode: install one head pattern's invariants from the plan
-  /// (identical to the pos == k arm of EnumerateHeadPatterns). A pattern
-  /// switch is a session replay: the hom session re-seeds to the new
-  /// fixed binding.
-  void SetupHeadPattern(const ExhaustivePlan& plan, uint32_t hp) {
-    if (cur_hp_ == static_cast<int64_t>(hp)) return;
-    SEMACYC_FAILPOINT("parallel.replay", failpoint_token_);
-    pctx_->NoteReplay();
-    const HpPlan& h = plan.hps[hp];
-    head_ = h.head;
-    hom_.Reset(h.fixed);
-    choices_ = h.choices;
-    cur_hp_ = static_cast<int64_t>(hp);
+  /// Counts one prefix rebuild (a head-pattern switch or a prefix push).
+  void Replay(ParallelSearchPool::WorkerContext& ctx) {
+    SEMACYC_FAILPOINT("parallel.replay", parent_);
+    ctx.NoteReplay();
   }
 
-  /// Parallel mode: replay one stolen-prefix atom with the sequential
-  /// push nesting (classifier first, then hom). False = the prefix is
-  /// pruned exactly where the sequential BuildArgs would prune it — the
-  /// unit is a zero-visit exhausted unit. On success `pushed` counts the
-  /// levels PopPrefix must unwind.
-  bool PushPrefixAtom(const Atom& atom, size_t* pushed) {
+  /// Pushes one prefix atom with the DFS push nesting (classifier first,
+  /// then hom). False = pruned, with both sessions restored.
+  bool PushPrefixAtom(const Atom& atom) {
     size_t saved_frontier = used_frontier_;
     atoms_.push_back(atom);
     used_frontier_ = FrontierAfter(atom, saved_frontier);
@@ -1324,17 +1140,17 @@ class CandidateEnumerator {
       return false;
     }
     frontier_stack_.push_back(saved_frontier);
-    ++*pushed;
     return true;
   }
 
-  void PopPrefix(size_t pushed) {
-    while (pushed-- > 0) {
+  void PopTo(size_t depth) {
+    while (prefix_.size() > depth) {
       hom_.PopAtom();
       inc_.PopEdge();
       atoms_.pop_back();
       used_frontier_ = frontier_stack_.back();
       frontier_stack_.pop_back();
+      prefix_.pop_back();
     }
   }
 
@@ -1342,95 +1158,59 @@ class CandidateEnumerator {
   /// lookups — the same value BuildArgs threads down its recursion.
   size_t FrontierAfter(const Atom& atom, size_t used) const {
     for (Term t : atom.args()) {
-      auto it = pool_index_.find(t);
-      if (it != pool_index_.end()) used = std::max(used, it->second + 1);
+      auto it = sig_.pool_index.find(t);
+      if (it != sig_.pool_index.end()) used = std::max(used, it->second + 1);
     }
     return used;
   }
 
-  /// Parallel mode: one enumeration node by itself (the kRootVisit /
-  /// kA1Visit units) — the visit prefix of Search() without the child
-  /// recursion, which belongs to other units.
-  void VisitNode(bool test) {
-    SEMACYC_FAILPOINT("exhaustive.visit", failpoint_token_);
-    if (visits_ >= pctx_->Cap()) {
-      truncated_ = true;
-      return;
+  /// The atom's connecting vertices (kVariables: constants never connect),
+  /// interned against the worker-wide vertex table. Fills the shared
+  /// scratch buffer (the classifier copies and sorts/dedups).
+  const std::vector<int>& VarVertices(const Atom& atom) {
+    verts_scratch_.clear();
+    for (Term t : atom.args()) {
+      if (!t.IsVariable()) continue;
+      verts_scratch_.push_back(
+          vertex_of_.emplace(t, static_cast<int>(vertex_of_.size()))
+              .first->second);
     }
-    ++visits_;
-    if (cancel_ != nullptr && cancel_->Poll()) {
-      truncated_ = true;
-      return;
+    return verts_scratch_;
+  }
+
+  bool HeadCovered() const {
+    for (Term h : *head_) {
+      bool found = false;
+      for (const Atom& a : atoms_) {
+        if (a.Mentions(h)) {
+          found = true;
+          break;
+        }
+      }
+      if (!found) return false;
     }
-    if (test) TestCandidate();
+    return true;
   }
 
   void TestCandidate() {
     if (atoms_.empty() || !HeadCovered() || !inc_.Meets()) return;
-    ConjunctiveQuery candidate(head_, atoms_);
-    if (parallel_) {
-      // Per-unit dedup gates the event record; the shared NO-set only
-      // suppresses oracle CALLS for already-refuted candidates (kYes
-      // stops the search, kUnknown is never inserted — answer-invariant).
-      // The official candidates_tested is reconstructed by the
-      // commit-time replay of these events.
-      Key128 key = CanonicalFingerprint128(candidate);
-      if (!unit_seen_.insert(key).second) return;
-      events_->push_back({visits_, key});
-      ++outcome_.candidates_tested;
-      if (shared_no_->Contains(key)) return;
-      Tri r = oracle_.ContainedInQ(candidate, cancel_);
-      if (r == Tri::kYes) {
-        outcome_.answer = Tri::kYes;
-        outcome_.witness = std::move(candidate);
-        found_at_ = visits_;
-      } else if (r == Tri::kNo) {
-        shared_no_->Insert(key);
-      }
-      return;
-    }
-    if (!tested_.Insert(candidate)) return;
-    ++outcome_.candidates_tested;
-    if (oracle_.ContainedInQ(candidate, cancel_) == Tri::kYes) {
-      outcome_.answer = Tri::kYes;
-      outcome_.witness = std::move(candidate);
-    }
+    Test(ConjunctiveQuery(*head_, atoms_));
   }
 
   void Search() {
-    if (truncated_ || outcome_.answer == Tri::kYes) return;
-    SEMACYC_FAILPOINT("exhaustive.visit", failpoint_token_);
-    if (parallel_) {
-      // Unit-local visits against the pool's allowance floor: Cap() can
-      // only be too generous while earlier units are in flight, so a
-      // capped unit provably overran its final allowance — speculation
-      // wasted, never an answer changed.
-      if (visits_ >= pctx_->Cap()) {
-        truncated_ = true;
-        return;
-      }
-      ++visits_;
-    } else if (++visits_ > budget_) {
-      truncated_ = true;
-      return;
-    }
-    if (cancel_ != nullptr && cancel_->Poll()) {
-      truncated_ = true;  // a fired token truncates like an exhausted budget
-      return;
-    }
+    if (!Visit("exhaustive.visit")) return;
     TestCandidate();
-    if (outcome_.answer == Tri::kYes) return;
-    if (atoms_.size() >= max_atoms_) return;
-    for (Predicate p : predicates_) {
+    if (found_ || atoms_.size() >= max_atoms_) return;
+    for (Predicate p : sig_.predicates) {
       std::vector<Term> args(static_cast<size_t>(p.arity()));
-      BuildArgs(p, 0, &args, choices_, used_frontier_);
-      if (truncated_ || outcome_.answer == Tri::kYes) return;
+      BuildArgs(p, 0, &args, used_frontier_);
+      if (truncated_ || found_) return;
     }
   }
 
   void BuildArgs(Predicate p, size_t pos, std::vector<Term>* args,
-                 const std::vector<Term>& choices, size_t used) {
-    if (truncated_ || outcome_.answer == Tri::kYes) return;
+                 size_t used) {
+    if (truncated_ || found_) return;
     if (pos == args->size()) {
       Atom atom(p, *args);
       // Canonical growth: non-decreasing atom order; no duplicate atoms.
@@ -1466,136 +1246,57 @@ class CandidateEnumerator {
     // Fresh pool variables must be introduced in order; `used` carries the
     // frontier (pool variables consumed by atoms_ plus the args prefix)
     // down the recursion instead of rescanning atoms and prefix.
-    for (Term t : choices) {
+    for (Term t : *choices_) {
       size_t next_used = used;
-      auto it = pool_index_.find(t);
-      if (it != pool_index_.end()) {
+      auto it = sig_.pool_index.find(t);
+      if (it != sig_.pool_index.end()) {
         if (it->second > used) continue;  // beyond the next fresh one
         next_used = std::max(used, it->second + 1);
       }
       (*args)[pos] = t;
-      BuildArgs(p, pos + 1, args, choices, next_used);
+      BuildArgs(p, pos + 1, args, next_used);
     }
   }
 
-  const ConjunctiveQuery& q_;
-  const QueryChaseResult& chase_;
-  const ContainmentOracle& oracle_;
-  size_t max_atoms_;
-  size_t budget_;
-  CancelToken* cancel_;
-
-  std::vector<Predicate> predicates_;
-  std::vector<Term> constants_;
-  std::vector<Term> pool_;
-  std::unordered_map<Term, size_t, TermHash> pool_index_;
-  std::vector<Term> head_;
-  std::vector<Atom> atoms_;
-  /// Per-head-pattern invariants, hoisted out of the enumeration loop.
-  std::vector<Term> choices_;
-  acyclic::IncrementalClassifier inc_;
+  const ExhaustivePlan& plan_;
+  const EnumSignature& sig_;
+  const size_t max_atoms_;
   /// Incremental chase-homomorphism session: PushAtom/PopAtom mirror inc_'s
   /// PushEdge/PopEdge along the DFS path — the certificate that the
   /// candidate maps into the chase with the head bound position-wise.
   IncrementalHomomorphism hom_;
+  /// The current head pattern's invariants (owned by the plan).
+  uint32_t hp_ = ExhUnit::kNoAtom;
+  const std::vector<Term>* head_ = nullptr;
+  const std::vector<Term>* choices_ = nullptr;
+  /// The pushed unit prefix (plan atom indices), and the last prefix atom
+  /// whose push was pruned.
+  std::vector<uint32_t> prefix_;
+  uint32_t dead_ = ExhUnit::kNoAtom;
+  std::vector<Atom> atoms_;
   std::unordered_map<Term, int, TermHash> vertex_of_;
   std::vector<int> verts_scratch_;
   /// Pool variables consumed by atoms_ (the in-order-introduction
   /// frontier), maintained incrementally across atom pushes/pops.
   size_t used_frontier_ = 0;
-  CandidateDedup tested_;
-  size_t visits_ = 0;
-  bool truncated_ = false;
-  WitnessSearchOutcome outcome_;
-
-  /// Parallel-worker mode state (inert on the sequential path).
-  /// failpoint_token_ is the engine token on the sequential path and the
-  /// PARENT token in parallel mode; cancel_ then points at child_.
-  bool parallel_ = false;
-  CancelToken* failpoint_token_;
-  CancelToken child_;
-  ParallelSearchPool::WorkerContext* pctx_ = nullptr;
-  ConcurrentFingerprintSet* shared_no_ = nullptr;
-  std::vector<CandidateEvent>* events_ = nullptr;
-  std::unordered_set<Key128, Key128Hash> unit_seen_;
-  uint64_t found_at_ = 0;
-  int64_t cur_hp_ = -1;
   std::vector<size_t> frontier_stack_;
 };
 
 }  // namespace
 
-WitnessSearchOutcome ExhaustiveWitnessSearch(const ConjunctiveQuery& q,
-                                             const DependencySet& sigma,
-                                             const QueryChaseResult& chase,
-                                             const ContainmentOracle& oracle,
-                                             size_t max_atoms, size_t budget,
-                                             acyclic::AcyclicityClass target,
-                                             CancelToken* cancel) {
-  CandidateEnumerator enumerator(q, sigma, chase, oracle, max_atoms, budget,
-                                 target, cancel);
-  return enumerator.Run();
-}
-
-WitnessSearchOutcome ParallelExhaustiveWitnessSearch(
+WitnessSearchOutcome ExhaustiveWitnessSearch(
     const ConjunctiveQuery& q, const DependencySet& sigma,
     const QueryChaseResult& chase, const ContainmentOracle& oracle,
     size_t max_atoms, size_t budget, size_t threads,
     acyclic::AcyclicityClass target, CancelToken* cancel) {
-  if (threads <= 1) {
-    return ExhaustiveWitnessSearch(q, sigma, chase, oracle, max_atoms, budget,
-                                   target, cancel);
-  }
-  WitnessSearchOutcome outcome;
-  EnumSignature sig(q, sigma, max_atoms);
-  ExhaustivePlan plan = BuildExhaustivePlan(q, chase, sig, max_atoms);
-  ConcurrentFingerprintSet shared_no;
-  std::vector<std::vector<CandidateEvent>> unit_events(plan.units.size());
-  std::vector<std::optional<ConjunctiveQuery>> unit_witness(plan.units.size());
-  ParallelSearchPool pool(plan.units.size(), threads, budget);
-  // One enumerator per worker slot, created lazily on the worker's own
-  // thread (each builds its own sessions and child token; the plan, the
-  // oracle and the NO-set are the only shared state).
-  std::vector<std::unique_ptr<CandidateEnumerator>> workers(pool.workers());
-  ParallelSearchPool::Result res =
-      pool.Run([&](size_t u, ParallelSearchPool::WorkerContext& ctx) {
-        std::unique_ptr<CandidateEnumerator>& w = workers[ctx.worker()];
-        if (w == nullptr) {
-          w = std::make_unique<CandidateEnumerator>(
-              q, sigma, chase, oracle, max_atoms, budget, target, nullptr);
-          w->EnterParallelMode(cancel, &shared_no);
-        }
-        return w->RunUnit(plan, plan.units[u], ctx, &unit_events[u],
-                          &unit_witness[u]);
+  const EnumSignature sig(q, sigma, max_atoms);
+  const ExhaustivePlan plan = BuildExhaustivePlan(q, chase, sig, max_atoms);
+  return RunUnits<ExhaustiveWorker>(
+      plan.units.size(), threads, budget, cancel,
+      [&](ConcurrentFingerprintSet* shared_no) {
+        return std::make_unique<ExhaustiveWorker>(
+            plan, sig, chase, oracle, max_atoms, target, cancel, shared_no);
       });
-  bool truncated = res.truncated;
-  // A fired token may have pruned subtrees silently; the whole run counts
-  // as truncated even if no visit poll tripped (mirrors the sequential
-  // post-run check).
-  if (cancel != nullptr && cancel->triggered()) truncated = true;
-  if (res.found) {
-    outcome.answer = Tri::kYes;
-    outcome.witness = std::move(unit_witness[res.final_unit]);
-  }
-  // Like the sequential Run(): exhausted reports "no budget/cancel
-  // truncation", also on kYes.
-  outcome.exhausted = !truncated;
-  outcome.visits = res.official_visits;
-  outcome.candidates_tested = ReplayCandidatesTested(res, unit_events);
-  for (const auto& w : workers) {
-    if (w == nullptr) continue;
-    outcome.classifier_pushes += w->classifier_pushes();
-    outcome.classifier_pops += w->classifier_pops();
-    const IncrementalHomomorphism::Stats& hs = w->hom_stats();
-    outcome.hom.pushes += hs.pushes;
-    outcome.hom.fc_rejects += hs.fc_rejects;
-    outcome.hom.extends += hs.extends;
-    outcome.hom.repairs += hs.repairs;
-    outcome.hom.repair_fails += hs.repair_fails;
-    outcome.hom.dead_prefix += hs.dead_prefix;
-  }
-  outcome.parallel = pool.stats();
-  return outcome;
 }
 
 }  // namespace semacyc

@@ -194,19 +194,20 @@ struct WitnessSearchOutcome {
   size_t classifier_pushes = 0;
   size_t classifier_pops = 0;
   /// Incremental chase-homomorphism session totals (exhaustive strategy
-  /// only; all-zero otherwise). Under the
-  /// parallel strategies these sum over workers — real work performed,
-  /// scheduling-dependent, and deliberately outside the parity contract.
+  /// only; all-zero otherwise). Like the classifier counters they sum
+  /// over workers — real work performed, scheduling-dependent at
+  /// threads > 1, and deliberately outside the parity contract.
   IncrementalHomomorphism::Stats hom;
-  /// Work-stealing bookkeeping (parallel strategies only; all-zero on
-  /// the sequential paths).
+  /// Work-stealing bookkeeping of the subsets/exhaustive strategies (at
+  /// every thread count; all-zero for images).
   WorkStealStats parallel;
 };
 
-/// Each strategy has exactly one per-candidate pipeline: push/pop
-/// acyclicity classification along the DFS path (with hereditary subtree
-/// pruning for β/γ/Berge targets), an incrementally maintained chase
-/// homomorphism (exhaustive), and 128-bit fingerprint candidate dedup.
+/// Each strategy has exactly one search body and one per-candidate
+/// pipeline: push/pop acyclicity classification along the DFS path (with
+/// hereditary subtree pruning for β/γ/Berge targets), an incrementally
+/// maintained chase homomorphism (exhaustive), and 128-bit fingerprint
+/// candidate dedup.
 ///
 /// Every strategy takes a `target` acyclicity class: candidates are kept
 /// only when their hypergraph lies in `target` or a stricter class. kAlpha
@@ -220,6 +221,22 @@ struct WitnessSearchOutcome {
 /// built on it) with the candidates tested so far as partial evidence. A
 /// kYes found before the token fired stays valid: witnesses are verified
 /// constructively.
+///
+/// The two budgeted strategies run on the work-stealing pool
+/// (core/worksteal.h has the determinism argument; docs/ARCHITECTURE.md
+/// the prose). The search space is pre-split into an ordered list of
+/// subtree-root units whose concatenation is the DFS preorder (subsets:
+/// per iterative-deepening limit and first chase atom; exhaustive: per
+/// head pattern and first/second body atom). `threads` workers each own
+/// a classifier and hom session replayed to the claimed unit's prefix and
+/// share a NO-only concurrent fingerprint set; the ordered commit protocol
+/// charges the budget in preorder, so answer, witness, exhausted, visits
+/// and candidates_tested are bitwise-identical for every thread count.
+/// With threads <= 1 the calling thread runs every unit in order and no
+/// thread is spawned. The oracle must be `synchronized` when threads > 1.
+/// Any cancel a worker observes — the token's own, its deadline, or one
+/// injected into a worker's oracle call — cancels `cancel` itself, so the
+/// caller's next poll aborts the whole decision.
 
 /// Strategy "images": every homomorphic image of q inside the chase whose
 /// atom set meets `target` is a candidate (q ⊆Σ image by construction).
@@ -230,50 +247,25 @@ WitnessSearchOutcome FindWitnessInQueryImages(
     CancelToken* cancel = nullptr);
 
 /// Strategy "subsets": `target`-acyclic sub-instances of the chase
-/// mentioning all answer terms, up to `max_atoms` atoms (q ⊆Σ subset by
-/// construction).
+/// mentioning all answer terms, up to `max_atoms` atoms, smallest first
+/// (q ⊆Σ subset by construction); at most `budget` DFS visits.
 WitnessSearchOutcome FindWitnessInChaseSubsets(
-    const ConjunctiveQuery& q, const QueryChaseResult& chase,
-    const ContainmentOracle& oracle, size_t max_atoms, size_t budget,
-    acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
-    CancelToken* cancel = nullptr);
-
-/// Strategy "exhaustive": canonical enumeration of `target`-acyclic CQs up
-/// to `max_atoms` atoms over the predicates that can occur in chase(q,Σ),
-/// pruned by requiring a homomorphism into the chase (this certifies
-/// q ⊆Σ candidate). Complete — i.e., a kNo answer is definitive — when
-/// (a) the enumeration exhausted (no budget hit), (b) the chase saturated,
-/// (c) the oracle is exact, (d) `max_atoms` is at least the paper's
-/// small-query bound, and (e) target == kAlpha (the small-query theorems
-/// are proven for α-acyclic witnesses only). The caller checks (b)–(e).
-WitnessSearchOutcome ExhaustiveWitnessSearch(
-    const ConjunctiveQuery& q, const DependencySet& sigma,
-    const QueryChaseResult& chase, const ContainmentOracle& oracle,
-    size_t max_atoms, size_t budget,
-    acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
-    CancelToken* cancel = nullptr);
-
-/// Work-stealing parallel variants of the two budgeted strategies
-/// (core/worksteal.h has the determinism argument; docs/ARCHITECTURE.md
-/// the prose). The search space is pre-split into ordered subtree-root
-/// units (subsets: per iterative-deepening limit and first chase atom;
-/// exhaustive: per head pattern and first/second body atom); `threads`
-/// workers each own a replayed IncrementalClassifier +
-/// IncrementalHomomorphism session and share a NO-only concurrent
-/// fingerprint set, and the ordered commit protocol reproduces the
-/// sequential budget semantics exactly — answer, witness, exhausted,
-/// visits and candidates_tested are bitwise-identical to the sequential
-/// strategy at the same budget, for every thread count. The oracle must
-/// be `synchronized` when threads > 1; threads <= 1 runs the sequential
-/// strategy.
-WitnessSearchOutcome ParallelFindWitnessInChaseSubsets(
     const ConjunctiveQuery& q, const QueryChaseResult& chase,
     const ContainmentOracle& oracle, size_t max_atoms, size_t budget,
     size_t threads,
     acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
     CancelToken* cancel = nullptr);
 
-WitnessSearchOutcome ParallelExhaustiveWitnessSearch(
+/// Strategy "exhaustive": canonical enumeration of `target`-acyclic CQs up
+/// to `max_atoms` atoms over the predicates that can occur in chase(q,Σ),
+/// pruned by requiring a homomorphism into the chase (this certifies
+/// q ⊆Σ candidate); at most `budget` DFS visits. Complete — i.e., a kNo
+/// answer is definitive — when (a) the enumeration exhausted (no budget
+/// hit), (b) the chase saturated, (c) the oracle is exact, (d)
+/// `max_atoms` is at least the paper's small-query bound, and (e) target
+/// == kAlpha (the small-query theorems are proven for α-acyclic witnesses
+/// only). The caller checks (b)–(e).
+WitnessSearchOutcome ExhaustiveWitnessSearch(
     const ConjunctiveQuery& q, const DependencySet& sigma,
     const QueryChaseResult& chase, const ContainmentOracle& oracle,
     size_t max_atoms, size_t budget, size_t threads,

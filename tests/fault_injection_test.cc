@@ -21,8 +21,9 @@ TEST(FaultInjectionTest, FailpointsCompiledOut) {
 
 #else  // failpoints compiled in
 
-/// Every cancel/bad_alloc injection site reachable from Engine::Decide.
-/// Keep in sync with the catalogue in docs/ROBUSTNESS.md.
+/// Every cancel/bad_alloc injection site reachable from Engine::Decide,
+/// at every decide_threads. Keep in sync with the catalogue in
+/// docs/ROBUSTNESS.md.
 const char* const kDecideFailpoints[] = {
     "decide.start",          "decide.after_core",
     "decide.after_chase",    "decide.after_oracle",
@@ -30,7 +31,8 @@ const char* const kDecideFailpoints[] = {
     "decide.after_subsets",  "decide.after_exhaustive",
     "chase.round",           "rewrite.step",
     "oracle.candidate",      "subsets.visit",
-    "exhaustive.visit",
+    "exhaustive.visit",      "parallel.steal",
+    "parallel.replay",
 };
 
 void ExpectAborted(const SemAcResult& r) {
@@ -91,10 +93,11 @@ std::vector<Workload> Workloads() {
   return out;
 }
 
-SemAcOptions SweepOptions() {
+SemAcOptions SweepOptions(size_t threads = 1) {
   SemAcOptions options;
   options.subset_budget = 8000;
   options.exhaustive_budget = 8000;
+  options.decide_threads = threads;
   return options;
 }
 
@@ -137,10 +140,13 @@ struct DisarmOnExit {
 
 /// The tentpole invariant: abort at ANY failpoint leaves the engine
 /// exactly as reusable as one that never saw the query. For every
-/// failpoint × workload × query × fire-on-hit K: inject a cancel, then
-/// disarm and re-decide on the SAME engine — result and per-cache work
-/// must match a fresh engine's first decision of that query.
-TEST(FaultInjectionTest, CancelAtEveryFailpointLeavesEngineCoherent) {
+/// failpoint × workload × query × fire-on-hit K, at 1 and 2 decide
+/// threads: inject a cancel, then disarm and re-decide on the SAME
+/// engine — result and per-cache work must match a fresh engine's first
+/// decision of that query. A cancel inside a search worker (its oracle
+/// call, the candidate's chase) must abort the decision, not just the
+/// worker's unit.
+void CancelAtEveryFailpoint(size_t threads) {
   DisarmOnExit cleanup;
   auto& reg = FailpointRegistry::Global();
   for (const Workload& w : Workloads()) {
@@ -148,8 +154,9 @@ TEST(FaultInjectionTest, CancelAtEveryFailpointLeavesEngineCoherent) {
       for (const char* point : kDecideFailpoints) {
         for (uint64_t fire_on : {uint64_t{1}, uint64_t{25}}) {
           std::string context = w.name + " / " + q.ToString() + " / " +
-                                point + "@" + std::to_string(fire_on);
-          Engine engine(w.sigma, SweepOptions());
+                                point + "@" + std::to_string(fire_on) +
+                                " / " + std::to_string(threads) + "t";
+          Engine engine(w.sigma, SweepOptions(threads));
           PreparedQuery pq = engine.Prepare(q);
 
           reg.Arm(point, FailpointAction::kCancel, fire_on);
@@ -173,7 +180,7 @@ TEST(FaultInjectionTest, CancelAtEveryFailpointLeavesEngineCoherent) {
           SemAcResult warm = engine.Decide(pq);
           CacheDeltas warm_delta = Delta(before, engine.Stats());
 
-          Engine fresh(w.sigma, SweepOptions());
+          Engine fresh(w.sigma, SweepOptions(threads));
           PreparedQuery fresh_pq = fresh.Prepare(q);
           EngineCacheStats fresh_before = fresh.Stats();
           SemAcResult cold = fresh.Decide(fresh_pq);
@@ -191,6 +198,11 @@ TEST(FaultInjectionTest, CancelAtEveryFailpointLeavesEngineCoherent) {
       }
     }
   }
+}
+
+TEST(FaultInjectionTest, CancelAtEveryFailpointLeavesEngineCoherent) {
+  CancelAtEveryFailpoint(1);
+  CancelAtEveryFailpoint(2);
 }
 
 /// Simulated allocation failure: a std::bad_alloc thrown mid-pipeline

@@ -87,6 +87,22 @@ TEST(CancelTokenTest, ChildObservesParentCancel) {
   EXPECT_FALSE(parent.triggered());
 }
 
+TEST(CancelTokenTest, GrandchildObservesGrandparentCancel) {
+  // The server's chain: drain token -> request token -> search worker.
+  CancelToken grandparent;
+  CancelToken parent;
+  parent.SetParent(&grandparent);
+  CancelToken child;
+  child.SetParent(&parent);
+  EXPECT_FALSE(child.PollNow());
+  EXPECT_FALSE(child.Poll());
+  grandparent.RequestCancel();
+  EXPECT_TRUE(child.Poll());  // the amortized path checks the chain too
+  EXPECT_TRUE(child.triggered());
+  EXPECT_FALSE(parent.triggered());
+  EXPECT_TRUE(parent.PollNow());
+}
+
 TEST(CancelTokenTest, SetParentFoldsParentDeadline) {
   CancelToken parent;
   parent.SetDeadlineInMs(5);
@@ -301,6 +317,43 @@ TEST(EngineDeadlineTest, ExternalCancelFromAnotherThreadMidFlight) {
   SemAcResult r = engine.Decide(pq, &token);
   canceller.join();
   ExpectAborted(r);
+}
+
+TEST(EngineDeadlineTest, GrandparentCancelAbortsAtEveryThreadCount) {
+  // semacycd chains drain token -> request token, and each search worker
+  // chains its own token under the request token: a cancel two links up
+  // must stop the heavy search at every decide_threads.
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    SemAcOptions options;
+    options.subset_budget = 500000000;
+    options.exhaustive_budget = 500000000;
+    options.decide_threads = threads;
+    Generator gen(7);
+    Engine engine(GuardedSigma(), options);
+    PreparedQuery pq = engine.Prepare(gen.CycleQuery(5));
+    CancelToken grandparent;
+    CancelToken token;
+    token.SetParent(&grandparent);
+    std::chrono::steady_clock::time_point cancelled_at;
+    std::thread canceller([&]() {
+      // Only shapes the interleaving: before or mid-search, the decision
+      // aborts identically.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      cancelled_at = std::chrono::steady_clock::now();
+      grandparent.RequestCancel();
+    });
+    SemAcResult r = engine.Decide(pq, &token);
+    auto returned_at = std::chrono::steady_clock::now();
+    canceller.join();
+    ExpectAborted(r);
+    // Generous CI slack (TSan); unfixed, the 2-thread search ran on for
+    // the whole 5e8-visit budget.
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  returned_at - cancelled_at)
+                  .count(),
+              5000)
+        << threads << " threads";
+  }
 }
 
 TEST(EngineDeadlineTest, BatchDeadlineAbortsStragglers) {

@@ -427,42 +427,48 @@ size_t OpenFdCount() {
 }
 
 TEST(ServeTest, ShutdownDrainsInFlightWorkAndLeaksNoFds) {
-  size_t fds_before = OpenFdCount();
-  {
-    ServerOptions options;
-    options.semac = HeavyOptions();
-    options.drain_ms = 100;  // cancel stragglers quickly
-    Server server(GuardedSigma(), options);
-    ASSERT_TRUE(server.ok()) << server.error();
-    std::thread runner([&server] { server.Run(); });
+  // The drain token reaches the search two links down (drain -> request
+  // -> search worker), at every decide_threads.
+  for (size_t threads : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(std::to_string(threads) + " decide threads");
+    size_t fds_before = OpenFdCount();
+    {
+      ServerOptions options;
+      options.semac = HeavyOptions();
+      options.semac.decide_threads = threads;
+      options.drain_ms = 100;  // cancel stragglers quickly
+      Server server(GuardedSigma(), options);
+      ASSERT_TRUE(server.ok()) << server.error();
+      std::thread runner([&server] { server.Run(); });
 
-    LineClient client = MustConnect(server);
-    // A heavy decision with no deadline: only the drain token's phase-2
-    // cancellation can stop it.
-    ASSERT_TRUE(client.SendLine(HeavyQueryText()));
-    // Wait until a worker has actually BEGUN the decision (the engine
-    // counts a decision at entry), then pull the plug the same way the
-    // SIGTERM handler does. A fixed sleep here flakes under sanitizer
-    // slowdowns (TSan runs 5-15x slower): shutdown could win the race
-    // and drain an empty pool instead of cancelling in-flight work.
-    const Engine* engine = server.tenant_engine("");
-    ASSERT_NE(engine, nullptr);
-    while (engine->stats().decisions == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      LineClient client = MustConnect(server);
+      // A heavy decision with no deadline: only the drain token's phase-2
+      // cancellation can stop it.
+      ASSERT_TRUE(client.SendLine(HeavyQueryText()));
+      // Wait until a worker has actually BEGUN the decision (the engine
+      // counts a decision at entry), then pull the plug the same way the
+      // SIGTERM handler does. A fixed sleep here flakes under sanitizer
+      // slowdowns (TSan runs 5-15x slower): shutdown could win the race
+      // and drain an empty pool instead of cancelling in-flight work.
+      const Engine* engine = server.tenant_engine("");
+      ASSERT_NE(engine, nullptr);
+      while (engine->stats().decisions == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      server.RequestShutdown();
+      // The in-flight decision is cancelled and its deadline-exceeded
+      // line still flushes to the client before the close.
+      std::string response = MustRecv(&client);
+      EXPECT_TRUE(Contains(response, "\"strategy\": \"deadline-exceeded\""))
+          << response;
+      // The server then closes the connection.
+      EXPECT_FALSE(client.RecvLine(2000).has_value());
+      runner.join();
     }
-    server.RequestShutdown();
-    // The in-flight decision is cancelled and its deadline-exceeded
-    // line still flushes to the client before the close.
-    std::string response = MustRecv(&client);
-    EXPECT_TRUE(Contains(response, "\"strategy\": \"deadline-exceeded\""))
-        << response;
-    // The server then closes the connection.
-    EXPECT_FALSE(client.RecvLine(2000).has_value());
-    runner.join();
+    // Everything the server and client opened is closed again (ASan's
+    // leak check covers the memory side in the sanitize CI job).
+    EXPECT_EQ(OpenFdCount(), fds_before);
   }
-  // Everything the server and client opened is closed again (ASan's
-  // leak check covers the memory side in the sanitize CI job).
-  EXPECT_EQ(OpenFdCount(), fds_before);
 }
 
 // ---------------------------------------------------------------------------
