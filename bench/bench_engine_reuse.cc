@@ -172,7 +172,6 @@ void EngineShowdown(bench::JsonReport* report) {
                   w.name.c_str());
     }
 
-    EngineStats stats = engine.stats();
     report->AddRow(
         "engine_reuse",
         {{"workload", bench::JsonReport::Str(w.name)},
@@ -183,7 +182,8 @@ void EngineShowdown(bench::JsonReport* report) {
          {"speedup_oracle", bench::JsonReport::Num(cold_ms / oracle_ms)},
          {"speedup_prepared", bench::JsonReport::Num(cold_ms / prepared_ms)},
          {"decision_cache_hits",
-          bench::JsonReport::Num(static_cast<double>(stats.decision_cache_hits))},
+          bench::JsonReport::Num(
+              static_cast<double>(engine.Stats().decisions.hits))},
          {"parity", parity ? std::string("true") : std::string("false")}});
   }
 

@@ -130,7 +130,9 @@ class BareRunner {
   explicit BareRunner(const Workload& w)
       : w_(w),
         chase_(ChaseQuery(w.q, w.sigma, chase_options_)),
-        oracle_(w.q, w.sigma, chase_options_, rewrite_options_) {}
+        oracle_(w.q, w.sigma, chase_options_, rewrite_options_,
+                SchemaFacts::Compute(w.sigma), /*rewrite_cache=*/nullptr,
+                &metrics_) {}
 
   void Once(Run* run) {
     auto start = Clock::now();
@@ -155,6 +157,7 @@ class BareRunner {
   ChaseOptions chase_options_;
   RewriteOptions rewrite_options_;
   QueryChaseResult chase_;
+  obs::MetricsRegistry metrics_{{}, {}};
   ContainmentOracle oracle_;
 };
 

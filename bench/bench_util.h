@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/obs.h"
+
 namespace semacyc::bench {
 
 /// Minimal fixed-width table printer for the "shape reports" every bench
@@ -109,12 +111,7 @@ class JsonReport {
     return out.str();
   }
   static std::string Str(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out + "\"";
+    return "\"" + obs::JsonEscape(s) + "\"";
   }
 
   void AddRow(const std::string& section, Row row) {

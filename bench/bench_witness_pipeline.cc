@@ -131,9 +131,9 @@ struct StrategyRun {
 };
 
 /// One chase and oracle for w's strategy, timed over repeated runs (best
-/// time kept). The oracle is built `synchronized` so concurrent workers
-/// may share it (1-worker runs pay the same — uncontended — locks,
-/// keeping the E-P4 comparison honest).
+/// time kept). Concurrent workers share the oracle; its memo lock is
+/// taken at every thread count (1-worker runs pay it uncontended),
+/// keeping the E-P4 comparison honest.
 class StrategyRunner {
  public:
   explicit StrategyRunner(const Workload& w)
@@ -141,7 +141,7 @@ class StrategyRunner {
         chase_(ChaseQuery(w.q, w.sigma, chase_options_)),
         oracle_(w.q, w.sigma, chase_options_, rewrite_options_,
                 SchemaFacts::Compute(w.sigma), /*rewrite_cache=*/nullptr,
-                /*try_rewriting=*/true, /*synchronized=*/true) {
+                &metrics_) {
     run_.ms = -1;
   }
 
@@ -156,8 +156,8 @@ class StrategyRunner {
                                       w_.target);
     double ms = MillisSince(start);
     if (run_.ms < 0 || ms < run_.ms) run_.ms = ms;
-    run_.hits = oracle_.cache_hits();
-    run_.prefiltered = oracle_.prefiltered();
+    run_.hits = metrics_.Count(obs::Counter::kOracleMemoHits);
+    run_.prefiltered = metrics_.Count(obs::Counter::kOraclePrefiltered);
   }
 
   const StrategyRun& run() const { return run_; }
@@ -167,6 +167,7 @@ class StrategyRunner {
   ChaseOptions chase_options_;
   RewriteOptions rewrite_options_;
   QueryChaseResult chase_;
+  obs::MetricsRegistry metrics_{{}, {}};
   ContainmentOracle oracle_;
   StrategyRun run_;
 };

@@ -4,6 +4,7 @@
 // the compulsive-collector tgd, reformulates the cyclic query, and
 // reports the evaluation speedup of the acyclic plan.
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 
 #include "core/homomorphism.h"
@@ -64,8 +65,8 @@ int main() {
   std::printf(
       "\nThe acyclic reformulation (2 atoms instead of 3, no cycle)\n"
       "evaluates in time linear in |D| — the paper's motivating win.\n");
-  EngineStats stats = engine->stats();
-  std::printf("engine: %zu decisions, %zu served from the cache\n",
-              stats.decisions, stats.decision_cache_hits);
+  std::printf("engine: %" PRIu64 " decisions, %zu served from the cache\n",
+              engine->Metrics().decisions_total,
+              engine->Stats().decisions.hits);
   return 0;
 }

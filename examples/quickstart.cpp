@@ -7,6 +7,7 @@
 // using the session-oriented Engine API (one schema, many queries). The
 // free functions (DecideSemanticAcyclicity & co.) remain as one-shot
 // wrappers over a transient Engine.
+#include <cinttypes>
 #include <cstdio>
 
 #include "chase/query_chase.h"
@@ -79,8 +80,8 @@ int main() {
 
   // 6. Session statistics: the decision above was computed once; Eval
   //    reused it from the cache.
-  EngineStats stats = engine.stats();
-  std::printf("engine: %zu decisions, %zu served from cache\n",
-              stats.decisions, stats.decision_cache_hits);
+  std::printf("engine: %" PRIu64 " decisions, %zu served from cache\n",
+              engine.Metrics().decisions_total,
+              engine.Stats().decisions.hits);
   return 0;
 }

@@ -51,6 +51,7 @@
 // Exit code, batch: 0 once the schema parsed (per-line errors are reported
 // as JSON on the line that failed), 3 on usage/schema errors.
 #include <cerrno>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -154,12 +155,14 @@ int RunBatch(const char* schema_path, const char* queries_path,
     std::fflush(stdout);
   }
 
-  EngineStats stats = engine.stats();
+  obs::MetricsSnapshot metrics = engine.Metrics();
+  EngineCacheStats caches = engine.Stats();
   std::fprintf(stderr,
-               "decided %zu (cache hits: %zu decision, %zu chase, %zu "
-               "oracle memo)\n",
-               stats.decisions, stats.decision_cache_hits,
-               stats.chase_cache_hits, stats.oracle_hits);
+               "decided %" PRIu64 " (cache hits: %zu decision, %zu chase, "
+               "%" PRIu64 " oracle memo)\n",
+               metrics.decisions_total, caches.decisions.hits,
+               caches.chase.hits,
+               metrics.Count(obs::Counter::kOracleMemoHits));
   if (print_stats) PrintStatsJson(engine);
   if (print_metrics) {
     std::printf("{\"metrics\": %s}\n", engine.Metrics().ToJson().c_str());

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs guardrails: markdown link check + README quickstart extraction.
+"""Docs guardrails: link check, README quickstart, counter glossary.
 
-Two modes, both wired into CI (the `docs` job) so the documentation
+Three modes, all wired into CI (the `docs` job) so the documentation
 cannot rot silently:
 
   check_docs.py --link-check FILE.md [FILE.md ...]
@@ -16,6 +16,12 @@ cannot rot silently:
       That block is the README's compilable-quickstart contract: CI
       compiles and runs it verbatim against the built library, so the
       snippet can never drift from the actual API.
+
+  check_docs.py --counter-glossary OBS.cc GLOSSARY.md
+      Reads every metrics counter name that `obs::ToString(Counter)`
+      returns in OBS.cc (src/core/obs.cc) and verifies that each appears,
+      in backticks, in the "Counter glossary" section of GLOSSARY.md
+      (docs/OBSERVABILITY.md). Exits 1 listing every missing name.
 """
 
 import argparse
@@ -66,6 +72,37 @@ def extract_quickstart(path):
     return 0
 
 
+def counter_names(source):
+    text = pathlib.Path(source).read_text(encoding="utf-8")
+    match = re.search(r"const char\* ToString\(Counter c\) \{(.*?)\n\}",
+                      text, flags=re.DOTALL)
+    if match is None:
+        return []
+    return re.findall(r'case Counter::k\w+:\s*return "([^"]+)";',
+                      match.group(1))
+
+
+def check_counter_glossary(source, glossary):
+    names = counter_names(source)
+    if not names:
+        print(f"no ToString(Counter) cases found in {source}", file=sys.stderr)
+        return 1
+    text = pathlib.Path(glossary).read_text(encoding="utf-8")
+    section = re.search(r"^#+ Counter glossary\n(.*?)(?=^#)", text + "\n#",
+                        flags=re.DOTALL | re.MULTILINE)
+    if section is None:
+        print(f"no 'Counter glossary' section in {glossary}", file=sys.stderr)
+        return 1
+    missing = [n for n in names if f"`{n}`" not in section.group(1)]
+    for name in missing:
+        print(f"COUNTER MISSING from {glossary} glossary: {name}",
+              file=sys.stderr)
+    if missing:
+        return 1
+    print(f"counter glossary OK: all {len(names)} counters documented")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -73,10 +110,18 @@ def main():
                       help="verify relative link targets exist")
     mode.add_argument("--extract-quickstart", action="store_true",
                       help="print the first ```cpp block to stdout")
+    mode.add_argument("--counter-glossary", action="store_true",
+                      help="check obs counter names against the glossary")
     parser.add_argument("files", nargs="+", help="markdown files")
     args = parser.parse_args()
     if args.link_check:
         return check_links(args.files)
+    if args.counter_glossary:
+        if len(args.files) != 2:
+            print("--counter-glossary takes OBS.cc and GLOSSARY.md",
+                  file=sys.stderr)
+            return 2
+        return check_counter_glossary(args.files[0], args.files[1])
     if len(args.files) != 1:
         print("--extract-quickstart takes exactly one file", file=sys.stderr)
         return 2

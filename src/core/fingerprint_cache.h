@@ -206,18 +206,6 @@ class FingerprintCache {
     return served;
   }
 
-  /// Snapshot of every resident value (MRU-first per shard). Used for
-  /// counter aggregation over live oracles; the shared_ptrs keep the
-  /// values alive past any concurrent eviction.
-  std::vector<std::shared_ptr<const Value>> Values() const {
-    std::vector<std::shared_ptr<const Value>> out;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (const Entry& e : shard.lru) out.push_back(e.value);
-    }
-    return out;
-  }
-
   CacheStats Stats() const {
     CacheStats s;
     for (const Shard& shard : shards_) {

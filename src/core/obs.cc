@@ -1,7 +1,6 @@
 #include "core/obs.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <cstdio>
 #include <sstream>
 
 namespace semacyc::obs {
@@ -325,141 +324,6 @@ void HistogramToJson(std::ostringstream& os,
   os << "]}";
 }
 
-/// Minimal recursive-descent JSON reader, sufficient for the subset
-/// MetricsSnapshot::ToJson emits (objects, arrays, strings without escapes
-/// beyond JsonEscape's, and non-negative integers). Not a general parser.
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& s) : s_(s) {}
-
-  bool Fail() const { return failed_; }
-
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    failed_ = true;
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  std::string String() {
-    if (!Consume('"')) return {};
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n':
-            out += '\n';
-            break;
-          case 'r':
-            out += '\r';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) {
-              failed_ = true;
-              return out;
-            }
-            unsigned code = static_cast<unsigned>(
-                std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16));
-            pos_ += 4;
-            out += static_cast<char>(code);  // control chars only
-            break;
-          }
-          default:
-            out += e;  // \" and \\ and anything else literal
-        }
-      } else {
-        out += c;
-      }
-    }
-    Consume('"');
-    return out;
-  }
-
-  uint64_t UInt() {
-    SkipWs();
-    if (pos_ >= s_.size() ||
-        !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      failed_ = true;
-      return 0;
-    }
-    uint64_t v = 0;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      v = v * 10 + static_cast<uint64_t>(s_[pos_++] - '0');
-    }
-    return v;
-  }
-
-  bool Key(const char* expected) {
-    std::string k = String();
-    if (k != expected) failed_ = true;
-    Consume(':');
-    return !failed_;
-  }
-
-  bool Histogram(LatencyHistogram::Snapshot* h) {
-    Consume('{');
-    Key("count");
-    h->count = UInt();
-    Consume(',');
-    Key("sum_ns");
-    h->sum_ns = UInt();
-    Consume(',');
-    Key("max_ns");
-    h->max_ns = UInt();
-    Consume(',');
-    Key("buckets");
-    Consume('[');
-    for (size_t i = 0; i < h->buckets.size(); ++i) {
-      if (i != 0) Consume(',');
-      h->buckets[i] = UInt();
-    }
-    Consume(']');
-    Consume('}');
-    return !failed_;
-  }
-
-  /// Parses {"name": count, ...} into pairs.
-  bool CountMap(std::vector<std::pair<std::string, uint64_t>>* out) {
-    Consume('{');
-    if (!Peek('}')) {
-      do {
-        std::string name = String();
-        Consume(':');
-        uint64_t v = UInt();
-        out->emplace_back(std::move(name), v);
-      } while (!failed_ && Peek(',') && Consume(','));
-    }
-    Consume('}');
-    return !failed_;
-  }
-
- private:
-  const std::string& s_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
-
 }  // namespace
 
 std::string MetricsSnapshot::ToJson() const {
@@ -494,64 +358,6 @@ std::string MetricsSnapshot::ToJson() const {
   }
   os << "]}";
   return os.str();
-}
-
-std::optional<MetricsSnapshot> MetricsSnapshot::FromJson(
-    const std::string& json) {
-  JsonReader r(json);
-  MetricsSnapshot s;
-  r.Consume('{');
-  r.Key("decisions_total");
-  s.decisions_total = r.UInt();
-  r.Consume(',');
-  r.Key("decisions_cached");
-  s.decisions_cached = r.UInt();
-  r.Consume(',');
-  r.Key("answers");
-  r.CountMap(&s.answers);
-  r.Consume(',');
-  r.Key("counters");
-  r.CountMap(&s.counters);
-  r.Consume(',');
-  r.Key("strategies");
-  r.Consume('[');
-  if (!r.Peek(']')) {
-    do {
-      StrategyRow row;
-      r.Consume('{');
-      r.Key("name");
-      row.name = r.String();
-      r.Consume(',');
-      r.Key("decisions");
-      row.decisions = r.UInt();
-      r.Consume(',');
-      r.Key("latency");
-      r.Histogram(&row.latency);
-      r.Consume('}');
-      s.strategies.push_back(std::move(row));
-    } while (!r.Fail() && r.Peek(',') && r.Consume(','));
-  }
-  r.Consume(']');
-  r.Consume(',');
-  r.Key("phases");
-  r.Consume('[');
-  if (!r.Peek(']')) {
-    do {
-      PhaseRow row;
-      r.Consume('{');
-      r.Key("name");
-      row.name = r.String();
-      r.Consume(',');
-      r.Key("latency");
-      r.Histogram(&row.latency);
-      r.Consume('}');
-      s.phases.push_back(std::move(row));
-    } while (!r.Fail() && r.Peek(',') && r.Consume(','));
-  }
-  r.Consume(']');
-  r.Consume('}');
-  if (r.Fail()) return std::nullopt;
-  return s;
 }
 
 }  // namespace semacyc::obs

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -214,11 +213,6 @@ class LatencyHistogram {
     uint64_t sum_ns = 0;
     uint64_t max_ns = 0;
     std::array<uint64_t, kBuckets> buckets{};
-
-    bool operator==(const Snapshot& o) const {
-      return count == o.count && sum_ns == o.sum_ns && max_ns == o.max_ns &&
-             buckets == o.buckets;
-    }
   };
   Snapshot Snap() const;
 
@@ -229,27 +223,17 @@ class LatencyHistogram {
   std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
 };
 
-/// Point-in-time snapshot of a MetricsRegistry — plain values, comparable,
-/// and JSON round-trippable. Designed as the payload for the ROADMAP's
-/// future `semacycd /stats` endpoint.
+/// Point-in-time snapshot of a MetricsRegistry — plain values, rendered
+/// as JSON by `semacyc_cli --metrics` and the `semacycd` stats endpoint.
 struct MetricsSnapshot {
   struct StrategyRow {
     std::string name;
     uint64_t decisions = 0;
     LatencyHistogram::Snapshot latency;  // uncached decisions only
-
-    bool operator==(const StrategyRow& o) const {
-      return name == o.name && decisions == o.decisions &&
-             latency == o.latency;
-    }
   };
   struct PhaseRow {
     std::string name;
     LatencyHistogram::Snapshot latency;
-
-    bool operator==(const PhaseRow& o) const {
-      return name == o.name && latency == o.latency;
-    }
   };
 
   uint64_t decisions_total = 0;
@@ -259,18 +243,13 @@ struct MetricsSnapshot {
   std::vector<StrategyRow> strategies;
   std::vector<PhaseRow> phases;
 
-  bool operator==(const MetricsSnapshot& o) const {
-    return decisions_total == o.decisions_total &&
-           decisions_cached == o.decisions_cached && answers == o.answers &&
-           counters == o.counters && strategies == o.strategies &&
-           phases == o.phases;
+  /// The value of one counter (`counters` and `phases` are in enum order).
+  uint64_t Count(Counter c) const {
+    return counters[static_cast<size_t>(c)].second;
   }
 
   /// Renders the snapshot as one JSON object (schema in docs/CLI.md).
   std::string ToJson() const;
-  /// Parses a ToJson() rendering back; nullopt on malformed input.
-  /// FromJson(s.ToJson()) == s for every snapshot (pinned by obs_test).
-  static std::optional<MetricsSnapshot> FromJson(const std::string& json);
 };
 
 /// Process-lifetime metrics of one Engine: atomic counters plus latency
@@ -294,6 +273,11 @@ class MetricsRegistry {
       counters_[static_cast<size_t>(counter)].fetch_add(
           delta, std::memory_order_relaxed);
     }
+  }
+  /// One counter's current value (a relaxed read, like Snapshot()).
+  uint64_t Count(Counter counter) const {
+    return counters_[static_cast<size_t>(counter)].load(
+        std::memory_order_relaxed);
   }
 
   MetricsSnapshot Snapshot() const;
@@ -352,8 +336,9 @@ class PhaseTimer {
   bool stopped_ = false;
 };
 
-/// Escapes a string for embedding in JSON output (shared by the trace and
-/// metrics serializers and the CLI).
+/// Escapes a string for embedding in JSON output — the one escaper shared
+/// by the trace and metrics serializers, the serve protocol (CLI batch
+/// lines and semacycd) and the bench JSON reports.
 std::string JsonEscape(const std::string& s);
 
 }  // namespace semacyc::obs

@@ -1,6 +1,7 @@
 #include "semacyc/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -33,11 +34,12 @@ Engine::OracleEntry::OracleEntry(ConjunctiveQuery q,
                                  const PreparedSchema& schema,
                                  const SemAcOptions& options,
                                  RewriteCache* rewrite_cache,
+                                 obs::MetricsRegistry* metrics,
                                  CancelToken* cancel)
     : query(std::move(q)),
       oracle(query, schema.sigma, options.chase,
              WithCancel(options.rewrite, cancel), schema.facts, rewrite_cache,
-             /*try_rewriting=*/true, /*synchronized=*/true) {}
+             metrics) {}
 
 size_t Engine::OracleEntry::ApproxBytes() const {
   // The rewriting (when built) is shared with the RewriteCache; the memo
@@ -97,7 +99,6 @@ Engine::Engine(DependencySet sigma, EngineOptions options)
 
 PreparedQuery Engine::Prepare(const ConjunctiveQuery& q) const {
   obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kPrepare);
-  ++prepares_;
   PreparedQuery out;
   out.q_ = q;
   out.fp_ = CanonicalFingerprint(q);
@@ -129,7 +130,7 @@ std::shared_ptr<const Engine::OracleEntry> Engine::OracleFor(
       [&]() -> std::shared_ptr<const OracleEntry> {
         if (built != nullptr) *built = true;
         auto entry = std::make_shared<const OracleEntry>(
-            q.query(), schema_, options_, &rewrite_cache_, cancel);
+            q.query(), schema_, options_, &rewrite_cache_, &metrics_, cancel);
         // An oracle built under a fired token may have had its rewriting
         // cut short (permanently inexact): never cache it — the aborting
         // caller discards it, and a later call rebuilds it whole.
@@ -165,14 +166,14 @@ SemAcResult Engine::Decide(const PreparedQuery& q, CancelToken* cancel) const {
 
 SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
                                     CancelToken* cancel) const {
-  ++decisions_count_;
   obs::TraceSink* sink = options_.trace_sink;
   std::optional<obs::DecisionTracer> tracer;
-  // Root-span cache-delta baselines, read only when tracing. Exact for
-  // serial callers; under concurrent decisions the deltas include the
-  // other threads' traffic (documented in docs/OBSERVABILITY.md).
+  // Root-span cache and oracle-memo delta baselines, read only when
+  // tracing. Exact for serial callers; under concurrent decisions the
+  // deltas include the other threads' traffic (documented in
+  // docs/OBSERVABILITY.md).
   size_t chase_h0 = 0, chase_m0 = 0, rewrite_h0 = 0, rewrite_m0 = 0,
-         oracle_r0 = 0, dec_h0 = 0;
+         oracle_r0 = 0, dec_h0 = 0, memo_h0 = 0, memo_m0 = 0, memo_p0 = 0;
   if (sink != nullptr) {
     tracer.emplace();
     chase_h0 = chase_cache_.hits();
@@ -181,6 +182,9 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
     rewrite_m0 = rewrite_cache_.misses();
     oracle_r0 = oracles_.hits();
     dec_h0 = decisions_.hits();
+    memo_h0 = metrics_.Count(obs::Counter::kOracleMemoHits);
+    memo_m0 = metrics_.Count(obs::Counter::kOracleMemoMisses);
+    memo_p0 = metrics_.Count(obs::Counter::kOraclePrefiltered);
   }
   auto t0 = std::chrono::steady_clock::now();
   bool computed = false;
@@ -251,6 +255,15 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
     tracer->AddCounter(0, "rewrite_cache_misses",
                        delta(rewrite_cache_.misses(), rewrite_m0));
     tracer->AddCounter(0, "oracle_reuses", delta(oracles_.hits(), oracle_r0));
+    tracer->AddCounter(
+        0, "oracle_memo_hits",
+        delta(metrics_.Count(obs::Counter::kOracleMemoHits), memo_h0));
+    tracer->AddCounter(
+        0, "oracle_memo_misses",
+        delta(metrics_.Count(obs::Counter::kOracleMemoMisses), memo_m0));
+    tracer->AddCounter(
+        0, "oracle_prefiltered",
+        delta(metrics_.Count(obs::Counter::kOraclePrefiltered), memo_p0));
     tracer->AddCounter(0, "decision_cache_hits",
                        delta(decisions_.hits(), dec_h0));
     obs::DecisionTrace trace =
@@ -395,34 +408,6 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
     return abort_result();
   }
   const ContainmentOracle* oracle = &lease->oracle;
-
-  // Per-decision oracle-memo deltas, harvested on every exit path below:
-  // the memo counters live on the (shared, possibly reused) oracle, so
-  // this decision's share is the difference.
-  struct OracleMemoDeltas {
-    const ContainmentOracle* oracle;
-    obs::MetricsRegistry* metrics;
-    obs::DecisionTracer* tracer;
-    size_t h0, m0, p0;
-    ~OracleMemoDeltas() {
-      size_t dh = oracle->cache_hits() - h0;
-      size_t dm = oracle->cache_misses() - m0;
-      size_t dp = oracle->prefiltered() - p0;
-      metrics->Add(obs::Counter::kOracleMemoHits, dh);
-      metrics->Add(obs::Counter::kOracleMemoMisses, dm);
-      metrics->Add(obs::Counter::kOraclePrefiltered, dp);
-      if (tracer != nullptr) {
-        tracer->AddCounter(0, "oracle_memo_hits", static_cast<int64_t>(dh));
-        tracer->AddCounter(0, "oracle_memo_misses", static_cast<int64_t>(dm));
-        tracer->AddCounter(0, "oracle_prefiltered", static_cast<int64_t>(dp));
-      }
-    }
-  } memo_deltas{oracle,
-                &metrics_,
-                tracer,
-                oracle->cache_hits(),
-                oracle->cache_misses(),
-                oracle->prefiltered()};
 
   // Strategy 2: the chase itself is acyclic -> compact it (Lemma 9). The
   // compaction preserves α-acyclicity only, so for stricter targets the
@@ -948,31 +933,6 @@ EvalOutcome Engine::Eval(const PreparedQuery& q,
   out.evaluation.answers = std::move(result.answers);
   out.evaluation.semijoin_probes = result.stats.semijoin_probes;
   return out;
-}
-
-EngineStats Engine::stats() const {
-  EngineStats s;
-  s.prepares = prepares_.load();
-  s.decisions = decisions_count_.load();
-  s.decision_cache_hits = decisions_.hits();
-  s.chase_cache_hits = chase_cache_.hits();
-  s.chase_cache_misses = chase_cache_.misses();
-  s.rewrite_cache_hits = rewrite_cache_.hits();
-  s.rewrite_cache_misses = rewrite_cache_.misses();
-  s.oracle_reuses = oracles_.hits();
-  // Snapshot the entries first, then read the per-oracle counters outside
-  // the cache's shard locks: each counter read takes that oracle's answer
-  // lock, which an in-flight containment check may hold for a long chase —
-  // nesting it under a shard mutex would let a stats poll stall every
-  // concurrent Decide at OracleFor. The shared_ptrs keep the entries
-  // alive across a concurrent eviction; an evicted oracle's counters
-  // leave the aggregate with it.
-  for (const std::shared_ptr<const OracleEntry>& entry : oracles_.Values()) {
-    s.oracle_hits += entry->oracle.cache_hits();
-    s.oracle_misses += entry->oracle.cache_misses();
-    s.oracle_prefiltered += entry->oracle.prefiltered();
-  }
-  return s;
 }
 
 EngineCacheStats Engine::Stats() const {

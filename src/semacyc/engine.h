@@ -1,7 +1,6 @@
 #ifndef SEMACYC_SEMACYC_ENGINE_H_
 #define SEMACYC_SEMACYC_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -160,24 +159,6 @@ struct EngineCacheStats {
   }
 };
 
-/// Aggregate cache counters (see Engine::stats).
-struct EngineStats {
-  size_t prepares = 0;
-  size_t decisions = 0;
-  size_t decision_cache_hits = 0;
-  size_t chase_cache_hits = 0;
-  size_t chase_cache_misses = 0;
-  size_t rewrite_cache_hits = 0;
-  size_t rewrite_cache_misses = 0;
-  /// Oracle-entry reuse (a Decide found its query's oracle already built).
-  size_t oracle_reuses = 0;
-  /// Summed over all live oracles: memoized answers served / computed /
-  /// rejected by the reachability prefilter.
-  size_t oracle_hits = 0;
-  size_t oracle_misses = 0;
-  size_t oracle_prefiltered = 0;
-};
-
 /// Result of Engine::Approximate — ApproximationResult plus an explicit
 /// status (the free function returns std::nullopt for unsupported inputs).
 struct ApproximateOutcome {
@@ -330,24 +311,17 @@ class Engine {
                    const data::ColumnarInstance& database,
                    const EvalOptions& opts = {}) const;
 
-  /// Point-in-time aggregate of the cache counters (gathers the per-oracle
-  /// counters under their locks; safe concurrently with decisions). For
-  /// the per-cache byte/eviction introspection see Stats() — mind the
-  /// capitalization: stats() is the legacy aggregate surface.
-  EngineStats stats() const;
-
   /// Per-cache introspection: entries, bytes, hit/miss/insert/eviction
   /// counters and configured budgets of all four FingerprintCaches. Safe
-  /// concurrently with decisions. Distinct from the legacy lowercase
-  /// stats(), which returns the flat EngineStats aggregate.
+  /// concurrently with decisions.
   EngineCacheStats Stats() const;
 
   /// Process-lifetime decision metrics (core/obs.h): per-strategy and
   /// per-answer decision counts, per-strategy and per-phase latency
-  /// histograms, hot-path counters. Always maintained (no sink needed);
-  /// safe concurrently with decisions. JSON round-trips via
-  /// MetricsSnapshot::ToJson/FromJson — the payload for the ROADMAP's
-  /// future `semacycd /stats` endpoint.
+  /// histograms, hot-path counters (the oracles' memo traffic included).
+  /// Always maintained (no sink needed); safe concurrently with
+  /// decisions. Rendered by MetricsSnapshot::ToJson for `semacyc_cli
+  /// --metrics` and the `semacycd` stats endpoint.
   obs::MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
 
   /// Explicit pressure relief: drops every resident cache entry (chase
@@ -368,7 +342,7 @@ class Engine {
     /// ContainedInQ).
     OracleEntry(ConjunctiveQuery q, const PreparedSchema& schema,
                 const SemAcOptions& options, RewriteCache* rewrite_cache,
-                CancelToken* cancel = nullptr);
+                obs::MetricsRegistry* metrics, CancelToken* cancel);
     /// Includes the oracle memo's running footprint, so the post-decision
     /// Reweigh keeps the cache's byte accounting honest as memos grow
     /// (see EngineOptions::oracles).
@@ -429,11 +403,9 @@ class Engine {
   mutable FingerprintCache<OracleEntry, IsoMatch<OracleEntry>> oracles_;
   mutable FingerprintCache<SemAcResult, IsoMatch<SemAcResult>> decisions_;
 
-  mutable std::atomic<size_t> prepares_{0};
-  mutable std::atomic<size_t> decisions_count_{0};
-
   /// Lifetime metrics (atomic counters + latency histograms); last member
-  /// so the caches it describes are constructed first.
+  /// so the caches it describes are constructed first. The oracles hold a
+  /// pointer to it and count their memo traffic into it.
   mutable obs::MetricsRegistry metrics_;
 };
 

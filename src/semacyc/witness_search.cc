@@ -59,26 +59,14 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
                                      const DependencySet& sigma,
                                      const ChaseOptions& chase_options,
                                      const RewriteOptions& rewrite_options,
-                                     bool try_rewriting)
-    : ContainmentOracle(q, sigma, chase_options, rewrite_options,
-                        SchemaFacts::Compute(sigma), /*rewrite_cache=*/nullptr,
-                        try_rewriting, /*synchronized=*/false) {}
-
-ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
-                                     const DependencySet& sigma,
-                                     const ChaseOptions& chase_options,
-                                     const RewriteOptions& rewrite_options,
                                      const SchemaFacts& facts,
                                      RewriteCache* rewrite_cache,
-                                     bool try_rewriting, bool synchronized)
-    : q_(q),
-      sigma_(sigma),
-      chase_options_(chase_options),
-      synchronized_(synchronized) {
+                                     obs::MetricsRegistry* metrics)
+    : q_(q), sigma_(sigma), chase_options_(chase_options), metrics_(metrics) {
   exact_ = facts.chase_exact;
   // Rewriting is only worth its (possibly exponential) construction cost
   // when the chase may diverge — i.e. outside the weakly acyclic classes.
-  if (try_rewriting && !exact_ && !sigma.HasEgds() && facts.rewritable) {
+  if (!exact_ && !sigma.HasEgds() && facts.rewritable) {
     std::shared_ptr<const RewriteResult> rewriting =
         rewrite_cache != nullptr
             ? rewrite_cache->GetOrCompute(q, sigma.tgds, rewrite_options)
@@ -278,31 +266,17 @@ Tri ContainmentOracle::ContainedInQ(const ConjunctiveQuery& candidate,
   SEMACYC_FAILPOINT("oracle.candidate", cancel);
   if (cancel != nullptr && cancel->Poll()) return Tri::kUnknown;
   // Everything up to the memo reads only state frozen at construction
-  // (plus relaxed counter bumps), so synchronized oracles run these
-  // paths — the per-candidate inner loops of the parallel strategies —
-  // without touching the lock.
+  // (plus relaxed counter bumps), so these paths — the per-candidate
+  // inner loops of the parallel strategies — never touch the lock.
   if (prefilter_ && !PassesPredicateFilter(candidate)) {
-    prefiltered_.fetch_add(1, std::memory_order_relaxed);
+    metrics_->Add(obs::Counter::kOraclePrefiltered, 1);
     return Tri::kNo;
   }
   // Chase-free candidates decide in one homomorphism test — cheaper than
   // the memo's own bookkeeping, so skip the cache entirely.
   if (chase_free_) return DecideChaseFree(candidate);
-  if (!synchronized_) return ContainedInQMemo(candidate, cancel);
   std::lock_guard<std::mutex> lock(mu_);
   return ContainedInQMemo(candidate, cancel);
-}
-
-size_t ContainmentOracle::cache_hits() const {
-  return hits_.load(std::memory_order_relaxed);
-}
-
-size_t ContainmentOracle::cache_misses() const {
-  return misses_.load(std::memory_order_relaxed);
-}
-
-size_t ContainmentOracle::prefiltered() const {
-  return prefiltered_.load(std::memory_order_relaxed);
 }
 
 size_t ContainmentOracle::memo_bytes() const {
@@ -317,11 +291,11 @@ Tri ContainmentOracle::ContainedInQMemo(const ConjunctiveQuery& candidate,
   auto& bucket = memo_[CanonicalFingerprint(candidate)];
   for (const auto& [cached, answer] : bucket) {
     if (AreIsomorphic(cached, candidate)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      metrics_->Add(obs::Counter::kOracleMemoHits, 1);
       return answer;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  metrics_->Add(obs::Counter::kOracleMemoMisses, 1);
   Tri answer = Decide(candidate, cancel);
   // An answer computed under a fired token may rest on a truncated chase
   // or hom search: never memoize it, so a later uncancelled call (or the

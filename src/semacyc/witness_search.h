@@ -15,6 +15,7 @@
 #include "acyclic/classify.h"
 #include "chase/query_chase.h"
 #include "core/incremental_hom.h"
+#include "core/obs.h"
 #include "core/worksteal.h"
 #include "deps/classify.h"
 #include "rewrite/ucq_rewriter.h"
@@ -23,10 +24,9 @@ namespace semacyc {
 
 /// Σ-only facts shared by every per-query containment oracle and by the
 /// small-query-bound computation for a fixed schema — the analyze-once
-/// payload of semacyc::Engine's prepared schema. The free-function
-/// entrypoints recompute them per call (via the oracle's standalone
-/// constructor); an Engine computes them once and hands them to every
-/// oracle it builds.
+/// payload of semacyc::Engine's prepared schema. An Engine computes them
+/// once and hands them to every oracle it builds; the free-function
+/// entrypoints wrap a transient Engine, so they recompute them per call.
 struct SchemaFacts {
   /// Chase-based containment answers are exact: Σ is egd-only, or a
   /// weakly acyclic tgd-only set (chase termination is guaranteed).
@@ -76,25 +76,22 @@ struct SchemaFacts {
 ///    enough that memoizing it would cost more than deciding.
 /// tests/reference_check_test.cc re-derives every answer this oracle
 /// certifies with the plain chase (ContainedUnder), sharing none of it.
+///
+/// ContainedInQ is safe to call from concurrent threads: the prefilter and
+/// chase-free paths are lock-free over immutable compiled state; only the
+/// memo takes a lock per answer.
 class ContainmentOracle {
  public:
-  ContainmentOracle(const ConjunctiveQuery& q, const DependencySet& sigma,
-                    const ChaseOptions& chase_options,
-                    const RewriteOptions& rewrite_options,
-                    bool try_rewriting = true);
-
-  /// Prepared-schema constructor (Engine path): `facts` carries the Σ-only
-  /// analysis (consumed during construction, not stored), `rewrite_cache`
-  /// (may be null) shares UCQ rewritings across oracles for the same q,
-  /// and `synchronized = true` makes ContainedInQ safe to call from
-  /// concurrent threads (the prefilter and chase-free paths are
-  /// lock-free over immutable compiled state; only the memo takes a
-  /// lock per answer).
+  /// `facts` carries the Σ-only analysis (consumed during construction,
+  /// not stored); `rewrite_cache` (may be null) shares UCQ rewritings
+  /// across oracles for the same q; `metrics` (not owned, must outlive
+  /// the oracle) receives the memo hit/miss and prefilter counts — the
+  /// owning Engine's registry, so its totals are exact under concurrency.
   ContainmentOracle(const ConjunctiveQuery& q, const DependencySet& sigma,
                     const ChaseOptions& chase_options,
                     const RewriteOptions& rewrite_options,
                     const SchemaFacts& facts, RewriteCache* rewrite_cache,
-                    bool try_rewriting = true, bool synchronized = false);
+                    obs::MetricsRegistry* metrics);
 
   /// candidate ⊆Σ q. `cancel` (nullptr = not cancellable) is polled per
   /// check and threaded into the candidate's chase; once the token has
@@ -115,17 +112,11 @@ class ContainmentOracle {
   /// honest-accounting hook: the Engine folds this into OracleEntry::
   /// ApproxBytes and re-charges its oracle cache after each decision.
   size_t memo_bytes() const;
-  /// Memoization counters (hits are answers served without a chase or
-  /// rewriting evaluation; prefiltered counts instant-NO rejections).
-  /// Synchronized oracles read them under the same lock as ContainedInQ.
-  size_t cache_hits() const;
-  size_t cache_misses() const;
-  size_t prefiltered() const;
 
  private:
-  /// The memoized slow path (cache lookup / chase / insert); takes mu_
-  /// itself when synchronized. The lock-free prefix (failpoint, poll,
-  /// prefilter, chase-free CM) lives in ContainedInQ.
+  /// The memoized slow path (cache lookup / chase / insert); the caller
+  /// holds mu_. The lock-free prefix (failpoint, poll, prefilter,
+  /// chase-free CM) lives in ContainedInQ.
   Tri ContainedInQMemo(const ConjunctiveQuery& candidate,
                        CancelToken* cancel) const;
   Tri Decide(const ConjunctiveQuery& candidate, CancelToken* cancel) const;
@@ -137,8 +128,7 @@ class ContainmentOracle {
   ChaseOptions chase_options_;
   std::shared_ptr<const RewriteResult> rewriting_;
   bool exact_ = false;
-  bool memoize_;
-  bool synchronized_ = false;
+  obs::MetricsRegistry* metrics_;
   mutable std::mutex mu_;
   /// Predicate-reachability prefilter state: for each distinct predicate
   /// of q, the set of predicates from which it is reachable in Σ's
@@ -154,7 +144,7 @@ class ContainmentOracle {
   /// immutable after construction; per-check scratch lives in
   /// thread_local buffers (witness_search.cc), so this path — like the
   /// prefilter — needs no lock even from
-  /// concurrent workers. Only the memo takes mu_ (when synchronized).
+  /// concurrent workers. Only the memo takes mu_.
   struct CmAtom {
     Predicate pred;
     /// Per position: dense variable index, or -1 for a constant.
@@ -171,11 +161,6 @@ class ContainmentOracle {
   mutable std::unordered_map<uint64_t,
                              std::vector<std::pair<ConjunctiveQuery, Tri>>>
       memo_;
-  /// Relaxed atomics: exact under the memo lock, monotone race-free
-  /// tallies on the lock-free paths (prefilter / chase-free).
-  mutable std::atomic<size_t> hits_{0};
-  mutable std::atomic<size_t> misses_{0};
-  mutable std::atomic<size_t> prefiltered_{0};
   mutable std::atomic<size_t> memo_bytes_{0};
 };
 
@@ -233,7 +218,7 @@ struct WitnessSearchOutcome {
 /// charges the budget in preorder, so answer, witness, exhausted, visits
 /// and candidates_tested are bitwise-identical for every thread count.
 /// With threads <= 1 the calling thread runs every unit in order and no
-/// thread is spawned. The oracle must be `synchronized` when threads > 1.
+/// thread is spawned.
 /// Any cancel a worker observes — the token's own, its deadline, or one
 /// injected into a worker's oracle call — cancels `cancel` itself, so the
 /// caller's next poll aborts the whole decision.

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cinttypes>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -7,38 +8,6 @@
 #include "core/parser.h"
 
 namespace semacyc::serve {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 namespace {
 
@@ -461,16 +430,19 @@ void AppendCacheStatsJson(std::string* out, const char* name,
 }  // namespace
 
 std::string EngineStatsJson(const Engine& engine) {
-  EngineStats agg = engine.stats();
+  obs::MetricsSnapshot metrics = engine.Metrics();
   EngineCacheStats caches = engine.Stats();
   char buf[256];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"prepares\": %zu, \"decisions\": %zu, "
-      "\"oracle_hits\": %zu, \"oracle_misses\": %zu, "
-      "\"oracle_prefiltered\": %zu, \"deadline_ms\": %lld, \"caches\": {",
-      agg.prepares, agg.decisions, agg.oracle_hits, agg.oracle_misses,
-      agg.oracle_prefiltered,
+      "{\"prepares\": %" PRIu64 ", \"decisions\": %" PRIu64
+      ", \"oracle_hits\": %" PRIu64 ", \"oracle_misses\": %" PRIu64
+      ", \"oracle_prefiltered\": %" PRIu64
+      ", \"deadline_ms\": %lld, \"caches\": {",
+      metrics.phases[static_cast<size_t>(obs::Phase::kPrepare)].latency.count,
+      metrics.decisions_total, metrics.Count(obs::Counter::kOracleMemoHits),
+      metrics.Count(obs::Counter::kOracleMemoMisses),
+      metrics.Count(obs::Counter::kOraclePrefiltered),
       static_cast<long long>(engine.options().deadline_ms));
   std::string out = buf;
   AppendCacheStatsJson(&out, "chase", caches.chase, true);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/interrupt.h"
+#include "core/obs.h"
 #include "semacyc/engine.h"
 
 namespace semacyc::serve {
@@ -16,8 +17,9 @@ namespace semacyc::serve {
 /// and the server worker call DecideResponse — so the two surfaces cannot
 /// drift; serve_test pins byte-identical output through both.
 
-/// Escapes `s` for embedding in a JSON string literal.
-std::string JsonEscape(const std::string& s);
+/// The one JSON string escaper (core/obs.h), shared with the trace and
+/// metrics serializers.
+using obs::JsonEscape;
 
 /// One parsed request line. Raw (non-JSON) lines are decide requests
 /// carrying the line verbatim as query text — the `--batch` input format.
@@ -95,9 +97,9 @@ std::optional<std::string> EvalLineResponse(const Engine& engine,
                                             size_t max_answers);
 
 /// Renders the `--stats` payload object for one engine (the value of the
-/// "stats" key: prepares/decisions/oracle counters + per-cache
-/// CacheStats). Shared by the CLI's trailing {"stats": ...} line and the
-/// server's stats endpoint.
+/// "stats" key: prepares/decisions/oracle counters from Engine::Metrics()
+/// + per-cache CacheStats from Engine::Stats()). Shared by the CLI's
+/// trailing {"stats": ...} line and the server's stats endpoint.
 std::string EngineStatsJson(const Engine& engine);
 
 /// The immediate load-shedding response (docs/SERVING.md): sent instead

@@ -150,9 +150,8 @@ TEST(EngineTest, DecisionCacheServesRepeats) {
   SemAcResult first = engine.Decide(pq);
   SemAcResult second = engine.Decide(pq);
   ExpectSameDecision(first, second);
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.decisions, 2u);
-  EXPECT_EQ(stats.decision_cache_hits, 1u);
+  EXPECT_EQ(engine.Metrics().decisions_total, 2u);
+  EXPECT_EQ(engine.Stats().decisions.hits, 1u);
 }
 
 TEST(EngineTest, DecisionCacheResolvesIsomorphicQueries) {
@@ -162,7 +161,7 @@ TEST(EngineTest, DecisionCacheResolvesIsomorphicQueries) {
   ConjunctiveQuery renamed = MustParseQuery("T(u,v), E(v,w), E(w,u)");
   engine.Decide(q);
   SemAcResult hit = engine.Decide(renamed);
-  EXPECT_EQ(engine.stats().decision_cache_hits, 1u);
+  EXPECT_EQ(engine.Stats().decisions.hits, 1u);
   EXPECT_EQ(hit.answer, SemAcAnswer::kYes);
 }
 
@@ -185,18 +184,51 @@ TEST(EngineTest, OracleMemoSurvivesAcrossCalls) {
   PreparedQuery pq = engine.Prepare(triangle);
 
   SemAcResult first = engine.Decide(pq);
-  EngineStats after_first = engine.stats();
+  obs::MetricsSnapshot after_first = engine.Metrics();
   ASSERT_GT(first.candidates_tested, 0u);
-  ASSERT_GT(after_first.oracle_misses + after_first.oracle_prefiltered, 0u);
+  ASSERT_GT(after_first.Count(obs::Counter::kOracleMemoMisses) +
+                after_first.Count(obs::Counter::kOraclePrefiltered),
+            0u);
 
   SemAcResult second = engine.Decide(pq);
-  EngineStats after_second = engine.stats();
+  obs::MetricsSnapshot after_second = engine.Metrics();
   ExpectSameDecision(first, second);
-  EXPECT_GE(after_second.oracle_reuses, 1u);
+  EXPECT_GE(engine.Stats().oracles.hits, 1u);
   // No new memo misses in the second run: every non-prefiltered candidate
   // was served from the surviving memo.
-  EXPECT_EQ(after_second.oracle_misses, after_first.oracle_misses);
-  EXPECT_GT(after_second.oracle_hits, after_first.oracle_hits);
+  EXPECT_EQ(after_second.Count(obs::Counter::kOracleMemoMisses),
+            after_first.Count(obs::Counter::kOracleMemoMisses));
+  EXPECT_GT(after_second.Count(obs::Counter::kOracleMemoHits),
+            after_first.Count(obs::Counter::kOracleMemoHits));
+}
+
+/// The oracles count their memo traffic straight into the engine's
+/// registry, so concurrent decisions sharing one query's oracle are
+/// counted once each: an 8-thread batch reports exactly the 1-thread
+/// totals. (Per-decision "counter now minus counter at acquisition"
+/// deltas would fold every overlapping decision's traffic in again.)
+TEST(EngineTest, OracleMemoCountersExactUnderConcurrentBatch) {
+  DependencySet sigma = MustParseDependencySet("B1(x,y), B2(y,z) -> B3(z,x).");
+  ConjunctiveQuery q =
+      MustParseQuery("q() :- B1(x,y), B2(y,z), B3(z,w), B1(w,v), B3(v,x)");
+  auto memo_counts = [&](size_t threads) {
+    // Pinned unbounded caches (not EnvCacheOptions): an evicted oracle
+    // would legitimately recount its memo.
+    EngineOptions options;
+    options.semac.subset_budget = 20000;
+    options.semac.exhaustive_budget = 20000;
+    options.decisions.enabled = false;
+    Engine engine(sigma, options);
+    std::vector<PreparedQuery> batch(8, engine.Prepare(q));
+    engine.DecideBatch(batch, threads);
+    obs::MetricsSnapshot m = engine.Metrics();
+    return std::vector<uint64_t>{m.Count(obs::Counter::kOracleMemoHits),
+                                 m.Count(obs::Counter::kOracleMemoMisses),
+                                 m.Count(obs::Counter::kOraclePrefiltered)};
+  };
+  std::vector<uint64_t> serial = memo_counts(1);
+  ASSERT_GT(serial[0], 0u);
+  EXPECT_EQ(memo_counts(8), serial);
 }
 
 TEST(EngineTest, ChaseCacheSharedAcrossEntrypoints) {
@@ -207,10 +239,10 @@ TEST(EngineTest, ChaseCacheSharedAcrossEntrypoints) {
   Engine engine(w.sigma, options);
   PreparedQuery pq = engine.Prepare(w.queries[1]);  // cyclic triangle
   engine.Decide(pq);
-  size_t misses_once = engine.stats().chase_cache_misses;
+  size_t misses_once = engine.Stats().chase.misses;
   engine.Decide(pq);
-  EXPECT_EQ(engine.stats().chase_cache_misses, misses_once);
-  EXPECT_GT(engine.stats().chase_cache_hits, 0u);
+  EXPECT_EQ(engine.Stats().chase.misses, misses_once);
+  EXPECT_GT(engine.Stats().chase.hits, 0u);
 }
 
 /// Concurrent decisions on one shared Engine are deterministic: every
@@ -282,7 +314,7 @@ TEST(EngineTest, EvalRunsYannakakisOverTheWitness) {
   EvalOutcome again = engine.Eval(pq, w.database);
   ASSERT_TRUE(again.reformulated);
   EXPECT_EQ(again.evaluation.answers.size(), out.evaluation.answers.size());
-  EXPECT_GE(engine.stats().decision_cache_hits, 1u);
+  EXPECT_GE(engine.Stats().decisions.hits, 1u);
 }
 
 TEST(EngineTest, EvalReportsWhyWithoutReformulation) {
@@ -419,10 +451,10 @@ TEST(EngineTest, ChaseCacheResolvesIsomorphicQueries) {
   options.decisions.enabled = false;
   Engine engine(sigma, options);
   SemAcResult first = engine.Decide(q);
-  size_t misses_after_first = engine.stats().chase_cache_misses;
+  size_t misses_after_first = engine.Stats().chase.misses;
   SemAcResult second = engine.Decide(renamed);
-  EXPECT_EQ(engine.stats().chase_cache_misses, misses_after_first);
-  EXPECT_GT(engine.stats().chase_cache_hits, 0u);
+  EXPECT_EQ(engine.Stats().chase.misses, misses_after_first);
+  EXPECT_GT(engine.Stats().chase.hits, 0u);
   EXPECT_EQ(first.answer, second.answer);
   EXPECT_EQ(first.strategy, second.strategy);
 }

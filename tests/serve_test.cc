@@ -168,8 +168,8 @@ TEST(ServeTest, RepeatDecisionsHitTheSharedEngineCache) {
 
   const Engine* engine = server.tenant_engine("");
   ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->stats().decisions, 2u);
-  EXPECT_GE(engine->stats().decision_cache_hits, 1u);
+  EXPECT_EQ(engine->Metrics().decisions_total, 2u);
+  EXPECT_GE(engine->Stats().decisions.hits, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,16 +359,12 @@ TEST(ServeTest, HealthAndStatsEndpointsServeValidPayloads) {
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(ExtractObject(stats, "stats"), serve::EngineStatsJson(*engine));
   EXPECT_TRUE(Contains(stats, "\"caches\"")) << stats;
-  // ...and the "metrics" object is the Engine::Metrics() snapshot: it
-  // must round-trip through MetricsSnapshot::FromJson (PR 6 built the
-  // snapshot as this endpoint's payload).
+  // ...and the "metrics" object is exactly the Engine::Metrics() snapshot
+  // (the engine is idle, so a fresh snapshot renders the same bytes).
   std::string metrics = ExtractObject(stats, "metrics");
   ASSERT_FALSE(metrics.empty()) << stats;
-  std::optional<obs::MetricsSnapshot> snapshot =
-      obs::MetricsSnapshot::FromJson(metrics);
-  ASSERT_TRUE(snapshot.has_value()) << metrics;
-  EXPECT_EQ(snapshot->decisions_total, 1u);
-  EXPECT_EQ(snapshot->ToJson(), metrics);
+  EXPECT_EQ(metrics, engine->Metrics().ToJson());
+  EXPECT_EQ(engine->Metrics().decisions_total, 1u);
   // The "server" object reports the serving counters.
   std::string server_obj = ExtractObject(stats, "server");
   EXPECT_TRUE(Contains(server_obj, "\"connections_accepted\": 1"))
@@ -398,9 +394,9 @@ TEST(ServeTest, TenantsGetIsolatedEnginesAndBudgetShares) {
   ASSERT_NE(alpha, nullptr);
   ASSERT_NE(beta, nullptr);
   ASSERT_NE(def, nullptr);
-  EXPECT_EQ(alpha->stats().decisions, 1u);
-  EXPECT_EQ(beta->stats().decisions, 0u);
-  EXPECT_EQ(def->stats().decisions, 0u);
+  EXPECT_EQ(alpha->Metrics().decisions_total, 1u);
+  EXPECT_EQ(beta->Metrics().decisions_total, 0u);
+  EXPECT_EQ(def->Metrics().decisions_total, 0u);
   // The 24 MiB total split across three tenants: each chase cache got
   // (24 MiB / 3) / 2.
   EXPECT_EQ(alpha->Stats().chase.max_bytes, 24u * 1024 * 1024 / 3 / 2);
@@ -445,14 +441,18 @@ TEST(ServeTest, ShutdownDrainsInFlightWorkAndLeaksNoFds) {
       // A heavy decision with no deadline: only the drain token's phase-2
       // cancellation can stop it.
       ASSERT_TRUE(client.SendLine(HeavyQueryText()));
-      // Wait until a worker has actually BEGUN the decision (the engine
-      // counts a decision at entry), then pull the plug the same way the
-      // SIGTERM handler does. A fixed sleep here flakes under sanitizer
-      // slowdowns (TSan runs 5-15x slower): shutdown could win the race
-      // and drain an empty pool instead of cancelling in-flight work.
+      // Wait until a worker has actually BEGUN the decision (the worker
+      // prepares the query right before deciding it, and the engine
+      // records the PREPARE phase as it returns), then pull the plug the
+      // same way the SIGTERM handler does. A fixed sleep here flakes under
+      // sanitizer slowdowns (TSan runs 5-15x slower): shutdown could win
+      // the race and drain an empty pool instead of cancelling in-flight
+      // work.
       const Engine* engine = server.tenant_engine("");
       ASSERT_NE(engine, nullptr);
-      while (engine->stats().decisions == 0) {
+      while (engine->Metrics()
+                 .phases[static_cast<size_t>(obs::Phase::kPrepare)]
+                 .latency.count == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       server.RequestShutdown();

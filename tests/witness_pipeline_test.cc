@@ -169,7 +169,10 @@ TEST(ContainmentOracleTest, MemoizedAgreesWithChaseOnRandomCandidates) {
   DependencySet sigma = MustParseDependencySet("A(x) -> E(x,x)");
   ChaseOptions chase_options;
   RewriteOptions rewrite_options;
-  ContainmentOracle cached(q, sigma, chase_options, rewrite_options);
+  obs::MetricsRegistry metrics({}, {});
+  ContainmentOracle cached(q, sigma, chase_options, rewrite_options,
+                           SchemaFacts::Compute(sigma),
+                           /*rewrite_cache=*/nullptr, &metrics);
 
   // Random small candidates over q's signature; duplicates on purpose so
   // the cache's hit path is exercised, not just populated.
@@ -205,15 +208,16 @@ TEST(ContainmentOracleTest, MemoizedAgreesWithChaseOnRandomCandidates) {
     candidates += 2;
   }
   EXPECT_GE(candidates, 1000u);
-  EXPECT_GT(cached.cache_hits(), 0u);
-  EXPECT_GT(cached.cache_misses(), 0u);
+  const uint64_t hits = metrics.Count(obs::Counter::kOracleMemoHits);
+  const uint64_t misses = metrics.Count(obs::Counter::kOracleMemoMisses);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
   // Every call is a cache hit, an instant predicate-prefilter rejection,
   // or a first-time decision; repeats never re-decide, so misses are
   // bounded by the number of distinct candidates (<= 600 rounds).
-  EXPECT_EQ(cached.cache_hits() + cached.cache_misses() +
-                cached.prefiltered(),
+  EXPECT_EQ(hits + misses + metrics.Count(obs::Counter::kOraclePrefiltered),
             1200u);
-  EXPECT_LE(cached.cache_misses(), 600u);
+  EXPECT_LE(misses, 600u);
 }
 
 TEST(ContainmentOracleTest, ChaseFreeAgreesWithChasedOnConstantsAndHeads) {
@@ -226,7 +230,10 @@ TEST(ContainmentOracleTest, ChaseFreeAgreesWithChasedOnConstantsAndHeads) {
   DependencySet sigma = MustParseDependencySet("A(x) -> B(x)");
   ChaseOptions chase_options;
   RewriteOptions rewrite_options;
-  ContainmentOracle chase_free(q, sigma, chase_options, rewrite_options);
+  obs::MetricsRegistry metrics({}, {});
+  ContainmentOracle chase_free(q, sigma, chase_options, rewrite_options,
+                               SchemaFacts::Compute(sigma),
+                               /*rewrite_cache=*/nullptr, &metrics);
 
   std::mt19937_64 rng(37);
   Predicate e = Predicate::Get("E", 2);
