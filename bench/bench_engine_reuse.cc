@@ -3,15 +3,15 @@
 // Claim demonstrated: on the realistic service workload — many decisions
 // against one fixed Σ, with queries repeating — a shared semacyc::Engine
 // amortizes everything that depends only on (q, Σ): schema analysis,
-// chase(q, Σ), the UCQ rewriting, the containment oracle's memo, and
+// chase(q, Σ), the UCQ rewriting, the compiled containment oracle, and
 // finally the decision itself. The cold path (one free-function call per
 // decision, the pre-Engine behavior) re-derives all of it every time.
 //
 // Three configurations over the identical call sequence:
 //   cold       DecideSemanticAcyclicity per call (transient Engine each)
 //   oracle     shared Engine, decision cache off — repeat decisions rerun
-//              the strategies but reuse chases, rewritings and the oracle
-//              memo (the amortization floor for non-identical workloads)
+//              the strategies but reuse chases, rewritings and compiled
+//              oracles (the amortization floor for non-identical workloads)
 //   prepared   shared Engine, full configuration (decision cache on)
 //
 // Self-timed (no google-benchmark dependency); pass --json to emit
@@ -98,7 +98,7 @@ void EngineShowdown(bench::JsonReport* report) {
   bench::Banner(
       "Engine reuse — prepared schema/queries vs cold free-function calls",
       "repeat decisions against one fixed Sigma amortize schema analysis, "
-      "chase, rewriting, oracle memo and the decision itself");
+      "chase, rewriting, compiled oracle and the decision itself");
   bench::Table table({"workload", "calls", "cold (ms)", "oracle-reuse (ms)",
                       "prepared (ms)", "cold/oracle", "cold/prepared",
                       "parity"});
@@ -119,7 +119,7 @@ void EngineShowdown(bench::JsonReport* report) {
     double cold_ms = MillisSince(cold_start);
 
     // Shared engine, decision cache off: every call runs the pipeline but
-    // off shared chases/rewritings and a surviving oracle memo.
+    // off shared chases/rewritings and a surviving compiled oracle.
     std::vector<SemAcAnswer> oracle_answers;
     EngineOptions no_decision_cache;
     no_decision_cache.semac = options;

@@ -74,7 +74,7 @@ void BM_JoinTreeConstruction(benchmark::State& state) {
   Sample s = MakeSample(9, static_cast<int>(state.range(0)), 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        BuildJoinTree(s.instance.atoms(), ConnectingTerms::kAllTerms));
+        BuildJoinTreeView(s.instance.atoms(), ConnectingTerms::kAllTerms));
   }
   state.SetComplexityN(state.range(0));
 }

@@ -3,8 +3,8 @@
 // Sections:
 //  E-P1  every workload through its strategy's one per-candidate pipeline
 //        (push/pop classification with hereditary pruning, fingerprint
-//        dedup, prefiltering/memoizing oracle): ms, DFS visits, candidates
-//        tested, oracle memo hits and prefilter rejections per row.
+//        dedup, prefiltering oracle): ms, DFS visits, candidates tested
+//        and prefilter rejections per row.
 //  E-P3  the exhaustive rows best-of-3 with the incremental chase-
 //        homomorphism session split (pushes, domain wipeouts, repairs).
 //  E-P4  the exhaustive strategy on 1 vs 2 and 4 work-stealing workers at
@@ -126,14 +126,11 @@ std::vector<Workload> Workloads() {
 struct StrategyRun {
   double ms = 0;
   WitnessSearchOutcome outcome;
-  size_t hits = 0;
   size_t prefiltered = 0;
 };
 
 /// One chase and oracle for w's strategy, timed over repeated runs (best
-/// time kept). Concurrent workers share the oracle; its memo lock is
-/// taken at every thread count (1-worker runs pay it uncontended),
-/// keeping the E-P4 comparison honest.
+/// time kept). Concurrent workers share the oracle, which takes no lock.
 class StrategyRunner {
  public:
   explicit StrategyRunner(const Workload& w)
@@ -156,7 +153,6 @@ class StrategyRunner {
                                       w_.target);
     double ms = MillisSince(start);
     if (run_.ms < 0 || ms < run_.ms) run_.ms = ms;
-    run_.hits = metrics_.Count(obs::Counter::kOracleMemoHits);
     run_.prefiltered = metrics_.Count(obs::Counter::kOraclePrefiltered);
   }
 
@@ -185,9 +181,9 @@ void WitnessRows(bench::JsonReport* report) {
   bench::Banner(
       "E-P1 - witness search, one per-candidate pipeline per strategy",
       "push/pop classification, hereditary pruning, fingerprint dedup and "
-      "a prefiltering/memoizing containment oracle; absolute rows");
-  bench::Table table({"workload", "ms", "visits", "cand", "memo hits",
-                      "prefiltered", "answer"});
+      "a prefiltering containment oracle; absolute rows");
+  bench::Table table({"workload", "ms", "visits", "cand", "prefiltered",
+                      "answer"});
   double total_ms = 0;
   for (const Workload& w : Workloads()) {
     StrategyRun run = RunStrategy(w, 1);
@@ -195,7 +191,7 @@ void WitnessRows(bench::JsonReport* report) {
     total_ms += run.ms;
     table.AddRow({w.name, std::to_string(run.ms), std::to_string(o.visits),
                   std::to_string(o.candidates_tested),
-                  std::to_string(run.hits), std::to_string(run.prefiltered),
+                  std::to_string(run.prefiltered),
                   std::string(ToString(o.answer))});
     report->AddRow("witness",
                    {{"workload", bench::JsonReport::Str(w.name)},
@@ -204,7 +200,6 @@ void WitnessRows(bench::JsonReport* report) {
                     {"visits", bench::JsonReport::Num(Count(o.visits))},
                     {"candidates",
                      bench::JsonReport::Num(Count(o.candidates_tested))},
-                    {"cache_hits", bench::JsonReport::Num(Count(run.hits))},
                     {"prefiltered",
                      bench::JsonReport::Num(Count(run.prefiltered))},
                     {"exhausted", o.exhausted ? "true" : "false"}});

@@ -155,14 +155,11 @@ int RunBatch(const char* schema_path, const char* queries_path,
     std::fflush(stdout);
   }
 
-  obs::MetricsSnapshot metrics = engine.Metrics();
   EngineCacheStats caches = engine.Stats();
   std::fprintf(stderr,
-               "decided %" PRIu64 " (cache hits: %zu decision, %zu chase, "
-               "%" PRIu64 " oracle memo)\n",
-               metrics.decisions_total, caches.decisions.hits,
-               caches.chase.hits,
-               metrics.Count(obs::Counter::kOracleMemoHits));
+               "decided %" PRIu64 " (cache hits: %zu decision, %zu chase)\n",
+               engine.Metrics().decisions_total, caches.decisions.hits,
+               caches.chase.hits);
   if (print_stats) PrintStatsJson(engine);
   if (print_metrics) {
     std::printf("{\"metrics\": %s}\n", engine.Metrics().ToJson().c_str());

@@ -91,18 +91,27 @@ std::shared_ptr<const QueryChaseResult> QueryChaseCache::GetOrCompute(
       });
 }
 
-Tri ContainedUnder(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
-                   const DependencySet& sigma, const ChaseOptions& options) {
-  assert(q1.arity() == q2.arity());
-  QueryChaseResult chased = ChaseQuery(q1, sigma, options);
+Tri Lemma1Verdict(const QueryChaseResult& chased,
+                  const ConjunctiveQuery* targets, size_t num_targets,
+                  CancelToken* cancel) {
   if (chased.failed) return Tri::kYes;  // q1 is empty on every model of Σ
-  if (EvaluatesTo(q2, chased.instance, chased.frozen_head, options.cancel)) {
-    return Tri::kYes;  // a found homomorphism is sound even when cancelled
+  for (size_t i = 0; i < num_targets; ++i) {
+    const ConjunctiveQuery& target = targets[i];
+    if (target.arity() != chased.frozen_head.size()) continue;
+    if (EvaluatesTo(target, chased.instance, chased.frozen_head, cancel)) {
+      return Tri::kYes;  // a found homomorphism is sound even when cancelled
+    }
   }
-  if (options.cancel != nullptr && options.cancel->triggered()) {
+  if (cancel != nullptr && cancel->triggered()) {
     return Tri::kUnknown;  // the hom search may have been truncated
   }
   return chased.saturated ? Tri::kNo : Tri::kUnknown;
+}
+
+Tri ContainedUnder(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
+                   const DependencySet& sigma, const ChaseOptions& options) {
+  assert(q1.arity() == q2.arity());
+  return Lemma1Verdict(ChaseQuery(q1, sigma, options), &q2, 1, options.cancel);
 }
 
 Tri EquivalentUnder(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
@@ -117,18 +126,8 @@ Tri EquivalentUnder(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
 
 Tri ContainedUnder(const ConjunctiveQuery& q, const UnionQuery& Q,
                    const DependencySet& sigma, const ChaseOptions& options) {
-  QueryChaseResult chased = ChaseQuery(q, sigma, options);
-  if (chased.failed) return Tri::kYes;
-  for (const ConjunctiveQuery& d : Q.disjuncts()) {
-    if (d.arity() != q.arity()) continue;
-    if (EvaluatesTo(d, chased.instance, chased.frozen_head, options.cancel)) {
-      return Tri::kYes;
-    }
-  }
-  if (options.cancel != nullptr && options.cancel->triggered()) {
-    return Tri::kUnknown;
-  }
-  return chased.saturated ? Tri::kNo : Tri::kUnknown;
+  return Lemma1Verdict(ChaseQuery(q, sigma, options), Q.disjuncts().data(),
+                       Q.disjuncts().size(), options.cancel);
 }
 
 }  // namespace semacyc

@@ -96,12 +96,21 @@ enum class Tri { kYes, kNo, kUnknown };
 
 const char* ToString(Tri t);
 
-/// q1 ⊆Σ q2 via Lemma 1: c(x̄) ∈ q2(chase(q1, Σ)).
+/// Lemma 1's verdict over an already-computed chase(q1, Σ): is c(x̄1) an
+/// answer of some target (disjuncts of another arity are skipped)?
 ///
-///  * kYes is always sound: a homomorphism into a chase prefix extends to
-///    the full chase result; a failing chase makes containment vacuous.
-///  * kNo is reported only when the chase saturated (exact).
-///  * kUnknown when the chase was truncated and no homomorphism was found.
+///  * kYes when the chase failed (q1 is empty on every model of Σ);
+///  * kYes when a target maps into the chase — sound on a truncated
+///    chase, since a homomorphism into a prefix extends to the full
+///    result, and sound even after `cancel` fired;
+///  * kUnknown once `cancel` has fired (the hom search may be truncated);
+///  * kNo when the chase saturated (exact), kUnknown otherwise.
+Tri Lemma1Verdict(const QueryChaseResult& chased,
+                  const ConjunctiveQuery* targets, size_t num_targets,
+                  CancelToken* cancel = nullptr);
+
+/// q1 ⊆Σ q2 via Lemma 1: c(x̄) ∈ q2(chase(q1, Σ)), judged by
+/// Lemma1Verdict (kYes always sound, kNo only on a saturated chase).
 Tri ContainedUnder(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2,
                    const DependencySet& sigma, const ChaseOptions& options = {});
 

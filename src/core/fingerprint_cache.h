@@ -53,10 +53,6 @@ struct CacheStats {
   /// inserts can exceed misses on such caches).
   size_t inserts = 0;
   size_t evictions = 0;
-  /// Bytes of post-insert growth charged by Reweigh (honest accounting
-  /// for values that grow after insertion — the oracle memos). Only the
-  /// growth is counted; a shrink adjusts `bytes` but not this counter.
-  size_t recharged_bytes = 0;
   /// Configured budgets, echoed so one snapshot is self-describing.
   size_t max_bytes = 0;
   size_t max_entries = 0;
@@ -112,11 +108,9 @@ struct IsoMatch {
 ///
 /// Eviction is LRU per shard, driven by the byte/entry budgets of
 /// CacheConfig. Every entry is charged once at insert time with
-/// key.ApproxBytes() + value->ApproxBytes() + bookkeeping; values that
-/// grow afterwards (an oracle's memo) are re-charged via Reweigh — the
-/// owner calls it after mutating a value, keeping byte budgets honest on
-/// long-running engines (CacheStats::recharged_bytes counts the growth).
-/// Values are handed out as shared_ptr<const Value>, so eviction never
+/// key.ApproxBytes() + value->ApproxBytes() + bookkeeping; values are
+/// immutable once inserted, so that charge stays exact. Values are handed
+/// out as shared_ptr<const Value>, so eviction never
 /// invalidates a value a caller still holds.
 ///
 /// Thread safety: all methods are safe to call concurrently. Lookups and
@@ -217,7 +211,6 @@ class FingerprintCache {
     s.misses = misses_.load(std::memory_order_relaxed);
     s.inserts = inserts_.load(std::memory_order_relaxed);
     s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.recharged_bytes = recharged_bytes_.load(std::memory_order_relaxed);
     s.max_bytes = config_.max_bytes;
     s.max_entries = config_.max_entries;
     s.enabled = config_.enabled;
@@ -237,45 +230,6 @@ class FingerprintCache {
       while (!shard.lru.empty() && shard.bytes > per_shard) {
         EvictTailLocked(shard);
       }
-    }
-  }
-
-  /// Re-charges the entry stored under this exact key against the current
-  /// value->ApproxBytes() — the honest-accounting hook for values that
-  /// grow after insertion (a containment oracle's memo). Growth adds to
-  /// CacheStats::recharged_bytes; the entry is touched MRU and the shard
-  /// budgets re-enforced, so a grown value triggers evictions exactly as
-  /// an insert of that size would. No-op when the key was evicted.
-  void Reweigh(uint64_t fp, const ConjunctiveQuery& q) {
-    if (!config_.enabled) return;
-    Shard& shard = ShardFor(fp);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto bucket_it = shard.buckets.find(fp);
-    if (bucket_it == shard.buckets.end()) return;
-    for (auto it : bucket_it->second) {
-      if (!(it->key == q)) continue;
-      size_t fresh =
-          sizeof(Entry) + it->key.ApproxBytes() + it->value->ApproxBytes();
-      if (fresh > it->bytes) {
-        recharged_bytes_.fetch_add(fresh - it->bytes,
-                                   std::memory_order_relaxed);
-      }
-      shard.bytes = shard.bytes - it->bytes + fresh;
-      it->bytes = fresh;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it);
-      if (byte_budget_ != 0 && fresh > byte_budget_) {
-        // Grown past the whole shard budget: evicting everything else
-        // could not make it fit, so drop the entry itself (mirror of the
-        // declined-oversize-insert rule).
-        shard.lru.splice(shard.lru.end(), shard.lru, it);
-        EvictTailLocked(shard);
-      }
-      while (!shard.lru.empty() &&
-             ((byte_budget_ != 0 && shard.bytes > byte_budget_) ||
-              (entry_budget_ != 0 && shard.lru.size() > entry_budget_))) {
-        EvictTailLocked(shard);
-      }
-      return;
     }
   }
 
@@ -441,7 +395,6 @@ class FingerprintCache {
   mutable std::atomic<size_t> misses_{0};
   mutable std::atomic<size_t> inserts_{0};
   mutable std::atomic<size_t> evictions_{0};
-  mutable std::atomic<size_t> recharged_bytes_{0};
 };
 
 }  // namespace semacyc

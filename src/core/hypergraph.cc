@@ -85,27 +85,6 @@ bool IsAcyclicChase(const Instance& instance) {
   return IsAcyclic(instance.atoms(), ConnectingTerms::kAllTerms);
 }
 
-JoinTree JoinTreeFromForest(const std::vector<Atom>& atoms,
-                            std::vector<int> parent) {
-  int first_root = -1;
-  for (size_t i = 0; i < parent.size(); ++i) {
-    if (parent[i] != -1) continue;
-    if (first_root == -1) {
-      first_root = static_cast<int>(i);
-    } else {
-      parent[i] = first_root;
-    }
-  }
-  return JoinTree(atoms, std::move(parent));
-}
-
-std::optional<JoinTree> BuildJoinTree(const std::vector<Atom>& atoms,
-                                      ConnectingTerms connecting) {
-  GyoResult gyo = RunGyo(Hypergraph::FromAtoms(atoms, connecting));
-  if (!gyo.acyclic) return std::nullopt;
-  return JoinTreeFromForest(atoms, std::move(gyo.parent));
-}
-
 std::optional<JoinTreeView> BuildJoinTreeView(const std::vector<Atom>& atoms,
                                               ConnectingTerms connecting) {
   GyoResult gyo = RunGyo(Hypergraph::FromAtoms(atoms, connecting));

@@ -69,21 +69,10 @@ bool IsAcyclic(const ConjunctiveQuery& q);                 // kVariables
 bool IsAcyclicInstance(const Instance& instance);          // kNullsOnly
 bool IsAcyclicChase(const Instance& instance);             // kAllTerms
 
-/// Chains the roots of a GYO join forest into a single tree over `atoms`
-/// (distinct components share no connecting terms, so this preserves the
-/// running-intersection property). `parent` must come from a successful
-/// reduction over the same atom order.
-JoinTree JoinTreeFromForest(const std::vector<Atom>& atoms,
-                            std::vector<int> parent);
-
 /// Builds a join tree for an acyclic atom set; returns std::nullopt when the
-/// atoms are cyclic. The tree spans all atoms (forest roots get chained).
-std::optional<JoinTree> BuildJoinTree(const std::vector<Atom>& atoms,
-                                      ConnectingTerms connecting);
-
-/// View-based variant: the returned tree references `atoms` in place (no
-/// atom copies; `atoms` must outlive the view). This is the per-evaluation
-/// path of eval/yannakakis and Engine::Eval.
+/// atoms are cyclic. The tree spans all atoms (forest roots get chained)
+/// and references `atoms` in place (no atom copies; `atoms` must outlive
+/// it).
 std::optional<JoinTreeView> BuildJoinTreeView(const std::vector<Atom>& atoms,
                                               ConnectingTerms connecting);
 

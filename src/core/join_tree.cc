@@ -1,78 +1,16 @@
 #include "core/join_tree.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
 namespace semacyc {
 
-JoinTree::JoinTree(std::vector<Atom> atoms, std::vector<int> parent)
-    : atoms_(std::move(atoms)), parent_(std::move(parent)) {
-  assert(atoms_.size() == parent_.size());
-  children_.resize(atoms_.size());
-  for (size_t i = 0; i < parent_.size(); ++i) {
-    if (parent_[i] >= 0) {
-      children_[parent_[i]].push_back(static_cast<int>(i));
-    } else {
-      assert(root_ == -1 && "join tree must have a single root");
-      root_ = static_cast<int>(i);
-    }
-  }
-}
-
-std::vector<int> JoinTree::TopDownOrder() const {
-  std::vector<int> order;
-  if (root_ < 0) return order;
-  order.reserve(atoms_.size());
-  std::vector<int> stack = {root_};
-  while (!stack.empty()) {
-    int node = stack.back();
-    stack.pop_back();
-    order.push_back(node);
-    for (int child : children_[node]) stack.push_back(child);
-  }
-  return order;
-}
-
-std::vector<int> JoinTree::BottomUpOrder() const {
-  std::vector<int> order = TopDownOrder();
-  std::reverse(order.begin(), order.end());
-  return order;
-}
-
-bool JoinTree::Validate(const std::vector<Term>& connecting) const {
-  if (atoms_.empty()) return true;
-  if (root_ < 0) return false;
-  std::unordered_set<Term> wanted(connecting.begin(), connecting.end());
-  // For each term, walk the tree once: the nodes mentioning the term are
-  // connected iff exactly one of them has a parent not mentioning it (or is
-  // the root).
-  for (Term t : wanted) {
-    int heads = 0;
-    int count = 0;
-    for (size_t i = 0; i < atoms_.size(); ++i) {
-      if (!atoms_[i].Mentions(t)) continue;
-      ++count;
-      int p = parent_[i];
-      if (p < 0 || !atoms_[p].Mentions(t)) ++heads;
-    }
-    if (count > 0 && heads != 1) return false;
-  }
-  return true;
-}
-
-bool JoinTree::ValidateAllTerms() const {
-  std::unordered_set<Term> terms;
-  for (const Atom& a : atoms_) {
-    for (Term t : a.args()) terms.insert(t);
-  }
-  return Validate(std::vector<Term>(terms.begin(), terms.end()));
-}
-
 JoinTreeView::JoinTreeView(const std::vector<Atom>& atoms,
                            std::vector<int> parent)
     : atoms_(&atoms), parent_(std::move(parent)) {
   assert(atoms.size() == parent_.size());
-  // Chain sibling forest roots under the first root (JoinTreeFromForest).
+  // Chain sibling forest roots under the first root.
   for (size_t i = 0; i < parent_.size(); ++i) {
     if (parent_[i] != -1) continue;
     if (root_ == -1) {
@@ -116,6 +54,9 @@ bool JoinTreeView::Validate(const std::vector<Term>& connecting) const {
   if (parent_.empty()) return true;
   if (root_ < 0) return false;
   std::unordered_set<Term> wanted(connecting.begin(), connecting.end());
+  // For each term, walk the tree once: the nodes mentioning the term are
+  // connected iff exactly one of them has a parent not mentioning it (or is
+  // the root).
   for (Term t : wanted) {
     int heads = 0;
     int count = 0;
@@ -128,15 +69,6 @@ bool JoinTreeView::Validate(const std::vector<Term>& connecting) const {
     if (count > 0 && heads != 1) return false;
   }
   return true;
-}
-
-std::string JoinTree::ToString() const {
-  std::string out;
-  for (size_t i = 0; i < atoms_.size(); ++i) {
-    out += std::to_string(i) + ": " + atoms_[i].ToString() +
-           " (parent " + std::to_string(parent_[i]) + ")\n";
-  }
-  return out;
 }
 
 JoinTreeView RerootForHead(const JoinTreeView& tree,

@@ -1,8 +1,6 @@
 #ifndef SEMACYC_CORE_JOIN_TREE_H_
 #define SEMACYC_CORE_JOIN_TREE_H_
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "core/atom.h"
@@ -13,48 +11,13 @@ namespace semacyc {
 /// every connecting term t, the nodes whose atom mentions t induce a
 /// connected subtree.
 ///
-/// Stored as a rooted forest over atom indices that has been linked into a
-/// single tree (safe because distinct components share no connecting terms).
-class JoinTree {
- public:
-  JoinTree() = default;
-  JoinTree(std::vector<Atom> atoms, std::vector<int> parent);
-
-  const std::vector<Atom>& atoms() const { return atoms_; }
-  const std::vector<int>& parent() const { return parent_; }
-  const std::vector<std::vector<int>>& children() const { return children_; }
-  int root() const { return root_; }
-  size_t size() const { return atoms_.size(); }
-
-  /// Nodes in a top-down (parent before child) order.
-  std::vector<int> TopDownOrder() const;
-  /// Nodes in a bottom-up (child before parent) order.
-  std::vector<int> BottomUpOrder() const;
-
-  /// Checks the running-intersection property for the given terms: for each
-  /// term in `connecting`, the atoms mentioning it must induce a connected
-  /// subtree. Returns false on any violation.
-  bool Validate(const std::vector<Term>& connecting) const;
-  /// Validates over every term occurring in the atoms.
-  bool ValidateAllTerms() const;
-
-  std::string ToString() const;
-
- private:
-  std::vector<Atom> atoms_;
-  std::vector<int> parent_;
-  std::vector<std::vector<int>> children_;
-  int root_ = -1;
-};
-
-/// Non-owning analogue of JoinTree over a caller-owned atom vector: nodes
-/// reference the atoms in place, so building one per evaluation costs only
-/// the integer parent/children arrays (eval/yannakakis builds a view per
-/// call instead of copying every atom; see the GyoResult parent array).
-///
-/// The atom vector must outlive the view. Like JoinTreeFromForest, sibling
-/// forest roots are chained under the first root (distinct components share
-/// no connecting terms, so the running-intersection property is preserved).
+/// A view over a caller-owned atom vector: nodes reference the atoms in
+/// place, so building one per evaluation costs only the integer
+/// parent/children arrays (eval/yannakakis builds a view per call instead
+/// of copying every atom; see the GyoResult parent array). The atom vector
+/// must outlive the view. Sibling forest roots are chained under the
+/// first root (distinct components share no connecting terms, so the
+/// running-intersection property is preserved).
 class JoinTreeView {
  public:
   JoinTreeView() = default;
@@ -73,7 +36,9 @@ class JoinTreeView {
   /// Nodes in a bottom-up (child before parent) order.
   std::vector<int> BottomUpOrder() const;
 
-  /// Running-intersection check over the given terms (see JoinTree).
+  /// Checks the running-intersection property for the given terms: for each
+  /// term in `connecting`, the atoms mentioning it must induce a connected
+  /// subtree. Returns false on any violation.
   bool Validate(const std::vector<Term>& connecting) const;
 
  private:

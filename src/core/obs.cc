@@ -59,10 +59,6 @@ const char* ToString(Counter c) {
       return "hom_repair_fails";
     case Counter::kHomDeadPrefix:
       return "hom_dead_prefix";
-    case Counter::kOracleMemoHits:
-      return "oracle_memo_hits";
-    case Counter::kOracleMemoMisses:
-      return "oracle_memo_misses";
     case Counter::kOraclePrefiltered:
       return "oracle_prefiltered";
     case Counter::kTracesEmitted:

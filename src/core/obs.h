@@ -68,8 +68,6 @@ enum class Counter : uint8_t {
   kHomRepairs,            // pushes that ran the repair search
   kHomRepairFails,
   kHomDeadPrefix,         // pushes onto an already-failed prefix
-  kOracleMemoHits,        // containment answers served from oracle memos
-  kOracleMemoMisses,
   kOraclePrefiltered,     // instant NOs from the reachability prefilter
   kTracesEmitted,         // DecisionTraces handed to a sink
   kEvalRowsScanned,       // rows examined by columnar match-atom filters
@@ -81,7 +79,7 @@ enum class Counter : uint8_t {
   kParallelWastedVisits,  // speculative visits beyond the official prefix
   kParallelCommitWaits,   // finished units stalled behind an earlier unit
 };
-inline constexpr size_t kNumCounters = 22;
+inline constexpr size_t kNumCounters = 20;
 const char* ToString(Counter c);
 
 /// One named counter on a trace span. `name` must be a string literal (or

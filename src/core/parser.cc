@@ -1,5 +1,6 @@
 #include "core/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -274,6 +275,17 @@ ParseResult<ConjunctiveQuery> ParseQuery(std::string_view text) {
     result.error =
         "trailing input at position " + std::to_string(tail.position);
     return result;
+  }
+  // Safety: every head variable must be bound by the body.
+  for (Term h : head) {
+    if (!h.IsVariable()) continue;
+    bool bound = std::any_of(body->begin(), body->end(),
+                             [h](const Atom& a) { return a.Mentions(h); });
+    if (!bound) {
+      result.error = "head variable '" + h.ToString() +
+                     "' does not occur in the body";
+      return result;
+    }
   }
   result.value = ConjunctiveQuery(std::move(head), std::move(*body));
   return result;

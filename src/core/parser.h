@@ -25,7 +25,8 @@ struct ParseResult {
 ///   * identifiers are variables: x, y, customer
 ///   * constants are quoted ('madrid') or numeric (42)
 ///   * atom:      R(x,'a',y)
-///   * query:     q(x,y) :- R(x,z), S(z,y)        (head optional => Boolean)
+///   * query:     q(x,y) :- R(x,z), S(z,y)        (head optional => Boolean;
+///                every head variable must occur in the body)
 ///   * tgd:       R(x,y), S(y,z) -> T(x,w)        (head-only vars existential)
 ///   * egd:       R(x,y), R(x,z) -> y = z
 /// '%' starts a comment running to end of line.

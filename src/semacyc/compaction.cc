@@ -10,8 +10,8 @@ namespace semacyc {
 std::optional<CompactionResult> CompactAcyclicWitness(
     const ConjunctiveQuery& q, const Instance& acyclic_instance,
     const std::vector<Term>& target_tuple) {
-  std::optional<JoinTree> tree =
-      BuildJoinTree(acyclic_instance.atoms(), ConnectingTerms::kAllTerms);
+  std::optional<JoinTreeView> tree =
+      BuildJoinTreeView(acyclic_instance.atoms(), ConnectingTerms::kAllTerms);
   if (!tree.has_value()) return std::nullopt;
 
   // A homomorphism witnessing c̄ ∈ q(I).

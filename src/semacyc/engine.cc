@@ -10,7 +10,6 @@
 
 #include "core/canonical.h"
 #include "core/core_min.h"
-#include "core/homomorphism.h"
 #include "core/hypergraph.h"
 #include "deps/classify.h"
 #include "semacyc/compaction.h"
@@ -42,10 +41,8 @@ Engine::OracleEntry::OracleEntry(ConjunctiveQuery q,
              metrics) {}
 
 size_t Engine::OracleEntry::ApproxBytes() const {
-  // The rewriting (when built) is shared with the RewriteCache; the memo
-  // is this entry's own growth, folded in so the post-decision Reweigh
-  // keeps the oracle cache's byte accounting honest.
-  return sizeof(OracleEntry) + query.ApproxBytes() + oracle.memo_bytes();
+  // The rewriting (when built) is shared with the RewriteCache.
+  return sizeof(OracleEntry) + query.ApproxBytes();
 }
 
 namespace {
@@ -168,12 +165,12 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
                                     CancelToken* cancel) const {
   obs::TraceSink* sink = options_.trace_sink;
   std::optional<obs::DecisionTracer> tracer;
-  // Root-span cache and oracle-memo delta baselines, read only when
+  // Root-span cache and oracle-prefilter delta baselines, read only when
   // tracing. Exact for serial callers; under concurrent decisions the
   // deltas include the other threads' traffic (documented in
   // docs/OBSERVABILITY.md).
   size_t chase_h0 = 0, chase_m0 = 0, rewrite_h0 = 0, rewrite_m0 = 0,
-         oracle_r0 = 0, dec_h0 = 0, memo_h0 = 0, memo_m0 = 0, memo_p0 = 0;
+         oracle_r0 = 0, dec_h0 = 0, prefiltered0 = 0;
   if (sink != nullptr) {
     tracer.emplace();
     chase_h0 = chase_cache_.hits();
@@ -182,9 +179,7 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
     rewrite_m0 = rewrite_cache_.misses();
     oracle_r0 = oracles_.hits();
     dec_h0 = decisions_.hits();
-    memo_h0 = metrics_.Count(obs::Counter::kOracleMemoHits);
-    memo_m0 = metrics_.Count(obs::Counter::kOracleMemoMisses);
-    memo_p0 = metrics_.Count(obs::Counter::kOraclePrefiltered);
+    prefiltered0 = metrics_.Count(obs::Counter::kOraclePrefiltered);
   }
   auto t0 = std::chrono::steady_clock::now();
   bool computed = false;
@@ -235,11 +230,6 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
   metrics_.RecordDecision(static_cast<size_t>(result->strategy),
                           static_cast<size_t>(result->answer), ns, !computed);
   metrics_.RecordPhase(obs::Phase::kDecision, ns);
-  // Honest oracle accounting: the pipeline may have grown this query's
-  // oracle memo; re-charge its cache entry against the byte budget.
-  if (computed && result->strategy != Strategy::kDeadlineExceeded) {
-    oracles_.Reweigh(q.fingerprint(), q.query());
-  }
   if (tracer.has_value()) {
     auto delta = [](size_t now, size_t before) {
       return static_cast<int64_t>(now - before);
@@ -256,14 +246,8 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
                        delta(rewrite_cache_.misses(), rewrite_m0));
     tracer->AddCounter(0, "oracle_reuses", delta(oracles_.hits(), oracle_r0));
     tracer->AddCounter(
-        0, "oracle_memo_hits",
-        delta(metrics_.Count(obs::Counter::kOracleMemoHits), memo_h0));
-    tracer->AddCounter(
-        0, "oracle_memo_misses",
-        delta(metrics_.Count(obs::Counter::kOracleMemoMisses), memo_m0));
-    tracer->AddCounter(
         0, "oracle_prefiltered",
-        delta(metrics_.Count(obs::Counter::kOraclePrefiltered), memo_p0));
+        delta(metrics_.Count(obs::Counter::kOraclePrefiltered), prefiltered0));
     tracer->AddCounter(0, "decision_cache_hits",
                        delta(decisions_.hits(), dec_h0));
     obs::DecisionTrace trace =
@@ -376,7 +360,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
     return result;
   }
 
-  // Persistent per-query oracle (memo/rewriting survive across calls); a
+  // Persistent per-query oracle (its rewriting survives across calls); a
   // disabled oracle cache hands out a transient one, mirroring the
   // free-function path. The lease keeps it alive past any eviction.
   std::shared_ptr<const OracleEntry> lease;
@@ -602,10 +586,7 @@ std::vector<SemAcResult> Engine::DecideBatch(
 Tri Engine::ContainedUnderCached(const ConjunctiveQuery& q1,
                                  const ConjunctiveQuery& q2) const {
   // Lemma 1 off the shared chase memo: c(x̄1) ∈ q2(chase(q1, Σ)).
-  std::shared_ptr<const QueryChaseResult> chased = ChaseOf(q1);
-  if (chased->failed) return Tri::kYes;  // q1 is empty on every model of Σ
-  if (EvaluatesTo(q2, chased->instance, chased->frozen_head)) return Tri::kYes;
-  return chased->saturated ? Tri::kNo : Tri::kUnknown;
+  return Lemma1Verdict(*ChaseOf(q1), &q2, 1);
 }
 
 void Engine::AddParallelStats(const WorkStealStats& s) const {
@@ -785,9 +766,6 @@ ApproximateOutcome Engine::Approximate(const PreparedQuery& pq) const {
       std::min<size_t>(pq.small_query_bound(), options_.witness_atoms_cap);
   out.result.candidates = CollectApproximationCandidates(
       *chase, *oracle, bound, options_.subset_budget, cancel);
-  // The candidate sweep grows the oracle memo; re-charge its cache entry.
-  // Do this even on abort below — the partial sweep's memo growth is real.
-  oracles_.Reweigh(pq.fingerprint(), pq.query());
   if (cancel != nullptr && cancel->triggered()) {
     out.status = Status::DeadlineExceeded(
         "deadline elapsed during the candidate sweep; partial candidate "
@@ -809,12 +787,7 @@ ApproximateOutcome Engine::Approximate(const PreparedQuery& pq) const {
     std::shared_ptr<const QueryChaseResult> chased =
         local_chases.GetOrCompute(a, schema_.sigma, maximality_chase);
     if (chased == nullptr) return Tri::kUnknown;  // cancelled mid-chase
-    if (chased->failed) return Tri::kYes;
-    if (EvaluatesTo(b, chased->instance, chased->frozen_head, cancel)) {
-      return Tri::kYes;
-    }
-    if (cancel != nullptr && cancel->triggered()) return Tri::kUnknown;
-    return chased->saturated ? Tri::kNo : Tri::kUnknown;
+    return Lemma1Verdict(*chased, &b, 1, cancel);
   };
   auto& candidates = out.result.candidates;
   size_t best = 0;

@@ -104,8 +104,7 @@ class PreparedQuery {
 /// configuration — all four caches enabled and unbounded; set
 /// max_bytes/max_entries to turn on LRU eviction per cache (multi-tenant /
 /// long-running services), or `enabled = false` to expose the layer below
-/// (e.g. decisions.enabled = false measures oracle-memo reuse in
-/// isolation).
+/// (e.g. decisions.enabled = false measures oracle reuse in isolation).
 struct EngineOptions {
   /// Decision-pipeline options (budgets, target class, strategies).
   /// Default: the production configuration of SemAcOptions.
@@ -120,10 +119,8 @@ struct EngineOptions {
   /// rarely needs a budget of its own.
   CacheConfig rewrite;
   /// Persistent per-query containment oracles (iso-resolved). Default:
-  /// enabled, unbounded. An oracle's memo grows after insertion; the
-  /// Engine re-charges the entry after each decision that used it
-  /// (FingerprintCache::Reweigh), so byte budgets stay honest — the
-  /// growth shows up as CacheStats::recharged_bytes.
+  /// enabled, unbounded. An entry's size is fixed at insertion (the
+  /// compiled oracle; its rewriting is charged to the rewrite cache).
   CacheConfig oracles;
   /// Decision results for repeat (or isomorphic) queries. Default:
   /// enabled, unbounded. Entries are small; disable only to measure the
@@ -204,7 +201,7 @@ struct EvalOutcome {
 ///   * a chase memo (chase(q, Σ) computed once per distinct query, with
 ///     an iso-resolution rename layer for α-renamed variants);
 ///   * a UCQ-rewriting cache feeding the containment oracles;
-///   * one memoized ContainmentOracle per distinct query, persistent
+///   * one compiled ContainmentOracle per distinct query, persistent
 ///     across calls and strategies;
 ///   * a decision cache serving repeat (or isomorphic) queries instantly.
 ///
@@ -318,7 +315,7 @@ class Engine {
 
   /// Process-lifetime decision metrics (core/obs.h): per-strategy and
   /// per-answer decision counts, per-strategy and per-phase latency
-  /// histograms, hot-path counters (the oracles' memo traffic included).
+  /// histograms, hot-path counters (the oracles' prefilter count included).
   /// Always maintained (no sink needed); safe concurrently with
   /// decisions. Rendered by MetricsSnapshot::ToJson for `semacyc_cli
   /// --metrics` and the `semacycd` stats endpoint.
@@ -343,9 +340,6 @@ class Engine {
     OracleEntry(ConjunctiveQuery q, const PreparedSchema& schema,
                 const SemAcOptions& options, RewriteCache* rewrite_cache,
                 obs::MetricsRegistry* metrics, CancelToken* cancel);
-    /// Includes the oracle memo's running footprint, so the post-decision
-    /// Reweigh keeps the cache's byte accounting honest as memos grow
-    /// (see EngineOptions::oracles).
     size_t ApproxBytes() const;
   };
 
@@ -405,7 +399,7 @@ class Engine {
 
   /// Lifetime metrics (atomic counters + latency histograms); last member
   /// so the caches it describes are constructed first. The oracles hold a
-  /// pointer to it and count their memo traffic into it.
+  /// pointer to it and count their prefilter rejections into it.
   mutable obs::MetricsRegistry metrics_;
 };
 

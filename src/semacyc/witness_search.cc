@@ -7,7 +7,6 @@
 
 #include "acyclic/incremental.h"
 #include "core/canonical.h"
-#include "core/containment.h"
 #include "core/homomorphism.h"
 #include "core/incremental_hom.h"
 #include "core/hypergraph.h"
@@ -265,50 +264,17 @@ Tri ContainmentOracle::ContainedInQ(const ConjunctiveQuery& candidate,
                                     CancelToken* cancel) const {
   SEMACYC_FAILPOINT("oracle.candidate", cancel);
   if (cancel != nullptr && cancel->Poll()) return Tri::kUnknown;
-  // Everything up to the memo reads only state frozen at construction
-  // (plus relaxed counter bumps), so these paths — the per-candidate
-  // inner loops of the parallel strategies — never touch the lock.
+  // Every path reads only state frozen at construction (plus relaxed
+  // counter bumps), so concurrent workers never contend.
   if (prefilter_ && !PassesPredicateFilter(candidate)) {
     metrics_->Add(obs::Counter::kOraclePrefiltered, 1);
     return Tri::kNo;
   }
-  // Chase-free candidates decide in one homomorphism test — cheaper than
-  // the memo's own bookkeeping, so skip the cache entirely.
   if (chase_free_) return DecideChaseFree(candidate);
-  std::lock_guard<std::mutex> lock(mu_);
-  return ContainedInQMemo(candidate, cancel);
-}
-
-size_t ContainmentOracle::memo_bytes() const {
-  return memo_bytes_.load(std::memory_order_relaxed);
-}
-
-Tri ContainmentOracle::ContainedInQMemo(const ConjunctiveQuery& candidate,
-                                        CancelToken* cancel) const {
-  // Sound across isomorphism: candidate ⊆Σ q is invariant under bijective
-  // variable renamings that preserve the head position-wise — exactly what
-  // AreIsomorphic certifies after the fingerprint pre-filter.
-  auto& bucket = memo_[CanonicalFingerprint(candidate)];
-  for (const auto& [cached, answer] : bucket) {
-    if (AreIsomorphic(cached, candidate)) {
-      metrics_->Add(obs::Counter::kOracleMemoHits, 1);
-      return answer;
-    }
-  }
-  metrics_->Add(obs::Counter::kOracleMemoMisses, 1);
   Tri answer = Decide(candidate, cancel);
   // An answer computed under a fired token may rest on a truncated chase
-  // or hom search: never memoize it, so a later uncancelled call (or the
-  // post-abort parity re-decide) recomputes it exactly.
+  // or hom search.
   if (cancel != nullptr && cancel->triggered()) return Tri::kUnknown;
-  // Running memo footprint for honest cache accounting: the candidate
-  // copy plus pair/bucket bookkeeping (an empty bucket also costs a map
-  // node, folded into the per-entry constant).
-  memo_bytes_.fetch_add(candidate.ApproxBytes() +
-                            sizeof(std::pair<ConjunctiveQuery, Tri>) +
-                            4 * sizeof(void*),
-                        std::memory_order_relaxed);
-  bucket.push_back({candidate, answer});
   return answer;
 }
 

@@ -1,15 +1,12 @@
 #ifndef SEMACYC_SEMACYC_WITNESS_SEARCH_H_
 #define SEMACYC_SEMACYC_WITNESS_SEARCH_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "acyclic/classify.h"
@@ -58,12 +55,7 @@ struct SchemaFacts {
 /// against the cached rewriting (exact, no chase of the candidate needed);
 /// otherwise the candidate is chased (exact when that chase saturates).
 ///
-/// The per-candidate work is cut three ways:
-///  * answers are memoized by the hash-interned canonical form of the
-///    candidate (collisions resolved with AreIsomorphic, so the cache is
-///    exact): isomorphic candidates revisited across witness strategies,
-///    head patterns and iterative-deepening rounds hit the cache instead
-///    of re-chasing;
+/// The per-candidate work is cut two ways:
 ///  * for egd-free Σ, a predicate-reachability prefilter answers kNo
 ///    without chasing when some predicate of q is unreachable (at the
 ///    predicate level, an over-approximation of derivability) from the
@@ -72,21 +64,22 @@ struct SchemaFacts {
 ///  * when Σ is egd-free and no tgd head predicate occurs in q, the chase
 ///    of the candidate can never add an atom the q-homomorphism could
 ///    use, so containment degenerates to the classical Chandra–Merlin
-///    check against the candidate itself — exact, chase-free, and cheap
-///    enough that memoizing it would cost more than deciding.
+///    check against the candidate itself — exact and chase-free.
+/// Answers are not memoized: the witness strategies drop repeated
+/// canonical candidates before they reach the oracle, and the Engine's
+/// decision cache absorbs repeated queries.
 /// tests/reference_check_test.cc re-derives every answer this oracle
 /// certifies with the plain chase (ContainedUnder), sharing none of it.
 ///
-/// ContainedInQ is safe to call from concurrent threads: the prefilter and
-/// chase-free paths are lock-free over immutable compiled state; only the
-/// memo takes a lock per answer.
+/// ContainedInQ is safe to call from concurrent threads without a lock:
+/// every path reads only state frozen at construction.
 class ContainmentOracle {
  public:
   /// `facts` carries the Σ-only analysis (consumed during construction,
   /// not stored); `rewrite_cache` (may be null) shares UCQ rewritings
   /// across oracles for the same q; `metrics` (not owned, must outlive
-  /// the oracle) receives the memo hit/miss and prefilter counts — the
-  /// owning Engine's registry, so its totals are exact under concurrency.
+  /// the oracle) receives the prefilter count — the owning Engine's
+  /// registry, so its total is exact under concurrency.
   ContainmentOracle(const ConjunctiveQuery& q, const DependencySet& sigma,
                     const ChaseOptions& chase_options,
                     const RewriteOptions& rewrite_options,
@@ -95,8 +88,8 @@ class ContainmentOracle {
 
   /// candidate ⊆Σ q. `cancel` (nullptr = not cancellable) is polled per
   /// check and threaded into the candidate's chase; once the token has
-  /// triggered the answer is kUnknown and is NOT memoized — a later
-  /// uncancelled call recomputes it exactly.
+  /// triggered the answer is kUnknown (it may rest on a truncated chase
+  /// or hom search).
   Tri ContainedInQ(const ConjunctiveQuery& candidate,
                    CancelToken* cancel = nullptr) const;
   /// True when kNo answers are exact.
@@ -108,17 +101,7 @@ class ContainmentOracle {
   const std::shared_ptr<const RewriteResult>& rewriting() const {
     return rewriting_;
   }
-  /// Approximate heap bytes of the memo, maintained at each insert. The
-  /// honest-accounting hook: the Engine folds this into OracleEntry::
-  /// ApproxBytes and re-charges its oracle cache after each decision.
-  size_t memo_bytes() const;
-
  private:
-  /// The memoized slow path (cache lookup / chase / insert); the caller
-  /// holds mu_. The lock-free prefix (failpoint, poll, prefilter,
-  /// chase-free CM) lives in ContainedInQ.
-  Tri ContainedInQMemo(const ConjunctiveQuery& candidate,
-                       CancelToken* cancel) const;
   Tri Decide(const ConjunctiveQuery& candidate, CancelToken* cancel) const;
   Tri DecideChaseFree(const ConjunctiveQuery& candidate) const;
   bool PassesPredicateFilter(const ConjunctiveQuery& candidate) const;
@@ -129,7 +112,6 @@ class ContainmentOracle {
   std::shared_ptr<const RewriteResult> rewriting_;
   bool exact_ = false;
   obs::MetricsRegistry* metrics_;
-  mutable std::mutex mu_;
   /// Predicate-reachability prefilter state: for each distinct predicate
   /// of q, the set of predicates from which it is reachable in Σ's
   /// body-to-head predicate graph (ANY-body over-approximation).
@@ -143,8 +125,7 @@ class ContainmentOracle {
   /// backtracking over a dense binding array. The compiled form is
   /// immutable after construction; per-check scratch lives in
   /// thread_local buffers (witness_search.cc), so this path — like the
-  /// prefilter — needs no lock even from
-  /// concurrent workers. Only the memo takes mu_.
+  /// prefilter — needs no lock even from concurrent workers.
   struct CmAtom {
     Predicate pred;
     /// Per position: dense variable index, or -1 for a constant.
@@ -158,10 +139,6 @@ class ContainmentOracle {
   bool CmDfs(const std::vector<Atom>& target_atoms, size_t depth,
              std::vector<Term>& binding, std::vector<int>& undo) const;
   std::vector<std::unordered_set<uint32_t>> q_pred_sources_;
-  mutable std::unordered_map<uint64_t,
-                             std::vector<std::pair<ConjunctiveQuery, Tri>>>
-      memo_;
-  mutable std::atomic<size_t> memo_bytes_{0};
 };
 
 /// Outcome of one witness-search strategy.

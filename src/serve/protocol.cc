@@ -421,9 +421,9 @@ void AppendCacheStatsJson(std::string* out, const char* name,
       buf, sizeof(buf),
       "\"%s\": {\"entries\": %zu, \"bytes\": %zu, \"hits\": %zu, "
       "\"misses\": %zu, \"inserts\": %zu, \"evictions\": %zu, "
-      "\"recharged_bytes\": %zu, \"max_bytes\": %zu}%s",
+      "\"max_bytes\": %zu}%s",
       name, s.entries, s.bytes, s.hits, s.misses, s.inserts, s.evictions,
-      s.recharged_bytes, s.max_bytes, trailing_comma ? ", " : "");
+      s.max_bytes, trailing_comma ? ", " : "");
   *out += buf;
 }
 
@@ -436,13 +436,10 @@ std::string EngineStatsJson(const Engine& engine) {
   std::snprintf(
       buf, sizeof(buf),
       "{\"prepares\": %" PRIu64 ", \"decisions\": %" PRIu64
-      ", \"oracle_hits\": %" PRIu64 ", \"oracle_misses\": %" PRIu64
       ", \"oracle_prefiltered\": %" PRIu64
       ", \"deadline_ms\": %lld, \"caches\": {",
       metrics.phases[static_cast<size_t>(obs::Phase::kPrepare)].latency.count,
-      metrics.decisions_total, metrics.Count(obs::Counter::kOracleMemoHits),
-      metrics.Count(obs::Counter::kOracleMemoMisses),
-      metrics.Count(obs::Counter::kOraclePrefiltered),
+      metrics.decisions_total, metrics.Count(obs::Counter::kOraclePrefiltered),
       static_cast<long long>(engine.options().deadline_ms));
   std::string out = buf;
   AppendCacheStatsJson(&out, "chase", caches.chase, true);

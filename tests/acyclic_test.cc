@@ -84,10 +84,10 @@ TEST(CertificateTest, JoinTreeFromGyoForestValidates) {
   Generator gen(17);
   for (int iter = 0; iter < 50; ++iter) {
     ConjunctiveQuery q = gen.RandomAcyclicQuery(3 + iter, 3, 4);
-    std::optional<JoinTree> tree =
-        BuildJoinTree(q.body(), ConnectingTerms::kVariables);
+    std::optional<JoinTreeView> tree =
+        BuildJoinTreeView(q.body(), ConnectingTerms::kVariables);
     ASSERT_TRUE(tree.has_value()) << q.ToString();
-    EXPECT_TRUE(tree->Validate(q.Variables())) << tree->ToString();
+    EXPECT_TRUE(tree->Validate(q.Variables())) << q.ToString();
   }
 }
 
@@ -199,7 +199,7 @@ TEST(GyoEngineTest, ProducesValidJoinForestsOnGeneratedQueries) {
         RunGyo(Hypergraph::FromAtoms(q.body(), ConnectingTerms::kVariables));
     ASSERT_TRUE(gyo.acyclic);
     ASSERT_EQ(gyo.elimination_order.size(), q.body().size());
-    JoinTree tree = JoinTreeFromForest(q.body(), gyo.parent);
+    JoinTreeView tree(q.body(), gyo.parent);
     EXPECT_TRUE(tree.Validate(q.Variables()));
   }
 }

@@ -25,6 +25,49 @@ Instance Db(const std::string& atoms) {
   return inst;
 }
 
+// ---- Decider: the images strategy reaches past witness_atoms_cap. ----
+
+/// q(y1..yn) :- C(x1,x2), C(x2,x3), C(x3,x1), P(y1), ..., P(yn).
+ConjunctiveQuery TriangleWithUnaryTail(int n) {
+  std::string head, tail;
+  for (int i = 1; i <= n; ++i) {
+    head += (i > 1 ? "," : "") + std::string("y") + std::to_string(i);
+    tail += ", P(y" + std::to_string(i) + ")";
+  }
+  return MustParseQuery("q(" + head + ") :- C(x1,x2), C(x2,x3), C(x3,x1)" +
+                        tail);
+}
+
+TEST(EdgeDeciderTest, ImagesFindsWitnessesLargerThanTheAtomCap) {
+  // C(x,y) -> C(x,x) maps the triangle onto the loop C(x1,x1): the image
+  // C(x1,x1), P(y1..y8) is a 9-atom acyclic witness, one atom over
+  // witness_atoms_cap (8). Only `images` builds it; `subsets` and
+  // `exhaustive` stop at the cap, so without `images` the decision runs
+  // out of budget. One P atom fewer fits under the cap and `subsets`
+  // finds it.
+  DependencySet sigma = MustParseDependencySet("C(x,y) -> C(x,x).");
+  SemAcOptions defaults;
+  ASSERT_EQ(defaults.witness_atoms_cap, 8u);
+  SemAcResult with_images =
+      DecideSemanticAcyclicity(TriangleWithUnaryTail(8), sigma, defaults);
+  EXPECT_EQ(with_images.answer, SemAcAnswer::kYes);
+  EXPECT_EQ(with_images.strategy, Strategy::kImages);
+  ASSERT_TRUE(with_images.witness.has_value());
+  EXPECT_EQ(with_images.witness->body().size(), 9u);
+
+  SemAcOptions no_images;
+  no_images.enable_images = false;
+  SemAcResult without_images =
+      DecideSemanticAcyclicity(TriangleWithUnaryTail(8), sigma, no_images);
+  EXPECT_EQ(without_images.answer, SemAcAnswer::kUnknown);
+  EXPECT_EQ(without_images.strategy, Strategy::kBudgetExhausted);
+
+  SemAcResult seven =
+      DecideSemanticAcyclicity(TriangleWithUnaryTail(7), sigma, no_images);
+  EXPECT_EQ(seven.answer, SemAcAnswer::kYes);
+  EXPECT_EQ(seven.strategy, Strategy::kSubsets);
+}
+
 // ---- Rewriter: factorization. ----
 
 TEST(EdgeRewriteTest, ParallelAtomsResolveThroughOneHeadAtom) {

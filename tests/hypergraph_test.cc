@@ -72,18 +72,18 @@ TEST(GyoTest, InstanceAcyclicityUsesNullsOnly) {
 
 TEST(JoinTreeTest, BuildsForAcyclicAndRefusesCyclic) {
   ConjunctiveQuery acyclic = MustParseQuery("R(x,y), S(y,z), T(z,w)");
-  EXPECT_TRUE(
-      BuildJoinTree(acyclic.body(), ConnectingTerms::kVariables).has_value());
+  EXPECT_TRUE(BuildJoinTreeView(acyclic.body(), ConnectingTerms::kVariables)
+                  .has_value());
   ConjunctiveQuery cyclic = MustParseQuery("R(x,y), R(y,z), R(z,x)");
-  EXPECT_FALSE(
-      BuildJoinTree(cyclic.body(), ConnectingTerms::kVariables).has_value());
+  EXPECT_FALSE(BuildJoinTreeView(cyclic.body(), ConnectingTerms::kVariables)
+                   .has_value());
 }
 
 TEST(JoinTreeTest, ValidatesRunningIntersection) {
   ConjunctiveQuery q = MustParseQuery("R(x,y), S(y,z), T(z,w), U(y,u)");
-  auto tree = BuildJoinTree(q.body(), ConnectingTerms::kVariables);
+  auto tree = BuildJoinTreeView(q.body(), ConnectingTerms::kVariables);
   ASSERT_TRUE(tree.has_value());
-  EXPECT_TRUE(tree->ValidateAllTerms());
+  EXPECT_TRUE(tree->Validate(q.Variables()));
   EXPECT_EQ(tree->size(), 4u);
   EXPECT_EQ(tree->TopDownOrder().size(), 4u);
   EXPECT_EQ(tree->BottomUpOrder().size(), 4u);
@@ -91,10 +91,10 @@ TEST(JoinTreeTest, ValidatesRunningIntersection) {
 
 TEST(JoinTreeTest, SingleRootEvenWhenDisconnected) {
   ConjunctiveQuery q = MustParseQuery("R(x,y), S(u,v), T(p,q)");
-  auto tree = BuildJoinTree(q.body(), ConnectingTerms::kVariables);
+  auto tree = BuildJoinTreeView(q.body(), ConnectingTerms::kVariables);
   ASSERT_TRUE(tree.has_value());
   EXPECT_GE(tree->root(), 0);
-  EXPECT_TRUE(tree->ValidateAllTerms());
+  EXPECT_TRUE(tree->Validate(q.Variables()));
 }
 
 /// Property sweep: random acyclic queries must pass GYO and produce valid
@@ -106,9 +106,9 @@ TEST_P(RandomAcyclicSweep, RandomJoinTreesAreDetectedAcyclic) {
   ConjunctiveQuery q = gen.RandomAcyclicQuery(
       5 + GetParam() % 10, 2 + GetParam() % 3, 3);
   EXPECT_TRUE(IsAcyclic(q));
-  auto tree = BuildJoinTree(q.body(), ConnectingTerms::kVariables);
+  auto tree = BuildJoinTreeView(q.body(), ConnectingTerms::kVariables);
   ASSERT_TRUE(tree.has_value());
-  EXPECT_TRUE(tree->ValidateAllTerms());
+  EXPECT_TRUE(tree->Validate(q.Variables()));
 }
 
 TEST_P(RandomAcyclicSweep, AddingCycleChordsBreaksAcyclicity) {

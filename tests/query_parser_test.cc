@@ -48,6 +48,15 @@ TEST(ParserTest, ReportsErrors) {
   EXPECT_FALSE(ParseQuery("R(x,'unterminated)").ok());
 }
 
+TEST(ParserTest, RejectsHeadVariableMissingFromBody) {
+  ParseResult<ConjunctiveQuery> unsafe =
+      ParseQuery("q(y) :- Interest(x,z), Class(w,z), Interest(w,x)");
+  ASSERT_FALSE(unsafe.ok());
+  EXPECT_NE(unsafe.error.find("'y'"), std::string::npos) << unsafe.error;
+  // Constants in the head need no binding; bound variables are fine.
+  EXPECT_TRUE(ParseQuery("q(x,'a') :- R(x,y)").ok());
+}
+
 TEST(ParserTest, TgdParsesWithImplicitExistential) {
   Tgd tgd = MustParseTgd("R(x,y), P(y,z) -> T(x,y,w)");
   EXPECT_EQ(tgd.body().size(), 2u);

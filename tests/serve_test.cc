@@ -220,6 +220,18 @@ TEST(ServeTest, QueryParseErrorMatchesBatchShapeAndConnectionSurvives) {
   EXPECT_TRUE(Contains(MustRecv(&client), "\"answer\": \"yes\""));
 }
 
+/// A head variable missing from the body is a parse error on the shared
+/// line path (--batch and semacycd), not an internal one.
+TEST(ServeTest, UnsafeHeadIsAParseErrorOnTheLinePath) {
+  Engine engine(OwnsSigma(), SemAcOptions{});
+  std::optional<std::string> response = serve::BatchLineResponse(
+      engine, "q(y) :- Interest(x,z), Class(w,z), Interest(w,x)", 0, nullptr);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_TRUE(Contains(*response, "\"error\": \"head variable 'y'"))
+      << *response;
+  EXPECT_FALSE(Contains(*response, "internal")) << *response;
+}
+
 // ---------------------------------------------------------------------------
 // Per-request deadlines.
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Tests for the incremental candidate pipeline: the push/pop classifier
-// against batch classification, the memoizing containment oracle against
+// against batch classification, the containment oracle against
 // the plain chase-based containment check, and fingerprint canonicality.
 #include <gtest/gtest.h>
 
@@ -160,9 +160,9 @@ TEST(CanonicalFingerprintTest, SeparatesKnownNonIsomorphicPairs) {
   EXPECT_NE(CanonicalFingerprint(loop), CanonicalFingerprint(cycle));
 }
 
-// ------------------------------------------------- oracle memoization --
+// ---------------------------------------------------- containment oracle --
 
-TEST(ContainmentOracleTest, MemoizedAgreesWithChaseOnRandomCandidates) {
+TEST(ContainmentOracleTest, AgreesWithChaseOnRandomCandidates) {
   // q and a weakly acyclic Σ (saturating chase => exact oracle); the
   // reference is the plain chase-based ContainedUnder.
   ConjunctiveQuery q = MustParseQuery("E(x,y), E(y,z), E(z,x), A(x)");
@@ -170,12 +170,12 @@ TEST(ContainmentOracleTest, MemoizedAgreesWithChaseOnRandomCandidates) {
   ChaseOptions chase_options;
   RewriteOptions rewrite_options;
   obs::MetricsRegistry metrics({}, {});
-  ContainmentOracle cached(q, sigma, chase_options, rewrite_options,
+  ContainmentOracle oracle(q, sigma, chase_options, rewrite_options,
                            SchemaFacts::Compute(sigma),
                            /*rewrite_cache=*/nullptr, &metrics);
 
-  // Random small candidates over q's signature; duplicates on purpose so
-  // the cache's hit path is exercised, not just populated.
+  // Random small candidates over q's signature (q uses the tgd head
+  // predicate E, so every candidate the prefilter passes is chased).
   std::mt19937_64 rng(31);
   Predicate e = Predicate::Get("E", 2);
   Predicate a = Predicate::Get("A", 1);
@@ -197,27 +197,18 @@ TEST(ContainmentOracleTest, MemoizedAgreesWithChaseOnRandomCandidates) {
     return ConjunctiveQuery({}, std::move(body));
   };
 
-  size_t candidates = 0;
-  for (int round = 0; round < 600; ++round) {
+  const int kRounds = 600;
+  for (int round = 0; round < kRounds; ++round) {
     ConjunctiveQuery candidate = random_candidate();
-    Tri uncached_answer = ContainedUnder(candidate, q, sigma, chase_options);
-    // Ask the cached oracle twice: the second call must be a hit and both
-    // must agree with the chase.
-    EXPECT_EQ(cached.ContainedInQ(candidate), uncached_answer);
-    EXPECT_EQ(cached.ContainedInQ(candidate), uncached_answer);
-    candidates += 2;
+    EXPECT_EQ(oracle.ContainedInQ(candidate),
+              ContainedUnder(candidate, q, sigma, chase_options))
+        << candidate.ToString();
   }
-  EXPECT_GE(candidates, 1000u);
-  const uint64_t hits = metrics.Count(obs::Counter::kOracleMemoHits);
-  const uint64_t misses = metrics.Count(obs::Counter::kOracleMemoMisses);
-  EXPECT_GT(hits, 0u);
-  EXPECT_GT(misses, 0u);
-  // Every call is a cache hit, an instant predicate-prefilter rejection,
-  // or a first-time decision; repeats never re-decide, so misses are
-  // bounded by the number of distinct candidates (<= 600 rounds).
-  EXPECT_EQ(hits + misses + metrics.Count(obs::Counter::kOraclePrefiltered),
-            1200u);
-  EXPECT_LE(misses, 600u);
+  // Both paths ran: A-free candidates are rejected by the prefilter, the
+  // rest are chased.
+  const uint64_t prefiltered = metrics.Count(obs::Counter::kOraclePrefiltered);
+  EXPECT_GT(prefiltered, 0u);
+  EXPECT_LT(prefiltered, static_cast<uint64_t>(kRounds));
 }
 
 TEST(ContainmentOracleTest, ChaseFreeAgreesWithChasedOnConstantsAndHeads) {
