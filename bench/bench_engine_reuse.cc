@@ -197,7 +197,7 @@ void EngineShowdown(bench::JsonReport* report) {
 /// Bounded caches vs unbounded on the same prepared-engine call sequence:
 /// the eviction overhead and the hit-rate cliff. A budget comfortably
 /// above the working set (16 MiB) should match unbounded; a budget below
-/// it (8 KiB total across the four caches) thrashes — every repeat
+/// it (8 KiB total across the three caches) thrashes — every repeat
 /// recomputes — and the evictions column shows why.
 void BoundedCacheShowdown(bench::JsonReport* report) {
   bench::Banner(
@@ -245,10 +245,10 @@ void BoundedCacheShowdown(bench::JsonReport* report) {
       }
       rows[b].ms = MillisSince(start);
       EngineCacheStats stats = engine.Stats();
-      rows[b].hits = stats.chase.hits + stats.rewrite.hits +
-                     stats.oracles.hits + stats.decisions.hits;
-      rows[b].evictions = stats.chase.evictions + stats.rewrite.evictions +
-                          stats.oracles.evictions + stats.decisions.evictions;
+      rows[b].hits =
+          stats.chase.hits + stats.oracles.hits + stats.decisions.hits;
+      rows[b].evictions = stats.chase.evictions + stats.oracles.evictions +
+                          stats.decisions.evictions;
       if (b == 2) {
         reference = rows[b].answers;
         unbounded_ms = rows[b].ms;

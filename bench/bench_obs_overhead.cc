@@ -131,8 +131,7 @@ class BareRunner {
       : w_(w),
         chase_(ChaseQuery(w.q, w.sigma, chase_options_)),
         oracle_(w.q, w.sigma, chase_options_, rewrite_options_,
-                SchemaFacts::Compute(w.sigma), /*rewrite_cache=*/nullptr,
-                &metrics_) {}
+                SchemaFacts::Compute(w.sigma), &metrics_) {}
 
   void Once(Run* run) {
     auto start = Clock::now();

@@ -18,9 +18,9 @@
 //                 bytes, hits/misses/inserts/evictions) plus the aggregate
 //                 counters as one JSON object line on stdout.
 //   --cache-mb N  bound the engine's cache memory: N MiB total, split
-//                 across the four caches (chase half, oracles a quarter,
-//                 rewritings and decisions an eighth each) with LRU
-//                 eviction. Default: unbounded.
+//                 across the three caches (chase half, oracles three
+//                 eighths, decisions an eighth) with LRU eviction.
+//                 Default: unbounded.
 //   --trace[=F]   emit one {"trace": ...} JSON line per decision (nested
 //                 phase spans + counters, core/obs.h) to stdout, or to
 //                 file F; each trace line precedes its decision line.
@@ -286,9 +286,8 @@ void PrintUsage(FILE* out, const char* prog) {
                "  --stats:      print Engine::Stats() as one JSON line "
                "after the batch\n"
                "  --cache-mb:   total cache budget in MiB, LRU-split "
-               "across the four caches\n"
-               "                (chase 1/2, oracles 1/4, rewrite & "
-               "decisions 1/8 each);\n"
+               "across the three caches\n"
+               "                (chase 1/2, oracles 3/8, decisions 1/8);\n"
                "                default: unbounded\n"
                "  --trace:      one {\"trace\": ...} JSON line per "
                "decision (phase spans\n"

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Docs guardrails: link check, README quickstart, counter glossary.
+"""Docs guardrails: link check, README quickstart, counter glossary,
+failpoint catalogue.
 
-Three modes, all wired into CI (the `docs` job) so the documentation
+Four modes, all wired into CI (the `docs` job) so the documentation
 cannot rot silently:
 
   check_docs.py --link-check FILE.md [FILE.md ...]
@@ -22,6 +23,14 @@ cannot rot silently:
       returns in OBS.cc (src/core/obs.cc) and verifies that each appears,
       in backticks, in the "Counter glossary" section of GLOSSARY.md
       (docs/OBSERVABILITY.md). Exits 1 listing every missing name.
+
+  check_docs.py --failpoint-catalogue SRC_DIR ROBUSTNESS.md
+      Collects every failpoint name the sources under SRC_DIR hit —
+      `SEMACYC_FAILPOINT("...")` and the search workers' `Visit("...")` —
+      and compares it with the first column of the `| failpoint | site |`
+      table in ROBUSTNESS.md (docs/ROBUSTNESS.md), both ways. Exits 1
+      listing every name missing from the table and every table row no
+      source hits.
 """
 
 import argparse
@@ -103,6 +112,48 @@ def check_counter_glossary(source, glossary):
     return 0
 
 
+FAILPOINT_RE = re.compile(r'(?:SEMACYC_FAILPOINT|\bVisit)\(\s*"([^"]+)"')
+
+
+def source_failpoints(src_dir):
+    names = set()
+    for path in sorted(pathlib.Path(src_dir).rglob("*")):
+        if path.suffix in (".cc", ".h"):
+            names.update(FAILPOINT_RE.findall(
+                path.read_text(encoding="utf-8")))
+    return names
+
+
+def catalogue_failpoints(doc):
+    text = pathlib.Path(doc).read_text(encoding="utf-8")
+    table = re.search(r"^\| failpoint \| site \|\n\|[-| ]+\|\n((?:\|.*\n)*)",
+                      text, flags=re.MULTILINE)
+    if table is None:
+        return None
+    return set(re.findall(r"^\| `([^`]+)` \|", table.group(1),
+                          flags=re.MULTILINE))
+
+
+def check_failpoint_catalogue(src_dir, doc):
+    in_source = source_failpoints(src_dir)
+    if not in_source:
+        print(f"no failpoint names found under {src_dir}", file=sys.stderr)
+        return 1
+    in_doc = catalogue_failpoints(doc)
+    if in_doc is None:
+        print(f"no '| failpoint | site |' table in {doc}", file=sys.stderr)
+        return 1
+    for name in sorted(in_source - in_doc):
+        print(f"FAILPOINT MISSING from {doc}: {name}", file=sys.stderr)
+    for name in sorted(in_doc - in_source):
+        print(f"FAILPOINT IN {doc} BUT NOT IN {src_dir}: {name}",
+              file=sys.stderr)
+    if in_source != in_doc:
+        return 1
+    print(f"failpoint catalogue OK: {len(in_source)} failpoints documented")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -112,6 +163,8 @@ def main():
                       help="print the first ```cpp block to stdout")
     mode.add_argument("--counter-glossary", action="store_true",
                       help="check obs counter names against the glossary")
+    mode.add_argument("--failpoint-catalogue", action="store_true",
+                      help="check source failpoints against ROBUSTNESS.md")
     parser.add_argument("files", nargs="+", help="markdown files")
     args = parser.parse_args()
     if args.link_check:
@@ -122,6 +175,12 @@ def main():
                   file=sys.stderr)
             return 2
         return check_counter_glossary(args.files[0], args.files[1])
+    if args.failpoint_catalogue:
+        if len(args.files) != 2:
+            print("--failpoint-catalogue takes SRC_DIR and ROBUSTNESS.md",
+                  file=sys.stderr)
+            return 2
+        return check_failpoint_catalogue(args.files[0], args.files[1])
     if len(args.files) != 1:
         print("--extract-quickstart takes exactly one file", file=sys.stderr)
         return 2

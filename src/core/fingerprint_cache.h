@@ -19,8 +19,7 @@ namespace semacyc {
 /// (unbounded, everything cached); budgets turn on LRU eviction.
 struct CacheConfig {
   /// Default true. Disabled caches compute on every call and store
-  /// nothing — the bypass the Engine's legacy cache_* / reuse_* toggles
-  /// map onto. Disable per cache only to measure the layer beneath it.
+  /// nothing. Disable per cache only to measure the layer beneath it.
   bool enabled = true;
   /// Byte budget across the whole cache (bytes of ApproxBytes accounting;
   /// 0 = unbounded, the default). Enforced per shard at
@@ -30,9 +29,8 @@ struct CacheConfig {
   size_t max_bytes = 0;
   /// Entry budget across the whole cache (entry count; 0 = unbounded,
   /// the default), enforced per shard at max(1, max_entries / shards).
-  /// Prefer it over max_bytes for caches whose entries grow after
-  /// insertion (the oracle map). For an exact small-entry cap (e.g. the
-  /// 1-entry caches of the eviction tests), set shards = 1.
+  /// For an exact small-entry cap (e.g. the 1-entry caches of the
+  /// eviction tests), set shards = 1.
   size_t max_entries = 0;
   /// Number of mutex-guarded shards (count; rounded up to a power of
   /// two, minimum 1). Default 8 — fine up to a few dozen threads. More
@@ -72,8 +70,8 @@ struct ExactMatch {
 };
 
 /// Matcher for values that are valid verbatim for every query isomorphic
-/// to their key (UCQ rewritings, containment oracles, decisions): the
-/// cached value is served unchanged.
+/// to their key (containment oracles, decisions): the cached value is
+/// served unchanged.
 template <typename Value>
 struct IsoMatch {
   static std::shared_ptr<const Value> Resolve(
@@ -84,10 +82,9 @@ struct IsoMatch {
 };
 
 /// One policy-bearing cache for every fingerprint-keyed memo in the
-/// system: chase(q, Σ) results, UCQ rewritings, per-query containment
-/// oracles and decision results are all instances of this template (the
-/// four previously hand-rolled their bucket/double-checked-insert logic
-/// independently, and none of them could evict).
+/// system: chase(q, Σ) results, per-query containment oracles (each with
+/// its UCQ rewriting) and decision results are all instances of this
+/// template.
 ///
 /// Keys are ConjunctiveQuerys bucketed by canonical fingerprint
 /// (isomorphism-invariant, so every variant of a query lands in one

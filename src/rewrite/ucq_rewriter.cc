@@ -307,19 +307,4 @@ size_t PaperRewriteHeightBound(const ConjunctiveQuery& q,
   return static_cast<size_t>(bound);
 }
 
-std::shared_ptr<const RewriteResult> RewriteCache::GetOrCompute(
-    const ConjunctiveQuery& q, const std::vector<Tgd>& tgds,
-    const RewriteOptions& options) {
-  return cache_.GetOrCompute(q, [&]() -> std::shared_ptr<const RewriteResult> {
-    auto computed =
-        std::make_shared<const RewriteResult>(RewriteToUcq(q, tgds, options));
-    // A rewriting truncated by cancellation must not be memoized: it would
-    // permanently downgrade later oracle builds to the inexact path.
-    if (options.cancel != nullptr && options.cancel->triggered()) {
-      return nullptr;
-    }
-    return computed;
-  });
-}
-
 }  // namespace semacyc

@@ -3,12 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "chase/dependency.h"
-#include "core/fingerprint_cache.h"
 #include "core/interrupt.h"
 #include "core/query.h"
 
@@ -65,43 +62,6 @@ RewriteResult RewriteToUcq(const ConjunctiveQuery& q,
 /// a = max arity.
 size_t PaperRewriteHeightBound(const ConjunctiveQuery& q,
                                const std::vector<Tgd>& tgds);
-
-/// Thread-safe cache of UCQ rewritings for a *fixed* Σ — a
-/// FingerprintCache keyed by the canonical fingerprint of q with
-/// isomorphism resolution (IsoMatch: a rewriting of q answers
-/// containment-in-q' verbatim for every q' isomorphic to q: bound
-/// disjunct variables are renamed away by the containment check, and
-/// isomorphism preserves the head position-wise). One lives inside each
-/// semacyc::Engine so repeated ContainmentOracle constructions for the
-/// same query reuse the (possibly exponential) rewriting instead of
-/// re-deriving it. The caller must use it with one Σ and one RewriteOptions
-/// only — neither participates in the key.
-class RewriteCache {
- public:
-  RewriteCache() = default;
-  explicit RewriteCache(const CacheConfig& config) : cache_(config) {}
-
-  /// Returns the cached rewriting of a query isomorphic to q, or computes
-  /// and inserts it. Computation runs outside the lock; a racing insert of
-  /// the same query keeps the first entry, so every caller sees one result.
-  std::shared_ptr<const RewriteResult> GetOrCompute(
-      const ConjunctiveQuery& q, const std::vector<Tgd>& tgds,
-      const RewriteOptions& options);
-
-  /// Drops the rewriting stored under exactly q, if resident (abort
-  /// rollback; see FingerprintCache::Erase).
-  bool Erase(const ConjunctiveQuery& q) {
-    return cache_.Erase(CanonicalFingerprint(q), q);
-  }
-
-  size_t hits() const { return cache_.hits(); }
-  size_t misses() const { return cache_.misses(); }
-  CacheStats Stats() const { return cache_.Stats(); }
-  void Trim(size_t target_bytes) { cache_.Trim(target_bytes); }
-
- private:
-  FingerprintCache<RewriteResult, IsoMatch<RewriteResult>> cache_;
-};
 
 }  // namespace semacyc
 

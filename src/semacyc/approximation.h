@@ -2,26 +2,19 @@
 #define SEMACYC_SEMACYC_APPROXIMATION_H_
 
 #include <optional>
-#include <vector>
 
 #include "semacyc/decider.h"
 
 namespace semacyc {
 
 /// An acyclic approximation of q under Σ (§8.2): an acyclic CQ q' with
-/// q' ⊆Σ q such that no collected acyclic q'' satisfies
-/// q' ⊊Σ q'' ⊆Σ q.
+/// q' ⊆Σ q — the decision's witness when q is semantically acyclic,
+/// otherwise the §8.2 fallback (TrivialAcyclicUnderApproximation).
 struct ApproximationResult {
   ConjunctiveQuery approximation;
   /// True when the approximation is in fact equivalent to q under Σ
   /// (i.e., q was semantically acyclic and this is an exact reformulation).
   bool is_exact = false;
-  /// All verified candidates the search collected (the set A(q) of §8.2,
-  /// up to the explored budget).
-  std::vector<ConjunctiveQuery> candidates;
-  /// Maximality is relative to the explored candidate set; true when the
-  /// candidate enumeration was exhaustive within the theoretical bound.
-  bool maximality_exact = false;
 };
 
 /// Computes an acyclic approximation of q under Σ. Always succeeds for

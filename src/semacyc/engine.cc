@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 
 #include "core/canonical.h"
 #include "core/core_min.h"
@@ -32,17 +30,16 @@ RewriteOptions WithCancel(RewriteOptions options, CancelToken* cancel) {
 Engine::OracleEntry::OracleEntry(ConjunctiveQuery q,
                                  const PreparedSchema& schema,
                                  const SemAcOptions& options,
-                                 RewriteCache* rewrite_cache,
                                  obs::MetricsRegistry* metrics,
                                  CancelToken* cancel)
     : query(std::move(q)),
       oracle(query, schema.sigma, options.chase,
-             WithCancel(options.rewrite, cancel), schema.facts, rewrite_cache,
-             metrics) {}
+             WithCancel(options.rewrite, cancel), schema.facts, metrics) {}
 
 size_t Engine::OracleEntry::ApproxBytes() const {
-  // The rewriting (when built) is shared with the RewriteCache.
-  return sizeof(OracleEntry) + query.ApproxBytes();
+  const RewriteResult* rewriting = oracle.rewriting();
+  return sizeof(OracleEntry) + query.ApproxBytes() +
+         (rewriting != nullptr ? rewriting->ApproxBytes() : 0);
 }
 
 namespace {
@@ -82,7 +79,6 @@ Engine::Engine(DependencySet sigma, SemAcOptions options)
 Engine::Engine(DependencySet sigma, EngineOptions options)
     : options_(options.semac),
       chase_cache_(options.chase),
-      rewrite_cache_(options.rewrite),
       oracles_(options.oracles),
       decisions_(options.decisions),
       metrics_(StrategyNames(), AnswerNames()) {
@@ -125,14 +121,14 @@ std::shared_ptr<const Engine::OracleEntry> Engine::OracleFor(
   return oracles_.GetOrCompute(
       q.fingerprint(), q.query(),
       [&]() -> std::shared_ptr<const OracleEntry> {
-        if (built != nullptr) *built = true;
+        *built = true;
         auto entry = std::make_shared<const OracleEntry>(
-            q.query(), schema_, options_, &rewrite_cache_, &metrics_, cancel);
+            q.query(), schema_, options_, &metrics_, cancel);
         // An oracle built under a fired token may have had its rewriting
         // cut short (permanently inexact): never cache it — the aborting
         // caller discards it, and a later call rebuilds it whole.
         if (cancel != nullptr && cancel->triggered()) return nullptr;
-        if (inserted != nullptr) *inserted = true;
+        *inserted = true;
         return entry;
       });
 }
@@ -169,14 +165,12 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
   // tracing. Exact for serial callers; under concurrent decisions the
   // deltas include the other threads' traffic (documented in
   // docs/OBSERVABILITY.md).
-  size_t chase_h0 = 0, chase_m0 = 0, rewrite_h0 = 0, rewrite_m0 = 0,
-         oracle_r0 = 0, dec_h0 = 0, prefiltered0 = 0;
+  size_t chase_h0 = 0, chase_m0 = 0, oracle_r0 = 0, dec_h0 = 0,
+         prefiltered0 = 0;
   if (sink != nullptr) {
     tracer.emplace();
     chase_h0 = chase_cache_.hits();
     chase_m0 = chase_cache_.misses();
-    rewrite_h0 = rewrite_cache_.hits();
-    rewrite_m0 = rewrite_cache_.misses();
     oracle_r0 = oracles_.hits();
     dec_h0 = decisions_.hits();
     prefiltered0 = metrics_.Count(obs::Counter::kOraclePrefiltered);
@@ -185,7 +179,6 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
   bool computed = false;
   bool chase_inserted = false;
   bool oracle_inserted = false;
-  size_t rewrite_misses0 = rewrite_cache_.misses();
   std::shared_ptr<const SemAcResult> aborted;
   std::shared_ptr<const SemAcResult> result = decisions_.GetOrCompute(
       q.fingerprint(), q.query(),
@@ -216,13 +209,7 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
     // Aborted: erase the shared-cache entries this decision inserted, so
     // a later re-decide replays the same misses/inserts as an engine that
     // never started (the drops count as evictions, like any other drop).
-    // The rewriting check is a misses delta — only this query's oracle
-    // build can have missed here on a serial engine; under concurrency a
-    // false positive merely drops a valid (recomputable) entry.
     if (oracle_inserted) oracles_.Erase(q.fingerprint(), q.query());
-    if (rewrite_cache_.misses() != rewrite_misses0) {
-      rewrite_cache_.Erase(q.query());
-    }
     if (chase_inserted) chase_cache_.Erase(q.query());
     result = aborted;
   }
@@ -240,10 +227,6 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
                        delta(chase_cache_.hits(), chase_h0));
     tracer->AddCounter(0, "chase_cache_misses",
                        delta(chase_cache_.misses(), chase_m0));
-    tracer->AddCounter(0, "rewrite_cache_hits",
-                       delta(rewrite_cache_.hits(), rewrite_h0));
-    tracer->AddCounter(0, "rewrite_cache_misses",
-                       delta(rewrite_cache_.misses(), rewrite_m0));
     tracer->AddCounter(0, "oracle_reuses", delta(oracles_.hits(), oracle_r0));
     tracer->AddCounter(
         0, "oracle_prefiltered",
@@ -369,8 +352,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
     bool built = false;
     lease = OracleFor(pq, &built, cancel, oracle_inserted);
     if (lease != nullptr) {
-      const std::shared_ptr<const RewriteResult>& rw =
-          lease->oracle.rewriting();
+      const RewriteResult* rw = lease->oracle.rewriting();
       if (rw != nullptr) {
         // Rewriting cost attributed only when this call built the oracle —
         // a reused oracle's rewriting was paid for (and recorded) earlier.
@@ -661,59 +643,6 @@ UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
   return result;
 }
 
-namespace {
-
-/// Collects acyclic candidates q' with q' ⊆Σ q: acyclic chase subsets
-/// verified through the oracle, like the decider's YES-strategies, but
-/// keeping every verified candidate instead of stopping at the first
-/// equivalent (§8.2's A(q), up to the explored budget).
-std::vector<ConjunctiveQuery> CollectApproximationCandidates(
-    const QueryChaseResult& chase, const ContainmentOracle& oracle,
-    size_t bound, size_t budget, CancelToken* cancel) {
-  std::vector<ConjunctiveQuery> out;
-  std::unordered_set<uint64_t> seen;
-  auto consider = [&](const ConjunctiveQuery& candidate) {
-    if (!seen.insert(CanonicalFingerprint(candidate)).second) return;
-    if (oracle.ContainedInQ(candidate, cancel) == Tri::kYes) {
-      out.push_back(candidate);
-    }
-  };
-
-  const auto& atoms = chase.instance.atoms();
-  const size_t m = atoms.size();
-  size_t visits = 0;
-  std::vector<uint32_t> subset;
-  std::function<void(size_t)> dfs = [&](size_t next) {
-    if (++visits > budget) return;
-    SEMACYC_FAILPOINT("approximate.visit", cancel);
-    if (cancel != nullptr && cancel->Poll()) return;
-    if (!subset.empty() && subset.size() <= bound) {
-      Instance sub = chase.instance.Restrict(subset);
-      bool covers = true;
-      for (Term t : chase.frozen_head) {
-        if (t.IsConstant() && !t.IsFrozenNull()) continue;
-        if (sub.AtomsMentioning(t).empty()) {
-          covers = false;
-          break;
-        }
-      }
-      if (covers && IsAcyclic(sub.atoms(), ConnectingTerms::kAllTerms)) {
-        consider(QueryFromInstance(sub, chase.frozen_head));
-      }
-    }
-    if (subset.size() >= bound) return;
-    for (size_t i = next; i < m; ++i) {
-      subset.push_back(static_cast<uint32_t>(i));
-      dfs(i + 1);
-      subset.pop_back();
-    }
-  };
-  dfs(0);
-  return out;
-}
-
-}  // namespace
-
 ApproximateOutcome Engine::Approximate(const PreparedQuery& pq) const {
   ApproximateOutcome out;
   // Constants in q block the generic fallback witness (footnote in §8.2).
@@ -725,91 +654,23 @@ ApproximateOutcome Engine::Approximate(const PreparedQuery& pq) const {
     }
   }
 
-  // One deadline spans the whole call — the decision, the candidate
-  // sweep, and the maximality pass all share the token, so Approximate as
-  // a whole returns within deadline_ms (plus one poll stride of slack).
-  CancelToken token;
-  CancelToken* cancel = nullptr;
-  if (options_.deadline_ms > 0) {
-    token.SetDeadlineInMs(options_.deadline_ms);
-    cancel = &token;
-  }
-
-  // If q is semantically acyclic, its witness is the (exact) approximation.
-  SemAcResult decision =
-      cancel != nullptr ? Decide(pq, cancel) : Decide(pq);
+  SemAcResult decision = Decide(pq);
   if (decision.strategy == Strategy::kDeadlineExceeded) {
     out.status = Status::DeadlineExceeded(
         "decision aborted by deadline before an approximation was built");
     return out;
   }
+  // If q is semantically acyclic, its witness is the (exact)
+  // approximation. Otherwise no acyclic chase sub-instance q' is worth
+  // collecting: q ⊆Σ q' holds for each (Lemma 1), so one with q' ⊆Σ q
+  // would be a witness, and `subsets` searched for exactly those under the
+  // same bound and budget. What is left is the §8.2 fallback.
   if (decision.answer == SemAcAnswer::kYes && decision.witness.has_value()) {
     out.result.approximation = *decision.witness;
     out.result.is_exact = true;
-    out.result.maximality_exact = true;
-    out.result.candidates = {*decision.witness};
     return out;
   }
-
-  std::shared_ptr<const QueryChaseResult> chase = ChaseOf(pq.query(), cancel);
-  std::shared_ptr<const OracleEntry> lease =
-      chase != nullptr ? OracleFor(pq, nullptr, cancel) : nullptr;
-  if (chase == nullptr || lease == nullptr) {
-    // Only a fired token yields null artifacts (they are never cached in
-    // that state), so this is the deadline elapsing mid-build.
-    out.status = Status::DeadlineExceeded(
-        "deadline elapsed while building the chase/oracle artifacts");
-    return out;
-  }
-  const ContainmentOracle* oracle = &lease->oracle;
-  size_t bound =
-      std::min<size_t>(pq.small_query_bound(), options_.witness_atoms_cap);
-  out.result.candidates = CollectApproximationCandidates(
-      *chase, *oracle, bound, options_.subset_budget, cancel);
-  if (cancel != nullptr && cancel->triggered()) {
-    out.status = Status::DeadlineExceeded(
-        "deadline elapsed during the candidate sweep; partial candidate "
-        "set discarded");
-    return out;
-  }
-  out.result.candidates.push_back(
-      TrivialAcyclicUnderApproximation(pq.query()));
-
-  // Pick a maximal element under ⊆Σ among the collected candidates. The
-  // chase memo for this is call-local: candidates are transient synthetic
-  // queries, and pinning their chases in the engine-lifetime cache would
-  // grow it by up to subset_budget entries per Approximate call.
-  QueryChaseCache local_chases;
-  ChaseOptions maximality_chase = options_.chase;
-  maximality_chase.cancel = cancel;
-  auto contained = [&](const ConjunctiveQuery& a,
-                       const ConjunctiveQuery& b) -> Tri {
-    std::shared_ptr<const QueryChaseResult> chased =
-        local_chases.GetOrCompute(a, schema_.sigma, maximality_chase);
-    if (chased == nullptr) return Tri::kUnknown;  // cancelled mid-chase
-    return Lemma1Verdict(*chased, &b, 1, cancel);
-  };
-  auto& candidates = out.result.candidates;
-  size_t best = 0;
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    if (cancel != nullptr && cancel->PollNow()) {
-      out.status = Status::DeadlineExceeded(
-          "deadline elapsed during the maximality pass");
-      return out;
-    }
-    // candidates[i] strictly above current best?
-    Tri up = contained(candidates[best], candidates[i]);
-    Tri down = contained(candidates[i], candidates[best]);
-    if (up == Tri::kYes && down != Tri::kYes) best = i;
-  }
-  if (cancel != nullptr && cancel->triggered()) {
-    out.status = Status::DeadlineExceeded(
-        "deadline elapsed during the maximality pass");
-    return out;
-  }
-  out.result.approximation = candidates[best];
-  out.result.is_exact = false;
-  out.result.maximality_exact = decision.exact;
+  out.result.approximation = TrivialAcyclicUnderApproximation(pq.query());
   return out;
 }
 
@@ -911,7 +772,6 @@ EvalOutcome Engine::Eval(const PreparedQuery& q,
 EngineCacheStats Engine::Stats() const {
   EngineCacheStats s;
   s.chase = chase_cache_.Stats();
-  s.rewrite = rewrite_cache_.Stats();
   s.oracles = oracles_.Stats();
   s.decisions = decisions_.Stats();
   return s;
@@ -919,7 +779,6 @@ EngineCacheStats Engine::Stats() const {
 
 void Engine::TrimCaches() const {
   chase_cache_.Trim(0);
-  rewrite_cache_.Trim(0);
   oracles_.Trim(0);
   decisions_.Trim(0);
 }

@@ -101,7 +101,7 @@ class PreparedQuery {
 
 /// Full construction surface of an Engine: the decision-pipeline options
 /// plus one CacheConfig per cache. The defaults are the production
-/// configuration — all four caches enabled and unbounded; set
+/// configuration — all three caches enabled and unbounded; set
 /// max_bytes/max_entries to turn on LRU eviction per cache (multi-tenant /
 /// long-running services), or `enabled = false` to expose the layer below
 /// (e.g. decisions.enabled = false measures oracle reuse in isolation).
@@ -114,45 +114,40 @@ struct EngineOptions {
   /// largest cache — entries hold whole chase instances — so bound this
   /// one first when memory matters.
   CacheConfig chase;
-  /// UCQ rewritings feeding the containment oracles (iso-resolved).
-  /// Default: enabled, unbounded. Only populated on rewritable schemas;
-  /// rarely needs a budget of its own.
-  CacheConfig rewrite;
   /// Persistent per-query containment oracles (iso-resolved). Default:
-  /// enabled, unbounded. An entry's size is fixed at insertion (the
-  /// compiled oracle; its rewriting is charged to the rewrite cache).
+  /// enabled, unbounded. An entry's size is fixed at insertion: the
+  /// compiled oracle plus the UCQ rewriting it owns (built only on
+  /// rewritable schemas whose chase may not terminate).
   CacheConfig oracles;
   /// Decision results for repeat (or isomorphic) queries. Default:
   /// enabled, unbounded. Entries are small; disable only to measure the
   /// layers beneath (every repeat then re-runs the pipeline).
   CacheConfig decisions;
 
-  /// Splits one byte budget across the four caches — the shape of the
+  /// Splits one byte budget across the three caches — the shape of the
   /// CLI's --cache-mb: the chase memo gets half (its entries are whole
-  /// instances), the oracle map a quarter, rewritings and decisions an
-  /// eighth each. Zero restores unbounded.
+  /// instances), the oracle map three eighths (its entries carry their
+  /// rewritings), decisions an eighth. Zero restores unbounded.
   void SetTotalCacheBudget(size_t total_bytes) {
     chase.max_bytes = total_bytes / 2;
-    oracles.max_bytes = total_bytes / 4;
-    rewrite.max_bytes = total_bytes / 8;
+    oracles.max_bytes = total_bytes / 8 * 3;
     decisions.max_bytes = total_bytes / 8;
   }
 };
 
 /// Per-cache introspection snapshot (see Engine::Stats): one CacheStats —
 /// entries, bytes, hits/misses/inserts/evictions, configured budgets —
-/// for each of the four FingerprintCaches.
+/// for each of the three FingerprintCaches.
 struct EngineCacheStats {
   CacheStats chase;
-  CacheStats rewrite;
   CacheStats oracles;
   CacheStats decisions;
 
-  /// Resident bytes summed across the four caches — the per-tenant
+  /// Resident bytes summed across the three caches — the per-tenant
   /// accounting unit behind semacycd's split cache budgets (the server
   /// reports one figure per tenant engine; see docs/SERVING.md).
   size_t TotalBytes() const {
-    return chase.bytes + rewrite.bytes + oracles.bytes + decisions.bytes;
+    return chase.bytes + oracles.bytes + decisions.bytes;
   }
 };
 
@@ -200,12 +195,12 @@ struct EvalOutcome {
 ///     boundedness facts, the predicate-reachability graph);
 ///   * a chase memo (chase(q, Σ) computed once per distinct query, with
 ///     an iso-resolution rename layer for α-renamed variants);
-///   * a UCQ-rewriting cache feeding the containment oracles;
-///   * one compiled ContainmentOracle per distinct query, persistent
-///     across calls and strategies;
+///   * one compiled ContainmentOracle per distinct query (with its UCQ
+///     rewriting, when one is built), persistent across calls and
+///     strategies;
 ///   * a decision cache serving repeat (or isomorphic) queries instantly.
 ///
-/// All four are FingerprintCache instances governed by the CacheConfigs
+/// All three are FingerprintCache instances governed by the CacheConfigs
 /// of EngineOptions: unbounded by default, LRU-evicting under a byte or
 /// entry budget, introspectable through Stats() and droppable through
 /// TrimCaches(). Eviction never changes answers — an evicted artifact is
@@ -248,7 +243,7 @@ class Engine {
   /// aborts cooperatively when the deadline elapses: the result reports
   /// Strategy::kDeadlineExceeded / answer kUnknown with the evidence
   /// gathered so far, is never cached, and the engine (sessions unwound,
-  /// all four caches coherent) is immediately reusable.
+  /// all three caches coherent) is immediately reusable.
   SemAcResult Decide(const PreparedQuery& q) const;
   /// Convenience: Prepare + Decide.
   SemAcResult Decide(const ConjunctiveQuery& q) const;
@@ -286,7 +281,9 @@ class Engine {
                                        size_t threads,
                                        const BatchDeadlines& deadlines) const;
 
-  /// §8.2 acyclic approximation off prepared state.
+  /// §8.2 acyclic approximation off prepared state: the decision's
+  /// witness when q is semantically acyclic, otherwise the trivial
+  /// fallback. Runs Decide, so deadline_ms applies.
   ApproximateOutcome Approximate(const PreparedQuery& q) const;
 
   /// §8.1 UCQ semantic acyclicity; every disjunct runs off the shared
@@ -309,7 +306,7 @@ class Engine {
                    const EvalOptions& opts = {}) const;
 
   /// Per-cache introspection: entries, bytes, hit/miss/insert/eviction
-  /// counters and configured budgets of all four FingerprintCaches. Safe
+  /// counters and configured budgets of all three FingerprintCaches. Safe
   /// concurrently with decisions.
   EngineCacheStats Stats() const;
 
@@ -322,7 +319,7 @@ class Engine {
   obs::MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
 
   /// Explicit pressure relief: drops every resident cache entry (chase
-  /// memo, rewritings, oracles, decisions). Counters survive; the drops
+  /// memo, oracles, decisions). Counters survive; the drops
   /// count as evictions. In-flight decisions keep the shared_ptrs they
   /// already hold, so trimming is safe concurrently with Decide.
   void TrimCaches() const;
@@ -338,8 +335,8 @@ class Engine {
     /// build; the oracle never stores it (per-check tokens are passed to
     /// ContainedInQ).
     OracleEntry(ConjunctiveQuery q, const PreparedSchema& schema,
-                const SemAcOptions& options, RewriteCache* rewrite_cache,
-                obs::MetricsRegistry* metrics, CancelToken* cancel);
+                const SemAcOptions& options, obs::MetricsRegistry* metrics,
+                CancelToken* cancel);
     size_t ApproxBytes() const;
   };
 
@@ -365,16 +362,15 @@ class Engine {
   /// The persistent oracle for q, created on first use. The shared_ptr
   /// keeps the entry alive across a concurrent eviction; with the oracle
   /// cache disabled the entry is transient (computed, served, not stored),
-  /// mirroring the free-function path. `built` (optional) reports whether
-  /// this call constructed the oracle (observability: attributes the
+  /// mirroring the free-function path. `built` reports whether this call
+  /// constructed the oracle (observability: attributes the
   /// rewriting's build cost to the decision that paid it). `cancel` (may
   /// be null) bounds the construction; an oracle built under a fired
   /// token is never cached and nullptr is returned. `inserted` reports
   /// whether this call stored a fresh entry (abort rollback).
   std::shared_ptr<const OracleEntry> OracleFor(const PreparedQuery& q,
-                                               bool* built = nullptr,
-                                               CancelToken* cancel = nullptr,
-                                               bool* inserted = nullptr) const;
+                                               bool* built, CancelToken* cancel,
+                                               bool* inserted) const;
   /// q1 ⊆Σ q2 through the chase cache (Lemma 1).
   Tri ContainedUnderCached(const ConjunctiveQuery& q1,
                            const ConjunctiveQuery& q2) const;
@@ -393,7 +389,6 @@ class Engine {
   SemAcOptions options_;
 
   mutable QueryChaseCache chase_cache_;
-  mutable RewriteCache rewrite_cache_;
   mutable FingerprintCache<OracleEntry, IsoMatch<OracleEntry>> oracles_;
   mutable FingerprintCache<SemAcResult, IsoMatch<SemAcResult>> decisions_;
 

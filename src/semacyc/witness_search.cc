@@ -59,20 +59,16 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
                                      const ChaseOptions& chase_options,
                                      const RewriteOptions& rewrite_options,
                                      const SchemaFacts& facts,
-                                     RewriteCache* rewrite_cache,
                                      obs::MetricsRegistry* metrics)
     : q_(q), sigma_(sigma), chase_options_(chase_options), metrics_(metrics) {
   exact_ = facts.chase_exact;
   // Rewriting is only worth its (possibly exponential) construction cost
   // when the chase may diverge — i.e. outside the weakly acyclic classes.
   if (!exact_ && !sigma.HasEgds() && facts.rewritable) {
-    std::shared_ptr<const RewriteResult> rewriting =
-        rewrite_cache != nullptr
-            ? rewrite_cache->GetOrCompute(q, sigma.tgds, rewrite_options)
-            : std::make_shared<const RewriteResult>(
-                  RewriteToUcq(q, sigma.tgds, rewrite_options));
-    if (rewriting->complete) {
-      rewriting_ = std::move(rewriting);
+    RewriteResult rewriting = RewriteToUcq(q, sigma.tgds, rewrite_options);
+    if (rewriting.complete) {
+      rewriting_ =
+          std::make_unique<const RewriteResult>(std::move(rewriting));
       exact_ = true;
     }
   }

@@ -52,8 +52,9 @@ struct SchemaFacts {
 
 /// Oracle answering "candidate ⊆Σ q" for a fixed (q, Σ). When Σ is
 /// tgd-only and the UCQ rewriting of q is complete, candidates are checked
-/// against the cached rewriting (exact, no chase of the candidate needed);
-/// otherwise the candidate is chased (exact when that chase saturates).
+/// against that rewriting, built once at construction and owned by the
+/// oracle (exact, no chase of the candidate needed); otherwise the
+/// candidate is chased (exact when that chase saturates).
 ///
 /// The per-candidate work is cut two ways:
 ///  * for egd-free Σ, a predicate-reachability prefilter answers kNo
@@ -76,15 +77,13 @@ struct SchemaFacts {
 class ContainmentOracle {
  public:
   /// `facts` carries the Σ-only analysis (consumed during construction,
-  /// not stored); `rewrite_cache` (may be null) shares UCQ rewritings
-  /// across oracles for the same q; `metrics` (not owned, must outlive
-  /// the oracle) receives the prefilter count — the owning Engine's
-  /// registry, so its total is exact under concurrency.
+  /// not stored); `metrics` (not owned, must outlive the oracle) receives
+  /// the prefilter count — the owning Engine's registry, so its total is
+  /// exact under concurrency.
   ContainmentOracle(const ConjunctiveQuery& q, const DependencySet& sigma,
                     const ChaseOptions& chase_options,
                     const RewriteOptions& rewrite_options,
-                    const SchemaFacts& facts, RewriteCache* rewrite_cache,
-                    obs::MetricsRegistry* metrics);
+                    const SchemaFacts& facts, obs::MetricsRegistry* metrics);
 
   /// candidate ⊆Σ q. `cancel` (nullptr = not cancellable) is polled per
   /// check and threaded into the candidate's chase; once the token has
@@ -94,13 +93,10 @@ class ContainmentOracle {
                    CancelToken* cancel = nullptr) const;
   /// True when kNo answers are exact.
   bool exact() const { return exact_; }
-  /// Whether the cached-rewriting fast path is active.
-  bool uses_rewriting() const { return rewriting_ != nullptr; }
-  /// The cached rewriting itself (null when inactive) — observability:
-  /// its build_ns attributes REWRITE cost inside oracle construction.
-  const std::shared_ptr<const RewriteResult>& rewriting() const {
-    return rewriting_;
-  }
+  /// The oracle's own complete rewriting of q (null when the chase path
+  /// is used) — its build_ns attributes REWRITE cost inside oracle
+  /// construction, its ApproxBytes is charged to the oracle's cache entry.
+  const RewriteResult* rewriting() const { return rewriting_.get(); }
  private:
   Tri Decide(const ConjunctiveQuery& candidate, CancelToken* cancel) const;
   Tri DecideChaseFree(const ConjunctiveQuery& candidate) const;
@@ -109,7 +105,7 @@ class ContainmentOracle {
   const ConjunctiveQuery& q_;
   const DependencySet& sigma_;
   ChaseOptions chase_options_;
-  std::shared_ptr<const RewriteResult> rewriting_;
+  std::unique_ptr<const RewriteResult> rewriting_;
   bool exact_ = false;
   obs::MetricsRegistry* metrics_;
   /// Predicate-reachability prefilter state: for each distinct predicate

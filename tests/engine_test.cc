@@ -25,8 +25,7 @@ EngineOptions EnvCacheOptions(SemAcOptions semac) {
     size_t bytes = static_cast<size_t>(std::strtoull(env, nullptr, 10));
     if (bytes > 0) {
       for (CacheConfig* c :
-           {&options.chase, &options.rewrite, &options.oracles,
-            &options.decisions}) {
+           {&options.chase, &options.oracles, &options.decisions}) {
         c->max_bytes = bytes;
         c->shards = 1;
       }
@@ -442,7 +441,7 @@ TEST(EngineTest, EvictionParitySweepAcrossGeneratorFamilies) {
       tiny_bytes.semac = options;
       for (EngineOptions* o : {&one_entry, &tiny_bytes}) {
         for (CacheConfig* c :
-             {&o->chase, &o->rewrite, &o->oracles, &o->decisions}) {
+             {&o->chase, &o->oracles, &o->decisions}) {
           c->shards = 1;
           if (o == &one_entry) c->max_entries = 1;
           if (o == &tiny_bytes) c->max_bytes = 512;
@@ -491,7 +490,7 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   EXPECT_EQ(trimmed.chase.entries, 0u);
   EXPECT_EQ(trimmed.chase.bytes, 0u);
   EXPECT_GT(trimmed.chase.evictions + trimmed.decisions.evictions +
-                trimmed.oracles.evictions + trimmed.rewrite.evictions,
+                trimmed.oracles.evictions,
             0u);
   for (size_t i = 0; i < w.queries.size(); ++i) {
     engine.Decide(w.queries[i]);
@@ -501,8 +500,7 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   EngineOptions tiny;
   tiny.semac = options;
   tiny.SetTotalCacheBudget(2048);
-  for (CacheConfig* c :
-       {&tiny.chase, &tiny.rewrite, &tiny.oracles, &tiny.decisions}) {
+  for (CacheConfig* c : {&tiny.chase, &tiny.oracles, &tiny.decisions}) {
     c->shards = 1;
   }
   Engine bounded(w.sigma, tiny);
@@ -511,13 +509,40 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   }
   EngineCacheStats bounded_stats = bounded.Stats();
   size_t evictions = bounded_stats.chase.evictions +
-                     bounded_stats.rewrite.evictions +
                      bounded_stats.oracles.evictions +
                      bounded_stats.decisions.evictions;
   EXPECT_GT(evictions, 0u);
   size_t budget_bytes = bounded_stats.chase.max_bytes;
   EXPECT_EQ(budget_bytes, 1024u);  // half of the 2 KiB total
   EXPECT_LE(bounded_stats.chase.bytes, budget_bytes);
+  EXPECT_EQ(bounded_stats.oracles.max_bytes, 768u);  // three eighths
+  EXPECT_EQ(bounded_stats.decisions.max_bytes, 256u);  // one eighth
+}
+
+/// An oracle owns its UCQ rewriting, so the oracle cache charges it. The
+/// linear, not weakly acyclic E(x,y) -> E(y,z) makes the triangle's oracle
+/// keep a complete rewriting; under the weakly acyclic E(x,y) -> F(y,z)
+/// the chase is exact and no rewriting is built. Both engines hold one
+/// oracle for the same query, so the byte difference is the rewriting.
+TEST(EngineTest, OracleCacheChargesItsRewriting) {
+  ConjunctiveQuery triangle = MustParseQuery("E(x,y), E(y,z), E(z,x)");
+  DependencySet linear = MustParseDependencySet("E(x,y) -> E(y,z)");
+  DependencySet weakly_acyclic = MustParseDependencySet("E(x,y) -> F(y,z)");
+  SemAcOptions options = SweepOptions();
+  RewriteResult rewriting =
+      RewriteToUcq(triangle, linear.tgds, options.rewrite);
+  ASSERT_TRUE(rewriting.complete);
+
+  Engine with_rewriting(linear, options);
+  with_rewriting.Decide(triangle);
+  Engine without_rewriting(weakly_acyclic, options);
+  without_rewriting.Decide(triangle);
+  CacheStats with = with_rewriting.Stats().oracles;
+  CacheStats without = without_rewriting.Stats().oracles;
+  ASSERT_EQ(with.entries, 1u);
+  ASSERT_EQ(without.entries, 1u);
+  EXPECT_GE(with.bytes, without.bytes + rewriting.ApproxBytes())
+      << with.bytes << " vs " << without.bytes;
 }
 
 /// Eviction under contention: 8 threads over one engine whose caches all
@@ -534,8 +559,7 @@ TEST(EngineTest, ConcurrentDecideDeterministicUnderEviction) {
 
   EngineOptions tiny;
   tiny.semac = options;
-  for (CacheConfig* c :
-       {&tiny.chase, &tiny.rewrite, &tiny.oracles, &tiny.decisions}) {
+  for (CacheConfig* c : {&tiny.chase, &tiny.oracles, &tiny.decisions}) {
     c->max_bytes = 512;
     c->shards = 1;  // maximal contention: one shard, everyone collides
   }

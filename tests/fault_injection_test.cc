@@ -104,18 +104,17 @@ SemAcOptions SweepOptions(size_t threads = 1) {
 /// Per-cache insert/miss deltas of one decision; the post-abort parity
 /// checks compare these against a fresh engine's first decision.
 struct CacheDeltas {
-  size_t inserts[4];
-  size_t misses[4];
+  size_t inserts[3];
+  size_t misses[3];
 };
 
 CacheDeltas Delta(const EngineCacheStats& before,
                   const EngineCacheStats& after) {
   CacheDeltas d;
-  const CacheStats* b[4] = {&before.chase, &before.rewrite, &before.oracles,
+  const CacheStats* b[3] = {&before.chase, &before.oracles,
                             &before.decisions};
-  const CacheStats* a[4] = {&after.chase, &after.rewrite, &after.oracles,
-                            &after.decisions};
-  for (int i = 0; i < 4; ++i) {
+  const CacheStats* a[3] = {&after.chase, &after.oracles, &after.decisions};
+  for (int i = 0; i < 3; ++i) {
     d.inserts[i] = a[i]->inserts - b[i]->inserts;
     d.misses[i] = a[i]->misses - b[i]->misses;
   }
@@ -124,8 +123,8 @@ CacheDeltas Delta(const EngineCacheStats& before,
 
 void ExpectSameDeltas(const CacheDeltas& x, const CacheDeltas& y,
                       const std::string& context) {
-  const char* names[4] = {"chase", "rewrite", "oracles", "decisions"};
-  for (int i = 0; i < 4; ++i) {
+  const char* names[3] = {"chase", "oracles", "decisions"};
+  for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(x.inserts[i], y.inserts[i]) << context << " " << names[i]
                                           << " inserts";
     EXPECT_EQ(x.misses[i], y.misses[i]) << context << " " << names[i]

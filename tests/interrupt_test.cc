@@ -258,8 +258,6 @@ TEST(EngineDeadlineTest, PreCancelledTokenAbortsAndEngineStaysReusable) {
             fresh_after.oracles.inserts - fresh_before.oracles.inserts);
   EXPECT_EQ(after.decisions.inserts - before.decisions.inserts,
             fresh_after.decisions.inserts - fresh_before.decisions.inserts);
-  EXPECT_EQ(after.rewrite.inserts - before.rewrite.inserts,
-            fresh_after.rewrite.inserts - fresh_before.rewrite.inserts);
 }
 
 TEST(EngineDeadlineTest, ElapsedTokenDeadlineAborts) {

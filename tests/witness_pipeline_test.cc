@@ -171,8 +171,7 @@ TEST(ContainmentOracleTest, AgreesWithChaseOnRandomCandidates) {
   RewriteOptions rewrite_options;
   obs::MetricsRegistry metrics({}, {});
   ContainmentOracle oracle(q, sigma, chase_options, rewrite_options,
-                           SchemaFacts::Compute(sigma),
-                           /*rewrite_cache=*/nullptr, &metrics);
+                           SchemaFacts::Compute(sigma), &metrics);
 
   // Random small candidates over q's signature (q uses the tgd head
   // predicate E, so every candidate the prefilter passes is chased).
@@ -223,8 +222,7 @@ TEST(ContainmentOracleTest, ChaseFreeAgreesWithChasedOnConstantsAndHeads) {
   RewriteOptions rewrite_options;
   obs::MetricsRegistry metrics({}, {});
   ContainmentOracle chase_free(q, sigma, chase_options, rewrite_options,
-                               SchemaFacts::Compute(sigma),
-                               /*rewrite_cache=*/nullptr, &metrics);
+                               SchemaFacts::Compute(sigma), &metrics);
 
   std::mt19937_64 rng(37);
   Predicate e = Predicate::Get("E", 2);
