@@ -145,7 +145,7 @@ class StrategyRunner {
     auto start = Clock::now();
     run_.outcome =
         w_.kind == Kind::kSubsets
-            ? FindWitnessInChaseSubsets(w_.q, chase_, oracle_, w_.max_atoms,
+            ? FindWitnessInChaseSubsets(chase_, oracle_, w_.max_atoms,
                                         w_.budget, threads, w_.target)
             : ExhaustiveWitnessSearch(w_.q, w_.sigma, chase_, oracle_,
                                       w_.max_atoms, w_.budget, threads,

@@ -29,7 +29,7 @@ int main() {
   // 2. A constraint: every customer owns every record classified with a
   //    style they are interested in ("compulsive collectors"). The Engine
   //    analyzes Σ once; every later call runs off that prepared schema
-  //    and its shared caches (chase memo, rewritings, oracles).
+  //    and its shared caches (chase memo, decisions).
   DependencySet sigma = MustParseDependencySet(
       "Interest(x,z), Class(y,z) -> Owns(x,y)");
   std::printf("constraints:  %s", sigma.ToString().c_str());

@@ -18,8 +18,8 @@
 //                 bytes, hits/misses/inserts/evictions) plus the aggregate
 //                 counters as one JSON object line on stdout.
 //   --cache-mb N  bound the engine's cache memory: N MiB total, split
-//                 across the three caches (chase half, oracles three
-//                 eighths, decisions an eighth) with LRU eviction.
+//                 across the two caches (chase seven eighths, decisions
+//                 an eighth) with LRU eviction.
 //                 Default: unbounded.
 //   --trace[=F]   emit one {"trace": ...} JSON line per decision (nested
 //                 phase spans + counters, core/obs.h) to stdout, or to
@@ -286,8 +286,8 @@ void PrintUsage(FILE* out, const char* prog) {
                "  --stats:      print Engine::Stats() as one JSON line "
                "after the batch\n"
                "  --cache-mb:   total cache budget in MiB, LRU-split "
-               "across the three caches\n"
-               "                (chase 1/2, oracles 3/8, decisions 1/8);\n"
+               "across the two caches\n"
+               "                (chase 7/8, decisions 1/8);\n"
                "                default: unbounded\n"
                "  --trace:      one {\"trace\": ...} JSON line per "
                "decision (phase spans\n"

@@ -16,7 +16,7 @@
 namespace semacyc {
 
 /// Per-cache policy knobs. The default is the pre-eviction behavior
-/// (unbounded, everything cached); budgets turn on LRU eviction.
+/// (unbounded, everything cached); a byte budget turns on LRU eviction.
 struct CacheConfig {
   /// Default true. Disabled caches compute on every call and store
   /// nothing. Disable per cache only to measure the layer beneath it.
@@ -27,11 +27,6 @@ struct CacheConfig {
   /// slightly before the global budget is reached. Set on long-running or
   /// multi-tenant engines; leave 0 for one-shot workloads.
   size_t max_bytes = 0;
-  /// Entry budget across the whole cache (entry count; 0 = unbounded,
-  /// the default), enforced per shard at max(1, max_entries / shards).
-  /// For an exact small-entry cap (e.g. the 1-entry caches of the
-  /// eviction tests), set shards = 1.
-  size_t max_entries = 0;
   /// Number of mutex-guarded shards (count; rounded up to a power of
   /// two, minimum 1). Default 8 — fine up to a few dozen threads. More
   /// shards = less lock contention, coarser budgets; raise only when
@@ -51,9 +46,8 @@ struct CacheStats {
   /// inserts can exceed misses on such caches).
   size_t inserts = 0;
   size_t evictions = 0;
-  /// Configured budgets, echoed so one snapshot is self-describing.
+  /// Configured budget, echoed so one snapshot is self-describing.
   size_t max_bytes = 0;
-  size_t max_entries = 0;
   bool enabled = true;
 };
 
@@ -70,8 +64,7 @@ struct ExactMatch {
 };
 
 /// Matcher for values that are valid verbatim for every query isomorphic
-/// to their key (containment oracles, decisions): the cached value is
-/// served unchanged.
+/// to their key (decisions): the cached value is served unchanged.
 template <typename Value>
 struct IsoMatch {
   static std::shared_ptr<const Value> Resolve(
@@ -82,9 +75,8 @@ struct IsoMatch {
 };
 
 /// One policy-bearing cache for every fingerprint-keyed memo in the
-/// system: chase(q, Σ) results, per-query containment oracles (each with
-/// its UCQ rewriting) and decision results are all instances of this
-/// template.
+/// system: chase(q, Σ) results and decision results are both instances of
+/// this template.
 ///
 /// Keys are ConjunctiveQuerys bucketed by canonical fingerprint
 /// (isomorphism-invariant, so every variant of a query lands in one
@@ -103,8 +95,7 @@ struct IsoMatch {
 ///         const ConjunctiveQuery& probe);
 ///   };
 ///
-/// Eviction is LRU per shard, driven by the byte/entry budgets of
-/// CacheConfig. Every entry is charged once at insert time with
+/// Eviction is LRU per shard, driven by the byte budget of CacheConfig. Every entry is charged once at insert time with
 /// key.ApproxBytes() + value->ApproxBytes() + bookkeeping; values are
 /// immutable once inserted, so that charge stays exact. Values are handed
 /// out as shared_ptr<const Value>, so eviction never
@@ -129,9 +120,6 @@ class FingerprintCache {
     byte_budget_ = config_.max_bytes == 0
                        ? 0
                        : std::max<size_t>(1, config_.max_bytes / shards);
-    entry_budget_ = config_.max_entries == 0
-                        ? 0
-                        : std::max<size_t>(1, config_.max_entries / shards);
   }
 
   FingerprintCache(const FingerprintCache&) = delete;
@@ -209,7 +197,6 @@ class FingerprintCache {
     s.inserts = inserts_.load(std::memory_order_relaxed);
     s.evictions = evictions_.load(std::memory_order_relaxed);
     s.max_bytes = config_.max_bytes;
-    s.max_entries = config_.max_entries;
     s.enabled = config_.enabled;
     return s;
   }
@@ -360,9 +347,7 @@ class FingerprintCache {
     shard.lru.push_front(std::move(entry));
     shard.buckets[fp].push_back(shard.lru.begin());
     inserts_.fetch_add(1, std::memory_order_relaxed);
-    while (!shard.lru.empty() &&
-           ((byte_budget_ != 0 && shard.bytes > byte_budget_) ||
-            (entry_budget_ != 0 && shard.lru.size() > entry_budget_))) {
+    while (byte_budget_ != 0 && shard.bytes > byte_budget_) {
       EvictTailLocked(shard);
     }
   }
@@ -387,7 +372,6 @@ class FingerprintCache {
   CacheConfig config_;
   std::vector<Shard> shards_;
   size_t byte_budget_ = 0;
-  size_t entry_budget_ = 0;
   mutable std::atomic<size_t> hits_{0};
   mutable std::atomic<size_t> misses_{0};
   mutable std::atomic<size_t> inserts_{0};

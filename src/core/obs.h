@@ -42,7 +42,7 @@ enum class Phase : uint8_t {
   kCore,           // core computation + core-acyclicity strategy
   kChase,          // chase(q, Σ): memo lookup, compute on miss
   kRewrite,        // UCQ rewriting build (inside oracle construction)
-  kOracle,         // containment-oracle acquisition (build or reuse)
+  kOracle,         // containment-oracle construction (per decision)
   kCompaction,     // Lemma 9 chase compaction attempt
   kImages,         // strategy attempt: homomorphic images of q
   kSubsets,        // strategy attempt: acyclic chase sub-instances

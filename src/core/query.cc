@@ -223,12 +223,6 @@ size_t UnionQuery::Height() const {
   return h;
 }
 
-size_t UnionQuery::ApproxBytes() const {
-  size_t bytes = sizeof(UnionQuery);
-  for (const auto& q : disjuncts_) bytes += q.ApproxBytes();
-  return bytes;
-}
-
 std::string UnionQuery::ToString() const {
   std::string out;
   for (size_t i = 0; i < disjuncts_.size(); ++i) {

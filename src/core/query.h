@@ -119,9 +119,6 @@ class UnionQuery {
   /// The height of the UCQ: the maximal size of its disjuncts (§5).
   size_t Height() const;
 
-  /// Approximate heap footprint (sum over disjuncts).
-  size_t ApproxBytes() const;
-
   std::string ToString() const;
 
  private:

@@ -38,15 +38,11 @@ struct RewriteResult {
   /// containment answers.
   bool complete = false;
   size_t steps = 0;
-  /// Wall time of the rewriting build (observability; a cache-served
-  /// rewriting still reports the original build cost).
+  /// Wall time of the rewriting build (observability).
   int64_t build_ns = 0;
 
   /// The paper's f_C(q,Σ): the maximal disjunct size (UCQ height).
   size_t Height() const { return ucq.Height(); }
-
-  /// Approximate heap footprint (cache byte accounting).
-  size_t ApproxBytes() const { return sizeof(RewriteResult) + ucq.ApproxBytes(); }
 };
 
 /// Computes the UCQ rewriting Q of q under Σ (tgds only), XRewrite-style:

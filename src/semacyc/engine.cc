@@ -16,34 +16,6 @@ namespace semacyc {
 
 namespace {
 
-/// Construction-time cancellation for the oracle's rewriting build; the
-/// stored ChaseOptions keep cancel = null (per-check tokens are passed to
-/// ContainedInQ instead — a cached oracle must never hold a pointer to a
-/// decision-local token).
-RewriteOptions WithCancel(RewriteOptions options, CancelToken* cancel) {
-  options.cancel = cancel;
-  return options;
-}
-
-}  // namespace
-
-Engine::OracleEntry::OracleEntry(ConjunctiveQuery q,
-                                 const PreparedSchema& schema,
-                                 const SemAcOptions& options,
-                                 obs::MetricsRegistry* metrics,
-                                 CancelToken* cancel)
-    : query(std::move(q)),
-      oracle(query, schema.sigma, options.chase,
-             WithCancel(options.rewrite, cancel), schema.facts, metrics) {}
-
-size_t Engine::OracleEntry::ApproxBytes() const {
-  const RewriteResult* rewriting = oracle.rewriting();
-  return sizeof(OracleEntry) + query.ApproxBytes() +
-         (rewriting != nullptr ? rewriting->ApproxBytes() : 0);
-}
-
-namespace {
-
 EngineOptions WithPipeline(SemAcOptions options) {
   EngineOptions out;
   out.semac = options;
@@ -79,7 +51,6 @@ Engine::Engine(DependencySet sigma, SemAcOptions options)
 Engine::Engine(DependencySet sigma, EngineOptions options)
     : options_(options.semac),
       chase_cache_(options.chase),
-      oracles_(options.oracles),
       decisions_(options.decisions),
       metrics_(StrategyNames(), AnswerNames()) {
   obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kSchemaAnalyze);
@@ -112,29 +83,14 @@ std::shared_ptr<const QueryChaseResult> Engine::ChaseOf(
   return chase_cache_.GetOrCompute(q, schema_.sigma, options, inserted);
 }
 
-std::shared_ptr<const Engine::OracleEntry> Engine::OracleFor(
-    const PreparedQuery& q, bool* built, CancelToken* cancel,
-    bool* inserted) const {
-  // Construction may build the UCQ rewriting — the cache runs the compute
-  // outside its locks; a racing build of the same entry keeps the first
-  // insert.
-  return oracles_.GetOrCompute(
-      q.fingerprint(), q.query(),
-      [&]() -> std::shared_ptr<const OracleEntry> {
-        *built = true;
-        auto entry = std::make_shared<const OracleEntry>(
-            q.query(), schema_, options_, &metrics_, cancel);
-        // An oracle built under a fired token may have had its rewriting
-        // cut short (permanently inexact): never cache it — the aborting
-        // caller discards it, and a later call rebuilds it whole.
-        if (cancel != nullptr && cancel->triggered()) return nullptr;
-        *inserted = true;
-        return entry;
-      });
-}
-
-SemAcResult Engine::Decide(const ConjunctiveQuery& q) const {
-  return Decide(Prepare(q));
+CancelToken* Engine::WithDeadline(CancelToken* cancel,
+                                  CancelToken* local) const {
+  if (cancel == nullptr) {
+    if (options_.deadline_ms <= 0) return nullptr;
+    cancel = local;
+  }
+  cancel->SetDeadlineInMs(options_.deadline_ms);
+  return cancel;
 }
 
 SemAcResult Engine::Decide(const ConjunctiveQuery& q,
@@ -142,19 +98,9 @@ SemAcResult Engine::Decide(const ConjunctiveQuery& q,
   return Decide(Prepare(q), cancel);
 }
 
-SemAcResult Engine::Decide(const PreparedQuery& q) const {
-  if (options_.deadline_ms > 0) {
-    CancelToken token;
-    return Decide(q, &token);  // the overload applies the deadline
-  }
-  return DecideWithToken(q, nullptr);
-}
-
 SemAcResult Engine::Decide(const PreparedQuery& q, CancelToken* cancel) const {
-  // SetDeadlineInMs only ever tightens, so an external token's own
-  // (earlier) deadline survives and deadline_ms <= 0 is a no-op.
-  if (cancel != nullptr) cancel->SetDeadlineInMs(options_.deadline_ms);
-  return DecideWithToken(q, cancel);
+  CancelToken local;
+  return DecideWithToken(q, WithDeadline(cancel, &local));
 }
 
 SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
@@ -165,20 +111,17 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
   // tracing. Exact for serial callers; under concurrent decisions the
   // deltas include the other threads' traffic (documented in
   // docs/OBSERVABILITY.md).
-  size_t chase_h0 = 0, chase_m0 = 0, oracle_r0 = 0, dec_h0 = 0,
-         prefiltered0 = 0;
+  size_t chase_h0 = 0, chase_m0 = 0, dec_h0 = 0, prefiltered0 = 0;
   if (sink != nullptr) {
     tracer.emplace();
     chase_h0 = chase_cache_.hits();
     chase_m0 = chase_cache_.misses();
-    oracle_r0 = oracles_.hits();
     dec_h0 = decisions_.hits();
     prefiltered0 = metrics_.Count(obs::Counter::kOraclePrefiltered);
   }
   auto t0 = std::chrono::steady_clock::now();
   bool computed = false;
   bool chase_inserted = false;
-  bool oracle_inserted = false;
   std::shared_ptr<const SemAcResult> aborted;
   std::shared_ptr<const SemAcResult> result = decisions_.GetOrCompute(
       q.fingerprint(), q.query(),
@@ -187,7 +130,7 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
         SemAcResult r;
         try {
           r = DecideUncached(q, tracer.has_value() ? &*tracer : nullptr,
-                             cancel, &chase_inserted, &oracle_inserted);
+                             cancel, &chase_inserted);
         } catch (const std::bad_alloc&) {
           // Allocation failure (injected or genuine) mid-pipeline: RAII
           // already unwound the phase spans; surface the same graceful
@@ -206,10 +149,9 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
         return std::make_shared<const SemAcResult>(std::move(r));
       });
   if (result == nullptr) {
-    // Aborted: erase the shared-cache entries this decision inserted, so
-    // a later re-decide replays the same misses/inserts as an engine that
-    // never started (the drops count as evictions, like any other drop).
-    if (oracle_inserted) oracles_.Erase(q.fingerprint(), q.query());
+    // Aborted: erase the chase entry this decision inserted, so a later
+    // re-decide replays the same misses/inserts as an engine that never
+    // started (the drop counts as an eviction, like any other drop).
     if (chase_inserted) chase_cache_.Erase(q.query());
     result = aborted;
   }
@@ -227,7 +169,6 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
                        delta(chase_cache_.hits(), chase_h0));
     tracer->AddCounter(0, "chase_cache_misses",
                        delta(chase_cache_.misses(), chase_m0));
-    tracer->AddCounter(0, "oracle_reuses", delta(oracles_.hits(), oracle_r0));
     tracer->AddCounter(
         0, "oracle_prefiltered",
         delta(metrics_.Count(obs::Counter::kOraclePrefiltered), prefiltered0));
@@ -244,8 +185,8 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
 
 SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
                                    obs::DecisionTracer* tracer,
-                                   CancelToken* cancel, bool* chase_inserted,
-                                   bool* oracle_inserted) const {
+                                   CancelToken* cancel,
+                                   bool* chase_inserted) const {
   const ConjunctiveQuery& q = pq.query();
   const DependencySet& sigma = schema_.sigma;
   const acyclic::AcyclicityClass target = options_.target_class;
@@ -343,37 +284,30 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
     return result;
   }
 
-  // Persistent per-query oracle (its rewriting survives across calls); a
-  // disabled oracle cache hands out a transient one, mirroring the
-  // free-function path. The lease keeps it alive past any eviction.
-  std::shared_ptr<const OracleEntry> lease;
+  // The decision's compiled q-side containment test (Lemma 1's chase
+  // check or the Prop 15 UCQ rewriting). A rewriting build cut short by
+  // the token leaves the oracle inexact; the poll below then aborts.
+  std::optional<ContainmentOracle> oracle;
   {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kOracle);
-    bool built = false;
-    lease = OracleFor(pq, &built, cancel, oracle_inserted);
-    if (lease != nullptr) {
-      const RewriteResult* rw = lease->oracle.rewriting();
-      if (rw != nullptr) {
-        // Rewriting cost attributed only when this call built the oracle —
-        // a reused oracle's rewriting was paid for (and recorded) earlier.
-        if (built) metrics_.RecordPhase(obs::Phase::kRewrite, rw->build_ns);
-        if (tracer != nullptr) {
-          tracer->CounterSpan(
-              obs::Phase::kRewrite,
-              {{"build_ns", rw->build_ns},
-               {"disjuncts", static_cast<int64_t>(rw->ucq.disjuncts().size())},
-               {"complete", rw->complete ? 1 : 0}});
-        }
+    RewriteOptions rewrite = options_.rewrite;
+    rewrite.cancel = cancel;
+    oracle.emplace(q, sigma, options_.chase, rewrite, schema_.facts,
+                   &metrics_);
+    if (const RewriteResult* rw = oracle->rewriting()) {
+      metrics_.RecordPhase(obs::Phase::kRewrite, rw->build_ns);
+      if (tracer != nullptr) {
+        tracer->CounterSpan(
+            obs::Phase::kRewrite,
+            {{"build_ns", rw->build_ns},
+             {"disjuncts", static_cast<int64_t>(rw->ucq.disjuncts().size())},
+             {"complete", rw->complete ? 1 : 0}});
       }
-      timer.Counter("built", built ? 1 : 0);
-      timer.Counter("exact", lease->oracle.exact() ? 1 : 0);
     }
+    timer.Counter("exact", oracle->exact() ? 1 : 0);
   }
   SEMACYC_FAILPOINT("decide.after_oracle", cancel);
-  if (lease == nullptr || (cancel != nullptr && cancel->PollNow())) {
-    return abort_result();
-  }
-  const ContainmentOracle* oracle = &lease->oracle;
+  if (cancel != nullptr && cancel->PollNow()) return abort_result();
 
   // Strategy 2: the chase itself is acyclic -> compact it (Lemma 9). The
   // compaction preserves α-acyclicity only, so for stricter targets the
@@ -420,7 +354,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   if (options_.enable_subsets) {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kSubsets);
     WitnessSearchOutcome subsets = FindWitnessInChaseSubsets(
-        q, chase, *oracle, bound, options_.subset_budget,
+        chase, *oracle, bound, options_.subset_budget,
         options_.decide_threads, target, cancel);
     AddParallelStats(subsets.parallel);
     result.candidates_tested += subsets.candidates_tested;
@@ -677,7 +611,7 @@ ApproximateOutcome Engine::Approximate(const PreparedQuery& pq) const {
 bool Engine::EvalPrologue(const PreparedQuery& q, CancelToken* cancel,
                           EvalOutcome* out,
                           std::optional<JoinTreeView>* tree) const {
-  SemAcResult decision = Decide(q, cancel);
+  SemAcResult decision = DecideWithToken(q, cancel);
   if (decision.strategy == Strategy::kDeadlineExceeded) {
     out->status = Status::DeadlineExceeded(
         "decision aborted by deadline before a reformulation was found");
@@ -719,12 +653,9 @@ EvalOutcome Engine::Eval(const PreparedQuery& q, const Instance& database,
     return Eval(q, data::ColumnarInstance::FromInstance(database), opts);
   }
   EvalOutcome out;
-  // With no external token, options_.deadline_ms still applies: a local
-  // token carries it through the decision and the evaluation (mirrors
-  // Decide(PreparedQuery)'s deadline behavior).
-  CancelToken deadline_token;
-  CancelToken* cancel = opts.cancel;
-  if (cancel == nullptr && options_.deadline_ms > 0) cancel = &deadline_token;
+  // deadline_ms bounds the decision and the evaluation together.
+  CancelToken local;
+  CancelToken* cancel = WithDeadline(opts.cancel, &local);
   std::optional<JoinTreeView> tree;
   if (!EvalPrologue(q, cancel, &out, &tree)) return out;
   obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kEval);
@@ -738,11 +669,8 @@ EvalOutcome Engine::Eval(const PreparedQuery& q,
                          const data::ColumnarInstance& database,
                          const EvalOptions& opts) const {
   EvalOutcome out;
-  // Same deadline fallback as the row path: a local token carries
-  // options_.deadline_ms through the decision and the program run.
-  CancelToken deadline_token;
-  CancelToken* cancel = opts.cancel;
-  if (cancel == nullptr && options_.deadline_ms > 0) cancel = &deadline_token;
+  CancelToken local;
+  CancelToken* cancel = WithDeadline(opts.cancel, &local);
   std::optional<JoinTreeView> tree;
   if (!EvalPrologue(q, cancel, &out, &tree)) return out;
   obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kEval);
@@ -772,14 +700,12 @@ EvalOutcome Engine::Eval(const PreparedQuery& q,
 EngineCacheStats Engine::Stats() const {
   EngineCacheStats s;
   s.chase = chase_cache_.Stats();
-  s.oracles = oracles_.Stats();
   s.decisions = decisions_.Stats();
   return s;
 }
 
 void Engine::TrimCaches() const {
   chase_cache_.Trim(0);
-  oracles_.Trim(0);
   decisions_.Trim(0);
 }
 

@@ -101,10 +101,10 @@ class PreparedQuery {
 
 /// Full construction surface of an Engine: the decision-pipeline options
 /// plus one CacheConfig per cache. The defaults are the production
-/// configuration — all three caches enabled and unbounded; set
-/// max_bytes/max_entries to turn on LRU eviction per cache (multi-tenant /
-/// long-running services), or `enabled = false` to expose the layer below
-/// (e.g. decisions.enabled = false measures oracle reuse in isolation).
+/// configuration — both caches enabled and unbounded; set max_bytes to
+/// turn on LRU eviction per cache (multi-tenant / long-running services),
+/// or `enabled = false` to expose the layer below (e.g.
+/// decisions.enabled = false measures chase reuse in isolation).
 struct EngineOptions {
   /// Decision-pipeline options (budgets, target class, strategies).
   /// Default: the production configuration of SemAcOptions.
@@ -114,41 +114,32 @@ struct EngineOptions {
   /// largest cache — entries hold whole chase instances — so bound this
   /// one first when memory matters.
   CacheConfig chase;
-  /// Persistent per-query containment oracles (iso-resolved). Default:
-  /// enabled, unbounded. An entry's size is fixed at insertion: the
-  /// compiled oracle plus the UCQ rewriting it owns (built only on
-  /// rewritable schemas whose chase may not terminate).
-  CacheConfig oracles;
   /// Decision results for repeat (or isomorphic) queries. Default:
   /// enabled, unbounded. Entries are small; disable only to measure the
   /// layers beneath (every repeat then re-runs the pipeline).
   CacheConfig decisions;
 
-  /// Splits one byte budget across the three caches — the shape of the
-  /// CLI's --cache-mb: the chase memo gets half (its entries are whole
-  /// instances), the oracle map three eighths (its entries carry their
-  /// rewritings), decisions an eighth. Zero restores unbounded.
+  /// Splits one byte budget across the two caches — the shape of the
+  /// CLI's --cache-mb: decisions get an eighth, the chase memo (its
+  /// entries are whole instances) the remaining seven eighths. Zero
+  /// restores unbounded.
   void SetTotalCacheBudget(size_t total_bytes) {
-    chase.max_bytes = total_bytes / 2;
-    oracles.max_bytes = total_bytes / 8 * 3;
     decisions.max_bytes = total_bytes / 8;
+    chase.max_bytes = total_bytes - decisions.max_bytes;
   }
 };
 
 /// Per-cache introspection snapshot (see Engine::Stats): one CacheStats —
-/// entries, bytes, hits/misses/inserts/evictions, configured budgets —
-/// for each of the three FingerprintCaches.
+/// entries, bytes, hits/misses/inserts/evictions, configured budget — for
+/// each of the two FingerprintCaches.
 struct EngineCacheStats {
   CacheStats chase;
-  CacheStats oracles;
   CacheStats decisions;
 
-  /// Resident bytes summed across the three caches — the per-tenant
-  /// accounting unit behind semacycd's split cache budgets (the server
-  /// reports one figure per tenant engine; see docs/SERVING.md).
-  size_t TotalBytes() const {
-    return chase.bytes + oracles.bytes + decisions.bytes;
-  }
+  /// Resident bytes summed across both caches — the per-tenant accounting
+  /// unit behind semacycd's split cache budgets (the server reports one
+  /// figure per tenant engine; see docs/SERVING.md).
+  size_t TotalBytes() const { return chase.bytes + decisions.bytes; }
 };
 
 /// Result of Engine::Approximate — ApproximationResult plus an explicit
@@ -195,16 +186,15 @@ struct EvalOutcome {
 ///     boundedness facts, the predicate-reachability graph);
 ///   * a chase memo (chase(q, Σ) computed once per distinct query, with
 ///     an iso-resolution rename layer for α-renamed variants);
-///   * one compiled ContainmentOracle per distinct query (with its UCQ
-///     rewriting, when one is built), persistent across calls and
-///     strategies;
 ///   * a decision cache serving repeat (or isomorphic) queries instantly.
 ///
-/// All three are FingerprintCache instances governed by the CacheConfigs
-/// of EngineOptions: unbounded by default, LRU-evicting under a byte or
-/// entry budget, introspectable through Stats() and droppable through
-/// TrimCaches(). Eviction never changes answers — an evicted artifact is
-/// simply recomputed on the next miss.
+/// Both are FingerprintCache instances governed by the CacheConfigs of
+/// EngineOptions: unbounded by default, LRU-evicting under a byte budget,
+/// introspectable through Stats() and droppable through TrimCaches().
+/// Eviction never changes answers — an evicted artifact is simply
+/// recomputed on the next miss. The compiled containment oracle (with its
+/// UCQ rewriting, when one is built) is per decision: a repeat query is
+/// answered by the decision cache before an oracle is needed.
 ///
 /// The free functions (DecideSemanticAcyclicity, AcyclicApproximation,
 /// DecideUcqSemanticAcyclicity, FptEvaluate) are one-shot wrappers over a
@@ -212,11 +202,11 @@ struct EvalOutcome {
 ///
 /// Thread safety: all public methods are const and safe to call
 /// concurrently on a shared Engine. Shared caches are sharded and
-/// mutex-guarded per shard; per-query oracles serialize individual
-/// containment answers (concurrent decisions of *distinct* queries do not
-/// contend). Racing computations of the same artifact keep the first
-/// inserted result, so every caller observes the same answer. DecideBatch
-/// with threads > 1 is exactly concurrent Decide over the batch.
+/// mutex-guarded per shard; each decision owns its oracle, whose
+/// containment checks take no lock. Racing computations of the same
+/// artifact keep the first inserted result, so every caller observes the
+/// same answer. DecideBatch with threads > 1 is exactly concurrent Decide
+/// over the batch.
 class Engine {
  public:
   /// Production caches (EngineOptions defaults) with the given pipeline
@@ -239,23 +229,19 @@ class Engine {
 
   /// Decides whether q is semantically acyclic under the schema (same
   /// pipeline and guarantees as DecideSemanticAcyclicity, off prepared and
-  /// cached state). With SemAcOptions::deadline_ms set, the pipeline
-  /// aborts cooperatively when the deadline elapses: the result reports
-  /// Strategy::kDeadlineExceeded / answer kUnknown with the evidence
-  /// gathered so far, is never cached, and the engine (sessions unwound,
-  /// all three caches coherent) is immediately reusable.
-  SemAcResult Decide(const PreparedQuery& q) const;
+  /// cached state). `cancel` (not owned; may be null) is polled throughout
+  /// the pipeline — RequestCancel() from any thread aborts the decision at
+  /// its next poll point. SemAcOptions::deadline_ms (when set) is folded
+  /// into the token, or into a local one when `cancel` is null, so the
+  /// effective deadline is the tighter of the two. An aborted decision
+  /// reports Strategy::kDeadlineExceeded / answer kUnknown with the
+  /// evidence gathered so far, is never cached, and the engine (sessions
+  /// unwound, both caches coherent) is immediately reusable.
+  SemAcResult Decide(const PreparedQuery& q,
+                     CancelToken* cancel = nullptr) const;
   /// Convenience: Prepare + Decide.
-  SemAcResult Decide(const ConjunctiveQuery& q) const;
-
-  /// External-cancellation variants: `cancel` (not owned; may be null) is
-  /// polled throughout the pipeline — RequestCancel() from any thread
-  /// aborts the decision at its next poll point, with the same graceful
-  /// kDeadlineExceeded outcome as an elapsed deadline. deadline_ms (when
-  /// set) is folded into the token, so the effective deadline is the
-  /// tighter of the two.
-  SemAcResult Decide(const PreparedQuery& q, CancelToken* cancel) const;
-  SemAcResult Decide(const ConjunctiveQuery& q, CancelToken* cancel) const;
+  SemAcResult Decide(const ConjunctiveQuery& q,
+                     CancelToken* cancel = nullptr) const;
 
   /// Deadlines for one DecideBatch call, on top of (and tightened by)
   /// SemAcOptions::deadline_ms. Zero = none.
@@ -306,7 +292,7 @@ class Engine {
                    const EvalOptions& opts = {}) const;
 
   /// Per-cache introspection: entries, bytes, hit/miss/insert/eviction
-  /// counters and configured budgets of all three FingerprintCaches. Safe
+  /// counters and configured budgets of both FingerprintCaches. Safe
   /// concurrently with decisions.
   EngineCacheStats Stats() const;
 
@@ -319,58 +305,35 @@ class Engine {
   obs::MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
 
   /// Explicit pressure relief: drops every resident cache entry (chase
-  /// memo, oracles, decisions). Counters survive; the drops
+  /// memo, decisions). Counters survive; the drops
   /// count as evictions. In-flight decisions keep the shared_ptrs they
   /// already hold, so trimming is safe concurrently with Decide.
   void TrimCaches() const;
 
  private:
-  /// A persistent per-query containment oracle. The cache key carries the
-  /// query; the entry keeps its own copy because the oracle holds a
-  /// reference to it for its lifetime.
-  struct OracleEntry {
-    ConjunctiveQuery query;
-    ContainmentOracle oracle;
-    /// `cancel` (may be null) bounds only the construction-time rewriting
-    /// build; the oracle never stores it (per-check tokens are passed to
-    /// ContainedInQ).
-    OracleEntry(ConjunctiveQuery q, const PreparedSchema& schema,
-                const SemAcOptions& options, obs::MetricsRegistry* metrics,
-                CancelToken* cancel);
-    size_t ApproxBytes() const;
-  };
-
+  /// The token a call runs under: `cancel` itself, or `local` when
+  /// `cancel` is null and deadline_ms is set; null when neither applies.
+  /// deadline_ms is folded into the returned token (SetDeadlineInMs only
+  /// ever tightens, so an external token's earlier deadline survives).
+  CancelToken* WithDeadline(CancelToken* cancel, CancelToken* local) const;
   /// The cached-decision layer plus the abort protocol: runs
   /// DecideUncached under the decision cache, never caches an aborted
   /// result (including one surfaced from an injected std::bad_alloc), and
-  /// on abort erases the cache entries this decision inserted so a later
+  /// on abort erases the chase entry this decision inserted so a later
   /// re-decide sees the same cache state as an engine that never started.
   SemAcResult DecideWithToken(const PreparedQuery& q,
                               CancelToken* cancel) const;
   /// `tracer` is non-null exactly when options_.trace_sink is set; every
   /// instrumentation site guards on it (null = counters only). `cancel`
   /// (may be null) is polled at every phase boundary and threaded into
-  /// every unbounded loop beneath; `chase_inserted` / `oracle_inserted`
-  /// report which shared-cache entries this call created (abort
-  /// rollback).
+  /// every unbounded loop beneath; `chase_inserted` reports whether this
+  /// call created the chase memo entry (abort rollback).
   SemAcResult DecideUncached(const PreparedQuery& q,
                              obs::DecisionTracer* tracer, CancelToken* cancel,
-                             bool* chase_inserted, bool* oracle_inserted) const;
+                             bool* chase_inserted) const;
   std::shared_ptr<const QueryChaseResult> ChaseOf(
       const ConjunctiveQuery& q, CancelToken* cancel = nullptr,
       bool* inserted = nullptr) const;
-  /// The persistent oracle for q, created on first use. The shared_ptr
-  /// keeps the entry alive across a concurrent eviction; with the oracle
-  /// cache disabled the entry is transient (computed, served, not stored),
-  /// mirroring the free-function path. `built` reports whether this call
-  /// constructed the oracle (observability: attributes the
-  /// rewriting's build cost to the decision that paid it). `cancel` (may
-  /// be null) bounds the construction; an oracle built under a fired
-  /// token is never cached and nullptr is returned. `inserted` reports
-  /// whether this call stored a fresh entry (abort rollback).
-  std::shared_ptr<const OracleEntry> OracleFor(const PreparedQuery& q,
-                                               bool* built, CancelToken* cancel,
-                                               bool* inserted) const;
   /// q1 ⊆Σ q2 through the chase cache (Lemma 1).
   Tri ContainedUnderCached(const ConjunctiveQuery& q1,
                            const ConjunctiveQuery& q2) const;
@@ -379,9 +342,10 @@ class Engine {
   /// registry (units and replays count at every thread count).
   void AddParallelStats(const WorkStealStats& s) const;
 
-  /// Shared Eval prologue: Decide under `cancel`, extract the witness into
-  /// `out` and build its join-tree view. Returns false with out->status
-  /// set on any non-Ok outcome.
+  /// Shared Eval prologue: decide under `cancel` (deadline already folded
+  /// in by WithDeadline), extract the witness into `out` and build its
+  /// join-tree view. Returns false with out->status set on any non-Ok
+  /// outcome.
   bool EvalPrologue(const PreparedQuery& q, CancelToken* cancel,
                     EvalOutcome* out, std::optional<JoinTreeView>* tree) const;
 
@@ -389,12 +353,12 @@ class Engine {
   SemAcOptions options_;
 
   mutable QueryChaseCache chase_cache_;
-  mutable FingerprintCache<OracleEntry, IsoMatch<OracleEntry>> oracles_;
   mutable FingerprintCache<SemAcResult, IsoMatch<SemAcResult>> decisions_;
 
   /// Lifetime metrics (atomic counters + latency histograms); last member
-  /// so the caches it describes are constructed first. The oracles hold a
-  /// pointer to it and count their prefilter rejections into it.
+  /// so the caches it describes are constructed first. Each decision's
+  /// oracle holds a pointer to it and counts its prefilter rejections
+  /// into it.
   mutable obs::MetricsRegistry metrics_;
 };
 

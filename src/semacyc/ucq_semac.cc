@@ -8,7 +8,7 @@ UcqSemAcResult DecideUcqSemanticAcyclicity(const UnionQuery& Q,
                                            const DependencySet& sigma,
                                            const SemAcOptions& options) {
   // One-shot wrapper: the disjuncts of Q share the transient Engine's
-  // chase memo and oracles within this call.
+  // chase memo within this call.
   Engine engine(sigma, options);
   return engine.DecideUcq(Q);
 }

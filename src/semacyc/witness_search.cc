@@ -775,10 +775,9 @@ class SubsetsWorker : public UnitWorker {
 }  // namespace
 
 WitnessSearchOutcome FindWitnessInChaseSubsets(
-    const ConjunctiveQuery& q, const QueryChaseResult& chase,
-    const ContainmentOracle& oracle, size_t max_atoms, size_t budget,
-    size_t threads, acyclic::AcyclicityClass target, CancelToken* cancel) {
-  (void)q;  // the chase already encodes q; kept for interface symmetry
+    const QueryChaseResult& chase, const ContainmentOracle& oracle,
+    size_t max_atoms, size_t budget, size_t threads,
+    acyclic::AcyclicityClass target, CancelToken* cancel) {
   const SubsetsSpace space(chase);
   const size_t m = space.atoms->size();
   // Small subsets first, through iterative deepening on the subset size:

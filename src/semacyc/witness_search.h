@@ -95,7 +95,7 @@ class ContainmentOracle {
   bool exact() const { return exact_; }
   /// The oracle's own complete rewriting of q (null when the chase path
   /// is used) — its build_ns attributes REWRITE cost inside oracle
-  /// construction, its ApproxBytes is charged to the oracle's cache entry.
+  /// construction.
   const RewriteResult* rewriting() const { return rewriting_.get(); }
  private:
   Tri Decide(const ConjunctiveQuery& candidate, CancelToken* cancel) const;
@@ -208,9 +208,8 @@ WitnessSearchOutcome FindWitnessInQueryImages(
 /// mentioning all answer terms, up to `max_atoms` atoms, smallest first
 /// (q ⊆Σ subset by construction); at most `budget` DFS visits.
 WitnessSearchOutcome FindWitnessInChaseSubsets(
-    const ConjunctiveQuery& q, const QueryChaseResult& chase,
-    const ContainmentOracle& oracle, size_t max_atoms, size_t budget,
-    size_t threads,
+    const QueryChaseResult& chase, const ContainmentOracle& oracle,
+    size_t max_atoms, size_t budget, size_t threads,
     acyclic::AcyclicityClass target = acyclic::AcyclicityClass::kAlpha,
     CancelToken* cancel = nullptr);
 

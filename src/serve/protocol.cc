@@ -443,7 +443,6 @@ std::string EngineStatsJson(const Engine& engine) {
       static_cast<long long>(engine.options().deadline_ms));
   std::string out = buf;
   AppendCacheStatsJson(&out, "chase", caches.chase, true);
-  AppendCacheStatsJson(&out, "oracles", caches.oracles, true);
   AppendCacheStatsJson(&out, "decisions", caches.decisions, false);
   out += "}}";
   return out;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 
@@ -24,8 +25,7 @@ EngineOptions EnvCacheOptions(SemAcOptions semac) {
   if (const char* env = std::getenv("SEMACYC_TEST_CACHE_BYTES")) {
     size_t bytes = static_cast<size_t>(std::strtoull(env, nullptr, 10));
     if (bytes > 0) {
-      for (CacheConfig* c :
-           {&options.chase, &options.oracles, &options.decisions}) {
+      for (CacheConfig* c : {&options.chase, &options.decisions}) {
         c->max_bytes = bytes;
         c->shards = 1;
       }
@@ -164,9 +164,9 @@ TEST(EngineTest, DecisionCacheResolvesIsomorphicQueries) {
   EXPECT_EQ(hit.answer, SemAcAnswer::kYes);
 }
 
-/// The oracles count their prefilter rejections straight into the
-/// engine's registry, so concurrent decisions sharing one query's oracle
-/// are counted once each: an 8-thread batch reports exactly the 1-thread
+/// Each decision's oracle counts its prefilter rejections straight into
+/// the engine's registry, so concurrent decisions of one query are
+/// counted once each: an 8-thread batch reports exactly the 1-thread
 /// total. (Per-decision "counter now minus counter at acquisition"
 /// deltas would fold every overlapping decision's traffic in again.)
 TEST(EngineTest, OraclePrefilterCountExactUnderConcurrentBatch) {
@@ -188,6 +188,22 @@ TEST(EngineTest, OraclePrefilterCountExactUnderConcurrentBatch) {
   uint64_t serial = prefiltered(1);
   ASSERT_GT(serial, 0u);
   EXPECT_EQ(prefiltered(8), serial);
+}
+
+/// SemAcOptions::deadline_ms bounds a decision called with a null token
+/// exactly as it bounds one with a token of its own (the --batch line path
+/// passes null). Near-unbounded budgets make the decision run for seconds
+/// without the deadline.
+TEST(EngineTest, DeadlineMsAppliesWithoutAToken) {
+  SemAcOptions options;
+  options.subset_budget = 500000000;
+  options.exhaustive_budget = 500000000;
+  options.deadline_ms = 1;
+  Engine engine(MustParseDependencySet("T(x,y) -> E(y,z), E(z,x)"), options);
+  PreparedQuery pq = engine.Prepare(MustParseQuery("T(x,y), E(y,z), E(x,z)"));
+  SemAcResult r = engine.Decide(pq, nullptr);
+  EXPECT_EQ(r.strategy, Strategy::kDeadlineExceeded);
+  EXPECT_EQ(r.answer, SemAcAnswer::kUnknown);
 }
 
 TEST(EngineTest, ChaseCacheSharedAcrossEntrypoints) {
@@ -418,8 +434,8 @@ TEST(EngineTest, ChaseCacheResolvesIsomorphicQueries) {
   EXPECT_EQ(first.strategy, second.strategy);
 }
 
-/// Eviction correctness: answers under 1-entry and tiny-byte-budget
-/// caches are identical to unbounded-cache answers (and to the free
+/// Eviction correctness: answers under about-one-entry and tiny byte
+/// budgets are identical to unbounded-cache answers (and to the free
 /// function) across the generator families — eviction only ever costs
 /// recomputation, never changes a result.
 TEST(EngineTest, EvictionParitySweepAcrossGeneratorFamilies) {
@@ -428,24 +444,31 @@ TEST(EngineTest, EvictionParitySweepAcrossGeneratorFamilies) {
          {GuardedWorkload(seed), NrWorkload(seed), EgdWorkload(seed)}) {
       SemAcOptions options = SweepOptions();
       std::vector<SemAcResult> reference;
+      EngineCacheStats full;
       {
         Engine unbounded(w.sigma, options);
         for (const auto& q : w.queries) {
           reference.push_back(unbounded.Decide(q));
         }
+        full = unbounded.Stats();
       }
 
+      // one_entry: each cache's budget is its mean unbounded entry, so an
+      // insert mostly evicts the previous entry and a larger-than-mean
+      // entry is declined. tiny_bytes: below almost every entry.
       EngineOptions one_entry;
       one_entry.semac = options;
+      one_entry.chase.max_bytes =
+          full.chase.bytes / std::max<size_t>(1, full.chase.entries);
+      one_entry.decisions.max_bytes =
+          full.decisions.bytes / std::max<size_t>(1, full.decisions.entries);
       EngineOptions tiny_bytes;
       tiny_bytes.semac = options;
+      tiny_bytes.chase.max_bytes = 512;
+      tiny_bytes.decisions.max_bytes = 512;
       for (EngineOptions* o : {&one_entry, &tiny_bytes}) {
-        for (CacheConfig* c :
-             {&o->chase, &o->oracles, &o->decisions}) {
-          c->shards = 1;
-          if (o == &one_entry) c->max_entries = 1;
-          if (o == &tiny_bytes) c->max_bytes = 512;
-        }
+        o->chase.shards = 1;
+        o->decisions.shards = 1;
       }
 
       for (const EngineOptions& bounded : {one_entry, tiny_bytes}) {
@@ -482,16 +505,13 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   EXPECT_GT(stats.chase.bytes, 0u);
   EXPECT_EQ(stats.chase.evictions, 0u);  // unbounded: nothing evicts
   EXPECT_EQ(stats.chase.max_bytes, 0u);
-  EXPECT_GT(stats.oracles.entries, 0u);
 
   // Trim drops every resident entry; deciding afterwards still works.
   engine.TrimCaches();
   EngineCacheStats trimmed = engine.Stats();
   EXPECT_EQ(trimmed.chase.entries, 0u);
   EXPECT_EQ(trimmed.chase.bytes, 0u);
-  EXPECT_GT(trimmed.chase.evictions + trimmed.decisions.evictions +
-                trimmed.oracles.evictions,
-            0u);
+  EXPECT_GT(trimmed.chase.evictions + trimmed.decisions.evictions, 0u);
   for (size_t i = 0; i < w.queries.size(); ++i) {
     engine.Decide(w.queries[i]);
   }
@@ -500,7 +520,7 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   EngineOptions tiny;
   tiny.semac = options;
   tiny.SetTotalCacheBudget(2048);
-  for (CacheConfig* c : {&tiny.chase, &tiny.oracles, &tiny.decisions}) {
+  for (CacheConfig* c : {&tiny.chase, &tiny.decisions}) {
     c->shards = 1;
   }
   Engine bounded(w.sigma, tiny);
@@ -508,41 +528,35 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
     for (const auto& q : w.queries) bounded.Decide(q);
   }
   EngineCacheStats bounded_stats = bounded.Stats();
-  size_t evictions = bounded_stats.chase.evictions +
-                     bounded_stats.oracles.evictions +
-                     bounded_stats.decisions.evictions;
+  size_t evictions =
+      bounded_stats.chase.evictions + bounded_stats.decisions.evictions;
   EXPECT_GT(evictions, 0u);
   size_t budget_bytes = bounded_stats.chase.max_bytes;
-  EXPECT_EQ(budget_bytes, 1024u);  // half of the 2 KiB total
+  EXPECT_EQ(budget_bytes, 1792u);  // seven eighths of the 2 KiB total
   EXPECT_LE(bounded_stats.chase.bytes, budget_bytes);
-  EXPECT_EQ(bounded_stats.oracles.max_bytes, 768u);  // three eighths
   EXPECT_EQ(bounded_stats.decisions.max_bytes, 256u);  // one eighth
 }
 
-/// An oracle owns its UCQ rewriting, so the oracle cache charges it. The
-/// linear, not weakly acyclic E(x,y) -> E(y,z) makes the triangle's oracle
-/// keep a complete rewriting; under the weakly acyclic E(x,y) -> F(y,z)
-/// the chase is exact and no rewriting is built. Both engines hold one
-/// oracle for the same query, so the byte difference is the rewriting.
-TEST(EngineTest, OracleCacheChargesItsRewriting) {
+/// Every decision builds its own oracle, so every decision that needs a
+/// UCQ rewriting records the REWRITE phase — the repeat too, with the
+/// decision cache off. The linear, not weakly acyclic E(x,y) -> E(y,z)
+/// makes the triangle's oracle build a complete rewriting; under the
+/// weakly acyclic E(x,y) -> F(y,z) the chase is exact and none is built.
+TEST(EngineTest, EveryDecisionRecordsItsRewriteBuild) {
   ConjunctiveQuery triangle = MustParseQuery("E(x,y), E(y,z), E(z,x)");
-  DependencySet linear = MustParseDependencySet("E(x,y) -> E(y,z)");
-  DependencySet weakly_acyclic = MustParseDependencySet("E(x,y) -> F(y,z)");
-  SemAcOptions options = SweepOptions();
-  RewriteResult rewriting =
-      RewriteToUcq(triangle, linear.tgds, options.rewrite);
-  ASSERT_TRUE(rewriting.complete);
-
-  Engine with_rewriting(linear, options);
-  with_rewriting.Decide(triangle);
-  Engine without_rewriting(weakly_acyclic, options);
-  without_rewriting.Decide(triangle);
-  CacheStats with = with_rewriting.Stats().oracles;
-  CacheStats without = without_rewriting.Stats().oracles;
-  ASSERT_EQ(with.entries, 1u);
-  ASSERT_EQ(without.entries, 1u);
-  EXPECT_GE(with.bytes, without.bytes + rewriting.ApproxBytes())
-      << with.bytes << " vs " << without.bytes;
+  auto rewrites = [&](const char* sigma) {
+    EngineOptions options;
+    options.semac = SweepOptions();
+    options.decisions.enabled = false;
+    Engine engine(MustParseDependencySet(sigma), options);
+    engine.Decide(triangle);
+    engine.Decide(triangle);
+    return engine.Metrics()
+        .phases[static_cast<size_t>(obs::Phase::kRewrite)]
+        .latency.count;
+  };
+  EXPECT_EQ(rewrites("E(x,y) -> E(y,z)"), 2u);
+  EXPECT_EQ(rewrites("E(x,y) -> F(y,z)"), 0u);
 }
 
 /// Eviction under contention: 8 threads over one engine whose caches all
@@ -559,7 +573,7 @@ TEST(EngineTest, ConcurrentDecideDeterministicUnderEviction) {
 
   EngineOptions tiny;
   tiny.semac = options;
-  for (CacheConfig* c : {&tiny.chase, &tiny.oracles, &tiny.decisions}) {
+  for (CacheConfig* c : {&tiny.chase, &tiny.decisions}) {
     c->max_bytes = 512;
     c->shards = 1;  // maximal contention: one shard, everyone collides
   }

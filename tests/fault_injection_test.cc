@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,10 @@ struct Workload {
 };
 
 /// One workload per generator family / schema class: guarded (chase-based
-/// oracles), non-recursive (UCQ-rewriting oracles, so rewrite.step is
-/// reachable), and egds (the K2 equality machinery).
+/// oracles), non-recursive (weakly acyclic, so its chase terminates and no
+/// rewriting is built), linear and not weakly acyclic (its oracle builds
+/// a UCQ rewriting, so rewrite.step is reachable), and egds (the K2
+/// equality machinery).
 std::vector<Workload> Workloads() {
   std::vector<Workload> out;
   Generator gen(23);
@@ -80,6 +83,13 @@ std::vector<Workload> Workloads() {
     w.sigma = MustParseDependencySet("B1(x,y), B2(y,z) -> B3(z,x)");
     w.queries.push_back(MustParseQuery("B1(x,y), B2(y,z), B3(z,x)"));
     w.queries.push_back(gen.CycleQuery(3, "B3"));
+    out.push_back(std::move(w));
+  }
+  {
+    Workload w;
+    w.name = "linear";
+    w.sigma = MustParseDependencySet("E(x,y) -> E(y,z)");
+    w.queries.push_back(MustParseQuery("E(x,y), E(y,z), E(z,x)"));
     out.push_back(std::move(w));
   }
   {
@@ -104,17 +114,16 @@ SemAcOptions SweepOptions(size_t threads = 1) {
 /// Per-cache insert/miss deltas of one decision; the post-abort parity
 /// checks compare these against a fresh engine's first decision.
 struct CacheDeltas {
-  size_t inserts[3];
-  size_t misses[3];
+  size_t inserts[2];
+  size_t misses[2];
 };
 
 CacheDeltas Delta(const EngineCacheStats& before,
                   const EngineCacheStats& after) {
   CacheDeltas d;
-  const CacheStats* b[3] = {&before.chase, &before.oracles,
-                            &before.decisions};
-  const CacheStats* a[3] = {&after.chase, &after.oracles, &after.decisions};
-  for (int i = 0; i < 3; ++i) {
+  const CacheStats* b[2] = {&before.chase, &before.decisions};
+  const CacheStats* a[2] = {&after.chase, &after.decisions};
+  for (int i = 0; i < 2; ++i) {
     d.inserts[i] = a[i]->inserts - b[i]->inserts;
     d.misses[i] = a[i]->misses - b[i]->misses;
   }
@@ -123,8 +132,8 @@ CacheDeltas Delta(const EngineCacheStats& before,
 
 void ExpectSameDeltas(const CacheDeltas& x, const CacheDeltas& y,
                       const std::string& context) {
-  const char* names[3] = {"chase", "oracles", "decisions"};
-  for (int i = 0; i < 3; ++i) {
+  const char* names[2] = {"chase", "decisions"};
+  for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(x.inserts[i], y.inserts[i]) << context << " " << names[i]
                                           << " inserts";
     EXPECT_EQ(x.misses[i], y.misses[i]) << context << " " << names[i]
@@ -144,12 +153,19 @@ struct DisarmOnExit {
 /// engine — result and per-cache work must match a fresh engine's first
 /// decision of that query. A cancel inside a search worker (its oracle
 /// call, the candidate's chase) must abort the decision, not just the
-/// worker's unit.
-void CancelAtEveryFailpoint(size_t threads) {
+/// worker's unit. Every failpoint that fired is added to `fired_points`.
+void CancelAtEveryFailpoint(size_t threads,
+                            std::set<std::string>* fired_points) {
   DisarmOnExit cleanup;
   auto& reg = FailpointRegistry::Global();
   for (const Workload& w : Workloads()) {
     for (const ConjunctiveQuery& q : w.queries) {
+      // The reference: a fresh engine's first decision of q and its
+      // per-cache work (deterministic, so computed once per query).
+      Engine fresh(w.sigma, SweepOptions(threads));
+      EngineCacheStats fresh_before = fresh.Stats();
+      SemAcResult cold = fresh.Decide(fresh.Prepare(q));
+      CacheDeltas cold_delta = Delta(fresh_before, fresh.Stats());
       for (const char* point : kDecideFailpoints) {
         for (uint64_t fire_on : {uint64_t{1}, uint64_t{25}}) {
           std::string context = w.name + " / " + q.ToString() + " / " +
@@ -163,6 +179,7 @@ void CancelAtEveryFailpoint(size_t threads) {
           SemAcResult injected = engine.Decide(pq, &token);
           bool fired = reg.Fired(point);
           reg.DisarmAll();
+          if (fired) fired_points->insert(point);
 
           // A failpoint this decision never reached (or reached fewer
           // than K times) leaves the decision untouched; one that fired
@@ -179,12 +196,6 @@ void CancelAtEveryFailpoint(size_t threads) {
           SemAcResult warm = engine.Decide(pq);
           CacheDeltas warm_delta = Delta(before, engine.Stats());
 
-          Engine fresh(w.sigma, SweepOptions(threads));
-          PreparedQuery fresh_pq = fresh.Prepare(q);
-          EngineCacheStats fresh_before = fresh.Stats();
-          SemAcResult cold = fresh.Decide(fresh_pq);
-          CacheDeltas cold_delta = Delta(fresh_before, fresh.Stats());
-
           ExpectSameDecision(cold, warm, context);
           if (fired) {
             // The aborted attempt was fully rolled back, so the re-decide
@@ -200,8 +211,14 @@ void CancelAtEveryFailpoint(size_t threads) {
 }
 
 TEST(FaultInjectionTest, CancelAtEveryFailpointLeavesEngineCoherent) {
-  CancelAtEveryFailpoint(1);
-  CancelAtEveryFailpoint(2);
+  std::set<std::string> fired;
+  CancelAtEveryFailpoint(1, &fired);
+  CancelAtEveryFailpoint(2, &fired);
+  // The workloads reach every site: a catalogue entry no workload fires
+  // would pass the matrix above vacuously.
+  for (const char* point : kDecideFailpoints) {
+    EXPECT_EQ(fired.count(point), 1u) << point << " never fired";
+  }
 }
 
 /// Simulated allocation failure: a std::bad_alloc thrown mid-pipeline
@@ -213,6 +230,8 @@ TEST(FaultInjectionTest, BadAllocAnywhereIsContainedAndRecoverable) {
   auto& reg = FailpointRegistry::Global();
   for (const Workload& w : Workloads()) {
     const ConjunctiveQuery& q = w.queries.front();
+    Engine fresh(w.sigma, SweepOptions());
+    SemAcResult cold = fresh.Decide(fresh.Prepare(q));
     for (const char* point : kDecideFailpoints) {
       std::string context = w.name + " / bad_alloc @ " + point;
       Engine engine(w.sigma, SweepOptions());
@@ -225,10 +244,7 @@ TEST(FaultInjectionTest, BadAllocAnywhereIsContainedAndRecoverable) {
       reg.DisarmAll();
       if (fired) ExpectAborted(injected);
 
-      SemAcResult warm = engine.Decide(pq);
-      Engine fresh(w.sigma, SweepOptions());
-      SemAcResult cold = fresh.Decide(fresh.Prepare(q));
-      ExpectSameDecision(cold, warm, context);
+      ExpectSameDecision(cold, engine.Decide(pq), context);
     }
   }
 }
@@ -244,8 +260,11 @@ TEST(FaultInjectionTest, BadAllocAnywhereIsContainedAndRecoverable) {
 TEST(FaultInjectionTest, ParallelStealFailpointsAbortAndRecover) {
   DisarmOnExit cleanup;
   auto& reg = FailpointRegistry::Global();
+  SemAcOptions options = SweepOptions(4);
   for (const Workload& w : Workloads()) {
     for (const ConjunctiveQuery& q : w.queries) {
+      Engine fresh(w.sigma, options);
+      SemAcResult cold = fresh.Decide(fresh.Prepare(q));
       for (const char* point : {"parallel.steal", "parallel.replay"}) {
         for (FailpointAction action :
              {FailpointAction::kCancel, FailpointAction::kBadAlloc}) {
@@ -255,8 +274,6 @@ TEST(FaultInjectionTest, ParallelStealFailpointsAbortAndRecover) {
                 (action == FailpointAction::kCancel ? "=cancel@"
                                                     : "=bad_alloc@") +
                 std::to_string(fire_on);
-            SemAcOptions options = SweepOptions();
-            options.decide_threads = 4;
             Engine engine(w.sigma, options);
             PreparedQuery pq = engine.Prepare(q);
 
@@ -273,10 +290,7 @@ TEST(FaultInjectionTest, ParallelStealFailpointsAbortAndRecover) {
                   << context;
             }
 
-            SemAcResult warm = engine.Decide(pq);
-            Engine fresh(w.sigma, options);
-            SemAcResult cold = fresh.Decide(fresh.Prepare(q));
-            ExpectSameDecision(cold, warm, context);
+            ExpectSameDecision(cold, engine.Decide(pq), context);
           }
         }
       }

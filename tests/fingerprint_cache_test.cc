@@ -35,6 +35,17 @@ ConjunctiveQuery ChainQuery(int n) {
   return Q(body);
 }
 
+/// The bytes one entry (key q, a payload reporting `payload` bytes) is
+/// charged, read off an unbounded cache — byte budgets are sized in
+/// entries through it.
+size_t EntryBytes(const ConjunctiveQuery& q, size_t payload) {
+  FingerprintCache<Payload, ExactMatch<Payload>> probe;
+  probe.GetOrCompute(q, [payload]() {
+    return std::make_shared<const Payload>(Payload{0, payload});
+  });
+  return probe.Stats().bytes;
+}
+
 TEST(FingerprintCacheTest, HitMissInsertAccounting) {
   FingerprintCache<Payload, ExactMatch<Payload>> cache;
   int computes = 0;
@@ -78,15 +89,18 @@ TEST(FingerprintCacheTest, DisabledCacheComputesEveryTime) {
   EXPECT_EQ(cache.Stats().misses, 3u);
 }
 
-TEST(FingerprintCacheTest, LruEvictionUnderEntryBudget) {
+TEST(FingerprintCacheTest, LruEvictionUnderByteBudget) {
+  ConjunctiveQuery a = ChainQuery(1), b = ChainQuery(2), c = ChainQuery(3);
   CacheConfig config;
-  config.max_entries = 2;
-  config.shards = 1;  // exact small-entry budget needs one shard
+  // One byte short of all three entries: a and b fit, inserting c must
+  // evict exactly one entry, and a + c fit again.
+  config.max_bytes = EntryBytes(a, 16) + EntryBytes(b, 16) +
+                     EntryBytes(c, 16) - 1;
+  config.shards = 1;  // an exact budget needs one shard
   FingerprintCache<Payload, ExactMatch<Payload>> cache(config);
   auto value = [](int id) {
     return [id]() { return std::make_shared<const Payload>(Payload{id, 16}); };
   };
-  ConjunctiveQuery a = ChainQuery(1), b = ChainQuery(2), c = ChainQuery(3);
 
   cache.GetOrCompute(a, value(1));
   cache.GetOrCompute(b, value(2));
@@ -177,15 +191,19 @@ TEST(FingerprintCacheTest, ConcurrentGetOrComputeKeepsFirstInsert) {
   EXPECT_EQ(cache.Stats().entries, 1u);
 }
 
-/// Eviction under contention: 8 threads over a 2-entry cache; the cache
-/// must stay within budget, never serve a wrong value, and end coherent.
+/// Eviction under contention: 8 threads over a two-entry byte budget;
+/// the cache must stay within budget, never serve a wrong value, and end
+/// coherent.
 TEST(FingerprintCacheTest, ConcurrentEvictionStaysCoherent) {
-  CacheConfig config;
-  config.max_entries = 2;
-  config.shards = 1;
-  FingerprintCache<Payload, ExactMatch<Payload>> cache(config);
+  constexpr size_t kPayload = 4096;  // dominates the key charge
   std::vector<ConjunctiveQuery> keys;
   for (int i = 1; i <= 6; ++i) keys.push_back(ChainQuery(i));
+  CacheConfig config;
+  // Any two entries fit (the largest key twice), no three do.
+  config.max_bytes = 2 * EntryBytes(keys.back(), kPayload);
+  ASSERT_GT(3 * EntryBytes(keys.front(), kPayload), config.max_bytes);
+  config.shards = 1;
+  FingerprintCache<Payload, ExactMatch<Payload>> cache(config);
   constexpr size_t kThreads = 8;
   std::vector<std::thread> pool;
   std::atomic<bool> mismatch{false};
@@ -195,7 +213,7 @@ TEST(FingerprintCacheTest, ConcurrentEvictionStaysCoherent) {
         size_t i = (k + t) % keys.size();
         auto v = cache.GetOrCompute(keys[i], [i]() {
           return std::make_shared<const Payload>(
-              Payload{static_cast<int>(i), 16});
+              Payload{static_cast<int>(i), kPayload});
         });
         if (v->id != static_cast<int>(i)) mismatch.store(true);
       }
@@ -205,6 +223,7 @@ TEST(FingerprintCacheTest, ConcurrentEvictionStaysCoherent) {
   EXPECT_FALSE(mismatch.load());
   CacheStats stats = cache.Stats();
   EXPECT_LE(stats.entries, 2u);
+  EXPECT_LE(stats.bytes, config.max_bytes);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_EQ(stats.misses, stats.inserts);
   EXPECT_EQ(stats.hits + stats.misses, kThreads * 60u);

@@ -254,8 +254,6 @@ TEST(EngineDeadlineTest, PreCancelledTokenAbortsAndEngineStaysReusable) {
   ExpectSameDecision(cold, warm);
   EXPECT_EQ(after.chase.inserts - before.chase.inserts,
             fresh_after.chase.inserts - fresh_before.chase.inserts);
-  EXPECT_EQ(after.oracles.inserts - before.oracles.inserts,
-            fresh_after.oracles.inserts - fresh_before.oracles.inserts);
   EXPECT_EQ(after.decisions.inserts - before.decisions.inserts,
             fresh_after.decisions.inserts - fresh_before.decisions.inserts);
 }

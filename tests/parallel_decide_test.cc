@@ -176,8 +176,8 @@ struct Workload {
 };
 
 /// One workload per generator family / schema class, mirroring
-/// engine_test's parity sweep: guarded tgds (chase oracles), a
-/// non-recursive set (UCQ-rewriting oracles), and egds (K2 machinery).
+/// engine_test's parity sweep: guarded tgds, a non-recursive set (both
+/// weakly acyclic, so chase-based oracles), and egds (K2 machinery).
 /// Cyclic members drive the subsets and exhaustive strategies — the two
 /// that run on the work-stealing pool.
 std::vector<Workload> Workloads(uint64_t seed) {

@@ -410,8 +410,8 @@ TEST(ServeTest, TenantsGetIsolatedEnginesAndBudgetShares) {
   EXPECT_EQ(beta->Metrics().decisions_total, 0u);
   EXPECT_EQ(def->Metrics().decisions_total, 0u);
   // The 24 MiB total split across three tenants: each chase cache got
-  // (24 MiB / 3) / 2.
-  EXPECT_EQ(alpha->Stats().chase.max_bytes, 24u * 1024 * 1024 / 3 / 2);
+  // seven eighths of (24 MiB / 3).
+  EXPECT_EQ(alpha->Stats().chase.max_bytes, 24u * 1024 * 1024 / 3 / 8 * 7);
 
   // Unknown tenants are refused per-request, not fatally.
   ASSERT_TRUE(client.SendLine("{\"query\": \"" + query +
