@@ -2,17 +2,12 @@
 //
 // Claim demonstrated: on the realistic service workload — many decisions
 // against one fixed Σ, with queries repeating — a shared semacyc::Engine
-// amortizes what depends only on Σ or (q, Σ): schema analysis,
-// chase(q, Σ), and finally the decision itself. The cold path (one
-// free-function call per decision, the pre-Engine behavior) re-derives
-// all of it every time.
+// amortizes what depends only on Σ or (q, Σ): schema analysis and the
+// decision itself. The cold path (one free-function call per decision,
+// the pre-Engine behavior) re-derives all of it every time.
 //
-// Three configurations over the identical call sequence:
+// Two configurations over the identical call sequence:
 //   cold         DecideSemanticAcyclicity per call (transient Engine each)
-//   chase-reuse  shared Engine, decision cache off — repeat decisions
-//                rerun the oracle build and the strategies but reuse the
-//                chases (the amortization floor for non-identical
-//                workloads)
 //   prepared     shared Engine, full configuration (decision cache on)
 //
 // Self-timed (no google-benchmark dependency); pass --json to emit
@@ -99,11 +94,10 @@ std::vector<Workload> MakeWorkloads() {
 void EngineShowdown(bench::JsonReport* report) {
   bench::Banner(
       "Engine reuse — prepared schema/queries vs cold free-function calls",
-      "repeat decisions against one fixed Sigma amortize schema analysis, "
-      "chase and the decision itself");
-  bench::Table table({"workload", "calls", "cold (ms)", "chase-reuse (ms)",
-                      "prepared (ms)", "cold/chase-reuse", "cold/prepared",
-                      "parity"});
+      "repeat decisions against one fixed Sigma amortize schema analysis "
+      "and the decision itself");
+  bench::Table table({"workload", "calls", "cold (ms)", "prepared (ms)",
+                      "cold/prepared", "parity"});
 
   for (Workload& w : MakeWorkloads()) {
     SemAcOptions options = BenchOptions();
@@ -119,27 +113,6 @@ void EngineShowdown(bench::JsonReport* report) {
       }
     }
     double cold_ms = MillisSince(cold_start);
-
-    // Shared engine, decision cache off: every call runs the pipeline
-    // (oracle build included) but off the shared chases.
-    std::vector<SemAcAnswer> chase_reuse_answers;
-    EngineOptions no_decision_cache;
-    no_decision_cache.semac = options;
-    no_decision_cache.decisions.enabled = false;
-    Engine chase_reuse_engine(w.sigma, no_decision_cache);
-    auto chase_reuse_start = Clock::now();
-    {
-      std::vector<PreparedQuery> prepared;
-      for (const ConjunctiveQuery& q : w.queries) {
-        prepared.push_back(chase_reuse_engine.Prepare(q));
-      }
-      for (int r = 0; r < w.repeats; ++r) {
-        for (const PreparedQuery& pq : prepared) {
-          chase_reuse_answers.push_back(chase_reuse_engine.Decide(pq).answer);
-        }
-      }
-    }
-    double chase_reuse_ms = MillisSince(chase_reuse_start);
 
     // Full engine: repeats served from the decision cache.
     std::vector<SemAcAnswer> prepared_answers;
@@ -158,18 +131,14 @@ void EngineShowdown(bench::JsonReport* report) {
     }
     double prepared_ms = MillisSince(prepared_start);
 
-    bool parity = cold_answers == chase_reuse_answers &&
-                  cold_answers == prepared_answers;
+    bool parity = cold_answers == prepared_answers;
 
-    char cold_str[32], chase_reuse_str[32], prepared_str[32], rc[32], rp[32];
+    char cold_str[32], prepared_str[32], rp[32];
     std::snprintf(cold_str, sizeof(cold_str), "%.2f", cold_ms);
-    std::snprintf(chase_reuse_str, sizeof(chase_reuse_str), "%.2f",
-                  chase_reuse_ms);
     std::snprintf(prepared_str, sizeof(prepared_str), "%.2f", prepared_ms);
-    std::snprintf(rc, sizeof(rc), "%.1fx", cold_ms / chase_reuse_ms);
     std::snprintf(rp, sizeof(rp), "%.1fx", cold_ms / prepared_ms);
-    table.AddRow({w.name, std::to_string(calls), cold_str, chase_reuse_str,
-                  prepared_str, rc, rp, parity ? "ok" : "MISMATCH"});
+    table.AddRow({w.name, std::to_string(calls), cold_str, prepared_str, rp,
+                  parity ? "ok" : "MISMATCH"});
     if (!parity) {
       std::printf("!! answer mismatch between engine paths on %s\n",
                   w.name.c_str());
@@ -180,33 +149,28 @@ void EngineShowdown(bench::JsonReport* report) {
         {{"workload", bench::JsonReport::Str(w.name)},
          {"calls", bench::JsonReport::Num(static_cast<double>(calls))},
          {"cold_ms", bench::JsonReport::Num(cold_ms)},
-         {"chase_reuse_ms", bench::JsonReport::Num(chase_reuse_ms)},
          {"prepared_ms", bench::JsonReport::Num(prepared_ms)},
-         {"speedup_chase_reuse",
-          bench::JsonReport::Num(cold_ms / chase_reuse_ms)},
          {"speedup_prepared", bench::JsonReport::Num(cold_ms / prepared_ms)},
          {"decision_cache_hits",
-          bench::JsonReport::Num(
-              static_cast<double>(engine.Stats().decisions.hits))},
+          bench::JsonReport::Num(static_cast<double>(engine.Stats().hits))},
          {"parity", parity ? std::string("true") : std::string("false")}});
   }
 
   table.Print();
   std::printf(
-      "Shape check: identical answers on all three paths; prepared >> cold\n"
-      "on every workload (the chase-reuse row is the floor when calls\n"
-      "repeat in structure but not verbatim).\n");
+      "Shape check: identical answers on both paths; prepared >> cold on\n"
+      "every workload.\n");
 }
 
-/// Bounded caches vs unbounded on the same prepared-engine call sequence:
-/// the eviction overhead and the hit-rate cliff. A budget comfortably
-/// above the working set (16 MiB) should match unbounded; a budget below
-/// it (8 KiB total across the two caches) thrashes — every repeat
-/// recomputes — and the evictions column shows why.
+/// Bounded decision cache vs unbounded on the same prepared-engine call
+/// sequence: the eviction overhead and the hit-rate cliff. A budget
+/// comfortably above the working set (16 MiB) should match unbounded; a
+/// budget below one entry per shard (1 KiB over 8 shards) thrashes —
+/// every repeat recomputes — and the evictions column shows why.
 void BoundedCacheShowdown(bench::JsonReport* report) {
   bench::Banner(
-      "Bounded caches — LRU eviction overhead and hit-rate cliff",
-      "the same workload under 8 KiB / 16 MiB / unbounded byte budgets; "
+      "Bounded decision cache — LRU eviction overhead and hit-rate cliff",
+      "the same workload under 1 KiB / 16 MiB / unbounded byte budgets; "
       "answers are identical, only time and hit rate move");
   bench::Table table({"workload", "budget", "time (ms)", "hits", "evictions",
                       "vs unbounded", "parity"});
@@ -216,7 +180,7 @@ void BoundedCacheShowdown(bench::JsonReport* report) {
     size_t bytes;  // 0 = unbounded
   };
   const Budget budgets[] = {
-      {"8KiB", 8 * 1024}, {"16MiB", 16 * 1024 * 1024}, {"unbounded", 0}};
+      {"1KiB", 1024}, {"16MiB", 16 * 1024 * 1024}, {"unbounded", 0}};
 
   for (Workload& w : MakeWorkloads()) {
     SemAcOptions options = BenchOptions();
@@ -235,7 +199,7 @@ void BoundedCacheShowdown(bench::JsonReport* report) {
     for (int b = 2; b >= 0; --b) {
       EngineOptions eo;
       eo.semac = options;
-      if (budgets[b].bytes > 0) eo.SetTotalCacheBudget(budgets[b].bytes);
+      eo.decisions.max_bytes = budgets[b].bytes;
       Engine engine(w.sigma, eo);
       auto start = Clock::now();
       std::vector<PreparedQuery> prepared;
@@ -248,9 +212,9 @@ void BoundedCacheShowdown(bench::JsonReport* report) {
         }
       }
       rows[b].ms = MillisSince(start);
-      EngineCacheStats stats = engine.Stats();
-      rows[b].hits = stats.chase.hits + stats.decisions.hits;
-      rows[b].evictions = stats.chase.evictions + stats.decisions.evictions;
+      CacheStats stats = engine.Stats();
+      rows[b].hits = stats.hits;
+      rows[b].evictions = stats.evictions;
       if (b == 2) {
         reference = rows[b].answers;
         unbounded_ms = rows[b].ms;
@@ -285,7 +249,7 @@ void BoundedCacheShowdown(bench::JsonReport* report) {
   table.Print();
   std::printf(
       "Shape check: parity on every budget; 16MiB ~ unbounded (no\n"
-      "evictions on these working sets), 8KiB shows the cliff — high\n"
+      "evictions on these working sets), 1KiB shows the cliff — high\n"
       "eviction counts and cold-ish times.\n");
 }
 
@@ -299,7 +263,7 @@ void BoundedCacheShowdown(bench::JsonReport* report) {
 /// host, like some CI containers, shows ~1.0x minus scheduling overhead).
 void BatchShowdown(bench::JsonReport* report) {
   bench::Banner(
-      "Engine::DecideBatch — shared caches under concurrency",
+      "Engine::DecideBatch — one shared Engine under concurrency",
       "N threads sharing one Engine decide a distinct-query batch with "
       "exactly the answers of one thread; wall time scales with cores");
   bench::Table table({"batch", "cores", "1 thread (ms)", "4 threads (ms)",

@@ -100,9 +100,10 @@ struct Run {
   std::optional<ConjunctiveQuery> witness;
 };
 
-/// Engine::Decide with a fixed deadline configuration; chase memo and
-/// oracle are primed by one untimed decision, so timed reps measure only
-/// the pipeline (and its poll sites).
+/// Engine::Decide with a fixed deadline configuration. The decision cache
+/// is off, so every timed rep runs the whole pipeline (the per-decision
+/// chase and oracle builds included) and its poll sites. One untimed rep
+/// warms up first.
 class Runner {
  public:
   Runner(const Workload& w, int64_t deadline_ms)

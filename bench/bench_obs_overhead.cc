@@ -161,9 +161,10 @@ class BareRunner {
 };
 
 /// The instrumented pipeline: Engine::Decide with metrics always on and
-/// `sink` attached (null = tracing off). Chase cache and oracle are
-/// primed by one untimed decision, so timed reps pay the same prebuilt
-/// chase/oracle as the bare run plus everything the Engine adds.
+/// `sink` attached (null = tracing off). The decision cache is off and
+/// the Engine builds chase(q, Σ) and the oracle per decision, so every
+/// timed rep pays that build on top of the bare run's search, plus
+/// everything else the Engine adds. One untimed rep warms up first.
 class EngineRunner {
  public:
   EngineRunner(const Workload& w, obs::TraceSink* sink)
@@ -174,7 +175,7 @@ class EngineRunner {
                   return options;
                 }()),
         pq_(engine_.Prepare(w.q)) {
-    engine_.Decide(pq_);  // prime chase memo + oracle
+    engine_.Decide(pq_);  // untimed warm-up rep
   }
 
   void Once(Run* run) {

@@ -29,7 +29,7 @@ int main() {
   // 2. A constraint: every customer owns every record classified with a
   //    style they are interested in ("compulsive collectors"). The Engine
   //    analyzes Σ once; every later call runs off that prepared schema
-  //    and its shared caches (chase memo, decisions).
+  //    and its decision cache.
   DependencySet sigma = MustParseDependencySet(
       "Interest(x,z), Class(y,z) -> Owns(x,y)");
   std::printf("constraints:  %s", sigma.ToString().c_str());
@@ -81,7 +81,6 @@ int main() {
   // 6. Session statistics: the decision above was computed once; Eval
   //    reused it from the cache.
   std::printf("engine: %" PRIu64 " decisions, %zu served from cache\n",
-              engine.Metrics().decisions_total,
-              engine.Stats().decisions.hits);
+              engine.Metrics().decisions_total, engine.Stats().hits);
   return 0;
 }

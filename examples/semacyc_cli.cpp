@@ -14,12 +14,11 @@
 // comment lines skipped).
 //
 // Batch flags:
-//   --stats       after the run, print Engine::Stats() (per-cache entries,
-//                 bytes, hits/misses/inserts/evictions) plus the aggregate
-//                 counters as one JSON object line on stdout.
-//   --cache-mb N  bound the engine's cache memory: N MiB total, split
-//                 across the two caches (chase seven eighths, decisions
-//                 an eighth) with LRU eviction.
+//   --stats       after the run, print Engine::Stats() (the decision
+//                 cache's entries, bytes, hits/misses/inserts/evictions)
+//                 plus the aggregate counters as one JSON object line on
+//                 stdout.
+//   --cache-mb N  bound the decision cache to N MiB with LRU eviction.
 //                 Default: unbounded.
 //   --trace[=F]   emit one {"trace": ...} JSON line per decision (nested
 //                 phase spans + counters, core/obs.h) to stdout, or to
@@ -118,13 +117,11 @@ int RunBatch(const char* schema_path, const char* queries_path,
                          : std::cin;
 
   // One Engine for the whole stream: Σ is analyzed once and every
-  // repeated (or isomorphic) query is served from the shared caches.
+  // repeated (or isomorphic) query is served from the decision cache.
   EngineOptions options;
   options.semac.deadline_ms = deadline_ms;
   options.semac.decide_threads = decide_threads;
-  if (cache_mb > 0) {
-    options.SetTotalCacheBudget(cache_mb * size_t{1024} * 1024);
-  }
+  options.decisions.max_bytes = cache_mb * size_t{1024} * 1024;
   std::FILE* trace_out = nullptr;
   std::optional<obs::JsonLinesSink> sink;
   if (trace) {
@@ -155,11 +152,8 @@ int RunBatch(const char* schema_path, const char* queries_path,
     std::fflush(stdout);
   }
 
-  EngineCacheStats caches = engine.Stats();
-  std::fprintf(stderr,
-               "decided %" PRIu64 " (cache hits: %zu decision, %zu chase)\n",
-               engine.Metrics().decisions_total, caches.decisions.hits,
-               caches.chase.hits);
+  std::fprintf(stderr, "decided %" PRIu64 " (cache hits: %zu decision)\n",
+               engine.Metrics().decisions_total, engine.Stats().hits);
   if (print_stats) PrintStatsJson(engine);
   if (print_metrics) {
     std::printf("{\"metrics\": %s}\n", engine.Metrics().ToJson().c_str());
@@ -285,9 +279,8 @@ void PrintUsage(FILE* out, const char* prog) {
                "                for the JSON output schema)\n"
                "  --stats:      print Engine::Stats() as one JSON line "
                "after the batch\n"
-               "  --cache-mb:   total cache budget in MiB, LRU-split "
-               "across the two caches\n"
-               "                (chase 7/8, decisions 1/8);\n"
+               "  --cache-mb:   decision-cache budget in MiB, LRU "
+               "eviction;\n"
                "                default: unbounded\n"
                "  --trace:      one {\"trace\": ...} JSON line per "
                "decision (phase spans\n"

@@ -50,8 +50,8 @@ void PrintUsage(FILE* out, const char* prog) {
       "  --deadline-ms N server-wide per-request deadline default; a\n"
       "                  request's own deadline_ms field overrides it\n"
       "                  (default: none)\n"
-      "  --cache-mb N    total cache budget in MiB, split evenly across\n"
-      "                  tenant engines (default: unbounded)\n"
+      "  --cache-mb N    total decision-cache budget in MiB, split evenly\n"
+      "                  across tenant engines (default: unbounded)\n"
       "  --tenants LIST  comma-separated tenant names, each with its own\n"
       "                  engine + budget share; the default tenant always\n"
       "                  exists (requests without \"tenant\" use it)\n"

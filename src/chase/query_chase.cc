@@ -1,9 +1,7 @@
 #include "chase/query_chase.h"
 
 #include <cassert>
-#include <chrono>
 
-#include "core/canonical.h"
 #include "core/homomorphism.h"
 
 namespace semacyc {
@@ -23,13 +21,9 @@ const char* ToString(Tri t) {
 QueryChaseResult ChaseQuery(const ConjunctiveQuery& q,
                             const DependencySet& sigma,
                             const ChaseOptions& options) {
-  auto t0 = std::chrono::steady_clock::now();
   FrozenQuery frozen = Freeze(q, TermKind::kNull);
   ChaseResult chase = Chase(frozen.instance, sigma, options);
   QueryChaseResult result;
-  result.build_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
   result.instance = std::move(chase.instance);
   result.saturated = chase.saturated;
   result.failed = chase.failed;
@@ -42,53 +36,6 @@ QueryChaseResult ChaseQuery(const ConjunctiveQuery& q,
     result.frozen_head.push_back(chase.Resolve(t));
   }
   return result;
-}
-
-size_t QueryChaseResult::ApproxBytes() const {
-  return sizeof(QueryChaseResult) + instance.ApproxBytes() +
-         frozen_head.size() * sizeof(Term) +
-         var_to_frozen.size() * (2 * sizeof(Term) + 4 * sizeof(void*));
-}
-
-std::shared_ptr<const QueryChaseResult> ChaseIsoMatch::Resolve(
-    const ConjunctiveQuery& key,
-    const std::shared_ptr<const QueryChaseResult>& value,
-    const ConjunctiveQuery& probe) {
-  std::optional<Substitution> iso = FindIsomorphism(key, probe);
-  if (!iso.has_value()) return nullptr;
-  // The instance's frozen nulls are anonymous and frozen_head is aligned
-  // with the head position-wise (preserved by the bijection), so both
-  // transport verbatim; only var_to_frozen needs the rename σ(v) → frozen.
-  auto adapted = std::make_shared<QueryChaseResult>();
-  adapted->instance = value->instance;
-  adapted->frozen_head = value->frozen_head;
-  adapted->saturated = value->saturated;
-  adapted->failed = value->failed;
-  adapted->steps = value->steps;
-  adapted->build_ns = value->build_ns;
-  adapted->var_to_frozen.reserve(value->var_to_frozen.size());
-  for (const auto& [var, frozen] : value->var_to_frozen) {
-    adapted->var_to_frozen.emplace(Apply(*iso, var), frozen);
-  }
-  return adapted;
-}
-
-std::shared_ptr<const QueryChaseResult> QueryChaseCache::GetOrCompute(
-    const ConjunctiveQuery& q, const DependencySet& sigma,
-    const ChaseOptions& options, bool* inserted) {
-  return cache_.GetOrCompute(
-      q, [&]() -> std::shared_ptr<const QueryChaseResult> {
-        auto computed = std::make_shared<const QueryChaseResult>(
-            ChaseQuery(q, sigma, options));
-        // A chase truncated by cancellation (as opposed to its own step
-        // budgets) must not be memoized: the caller is aborting, and a
-        // later uncancelled run must recompute the full artifact.
-        if (options.cancel != nullptr && options.cancel->triggered()) {
-          return nullptr;
-        }
-        if (inserted != nullptr) *inserted = true;
-        return computed;
-      });
 }
 
 Tri Lemma1Verdict(const QueryChaseResult& chased,

@@ -9,25 +9,24 @@
 
 namespace semacyc {
 
-std::optional<Substitution> FindIsomorphism(const ConjunctiveQuery& q1,
-                                            const ConjunctiveQuery& q2) {
-  if (q1.arity() != q2.arity()) return std::nullopt;
-  if (q1.body().size() != q2.body().size()) return std::nullopt;
-  if (q1.Variables().size() != q2.Variables().size()) return std::nullopt;
+bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
+  if (q1.arity() != q2.arity()) return false;
+  if (q1.body().size() != q2.body().size()) return false;
+  if (q1.Variables().size() != q2.Variables().size()) return false;
 
   // Head correspondence must be position-wise; constants must agree.
   Substitution fixed;
   for (size_t i = 0; i < q1.head().size(); ++i) {
     Term a = q1.head()[i];
     Term b = q2.head()[i];
-    if (a.IsVariable() != b.IsVariable()) return std::nullopt;
+    if (a.IsVariable() != b.IsVariable()) return false;
     if (!a.IsVariable()) {
-      if (a != b) return std::nullopt;
+      if (a != b) return false;
       continue;
     }
     auto it = fixed.find(a);
     if (it != fixed.end()) {
-      if (it->second != b) return std::nullopt;
+      if (it->second != b) return false;
     } else {
       fixed.emplace(a, b);
     }
@@ -39,17 +38,12 @@ std::optional<Substitution> FindIsomorphism(const ConjunctiveQuery& q1,
   options.fixed = std::move(fixed);
   options.injective = true;
   HomResult result = FindHomomorphisms(q1.body(), target, options);
-  if (!result.found) return std::nullopt;
+  if (!result.found) return false;
   // Injective on terms + equal atom counts: check the atom map is onto.
-  Substitution h = std::move(result.solutions.front());
+  const Substitution& h = result.solutions.front();
   std::unordered_set<Atom, AtomHash> image;
   for (const Atom& a : q1.body()) image.insert(Apply(h, a));
-  if (image.size() != q2.body().size()) return std::nullopt;
-  return h;
-}
-
-bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
-  return FindIsomorphism(q1, q2).has_value();
+  return image.size() == q2.body().size();
 }
 
 namespace {

@@ -2,7 +2,6 @@
 #define SEMACYC_CORE_CANONICAL_H_
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 
 #include "core/query.h"
@@ -11,15 +10,9 @@ namespace semacyc {
 
 /// Exact isomorphism test between two CQs: a bijective variable renaming
 /// mapping head position-wise and body onto body. Used to deduplicate
-/// rewriting frontiers and witness candidates.
+/// rewriting frontiers and witness candidates, and to resolve
+/// decision-cache probes.
 bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
-
-/// The witnessing variable bijection of AreIsomorphic: a substitution σ
-/// with σ(q1) = q2 (head position-wise, body onto body), or std::nullopt
-/// when the queries are not isomorphic. The chase memo's iso-resolution
-/// rename layer transports cached per-variable state through σ.
-std::optional<Substitution> FindIsomorphism(const ConjunctiveQuery& q1,
-                                            const ConjunctiveQuery& q2);
 
 /// A hash-interned canonical form: a 64-bit fingerprint of a
 /// renaming/reordering invariant — per-variable occurrence signatures

@@ -41,9 +41,9 @@ struct CacheStats {
   size_t bytes = 0;
   size_t hits = 0;
   size_t misses = 0;
-  /// Entries added — one per miss, plus one per memoized *adapted* value
-  /// (an adapting Matcher's rename layer inserts on the hit path, so
-  /// inserts can exceed misses on such caches).
+  /// Entries added: one per miss whose value was admitted (an entry
+  /// larger than the shard budget is declined and counted as an
+  /// eviction instead).
   size_t inserts = 0;
   size_t evictions = 0;
   /// Configured budget, echoed so one snapshot is self-describing.
@@ -51,65 +51,31 @@ struct CacheStats {
   bool enabled = true;
 };
 
-/// Matcher for caches resolved by exact query equality only (the cache
-/// always tries exact equality first; this matcher adds no fallback).
-template <typename Value>
-struct ExactMatch {
-  static std::shared_ptr<const Value> Resolve(
-      const ConjunctiveQuery& /*key*/,
-      const std::shared_ptr<const Value>& /*value*/,
-      const ConjunctiveQuery& /*probe*/) {
-    return nullptr;
-  }
-};
-
-/// Matcher for values that are valid verbatim for every query isomorphic
-/// to their key (decisions): the cached value is served unchanged.
-template <typename Value>
-struct IsoMatch {
-  static std::shared_ptr<const Value> Resolve(
-      const ConjunctiveQuery& key, const std::shared_ptr<const Value>& value,
-      const ConjunctiveQuery& probe) {
-    return AreIsomorphic(key, probe) ? value : nullptr;
-  }
-};
-
-/// One policy-bearing cache for every fingerprint-keyed memo in the
-/// system: chase(q, Σ) results and decision results are both instances of
-/// this template.
+/// The policy-bearing memo behind the Engine's decision cache, for values
+/// that are valid verbatim for every query isomorphic to their key.
 ///
 /// Keys are ConjunctiveQuerys bucketed by canonical fingerprint
 /// (isomorphism-invariant, so every variant of a query lands in one
 /// bucket); within a bucket, a probe resolves by exact query equality
-/// first and then by the Matcher:
+/// first and then by isomorphism, and the cached value is served
+/// unchanged either way.
 ///
-///   struct Matcher {
-///     /// Serve `value` (stored under `key`) for `probe`: nullptr when
-///     /// the entry does not apply; `value` itself when it applies
-///     /// verbatim; a freshly *adapted* value otherwise. Adapted values
-///     /// are inserted under the probe key, so each renamed variant pays
-///     /// the adaptation once and exact-hits afterwards.
-///     static std::shared_ptr<const Value> Resolve(
-///         const ConjunctiveQuery& key,
-///         const std::shared_ptr<const Value>& value,
-///         const ConjunctiveQuery& probe);
-///   };
-///
-/// Eviction is LRU per shard, driven by the byte budget of CacheConfig. Every entry is charged once at insert time with
-/// key.ApproxBytes() + value->ApproxBytes() + bookkeeping; values are
-/// immutable once inserted, so that charge stays exact. Values are handed
-/// out as shared_ptr<const Value>, so eviction never
-/// invalidates a value a caller still holds.
+/// Eviction is LRU per shard, driven by the byte budget of CacheConfig.
+/// Every entry is charged once at insert time with key.ApproxBytes() +
+/// value->ApproxBytes() + bookkeeping; values are immutable once
+/// inserted, so that charge stays exact. Values are handed out as
+/// shared_ptr<const Value>, so eviction never invalidates a value a
+/// caller still holds.
 ///
 /// Thread safety: all methods are safe to call concurrently. Lookups and
-/// inserts take one shard mutex; computations AND Matcher::Resolve calls
-/// run outside every lock (the matcher pass snapshots the bucket's
-/// key/value pairs first, so an expensive isomorphism search or value
-/// adaptation never serializes the shard). A racing computation of the
-/// same key keeps the first inserted value, so all callers observe one
-/// result; racing probes of two isomorphic-but-distinct keys may each
-/// insert their own entry, which is benign duplication bounded by LRU.
-template <typename Value, typename Matcher = ExactMatch<Value>>
+/// inserts take one shard mutex; computations AND isomorphism searches
+/// run outside every lock (the isomorphism pass snapshots the bucket's
+/// key/value pairs first, so an expensive search never serializes the
+/// shard). A racing computation of the same key keeps the first inserted
+/// value, so all callers observe one result; racing probes of two
+/// isomorphic-but-distinct keys may each insert their own entry, which is
+/// benign duplication bounded by LRU.
+template <typename Value>
 class FingerprintCache {
  public:
   FingerprintCache() : FingerprintCache(CacheConfig{}) {}
@@ -173,8 +139,7 @@ class FingerprintCache {
   }
 
   /// Lookup without compute; counts as a hit or miss. Not read-only: like
-  /// any probe it touches LRU recency, and an adapting Matcher may
-  /// memoize the adapted value under the probe key.
+  /// any probe it touches LRU recency.
   std::shared_ptr<const Value> Find(uint64_t fp, const ConjunctiveQuery& q) {
     if (!config_.enabled) {
       misses_.fetch_add(1, std::memory_order_relaxed);
@@ -202,7 +167,6 @@ class FingerprintCache {
   }
 
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
   /// Evicts LRU entries until the cache holds at most target_bytes
   /// (enforced per shard at target_bytes / shards). Trim(0) drops every
@@ -215,27 +179,6 @@ class FingerprintCache {
         EvictTailLocked(shard);
       }
     }
-  }
-
-  /// Drops the entry stored under this exact key, if resident. The abort
-  /// rollback hook: a decision cancelled mid-flight erases the entries it
-  /// inserted so the engine's cache state matches one that never started
-  /// the decision (values still leased via shared_ptr stay alive, exactly
-  /// as with eviction — and the drop is counted as one). Returns whether
-  /// an entry was dropped.
-  bool Erase(uint64_t fp, const ConjunctiveQuery& q) {
-    if (!config_.enabled) return false;
-    Shard& shard = ShardFor(fp);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto bucket_it = shard.buckets.find(fp);
-    if (bucket_it == shard.buckets.end()) return false;
-    for (auto it : bucket_it->second) {
-      if (!(it->key == q)) continue;
-      shard.lru.splice(shard.lru.end(), shard.lru, it);
-      EvictTailLocked(shard);
-      return true;
-    }
-    return false;
   }
 
  private:
@@ -262,8 +205,7 @@ class FingerprintCache {
     return shards_[(fp ^ (fp >> 32)) & (shards_.size() - 1)];
   }
 
-  /// Exact-equality scan under the shard lock (so a previously inserted
-  /// adapted entry beats re-adapting from the original); touches LRU.
+  /// Exact-equality scan under the shard lock; touches LRU.
   std::shared_ptr<const Value> ExactFindLocked(Shard& shard, uint64_t fp,
                                                const ConjunctiveQuery& q) {
     auto bucket_it = shard.buckets.find(fp);
@@ -277,10 +219,9 @@ class FingerprintCache {
     return nullptr;
   }
 
-  /// Full probe: exact pass under the lock, then the Matcher pass on a
-  /// snapshot of the bucket *outside* the lock — Matcher::Resolve may run
-  /// an isomorphism search or copy a whole value, and must not serialize
-  /// the shard while it does.
+  /// Full probe: exact pass under the lock, then the isomorphism pass on
+  /// a snapshot of the bucket *outside* the lock, so the search never
+  /// serializes the shard.
   std::shared_ptr<const Value> Probe(Shard& shard, uint64_t fp,
                                      const ConjunctiveQuery& q) {
     std::vector<std::pair<ConjunctiveQuery, std::shared_ptr<const Value>>>
@@ -296,25 +237,17 @@ class FingerprintCache {
       }
     }
     for (const auto& [key, value] : candidates) {
-      std::shared_ptr<const Value> served = Matcher::Resolve(key, value, q);
-      if (served == nullptr) continue;
+      if (!AreIsomorphic(key, q)) continue;
       std::lock_guard<std::mutex> lock(shard.mu);
       TouchByKeyLocked(shard, fp, key);
-      if (served != value) {
-        // Adapted value: memoize it under the probe key — the next probe
-        // with this exact query is then a plain exact hit — unless a
-        // racing thread already inserted the same adaptation.
-        if (auto existing = ExactFindLocked(shard, fp, q)) return existing;
-        InsertLocked(shard, fp, q, served);
-      }
-      return served;
+      return value;
     }
     return nullptr;
   }
 
   /// Moves the entry with this exact key (if still resident) to the MRU
-  /// position; the matcher pass works on a snapshot, so the source entry
-  /// may have been evicted meanwhile.
+  /// position; the isomorphism pass works on a snapshot, so the source
+  /// entry may have been evicted meanwhile.
   void TouchByKeyLocked(Shard& shard, uint64_t fp,
                         const ConjunctiveQuery& key) {
     auto bucket_it = shard.buckets.find(fp);

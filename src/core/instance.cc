@@ -125,20 +125,6 @@ Instance Instance::Restrict(const std::vector<uint32_t>& atom_indices) const {
   return out;
 }
 
-size_t Instance::ApproxBytes() const {
-  size_t bytes = sizeof(Instance);
-  size_t occurrences = 0;
-  for (const Atom& a : atoms_) {
-    bytes += sizeof(Atom) + a.arity() * sizeof(Term);
-    occurrences += a.arity();
-  }
-  // atom_set_ and by_predicate_ hold one entry per atom; by_position_ one
-  // per argument occurrence. Charge hash-node overhead for each.
-  bytes += atoms_.size() * (sizeof(Atom) + 4 * sizeof(void*));
-  bytes += occurrences * (sizeof(uint32_t) + 4 * sizeof(void*));
-  return bytes;
-}
-
 std::string Instance::ToString() const {
   std::string out = "{";
   for (size_t i = 0; i < atoms_.size(); ++i) {

@@ -71,11 +71,6 @@ class Instance {
   /// Restricts the instance to the atoms whose indices are listed.
   Instance Restrict(const std::vector<uint32_t>& atom_indices) const;
 
-  /// Approximate heap footprint (cache byte accounting): atom payload plus
-  /// an estimate for the three indexes, which hold one entry per atom
-  /// occurrence. Deterministic, O(|atoms|).
-  size_t ApproxBytes() const;
-
   std::string ToString() const;
 
   friend bool operator==(const Instance& a, const Instance& b);

@@ -50,7 +50,6 @@ Engine::Engine(DependencySet sigma, SemAcOptions options)
 
 Engine::Engine(DependencySet sigma, EngineOptions options)
     : options_(options.semac),
-      chase_cache_(options.chase),
       decisions_(options.decisions),
       metrics_(StrategyNames(), AnswerNames()) {
   obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kSchemaAnalyze);
@@ -70,17 +69,6 @@ PreparedQuery Engine::Prepare(const ConjunctiveQuery& q) const {
   out.bound_ = SmallQueryBound(q, schema_.sigma, schema_.facts,
                                &out.bound_justified_);
   return out;
-}
-
-std::shared_ptr<const QueryChaseResult> Engine::ChaseOf(
-    const ConjunctiveQuery& q, CancelToken* cancel, bool* inserted) const {
-  if (cancel == nullptr) {
-    return chase_cache_.GetOrCompute(q, schema_.sigma, options_.chase,
-                                     inserted);
-  }
-  ChaseOptions options = options_.chase;
-  options.cancel = cancel;
-  return chase_cache_.GetOrCompute(q, schema_.sigma, options, inserted);
 }
 
 CancelToken* Engine::WithDeadline(CancelToken* cancel,
@@ -107,21 +95,18 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
                                     CancelToken* cancel) const {
   obs::TraceSink* sink = options_.trace_sink;
   std::optional<obs::DecisionTracer> tracer;
-  // Root-span cache and oracle-prefilter delta baselines, read only when
-  // tracing. Exact for serial callers; under concurrent decisions the
-  // deltas include the other threads' traffic (documented in
-  // docs/OBSERVABILITY.md).
-  size_t chase_h0 = 0, chase_m0 = 0, dec_h0 = 0, prefiltered0 = 0;
+  // Root-span decision-cache and oracle-prefilter delta baselines, read
+  // only when tracing. Exact for serial callers; under concurrent
+  // decisions the deltas include the other threads' traffic (documented
+  // in docs/OBSERVABILITY.md).
+  size_t dec_h0 = 0, prefiltered0 = 0;
   if (sink != nullptr) {
     tracer.emplace();
-    chase_h0 = chase_cache_.hits();
-    chase_m0 = chase_cache_.misses();
     dec_h0 = decisions_.hits();
     prefiltered0 = metrics_.Count(obs::Counter::kOraclePrefiltered);
   }
   auto t0 = std::chrono::steady_clock::now();
   bool computed = false;
-  bool chase_inserted = false;
   std::shared_ptr<const SemAcResult> aborted;
   std::shared_ptr<const SemAcResult> result = decisions_.GetOrCompute(
       q.fingerprint(), q.query(),
@@ -130,7 +115,7 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
         SemAcResult r;
         try {
           r = DecideUncached(q, tracer.has_value() ? &*tracer : nullptr,
-                             cancel, &chase_inserted);
+                             cancel);
         } catch (const std::bad_alloc&) {
           // Allocation failure (injected or genuine) mid-pipeline: RAII
           // already unwound the phase spans; surface the same graceful
@@ -148,13 +133,7 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
         }
         return std::make_shared<const SemAcResult>(std::move(r));
       });
-  if (result == nullptr) {
-    // Aborted: erase the chase entry this decision inserted, so a later
-    // re-decide replays the same misses/inserts as an engine that never
-    // started (the drop counts as an eviction, like any other drop).
-    if (chase_inserted) chase_cache_.Erase(q.query());
-    result = aborted;
-  }
+  if (result == nullptr) result = aborted;
   int64_t ns = ElapsedNs(t0);
   metrics_.RecordDecision(static_cast<size_t>(result->strategy),
                           static_cast<size_t>(result->answer), ns, !computed);
@@ -165,10 +144,6 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
     };
     tracer->AddCounter(0, "candidates_tested",
                        static_cast<int64_t>(result->candidates_tested));
-    tracer->AddCounter(0, "chase_cache_hits",
-                       delta(chase_cache_.hits(), chase_h0));
-    tracer->AddCounter(0, "chase_cache_misses",
-                       delta(chase_cache_.misses(), chase_m0));
     tracer->AddCounter(
         0, "oracle_prefiltered",
         delta(metrics_.Count(obs::Counter::kOraclePrefiltered), prefiltered0));
@@ -185,8 +160,7 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
 
 SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
                                    obs::DecisionTracer* tracer,
-                                   CancelToken* cancel,
-                                   bool* chase_inserted) const {
+                                   CancelToken* cancel) const {
   const ConjunctiveQuery& q = pq.query();
   const DependencySet& sigma = schema_.sigma;
   const acyclic::AcyclicityClass target = options_.target_class;
@@ -196,8 +170,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   result.bound_justified = pq.bound_justified();
 
   // Graceful abort: kUnknown with the evidence gathered so far. The
-  // caller (DecideWithToken) never caches it and rolls back the cache
-  // inserts this call reported.
+  // caller (DecideWithToken) never caches it.
   auto abort_result = [&result]() -> SemAcResult {
     result.answer = SemAcAnswer::kUnknown;
     result.strategy = Strategy::kDeadlineExceeded;
@@ -252,28 +225,20 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   SEMACYC_FAILPOINT("decide.after_core", cancel);
   if (cancel != nullptr && cancel->PollNow()) return abort_result();
 
-  // Chase once; shared by the remaining strategies (and, through the
-  // chase cache, by every other call for this query). The span measures
-  // acquisition — a cache hit closes in microseconds, and build_ns still
-  // reports what the original computation cost. A chase truncated by the
-  // token comes back nullptr (never memoized): abort.
-  std::shared_ptr<const QueryChaseResult> chase_ptr;
+  // Chase once; shared by the remaining strategies. A chase cut short by
+  // the token leaves the token fired, so the poll below aborts.
+  QueryChaseResult chase;
   {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kChase);
-    chase_ptr = ChaseOf(q, cancel, chase_inserted);
-    if (chase_ptr != nullptr) {
-      timer.Counter("steps", static_cast<int64_t>(chase_ptr->steps));
-      timer.Counter("build_ns", chase_ptr->build_ns);
-      timer.Counter("saturated", chase_ptr->saturated ? 1 : 0);
-      timer.Counter("atoms",
-                    static_cast<int64_t>(chase_ptr->instance.atoms().size()));
-    }
+    ChaseOptions chase_options = options_.chase;
+    chase_options.cancel = cancel;
+    chase = ChaseQuery(q, sigma, chase_options);
+    timer.Counter("steps", static_cast<int64_t>(chase.steps));
+    timer.Counter("saturated", chase.saturated ? 1 : 0);
+    timer.Counter("atoms", static_cast<int64_t>(chase.instance.atoms().size()));
   }
   SEMACYC_FAILPOINT("decide.after_chase", cancel);
-  if (chase_ptr == nullptr || (cancel != nullptr && cancel->PollNow())) {
-    return abort_result();
-  }
-  const QueryChaseResult& chase = *chase_ptr;
+  if (cancel != nullptr && cancel->PollNow()) return abort_result();
   if (chase.failed) {
     // q is unsatisfiable on every model of Σ; any acyclic query that is
     // also unsatisfiable under Σ is equivalent to it. Verifying emptiness
@@ -499,12 +464,6 @@ std::vector<SemAcResult> Engine::DecideBatch(
   return out;
 }
 
-Tri Engine::ContainedUnderCached(const ConjunctiveQuery& q1,
-                                 const ConjunctiveQuery& q2) const {
-  // Lemma 1 off the shared chase memo: c(x̄1) ∈ q2(chase(q1, Σ)).
-  return Lemma1Verdict(*ChaseOf(q1), &q2, 1);
-}
-
 void Engine::AddParallelStats(const WorkStealStats& s) const {
   metrics_.Add(obs::Counter::kParallelUnits, s.units_claimed);
   metrics_.Add(obs::Counter::kParallelSteals, s.steals);
@@ -520,18 +479,26 @@ UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
   result.exact = true;
 
   // Redundancy pass (UCQ minimization under Σ): q_i is redundant when some
-  // other kept disjunct contains it. Mutually equivalent disjuncts keep
+  // other kept disjunct contains it (Lemma 1 off the disjunct's chase,
+  // built at most once, on first use). Mutually equivalent disjuncts keep
   // the one with the smaller index.
+  std::vector<std::optional<QueryChaseResult>> chases(disjuncts.size());
+  auto contained = [&](size_t a, size_t b) {
+    if (!chases[a].has_value()) {
+      chases[a] = ChaseQuery(disjuncts[a], schema_.sigma, options_.chase);
+    }
+    return Lemma1Verdict(*chases[a], &disjuncts[b], 1);
+  };
   std::vector<bool> redundant(disjuncts.size(), false);
   for (size_t i = 0; i < disjuncts.size(); ++i) {
     for (size_t j = 0; j < disjuncts.size(); ++j) {
       if (i == j || redundant[j]) continue;
-      Tri forward = ContainedUnderCached(disjuncts[i], disjuncts[j]);
+      Tri forward = contained(i, j);
       if (forward != Tri::kYes) {
         if (forward == Tri::kUnknown) result.exact = false;
         continue;
       }
-      Tri backward = ContainedUnderCached(disjuncts[j], disjuncts[i]);
+      Tri backward = contained(j, i);
       if (backward == Tri::kYes && j > i) continue;  // keep the earlier one
       redundant[i] = true;
       break;
@@ -697,16 +664,8 @@ EvalOutcome Engine::Eval(const PreparedQuery& q,
   return out;
 }
 
-EngineCacheStats Engine::Stats() const {
-  EngineCacheStats s;
-  s.chase = chase_cache_.Stats();
-  s.decisions = decisions_.Stats();
-  return s;
-}
+CacheStats Engine::Stats() const { return decisions_.Stats(); }
 
-void Engine::TrimCaches() const {
-  chase_cache_.Trim(0);
-  decisions_.Trim(0);
-}
+void Engine::TrimCaches() const { decisions_.Trim(0); }
 
 }  // namespace semacyc

@@ -100,46 +100,19 @@ class PreparedQuery {
 };
 
 /// Full construction surface of an Engine: the decision-pipeline options
-/// plus one CacheConfig per cache. The defaults are the production
-/// configuration — both caches enabled and unbounded; set max_bytes to
-/// turn on LRU eviction per cache (multi-tenant / long-running services),
-/// or `enabled = false` to expose the layer below (e.g.
-/// decisions.enabled = false measures chase reuse in isolation).
+/// plus the decision cache's CacheConfig. The defaults are the production
+/// configuration — the cache enabled and unbounded; set
+/// decisions.max_bytes to turn on LRU eviction (multi-tenant /
+/// long-running services), or decisions.enabled = false to run the whole
+/// pipeline on every call.
 struct EngineOptions {
   /// Decision-pipeline options (budgets, target class, strategies).
   /// Default: the production configuration of SemAcOptions.
   SemAcOptions semac;
-  /// chase(q, Σ) memo (iso-resolved with a rename layer; see
-  /// QueryChaseCache). Default: enabled, unbounded. Typically the
-  /// largest cache — entries hold whole chase instances — so bound this
-  /// one first when memory matters.
-  CacheConfig chase;
   /// Decision results for repeat (or isomorphic) queries. Default:
-  /// enabled, unbounded. Entries are small; disable only to measure the
-  /// layers beneath (every repeat then re-runs the pipeline).
+  /// enabled, unbounded. Disable only to measure the pipeline beneath
+  /// (every repeat then re-runs it).
   CacheConfig decisions;
-
-  /// Splits one byte budget across the two caches — the shape of the
-  /// CLI's --cache-mb: decisions get an eighth, the chase memo (its
-  /// entries are whole instances) the remaining seven eighths. Zero
-  /// restores unbounded.
-  void SetTotalCacheBudget(size_t total_bytes) {
-    decisions.max_bytes = total_bytes / 8;
-    chase.max_bytes = total_bytes - decisions.max_bytes;
-  }
-};
-
-/// Per-cache introspection snapshot (see Engine::Stats): one CacheStats —
-/// entries, bytes, hits/misses/inserts/evictions, configured budget — for
-/// each of the two FingerprintCaches.
-struct EngineCacheStats {
-  CacheStats chase;
-  CacheStats decisions;
-
-  /// Resident bytes summed across both caches — the per-tenant accounting
-  /// unit behind semacycd's split cache budgets (the server reports one
-  /// figure per tenant engine; see docs/SERVING.md).
-  size_t TotalBytes() const { return chase.bytes + decisions.bytes; }
 };
 
 /// Result of Engine::Approximate — ApproximationResult plus an explicit
@@ -179,40 +152,39 @@ struct EvalOutcome {
 };
 
 /// Session-oriented entrypoint for the realistic workload — many queries
-/// against one fixed Σ. An Engine analyzes the schema once and keeps every
-/// reusable artifact alive across calls:
+/// against one fixed Σ. An Engine analyzes the schema once and keeps two
+/// things alive across calls:
 ///
 ///   * the PreparedSchema (dependency classification, termination and
 ///     boundedness facts, the predicate-reachability graph);
-///   * a chase memo (chase(q, Σ) computed once per distinct query, with
-///     an iso-resolution rename layer for α-renamed variants);
 ///   * a decision cache serving repeat (or isomorphic) queries instantly.
 ///
-/// Both are FingerprintCache instances governed by the CacheConfigs of
-/// EngineOptions: unbounded by default, LRU-evicting under a byte budget,
-/// introspectable through Stats() and droppable through TrimCaches().
-/// Eviction never changes answers — an evicted artifact is simply
-/// recomputed on the next miss. The compiled containment oracle (with its
-/// UCQ rewriting, when one is built) is per decision: a repeat query is
-/// answered by the decision cache before an oracle is needed.
+/// The cache is a FingerprintCache governed by EngineOptions::decisions:
+/// unbounded by default, LRU-evicting under a byte budget, introspectable
+/// through Stats() and droppable through TrimCaches(). Eviction never
+/// changes answers — an evicted decision is simply recomputed on the next
+/// miss. Everything else is per decision: chase(q, Σ) and the compiled
+/// containment oracle (with its UCQ rewriting, when one is built) are
+/// built once by the decision that needs them, and a repeat query is
+/// answered by the decision cache before either is needed.
 ///
 /// The free functions (DecideSemanticAcyclicity, AcyclicApproximation,
 /// DecideUcqSemanticAcyclicity, FptEvaluate) are one-shot wrappers over a
 /// transient Engine, so both paths run identical code.
 ///
 /// Thread safety: all public methods are const and safe to call
-/// concurrently on a shared Engine. Shared caches are sharded and
-/// mutex-guarded per shard; each decision owns its oracle, whose
-/// containment checks take no lock. Racing computations of the same
-/// artifact keep the first inserted result, so every caller observes the
+/// concurrently on a shared Engine. The decision cache is sharded and
+/// mutex-guarded per shard; each decision owns its chase and oracle,
+/// whose containment checks take no lock. Racing computations of the same
+/// decision keep the first inserted result, so every caller observes the
 /// same answer. DecideBatch with threads > 1 is exactly concurrent Decide
 /// over the batch.
 class Engine {
  public:
-  /// Production caches (EngineOptions defaults) with the given pipeline
-  /// options; delegates to the constructor below.
+  /// Production decision cache (EngineOptions defaults) with the given
+  /// pipeline options; delegates to the constructor below.
   explicit Engine(DependencySet sigma, SemAcOptions options = {});
-  /// Full construction surface: per-cache budgets and policies.
+  /// Full construction surface: the decision cache's budget and policy.
   Engine(DependencySet sigma, EngineOptions options);
 
   Engine(const Engine&) = delete;
@@ -236,7 +208,7 @@ class Engine {
   /// effective deadline is the tighter of the two. An aborted decision
   /// reports Strategy::kDeadlineExceeded / answer kUnknown with the
   /// evidence gathered so far, is never cached, and the engine (sessions
-  /// unwound, both caches coherent) is immediately reusable.
+  /// unwound, the decision cache untouched) is immediately reusable.
   SemAcResult Decide(const PreparedQuery& q,
                      CancelToken* cancel = nullptr) const;
   /// Convenience: Prepare + Decide.
@@ -272,8 +244,9 @@ class Engine {
   /// fallback. Runs Decide, so deadline_ms applies.
   ApproximateOutcome Approximate(const PreparedQuery& q) const;
 
-  /// §8.1 UCQ semantic acyclicity; every disjunct runs off the shared
-  /// caches.
+  /// §8.1 UCQ semantic acyclicity; each disjunct is chased once for the
+  /// redundancy pass, and every kept disjunct is decided through the
+  /// decision cache.
   UcqSemAcResult DecideUcq(const UnionQuery& Q) const;
 
   /// Prop 24 FPT evaluation: reformulate (cached), then Yannakakis over a
@@ -291,10 +264,10 @@ class Engine {
                    const data::ColumnarInstance& database,
                    const EvalOptions& opts = {}) const;
 
-  /// Per-cache introspection: entries, bytes, hit/miss/insert/eviction
-  /// counters and configured budgets of both FingerprintCaches. Safe
-  /// concurrently with decisions.
-  EngineCacheStats Stats() const;
+  /// Decision-cache introspection: entries, bytes, hit/miss/insert/
+  /// eviction counters and the configured budget. Safe concurrently with
+  /// decisions.
+  CacheStats Stats() const;
 
   /// Process-lifetime decision metrics (core/obs.h): per-strategy and
   /// per-answer decision counts, per-strategy and per-phase latency
@@ -304,10 +277,10 @@ class Engine {
   /// --metrics` and the `semacycd` stats endpoint.
   obs::MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
 
-  /// Explicit pressure relief: drops every resident cache entry (chase
-  /// memo, decisions). Counters survive; the drops
-  /// count as evictions. In-flight decisions keep the shared_ptrs they
-  /// already hold, so trimming is safe concurrently with Decide.
+  /// Explicit pressure relief: drops every resident decision-cache entry.
+  /// Counters survive; the drops count as evictions. In-flight decisions
+  /// keep the shared_ptrs they already hold, so trimming is safe
+  /// concurrently with Decide.
   void TrimCaches() const;
 
  private:
@@ -317,26 +290,19 @@ class Engine {
   /// ever tightens, so an external token's earlier deadline survives).
   CancelToken* WithDeadline(CancelToken* cancel, CancelToken* local) const;
   /// The cached-decision layer plus the abort protocol: runs
-  /// DecideUncached under the decision cache, never caches an aborted
-  /// result (including one surfaced from an injected std::bad_alloc), and
-  /// on abort erases the chase entry this decision inserted so a later
-  /// re-decide sees the same cache state as an engine that never started.
+  /// DecideUncached under the decision cache and never caches an aborted
+  /// result (including one surfaced from an injected std::bad_alloc), so
+  /// a later re-decide sees the same cache state as an engine that never
+  /// started.
   SemAcResult DecideWithToken(const PreparedQuery& q,
                               CancelToken* cancel) const;
   /// `tracer` is non-null exactly when options_.trace_sink is set; every
   /// instrumentation site guards on it (null = counters only). `cancel`
   /// (may be null) is polled at every phase boundary and threaded into
-  /// every unbounded loop beneath; `chase_inserted` reports whether this
-  /// call created the chase memo entry (abort rollback).
+  /// every unbounded loop beneath.
   SemAcResult DecideUncached(const PreparedQuery& q,
-                             obs::DecisionTracer* tracer, CancelToken* cancel,
-                             bool* chase_inserted) const;
-  std::shared_ptr<const QueryChaseResult> ChaseOf(
-      const ConjunctiveQuery& q, CancelToken* cancel = nullptr,
-      bool* inserted = nullptr) const;
-  /// q1 ⊆Σ q2 through the chase cache (Lemma 1).
-  Tri ContainedUnderCached(const ConjunctiveQuery& q1,
-                           const ConjunctiveQuery& q2) const;
+                             obs::DecisionTracer* tracer,
+                             CancelToken* cancel) const;
 
   /// Folds one budgeted witness search's work-stealing stats into the
   /// registry (units and replays count at every thread count).
@@ -352,11 +318,10 @@ class Engine {
   PreparedSchema schema_;
   SemAcOptions options_;
 
-  mutable QueryChaseCache chase_cache_;
-  mutable FingerprintCache<SemAcResult, IsoMatch<SemAcResult>> decisions_;
+  mutable FingerprintCache<SemAcResult> decisions_;
 
   /// Lifetime metrics (atomic counters + latency histograms); last member
-  /// so the caches it describes are constructed first. Each decision's
+  /// so the cache it describes is constructed first. Each decision's
   /// oracle holds a pointer to it and counts its prefilter rejections
   /// into it.
   mutable obs::MetricsRegistry metrics_;

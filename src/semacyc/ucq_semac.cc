@@ -7,8 +7,7 @@ namespace semacyc {
 UcqSemAcResult DecideUcqSemanticAcyclicity(const UnionQuery& Q,
                                            const DependencySet& sigma,
                                            const SemAcOptions& options) {
-  // One-shot wrapper: the disjuncts of Q share the transient Engine's
-  // chase memo within this call.
+  // One-shot wrapper over a transient Engine.
   Engine engine(sigma, options);
   return engine.DecideUcq(Q);
 }

@@ -412,40 +412,23 @@ std::optional<std::string> EvalLineResponse(const Engine& engine,
                       max_answers);
 }
 
-namespace {
-
-void AppendCacheStatsJson(std::string* out, const char* name,
-                          const CacheStats& s, bool trailing_comma) {
-  char buf[256];
-  std::snprintf(
-      buf, sizeof(buf),
-      "\"%s\": {\"entries\": %zu, \"bytes\": %zu, \"hits\": %zu, "
-      "\"misses\": %zu, \"inserts\": %zu, \"evictions\": %zu, "
-      "\"max_bytes\": %zu}%s",
-      name, s.entries, s.bytes, s.hits, s.misses, s.inserts, s.evictions,
-      s.max_bytes, trailing_comma ? ", " : "");
-  *out += buf;
-}
-
-}  // namespace
-
 std::string EngineStatsJson(const Engine& engine) {
   obs::MetricsSnapshot metrics = engine.Metrics();
-  EngineCacheStats caches = engine.Stats();
-  char buf[256];
+  CacheStats cache = engine.Stats();
+  char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "{\"prepares\": %" PRIu64 ", \"decisions\": %" PRIu64
       ", \"oracle_prefiltered\": %" PRIu64
-      ", \"deadline_ms\": %lld, \"caches\": {",
+      ", \"deadline_ms\": %lld, \"caches\": {\"decisions\": {"
+      "\"entries\": %zu, \"bytes\": %zu, \"hits\": %zu, \"misses\": %zu, "
+      "\"inserts\": %zu, \"evictions\": %zu, \"max_bytes\": %zu}}}",
       metrics.phases[static_cast<size_t>(obs::Phase::kPrepare)].latency.count,
       metrics.decisions_total, metrics.Count(obs::Counter::kOraclePrefiltered),
-      static_cast<long long>(engine.options().deadline_ms));
-  std::string out = buf;
-  AppendCacheStatsJson(&out, "chase", caches.chase, true);
-  AppendCacheStatsJson(&out, "decisions", caches.decisions, false);
-  out += "}}";
-  return out;
+      static_cast<long long>(engine.options().deadline_ms), cache.entries,
+      cache.bytes, cache.hits, cache.misses, cache.inserts, cache.evictions,
+      cache.max_bytes);
+  return buf;
 }
 
 std::string OverloadedResponse() { return "{\"status\": \"overloaded\"}"; }

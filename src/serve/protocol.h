@@ -98,7 +98,7 @@ std::optional<std::string> EvalLineResponse(const Engine& engine,
 
 /// Renders the `--stats` payload object for one engine (the value of the
 /// "stats" key: prepares/decisions/oracle counters from Engine::Metrics()
-/// + per-cache CacheStats from Engine::Stats()). Shared by the CLI's
+/// + the decision cache's CacheStats from Engine::Stats()). Shared by the CLI's
 /// trailing {"stats": ...} line and the server's stats endpoint.
 std::string EngineStatsJson(const Engine& engine);
 

@@ -79,10 +79,8 @@ Server::Server(DependencySet sigma, ServerOptions options)
   // reported and enforced budgets must be the same number); a schema-wide
   // engine deadline would double-report.
   eopts.semac.deadline_ms = 0;
-  if (options_.cache_mb > 0) {
-    eopts.SetTotalCacheBudget(options_.cache_mb * size_t{1024} * 1024 /
-                              tenants.size());
-  }
+  eopts.decisions.max_bytes =
+      options_.cache_mb * size_t{1024} * 1024 / tenants.size();
   engines_.reserve(tenants.size());
   for (const std::string& t : tenants) {
     engines_.emplace_back(t, std::make_unique<Engine>(sigma, eopts));
@@ -161,7 +159,7 @@ std::string Server::StatsResponse(const std::string& tenant) const {
     std::snprintf(tbuf, sizeof(tbuf), "%s{\"name\": \"%s\", \"cache_bytes\": %zu}",
                   i == 0 ? "" : ", ",
                   JsonEscape(engines_[i].first).c_str(),
-                  engines_[i].second->Stats().TotalBytes());
+                  engines_[i].second->Stats().bytes);
     out += tbuf;
   }
   out += "]}}";

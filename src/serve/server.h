@@ -34,8 +34,8 @@ struct ServerOptions {
   /// cancels stragglers through the chained drain token and waits up to
   /// the same budget again before closing connections outright.
   int64_t drain_ms = 2000;
-  /// Total cache budget in MiB, split evenly across tenant engines via
-  /// EngineOptions::SetTotalCacheBudget (0 = unbounded).
+  /// Total cache budget in MiB, split evenly across the tenant engines'
+  /// decision caches (0 = unbounded).
   size_t cache_mb = 0;
   /// Named tenants besides the always-present default tenant "". Each
   /// tenant gets its own Engine over the same schema, so cache budgets

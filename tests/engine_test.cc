@@ -15,8 +15,8 @@ namespace semacyc {
 namespace {
 
 /// Engine construction for the answer-only tests (parity, concurrency,
-/// batch): unbounded caches by default; the tiny-cache ctest job sets
-/// SEMACYC_TEST_CACHE_BYTES to a small per-cache byte budget so the same
+/// batch): an unbounded decision cache by default; the tiny-cache ctest
+/// job sets SEMACYC_TEST_CACHE_BYTES to a small byte budget so the same
 /// sweeps exercise the eviction paths on every push. Tests that assert
 /// hit/miss counters pin their own explicit configurations instead.
 EngineOptions EnvCacheOptions(SemAcOptions semac) {
@@ -25,10 +25,8 @@ EngineOptions EnvCacheOptions(SemAcOptions semac) {
   if (const char* env = std::getenv("SEMACYC_TEST_CACHE_BYTES")) {
     size_t bytes = static_cast<size_t>(std::strtoull(env, nullptr, 10));
     if (bytes > 0) {
-      for (CacheConfig* c : {&options.chase, &options.decisions}) {
-        c->max_bytes = bytes;
-        c->shards = 1;
-      }
+      options.decisions.max_bytes = bytes;
+      options.decisions.shards = 1;
     }
   }
   return options;
@@ -150,7 +148,7 @@ TEST(EngineTest, DecisionCacheServesRepeats) {
   SemAcResult second = engine.Decide(pq);
   ExpectSameDecision(first, second);
   EXPECT_EQ(engine.Metrics().decisions_total, 2u);
-  EXPECT_EQ(engine.Stats().decisions.hits, 1u);
+  EXPECT_EQ(engine.Stats().hits, 1u);
 }
 
 TEST(EngineTest, DecisionCacheResolvesIsomorphicQueries) {
@@ -160,7 +158,7 @@ TEST(EngineTest, DecisionCacheResolvesIsomorphicQueries) {
   ConjunctiveQuery renamed = MustParseQuery("T(u,v), E(v,w), E(w,u)");
   engine.Decide(q);
   SemAcResult hit = engine.Decide(renamed);
-  EXPECT_EQ(engine.Stats().decisions.hits, 1u);
+  EXPECT_EQ(engine.Stats().hits, 1u);
   EXPECT_EQ(hit.answer, SemAcAnswer::kYes);
 }
 
@@ -174,7 +172,7 @@ TEST(EngineTest, OraclePrefilterCountExactUnderConcurrentBatch) {
   ConjunctiveQuery q =
       MustParseQuery("q() :- B1(x,y), B2(y,z), B3(z,w), B1(w,v), B3(v,x)");
   auto prefiltered = [&](size_t threads) {
-    // Pinned unbounded caches (not EnvCacheOptions), like the other
+    // A pinned cache configuration (not EnvCacheOptions), like the other
     // counter-asserting engine tests.
     EngineOptions options;
     options.semac.subset_budget = 20000;
@@ -206,18 +204,22 @@ TEST(EngineTest, DeadlineMsAppliesWithoutAToken) {
   EXPECT_EQ(r.answer, SemAcAnswer::kUnknown);
 }
 
-TEST(EngineTest, ChaseCacheSharedAcrossEntrypoints) {
-  Workload w = GuardedWorkload(7);
-  EngineOptions options;
-  options.semac = SweepOptions();
-  options.decisions.enabled = false;
-  Engine engine(w.sigma, options);
-  PreparedQuery pq = engine.Prepare(w.queries[1]);  // cyclic triangle
-  engine.Decide(pq);
-  size_t misses_once = engine.Stats().chase.misses;
-  engine.Decide(pq);
-  EXPECT_EQ(engine.Stats().chase.misses, misses_once);
-  EXPECT_GT(engine.Stats().chase.hits, 0u);
+/// The traffic fact the Engine's one cache rests on: a repeat of a query
+/// and an α-renamed variant of it are both answered by the decision
+/// cache, so chase(q, Σ) is built once across the three decisions.
+TEST(EngineTest, RepeatAndRenamedQueriesDoNotRechase) {
+  Engine engine(MustParseDependencySet("T(x,y) -> E(y,z), E(z,x)"),
+                SweepOptions());
+  ConjunctiveQuery q = MustParseQuery("q(a) :- E(a,b), E(b,c), E(c,a)");
+  ConjunctiveQuery renamed = MustParseQuery("q(u) :- E(u,v), E(v,w), E(w,u)");
+  SemAcResult first = engine.Decide(q);
+  ExpectSameDecision(first, engine.Decide(renamed));
+  ExpectSameDecision(first, engine.Decide(q));
+  EXPECT_EQ(engine.Metrics()
+                .phases[static_cast<size_t>(obs::Phase::kChase)]
+                .latency.count,
+            1u);
+  EXPECT_EQ(engine.Stats().hits, 2u);
 }
 
 /// Concurrent decisions on one shared Engine are deterministic: every
@@ -289,7 +291,7 @@ TEST(EngineTest, EvalRunsYannakakisOverTheWitness) {
   EvalOutcome again = engine.Eval(pq, w.database);
   ASSERT_TRUE(again.reformulated);
   EXPECT_EQ(again.evaluation.answers.size(), out.evaluation.answers.size());
-  EXPECT_GE(engine.Stats().decisions.hits, 1u);
+  EXPECT_GE(engine.Stats().hits, 1u);
 }
 
 TEST(EngineTest, EvalReportsWhyWithoutReformulation) {
@@ -330,7 +332,7 @@ TEST(EngineTest, ApproximateParityWithFreeFunction) {
   EXPECT_EQ(engine_out.result.is_exact, free_out->is_exact);
 }
 
-TEST(EngineTest, DecideUcqSharesCachesAndSurvivesEmptyDisjuncts) {
+TEST(EngineTest, DecideUcqSurvivesEmptyDisjuncts) {
   DependencySet sigma = MustParseDependencySet("R(u,v), R(u,w) -> v = w");
   ConjunctiveQuery unsat =
       MustParseQuery("R(x,'a'), R(x,'b'), E(x,y), E(y,z), E(z,x)");
@@ -380,56 +382,19 @@ TEST(EngineTest, StrategyToStringKeepsHistoricalNames) {
   EXPECT_STREQ(ToString(Strategy::kBudgetExhausted), "budget-exhausted");
 }
 
-/// The chase memo's iso-resolution rename layer: an α-renamed variant of
-/// a cached query hits the memo, and the adapted result is the chase of
-/// the variant (frozen head evaluates, var_to_frozen keyed by the
-/// variant's own variables, same saturation facts).
-TEST(EngineTest, ChaseCacheResolvesIsomorphicQueries) {
+/// Decision parity under α-renaming with the decision cache off: the
+/// variant runs the whole pipeline on its own chase and reaches the same
+/// answer and strategy.
+TEST(EngineTest, RenamedQueryDecidesIdenticallyWithoutDecisionCache) {
   DependencySet sigma = MustParseDependencySet("T(x,y) -> E(y,z), E(z,x)");
   ConjunctiveQuery q = MustParseQuery("q(a) :- E(a,b), E(b,c), E(c,a)");
   ConjunctiveQuery renamed = MustParseQuery("q(u) :- E(u,v), E(v,w), E(w,u)");
-  ChaseOptions chase_options;
-
-  QueryChaseCache cache;
-  std::shared_ptr<const QueryChaseResult> original =
-      cache.GetOrCompute(q, sigma, chase_options);
-  EXPECT_EQ(cache.misses(), 1u);
-  std::shared_ptr<const QueryChaseResult> adapted =
-      cache.GetOrCompute(renamed, sigma, chase_options);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);  // served by the rename layer, no chase
-
-  // The adapted result shares the instance verbatim and transports the
-  // saturation facts; var_to_frozen is keyed by the variant's variables.
-  EXPECT_EQ(adapted->instance, original->instance);
-  EXPECT_EQ(adapted->saturated, original->saturated);
-  EXPECT_EQ(adapted->failed, original->failed);
-  for (Term v : renamed.Variables()) {
-    EXPECT_TRUE(adapted->var_to_frozen.count(v))
-        << "missing frozen image for " << v.ToString();
-  }
-  EXPECT_EQ(adapted->var_to_frozen.at(Term::Variable("u")),
-            adapted->frozen_head[0]);
-  // Lemma 1 sanity: c(x̄) ∈ q'(chase(q', Σ)) through the adapted result.
-  EXPECT_TRUE(
-      EvaluatesTo(renamed, adapted->instance, adapted->frozen_head));
-
-  // The next probe with the same variant exact-hits the memoized
-  // adaptation instead of re-adapting.
-  cache.GetOrCompute(renamed, sigma, chase_options);
-  EXPECT_EQ(cache.hits(), 2u);
-
-  // Engine level: with the decision cache off, deciding an α-renamed
-  // variant still hits the shared chase memo and answers identically.
   EngineOptions options;
   options.semac = SweepOptions();
   options.decisions.enabled = false;
   Engine engine(sigma, options);
   SemAcResult first = engine.Decide(q);
-  size_t misses_after_first = engine.Stats().chase.misses;
   SemAcResult second = engine.Decide(renamed);
-  EXPECT_EQ(engine.Stats().chase.misses, misses_after_first);
-  EXPECT_GT(engine.Stats().chase.hits, 0u);
   EXPECT_EQ(first.answer, second.answer);
   EXPECT_EQ(first.strategy, second.strategy);
 }
@@ -444,7 +409,7 @@ TEST(EngineTest, EvictionParitySweepAcrossGeneratorFamilies) {
          {GuardedWorkload(seed), NrWorkload(seed), EgdWorkload(seed)}) {
       SemAcOptions options = SweepOptions();
       std::vector<SemAcResult> reference;
-      EngineCacheStats full;
+      CacheStats full;
       {
         Engine unbounded(w.sigma, options);
         for (const auto& q : w.queries) {
@@ -453,21 +418,17 @@ TEST(EngineTest, EvictionParitySweepAcrossGeneratorFamilies) {
         full = unbounded.Stats();
       }
 
-      // one_entry: each cache's budget is its mean unbounded entry, so an
-      // insert mostly evicts the previous entry and a larger-than-mean
-      // entry is declined. tiny_bytes: below almost every entry.
+      // one_entry: the budget is the mean unbounded entry, so an insert
+      // mostly evicts the previous entry and a larger-than-mean entry is
+      // declined. tiny_bytes: below almost every entry.
       EngineOptions one_entry;
       one_entry.semac = options;
-      one_entry.chase.max_bytes =
-          full.chase.bytes / std::max<size_t>(1, full.chase.entries);
       one_entry.decisions.max_bytes =
-          full.decisions.bytes / std::max<size_t>(1, full.decisions.entries);
+          full.bytes / std::max<size_t>(1, full.entries);
       EngineOptions tiny_bytes;
       tiny_bytes.semac = options;
-      tiny_bytes.chase.max_bytes = 512;
       tiny_bytes.decisions.max_bytes = 512;
       for (EngineOptions* o : {&one_entry, &tiny_bytes}) {
-        o->chase.shards = 1;
         o->decisions.shards = 1;
       }
 
@@ -496,22 +457,20 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& q : w.queries) engine.Decide(q);
   }
-  EngineCacheStats stats = engine.Stats();
-  EXPECT_GT(stats.decisions.entries, 0u);
-  EXPECT_GT(stats.decisions.bytes, 0u);
-  EXPECT_GT(stats.decisions.hits, 0u);  // second pass served from cache
-  EXPECT_EQ(stats.decisions.misses, stats.decisions.inserts);
-  EXPECT_GT(stats.chase.entries, 0u);
-  EXPECT_GT(stats.chase.bytes, 0u);
-  EXPECT_EQ(stats.chase.evictions, 0u);  // unbounded: nothing evicts
-  EXPECT_EQ(stats.chase.max_bytes, 0u);
+  CacheStats stats = engine.Stats();
+  EXPECT_GT(stats.entries, 0u);
+  EXPECT_GT(stats.bytes, 0u);
+  EXPECT_GT(stats.hits, 0u);  // second pass served from cache
+  EXPECT_EQ(stats.misses, stats.inserts);
+  EXPECT_EQ(stats.evictions, 0u);  // unbounded: nothing evicts
+  EXPECT_EQ(stats.max_bytes, 0u);
 
   // Trim drops every resident entry; deciding afterwards still works.
   engine.TrimCaches();
-  EngineCacheStats trimmed = engine.Stats();
-  EXPECT_EQ(trimmed.chase.entries, 0u);
-  EXPECT_EQ(trimmed.chase.bytes, 0u);
-  EXPECT_GT(trimmed.chase.evictions + trimmed.decisions.evictions, 0u);
+  CacheStats trimmed = engine.Stats();
+  EXPECT_EQ(trimmed.entries, 0u);
+  EXPECT_EQ(trimmed.bytes, 0u);
+  EXPECT_EQ(trimmed.evictions, stats.entries);
   for (size_t i = 0; i < w.queries.size(); ++i) {
     engine.Decide(w.queries[i]);
   }
@@ -519,22 +478,16 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   // A tiny byte budget on the same workload must evict.
   EngineOptions tiny;
   tiny.semac = options;
-  tiny.SetTotalCacheBudget(2048);
-  for (CacheConfig* c : {&tiny.chase, &tiny.decisions}) {
-    c->shards = 1;
-  }
+  tiny.decisions.max_bytes = 256;
+  tiny.decisions.shards = 1;
   Engine bounded(w.sigma, tiny);
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& q : w.queries) bounded.Decide(q);
   }
-  EngineCacheStats bounded_stats = bounded.Stats();
-  size_t evictions =
-      bounded_stats.chase.evictions + bounded_stats.decisions.evictions;
-  EXPECT_GT(evictions, 0u);
-  size_t budget_bytes = bounded_stats.chase.max_bytes;
-  EXPECT_EQ(budget_bytes, 1792u);  // seven eighths of the 2 KiB total
-  EXPECT_LE(bounded_stats.chase.bytes, budget_bytes);
-  EXPECT_EQ(bounded_stats.decisions.max_bytes, 256u);  // one eighth
+  CacheStats bounded_stats = bounded.Stats();
+  EXPECT_GT(bounded_stats.evictions, 0u);
+  EXPECT_EQ(bounded_stats.max_bytes, 256u);
+  EXPECT_LE(bounded_stats.bytes, bounded_stats.max_bytes);
 }
 
 /// Every decision builds its own oracle, so every decision that needs a
@@ -559,9 +512,9 @@ TEST(EngineTest, EveryDecisionRecordsItsRewriteBuild) {
   EXPECT_EQ(rewrites("E(x,y) -> F(y,z)"), 0u);
 }
 
-/// Eviction under contention: 8 threads over one engine whose caches all
-/// run a tiny byte budget; every thread must still observe the sequential
-/// reference answers (eviction may only cost recomputation).
+/// Eviction under contention: 8 threads over one engine whose decision
+/// cache runs a tiny byte budget; every thread must still observe the
+/// sequential reference answers (eviction may only cost recomputation).
 TEST(EngineTest, ConcurrentDecideDeterministicUnderEviction) {
   Workload w = GuardedWorkload(29);
   SemAcOptions options = SweepOptions();
@@ -573,10 +526,9 @@ TEST(EngineTest, ConcurrentDecideDeterministicUnderEviction) {
 
   EngineOptions tiny;
   tiny.semac = options;
-  for (CacheConfig* c : {&tiny.chase, &tiny.decisions}) {
-    c->max_bytes = 512;
-    c->shards = 1;  // maximal contention: one shard, everyone collides
-  }
+  tiny.decisions.max_bytes = 512;
+  // Maximal contention: one shard, everyone collides.
+  tiny.decisions.shards = 1;
   Engine shared(w.sigma, tiny);
   std::vector<PreparedQuery> prepared;
   for (const auto& q : w.queries) prepared.push_back(shared.Prepare(q));

@@ -39,7 +39,7 @@ ConjunctiveQuery ChainQuery(int n) {
 /// charged, read off an unbounded cache — byte budgets are sized in
 /// entries through it.
 size_t EntryBytes(const ConjunctiveQuery& q, size_t payload) {
-  FingerprintCache<Payload, ExactMatch<Payload>> probe;
+  FingerprintCache<Payload> probe;
   probe.GetOrCompute(q, [payload]() {
     return std::make_shared<const Payload>(Payload{0, payload});
   });
@@ -47,7 +47,7 @@ size_t EntryBytes(const ConjunctiveQuery& q, size_t payload) {
 }
 
 TEST(FingerprintCacheTest, HitMissInsertAccounting) {
-  FingerprintCache<Payload, ExactMatch<Payload>> cache;
+  FingerprintCache<Payload> cache;
   int computes = 0;
   auto compute = [&](int id) {
     return [&computes, id]() {
@@ -75,7 +75,7 @@ TEST(FingerprintCacheTest, HitMissInsertAccounting) {
 TEST(FingerprintCacheTest, DisabledCacheComputesEveryTime) {
   CacheConfig config;
   config.enabled = false;
-  FingerprintCache<Payload, ExactMatch<Payload>> cache(config);
+  FingerprintCache<Payload> cache(config);
   ConjunctiveQuery a = ChainQuery(1);
   int computes = 0;
   for (int i = 0; i < 3; ++i) {
@@ -97,7 +97,7 @@ TEST(FingerprintCacheTest, LruEvictionUnderByteBudget) {
   config.max_bytes = EntryBytes(a, 16) + EntryBytes(b, 16) +
                      EntryBytes(c, 16) - 1;
   config.shards = 1;  // an exact budget needs one shard
-  FingerprintCache<Payload, ExactMatch<Payload>> cache(config);
+  FingerprintCache<Payload> cache(config);
   auto value = [](int id) {
     return [id]() { return std::make_shared<const Payload>(Payload{id, 16}); };
   };
@@ -119,7 +119,7 @@ TEST(FingerprintCacheTest, ByteBudgetEvictsAndNeverBreaksCallers) {
   CacheConfig config;
   config.max_bytes = 1;  // below any single entry: every insert self-evicts
   config.shards = 1;
-  FingerprintCache<Payload, ExactMatch<Payload>> cache(config);
+  FingerprintCache<Payload> cache(config);
   ConjunctiveQuery a = ChainQuery(1);
   std::shared_ptr<const Payload> first = cache.GetOrCompute(a, []() {
     return std::make_shared<const Payload>(Payload{7, 4096});
@@ -139,7 +139,7 @@ TEST(FingerprintCacheTest, ByteBudgetEvictsAndNeverBreaksCallers) {
 }
 
 TEST(FingerprintCacheTest, TrimDropsEntriesAndCountsEvictions) {
-  FingerprintCache<Payload, ExactMatch<Payload>> cache;
+  FingerprintCache<Payload> cache;
   for (int i = 1; i <= 4; ++i) {
     cache.GetOrCompute(ChainQuery(i), [i]() {
       return std::make_shared<const Payload>(Payload{i, 32});
@@ -154,8 +154,8 @@ TEST(FingerprintCacheTest, TrimDropsEntriesAndCountsEvictions) {
   EXPECT_EQ(stats.misses, 4u);  // counters survive the trim
 }
 
-TEST(FingerprintCacheTest, IsoMatchServesRenamedVariants) {
-  FingerprintCache<Payload, IsoMatch<Payload>> cache;
+TEST(FingerprintCacheTest, ServesRenamedVariantsVerbatim) {
+  FingerprintCache<Payload> cache;
   ConjunctiveQuery q = Q("R(x,y), S(y,z)");
   ConjunctiveQuery renamed = Q("R(u,v), S(v,w)");
   cache.GetOrCompute(q, []() {
@@ -171,7 +171,7 @@ TEST(FingerprintCacheTest, IsoMatchServesRenamedVariants) {
 }
 
 TEST(FingerprintCacheTest, ConcurrentGetOrComputeKeepsFirstInsert) {
-  FingerprintCache<Payload, ExactMatch<Payload>> cache;
+  FingerprintCache<Payload> cache;
   ConjunctiveQuery a = ChainQuery(4);
   constexpr size_t kThreads = 8;
   std::atomic<int> computes{0};
@@ -203,7 +203,7 @@ TEST(FingerprintCacheTest, ConcurrentEvictionStaysCoherent) {
   config.max_bytes = 2 * EntryBytes(keys.back(), kPayload);
   ASSERT_GT(3 * EntryBytes(keys.front(), kPayload), config.max_bytes);
   config.shards = 1;
-  FingerprintCache<Payload, ExactMatch<Payload>> cache(config);
+  FingerprintCache<Payload> cache(config);
   constexpr size_t kThreads = 8;
   std::vector<std::thread> pool;
   std::atomic<bool> mismatch{false};

@@ -239,23 +239,21 @@ TEST(EngineDeadlineTest, PreCancelledTokenAbortsAndEngineStaysReusable) {
   cancelled.RequestCancel();
   ExpectAborted(engine.Decide(pq, &cancelled));
 
-  // The abort protocol rolled back everything the aborted call inserted,
-  // so the same engine now answers exactly like one that never saw it —
-  // and its re-decide does the same cache work as a fresh engine's first.
-  EngineCacheStats before = engine.Stats();
+  // An aborted decision is never cached, so the same engine now answers
+  // exactly like one that never saw it — and its re-decide does the same
+  // cache work as a fresh engine's first.
+  CacheStats before = engine.Stats();
   SemAcResult warm = engine.Decide(pq);
-  EngineCacheStats after = engine.Stats();
+  CacheStats after = engine.Stats();
 
   Engine fresh(GuardedSigma(), SweepOptions());
-  EngineCacheStats fresh_before = fresh.Stats();
+  CacheStats fresh_before = fresh.Stats();
   SemAcResult cold = fresh.Decide(fresh.Prepare(q));
-  EngineCacheStats fresh_after = fresh.Stats();
+  CacheStats fresh_after = fresh.Stats();
 
   ExpectSameDecision(cold, warm);
-  EXPECT_EQ(after.chase.inserts - before.chase.inserts,
-            fresh_after.chase.inserts - fresh_before.chase.inserts);
-  EXPECT_EQ(after.decisions.inserts - before.decisions.inserts,
-            fresh_after.decisions.inserts - fresh_before.decisions.inserts);
+  EXPECT_EQ(after.inserts - before.inserts,
+            fresh_after.inserts - fresh_before.inserts);
 }
 
 TEST(EngineDeadlineTest, ElapsedTokenDeadlineAborts) {

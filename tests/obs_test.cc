@@ -1,6 +1,6 @@
 // Observability subsystem (core/obs.h): tracing parity, trace
 // well-formedness, metrics JSON round-trip, batch metrics coherence, and
-// honest oracle-memo cache accounting.
+// decision-cache accounting.
 #include "core/obs.h"
 
 #include <gtest/gtest.h>
@@ -107,11 +107,11 @@ TEST(ObsTest, TraceWellFormednessAndCounterReconciliation) {
   options.trace_sink = &sink;
   Engine engine(w.sigma, options);
   for (const ConjunctiveQuery& q : w.queries) {
-    EngineCacheStats before = engine.Stats();
+    CacheStats before = engine.Stats();
     obs::MetricsSnapshot metrics_before = engine.Metrics();
     PreparedQuery pq = engine.Prepare(q);
     SemAcResult result = engine.Decide(pq);
-    EngineCacheStats after = engine.Stats();
+    CacheStats after = engine.Stats();
     obs::MetricsSnapshot metrics_after = engine.Metrics();
     std::vector<obs::DecisionTrace> traces = sink.Take();
     ASSERT_EQ(traces.size(), 1u);
@@ -138,14 +138,9 @@ TEST(ObsTest, TraceWellFormednessAndCounterReconciliation) {
 
     EXPECT_EQ(RootCounter(trace, "candidates_tested"),
               static_cast<int64_t>(result.candidates_tested));
-    EXPECT_EQ(RootCounter(trace, "chase_cache_hits"),
-              static_cast<int64_t>(after.chase.hits - before.chase.hits));
-    EXPECT_EQ(RootCounter(trace, "chase_cache_misses"),
-              static_cast<int64_t>(after.chase.misses - before.chase.misses));
     EXPECT_EQ(RootCounter(trace, "decision_cache_hits"),
-              static_cast<int64_t>(
-                  after.decisions.hits - before.decisions.hits));
-    EXPECT_EQ(trace.cached, after.decisions.hits > before.decisions.hits);
+              static_cast<int64_t>(after.hits - before.hits));
+    EXPECT_EQ(trace.cached, after.hits > before.hits);
     // The oracle-prefilter root counter is the registry's delta.
     EXPECT_EQ(RootCounter(trace, "oracle_prefiltered"),
               static_cast<int64_t>(

@@ -329,8 +329,8 @@ struct DisarmOnExit {
 /// Abort-mid-steal reusability: a cancel injected at the steal point
 /// fires inside a worker that owns a stolen subtree. The whole decision
 /// must abort gracefully, and a re-decide on the same engine must match
-/// a fresh engine bitwise — the abort rollback covers state the workers
-/// touched concurrently.
+/// a fresh engine bitwise — the abort leaves no trace of the state the
+/// workers touched concurrently.
 TEST(ParallelDecideTest, CancelMidStealAbortsAndRecovers) {
   DisarmOnExit cleanup;
   auto& reg = FailpointRegistry::Global();

@@ -169,7 +169,7 @@ TEST(ServeTest, RepeatDecisionsHitTheSharedEngineCache) {
   const Engine* engine = server.tenant_engine("");
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(engine->Metrics().decisions_total, 2u);
-  EXPECT_GE(engine->Stats().decisions.hits, 1u);
+  EXPECT_GE(engine->Stats().hits, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,9 +409,9 @@ TEST(ServeTest, TenantsGetIsolatedEnginesAndBudgetShares) {
   EXPECT_EQ(alpha->Metrics().decisions_total, 1u);
   EXPECT_EQ(beta->Metrics().decisions_total, 0u);
   EXPECT_EQ(def->Metrics().decisions_total, 0u);
-  // The 24 MiB total split across three tenants: each chase cache got
-  // seven eighths of (24 MiB / 3).
-  EXPECT_EQ(alpha->Stats().chase.max_bytes, 24u * 1024 * 1024 / 3 / 8 * 7);
+  // The 24 MiB total split across three tenants: each decision cache got
+  // all of 24 MiB / 3.
+  EXPECT_EQ(alpha->Stats().max_bytes, 24u * 1024 * 1024 / 3);
 
   // Unknown tenants are refused per-request, not fatally.
   ASSERT_TRUE(client.SendLine("{\"query\": \"" + query +
@@ -530,7 +530,7 @@ TEST(ServeFaultTest, FailpointAbortsLeaveConnectionAndEngineUsable) {
     }
 
     // Re-decide on the SAME connection and engine: byte-identical to a
-    // never-aborted engine's decision (rollback left no trace).
+    // never-aborted engine's decision (the abort left no trace).
     ASSERT_TRUE(client.SendLine(query));
     EXPECT_EQ(MustRecv(&client), *expected) << "after " << c.failpoint;
   }
