@@ -138,18 +138,6 @@ class FingerprintCache {
                         std::forward<Compute>(compute));
   }
 
-  /// Lookup without compute; counts as a hit or miss. Not read-only: like
-  /// any probe it touches LRU recency.
-  std::shared_ptr<const Value> Find(uint64_t fp, const ConjunctiveQuery& q) {
-    if (!config_.enabled) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    auto served = Probe(ShardFor(fp), fp, q);
-    (served ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-    return served;
-  }
-
   CacheStats Stats() const {
     CacheStats s;
     for (const Shard& shard : shards_) {

@@ -40,7 +40,7 @@ enum class Phase : uint8_t {
   kSchemaAnalyze,  // Σ classification + schema facts (Engine construction)
   kPrepare,        // PreparedQuery analysis (classification, bound)
   kCore,           // core computation + core-acyclicity strategy
-  kChase,          // chase(q, Σ) build (per decision)
+  kChase,          // chase(q, Σ) build (per decision or UCQ disjunct)
   kRewrite,        // UCQ rewriting build (inside oracle construction)
   kOracle,         // containment-oracle construction (per decision)
   kCompaction,     // Lemma 9 chase compaction attempt

@@ -92,7 +92,8 @@ SemAcResult Engine::Decide(const PreparedQuery& q, CancelToken* cancel) const {
 }
 
 SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
-                                    CancelToken* cancel) const {
+                                    CancelToken* cancel,
+                                    const QueryChaseResult* prechased) const {
   obs::TraceSink* sink = options_.trace_sink;
   std::optional<obs::DecisionTracer> tracer;
   // Root-span decision-cache and oracle-prefilter delta baselines, read
@@ -115,7 +116,7 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
         SemAcResult r;
         try {
           r = DecideUncached(q, tracer.has_value() ? &*tracer : nullptr,
-                             cancel);
+                             cancel, prechased);
         } catch (const std::bad_alloc&) {
           // Allocation failure (injected or genuine) mid-pipeline: RAII
           // already unwound the phase spans; surface the same graceful
@@ -160,7 +161,8 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
 
 SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
                                    obs::DecisionTracer* tracer,
-                                   CancelToken* cancel) const {
+                                   CancelToken* cancel,
+                                   const QueryChaseResult* prechased) const {
   const ConjunctiveQuery& q = pq.query();
   const DependencySet& sigma = schema_.sigma;
   const acyclic::AcyclicityClass target = options_.target_class;
@@ -225,18 +227,22 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   SEMACYC_FAILPOINT("decide.after_core", cancel);
   if (cancel != nullptr && cancel->PollNow()) return abort_result();
 
-  // Chase once; shared by the remaining strategies. A chase cut short by
-  // the token leaves the token fired, so the poll below aborts.
-  QueryChaseResult chase;
-  {
+  // Chase once (unless the caller already did); shared by the remaining
+  // strategies. A chase cut short by the token leaves the token fired, so
+  // the poll below aborts.
+  std::optional<QueryChaseResult> own_chase;
+  if (prechased == nullptr) {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kChase);
     ChaseOptions chase_options = options_.chase;
     chase_options.cancel = cancel;
-    chase = ChaseQuery(q, sigma, chase_options);
-    timer.Counter("steps", static_cast<int64_t>(chase.steps));
-    timer.Counter("saturated", chase.saturated ? 1 : 0);
-    timer.Counter("atoms", static_cast<int64_t>(chase.instance.atoms().size()));
+    own_chase = ChaseQuery(q, sigma, chase_options);
+    prechased = &*own_chase;
+    timer.Counter("steps", static_cast<int64_t>(own_chase->steps));
+    timer.Counter("saturated", own_chase->saturated ? 1 : 0);
+    timer.Counter("atoms",
+                  static_cast<int64_t>(own_chase->instance.atoms().size()));
   }
+  const QueryChaseResult& chase = *prechased;
   SEMACYC_FAILPOINT("decide.after_chase", cancel);
   if (cancel != nullptr && cancel->PollNow()) return abort_result();
   if (chase.failed) {
@@ -480,11 +486,13 @@ UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
 
   // Redundancy pass (UCQ minimization under Σ): q_i is redundant when some
   // other kept disjunct contains it (Lemma 1 off the disjunct's chase,
-  // built at most once, on first use). Mutually equivalent disjuncts keep
-  // the one with the smaller index.
+  // built at most once, on first use, and handed on to the disjunct's
+  // decision). Mutually equivalent disjuncts keep the one with the
+  // smaller index.
   std::vector<std::optional<QueryChaseResult>> chases(disjuncts.size());
   auto contained = [&](size_t a, size_t b) {
     if (!chases[a].has_value()) {
+      obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kChase);
       chases[a] = ChaseQuery(disjuncts[a], schema_.sigma, options_.chase);
     }
     return Lemma1Verdict(*chases[a], &disjuncts[b], 1);
@@ -511,7 +519,10 @@ UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
   bool any_unknown = false;
   for (size_t i = 0; i < disjuncts.size(); ++i) {
     if (redundant[i]) continue;
-    SemAcResult decision = Decide(disjuncts[i]);
+    CancelToken local;
+    SemAcResult decision =
+        DecideWithToken(Prepare(disjuncts[i]), WithDeadline(nullptr, &local),
+                        chases[i].has_value() ? &*chases[i] : nullptr);
     result.disjuncts[i].decision = decision;
     if (decision.answer == SemAcAnswer::kYes) {
       // A witness-less YES (failing chase) means the disjunct is empty

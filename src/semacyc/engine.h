@@ -244,9 +244,9 @@ class Engine {
   /// fallback. Runs Decide, so deadline_ms applies.
   ApproximateOutcome Approximate(const PreparedQuery& q) const;
 
-  /// §8.1 UCQ semantic acyclicity; each disjunct is chased once for the
-  /// redundancy pass, and every kept disjunct is decided through the
-  /// decision cache.
+  /// §8.1 UCQ semantic acyclicity; each disjunct is chased at most once:
+  /// the redundancy pass builds the chase, and a kept disjunct's decision
+  /// (through the decision cache) reuses it.
   UcqSemAcResult DecideUcq(const UnionQuery& Q) const;
 
   /// Prop 24 FPT evaluation: reformulate (cached), then Yannakakis over a
@@ -293,16 +293,19 @@ class Engine {
   /// DecideUncached under the decision cache and never caches an aborted
   /// result (including one surfaced from an injected std::bad_alloc), so
   /// a later re-decide sees the same cache state as an engine that never
-  /// started.
-  SemAcResult DecideWithToken(const PreparedQuery& q,
-                              CancelToken* cancel) const;
+  /// started. `prechased` is passed through to DecideUncached.
+  SemAcResult DecideWithToken(
+      const PreparedQuery& q, CancelToken* cancel,
+      const QueryChaseResult* prechased = nullptr) const;
   /// `tracer` is non-null exactly when options_.trace_sink is set; every
   /// instrumentation site guards on it (null = counters only). `cancel`
   /// (may be null) is polled at every phase boundary and threaded into
-  /// every unbounded loop beneath.
+  /// every unbounded loop beneath. `prechased` (may be null) is a finished
+  /// chase(q, Σ) under options_.chase, used instead of building one (no
+  /// CHASE span then); DecideUcq hands in its redundancy pass's chase.
   SemAcResult DecideUncached(const PreparedQuery& q,
-                             obs::DecisionTracer* tracer,
-                             CancelToken* cancel) const;
+                             obs::DecisionTracer* tracer, CancelToken* cancel,
+                             const QueryChaseResult* prechased) const;
 
   /// Folds one budgeted witness search's work-stealing stats into the
   /// registry (units and replays count at every thread count).

@@ -151,15 +151,25 @@ TEST(EngineTest, DecisionCacheServesRepeats) {
   EXPECT_EQ(engine.Stats().hits, 1u);
 }
 
+/// The traffic fact the Engine's one cache rests on: a repeat of a query
+/// and an α-renamed variant of it are both answered by the decision
+/// cache, so chase(q, Σ) is built once across the three decisions.
 TEST(EngineTest, DecisionCacheResolvesIsomorphicQueries) {
   Workload w = GuardedWorkload(6);
   Engine engine(w.sigma, SweepOptions());
   ConjunctiveQuery q = MustParseQuery("T(x,y), E(y,z), E(z,x)");
   ConjunctiveQuery renamed = MustParseQuery("T(u,v), E(v,w), E(w,u)");
-  engine.Decide(q);
+  SemAcResult first = engine.Decide(q);
   SemAcResult hit = engine.Decide(renamed);
   EXPECT_EQ(engine.Stats().hits, 1u);
   EXPECT_EQ(hit.answer, SemAcAnswer::kYes);
+  ExpectSameDecision(first, hit);
+  ExpectSameDecision(first, engine.Decide(q));
+  EXPECT_EQ(engine.Stats().hits, 2u);
+  EXPECT_EQ(engine.Metrics()
+                .phases[static_cast<size_t>(obs::Phase::kChase)]
+                .latency.count,
+            1u);
 }
 
 /// Each decision's oracle counts its prefilter rejections straight into
@@ -202,24 +212,6 @@ TEST(EngineTest, DeadlineMsAppliesWithoutAToken) {
   SemAcResult r = engine.Decide(pq, nullptr);
   EXPECT_EQ(r.strategy, Strategy::kDeadlineExceeded);
   EXPECT_EQ(r.answer, SemAcAnswer::kUnknown);
-}
-
-/// The traffic fact the Engine's one cache rests on: a repeat of a query
-/// and an α-renamed variant of it are both answered by the decision
-/// cache, so chase(q, Σ) is built once across the three decisions.
-TEST(EngineTest, RepeatAndRenamedQueriesDoNotRechase) {
-  Engine engine(MustParseDependencySet("T(x,y) -> E(y,z), E(z,x)"),
-                SweepOptions());
-  ConjunctiveQuery q = MustParseQuery("q(a) :- E(a,b), E(b,c), E(c,a)");
-  ConjunctiveQuery renamed = MustParseQuery("q(u) :- E(u,v), E(v,w), E(w,u)");
-  SemAcResult first = engine.Decide(q);
-  ExpectSameDecision(first, engine.Decide(renamed));
-  ExpectSameDecision(first, engine.Decide(q));
-  EXPECT_EQ(engine.Metrics()
-                .phases[static_cast<size_t>(obs::Phase::kChase)]
-                .latency.count,
-            1u);
-  EXPECT_EQ(engine.Stats().hits, 2u);
 }
 
 /// Concurrent decisions on one shared Engine are deterministic: every
@@ -358,6 +350,27 @@ TEST(EngineTest, DecideUcqSurvivesEmptyDisjuncts) {
   UcqSemAcResult wrapped = DecideUcqSemanticAcyclicity(
       UnionQuery({unsat, fine}), sigma, SweepOptions());
   EXPECT_EQ(wrapped.answer, both.answer);
+}
+
+/// DecideUcq chases each disjunct once: the redundancy pass builds the
+/// chase and the kept disjunct's decision reuses it, reaching the same
+/// decision a standalone Decide does.
+TEST(EngineTest, DecideUcqChasesEachDisjunctOnce) {
+  DependencySet sigma = MustParseDependencySet("T(x,y) -> E(y,z), E(z,x)");
+  UnionQuery Q({MustParseQuery("q(a) :- E(a,b), E(b,c), E(c,a)"),
+                MustParseQuery("q(a) :- F(a,b), F(b,c), F(c,a)")});
+  Engine engine(sigma, SweepOptions());
+  UcqSemAcResult result = engine.DecideUcq(Q);
+  EXPECT_EQ(engine.Metrics()
+                .phases[static_cast<size_t>(obs::Phase::kChase)]
+                .latency.count,
+            2u);
+  Engine fresh(sigma, SweepOptions());
+  for (size_t i = 0; i < Q.disjuncts().size(); ++i) {
+    ASSERT_FALSE(result.disjuncts[i].redundant) << i;
+    ExpectSameDecision(fresh.Decide(Q.disjuncts()[i]),
+                       result.disjuncts[i].decision);
+  }
 }
 
 TEST(EngineTest, BoundJustificationIsSurfaced) {

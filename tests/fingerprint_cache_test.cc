@@ -98,8 +98,12 @@ TEST(FingerprintCacheTest, LruEvictionUnderByteBudget) {
                      EntryBytes(c, 16) - 1;
   config.shards = 1;  // an exact budget needs one shard
   FingerprintCache<Payload> cache(config);
-  auto value = [](int id) {
-    return [id]() { return std::make_shared<const Payload>(Payload{id, 16}); };
+  int computes = 0;
+  auto value = [&computes](int id) {
+    return [&computes, id]() {
+      ++computes;
+      return std::make_shared<const Payload>(Payload{id, 16});
+    };
   };
 
   cache.GetOrCompute(a, value(1));
@@ -110,9 +114,14 @@ TEST(FingerprintCacheTest, LruEvictionUnderByteBudget) {
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_NE(cache.Find(CanonicalFingerprint(a), a), nullptr);
-  EXPECT_EQ(cache.Find(CanonicalFingerprint(b), b), nullptr);  // evicted
-  EXPECT_NE(cache.Find(CanonicalFingerprint(c), c), nullptr);
+  EXPECT_EQ(computes, 3);
+  // Residency: a and c are served without computing; b, probed last so
+  // its re-insert evicts nothing checked above, was evicted.
+  cache.GetOrCompute(a, value(1));
+  cache.GetOrCompute(c, value(3));
+  EXPECT_EQ(computes, 3);
+  cache.GetOrCompute(b, value(2));
+  EXPECT_EQ(computes, 4);
 }
 
 TEST(FingerprintCacheTest, ByteBudgetEvictsAndNeverBreaksCallers) {
