@@ -84,14 +84,6 @@ SemAcOptions PipelineOptions(const Workload& w, int64_t deadline_ms) {
   return options;
 }
 
-EngineOptions PipelineEngineOptions(const Workload& w, int64_t deadline_ms) {
-  EngineOptions options;
-  options.semac = PipelineOptions(w, deadline_ms);
-  // Reps must recompute the decision, not serve it from the cache.
-  options.decisions.enabled = false;
-  return options;
-}
-
 struct Run {
   double ms = -1;
   SemAcAnswer answer = SemAcAnswer::kUnknown;
@@ -101,18 +93,20 @@ struct Run {
 };
 
 /// Engine::Decide with a fixed deadline configuration. The decision cache
-/// is off, so every timed rep runs the whole pipeline (the per-decision
-/// chase and oracle builds included) and its poll sites. One untimed rep
-/// warms up first.
+/// is emptied before every rep (outside the timed region), so every timed
+/// rep runs the whole pipeline (the per-decision chase and oracle builds
+/// included) and its poll sites. One untimed rep warms up first.
 class Runner {
  public:
   Runner(const Workload& w, int64_t deadline_ms)
-      : engine_(w.sigma, PipelineEngineOptions(w, deadline_ms)),
+      : engine_(w.sigma, PipelineOptions(w, deadline_ms)),
         pq_(engine_.Prepare(w.q)) {
     engine_.Decide(pq_);
   }
 
   void Once(Run* run) {
+    // Reps must recompute the decision, not serve it from the cache.
+    engine_.TrimCaches();
     auto start = Clock::now();
     SemAcResult result = engine_.Decide(pq_);
     double ms = MillisSince(start);

@@ -107,14 +107,6 @@ SemAcOptions PipelineOptions(const Workload& w) {
   return options;
 }
 
-EngineOptions PipelineEngineOptions(const Workload& w) {
-  EngineOptions options;
-  options.semac = PipelineOptions(w);
-  // Reps must recompute the decision, not serve it from the cache.
-  options.decisions.enabled = false;
-  return options;
-}
-
 struct Run {
   double ms = 0;
   SemAcAnswer answer = SemAcAnswer::kUnknown;
@@ -161,17 +153,18 @@ class BareRunner {
 };
 
 /// The instrumented pipeline: Engine::Decide with metrics always on and
-/// `sink` attached (null = tracing off). The decision cache is off and
-/// the Engine builds chase(q, Σ) and the oracle per decision, so every
-/// timed rep pays that build on top of the bare run's search, plus
-/// everything else the Engine adds. One untimed rep warms up first.
+/// `sink` attached (null = tracing off). The decision cache is emptied
+/// before every rep (outside the timed region) and the Engine builds
+/// chase(q, Σ) and the oracle per decision, so every timed rep pays that
+/// build on top of the bare run's search, plus everything else the Engine
+/// adds. One untimed rep warms up first.
 class EngineRunner {
  public:
   EngineRunner(const Workload& w, obs::TraceSink* sink)
       : engine_(w.sigma,
                 [&] {
-                  EngineOptions options = PipelineEngineOptions(w);
-                  options.semac.trace_sink = sink;
+                  SemAcOptions options = PipelineOptions(w);
+                  options.trace_sink = sink;
                   return options;
                 }()),
         pq_(engine_.Prepare(w.q)) {
@@ -179,6 +172,8 @@ class EngineRunner {
   }
 
   void Once(Run* run) {
+    // Reps must recompute the decision, not serve it from the cache.
+    engine_.TrimCaches();
     auto start = Clock::now();
     SemAcResult result = engine_.Decide(pq_);
     double ms = MillisSince(start);

@@ -18,8 +18,8 @@
 //                 cache's entries, bytes, hits/misses/inserts/evictions)
 //                 plus the aggregate counters as one JSON object line on
 //                 stdout.
-//   --cache-mb N  bound the decision cache to N MiB with LRU eviction.
-//                 Default: unbounded.
+//   --cache-mb N  bound the decision cache to exactly N MiB (one LRU;
+//                 resident bytes never exceed it). Default: unbounded.
 //   --trace[=F]   emit one {"trace": ...} JSON line per decision (nested
 //                 phase spans + counters, core/obs.h) to stdout, or to
 //                 file F; each trace line precedes its decision line.
@@ -118,10 +118,9 @@ int RunBatch(const char* schema_path, const char* queries_path,
 
   // One Engine for the whole stream: Σ is analyzed once and every
   // repeated (or isomorphic) query is served from the decision cache.
-  EngineOptions options;
-  options.semac.deadline_ms = deadline_ms;
-  options.semac.decide_threads = decide_threads;
-  options.decisions.max_bytes = cache_mb * size_t{1024} * 1024;
+  SemAcOptions options;
+  options.deadline_ms = deadline_ms;
+  options.decide_threads = decide_threads;
   std::FILE* trace_out = nullptr;
   std::optional<obs::JsonLinesSink> sink;
   if (trace) {
@@ -133,9 +132,9 @@ int RunBatch(const char* schema_path, const char* queries_path,
       }
     }
     sink.emplace(trace_out != nullptr ? trace_out : stdout);
-    options.semac.trace_sink = &*sink;
+    options.trace_sink = &*sink;
   }
-  Engine engine(*sigma.value, options);
+  Engine engine(*sigma.value, options, cache_mb * size_t{1024} * 1024);
   std::string line;
   while (std::getline(in, line)) {
     // Exactly the line handler the semacycd server runs (parse errors and
@@ -228,8 +227,8 @@ int RunEvalOneShot(const char* query_text, const char* sigma_text,
     std::fprintf(stderr, "dependency parse error: %s\n", sigma.error.c_str());
     return 3;
   }
-  EngineOptions options;
-  options.semac.deadline_ms = deadline_ms;
+  SemAcOptions options;
+  options.deadline_ms = deadline_ms;
   Engine engine(*sigma.value, options);
   std::string line =
       serve::EvalResponse(engine, db, query_text, deadline_ms,
@@ -279,7 +278,7 @@ void PrintUsage(FILE* out, const char* prog) {
                "                for the JSON output schema)\n"
                "  --stats:      print Engine::Stats() as one JSON line "
                "after the batch\n"
-               "  --cache-mb:   decision-cache budget in MiB, LRU "
+               "  --cache-mb:   exact decision-cache budget in MiB, LRU "
                "eviction;\n"
                "                default: unbounded\n"
                "  --trace:      one {\"trace\": ...} JSON line per "

@@ -7,12 +7,8 @@
 namespace semacyc {
 namespace {
 
-/// Is `t` a mappable term under the given options?
-bool Mappable(Term t, const HomOptions& options) {
-  if (t.IsVariable()) return true;
-  if (t.IsNull()) return options.map_nulls;
-  return false;
-}
+/// Variables and nulls map; constants map identically.
+bool Mappable(Term t) { return t.IsVariable() || t.IsNull(); }
 
 class Searcher {
  public:
@@ -52,7 +48,7 @@ class Searcher {
         if (placed[i]) continue;
         long bound_terms = 0;
         for (Term t : from_[i].args()) {
-          if (!Mappable(t, options_) || bound.count(t)) ++bound_terms;
+          if (!Mappable(t) || bound.count(t)) ++bound_terms;
         }
         long candidates =
             static_cast<long>(to_.AtomsOf(from_[i].predicate()).size());
@@ -66,7 +62,7 @@ class Searcher {
       placed[best] = true;
       order.push_back(best);
       for (Term t : from_[best].args()) {
-        if (Mappable(t, options_)) bound.insert(t);
+        if (Mappable(t)) bound.insert(t);
       }
     }
     return order;
@@ -80,7 +76,7 @@ class Searcher {
     for (size_t pos = 0; pos < atom.arity(); ++pos) {
       Term t = atom.arg(pos);
       Term image;
-      if (!Mappable(t, options_)) {
+      if (!Mappable(t)) {
         image = t;
       } else {
         auto it = binding_.find(t);
@@ -100,15 +96,10 @@ class Searcher {
   }
 
   bool Extend(size_t depth, HomResult* result) {
-    if (options_.step_budget > 0 && steps_ >= options_.step_budget) {
-      budget_exhausted_ = true;
-      return true;  // stop the whole search
-    }
     if (options_.cancel != nullptr && options_.cancel->Poll()) {
-      budget_exhausted_ = true;  // a fired token truncates like a budget
+      budget_exhausted_ = true;  // a fired token truncates the search
       return true;
     }
-    ++steps_;
     if (depth == order_.size()) {
       result->solutions.push_back(binding_);
       return options_.max_solutions > 0 &&
@@ -126,7 +117,7 @@ class Searcher {
       for (size_t pos = 0; pos < atom.arity() && ok; ++pos) {
         Term s = atom.arg(pos);
         Term d = target.arg(pos);
-        if (!Mappable(s, options_)) {
+        if (!Mappable(s)) {
           auto fx = binding_.find(s);
           Term expect = fx == binding_.end() ? s : fx->second;
           if (expect != d) ok = false;
@@ -163,7 +154,6 @@ class Searcher {
   std::vector<int> order_;
   Substitution binding_;
   std::unordered_map<Term, int, TermHash> used_targets_;
-  size_t steps_ = 0;
   bool budget_exhausted_ = false;
 };
 

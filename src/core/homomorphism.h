@@ -18,12 +18,6 @@ struct HomOptions {
   /// verbatim; they need not be "mappable" kinds. Set when answer
   /// positions are pinned — evaluation, containment, witness checks.
   Substitution fixed;
-  /// Whether source nulls are treated as mappable (like variables).
-  /// Default true — the right semantics for chase instances. Set false
-  /// only when nulls are rigid identifiers that must map to themselves
-  /// (e.g. comparing instances literally). Variables are always mappable;
-  /// constants never are (they map identically).
-  bool map_nulls = true;
   /// Require the term mapping to be injective. Default false; set true
   /// only for isomorphism checks (core computation, iso resolution).
   bool injective = false;
@@ -31,23 +25,18 @@ struct HomOptions {
   /// existence check. 0 means "no cap"; raise only when enumerating
   /// answers and beware of exponential counts.
   size_t max_solutions = 1;
-  /// Abort the search after this many backtracking steps (step count;
-  /// 0 = unlimited, the default). When the budget is exhausted the search
-  /// reports "not found" with budget_exhausted set; callers that need
-  /// exactness must leave this at 0.
-  size_t step_budget = 0;
   /// Cooperative cancellation token polled once per backtracking step
   /// (nullptr = not cancellable, the default). A fired token stops the
-  /// search exactly like an exhausted step_budget — "not found" with
-  /// budget_exhausted set — so no caller may treat the result as exact.
+  /// search — "not found" with budget_exhausted set — so no caller may
+  /// treat the result as exact.
   CancelToken* cancel = nullptr;
 };
 
 /// Result of a homomorphism search.
 struct HomResult {
   bool found = false;
-  /// True if the search was cut short by step_budget (found may be false
-  /// merely because the budget ran out).
+  /// True if the search was cut short by the cancel token (found may be
+  /// false merely because the search stopped early).
   bool budget_exhausted = false;
   std::vector<Substitution> solutions;
 };

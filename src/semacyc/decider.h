@@ -84,7 +84,8 @@ struct SemAcOptions {
   /// answer kUnknown — graceful degradation, never an exception or a
   /// torn result. Distinct from the step budgets above: those bound
   /// *work* (deterministic, reproducible), this bounds *time*. Engine::
-  /// Approximate and Eval honor it too (Status::Code::kDeadlineExceeded).
+  /// Approximate and Eval honor it too (Status::Code::kDeadlineExceeded);
+  /// Engine::DecideUcq applies it once to the whole UCQ decision.
   int64_t deadline_ms = 0;
   /// Structured decision tracing (core/obs.h): when non-null, every
   /// decision emits one DecisionTrace (nested phase spans + counters) to

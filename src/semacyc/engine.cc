@@ -16,12 +16,6 @@ namespace semacyc {
 
 namespace {
 
-EngineOptions WithPipeline(SemAcOptions options) {
-  EngineOptions out;
-  out.semac = options;
-  return out;
-}
-
 /// Name tables handed to the MetricsRegistry (core/obs stays below the
 /// decider's enums; the registry indexes rows by the enum values).
 std::vector<std::string> StrategyNames() {
@@ -45,12 +39,10 @@ int64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-Engine::Engine(DependencySet sigma, SemAcOptions options)
-    : Engine(std::move(sigma), WithPipeline(options)) {}
-
-Engine::Engine(DependencySet sigma, EngineOptions options)
-    : options_(options.semac),
-      decisions_(options.decisions),
+Engine::Engine(DependencySet sigma, SemAcOptions options,
+               size_t decision_cache_bytes)
+    : options_(options),
+      decisions_(decision_cache_bytes),
       metrics_(StrategyNames(), AnswerNames()) {
   obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kSchemaAnalyze);
   schema_.sigma = std::move(sigma);
@@ -484,18 +476,26 @@ UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
   result.disjuncts.resize(disjuncts.size());
   result.exact = true;
 
+  // deadline_ms bounds the whole UCQ decision: the redundancy pass and
+  // every kept disjunct's decision run under this one token.
+  CancelToken local;
+  CancelToken* cancel = WithDeadline(nullptr, &local);
+  ChaseOptions chase_options = options_.chase;
+  chase_options.cancel = cancel;
+
   // Redundancy pass (UCQ minimization under Σ): q_i is redundant when some
   // other kept disjunct contains it (Lemma 1 off the disjunct's chase,
   // built at most once, on first use, and handed on to the disjunct's
   // decision). Mutually equivalent disjuncts keep the one with the
-  // smaller index.
+  // smaller index. A chase the token cut short leaves the token fired, so
+  // its verdicts read kUnknown and the disjunct's decision aborts.
   std::vector<std::optional<QueryChaseResult>> chases(disjuncts.size());
   auto contained = [&](size_t a, size_t b) {
     if (!chases[a].has_value()) {
       obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kChase);
-      chases[a] = ChaseQuery(disjuncts[a], schema_.sigma, options_.chase);
+      chases[a] = ChaseQuery(disjuncts[a], schema_.sigma, chase_options);
     }
-    return Lemma1Verdict(*chases[a], &disjuncts[b], 1);
+    return Lemma1Verdict(*chases[a], &disjuncts[b], 1, cancel);
   };
   std::vector<bool> redundant(disjuncts.size(), false);
   for (size_t i = 0; i < disjuncts.size(); ++i) {
@@ -519,9 +519,8 @@ UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
   bool any_unknown = false;
   for (size_t i = 0; i < disjuncts.size(); ++i) {
     if (redundant[i]) continue;
-    CancelToken local;
     SemAcResult decision =
-        DecideWithToken(Prepare(disjuncts[i]), WithDeadline(nullptr, &local),
+        DecideWithToken(Prepare(disjuncts[i]), cancel,
                         chases[i].has_value() ? &*chases[i] : nullptr);
     result.disjuncts[i].decision = decision;
     if (decision.answer == SemAcAnswer::kYes) {
@@ -677,6 +676,6 @@ EvalOutcome Engine::Eval(const PreparedQuery& q,
 
 CacheStats Engine::Stats() const { return decisions_.Stats(); }
 
-void Engine::TrimCaches() const { decisions_.Trim(0); }
+void Engine::TrimCaches() const { decisions_.Clear(); }
 
 }  // namespace semacyc

@@ -99,22 +99,6 @@ class PreparedQuery {
   bool bound_justified_ = false;
 };
 
-/// Full construction surface of an Engine: the decision-pipeline options
-/// plus the decision cache's CacheConfig. The defaults are the production
-/// configuration — the cache enabled and unbounded; set
-/// decisions.max_bytes to turn on LRU eviction (multi-tenant /
-/// long-running services), or decisions.enabled = false to run the whole
-/// pipeline on every call.
-struct EngineOptions {
-  /// Decision-pipeline options (budgets, target class, strategies).
-  /// Default: the production configuration of SemAcOptions.
-  SemAcOptions semac;
-  /// Decision results for repeat (or isomorphic) queries. Default:
-  /// enabled, unbounded. Disable only to measure the pipeline beneath
-  /// (every repeat then re-runs it).
-  CacheConfig decisions;
-};
-
 /// Result of Engine::Approximate — ApproximationResult plus an explicit
 /// status (the free function returns std::nullopt for unsupported inputs).
 struct ApproximateOutcome {
@@ -159,8 +143,8 @@ struct EvalOutcome {
 ///     boundedness facts, the predicate-reachability graph);
 ///   * a decision cache serving repeat (or isomorphic) queries instantly.
 ///
-/// The cache is a FingerprintCache governed by EngineOptions::decisions:
-/// unbounded by default, LRU-evicting under a byte budget, introspectable
+/// The cache is a FingerprintCache: unbounded by default, one LRU under
+/// the constructor's decision_cache_bytes budget, introspectable
 /// through Stats() and droppable through TrimCaches(). Eviction never
 /// changes answers — an evicted decision is simply recomputed on the next
 /// miss. Everything else is per decision: chase(q, Σ) and the compiled
@@ -173,19 +157,20 @@ struct EvalOutcome {
 /// transient Engine, so both paths run identical code.
 ///
 /// Thread safety: all public methods are const and safe to call
-/// concurrently on a shared Engine. The decision cache is sharded and
-/// mutex-guarded per shard; each decision owns its chase and oracle,
+/// concurrently on a shared Engine. The decision cache takes one mutex
+/// for lookups and inserts only; each decision owns its chase and oracle,
 /// whose containment checks take no lock. Racing computations of the same
 /// decision keep the first inserted result, so every caller observes the
 /// same answer. DecideBatch with threads > 1 is exactly concurrent Decide
 /// over the batch.
 class Engine {
  public:
-  /// Production decision cache (EngineOptions defaults) with the given
-  /// pipeline options; delegates to the constructor below.
-  explicit Engine(DependencySet sigma, SemAcOptions options = {});
-  /// Full construction surface: the decision cache's budget and policy.
-  Engine(DependencySet sigma, EngineOptions options);
+  /// `options` are the decision-pipeline options (budgets, target class,
+  /// strategies). `decision_cache_bytes` is the decision cache's byte
+  /// budget (0 = unbounded, the default); set it on long-running or
+  /// multi-tenant engines to turn on LRU eviction.
+  explicit Engine(DependencySet sigma, SemAcOptions options = {},
+                  size_t decision_cache_bytes = 0);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -245,8 +230,10 @@ class Engine {
   ApproximateOutcome Approximate(const PreparedQuery& q) const;
 
   /// §8.1 UCQ semantic acyclicity; each disjunct is chased at most once:
-  /// the redundancy pass builds the chase, and a kept disjunct's decision
-  /// (through the decision cache) reuses it.
+  /// the redundancy pass builds the chase and hands it directly to the
+  /// kept disjunct's decision. SemAcOptions::deadline_ms bounds the whole
+  /// UCQ decision (redundancy pass and every disjunct's decision under
+  /// one token); an aborted run reports kUnknown, exact = false.
   UcqSemAcResult DecideUcq(const UnionQuery& Q) const;
 
   /// Prop 24 FPT evaluation: reformulate (cached), then Yannakakis over a

@@ -25,6 +25,10 @@ struct UcqSemAcResult {
   bool exact = false;
 };
 
+/// One-shot wrapper over a transient Engine (Engine::DecideUcq).
+/// options.deadline_ms bounds the whole UCQ decision, not each disjunct:
+/// the redundancy pass and every kept disjunct's decision share one
+/// deadline, and an aborted run reports kUnknown with exact = false.
 UcqSemAcResult DecideUcqSemanticAcyclicity(const UnionQuery& Q,
                                            const DependencySet& sigma,
                                            const SemAcOptions& options = {});

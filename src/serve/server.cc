@@ -73,17 +73,17 @@ Server::Server(DependencySet sigma, ServerOptions options)
     for (const std::string& have : tenants) seen = seen || have == t;
     if (!seen) tenants.push_back(t);
   }
-  EngineOptions eopts;
-  eopts.semac = options_.semac;
+  SemAcOptions semac = options_.semac;
   // Per-request deadlines travel through the request CancelToken (the
   // reported and enforced budgets must be the same number); a schema-wide
   // engine deadline would double-report.
-  eopts.semac.deadline_ms = 0;
-  eopts.decisions.max_bytes =
+  semac.deadline_ms = 0;
+  const size_t tenant_bytes =
       options_.cache_mb * size_t{1024} * 1024 / tenants.size();
   engines_.reserve(tenants.size());
   for (const std::string& t : tenants) {
-    engines_.emplace_back(t, std::make_unique<Engine>(sigma, eopts));
+    engines_.emplace_back(t,
+                          std::make_unique<Engine>(sigma, semac, tenant_bytes));
   }
 
   pool_ = std::make_unique<WorkerPool>(options_.workers,

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "core/canonical.h"
@@ -14,22 +16,15 @@
 namespace semacyc {
 namespace {
 
-/// Engine construction for the answer-only tests (parity, concurrency,
-/// batch): an unbounded decision cache by default; the tiny-cache ctest
-/// job sets SEMACYC_TEST_CACHE_BYTES to a small byte budget so the same
-/// sweeps exercise the eviction paths on every push. Tests that assert
-/// hit/miss counters pin their own explicit configurations instead.
-EngineOptions EnvCacheOptions(SemAcOptions semac) {
-  EngineOptions options;
-  options.semac = semac;
-  if (const char* env = std::getenv("SEMACYC_TEST_CACHE_BYTES")) {
-    size_t bytes = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-    if (bytes > 0) {
-      options.decisions.max_bytes = bytes;
-      options.decisions.shards = 1;
-    }
-  }
-  return options;
+/// Decision-cache budget for the answer-only tests (parity, concurrency,
+/// batch): unbounded (0) by default; the tiny-cache ctest job sets
+/// SEMACYC_TEST_CACHE_BYTES to a small byte budget so the same sweeps
+/// exercise the eviction paths on every push. Tests that assert hit/miss
+/// counters pin their own explicit budgets instead.
+size_t EnvCacheBytes() {
+  const char* env = std::getenv("SEMACYC_TEST_CACHE_BYTES");
+  return env == nullptr ? 0
+                        : static_cast<size_t>(std::strtoull(env, nullptr, 10));
 }
 
 /// Field-wise equality of two decisions (SemAcResult has no operator==).
@@ -119,7 +114,7 @@ TEST(EngineTest, ParitySweepAcrossGeneratorFamilies) {
     for (Workload w :
          {GuardedWorkload(seed), NrWorkload(seed), EgdWorkload(seed)}) {
       SemAcOptions options = SweepOptions();
-      Engine engine(w.sigma, EnvCacheOptions(options));
+      Engine engine(w.sigma, options, EnvCacheBytes());
       std::vector<PreparedQuery> prepared;
       for (const auto& q : w.queries) prepared.push_back(engine.Prepare(q));
       // First pass warms every cache; second pass must not drift.
@@ -173,24 +168,29 @@ TEST(EngineTest, DecisionCacheResolvesIsomorphicQueries) {
 }
 
 /// Each decision's oracle counts its prefilter rejections straight into
-/// the engine's registry, so concurrent decisions of one query are
-/// counted once each: an 8-thread batch reports exactly the 1-thread
-/// total. (Per-decision "counter now minus counter at acquisition"
-/// deltas would fold every overlapping decision's traffic in again.)
+/// the engine's registry, so concurrent decisions are counted once each:
+/// an 8-thread batch reports exactly the 1-thread total. (Per-decision
+/// "counter now minus counter at acquisition" deltas would fold every
+/// overlapping decision's traffic in again.) The 8 queries are pairwise
+/// non-isomorphic (each tags x with its own unary predicate), so the
+/// decision cache serves none of them and every decision runs.
 TEST(EngineTest, OraclePrefilterCountExactUnderConcurrentBatch) {
   DependencySet sigma = MustParseDependencySet("B1(x,y), B2(y,z) -> B3(z,x).");
-  ConjunctiveQuery q =
-      MustParseQuery("q() :- B1(x,y), B2(y,z), B3(z,w), B1(w,v), B3(v,x)");
   auto prefiltered = [&](size_t threads) {
-    // A pinned cache configuration (not EnvCacheOptions), like the other
+    // An unbounded cache (not EnvCacheBytes), like the other
     // counter-asserting engine tests.
-    EngineOptions options;
-    options.semac.subset_budget = 20000;
-    options.semac.exhaustive_budget = 20000;
-    options.decisions.enabled = false;
+    SemAcOptions options;
+    options.subset_budget = 20000;
+    options.exhaustive_budget = 20000;
     Engine engine(sigma, options);
-    std::vector<PreparedQuery> batch(8, engine.Prepare(q));
+    std::vector<PreparedQuery> batch;
+    for (int i = 0; i < 8; ++i) {
+      batch.push_back(engine.Prepare(MustParseQuery(
+          "q() :- B1(x,y), B2(y,z), B3(z,w), B1(w,v), B3(v,x), D" +
+          std::to_string(i) + "(x)")));
+    }
     engine.DecideBatch(batch, threads);
+    EXPECT_EQ(engine.Stats().hits, 0u);
     return engine.Metrics().Count(obs::Counter::kOraclePrefiltered);
   };
   uint64_t serial = prefiltered(1);
@@ -225,7 +225,7 @@ TEST(EngineTest, ConcurrentDecideIsDeterministic) {
     for (const auto& q : w.queries) reference.push_back(engine.Decide(q));
   }
 
-  Engine shared(w.sigma, EnvCacheOptions(options));
+  Engine shared(w.sigma, options, EnvCacheBytes());
   std::vector<PreparedQuery> prepared;
   for (const auto& q : w.queries) prepared.push_back(shared.Prepare(q));
 
@@ -254,7 +254,7 @@ TEST(EngineTest, ConcurrentDecideIsDeterministic) {
 TEST(EngineTest, DecideBatchMatchesSequentialAnyThreadCount) {
   Workload w = NrWorkload(21);
   SemAcOptions options = SweepOptions();
-  Engine engine(w.sigma, EnvCacheOptions(options));
+  Engine engine(w.sigma, options, EnvCacheBytes());
   std::vector<PreparedQuery> batch;
   for (int rep = 0; rep < 3; ++rep) {
     for (const auto& q : w.queries) batch.push_back(engine.Prepare(q));
@@ -373,6 +373,25 @@ TEST(EngineTest, DecideUcqChasesEachDisjunctOnce) {
   }
 }
 
+/// deadline_ms bounds the whole UCQ decision: the redundancy pass's chases
+/// and containment checks run under the deadline too, so a union whose
+/// first disjunct has a non-terminating chase aborts promptly instead of
+/// running each chase to its step budget.
+TEST(EngineTest, DecideUcqHonoursDeadlineMs) {
+  SemAcOptions options;
+  options.deadline_ms = 1;
+  Engine engine(MustParseDependencySet("E(x,y) -> F(y,z). F(x,y) -> E(y,z)."),
+                options);
+  UnionQuery Q({MustParseQuery("E(x,y), E(y,z), E(z,x)"),
+                MustParseQuery("E(x,y), E(y,x)")});
+  auto start = std::chrono::steady_clock::now();
+  UcqSemAcResult result = engine.DecideUcq(Q);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(result.answer, SemAcAnswer::kUnknown);
+  EXPECT_FALSE(result.exact);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
 TEST(EngineTest, BoundJustificationIsSurfaced) {
   ConjunctiveQuery q = MustParseQuery("E(x,y), E(y,z), E(z,x)");
   // Guarded: justified. Full recursive: heuristic.
@@ -395,19 +414,18 @@ TEST(EngineTest, StrategyToStringKeepsHistoricalNames) {
   EXPECT_STREQ(ToString(Strategy::kBudgetExhausted), "budget-exhausted");
 }
 
-/// Decision parity under α-renaming with the decision cache off: the
-/// variant runs the whole pipeline on its own chase and reaches the same
-/// answer and strategy.
+/// Decision parity under α-renaming without the decision cache: on two
+/// fresh engines the variant runs the whole pipeline on its own chase and
+/// reaches the same answer and strategy.
 TEST(EngineTest, RenamedQueryDecidesIdenticallyWithoutDecisionCache) {
   DependencySet sigma = MustParseDependencySet("T(x,y) -> E(y,z), E(z,x)");
   ConjunctiveQuery q = MustParseQuery("q(a) :- E(a,b), E(b,c), E(c,a)");
   ConjunctiveQuery renamed = MustParseQuery("q(u) :- E(u,v), E(v,w), E(w,u)");
-  EngineOptions options;
-  options.semac = SweepOptions();
-  options.decisions.enabled = false;
-  Engine engine(sigma, options);
+  Engine engine(sigma, SweepOptions());
+  Engine other(sigma, SweepOptions());
   SemAcResult first = engine.Decide(q);
-  SemAcResult second = engine.Decide(renamed);
+  SemAcResult second = other.Decide(renamed);
+  EXPECT_EQ(other.Stats().hits, 0u);
   EXPECT_EQ(first.answer, second.answer);
   EXPECT_EQ(first.strategy, second.strategy);
 }
@@ -434,19 +452,11 @@ TEST(EngineTest, EvictionParitySweepAcrossGeneratorFamilies) {
       // one_entry: the budget is the mean unbounded entry, so an insert
       // mostly evicts the previous entry and a larger-than-mean entry is
       // declined. tiny_bytes: below almost every entry.
-      EngineOptions one_entry;
-      one_entry.semac = options;
-      one_entry.decisions.max_bytes =
-          full.bytes / std::max<size_t>(1, full.entries);
-      EngineOptions tiny_bytes;
-      tiny_bytes.semac = options;
-      tiny_bytes.decisions.max_bytes = 512;
-      for (EngineOptions* o : {&one_entry, &tiny_bytes}) {
-        o->decisions.shards = 1;
-      }
+      const size_t one_entry = full.bytes / std::max<size_t>(1, full.entries);
+      const size_t tiny_bytes = 512;
 
-      for (const EngineOptions& bounded : {one_entry, tiny_bytes}) {
-        Engine engine(w.sigma, bounded);
+      for (size_t budget : {one_entry, tiny_bytes}) {
+        Engine engine(w.sigma, options, budget);
         // Two passes so the second runs against whatever survived
         // eviction in the first.
         for (int pass = 0; pass < 2; ++pass) {
@@ -489,11 +499,7 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   }
 
   // A tiny byte budget on the same workload must evict.
-  EngineOptions tiny;
-  tiny.semac = options;
-  tiny.decisions.max_bytes = 256;
-  tiny.decisions.shards = 1;
-  Engine bounded(w.sigma, tiny);
+  Engine bounded(w.sigma, options, 256);
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& q : w.queries) bounded.Decide(q);
   }
@@ -503,19 +509,42 @@ TEST(EngineTest, CacheStatsAccountingAndTrim) {
   EXPECT_LE(bounded_stats.bytes, bounded_stats.max_bytes);
 }
 
+/// The byte budget is exact: a budget equal to what an unbounded engine
+/// holds after deciding 16 distinct cycles keeps all 16, so a second pass
+/// is served entirely from the cache and nothing is evicted.
+TEST(EngineTest, ByteBudgetHoldsWhatItWasSizedFor) {
+  DependencySet sigma = MustParseDependencySet("E(x,y) -> F(y,z).");
+  std::vector<ConjunctiveQuery> cycles;
+  for (int i = 0; i < 16; ++i) {
+    cycles.push_back(MustParseQuery("E(x,y), E(y,z), C" + std::to_string(i) +
+                                    "(z,x)"));
+  }
+  Engine unbounded(sigma, SweepOptions());
+  for (const ConjunctiveQuery& q : cycles) unbounded.Decide(q);
+  ASSERT_EQ(unbounded.Stats().entries, cycles.size());
+
+  Engine engine(sigma, SweepOptions(), unbounded.Stats().bytes);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const ConjunctiveQuery& q : cycles) engine.Decide(q);
+  }
+  CacheStats stats = engine.Stats();
+  EXPECT_EQ(stats.entries, cycles.size());
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.hits, cycles.size());
+}
+
 /// Every decision builds its own oracle, so every decision that needs a
-/// UCQ rewriting records the REWRITE phase — the repeat too, with the
-/// decision cache off. The linear, not weakly acyclic E(x,y) -> E(y,z)
-/// makes the triangle's oracle build a complete rewriting; under the
-/// weakly acyclic E(x,y) -> F(y,z) the chase is exact and none is built.
+/// UCQ rewriting records the REWRITE phase — the repeat too, once the
+/// decision cache is emptied. The linear, not weakly acyclic
+/// E(x,y) -> E(y,z) makes the triangle's oracle build a complete
+/// rewriting; under the weakly acyclic E(x,y) -> F(y,z) the chase is
+/// exact and none is built.
 TEST(EngineTest, EveryDecisionRecordsItsRewriteBuild) {
   ConjunctiveQuery triangle = MustParseQuery("E(x,y), E(y,z), E(z,x)");
   auto rewrites = [&](const char* sigma) {
-    EngineOptions options;
-    options.semac = SweepOptions();
-    options.decisions.enabled = false;
-    Engine engine(MustParseDependencySet(sigma), options);
+    Engine engine(MustParseDependencySet(sigma), SweepOptions());
     engine.Decide(triangle);
+    engine.TrimCaches();
     engine.Decide(triangle);
     return engine.Metrics()
         .phases[static_cast<size_t>(obs::Phase::kRewrite)]
@@ -537,12 +566,7 @@ TEST(EngineTest, ConcurrentDecideDeterministicUnderEviction) {
     for (const auto& q : w.queries) reference.push_back(engine.Decide(q));
   }
 
-  EngineOptions tiny;
-  tiny.semac = options;
-  tiny.decisions.max_bytes = 512;
-  // Maximal contention: one shard, everyone collides.
-  tiny.decisions.shards = 1;
-  Engine shared(w.sigma, tiny);
+  Engine shared(w.sigma, options, 512);
   std::vector<PreparedQuery> prepared;
   for (const auto& q : w.queries) prepared.push_back(shared.Prepare(q));
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/canonical.h"
@@ -35,12 +36,22 @@ ConjunctiveQuery ChainQuery(int n) {
   return Q(body);
 }
 
+/// GetOrCompute keyed by q's canonical fingerprint, as the Engine keys
+/// its decision cache.
+template <typename Compute>
+std::shared_ptr<const Payload> Get(FingerprintCache<Payload>& cache,
+                                   const ConjunctiveQuery& q,
+                                   Compute&& compute) {
+  return cache.GetOrCompute(CanonicalFingerprint(q), q,
+                            std::forward<Compute>(compute));
+}
+
 /// The bytes one entry (key q, a payload reporting `payload` bytes) is
 /// charged, read off an unbounded cache — byte budgets are sized in
 /// entries through it.
 size_t EntryBytes(const ConjunctiveQuery& q, size_t payload) {
   FingerprintCache<Payload> probe;
-  probe.GetOrCompute(q, [payload]() {
+  Get(probe, q, [payload]() {
     return std::make_shared<const Payload>(Payload{0, payload});
   });
   return probe.Stats().bytes;
@@ -58,9 +69,9 @@ TEST(FingerprintCacheTest, HitMissInsertAccounting) {
   ConjunctiveQuery a = ChainQuery(1);
   ConjunctiveQuery b = ChainQuery(2);
 
-  EXPECT_EQ(cache.GetOrCompute(a, compute(1))->id, 1);
-  EXPECT_EQ(cache.GetOrCompute(a, compute(99))->id, 1);  // hit, not recomputed
-  EXPECT_EQ(cache.GetOrCompute(b, compute(2))->id, 2);
+  EXPECT_EQ(Get(cache, a, compute(1))->id, 1);
+  EXPECT_EQ(Get(cache, a, compute(99))->id, 1);  // hit, not recomputed
+  EXPECT_EQ(Get(cache, b, compute(2))->id, 2);
   EXPECT_EQ(computes, 2);
 
   CacheStats stats = cache.Stats();
@@ -72,32 +83,12 @@ TEST(FingerprintCacheTest, HitMissInsertAccounting) {
   EXPECT_GT(stats.bytes, 2u * 64u);  // payload plus key/bookkeeping charge
 }
 
-TEST(FingerprintCacheTest, DisabledCacheComputesEveryTime) {
-  CacheConfig config;
-  config.enabled = false;
-  FingerprintCache<Payload> cache(config);
-  ConjunctiveQuery a = ChainQuery(1);
-  int computes = 0;
-  for (int i = 0; i < 3; ++i) {
-    cache.GetOrCompute(a, [&]() {
-      ++computes;
-      return std::make_shared<const Payload>(Payload{i, 8});
-    });
-  }
-  EXPECT_EQ(computes, 3);
-  EXPECT_EQ(cache.Stats().entries, 0u);
-  EXPECT_EQ(cache.Stats().misses, 3u);
-}
-
 TEST(FingerprintCacheTest, LruEvictionUnderByteBudget) {
   ConjunctiveQuery a = ChainQuery(1), b = ChainQuery(2), c = ChainQuery(3);
-  CacheConfig config;
   // One byte short of all three entries: a and b fit, inserting c must
   // evict exactly one entry, and a + c fit again.
-  config.max_bytes = EntryBytes(a, 16) + EntryBytes(b, 16) +
-                     EntryBytes(c, 16) - 1;
-  config.shards = 1;  // an exact budget needs one shard
-  FingerprintCache<Payload> cache(config);
+  FingerprintCache<Payload> cache(EntryBytes(a, 16) + EntryBytes(b, 16) +
+                                  EntryBytes(c, 16) - 1);
   int computes = 0;
   auto value = [&computes](int id) {
     return [&computes, id]() {
@@ -106,10 +97,10 @@ TEST(FingerprintCacheTest, LruEvictionUnderByteBudget) {
     };
   };
 
-  cache.GetOrCompute(a, value(1));
-  cache.GetOrCompute(b, value(2));
-  cache.GetOrCompute(a, value(1));  // touch a: b becomes LRU
-  cache.GetOrCompute(c, value(3));  // evicts b
+  Get(cache, a, value(1));
+  Get(cache, b, value(2));
+  Get(cache, a, value(1));  // touch a: b becomes LRU
+  Get(cache, c, value(3));  // evicts b
 
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 2u);
@@ -117,20 +108,18 @@ TEST(FingerprintCacheTest, LruEvictionUnderByteBudget) {
   EXPECT_EQ(computes, 3);
   // Residency: a and c are served without computing; b, probed last so
   // its re-insert evicts nothing checked above, was evicted.
-  cache.GetOrCompute(a, value(1));
-  cache.GetOrCompute(c, value(3));
+  Get(cache, a, value(1));
+  Get(cache, c, value(3));
   EXPECT_EQ(computes, 3);
-  cache.GetOrCompute(b, value(2));
+  Get(cache, b, value(2));
   EXPECT_EQ(computes, 4);
 }
 
 TEST(FingerprintCacheTest, ByteBudgetEvictsAndNeverBreaksCallers) {
-  CacheConfig config;
-  config.max_bytes = 1;  // below any single entry: every insert self-evicts
-  config.shards = 1;
-  FingerprintCache<Payload> cache(config);
+  // Below any single entry: every insert is declined.
+  FingerprintCache<Payload> cache(1);
   ConjunctiveQuery a = ChainQuery(1);
-  std::shared_ptr<const Payload> first = cache.GetOrCompute(a, []() {
+  std::shared_ptr<const Payload> first = Get(cache, a, []() {
     return std::make_shared<const Payload>(Payload{7, 4096});
   });
   // The value survives in the caller's hands even though the cache
@@ -141,21 +130,21 @@ TEST(FingerprintCacheTest, ByteBudgetEvictsAndNeverBreaksCallers) {
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(stats.evictions, 1u);
   // And the next probe recomputes (a miss, not a crash).
-  std::shared_ptr<const Payload> second = cache.GetOrCompute(a, []() {
+  std::shared_ptr<const Payload> second = Get(cache, a, []() {
     return std::make_shared<const Payload>(Payload{8, 4096});
   });
   EXPECT_EQ(second->id, 8);
 }
 
-TEST(FingerprintCacheTest, TrimDropsEntriesAndCountsEvictions) {
+TEST(FingerprintCacheTest, ClearDropsEntriesAndCountsEvictions) {
   FingerprintCache<Payload> cache;
   for (int i = 1; i <= 4; ++i) {
-    cache.GetOrCompute(ChainQuery(i), [i]() {
+    Get(cache, ChainQuery(i), [i]() {
       return std::make_shared<const Payload>(Payload{i, 32});
     });
   }
   EXPECT_EQ(cache.Stats().entries, 4u);
-  cache.Trim(0);
+  cache.Clear();
   CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
@@ -167,10 +156,10 @@ TEST(FingerprintCacheTest, ServesRenamedVariantsVerbatim) {
   FingerprintCache<Payload> cache;
   ConjunctiveQuery q = Q("R(x,y), S(y,z)");
   ConjunctiveQuery renamed = Q("R(u,v), S(v,w)");
-  cache.GetOrCompute(q, []() {
+  Get(cache, q, []() {
     return std::make_shared<const Payload>(Payload{1, 16});
   });
-  std::shared_ptr<const Payload> hit = cache.GetOrCompute(renamed, []() {
+  std::shared_ptr<const Payload> hit = Get(cache, renamed, []() {
     ADD_FAILURE() << "isomorphic probe should not recompute";
     return std::make_shared<const Payload>(Payload{2, 16});
   });
@@ -188,7 +177,7 @@ TEST(FingerprintCacheTest, ConcurrentGetOrComputeKeepsFirstInsert) {
   std::vector<std::thread> pool;
   for (size_t t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t]() {
-      seen[t] = cache.GetOrCompute(a, [&]() {
+      seen[t] = Get(cache, a, [&]() {
         return std::make_shared<const Payload>(
             Payload{computes.fetch_add(1) + 1, 16});
       });
@@ -207,12 +196,10 @@ TEST(FingerprintCacheTest, ConcurrentEvictionStaysCoherent) {
   constexpr size_t kPayload = 4096;  // dominates the key charge
   std::vector<ConjunctiveQuery> keys;
   for (int i = 1; i <= 6; ++i) keys.push_back(ChainQuery(i));
-  CacheConfig config;
   // Any two entries fit (the largest key twice), no three do.
-  config.max_bytes = 2 * EntryBytes(keys.back(), kPayload);
-  ASSERT_GT(3 * EntryBytes(keys.front(), kPayload), config.max_bytes);
-  config.shards = 1;
-  FingerprintCache<Payload> cache(config);
+  const size_t max_bytes = 2 * EntryBytes(keys.back(), kPayload);
+  ASSERT_GT(3 * EntryBytes(keys.front(), kPayload), max_bytes);
+  FingerprintCache<Payload> cache(max_bytes);
   constexpr size_t kThreads = 8;
   std::vector<std::thread> pool;
   std::atomic<bool> mismatch{false};
@@ -220,7 +207,7 @@ TEST(FingerprintCacheTest, ConcurrentEvictionStaysCoherent) {
     pool.emplace_back([&, t]() {
       for (size_t k = 0; k < 60; ++k) {
         size_t i = (k + t) % keys.size();
-        auto v = cache.GetOrCompute(keys[i], [i]() {
+        auto v = Get(cache, keys[i], [i]() {
           return std::make_shared<const Payload>(
               Payload{static_cast<int>(i), kPayload});
         });
@@ -232,7 +219,7 @@ TEST(FingerprintCacheTest, ConcurrentEvictionStaysCoherent) {
   EXPECT_FALSE(mismatch.load());
   CacheStats stats = cache.Stats();
   EXPECT_LE(stats.entries, 2u);
-  EXPECT_LE(stats.bytes, config.max_bytes);
+  EXPECT_LE(stats.bytes, max_bytes);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_EQ(stats.misses, stats.inserts);
   EXPECT_EQ(stats.hits + stats.misses, kThreads * 60u);

@@ -57,14 +57,18 @@ TEST(HomTest, AllSolutionsEnumerated) {
 }
 
 TEST(HomTest, StepBudgetReportsExhaustion) {
-  // A hard instance with no solution: budget must trip.
+  // A fired token truncates the search before it can find anything, and
+  // the result says so.
   Generator gen(3);
   Instance db = gen.RandomDatabase({Predicate::Get("E", 2)}, 60, 12);
   ConjunctiveQuery clique = gen.CliqueQuery(9);
+  CancelToken cancelled;
+  cancelled.RequestCancel();
   HomOptions options;
-  options.step_budget = 50;
+  options.cancel = &cancelled;
   HomResult result = FindHomomorphisms(clique.body(), db, options);
-  EXPECT_TRUE(result.budget_exhausted || result.found);
+  EXPECT_TRUE(result.budget_exhausted);
+  EXPECT_FALSE(result.found);
 }
 
 TEST(HomTest, InjectiveModeRejectsCollapses) {
@@ -76,17 +80,6 @@ TEST(HomTest, InjectiveModeRejectsCollapses) {
   Instance db2 = Db("E('a','b')");
   EXPECT_TRUE(
       FindHomomorphisms(MustParseAtoms("E(x,y)"), db2, options).found);
-}
-
-TEST(HomTest, MapNullsControlsNullRigidity) {
-  Instance target = Db("E('a','b')");
-  Term n = Term::FreshNull();
-  std::vector<Atom> source = {Atom(Predicate::Get("E", 2), {n, C("b")})};
-  HomOptions flexible;
-  EXPECT_TRUE(FindHomomorphisms(source, target, flexible).found);
-  HomOptions rigid;
-  rigid.map_nulls = false;
-  EXPECT_FALSE(FindHomomorphisms(source, target, rigid).found);
 }
 
 TEST(EvaluateQueryTest, ReturnsTuples) {
