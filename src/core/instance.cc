@@ -19,8 +19,13 @@ void Instance::InsertAll(const std::vector<Atom>& atoms) {
 }
 
 void Instance::Reserve(size_t n) {
-  atoms_.reserve(atoms_.size() + n);
-  atom_set_.reserve(atom_set_.size() + n);
+  size_t want = atoms_.size() + n;
+  if (want <= atoms_.capacity()) return;
+  // Growing to exactly size + n would reallocate on every call of a
+  // caller that inserts in small batches (InsertAll once per parsed line).
+  want = std::max(want, 2 * atoms_.size());
+  atoms_.reserve(want);
+  atom_set_.reserve(want);
 }
 
 void Instance::IndexAtom(uint32_t idx) {

@@ -32,10 +32,12 @@ class Instance {
   /// Inserts every atom of `atoms` (reserves for the batch up front).
   void InsertAll(const std::vector<Atom>& atoms);
 
-  /// Pre-sizes the atom vector and the dedup set for `n` additional atoms
-  /// so bulk loads (million-tuple instances; see src/data/) don't rehash
-  /// and reallocate repeatedly. The per-position inverted index cannot be
-  /// pre-sized (its key space is data-dependent) and grows as usual.
+  /// Pre-sizes the atom vector and the dedup set for at least `n`
+  /// additional atoms so bulk loads (million-tuple instances; see
+  /// src/data/) don't rehash and reallocate repeatedly. Growth is
+  /// geometric, so many small reservations stay amortised O(1) per atom.
+  /// The per-position inverted index cannot be pre-sized (its key space is
+  /// data-dependent) and grows as usual.
   void Reserve(size_t n);
 
   bool Contains(const Atom& atom) const;

@@ -56,12 +56,23 @@ class ColumnarInstance {
   /// Loads from a fact file: one ground atom per line in the core parser's
   /// syntax — `R('a',42,'b')` — with '%' comments and blank lines skipped
   /// (format spec in docs/DATAPLANE.md). Returns nullopt with `*error`
-  /// set (line number included) on the first malformed or non-ground line.
+  /// set (line number included) on the first malformed or non-ground line,
+  /// or when the path cannot be read (missing, a directory, an I/O error).
+  /// The file is read once into a buffer of its size.
   static std::optional<ColumnarInstance> FromFile(const std::string& path,
                                                   std::string* error);
-  /// Same, over an in-memory buffer (FromFile delegates here).
+  /// Where a FromText call spent its time (benches and load profiles).
+  struct LoadTimes {
+    int64_t scan_ns = 0;  // line scan, predicate lookup, value encoding
+    int64_t seal_ns = 0;  // the sorted-run build
+  };
+  /// Same, over an in-memory buffer (FromFile delegates here). Fact lines
+  /// are scanned in place; the core parser is consulted only to word the
+  /// error for a line the scanner rejects. `times`, when non-null,
+  /// receives the split of a successful load.
   static std::optional<ColumnarInstance> FromText(std::string_view text,
-                                                  std::string* error);
+                                                  std::string* error,
+                                                  LoadTimes* times = nullptr);
 
   /// The dense value id of `t`, or kNoValue when t never occurs.
   uint32_t ValueIdOf(Term t) const {
@@ -96,9 +107,12 @@ class ColumnarInstance {
   std::string ToString() const;  // shape summary, not the data
 
  private:
+  class FactScanner;  // FromText's per-load line scanner (columnar.cc)
+
   uint32_t Intern(Term t);
   Relation& RelationFor(Predicate p);
-  /// Builds every sorted-run index; loaders call it exactly once.
+  /// Builds every sorted-run index in O(cells + values); loaders call it
+  /// exactly once.
   void Seal();
 
   std::vector<Term> dictionary_;

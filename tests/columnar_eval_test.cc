@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <random>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "core/homomorphism.h"
@@ -108,6 +114,345 @@ TEST(ColumnarInstanceTest, FromTextReportsParseErrors) {
       data::ColumnarInstance::FromText("E('a','b')\nE('a',\n", &error);
   EXPECT_FALSE(col.has_value());
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Fact-file loading: FromText against a reference loader, sorted runs,
+// FromFile's I/O errors.
+
+/// Everything a load determines, in a form both loaders can fill.
+struct LoadedRelation {
+  Predicate pred;
+  uint32_t arity = 0;
+  size_t rows = 0;
+  std::vector<std::vector<uint32_t>> columns;
+  std::vector<std::vector<uint32_t>> sorted_runs;
+  bool operator==(const LoadedRelation& o) const {
+    return pred == o.pred && arity == o.arity && rows == o.rows &&
+           columns == o.columns && sorted_runs == o.sorted_runs;
+  }
+};
+struct Loaded {
+  std::vector<Term> dictionary;
+  std::vector<LoadedRelation> relations;
+};
+
+Loaded Snapshot(const data::ColumnarInstance& col) {
+  Loaded out;
+  for (size_t v = 0; v < col.NumValues(); ++v) {
+    out.dictionary.push_back(col.TermOf(static_cast<uint32_t>(v)));
+  }
+  for (const data::ColumnarInstance::Relation& rel : col.relations()) {
+    out.relations.push_back(
+        {rel.pred, rel.arity, rel.rows, rel.columns, rel.sorted_runs});
+  }
+  return out;
+}
+
+/// The loader FromText replaced, kept as the reference: one core-parser
+/// ParseAtoms call per non-blank line, every cell interned through a
+/// Term-keyed map, each sorted run built by an indirect comparison sort.
+std::optional<Loaded> ReferenceLoad(std::string_view text,
+                                    std::string* error) {
+  Loaded out;
+  std::map<Term, uint32_t> ids;
+  std::map<Predicate, size_t> rel_of;
+  size_t line_no = 0;
+  size_t start = 0;
+  while (start <= text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = text.substr(start, end - start);
+    start = end + 1;
+    ++line_no;
+    size_t first = line.find_first_not_of(" \t\r");
+    if (first != std::string_view::npos && line[first] != '%') {
+      ParseResult<std::vector<Atom>> atoms = ParseAtoms(line);
+      if (!atoms.ok()) {
+        *error = "line " + std::to_string(line_no) + ": " + atoms.error;
+        return std::nullopt;
+      }
+      for (const Atom& a : *atoms.value) {
+        if (a.MentionsKind(TermKind::kVariable)) {
+          *error = "line " + std::to_string(line_no) +
+                   ": facts must be ground (got " + a.ToString() +
+                   "; quote constants: 'a', or use numbers)";
+          return std::nullopt;
+        }
+        auto [rit, fresh_rel] = rel_of.emplace(a.predicate(),
+                                               out.relations.size());
+        if (fresh_rel) {
+          LoadedRelation rel;
+          rel.pred = a.predicate();
+          rel.arity = static_cast<uint32_t>(a.arity());
+          rel.columns.resize(a.arity());
+          out.relations.push_back(std::move(rel));
+        }
+        LoadedRelation& rel = out.relations[rit->second];
+        for (size_t c = 0; c < a.arity(); ++c) {
+          auto [vit, fresh] = ids.emplace(
+              a.arg(c), static_cast<uint32_t>(out.dictionary.size()));
+          if (fresh) out.dictionary.push_back(a.arg(c));
+          rel.columns[c].push_back(vit->second);
+        }
+        ++rel.rows;
+      }
+    }
+    if (end == text.size()) break;
+  }
+  for (LoadedRelation& rel : out.relations) {
+    for (const std::vector<uint32_t>& col : rel.columns) {
+      std::vector<uint32_t> run(rel.rows);
+      for (size_t r = 0; r < rel.rows; ++r) run[r] = static_cast<uint32_t>(r);
+      std::sort(run.begin(), run.end(), [&col](uint32_t a, uint32_t b) {
+        return col[a] != col[b] ? col[a] < col[b] : a < b;
+      });
+      rel.sorted_runs.push_back(std::move(run));
+    }
+  }
+  return out;
+}
+
+/// FromText and the reference agree on acceptance, on the error string,
+/// and on relation order, columns, dictionary order and sorted runs.
+void ExpectLoadsLikeReference(std::string_view text) {
+  std::string want_error, got_error;
+  std::optional<Loaded> want = ReferenceLoad(text, &want_error);
+  std::optional<data::ColumnarInstance> got =
+      data::ColumnarInstance::FromText(text, &got_error);
+  ASSERT_EQ(got.has_value(), want.has_value())
+      << "text: " << text << "\nreference: " << want_error
+      << "\nFromText: " << got_error;
+  if (!want.has_value()) {
+    EXPECT_EQ(got_error, want_error) << "text: " << text;
+    return;
+  }
+  Loaded snap = Snapshot(*got);
+  EXPECT_TRUE(snap.dictionary == want->dictionary) << "text: " << text;
+  EXPECT_TRUE(snap.relations == want->relations) << "text: " << text;
+  size_t rows = 0;
+  for (const LoadedRelation& rel : want->relations) rows += rel.rows;
+  EXPECT_EQ(got->TotalRows(), rows);
+}
+
+TEST(FactLoadTest, AdversarialCorpusMatchesReferenceLoader) {
+  const char* corpus[] = {
+      // Accepted.
+      "",
+      "\n\n",
+      "% only a comment",
+      "E('a','b'), E('b','c'), F('c')\nE('c','a').\n",
+      "E('a','b') .   \nE ( 'b' , 'c' ) , F('x')  .  % trailing comment\n",
+      "\tE('a',\t'b')\r\nE('b','c')\r\n\r\n",
+      "P()\nP( )\nQ(), P().\n",
+      "S(''), S(\"\"), S('')\n",
+      "S(\"a'b\"), S('a\"b'), S('%'), S(' spaced ')\n",
+      "N(42), N('42'), N(\"42\"), N(042), N(7)\n",
+      "R('a'), R('a','b'), R('a','b','c')\nR('b'), R('x','y')\n",
+      "E('a','b')\nE('b','c')",  // last line without '\n'
+      "_p(1), p_2(2), P3x(3)\n",
+      "E('a','b') % E(x,y) is commented out\n",
+      "   % indented comment\n\t\r\nE('z','a')\n",
+      "E('a','b')\f\n",
+      // Rejected: each error class the core parser words.
+      "E('a','b')\nE('a,'b')\n",             // stray quote
+      "E('a','b\n",                          // unterminated quote
+      "E(\"a)\n",                            // unterminated double quote
+      "E('a','b')\nE(x,'c')\n",              // variable argument
+      "E('a'), F(y)\n",                      // variable in a later atom
+      "E('a',)\n",                           // missing argument
+      "E('a') x\n",                          // trailing identifier
+      "E(42abc)\n",                          // number then identifier
+      "E('a'),\n",                           // trailing comma
+      "E('a') ..\n",                         // two dots
+      "E('a') . E('b')\n",                   // input after the dot
+      "E 'a'\n",                             // missing '('
+      "('a')\n",                             // missing predicate
+      "1E('a')\n",                           // predicate is a number
+      "E('a' 'b')\n",                        // missing ','
+      "E(('a'))\n",                          // nested '('
+      "E(-1)\n",                             // '-' is not a sign
+      "E(1.5)\n",                            // no decimals
+      "E('a') -> F('a')\n",                  // a dependency, not a fact
+      "E('a')\n\v\n",                        // a vertical tab is no blank
+      "E('a') % fine\nE('b' % not closed\n",  // comment eats the ')'
+      "E('a'\n'b')\n",                       // an atom across lines
+      "E(\xc3\xa9)\n",                       // a non-ASCII byte
+  };
+  for (const char* text : corpus) ExpectLoadsLikeReference(text);
+  // An embedded NUL is an unexpected character outside quotes and
+  // ordinary text inside them.
+  ExpectLoadsLikeReference(std::string_view("E('a\0b')\n", 9));
+  ExpectLoadsLikeReference(std::string_view("E('a')\0\n", 8));
+}
+
+TEST(FactLoadTest, RandomLinesMatchReferenceLoader) {
+  // Grammar-built lines, some with one character mutated: near-valid input
+  // is where a hand-written scanner and the parser would drift apart.
+  const std::vector<std::string> names = {"E", "P", "_q", "R2"};
+  const std::vector<std::string> constants = {
+      "'a'", "'b'", "\"a\"", "''", "42", "'42'", "7", "'x y'", "'%'"};
+  const std::string alphabet = "EPx4'\"(),. \t\r\v%_-\xc3";
+  std::mt19937 rng(2016);
+  auto pick = [&rng](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  for (int round = 0; round < 4000; ++round) {
+    std::string text;
+    size_t lines = 1 + pick(3);
+    for (size_t l = 0; l < lines; ++l) {
+      size_t atoms = 1 + pick(3);
+      for (size_t a = 0; a < atoms; ++a) {
+        if (a > 0) text += pick(2) == 0 ? "," : " , ";
+        text += names[pick(names.size())] + "(";
+        size_t arity = pick(4);
+        for (size_t c = 0; c < arity; ++c) {
+          if (c > 0) text += pick(3) == 0 ? " ," : ",";
+          text += constants[pick(constants.size())];
+        }
+        text += ")";
+      }
+      if (pick(3) == 0) text += ".";
+      if (pick(4) == 0) text += " % note";
+      text += pick(5) == 0 ? "\r\n" : "\n";
+    }
+    if (pick(2) == 0) {
+      size_t at = pick(text.size());
+      switch (pick(3)) {
+        case 0:
+          text[at] = alphabet[pick(alphabet.size())];
+          break;
+        case 1:
+          text.insert(text.begin() + at, alphabet[pick(alphabet.size())]);
+          break;
+        default:
+          text.erase(text.begin() + at);
+      }
+    }
+    ExpectLoadsLikeReference(text);
+    if (HasFatalFailure()) return;
+  }
+}
+
+/// Every run of `col` orders its rows by (value, row), and EqualRange
+/// returns exactly the rows holding each value.
+void ExpectSortedRunsExact(const data::ColumnarInstance& col) {
+  for (const data::ColumnarInstance::Relation& rel : col.relations()) {
+    ASSERT_EQ(rel.sorted_runs.size(), rel.arity);
+    for (uint32_t c = 0; c < rel.arity; ++c) {
+      const std::vector<uint32_t>& run = rel.sorted_runs[c];
+      const std::vector<uint32_t>& column = rel.columns[c];
+      ASSERT_EQ(run.size(), rel.rows);
+      for (size_t i = 1; i < run.size(); ++i) {
+        ASSERT_TRUE(std::make_pair(column[run[i - 1]], run[i - 1]) <
+                    std::make_pair(column[run[i]], run[i]))
+            << rel.pred.ToString() << " position " << c;
+      }
+      std::map<uint32_t, std::vector<uint32_t>> rows_of;
+      for (size_t r = 0; r < rel.rows; ++r) {
+        rows_of[column[r]].push_back(static_cast<uint32_t>(r));
+      }
+      for (const auto& [vid, rows] : rows_of) {
+        auto [lo, hi] = col.EqualRange(rel, c, vid);
+        EXPECT_EQ(std::vector<uint32_t>(lo, hi), rows);
+      }
+      // A value absent from this column (but perhaps elsewhere) has an
+      // empty range; a few per column suffice.
+      size_t stride = std::max<size_t>(7, col.NumValues() / 8);
+      for (size_t vid = c; vid < col.NumValues(); vid += stride) {
+        if (rows_of.count(vid) != 0) continue;
+        auto [lo, hi] = col.EqualRange(rel, c, static_cast<uint32_t>(vid));
+        EXPECT_EQ(lo, hi);
+      }
+    }
+  }
+}
+
+TEST(FactLoadTest, SortedRunsOrderRowsByValueThenRow) {
+  std::mt19937 rng(24);
+  for (int round = 0; round < 20; ++round) {
+    std::string text;
+    size_t relations = 1 + rng() % 6;
+    size_t domain = 1 + rng() % 40;
+    for (size_t p = 0; p < relations; ++p) {
+      size_t arity = rng() % 4;
+      size_t rows = p == 0 ? 1 : 1 + rng() % 60;  // always a 1-row relation
+      for (size_t r = 0; r < rows; ++r) {
+        text += "R" + std::to_string(p) + "(";
+        for (size_t c = 0; c < arity; ++c) {
+          if (c > 0) text += ",";
+          text += "'v" + std::to_string(rng() % domain) + "'";
+        }
+        text += ")\n";
+      }
+    }
+    std::string error;
+    std::optional<data::ColumnarInstance> col =
+        data::ColumnarInstance::FromText(text, &error);
+    ASSERT_TRUE(col.has_value()) << error;
+    ExpectSortedRunsExact(*col);
+    ExpectLoadsLikeReference(text);
+    // FromInstance shares Seal.
+    ExpectSortedRunsExact(data::ColumnarInstance::FromInstance(
+        col->ToInstance()));
+  }
+}
+
+TEST(FactLoadTest, ManySingleRowRelationsOverALargeDictionary) {
+  // 20k one-row relations over 40k values: a seal that did work sized by
+  // the dictionary per column would do 1.6*10^9 steps here.
+  std::string text;
+  for (size_t p = 0; p < 20000; ++p) {
+    text += "Single" + std::to_string(p) + "('u" + std::to_string(p) +
+            "','w" + std::to_string(p) + "')\n";
+  }
+  std::string error;
+  std::optional<data::ColumnarInstance> col =
+      data::ColumnarInstance::FromText(text, &error);
+  ASSERT_TRUE(col.has_value()) << error;
+  EXPECT_EQ(col->relations().size(), 20000u);
+  EXPECT_EQ(col->NumValues(), 40000u);
+  ExpectSortedRunsExact(*col);
+}
+
+TEST(FactLoadTest, FromFileReportsUnreadablePaths) {
+  std::string dir = ::testing::TempDir();
+  std::string error;
+  EXPECT_FALSE(data::ColumnarInstance::FromFile(
+                   dir + "/no-such-dir/no-such.facts", &error)
+                   .has_value());
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(data::ColumnarInstance::FromFile(dir, &error).has_value());
+  EXPECT_NE(error.find("cannot read"), std::string::npos) << error;
+}
+
+TEST(FactLoadTest, FromFileLoadsEmptyAndNonEmptyFiles) {
+  std::string path = ::testing::TempDir() + "/columnar_eval_test.facts";
+  std::string error;
+  { std::ofstream out(path, std::ios::binary); }
+  std::optional<data::ColumnarInstance> empty =
+      data::ColumnarInstance::FromFile(path, &error);
+  ASSERT_TRUE(empty.has_value()) << error;
+  EXPECT_EQ(empty->TotalRows(), 0u);
+  EXPECT_TRUE(empty->relations().empty());
+
+  const std::string text = "E('a','b')\nE('b','c'), P(42)\nE('c','a')";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  std::optional<data::ColumnarInstance> col =
+      data::ColumnarInstance::FromFile(path, &error);
+  std::remove(path.c_str());
+  ASSERT_TRUE(col.has_value()) << error;
+  std::optional<data::ColumnarInstance> same =
+      data::ColumnarInstance::FromText(text, &error);
+  ASSERT_TRUE(same.has_value()) << error;
+  Loaded a = Snapshot(*col), b = Snapshot(*same);
+  EXPECT_TRUE(a.dictionary == b.dictionary);
+  EXPECT_TRUE(a.relations == b.relations);
+  EXPECT_EQ(col->TotalRows(), 4u);
 }
 
 TEST(SemiJoinProgramTest, SimplePath) {
