@@ -64,25 +64,85 @@ bool IncrementalClassifier::ComponentMeets(int root) {
 
 bool IncrementalClassifier::LazyMeets() {
   if (target_ == AcyclicityClass::kCyclic) return true;
+  if (depth_ < static_cast<size_t>(min_violating_edges_)) return true;
+  // One vertex bitmask per edge over dense ids (epoch stamps avoid
+  // clearing the id map between calls); the path's vertex occurrences
+  // bound its distinct vertices, hence the words a mask needs.
+  size_t occurrences = 0;
+  for (size_t f = 0; f < depth_; ++f) occurrences += frames_[f].edge.size();
+  const size_t words = std::max<size_t>(1, (occurrences + 63) / 64);
+  // Edge masks, then the two masks BitsetAlpha counts alive edges into.
+  scr_masks_.resize((depth_ + 2) * words);
+  std::fill_n(scr_masks_.begin(), depth_ * words, uint64_t{0});
   ++epoch_;
-  int next_id = 0;
-  work_count_ = 0;
+  int nv = 0;
   for (size_t f = 0; f < depth_; ++f) {
-    const std::vector<int>& edge = frames_[f].edge;
-    if (work_count_ == work_sets_.size()) work_sets_.emplace_back();
-    std::vector<int>& verts = work_sets_[work_count_++];
-    verts.clear();
-    for (int v : edge) {
-      if (dense_epoch_[static_cast<size_t>(v)] != epoch_) {
-        dense_epoch_[static_cast<size_t>(v)] = epoch_;
-        dense_id_[static_cast<size_t>(v)] = next_id++;
+    uint64_t* mask = &scr_masks_[f * words];
+    for (int v : frames_[f].edge) {
+      const size_t u = static_cast<size_t>(v);
+      if (dense_epoch_[u] != epoch_) {
+        dense_epoch_[u] = epoch_;
+        dense_id_[u] = nv++;
       }
-      verts.push_back(dense_id_[static_cast<size_t>(v)]);
+      const size_t id = static_cast<size_t>(dense_id_[u]);
+      mask[id / 64] |= uint64_t{1} << (id % 64);
     }
-    std::sort(verts.begin(), verts.end());
-    verts.erase(std::unique(verts.begin(), verts.end()), verts.end());
   }
-  return ScratchMeets(next_id);
+  return BitsetAlpha(words);
+}
+
+bool IncrementalClassifier::BitsetAlpha(size_t words) {
+  // GYO reduction: drop every vertex that lies in only one alive edge,
+  // then every alive edge contained in another alive edge; repeat. The
+  // edges are α-acyclic iff at most one survives (the result does not
+  // depend on the removal order). Masks are reduced in place; scr_live_
+  // lists the alive edges.
+  uint64_t* masks = scr_masks_.data();
+  uint64_t* once = masks + depth_ * words;
+  uint64_t* twice = once + words;  // vertices of >= 2 alive edges
+  scr_live_.resize(depth_);
+  for (size_t e = 0; e < depth_; ++e) scr_live_[e] = static_cast<int>(e);
+  size_t alive = depth_;
+  auto mask = [&](size_t i) {
+    return masks + static_cast<size_t>(scr_live_[i]) * words;
+  };
+  while (alive > 1) {
+    std::fill_n(once, 2 * words, uint64_t{0});
+    for (size_t i = 0; i < alive; ++i) {
+      const uint64_t* em = mask(i);
+      for (size_t w = 0; w < words; ++w) {
+        twice[w] |= once[w] & em[w];
+        once[w] |= em[w];
+      }
+    }
+    for (size_t i = 0; i < alive; ++i) {
+      uint64_t* em = mask(i);
+      for (size_t w = 0; w < words; ++w) em[w] &= twice[w];
+    }
+    // A removal only turns shared vertices of the removed edge into
+    // private ones of its container, which the next round drops, so the
+    // containment tests may run against this round's reduced masks.
+    const size_t before = alive;
+    for (size_t i = 0; i < alive && alive > 1;) {
+      const uint64_t* em = mask(i);
+      bool contained = false;
+      for (size_t j = 0; j < alive && !contained; ++j) {
+        if (j == i) continue;
+        const uint64_t* fm = mask(j);
+        contained = true;
+        for (size_t w = 0; w < words && contained; ++w) {
+          contained = (em[w] & ~fm[w]) == 0;
+        }
+      }
+      if (contained) {
+        scr_live_[i] = scr_live_[--alive];
+      } else {
+        ++i;
+      }
+    }
+    if (alive == before) return false;
+  }
+  return true;
 }
 
 bool IncrementalClassifier::ScratchMeets(int nv) {
@@ -94,9 +154,9 @@ bool IncrementalClassifier::ScratchMeets(int nv) {
   }
   switch (target_) {
     case AcyclicityClass::kCyclic:
-      return true;
     case AcyclicityClass::kAlpha:
-      return ScratchAlpha(nv);
+      // Lazy targets: verdicts come from LazyMeets, never per component.
+      return true;
     case AcyclicityClass::kBeta:
       return ScratchBeta(nv);
     case AcyclicityClass::kGamma:
@@ -105,34 +165,6 @@ bool IncrementalClassifier::ScratchMeets(int nv) {
       return ScratchBerge(nv);
   }
   return false;
-}
-
-bool IncrementalClassifier::ScratchAlpha(int nv) {
-  (void)nv;
-  // Naive GYO with degree-pruned ear witnesses, fine at DFS-path sizes.
-  size_t remaining = work_count_;
-  bool progress = true;
-  while (progress && remaining > 1) {
-    progress = false;
-    for (size_t e = 0; e < work_count_ && remaining > 1; ++e) {
-      if (!scr_alive_[e]) continue;
-      scr_inc_.clear();  // shared vertices of e
-      for (int v : work_sets_[e]) {
-        if (scr_deg_[static_cast<size_t>(v)] >= 2) scr_inc_.push_back(v);
-      }
-      bool found = false;
-      for (size_t f = 0; f < work_count_ && !found; ++f) {
-        if (f == e || !scr_alive_[f]) continue;
-        found = internal::IsSubsetSorted(scr_inc_, work_sets_[f]);
-      }
-      if (!found) continue;
-      scr_alive_[e] = 0;
-      --remaining;
-      for (int v : work_sets_[e]) --scr_deg_[static_cast<size_t>(v)];
-      progress = true;
-    }
-  }
-  return remaining <= 1;
 }
 
 bool IncrementalClassifier::ScratchBeta(int nv) {

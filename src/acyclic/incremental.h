@@ -2,6 +2,7 @@
 #define SEMACYC_ACYCLIC_INCREMENTAL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "acyclic/classify.h"
@@ -26,8 +27,9 @@ namespace semacyc::acyclic {
 ///    `CannotRecover()` lets the DFS prune the whole subtree, and pushes
 ///    made in a violated state skip the decider entirely (the verdict is
 ///    forced). α-acyclicity is not hereditary (an edge covering a cycle
-///    repairs it), so for kAlpha `CannotRecover()` is always false and
-///    every push re-decides its component.
+///    repairs it), so for kAlpha `CannotRecover()` is always false, a
+///    push only records the edge, and Meets() decides the whole path on
+///    demand (bitset GYO; paths of fewer than 3 edges need no run).
 ///
 /// Vertices are caller-chosen non-negative ids; the universe grows on
 /// demand. Connectivity is tracked by a union-find with rollback (union by
@@ -71,15 +73,22 @@ class IncrementalClassifier {
   void EnsureVertex(int v);
   /// Runs the target decider on the component rooted at `root`.
   bool ComponentMeets(int root);
-  /// Batch verdict over all pushed edges (the lazy α path).
+  /// Batch verdict over all pushed edges (the lazy α path): interns the
+  /// path's vertices to epoch-dense ids, builds one bitmask of as many
+  /// 64-bit words as the path's vertex occurrences need per edge, and runs
+  /// BitsetAlpha.
   bool LazyMeets();
-  /// Allocation-free deciders over work_sets_[0..work_count_) with dense
-  /// vertex ids [0, nv) — the components seen here are DFS-path-sized, so
-  /// scratch-reusing O(m²)-ish sweeps beat the engine deciders' setup
-  /// cost by an order of magnitude. Verdicts agree with acyclic::Meets
-  /// (pinned by the exhaustive cross-checks in witness_pipeline_test).
+  /// GYO reduction over the per-edge bitmasks in scr_masks_ (the ear
+  /// characterisation of α-acyclicity; Brault-Baron): allocation-free once
+  /// the scratch has grown to the path's size.
+  bool BitsetAlpha(size_t words);
+  /// Allocation-free deciders for the eager (hereditary) targets over
+  /// work_sets_[0..work_count_) with dense vertex ids [0, nv) — the
+  /// components seen here are DFS-path-sized, so scratch-reusing
+  /// O(m²)-ish sweeps beat the engine deciders' setup cost by an order of
+  /// magnitude. Verdicts of every target agree with acyclic::Meets
+  /// (pinned by the cross-checks in witness_pipeline_test).
   bool ScratchMeets(int nv);
-  bool ScratchAlpha(int nv);
   bool ScratchBeta(int nv);
   bool ScratchGamma(int nv);
   bool ScratchBerge(int nv);
@@ -131,6 +140,11 @@ class IncrementalClassifier {
   std::vector<int> scr_deg_;
   std::vector<int> scr_parent_;
   std::vector<int> scr_inc_;
+  /// Scratch of the lazy α path: the per-edge vertex bitmasks (`words`
+  /// words each) followed by the masks of vertices in >= 1 and >= 2 alive
+  /// edges, and the list of alive edges.
+  std::vector<uint64_t> scr_masks_;
+  std::vector<int> scr_live_;
 };
 
 }  // namespace semacyc::acyclic

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "core/homomorphism.h"
 
@@ -63,82 +63,141 @@ uint64_t Mix(uint64_t h, uint64_t x) {
 
 namespace {
 
+/// One body occurrence of a variable: (var, pred, pos) is the sort key,
+/// with var and pred packed into `var_pred`; `slot` is the flattened body
+/// position it came from.
+struct Occurrence {
+  uint64_t var_pred;
+  uint32_t pos;
+  uint32_t slot;
+
+  uint32_t var() const { return static_cast<uint32_t>(var_pred >> 32); }
+  uint32_t pred() const { return static_cast<uint32_t>(var_pred); }
+};
+
+/// Per-thread flat scratch of FingerprintChains: every buffer keeps its
+/// capacity across calls, so a steady-state call allocates nothing.
+template <size_t N>
+struct FingerprintScratch {
+  std::vector<Occurrence> occ;
+  /// (variable, head position) pairs of the head, sorted.
+  std::vector<std::pair<uint32_t, uint32_t>> head;
+  /// Per flattened body position holding a variable: its index in `sigs`.
+  std::vector<uint32_t> slot_sig;
+  std::vector<std::array<uint64_t, N>> sigs;
+  std::vector<std::array<uint64_t, N>> atom_keys;
+};
+
 /// The renaming/reordering invariant, hash-mixed: per-variable occurrence
-/// signatures (sorted (pred, pos) multiset plus head position), folded
-/// into per-atom hashes over the intra-atom equality pattern, combined
-/// order-independently by sorting.
+/// signatures (sorted (pred, pos) multiset plus first head position),
+/// folded into per-atom hashes over the intra-atom equality pattern,
+/// combined order-independently by sorting.
 /// N independent salted chains are computed in one walk; each salt
 /// perturbs every leaf, so the chains collide independently.
+/// One sort of the (var, pred, pos) occurrences groups each variable's
+/// occurrences into a run already in (pred, pos) order, so the
+/// signatures need no per-variable table; each run writes its signature
+/// index back to the body positions it came from.
 template <size_t N>
 std::array<uint64_t, N> FingerprintChains(
-    const ConjunctiveQuery& q, const std::array<uint64_t, N>& salts) {
-  std::unordered_map<Term, int> head_pos;
-  for (size_t i = 0; i < q.head().size(); ++i) {
-    head_pos.emplace(q.head()[i], static_cast<int>(i));
-  }
-  std::unordered_map<Term, std::vector<std::pair<uint32_t, int>>> occ;
-  for (const Atom& a : q.body()) {
-    for (size_t pos = 0; pos < a.arity(); ++pos) {
+    const std::vector<Term>& head, const std::vector<Atom>& body,
+    const std::array<uint64_t, N>& salts) {
+  thread_local FingerprintScratch<N> scratch;
+  FingerprintScratch<N>& s = scratch;
+  s.occ.clear();
+  uint32_t slots = 0;
+  for (const Atom& a : body) {
+    for (size_t pos = 0; pos < a.arity(); ++pos, ++slots) {
       Term t = a.arg(pos);
       if (t.IsVariable()) {
-        occ[t].push_back({a.predicate().id(), static_cast<int>(pos)});
+        s.occ.push_back({uint64_t{t.raw_bits()} << 32 | a.predicate().id(),
+                         static_cast<uint32_t>(pos), slots});
       }
     }
   }
-  std::unordered_map<Term, std::array<uint64_t, N>> var_sig;
-  var_sig.reserve(occ.size());
-  for (auto& [v, list] : occ) {
-    std::sort(list.begin(), list.end());
-    std::array<uint64_t, N> s;
+  std::sort(s.occ.begin(), s.occ.end(),
+            [](const Occurrence& x, const Occurrence& y) {
+              if (x.var_pred != y.var_pred) return x.var_pred < y.var_pred;
+              return x.pos < y.pos;
+            });
+  s.head.clear();
+  for (size_t i = 0; i < head.size(); ++i) {
+    if (head[i].IsVariable()) {
+      s.head.push_back({head[i].raw_bits(), static_cast<uint32_t>(i)});
+    }
+  }
+  std::sort(s.head.begin(), s.head.end());
+  s.slot_sig.resize(slots);
+  s.sigs.clear();
+  size_t h = 0;
+  for (size_t i = 0; i < s.occ.size();) {
+    const uint32_t var = s.occ[i].var();
+    std::array<uint64_t, N> sig;
     for (size_t n = 0; n < N; ++n) {
-      s[n] = Mix(0x53454d4143594331ull, salts[n]);  // salted domain tag
+      sig[n] = Mix(0x53454d4143594331ull, salts[n]);  // salted domain tag
     }
-    for (auto& [p, i] : list) {
+    const uint32_t index = static_cast<uint32_t>(s.sigs.size());
+    for (; i < s.occ.size() && s.occ[i].var() == var; ++i) {
       for (size_t n = 0; n < N; ++n) {
-        s[n] = Mix(s[n], p);
-        s[n] = Mix(s[n], static_cast<uint64_t>(i));
+        sig[n] = Mix(sig[n], s.occ[i].pred());
+        sig[n] = Mix(sig[n], s.occ[i].pos);
       }
+      s.slot_sig[s.occ[i].slot] = index;
     }
-    auto it = head_pos.find(v);
-    uint64_t hp =
-        it == head_pos.end() ? ~0ull : static_cast<uint64_t>(it->second);
-    for (size_t n = 0; n < N; ++n) s[n] = Mix(s[n], hp);
-    var_sig[v] = s;
+    // Both arrays are sorted by variable: the first head entry of `var`
+    // carries its first head position.
+    while (h < s.head.size() && s.head[h].first < var) ++h;
+    uint64_t hp = h < s.head.size() && s.head[h].first == var
+                      ? static_cast<uint64_t>(s.head[h].second)
+                      : ~0ull;
+    for (size_t n = 0; n < N; ++n) sig[n] = Mix(sig[n], hp);
+    s.sigs.push_back(sig);
   }
-  std::vector<std::array<uint64_t, N>> atom_keys;
-  atom_keys.reserve(q.body().size());
-  for (const Atom& a : q.body()) {
-    std::array<uint64_t, N> s;
-    for (size_t n = 0; n < N; ++n) s[n] = Mix(salts[n], a.predicate().id());
-    for (size_t pos = 0; pos < a.arity(); ++pos) {
+  s.atom_keys.clear();
+  uint32_t slot = 0;
+  for (const Atom& a : body) {
+    std::array<uint64_t, N> key;
+    for (size_t n = 0; n < N; ++n) key[n] = Mix(salts[n], a.predicate().id());
+    for (size_t pos = 0; pos < a.arity(); ++pos, ++slot) {
       Term t = a.arg(pos);
       if (t.IsConstant()) {
         for (size_t n = 0; n < N; ++n) {
-          s[n] = Mix(s[n], 0xc0ull);
-          s[n] = Mix(s[n], t.raw_bits());
+          key[n] = Mix(key[n], 0xc0ull);
+          key[n] = Mix(key[n], t.raw_bits());
         }
-      } else {
-        size_t first = pos;
-        for (size_t k = 0; k < pos; ++k) {
-          if (a.arg(k) == t) {
-            first = k;
-            break;
-          }
-        }
-        const std::array<uint64_t, N>& sig = var_sig[t];
-        for (size_t n = 0; n < N; ++n) {
-          s[n] = Mix(s[n], static_cast<uint64_t>(first));
-          s[n] = Mix(s[n], sig[n]);
+        continue;
+      }
+      size_t first = pos;
+      for (size_t k = 0; k < pos; ++k) {
+        if (a.arg(k) == t) {
+          first = k;
+          break;
         }
       }
+      // A term that is neither constant nor variable has no occurrence
+      // run; it contributes the all-zero signature.
+      std::array<uint64_t, N> sig{};
+      if (t.IsVariable()) sig = s.sigs[s.slot_sig[slot]];
+      for (size_t n = 0; n < N; ++n) {
+        key[n] = Mix(key[n], static_cast<uint64_t>(first));
+        key[n] = Mix(key[n], sig[n]);
+      }
     }
-    atom_keys.push_back(s);
+    s.atom_keys.push_back(key);
   }
-  std::sort(atom_keys.begin(), atom_keys.end());
+  // Lexicographic, as std::array's operator< (spelled out: it inlines).
+  std::sort(s.atom_keys.begin(), s.atom_keys.end(),
+            [](const std::array<uint64_t, N>& x,
+               const std::array<uint64_t, N>& y) {
+              for (size_t n = 0; n < N; ++n) {
+                if (x[n] != y[n]) return x[n] < y[n];
+              }
+              return false;
+            });
   std::array<uint64_t, N> key;
-  for (size_t n = 0; n < N; ++n) key[n] = Mix(salts[n], q.arity());
-  for (const auto& s : atom_keys) {
-    for (size_t n = 0; n < N; ++n) key[n] = Mix(key[n], s[n]);
+  for (size_t n = 0; n < N; ++n) key[n] = Mix(salts[n], head.size());
+  for (const auto& k : s.atom_keys) {
+    for (size_t n = 0; n < N; ++n) key[n] = Mix(key[n], k[n]);
   }
   return key;
 }
@@ -146,14 +205,19 @@ std::array<uint64_t, N> FingerprintChains(
 }  // namespace
 
 uint64_t CanonicalFingerprint(const ConjunctiveQuery& q, uint64_t salt) {
-  return FingerprintChains<1>(q, {salt})[0];
+  return FingerprintChains<1>(q.head(), q.body(), {salt})[0];
+}
+
+std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
+    const std::vector<Term>& head, const std::vector<Atom>& body) {
+  std::array<uint64_t, 2> key =
+      FingerprintChains<2>(head, body, {0, kSecondFingerprintSalt});
+  return {key[0], key[1]};
 }
 
 std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
     const ConjunctiveQuery& q) {
-  std::array<uint64_t, 2> key =
-      FingerprintChains<2>(q, {0, kSecondFingerprintSalt});
-  return {key[0], key[1]};
+  return CanonicalFingerprint128(q.head(), q.body());
 }
 
 }  // namespace semacyc

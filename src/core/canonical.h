@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/query.h"
 
@@ -18,7 +19,10 @@ bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 /// renaming/reordering invariant — per-variable occurrence signatures
 /// folded over each atom's equality pattern (isomorphic queries get equal
 /// fingerprints; unequal fingerprints imply non-isomorphic). No string
-/// building, no allocation beyond small scratch vectors. Exact stores
+/// building and no hash table: one sorted (var, pred, pos) occurrence
+/// array yields the per-variable signatures, and every buffer is
+/// per-thread flat scratch that keeps its capacity, so a steady-state
+/// call allocates nothing. Exact stores
 /// resolve fingerprint collisions with AreIsomorphic; pure-hash dedup
 /// should combine two fingerprints with different `salt`s (the salt
 /// perturbs every leaf of the hash, so the two values collide
@@ -35,6 +39,11 @@ uint64_t CanonicalFingerprint(const ConjunctiveQuery& q, uint64_t salt = 0);
 inline constexpr uint64_t kSecondFingerprintSalt = 0x9e3779b97f4a7c15ull;
 std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
     const ConjunctiveQuery& q);
+/// The same key for the query with this head and body, without building
+/// it (the witness searches fingerprint a candidate before constructing
+/// it, and only dedup survivors are built).
+std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
+    const std::vector<Term>& head, const std::vector<Atom>& body);
 
 }  // namespace semacyc
 

@@ -318,44 +318,6 @@ struct SubsetsSpace {
   }
 };
 
-/// Inverse freezing of a chase subset over a stable variable pool: fresh
-/// per-candidate names would intern a new symbol for every variable of
-/// every candidate; reusing "s$<i>" across candidates interns each name
-/// exactly once per process, and the sequential and parallel searches
-/// build bitwise-identical candidates for the same subset.
-ConjunctiveQuery PooledQuery(const SubsetsSpace& space,
-                             const std::vector<uint32_t>& subset,
-                             const std::vector<Term>& frozen_head,
-                             std::vector<Term>* var_pool) {
-  Substitution rename;
-  size_t next_var = 0;
-  auto var_of = [&](Term t) -> Term {
-    if (t.IsConstant() && !t.IsFrozenNull()) return t;  // real constant
-    auto it = rename.find(t);
-    if (it != rename.end()) return it->second;
-    if (next_var == var_pool->size()) {
-      var_pool->push_back(
-          Term::Variable("s$" + std::to_string(var_pool->size())));
-    }
-    Term v = (*var_pool)[next_var++];
-    rename.emplace(t, v);
-    return v;
-  };
-  std::vector<Atom> body;
-  body.reserve(subset.size());
-  for (uint32_t i : subset) {
-    const Atom& a = (*space.atoms)[i];
-    std::vector<Term> args;
-    args.reserve(a.arity());
-    for (Term t : a.args()) args.push_back(var_of(t));
-    body.emplace_back(a.predicate(), std::move(args));
-  }
-  std::vector<Term> head;
-  head.reserve(frozen_head.size());
-  for (Term t : frozen_head) head.push_back(var_of(t));
-  return ConjunctiveQuery(std::move(head), std::move(body));
-}
-
 /// Enumeration signature of the exhaustive strategy: the predicates that
 /// can occur in chase(q,Σ), the constants available to candidates, and
 /// the ordered fresh-variable pool with its index. The construction
@@ -521,12 +483,14 @@ class UnitWorker {
   /// key is in the official prefix whenever this one is. The shared
   /// NO-set only suppresses oracle CALLS for candidates other workers
   /// refuted (kYes stops the search, kUnknown is never inserted —
-  /// answer-invariant).
-  bool Test(ConjunctiveQuery candidate) {
-    Key128 key = CanonicalFingerprint128(candidate);
+  /// answer-invariant). The candidate is fingerprinted from the caller's
+  /// (head, body) views and built only once it survives both dedups.
+  bool Test(const std::vector<Term>& head, const std::vector<Atom>& body) {
+    Key128 key = CanonicalFingerprint128(head, body);
     if (!seen_.insert(key).second) return false;
     events_.push_back({unit_, visits_, key});
     if (shared_no_ != nullptr && shared_no_->Contains(key)) return false;
+    ConjunctiveQuery candidate(head, body);
     Tri r = oracle_.ContainedInQ(candidate, cancel_);
     if (r == Tri::kYes) {
       found_ = true;
@@ -740,14 +704,47 @@ class SubsetsWorker : public UnitWorker {
     subset_.pop_back();
   }
 
+  /// Inverse freezing of subset_ over a stable variable pool into
+  /// pooled_head_/pooled_body_: fresh per-candidate names would intern a
+  /// new symbol for every variable of every candidate; reusing "s$<i>"
+  /// across candidates interns each name exactly once per process, and
+  /// every worker builds bitwise-identical candidates for the same subset.
+  /// Subsets hold at most max_atoms atoms, so the renaming is a flat table
+  /// with a linear lookup.
+  void PoolSubset() {
+    rename_.clear();
+    auto var_of = [&](Term t) -> Term {
+      if (t.IsConstant() && !t.IsFrozenNull()) return t;  // real constant
+      for (const auto& [from, to] : rename_) {
+        if (from == t) return to;
+      }
+      if (rename_.size() == var_pool_.size()) {
+        var_pool_.push_back(
+            Term::Variable("s$" + std::to_string(var_pool_.size())));
+      }
+      Term v = var_pool_[rename_.size()];
+      rename_.emplace_back(t, v);
+      return v;
+    };
+    pooled_body_.clear();
+    for (uint32_t i : subset_) {
+      const Atom& a = (*space_.atoms)[i];
+      args_.clear();
+      for (Term t : a.args()) args_.push_back(var_of(t));
+      pooled_body_.emplace_back(a.predicate(), args_);
+    }
+    pooled_head_.clear();
+    for (Term t : chase_.frozen_head) pooled_head_.push_back(var_of(t));
+  }
+
   /// DFS over index-increasing subsets, testing each acyclic subset that
   /// covers the required terms.
   bool Dfs(size_t next, size_t limit) {
     if (!Visit("subsets.visit")) return false;
     if (!subset_.empty() && covered_ == space_.required.size() &&
-        inc_.Meets() &&
-        Test(PooledQuery(space_, subset_, chase_.frozen_head, &var_pool_))) {
-      return true;
+        inc_.Meets()) {
+      PoolSubset();
+      if (Test(pooled_head_, pooled_body_)) return true;
     }
     if (subset_.size() >= limit) return false;
     const size_t m = space_.atoms->size();
@@ -770,6 +767,11 @@ class SubsetsWorker : public UnitWorker {
   size_t covered_ = 0;
   std::vector<uint32_t> subset_;
   std::vector<Term> var_pool_;
+  /// PoolSubset's scratch and output (capacity kept across candidates).
+  std::vector<std::pair<Term, Term>> rename_;
+  std::vector<Term> args_;
+  std::vector<Term> pooled_head_;
+  std::vector<Atom> pooled_body_;
 };
 
 }  // namespace
@@ -800,25 +802,47 @@ WitnessSearchOutcome FindWitnessInChaseSubsets(
 namespace {
 
 /// Fixed total order on atoms for canonical-growth enumeration: predicate
-/// id, then argument handles lexicographically.
-bool AtomOrderLess(const Atom& a, const Atom& b) {
-  if (a.predicate() != b.predicate()) {
-    return a.predicate().id() < b.predicate().id();
+/// id, then argument handles lexicographically. `b` is given as its
+/// predicate and argument tuple, so a tuple is ordered before any atom is
+/// built for it. A predicate fixes its arity, so order-equal atoms are
+/// identical: "strictly above the last atom" also rules out duplicates.
+bool AtomOrderLess(const Atom& a, Predicate bp, const std::vector<Term>& b) {
+  if (a.predicate() != bp) return a.predicate().id() < bp.id();
+  for (size_t i = 0; i < a.arity() && i < b.size(); ++i) {
+    if (a.arg(i) != b[i]) return a.arg(i).raw_bits() < b[i].raw_bits();
   }
-  for (size_t i = 0; i < a.arity() && i < b.arity(); ++i) {
-    if (a.arg(i) != b.arg(i)) {
-      return a.arg(i).raw_bits() < b.arg(i).raw_bits();
-    }
-  }
-  return a.arity() < b.arity();
+  return a.arity() < b.size();
 }
 
 /// Per-head-pattern invariants of the exhaustive enumeration.
 struct HpPlan {
   std::vector<Term> head;
   Substitution fixed;
-  std::vector<Term> choices;
+  /// The distinct head variables, in first-occurrence order.
+  std::vector<Term> head_vars;
 };
+
+/// The argument choices at one atom position, in enumeration order: the
+/// distinct head variables, the pool variables up to the next fresh one
+/// (fresh variables are introduced in order; `used` is the frontier of
+/// pool variables consumed so far), then the known constants. Calls
+/// fn(term, frontier after the term, classifier vertex of the term): head
+/// variable j is vertex j, pool variable i is vertex |head_vars| + i, and
+/// constants (which never connect) are -1. The plan builder and the
+/// workers share this walk, so they enumerate in the same order.
+template <typename Fn>
+void ForEachChoice(const HpPlan& hp, const EnumSignature& sig, size_t used,
+                   Fn&& fn) {
+  const size_t heads = hp.head_vars.size();
+  for (size_t j = 0; j < heads; ++j) {
+    fn(hp.head_vars[j], used, static_cast<int>(j));
+  }
+  const size_t usable = std::min(used + 1, sig.pool.size());
+  for (size_t i = 0; i < usable; ++i) {
+    fn(sig.pool[i], std::max(used, i + 1), static_cast<int>(heads + i));
+  }
+  for (Term c : sig.constants) fn(c, used, -1);
+}
 
 /// One unit of the exhaustive search: the node of head pattern `hp` at
 /// prefix [a1, a2] (indices into ExhaustivePlan::atoms; kNoAtom ends the
@@ -871,15 +895,12 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
       for (size_t i = 0; i < k; ++i) {
         hp.fixed[hp.head[i]] = chase.frozen_head[i];
       }
-      // Terms usable as atom arguments: the deduped head variables, the
-      // whole pool (the in-order-introduction rule is enforced
-      // position-wise in BuildArgs), and the known constants.
-      std::unordered_set<Term> seen;
       for (Term h : hp.head) {
-        if (seen.insert(h).second) hp.choices.push_back(h);
+        if (std::find(hp.head_vars.begin(), hp.head_vars.end(), h) ==
+            hp.head_vars.end()) {
+          hp.head_vars.push_back(h);
+        }
       }
-      for (Term v : sig.pool) hp.choices.push_back(v);
-      for (Term c : sig.constants) hp.choices.push_back(c);
       plan.hps.push_back(std::move(hp));
       return;
     }
@@ -900,11 +921,9 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
   };
   patterns(0, 0);
 
-  // Argument-tuple enumeration, exactly as BuildArgs walks it: choices in
-  // order, fresh pool variables introduced in order via the `used`
-  // frontier threaded down the positions.
-  auto for_each_atom = [&](Predicate p, const std::vector<Term>& choices,
-                           size_t used0,
+  // Argument-tuple enumeration, exactly as BuildArgs walks it: the
+  // `used` frontier threaded down the positions.
+  auto for_each_atom = [&](Predicate p, const HpPlan& hp, size_t used0,
                            const std::function<void(Atom&&, size_t)>& fn) {
     std::vector<Term> args(static_cast<size_t>(p.arity()));
     std::function<void(size_t, size_t)> go = [&](size_t pos, size_t used) {
@@ -912,16 +931,10 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
         fn(Atom(p, args), used);
         return;
       }
-      for (Term t : choices) {
-        size_t next_used = used;
-        auto it = sig.pool_index.find(t);
-        if (it != sig.pool_index.end()) {
-          if (it->second > used) continue;  // beyond the next fresh one
-          next_used = std::max(used, it->second + 1);
-        }
+      ForEachChoice(hp, sig, used, [&](Term t, size_t next_used, int) {
         args[pos] = t;
         go(pos + 1, next_used);
-      }
+      });
     };
     go(0, used0);
   };
@@ -940,7 +953,7 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
     if (max_atoms == 0) continue;
     const HpPlan& hp = plan.hps[h];
     for (Predicate p : sig.predicates) {
-      for_each_atom(p, hp.choices, 0, [&](Atom&& a1, size_t f1) {
+      for_each_atom(p, hp, 0, [&](Atom&& a1, size_t f1) {
         const uint32_t i1 = add_atom(std::move(a1));
         if (plan.units.size() >= kSplitBudget) {
           plan.units.push_back({h, i1, kNoAtom, true});
@@ -950,11 +963,11 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
         plan.units.push_back({h, i1, kNoAtom, false});
         if (max_atoms == 1) return;
         for (Predicate p2 : sig.predicates) {
-          for_each_atom(p2, hp.choices, f1, [&](Atom&& a2, size_t) {
-            // Canonical growth: non-decreasing atom order, no duplicates
-            // (the BuildArgs rejections at depth 1).
+          for_each_atom(p2, hp, f1, [&](Atom&& a2, size_t) {
+            // Canonical growth: strictly increasing atom order (the
+            // BuildArgs rejection at depth 1).
             const Atom& first = plan.atoms[i1];
-            if (AtomOrderLess(a2, first) || a2 == first) return;
+            if (!AtomOrderLess(first, a2.predicate(), a2.args())) return;
             plan.units.push_back({h, i1, add_atom(std::move(a2)), true});
           });
         }
@@ -981,7 +994,8 @@ class ExhaustiveWorker : public UnitWorker {
         plan_(plan),
         sig_(sig),
         max_atoms_(max_atoms),
-        hom_(chase.instance) {
+        hom_(chase.instance),
+        slots_(max_atoms) {
     // The incremental session bails from repair search once the token
     // fires; RunUnit then reports the unit truncated.
     hom_.SetCancel(cancel_);
@@ -1033,8 +1047,7 @@ class ExhaustiveWorker : public UnitWorker {
     if (hp_ != u.hp) {
       Replay(ctx);
       const HpPlan& h = plan_.hps[u.hp];
-      head_ = &h.head;
-      choices_ = &h.choices;
+      hp_plan_ = &h;
       hom_.Reset(h.fixed);
       hp_ = u.hp;
     }
@@ -1099,22 +1112,26 @@ class ExhaustiveWorker : public UnitWorker {
     return used;
   }
 
-  /// The atom's connecting vertices (kVariables: constants never connect),
-  /// interned against the worker-wide vertex table. Fills the shared
-  /// scratch buffer (the classifier copies and sorts/dedups).
+  /// The atom's connecting vertices (kVariables: constants never connect)
+  /// under ForEachChoice's numbering, looked up from its terms — for the
+  /// prefix atoms; the DFS gets them from the choice walk. Fills the shared
+  /// scratch buffer (the classifier copies it).
   const std::vector<int>& VarVertices(const Atom& atom) {
+    const std::vector<Term>& heads = hp_plan_->head_vars;
     verts_scratch_.clear();
     for (Term t : atom.args()) {
       if (!t.IsVariable()) continue;
+      auto h = std::find(heads.begin(), heads.end(), t);
       verts_scratch_.push_back(
-          vertex_of_.emplace(t, static_cast<int>(vertex_of_.size()))
-              .first->second);
+          h != heads.end()
+              ? static_cast<int>(h - heads.begin())
+              : static_cast<int>(heads.size() + sig_.pool_index.at(t)));
     }
     return verts_scratch_;
   }
 
   bool HeadCovered() const {
-    for (Term h : *head_) {
+    for (Term h : hp_plan_->head) {
       bool found = false;
       for (const Atom& a : atoms_) {
         if (a.Mentions(h)) {
@@ -1129,42 +1146,52 @@ class ExhaustiveWorker : public UnitWorker {
 
   void TestCandidate() {
     if (atoms_.empty() || !HeadCovered() || !inc_.Meets()) return;
-    Test(ConjunctiveQuery(*head_, atoms_));
+    Test(hp_plan_->head, atoms_);
   }
 
   void Search() {
     if (!Visit("exhaustive.visit")) return;
     TestCandidate();
     if (found_ || atoms_.size() >= max_atoms_) return;
+    // Search runs below max_atoms_ atoms, so its depth has a slot.
+    ArgSlot& slot = slots_[atoms_.size()];
     for (Predicate p : sig_.predicates) {
-      std::vector<Term> args(static_cast<size_t>(p.arity()));
-      BuildArgs(p, 0, &args, used_frontier_);
+      slot.args.resize(static_cast<size_t>(p.arity()));
+      slot.verts.resize(slot.args.size());
+      BuildArgs(p, 0, slot, used_frontier_);
       if (truncated_ || found_) return;
     }
   }
 
-  void BuildArgs(Predicate p, size_t pos, std::vector<Term>* args,
-                 size_t used) {
+  /// The argument tuple under construction at one DFS depth, with each
+  /// position's classifier vertex (-1 for a constant).
+  struct ArgSlot {
+    std::vector<Term> args;
+    std::vector<int> verts;
+  };
+
+  void BuildArgs(Predicate p, size_t pos, ArgSlot& slot, size_t used) {
     if (truncated_ || found_) return;
-    if (pos == args->size()) {
-      Atom atom(p, *args);
-      // Canonical growth: non-decreasing atom order; no duplicate atoms.
-      if (!atoms_.empty() && AtomOrderLess(atom, atoms_.back())) return;
-      // Atoms grow in non-decreasing AtomOrderLess order, so only the
-      // trailing run of order-equal atoms can collide with the candidate:
-      // the scan stops at the first atom strictly below it.
-      for (auto it = atoms_.rbegin();
-           it != atoms_.rend() && !AtomOrderLess(*it, atom); ++it) {
-        if (*it == atom) return;
+    if (pos == slot.args.size()) {
+      // Canonical growth: strictly increasing atom order (so no duplicate
+      // atoms), checked on the tuple; only a pushed tuple becomes an Atom.
+      if (!atoms_.empty() && !AtomOrderLess(atoms_.back(), p, slot.args)) {
+        return;
       }
-      atoms_.push_back(atom);
+      atoms_.emplace_back(p, slot.args);
+      // Not used past Search(), whose pushes may move atoms_'s storage.
+      const Atom& atom = atoms_.back();
       size_t saved_frontier = used_frontier_;
       used_frontier_ = used;
       // The classifier push costs nanoseconds (scratch deciders), so it
       // runs before the chase homomorphism: a hereditarily violated prefix
       // can never recover, and pruning it here skips the hom for the whole
       // subtree.
-      inc_.PushEdge(VarVertices(atom));
+      verts_scratch_.clear();
+      for (int v : slot.verts) {
+        if (v >= 0) verts_scratch_.push_back(v);
+      }
+      inc_.PushEdge(verts_scratch_);
       if (!inc_.CannotRecover()) {
         // Incremental per-atom chase check, mirroring the classifier's
         // push/pop discipline: the session's stack tracks atoms_ along the
@@ -1178,19 +1205,15 @@ class ExhaustiveWorker : public UnitWorker {
       atoms_.pop_back();
       return;
     }
-    // Fresh pool variables must be introduced in order; `used` carries the
-    // frontier (pool variables consumed by atoms_ plus the args prefix)
-    // down the recursion instead of rescanning atoms and prefix.
-    for (Term t : *choices_) {
-      size_t next_used = used;
-      auto it = sig_.pool_index.find(t);
-      if (it != sig_.pool_index.end()) {
-        if (it->second > used) continue;  // beyond the next fresh one
-        next_used = std::max(used, it->second + 1);
-      }
-      (*args)[pos] = t;
-      BuildArgs(p, pos + 1, args, next_used);
-    }
+    // `used` carries the frontier (pool variables consumed by atoms_ plus
+    // the args prefix) down the recursion instead of rescanning atoms and
+    // prefix.
+    ForEachChoice(*hp_plan_, sig_, used,
+                  [&](Term t, size_t next_used, int vertex) {
+                    slot.args[pos] = t;
+                    slot.verts[pos] = vertex;
+                    BuildArgs(p, pos + 1, slot, next_used);
+                  });
   }
 
   const ExhaustivePlan& plan_;
@@ -1202,14 +1225,14 @@ class ExhaustiveWorker : public UnitWorker {
   IncrementalHomomorphism hom_;
   /// The current head pattern's invariants (owned by the plan).
   uint32_t hp_ = ExhUnit::kNoAtom;
-  const std::vector<Term>* head_ = nullptr;
-  const std::vector<Term>* choices_ = nullptr;
+  const HpPlan* hp_plan_ = nullptr;
   /// The pushed unit prefix (plan atom indices), and the last prefix atom
   /// whose push was pruned.
   std::vector<uint32_t> prefix_;
   uint32_t dead_ = ExhUnit::kNoAtom;
   std::vector<Atom> atoms_;
-  std::unordered_map<Term, int, TermHash> vertex_of_;
+  /// One argument slot per DFS depth below max_atoms_.
+  std::vector<ArgSlot> slots_;
   std::vector<int> verts_scratch_;
   /// Pool variables consumed by atoms_ (the in-order-introduction
   /// frontier), maintained incrementally across atom pushes/pops.

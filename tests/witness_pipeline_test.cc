@@ -1,11 +1,16 @@
 // Tests for the incremental candidate pipeline: the push/pop classifier
 // against batch classification, the containment oracle against
-// the plain chase-based containment check, and fingerprint canonicality.
+// the plain chase-based containment check, and fingerprint canonicality
+// and bitwise parity with the map-based reference implementation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <random>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "acyclic/incremental.h"
 #include "core/canonical.h"
@@ -130,6 +135,114 @@ TEST(IncrementalClassifierTest, RandomDfsInterleavingMatchesBatch) {
   }
 }
 
+TEST(IncrementalClassifierTest, LazyAlphaMatchesBatchOnWidePaths) {
+  // The lazy α path builds one vertex bitmask per edge with as many 64-bit
+  // words as the path needs. Random push/pop stacks over a 300-vertex
+  // universe whose live paths span more than 64 (and 128) distinct
+  // vertices, so multi-word masks run; edges repeat vertices, and some are
+  // empty (an atom whose arguments are all constants). Half the pushes
+  // grow a join tree (a new edge shares part of a live edge, plus fresh
+  // vertices), so acyclic paths stay common; the rest are random and may
+  // close or cover cycles (α is not hereditary). Every verdict, including
+  // those of depth 0–2 stacks, is checked against acyclic::Meets.
+  std::mt19937_64 rng(41);
+  const int kUniverse = 300;
+  size_t max_live = 0;
+  long acyclic = 0;
+  long cyclic = 0;
+  long wide_acyclic = 0;
+  long wide_cyclic = 0;
+  for (int iter = 0; iter < 150; ++iter) {
+    IncrementalClassifier inc(AcyclicityClass::kAlpha);
+    std::vector<std::vector<int>> stack;
+    for (int step = 0; step < 80; ++step) {
+      bool push = stack.size() < 2 || rng() % 4 != 0;
+      if (push) {
+        std::vector<int> e;
+        const int kind = static_cast<int>(rng() % 10);
+        if (kind == 0) {
+          // Empty edge.
+        } else if (kind < 6 && !stack.empty()) {
+          const std::vector<int>& parent = stack[rng() % stack.size()];
+          for (int v : parent) {
+            if (rng() % 2) e.push_back(v);
+          }
+          const int fresh = 1 + static_cast<int>(rng() % 6);
+          for (int k = 0; k < fresh; ++k) {
+            e.push_back(static_cast<int>(rng() % kUniverse));
+          }
+        } else {
+          const int size = 1 + static_cast<int>(rng() % 8);
+          for (int k = 0; k < size; ++k) {
+            e.push_back(static_cast<int>(rng() % kUniverse));
+          }
+        }
+        // Repeated vertices within the edge.
+        if (!e.empty() && rng() % 3 == 0) e.push_back(e[rng() % e.size()]);
+        std::shuffle(e.begin(), e.end(), rng);
+        stack.push_back(e);
+        inc.PushEdge(e);
+      } else {
+        stack.pop_back();
+        inc.PopEdge();
+      }
+      acyclic::Hypergraph hg;
+      std::vector<char> live(kUniverse, 0);
+      size_t distinct = 0;
+      for (const std::vector<int>& e : stack) {
+        hg.AddEdge(e);
+        for (int v : e) {
+          if (!live[static_cast<size_t>(v)]) {
+            live[static_cast<size_t>(v)] = 1;
+            ++distinct;
+          }
+        }
+      }
+      max_live = std::max(max_live, distinct);
+      const bool batch = acyclic::Meets(hg, AcyclicityClass::kAlpha);
+      ASSERT_EQ(inc.Meets(), batch)
+          << "iter " << iter << " step " << step << " depth "
+          << stack.size() << " live vertices " << distinct;
+      ++(batch ? acyclic : cyclic);
+      if (distinct > 64) ++(batch ? wide_acyclic : wide_cyclic);
+    }
+  }
+  EXPECT_GT(max_live, 128u);
+  EXPECT_GT(acyclic, 500);
+  EXPECT_GT(cyclic, 500);
+  EXPECT_GT(wide_acyclic, 200);
+  EXPECT_GT(wide_cyclic, 50);
+}
+
+TEST(IncrementalClassifierTest, ShallowStacksWithEmptyAndRepeatedEdges) {
+  // Every stack of depth <= 3 over edges drawn from a small pool that
+  // includes empty edges, repeated vertices and duplicate edges, pushed
+  // and popped in DFS order, for every target.
+  const std::vector<std::vector<int>> pool = {
+      {}, {0}, {0, 0}, {0, 1}, {1, 0, 1}, {1, 2}, {2, 0}, {0, 1, 2}, {3, 3}};
+  for (AcyclicityClass target : kAllTargets) {
+    IncrementalClassifier inc(target);
+    std::vector<std::vector<int>> stack;
+    std::function<void()> dfs = [&]() {
+      acyclic::Hypergraph hg;
+      for (const std::vector<int>& e : stack) hg.AddEdge(e);
+      ASSERT_EQ(inc.Meets(), acyclic::Meets(hg, target))
+          << "target " << acyclic::ToString(target) << " depth "
+          << stack.size();
+      if (stack.size() == 3) return;
+      for (const std::vector<int>& e : pool) {
+        stack.push_back(e);
+        inc.PushEdge(e);
+        dfs();
+        inc.PopEdge();
+        stack.pop_back();
+      }
+    };
+    dfs();
+    ASSERT_EQ(inc.depth(), 0u);
+  }
+}
+
 // ----------------------------------------------- canonical fingerprint --
 
 TEST(CanonicalFingerprintTest, InvariantUnderRenamingAndReordering) {
@@ -158,6 +271,198 @@ TEST(CanonicalFingerprintTest, SeparatesKnownNonIsomorphicPairs) {
   EXPECT_NE(CanonicalFingerprint(path), CanonicalFingerprint(fork));
   EXPECT_NE(CanonicalFingerprint(path), CanonicalFingerprint(cycle));
   EXPECT_NE(CanonicalFingerprint(loop), CanonicalFingerprint(cycle));
+}
+
+/// The map-based fingerprint the flat one replaced, kept verbatim as the
+/// reference: the keys feed candidate dedup, candidates_tested and the
+/// decision-cache key, so the flat implementation must reproduce them
+/// bit for bit.
+uint64_t ReferenceMix(uint64_t h, uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull + h;
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
+template <size_t N>
+std::array<uint64_t, N> ReferenceChains(const std::vector<Term>& head,
+                                        const std::vector<Atom>& body,
+                                        const std::array<uint64_t, N>& salts) {
+  std::unordered_map<Term, int> head_pos;
+  for (size_t i = 0; i < head.size(); ++i) {
+    head_pos.emplace(head[i], static_cast<int>(i));
+  }
+  std::unordered_map<Term, std::vector<std::pair<uint32_t, int>>> occ;
+  for (const Atom& a : body) {
+    for (size_t pos = 0; pos < a.arity(); ++pos) {
+      Term t = a.arg(pos);
+      if (t.IsVariable()) {
+        occ[t].push_back({a.predicate().id(), static_cast<int>(pos)});
+      }
+    }
+  }
+  std::unordered_map<Term, std::array<uint64_t, N>> var_sig;
+  for (auto& [v, list] : occ) {
+    std::sort(list.begin(), list.end());
+    std::array<uint64_t, N> s;
+    for (size_t n = 0; n < N; ++n) {
+      s[n] = ReferenceMix(0x53454d4143594331ull, salts[n]);
+    }
+    for (auto& [p, i] : list) {
+      for (size_t n = 0; n < N; ++n) {
+        s[n] = ReferenceMix(s[n], p);
+        s[n] = ReferenceMix(s[n], static_cast<uint64_t>(i));
+      }
+    }
+    auto it = head_pos.find(v);
+    uint64_t hp =
+        it == head_pos.end() ? ~0ull : static_cast<uint64_t>(it->second);
+    for (size_t n = 0; n < N; ++n) s[n] = ReferenceMix(s[n], hp);
+    var_sig[v] = s;
+  }
+  std::vector<std::array<uint64_t, N>> atom_keys;
+  for (const Atom& a : body) {
+    std::array<uint64_t, N> s;
+    for (size_t n = 0; n < N; ++n) {
+      s[n] = ReferenceMix(salts[n], a.predicate().id());
+    }
+    for (size_t pos = 0; pos < a.arity(); ++pos) {
+      Term t = a.arg(pos);
+      if (t.IsConstant()) {
+        for (size_t n = 0; n < N; ++n) {
+          s[n] = ReferenceMix(s[n], 0xc0ull);
+          s[n] = ReferenceMix(s[n], t.raw_bits());
+        }
+      } else {
+        size_t first = pos;
+        for (size_t k = 0; k < pos; ++k) {
+          if (a.arg(k) == t) {
+            first = k;
+            break;
+          }
+        }
+        const std::array<uint64_t, N>& sig = var_sig[t];
+        for (size_t n = 0; n < N; ++n) {
+          s[n] = ReferenceMix(s[n], static_cast<uint64_t>(first));
+          s[n] = ReferenceMix(s[n], sig[n]);
+        }
+      }
+    }
+    atom_keys.push_back(s);
+  }
+  std::sort(atom_keys.begin(), atom_keys.end());
+  std::array<uint64_t, N> key;
+  for (size_t n = 0; n < N; ++n) key[n] = ReferenceMix(salts[n], head.size());
+  for (const auto& s : atom_keys) {
+    for (size_t n = 0; n < N; ++n) key[n] = ReferenceMix(key[n], s[n]);
+  }
+  return key;
+}
+
+TEST(CanonicalFingerprintTest, FlatKeysEqualTheMapBasedReference) {
+  // Random queries: predicates of arity 0–4 (two per arity), bodies of
+  // 0–8 atoms over a small variable pool (so variables repeat inside an
+  // atom and across atoms) and three constants; heads of 0–4 positions
+  // that repeat variables and sometimes carry a constant. Both overloads
+  // and a salted 64-bit key must equal the reference bit for bit.
+  std::mt19937_64 rng(43);
+  std::vector<Predicate> preds;
+  for (int arity = 0; arity <= 4; ++arity) {
+    for (int k = 0; k < 2; ++k) {
+      preds.push_back(Predicate::Get(
+          "FP" + std::to_string(arity) + "_" + std::to_string(k), arity));
+    }
+  }
+  std::vector<Term> vars;
+  for (int i = 0; i < 6; ++i) {
+    vars.push_back(Term::Variable("fp$" + std::to_string(i)));
+  }
+  const std::vector<Term> consts = {Term::Constant("fa"), Term::Constant("fb"),
+                                    Term::Constant("fc")};
+  int boolean_heads = 0;
+  int with_constants = 0;
+  int repeated_in_atom = 0;
+  int repeated_head = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::vector<Atom> body;
+    const int num_atoms = static_cast<int>(rng() % 9);
+    bool has_const = false;
+    bool repeat_in_atom = false;
+    for (int i = 0; i < num_atoms; ++i) {
+      Predicate p = preds[rng() % preds.size()];
+      std::vector<Term> args;
+      for (int pos = 0; pos < p.arity(); ++pos) {
+        if (rng() % 5 == 0) {
+          args.push_back(consts[rng() % consts.size()]);
+          has_const = true;
+        } else {
+          Term v = vars[rng() % vars.size()];
+          repeat_in_atom = repeat_in_atom ||
+                           std::find(args.begin(), args.end(), v) != args.end();
+          args.push_back(v);
+        }
+      }
+      body.push_back(Atom(p, std::move(args)));
+    }
+    std::vector<Term> body_vars;
+    for (const Atom& a : body) {
+      for (Term t : a.args()) {
+        if (t.IsVariable()) body_vars.push_back(t);
+      }
+    }
+    std::vector<Term> head;
+    const int arity = body_vars.empty() ? 0 : static_cast<int>(rng() % 5);
+    for (int i = 0; i < arity; ++i) {
+      head.push_back(rng() % 6 == 0 ? consts[rng() % consts.size()]
+                                    : body_vars[rng() % body_vars.size()]);
+    }
+    for (size_t i = 0; i < head.size(); ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        if (head[i].IsVariable() && head[i] == head[j]) {
+          ++repeated_head;
+          i = head.size() - 1;
+          break;
+        }
+      }
+    }
+    boolean_heads += head.empty() ? 1 : 0;
+    with_constants += has_const ? 1 : 0;
+    repeated_in_atom += repeat_in_atom ? 1 : 0;
+    const ConjunctiveQuery q(head, body);
+    const std::array<uint64_t, 2> ref =
+        ReferenceChains<2>(head, body, {0, kSecondFingerprintSalt});
+    const std::pair<uint64_t, uint64_t> want{ref[0], ref[1]};
+    ASSERT_EQ(CanonicalFingerprint128(q), want) << q.ToString();
+    ASSERT_EQ(CanonicalFingerprint128(head, body), want) << q.ToString();
+    ASSERT_EQ(CanonicalFingerprint(q), ReferenceChains<1>(head, body, {0})[0])
+        << q.ToString();
+    const uint64_t salt = rng();
+    ASSERT_EQ(CanonicalFingerprint(q, salt),
+              ReferenceChains<1>(head, body, {salt})[0])
+        << q.ToString();
+  }
+  EXPECT_GT(boolean_heads, 300);
+  EXPECT_GT(with_constants, 300);
+  EXPECT_GT(repeated_in_atom, 300);
+  EXPECT_GT(repeated_head, 100);
+}
+
+TEST(CanonicalFingerprintTest, HeadBodyOverloadMatchesReferenceOnNulls) {
+  // The (head, body) overload also takes atoms no query could hold: a
+  // term that is neither a constant nor a variable (a labeled null here)
+  // contributes the all-zero signature, exactly as in the reference.
+  Predicate r = Predicate::Get("FPN", 3);
+  Term x = Term::Variable("fpn$x");
+  Term n = Term::NullAt(7);
+  const std::vector<Atom> body = {Atom(r, {x, n, n}), Atom(r, {n, x, x})};
+  const std::vector<Term> head = {x};
+  const std::array<uint64_t, 2> ref =
+      ReferenceChains<2>(head, body, {0, kSecondFingerprintSalt});
+  EXPECT_EQ(CanonicalFingerprint128(head, body),
+            std::make_pair(ref[0], ref[1]));
 }
 
 // ---------------------------------------------------- containment oracle --
