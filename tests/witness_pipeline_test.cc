@@ -419,15 +419,13 @@ TEST(CanonicalFingerprintTest, FlatKeysEqualTheMapBasedReference) {
       head.push_back(rng() % 6 == 0 ? consts[rng() % consts.size()]
                                     : body_vars[rng() % body_vars.size()]);
     }
+    bool head_repeats = false;
     for (size_t i = 0; i < head.size(); ++i) {
       for (size_t j = 0; j < i; ++j) {
-        if (head[i].IsVariable() && head[i] == head[j]) {
-          ++repeated_head;
-          i = head.size() - 1;
-          break;
-        }
+        if (head[i].IsVariable() && head[i] == head[j]) head_repeats = true;
       }
     }
+    repeated_head += head_repeats ? 1 : 0;
     boolean_heads += head.empty() ? 1 : 0;
     with_constants += has_const ? 1 : 0;
     repeated_in_atom += repeat_in_atom ? 1 : 0;
