@@ -16,22 +16,21 @@
 namespace semacyc::data {
 
 uint32_t ColumnarInstance::Intern(Term t) {
-  auto [it, inserted] =
-      term_to_id_.emplace(t, static_cast<uint32_t>(dictionary_.size()));
-  if (inserted) dictionary_.push_back(t);
-  return it->second;
+  uint32_t vid = value_ids_.Insert(t.raw_bits());
+  if (vid == dictionary_.size()) dictionary_.push_back(t);
+  return vid;
 }
 
 ColumnarInstance::Relation& ColumnarInstance::RelationFor(Predicate p) {
-  auto [it, inserted] = by_pred_.emplace(p.id(), relations_.size());
-  if (inserted) {
+  uint32_t index = relation_ids_.Insert(p.id());
+  if (index == relations_.size()) {
     Relation rel;
     rel.pred = p;
     rel.arity = static_cast<uint32_t>(p.arity());
     rel.columns.resize(rel.arity);
     relations_.push_back(std::move(rel));
   }
-  return relations_[it->second];
+  return relations_[index];
 }
 
 ColumnarInstance ColumnarInstance::FromInstance(const Instance& db) {
@@ -431,8 +430,8 @@ Instance ColumnarInstance::ToInstance() const {
 
 size_t ColumnarInstance::ApproxBytes() const {
   size_t bytes = sizeof(ColumnarInstance);
-  // Dictionary vector + hash map (charge node overhead per entry).
-  bytes += dictionary_.size() * (sizeof(Term) * 2 + 4 * sizeof(void*));
+  bytes += dictionary_.size() * sizeof(Term) + value_ids_.ApproxBytes() +
+           relation_ids_.ApproxBytes();
   for (const Relation& rel : relations_) {
     bytes += sizeof(Relation);
     // Data columns and sorted runs: 4 bytes per cell each.

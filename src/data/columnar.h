@@ -5,11 +5,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/instance.h"
+#include "data/flat_table.h"
 
 /// semacyc::data — the columnar data plane (docs/DATAPLANE.md).
 ///
@@ -24,7 +24,7 @@
 namespace semacyc::data {
 
 /// Sentinel for "this term does not occur in the instance".
-inline constexpr uint32_t kNoValue = 0xffffffffu;
+inline constexpr uint32_t kNoValue = FlatKeyTable::kNone;
 
 /// Per-predicate column-major storage over a per-instance dictionary.
 ///
@@ -75,18 +75,15 @@ class ColumnarInstance {
                                                   LoadTimes* times = nullptr);
 
   /// The dense value id of `t`, or kNoValue when t never occurs.
-  uint32_t ValueIdOf(Term t) const {
-    auto it = term_to_id_.find(t);
-    return it == term_to_id_.end() ? kNoValue : it->second;
-  }
+  uint32_t ValueIdOf(Term t) const { return value_ids_.Find(t.raw_bits()); }
   /// The term behind a value id (vid < NumValues()).
   Term TermOf(uint32_t vid) const { return dictionary_[vid]; }
   size_t NumValues() const { return dictionary_.size(); }
 
   /// The relation stored for `p`, or nullptr when no fact uses it.
   const Relation* RelationOf(Predicate p) const {
-    auto it = by_pred_.find(p.id());
-    return it == by_pred_.end() ? nullptr : &relations_[it->second];
+    uint32_t index = relation_ids_.Find(p.id());
+    return index == FlatKeyTable::kNone ? nullptr : &relations_[index];
   }
   const std::vector<Relation>& relations() const { return relations_; }
   size_t TotalRows() const { return total_rows_; }
@@ -101,7 +98,7 @@ class ColumnarInstance {
   Instance ToInstance() const;
 
   /// Approximate heap footprint: dictionary + columns + sorted runs +
-  /// hash-map overhead. Deterministic, O(relations).
+  /// the two key tables. Deterministic, O(relations).
   size_t ApproxBytes() const;
 
   std::string ToString() const;  // shape summary, not the data
@@ -115,10 +112,12 @@ class ColumnarInstance {
   /// exactly once.
   void Seal();
 
+  // Both tables hand out ids in first-insert order, so a term's group is
+  // its value id and a predicate's group is its index in relations_.
   std::vector<Term> dictionary_;
-  std::unordered_map<Term, uint32_t, TermHash> term_to_id_;
+  FlatKeyTable value_ids_;           // Term handle -> value id
   std::vector<Relation> relations_;  // first-occurrence order
-  std::unordered_map<uint32_t, size_t> by_pred_;
+  FlatKeyTable relation_ids_;        // predicate id -> index in relations_
   size_t total_rows_ = 0;
 };
 

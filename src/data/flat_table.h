@@ -1,0 +1,118 @@
+#ifndef SEMACYC_DATA_FLAT_TABLE_H_
+#define SEMACYC_DATA_FLAT_TABLE_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+namespace semacyc::data {
+
+/// The one hash kernel of the data plane: an open-addressing map from
+/// 64-bit keys to dense group ids, handed out 0, 1, 2, … in first-insert
+/// order. Callers keep per-group payload in plain vectors indexed by the
+/// group id — a dictionary's terms, a CSR row list, a dedup arena.
+///
+/// The slot array holds 4-byte group ids, and the keys sit in a dense
+/// array indexed by group, so clearing a table sized for a whole selection
+/// is cheap and the keys a probe compares stay in cache when few are
+/// distinct. Capacity is a power of two of at least twice the keys
+/// inserted; slots are probed linearly from the murmur3 finalizer of the
+/// key (one-column keys are small dense value ids and would cluster
+/// unmixed). A table sized for its keys up front never grows, and no
+/// insert or lookup allocates.
+///
+/// Keys are either exact (the packed tuple itself) or hashes. For hashed
+/// keys the caller passes `same(g)`, which decides whether group g holds
+/// the probing tuple; distinct tuples with equal hashes get distinct
+/// groups, so a hash collision never merges two keys.
+class FlatKeyTable {
+ public:
+  static constexpr uint32_t kNone = 0xffffffffu;
+
+  /// An empty table with room for `expected` keys before it grows.
+  explicit FlatKeyTable(size_t expected = 0) {
+    if (expected > 0) {
+      keys_.reserve(expected);
+      Rehash(CapacityFor(expected));
+    }
+  }
+
+  /// The group of `key`; a new key gets group id size().
+  uint32_t Insert(uint64_t key) { return Insert(key, AnyGroup{}); }
+  template <typename Same>
+  uint32_t Insert(uint64_t key, Same same) {
+    if ((keys_.size() + 1) * 2 > slots_.size()) {
+      Rehash(CapacityFor(keys_.size() + 1));
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Mix(key) & mask;; i = (i + 1) & mask) {
+      uint32_t g = slots_[i];
+      if (g == kNone) {
+        g = static_cast<uint32_t>(keys_.size());
+        slots_[i] = g;
+        keys_.push_back(key);
+        return g;
+      }
+      if (keys_[g] == key && same(g)) return g;
+    }
+  }
+
+  /// The group of `key`, or kNone when it was never inserted.
+  uint32_t Find(uint64_t key) const { return Find(key, AnyGroup{}); }
+  template <typename Same>
+  uint32_t Find(uint64_t key, Same same) const {
+    if (keys_.empty()) return kNone;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Mix(key) & mask;; i = (i + 1) & mask) {
+      uint32_t g = slots_[i];
+      if (g == kNone) return kNone;
+      if (keys_[g] == key && same(g)) return g;
+    }
+  }
+
+  /// Number of groups (distinct keys) inserted.
+  size_t size() const { return keys_.size(); }
+  size_t capacity() const { return slots_.size(); }
+  size_t ApproxBytes() const {
+    return slots_.capacity() * sizeof(uint32_t) +
+           keys_.capacity() * sizeof(uint64_t);
+  }
+
+  /// murmur3's 64-bit finalizer: every input bit reaches every output bit.
+  static uint64_t Mix(uint64_t k) {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdull;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ull;
+    k ^= k >> 33;
+    return k;
+  }
+
+ private:
+  struct AnyGroup {
+    bool operator()(uint32_t) const { return true; }
+  };
+
+  static size_t CapacityFor(size_t keys) {
+    size_t cap = 8;
+    while (cap < keys * 2) cap *= 2;
+    return cap;
+  }
+
+  void Rehash(size_t capacity) {
+    slots_.assign(capacity, kNone);
+    const size_t mask = capacity - 1;
+    for (size_t g = 0; g < keys_.size(); ++g) {
+      size_t i = Mix(keys_[g]) & mask;
+      while (slots_[i] != kNone) i = (i + 1) & mask;
+      slots_[i] = static_cast<uint32_t>(g);
+    }
+  }
+
+  std::vector<uint32_t> slots_;  // group id per slot, kNone when empty
+  std::vector<uint64_t> keys_;   // key of each group
+};
+
+}  // namespace semacyc::data
+
+#endif  // SEMACYC_DATA_FLAT_TABLE_H_

@@ -2,63 +2,57 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 #include <unordered_set>
+
+#include "data/flat_table.h"
 
 namespace semacyc::data {
 namespace {
 
 using Relation = ColumnarInstance::Relation;
 
-/// 64-bit key over `n` value ids. One or two columns pack losslessly
-/// (value ids are 32-bit), so those keys are exact; wider keys hash, and
-/// every probe re-verifies the columns — collisions never change answers.
-inline uint64_t PackKey(const uint32_t* vals, size_t n) {
-  if (n == 1) return vals[0];
-  if (n == 2) return (uint64_t{vals[0]} << 32) | vals[1];
-  size_t seed = 0x9e3779b97f4a7c15ull ^ n;
-  for (size_t i = 0; i < n; ++i) {
-    HashCombine(&seed, std::hash<uint32_t>{}(vals[i]));
+/// Keys of zero, one or two value ids pack losslessly into 64 bits (value
+/// ids are 32-bit). Wider keys are hashes, which the tables re-verify
+/// column by column (FlatKeyTable's `same`), so collisions never change
+/// answers.
+inline bool ExactKey(size_t n) { return n <= 2; }
+
+/// The 64-bit key over `n` value ids, `cell(i)` being the i-th.
+template <typename Cell>
+inline uint64_t KeyOf(size_t n, Cell cell) {
+  switch (n) {
+    case 0:
+      return 0;
+    case 1:
+      return cell(0);
+    case 2:
+      return (uint64_t{cell(0)} << 32) | cell(1);
+    default: {
+      size_t seed = 0x9e3779b97f4a7c15ull ^ n;
+      for (size_t i = 0; i < n; ++i) HashCombine(&seed, cell(i));
+      return seed;
+    }
   }
-  return seed;
 }
 
 /// Flat row-major table of value ids (DP answer assembly). `nrows` is
 /// explicit because Boolean carries have width 0.
-struct FlatTable {
+struct VidRows {
   size_t width = 0;
   size_t nrows = 0;
   std::vector<uint32_t> data;
 
   const uint32_t* row(size_t r) const { return data.data() + r * width; }
-};
-
-/// Collision-safe dedup over width-w slices of a growing flat arena:
-/// 64-bit key buckets hold row indices, equality compares the slices.
-class VidTupleSet {
- public:
-  VidTupleSet(const std::vector<uint32_t>* arena, size_t width)
-      : arena_(arena), width_(width) {}
-
-  /// True iff the tuple is new; the caller must append it to the arena
-  /// right after (the recorded index is the arena's current row count).
-  bool InsertIfNew(const uint32_t* t) {
-    std::vector<uint32_t>& bucket = buckets_[PackKey(t, width_)];
-    for (uint32_t idx : bucket) {
-      const uint32_t* have = arena_->data() + size_t{idx} * width_;
-      bool same = true;
-      for (size_t i = 0; i < width_ && same; ++i) same = have[i] == t[i];
-      if (same) return false;
+  /// Appends `n` rows and returns the first of them, to be filled in.
+  /// `data` grows geometrically, so it may hold more than nrows rows.
+  uint32_t* Append(size_t n) {
+    size_t begin = nrows * width;
+    nrows += n;
+    if (nrows * width > data.size()) {
+      data.resize(std::max(nrows * width, data.size() * 2));
     }
-    bucket.push_back(static_cast<uint32_t>(arena_->size() / std::max<size_t>(
-                                                                width_, 1)));
-    return true;
+    return data.data() + begin;
   }
-
- private:
-  const std::vector<uint32_t>* arena_;
-  size_t width_;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
 };
 
 inline bool PollEvery(size_t i, CancelToken* cancel) {
@@ -312,29 +306,35 @@ bool SemiJoinProgram::ExecSemiJoin(const ColumnarInstance& db,
   const Relation& srel =
       *db.RelationOf(nodes_[static_cast<size_t>(op.source)].pred);
   const size_t kn = op.target_cols.size();
-  const bool exact = kn <= 2;
+  const bool exact = ExactKey(kn);
+  std::vector<const uint32_t*> tcols, scols;
+  for (size_t c = 0; c < kn; ++c) {
+    tcols.push_back(trel.columns[op.target_cols[c]].data());
+    scols.push_back(srel.columns[op.source_cols[c]].data());
+  }
 
-  uint32_t key_buf[8];
-  std::vector<uint32_t> wide_buf;
-  uint32_t* keys = kn <= 8 ? key_buf : (wide_buf.resize(kn), wide_buf.data());
-  auto gather = [&](const Relation& rel, const std::vector<uint32_t>& cols,
-                    uint32_t row) {
-    for (size_t i = 0; i < kn; ++i) keys[i] = rel.columns[cols[i]][row];
-    return PackKey(keys, kn);
+  // One group per distinct source key. Hashed keys keep each group's first
+  // source row and compare against it column by column, on insert and on
+  // probe.
+  FlatKeyTable groups(ssel.size());
+  std::vector<uint32_t> first_row;
+  auto same_as = [&](const std::vector<const uint32_t*>& cols, uint32_t row) {
+    return [&, row](uint32_t g) {
+      for (size_t c = 0; c < kn; ++c) {
+        if (cols[c][row] != scols[c][first_row[g]]) return false;
+      }
+      return true;
+    };
   };
-
-  // Exact path: a set of packed keys. Hashed path: buckets of source rows,
-  // verified column-by-column on every probe.
-  std::unordered_set<uint64_t> key_set;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> key_rows;
-  if (exact) key_set.reserve(ssel.size());
+  if (!exact) first_row.reserve(ssel.size());
   for (size_t i = 0; i < ssel.size(); ++i) {
     if (PollEvery(i, cancel)) return false;
-    uint64_t k = gather(srel, op.source_cols, ssel[i]);
+    uint32_t row = ssel[i];
+    uint64_t k = KeyOf(kn, [&](size_t c) { return scols[c][row]; });
     if (exact) {
-      key_set.insert(k);
-    } else {
-      key_rows[k].push_back(ssel[i]);
+      groups.Insert(k);
+    } else if (groups.Insert(k, same_as(scols, row)) == first_row.size()) {
+      first_row.push_back(row);
     }
   }
 
@@ -343,28 +343,9 @@ bool SemiJoinProgram::ExecSemiJoin(const ColumnarInstance& db,
     if (PollEvery(i, cancel)) return false;
     ++stats->semijoin_probes;
     uint32_t row = tsel[i];
-    uint64_t k = gather(trel, op.target_cols, row);
-    bool hit;
-    if (exact) {
-      hit = key_set.count(k) > 0;
-    } else {
-      hit = false;
-      auto it = key_rows.find(k);
-      if (it != key_rows.end()) {
-        for (uint32_t srow : it->second) {
-          bool same = true;
-          for (size_t c = 0; c < kn && same; ++c) {
-            same = trel.columns[op.target_cols[c]][row] ==
-                   srel.columns[op.source_cols[c]][srow];
-          }
-          if (same) {
-            hit = true;
-            break;
-          }
-        }
-      }
-    }
-    if (hit) tsel[kept++] = row;
+    uint64_t k = KeyOf(kn, [&](size_t c) { return tcols[c][row]; });
+    uint32_t g = exact ? groups.Find(k) : groups.Find(k, same_as(tcols, row));
+    if (g != FlatKeyTable::kNone) tsel[kept++] = row;
   }
   tsel.resize(kept);
   return true;
@@ -405,7 +386,7 @@ ColumnarEvalResult SemiJoinProgram::Execute(const ColumnarInstance& db,
   }
 
   // Answer assembly: bottom-up DP over flat value-id tables.
-  std::vector<FlatTable> dp(nodes_.size());
+  std::vector<VidRows> dp(nodes_.size());
   for (const DpSpec& spec : dp_) {
     if (cancel != nullptr && cancel->PollNow()) {
       result.aborted = true;
@@ -415,89 +396,124 @@ ColumnarEvalResult SemiJoinProgram::Execute(const ColumnarInstance& db,
     const Relation& rel = *db.RelationOf(ns.pred);
     const std::vector<uint32_t>& s = sel[static_cast<size_t>(spec.node)];
 
-    FlatTable acc;
+    VidRows acc;
     acc.width = ns.var_cols.size();
-    acc.nrows = s.size();
-    acc.data.reserve(s.size() * acc.width);
+    std::vector<const uint32_t*> columns;
+    for (uint32_t c : ns.var_cols) columns.push_back(rel.columns[c].data());
+    uint32_t* cell = acc.Append(s.size());
     for (size_t i = 0; i < s.size(); ++i) {
       if (PollEvery(i, cancel)) {
         result.aborted = true;
         return result;
       }
-      for (uint32_t c : ns.var_cols) acc.data.push_back(rel.columns[c][s[i]]);
+      for (const uint32_t* column : columns) *cell++ = column[s[i]];
     }
     result.stats.dp_rows += acc.nrows;
 
-    uint32_t key_buf[8];
-    std::vector<uint32_t> wide_buf;
     for (const JoinStep& step : spec.joins) {
       if (cancel != nullptr && cancel->PollNow()) {
         result.aborted = true;
         return result;
       }
-      const FlatTable& child = dp[static_cast<size_t>(step.child)];
+      const VidRows& child = dp[static_cast<size_t>(step.child)];
       const size_t kn = step.left_pos.size();
-      const bool exact = kn <= 2;
-      uint32_t* keys =
-          kn <= 8 ? key_buf : (wide_buf.resize(kn), wide_buf.data());
-      auto gather = [&](const uint32_t* row, const std::vector<uint32_t>& pos) {
-        for (size_t i = 0; i < kn; ++i) keys[i] = row[pos[i]];
-        return PackKey(keys, kn);
+      const bool exact = ExactKey(kn);
+      auto key_of = [kn](const uint32_t* row, const std::vector<uint32_t>& pos) {
+        return KeyOf(kn, [&](size_t c) { return row[pos[c]]; });
       };
-      // Empty keys (kn == 0) means cross product: every row keys to 0.
-      std::unordered_map<uint64_t, std::vector<uint32_t>> index;
-      index.reserve(child.nrows);
+
+      // Child index: one group per distinct join key (a cross product,
+      // kn == 0, has one), its child rows listed in CSR form in insertion
+      // order, so every acc row meets its partners in child-row order.
+      // Hashed keys compare against each group's first child row.
+      FlatKeyTable index(child.nrows);
+      std::vector<uint32_t> group_of(child.nrows);
+      std::vector<uint32_t> first_row;
+      auto same_as = [&](const uint32_t* row,
+                         const std::vector<uint32_t>& pos) {
+        return [&, row](uint32_t g) {
+          const uint32_t* have = child.row(first_row[g]);
+          for (size_t c = 0; c < kn; ++c) {
+            if (row[pos[c]] != have[step.right_pos[c]]) return false;
+          }
+          return true;
+        };
+      };
+      if (!exact) first_row.reserve(child.nrows);
       for (size_t cr = 0; cr < child.nrows; ++cr) {
         if (PollEvery(cr, cancel)) {
           result.aborted = true;
           return result;
         }
-        index[kn == 0 ? 0 : gather(child.row(cr), step.right_pos)].push_back(
-            static_cast<uint32_t>(cr));
+        const uint32_t* crow = child.row(cr);
+        uint64_t k = key_of(crow, step.right_pos);
+        uint32_t g = exact ? index.Insert(k)
+                           : index.Insert(k, same_as(crow, step.right_pos));
+        if (!exact && g == first_row.size()) {
+          first_row.push_back(static_cast<uint32_t>(cr));
+        }
+        group_of[cr] = g;
       }
-      FlatTable joined;
+      // Inclusive prefix counts, then a backward fill: offsets[g] ends at
+      // group g's first row, and rows stay ascending within a group.
+      std::vector<uint32_t> offsets(index.size() + 1, 0);
+      for (uint32_t g : group_of) ++offsets[g];
+      for (size_t g = 1; g < offsets.size(); ++g) offsets[g] += offsets[g - 1];
+      std::vector<uint32_t> rows(child.nrows);
+      for (size_t cr = child.nrows; cr-- > 0;) {
+        rows[--offsets[group_of[cr]]] = static_cast<uint32_t>(cr);
+      }
+
+      // Every reduced acc row has a partner, so acc.nrows rows is a floor.
+      VidRows joined;
       joined.width = acc.width + step.extra_pos.size();
+      joined.data.resize(acc.nrows * joined.width);
       for (size_t ar = 0; ar < acc.nrows; ++ar) {
         if (PollEvery(ar, cancel)) {
           result.aborted = true;
           return result;
         }
         const uint32_t* arow = acc.row(ar);
-        auto it = index.find(kn == 0 ? 0 : gather(arow, step.left_pos));
-        if (it == index.end()) continue;
-        for (uint32_t cr : it->second) {
-          const uint32_t* crow = child.row(cr);
-          if (!exact && kn > 0) {
-            bool same = true;
-            for (size_t c = 0; c < kn && same; ++c) {
-              same = arow[step.left_pos[c]] == crow[step.right_pos[c]];
-            }
-            if (!same) continue;
-          }
-          joined.data.insert(joined.data.end(), arow, arow + acc.width);
-          for (uint32_t ep : step.extra_pos) joined.data.push_back(crow[ep]);
-          ++joined.nrows;
+        uint64_t k = key_of(arow, step.left_pos);
+        uint32_t g = exact ? index.Find(k)
+                           : index.Find(k, same_as(arow, step.left_pos));
+        if (g == FlatKeyTable::kNone) continue;
+        uint32_t* cell = joined.Append(offsets[g + 1] - offsets[g]);
+        for (uint32_t i = offsets[g]; i < offsets[g + 1]; ++i) {
+          const uint32_t* crow = child.row(rows[i]);
+          cell = std::copy(arow, arow + acc.width, cell);
+          for (uint32_t ep : step.extra_pos) *cell++ = crow[ep];
         }
       }
       result.stats.dp_rows += joined.nrows;
       acc = std::move(joined);
     }
 
-    // Project to the carry and dedup.
-    FlatTable out;
+    // Project to the carry and dedup: a new tuple's group id is its row
+    // in `out`, and hashed keys compare against that row.
+    VidRows out;
     out.width = spec.proj_pos.size();
-    VidTupleSet seen(&out.data, out.width);
-    std::vector<uint32_t> buf(out.width);
+    const bool exact = ExactKey(out.width);
+    const std::vector<uint32_t>& proj = spec.proj_pos;
+    FlatKeyTable seen(acc.nrows);
     for (size_t ar = 0; ar < acc.nrows; ++ar) {
       if (PollEvery(ar, cancel)) {
         result.aborted = true;
         return result;
       }
       const uint32_t* arow = acc.row(ar);
-      for (size_t i = 0; i < out.width; ++i) buf[i] = arow[spec.proj_pos[i]];
-      if (seen.InsertIfNew(buf.data())) {
-        out.data.insert(out.data.end(), buf.begin(), buf.end());
-        ++out.nrows;
+      uint64_t k = KeyOf(out.width, [&](size_t i) { return arow[proj[i]]; });
+      auto same_tuple = [&](uint32_t g) {
+        const uint32_t* have = out.row(g);
+        for (size_t i = 0; i < out.width; ++i) {
+          if (have[i] != arow[proj[i]]) return false;
+        }
+        return true;
+      };
+      uint32_t g = exact ? seen.Insert(k) : seen.Insert(k, same_tuple);
+      if (g == out.nrows) {
+        uint32_t* cell = out.Append(1);
+        for (uint32_t p : proj) *cell++ = arow[p];
       }
     }
     dp[static_cast<size_t>(spec.node)] = std::move(out);
@@ -505,7 +521,7 @@ ColumnarEvalResult SemiJoinProgram::Execute(const ColumnarInstance& db,
 
   // Assemble answers from the root carry. Carry tuples are distinct over
   // the distinct head variables, so the assembled answers are distinct.
-  const FlatTable& root = dp[static_cast<size_t>(root_)];
+  const VidRows& root = dp[static_cast<size_t>(root_)];
   result.answers.reserve(root.nrows);
   for (size_t r = 0; r < root.nrows; ++r) {
     if (PollEvery(r, cancel)) {

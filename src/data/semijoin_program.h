@@ -51,15 +51,28 @@ struct ColumnarEvalResult {
 ///   match      per node: filter the predicate's rows by constant and
 ///              repeated-variable columns into a selection vector (the
 ///              sorted-run index serves constant lookups)
-///   semi-join  bottom-up parent ⋉ child then top-down child ⋉ parent
-///              over 64-bit packed value-id keys (1–2 key columns are
-///              exact; wider keys hash and re-verify the columns, so
-///              collisions can never change answers)
+///   semi-join  bottom-up parent ⋉ child then top-down child ⋉ parent:
+///              the source selection fills a flat key → group table
+///              (FlatKeyTable, data/flat_table.h) and each target row
+///              probes it. Keys of 1–2 columns pack exactly into 64 bits;
+///              wider keys hash, and a hash match re-verifies the columns
+///              against the group's first source row, so collisions can
+///              never change answers.
 ///   dp-join    bottom-up join-and-project answer assembly over flat
-///              value-id tables with collision-safe dedup
+///              row-major value-id tables. A join indexes the child carry
+///              with the same key → group table plus a CSR row list (rows
+///              of a group in insertion order); the projection dedups
+///              through it again, a new tuple's group id being its output
+///              row.
 ///
-/// The program holds no pointers into the query or tree — only positions —
-/// so it outlives both and is immutable/thread-safe after Compile.
+/// Answers come out in first-derivation order (selection order through
+/// the semi-joins, child-row order through the joins, first occurrence
+/// through dedup), never in an order that depends on hash values. Every
+/// table of an op is sized from that op's selection, child carry or acc
+/// rows, never from the relation or the dictionary, and is local to the
+/// call. The program holds no pointers into the query or tree — only
+/// positions — and no static or per-thread scratch, so it outlives both
+/// and any number of threads may execute it at once.
 class SemiJoinProgram {
  public:
   SemiJoinProgram() = default;

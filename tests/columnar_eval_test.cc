@@ -7,6 +7,7 @@
 #include <random>
 #include <set>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/homomorphism.h"
@@ -14,6 +15,7 @@
 #include "core/join_tree.h"
 #include "core/parser.h"
 #include "data/columnar.h"
+#include "data/flat_table.h"
 #include "data/semijoin_program.h"
 #include "eval/yannakakis.h"
 #include "gen/generators.h"
@@ -455,6 +457,116 @@ TEST(FactLoadTest, FromFileLoadsEmptyAndNonEmptyFiles) {
   EXPECT_EQ(col->TotalRows(), 4u);
 }
 
+// ---------------------------------------------------------------------------
+// FlatKeyTable: the hash kernel behind semi-joins, DP joins, dedup and the
+// dictionary.
+
+TEST(FlatKeyTableTest, GroupIdsInFirstInsertOrder) {
+  data::FlatKeyTable table(4);
+  const uint64_t kMax = ~uint64_t{0};
+  // 0 and ~0 are ordinary keys: emptiness lives in the slot, not the key.
+  EXPECT_EQ(table.Insert(5), 0u);
+  EXPECT_EQ(table.Insert(0), 1u);
+  EXPECT_EQ(table.Insert(kMax), 2u);
+  EXPECT_EQ(table.Insert(5), 0u);
+  EXPECT_EQ(table.Insert(7), 3u);
+  EXPECT_EQ(table.Insert(0), 1u);
+  EXPECT_EQ(table.Insert(kMax), 2u);
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_EQ(table.Find(0), 1u);
+  EXPECT_EQ(table.Find(kMax), 2u);
+  EXPECT_EQ(table.Find(kMax - 1), data::FlatKeyTable::kNone);
+  EXPECT_EQ(table.Find(6), data::FlatKeyTable::kNone);
+}
+
+TEST(FlatKeyTableTest, EmptyAndOneKeyTables) {
+  data::FlatKeyTable empty(0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.capacity(), 0u);  // nothing allocated until an insert
+  EXPECT_EQ(empty.Find(0), data::FlatKeyTable::kNone);
+  EXPECT_EQ(empty.Find(~uint64_t{0}), data::FlatKeyTable::kNone);
+  EXPECT_EQ(empty.Insert(3), 0u);  // grows on demand
+  EXPECT_EQ(empty.Find(3), 0u);
+
+  data::FlatKeyTable one(1);
+  EXPECT_GE(one.capacity(), 2u);
+  EXPECT_EQ(one.Find(9), data::FlatKeyTable::kNone);
+  EXPECT_EQ(one.Insert(9), 0u);
+  EXPECT_EQ(one.Find(9), 0u);
+  EXPECT_EQ(one.Find(10), data::FlatKeyTable::kNone);
+}
+
+TEST(FlatKeyTableTest, ForcedEqualHashesKeepDistinctGroups) {
+  // Hashed keys: every tuple below gets the same 64-bit key, and only
+  // `same` tells them apart. A collision must never merge two tuples.
+  const std::vector<std::vector<uint32_t>> tuples = {
+      {1, 2, 3}, {1, 2, 4}, {0, 0, 0}, {~0u, ~0u, ~0u}};
+  data::FlatKeyTable table(tuples.size());
+  std::vector<size_t> tuple_of;  // group -> index into `tuples`
+  auto same_as = [&](const std::vector<uint32_t>& t) {
+    return [&](uint32_t g) { return tuples[tuple_of[g]] == t; };
+  };
+  const uint64_t kKey = 42;
+  for (size_t round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      uint32_t g = table.Insert(kKey, same_as(tuples[i]));
+      if (g == tuple_of.size()) tuple_of.push_back(i);
+      EXPECT_EQ(g, i) << "round " << round;
+    }
+  }
+  EXPECT_EQ(table.size(), tuples.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    EXPECT_EQ(table.Find(kKey, same_as(tuples[i])), i);
+  }
+  EXPECT_EQ(table.Find(kKey, same_as({1, 2, 5})), data::FlatKeyTable::kNone);
+  EXPECT_EQ(table.Find(kKey + 1, same_as(tuples[0])),
+            data::FlatKeyTable::kNone);
+}
+
+TEST(FlatKeyTableTest, ProbeRunsWrapAroundAndSurviveGrowth) {
+  // Four keys whose home is the last slot of an 8-slot table fill slots
+  // 7, 0, 1, 2: a probe run across the wrap-around.
+  data::FlatKeyTable table(4);
+  ASSERT_EQ(table.capacity(), 8u);
+  std::vector<uint64_t> last_slot;
+  for (uint64_t k = 0; last_slot.size() < 6; ++k) {
+    if ((data::FlatKeyTable::Mix(k) & 7) == 7) last_slot.push_back(k);
+  }
+  for (uint32_t i = 0; i < 4; ++i) EXPECT_EQ(table.Insert(last_slot[i]), i);
+  EXPECT_EQ(table.capacity(), 8u);  // no growth at half load
+  for (uint32_t i = 0; i < 4; ++i) EXPECT_EQ(table.Find(last_slot[i]), i);
+  // An absent key with the same home walks the whole run to slot 3.
+  EXPECT_EQ(table.Find(last_slot[4]), data::FlatKeyTable::kNone);
+
+  // Growth rehashes every key and keeps its group id.
+  EXPECT_EQ(table.Insert(last_slot[4]), 4u);
+  EXPECT_GT(table.capacity(), 8u);
+  std::vector<uint64_t> keys(last_slot.begin(), last_slot.begin() + 5);
+  for (uint64_t k = 1000; keys.size() < 1000; ++k) {
+    EXPECT_EQ(table.Insert(k), keys.size());
+    keys.push_back(k);
+  }
+  EXPECT_GE(table.capacity(), 2 * keys.size());
+  for (size_t g = 0; g < keys.size(); ++g) EXPECT_EQ(table.Find(keys[g]), g);
+  EXPECT_EQ(table.Find(last_slot[5]), data::FlatKeyTable::kNone);
+}
+
+TEST(FlatKeyTableTest, DenseSmallKeysSpreadOverTheTable) {
+  // One-column keys are dense value ids; unmixed they would fill one run.
+  data::FlatKeyTable table(1 << 12);
+  for (uint64_t k = 0; k < (1 << 12); ++k) table.Insert(k);
+  std::vector<bool> used(table.capacity());
+  size_t longest = 0, run = 0;
+  for (uint64_t k = 0; k < (1 << 12); ++k) {
+    used[data::FlatKeyTable::Mix(k) & (table.capacity() - 1)] = true;
+  }
+  for (bool u : used) {
+    run = u ? run + 1 : 0;
+    longest = std::max(longest, run);
+  }
+  EXPECT_LT(longest, 64u);
+}
+
 TEST(SemiJoinProgramTest, SimplePath) {
   ExpectColumnarMatchesRow(MustParseQuery("q(x,z) :- E(x,y), E(y,z)"),
                            Db("E('a','b'), E('b','c'), E('c','d')"));
@@ -515,6 +627,12 @@ TEST(SemiJoinProgramTest, WideAtomHashedKeys) {
       Db("G('1','2','3','4','5'), G('1','2','3','4','6'), "
          "G('7','8','9','a','b'), H('2','3','4','5'), H('2','3','4','6'), "
          "H('8','9','a','b')"));
+  // No key matches in any column order: only the column check, not the
+  // hash, lets the bottom-up reduction (and ExecuteBoolean) answer false.
+  ExpectColumnarMatchesRow(
+      MustParseQuery("q(a) :- G(a,b,c,d,e), H(b,c,d,e)"),
+      Db("G('1','2','3','4','5'), G('1','5','4','3','2'), "
+         "H('2','3','4','6'), H('3','2','4','5'), H('5','4','3','3')"));
 }
 
 TEST(SemiJoinProgramTest, AbortsOnFiredToken) {
@@ -566,6 +684,69 @@ TEST_P(ColumnarSweep, AgreesWithRowPathAndBruteForce) {
   EXPECT_EQ(AsSet(prog.Execute(col).answers), AsSet(EvaluateQuery(q, db)));
 }
 
+/// A random acyclic query over predicates of arity 3–4 whose atoms share
+/// one to all of their columns with a parent atom (sometimes repeating a
+/// variable), so semi-join, DP-join and dedup keys of three or more
+/// columns take the hashed path.
+ConjunctiveQuery WideAcyclicQuery(std::mt19937* rng, int atoms,
+                                  const std::vector<Predicate>& preds) {
+  auto pick = [rng](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(*rng);
+  };
+  int fresh = 0;
+  std::vector<Atom> body;
+  for (int i = 0; i < atoms; ++i) {
+    Predicate p = preds[pick(preds.size())];
+    std::vector<Term> args;
+    std::vector<Term> inherited;
+    if (i > 0) {
+      // Shared variables come from one parent atom only, so the parent
+      // links form a join tree.
+      const Atom& parent = body[pick(body.size())];
+      size_t shared = 1 + pick(static_cast<size_t>(p.arity()));
+      for (size_t k = 0; k < shared; ++k) {
+        inherited.push_back(parent.arg(pick(parent.arity())));
+      }
+    }
+    for (int c = 0; c < p.arity(); ++c) {
+      args.push_back(Term::Variable("w" + std::to_string(fresh++)));
+    }
+    for (size_t k = 0; k < inherited.size(); ++k) {
+      args[pick(args.size())] = inherited[k];
+    }
+    body.emplace_back(p, std::move(args));
+  }
+  ConjunctiveQuery shape({}, body);
+  std::vector<Term> vars = shape.Variables();
+  std::vector<Term> head;
+  size_t width = pick(5);  // 0 (Boolean) to 4 head variables
+  for (size_t i = 0; i < width && i < vars.size(); ++i) {
+    head.push_back(vars[pick(vars.size())]);
+  }
+  return ConjunctiveQuery(head, body);
+}
+
+TEST_P(ColumnarSweep, WideKeysAgreeWithRowPathAndBruteForce) {
+  std::mt19937 rng(static_cast<uint32_t>(GetParam()) + 3000);
+  Generator gen(static_cast<uint64_t>(GetParam()) + 211);
+  std::vector<Predicate> preds = {Predicate::Get("W3", 3),
+                                  Predicate::Get("W4", 4)};
+  ConjunctiveQuery q = WideAcyclicQuery(&rng, 2 + GetParam() % 3, preds);
+  ASSERT_TRUE(IsAcyclic(q)) << q.ToString();
+  Instance db = gen.RandomDatabase(preds, 60, 3);
+  SCOPED_TRACE(q.ToString());
+  ExpectColumnarMatchesRow(q, db);
+
+  std::optional<JoinTreeView> tree =
+      BuildJoinTreeView(q.body(), ConnectingTerms::kVariables);
+  ASSERT_TRUE(tree.has_value());
+  data::ColumnarInstance col = data::ColumnarInstance::FromInstance(db);
+  data::SemiJoinProgram prog = data::SemiJoinProgram::Compile(q, *tree);
+  std::vector<std::vector<Term>> answers = prog.Execute(col).answers;
+  EXPECT_EQ(AsSet(answers).size(), answers.size()) << "duplicate answers";
+  EXPECT_EQ(AsSet(answers), AsSet(EvaluateQuery(q, db)));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarSweep, ::testing::Range(0, 20));
 
 TEST(ColumnarWorkloadTest, StarFamilyMatchesRowPath) {
@@ -581,6 +762,137 @@ TEST(ColumnarWorkloadTest, PathFamilyMatchesRowPath) {
 TEST(ColumnarWorkloadTest, SkewFamilyMatchesRowPath) {
   EvalWorkload w = MakeSkewEvalWorkload(5, 2000, 100, 3.0);
   ExpectColumnarMatchesRow(w.q, w.database);
+}
+
+/// Columnar vs row path vs brute force on every query over `db`.
+void ExpectAllAgree(const std::vector<std::string>& queries,
+                    const Instance& db) {
+  for (const std::string& text : queries) {
+    SCOPED_TRACE(text);
+    ConjunctiveQuery q = MustParseQuery(text);
+    ExpectColumnarMatchesRow(q, db);
+    std::optional<JoinTreeView> tree =
+        BuildJoinTreeView(q.body(), ConnectingTerms::kVariables);
+    ASSERT_TRUE(tree.has_value());
+    data::SemiJoinProgram prog = data::SemiJoinProgram::Compile(q, *tree);
+    data::ColumnarEvalResult res =
+        prog.Execute(data::ColumnarInstance::FromInstance(db));
+    EXPECT_EQ(AsSet(res.answers).size(), res.answers.size());
+    EXPECT_EQ(AsSet(res.answers), AsSet(EvaluateQuery(q, db)));
+  }
+}
+
+TEST(ColumnarWorkloadTest, HotKeyDatabase) {
+  // One join value carries 90% of the rows on both sides of each join, in
+  // a one-column key (R–S) and a three-column key (G–H).
+  std::mt19937 rng(7);
+  Instance db;
+  Predicate r = Predicate::Get("Rh", 2), s = Predicate::Get("Sh", 2);
+  Predicate g = Predicate::Get("Gh", 4), h = Predicate::Get("Hh", 4);
+  auto val = [](const std::string& p, size_t i) {
+    return C(p + std::to_string(i));
+  };
+  for (size_t i = 0; i < 400; ++i) {
+    bool hot = rng() % 10 != 0;
+    size_t key = hot ? 0 : 1 + rng() % 30;
+    db.Insert(Atom(r, {val("x", rng() % 50), val("k", key)}));
+    db.Insert(Atom(s, {val("k", hot ? 0 : 1 + rng() % 30),
+                       val("z", rng() % 40)}));
+    db.Insert(Atom(g, {val("a", rng() % 60), val("b", hot ? 0 : rng() % 4),
+                       val("c", hot ? 0 : rng() % 4),
+                       val("d", hot ? 0 : rng() % 4)}));
+    db.Insert(Atom(h, {val("b", hot ? 0 : rng() % 4),
+                       val("c", hot ? 0 : rng() % 4),
+                       val("d", hot ? 0 : rng() % 4), val("e", rng() % 5)}));
+  }
+  ExpectAllAgree({"q(x,z) :- Rh(x,y), Sh(y,z)", "q(z) :- Rh(x,y), Sh(y,z)",
+                  "q() :- Rh(x,y), Sh(y,z)",
+                  "q(a,e) :- Gh(a,b,c,d), Hh(b,c,d,e)",
+                  "q(b,c,d) :- Gh(a,b,c,d), Hh(b,c,d,e)",
+                  "q(a,b,c,d,e) :- Gh(a,b,c,d), Hh(b,c,d,e)"},
+                 db);
+}
+
+TEST(ColumnarWorkloadTest, ManyDpRowsProjectOntoFewCarryTuples) {
+  // Thousands of joined rows, but the carries keep two x values, three
+  // (u,v,w) triples and one Boolean row: dedup does nearly all the work.
+  Instance db;
+  Predicate r = Predicate::Get("Rf", 2), s = Predicate::Get("Sf", 2);
+  Predicate t = Predicate::Get("Tf", 4);
+  for (size_t i = 0; i < 600; ++i) {
+    db.Insert(Atom(r, {C(i % 2 == 0 ? "x0" : "x1"),
+                       C("y" + std::to_string(i % 200))}));
+    db.Insert(Atom(s, {C("y" + std::to_string(i % 200)),
+                       C("z" + std::to_string(i))}));
+    db.Insert(Atom(t, {C("u" + std::to_string(i % 3)),
+                       C("v" + std::to_string(i % 3)),
+                       C("w" + std::to_string(i % 3)),
+                       C("y" + std::to_string(i % 200))}));
+  }
+  ExpectAllAgree({"q(x) :- Rf(x,y), Sf(y,z)", "q() :- Rf(x,y), Sf(y,z)",
+                  "q(u,v,w) :- Tf(u,v,w,y), Sf(y,z)",
+                  "q(x,u,v,w) :- Rf(x,y), Tf(u,v,w,y), Sf(y,z)",
+                  "q(z) :- Rf('x0',y), Sf(y,z)"},
+                 db);
+}
+
+TEST(ColumnarWorkloadTest, OneRowRelations) {
+  ExpectAllAgree({"q(x,z) :- E(x,y), F(y,z)", "q() :- E(x,y), F(y,z)",
+                  "q(y) :- E(x,y), F(y,y)"},
+                 Db("E('a','b'), F('b','c')"));
+  ExpectAllAgree({"q(x) :- E(x,y), F(y,z)"}, Db("E('a','b'), F('c','d')"));
+}
+
+/// One compiled program over one shared instance, run from four threads:
+/// every run's answers equal the single-thread answers, in order. Under
+/// ThreadSanitizer this is the race check of the execution kernels.
+TEST(SemiJoinProgramTest, SharedProgramIsThreadSafe) {
+  EvalWorkload star = MakeStarEvalWorkload(5, 3, 3000, 40, 200);
+  std::vector<Predicate> preds = {Predicate::Get("W3", 3),
+                                  Predicate::Get("W4", 4)};
+  Instance wide_db = Generator(5).RandomDatabase(preds, 400, 4);
+  struct Case {
+    ConjunctiveQuery q;
+    data::ColumnarInstance db;
+  };
+  std::vector<Case> cases;
+  cases.push_back({star.q, data::ColumnarInstance::FromInstance(star.database)});
+  cases.push_back(
+      {MustParseQuery("q(a,b,c) :- W4(a,b,c,d), W3(b,c,d), W4(b,c,d,e)"),
+       data::ColumnarInstance::FromInstance(wide_db)});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.q.ToString());
+    std::optional<JoinTreeView> tree =
+        BuildJoinTreeView(c.q.body(), ConnectingTerms::kVariables);
+    ASSERT_TRUE(tree.has_value());
+    const data::SemiJoinProgram prog = data::SemiJoinProgram::Compile(
+        c.q, RerootForHead(*tree, c.q.head()));
+    const data::ColumnarEvalResult want = prog.Execute(c.db);
+    const int want_bool = prog.ExecuteBoolean(c.db);
+    ASSERT_FALSE(want.answers.empty());
+
+    constexpr int kThreads = 4;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int run = 0; run < 3; ++run) {
+          data::ColumnarEvalResult got = prog.Execute(c.db);
+          if (got.aborted || got.answers != want.answers ||
+              got.stats.rows_scanned != want.stats.rows_scanned ||
+              got.stats.semijoin_probes != want.stats.semijoin_probes ||
+              got.stats.dp_rows != want.stats.dp_rows ||
+              prog.ExecuteBoolean(c.db) != want_bool) {
+            ++mismatches[t];
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    }
+  }
 }
 
 TEST(RerootForHeadTest, RootCoversHeadAndAnswersUnchanged) {
