@@ -6,11 +6,13 @@
 //        dedup, prefiltering oracle): ms, DFS visits, candidates tested
 //        and prefilter rejections per row.
 //  E-P3  the exhaustive rows best-of-3 with the incremental chase-
-//        homomorphism session split (pushes, domain wipeouts, repairs).
+//        homomorphism session split (pushes, domain wipeouts, repairs and
+//        the candidate tuples they tried). Under --gate every row's
+//        deterministic work counts must equal the committed ones.
 //  E-P4  the exhaustive strategy on 1 vs 2 and 4 work-stealing workers at
 //        identical budgets: bitwise outcome parity on every row, >= 2x at
 //        4 threads on the long exhaustive-alpha-k4 row, best-of-5 per side
-//        over interleaved rounds. The only gated section (--gate).
+//        over interleaved rounds. Gated (--gate).
 //  E-P2  the worklist gamma decider on 1k/5k-atom Berge trees and a
 //        5k-edge path: single-digit milliseconds, verdict gamma-acyclic.
 //
@@ -212,14 +214,31 @@ void WitnessRows(bench::JsonReport* report) {
   report->AddRow("witness_total", {{"ms", bench::JsonReport::Num(total_ms)}});
 }
 
-void HomRows(bench::JsonReport* report) {
+/// E-P3's committed work counts. They are noise-free, so any difference is
+/// a change in what the search does, not in how fast. `repairs` is left
+/// out: it depends on which homomorphism a successful repair adopts.
+struct PinnedHomCounts {
+  const char* workload;
+  size_t visits, candidates, pushes, wipeouts, repair_fails;
+};
+constexpr PinnedHomCounts kPinnedHomCounts[] = {
+    {"exhaustive-alpha-k4", 607719, 109072, 711084, 103366, 0},
+    {"exhaustive-alpha-c6", 7224, 3403, 11858, 2199, 2436},
+    {"exhaustive-beta-k4", 2636, 1008, 3371, 736, 0},
+    {"exhaustive-berge-k4", 1741, 616, 2298, 558, 0},
+};
+
+/// Returns the number of rows whose work counts moved (0 when not gating).
+int HomRows(bench::JsonReport* report, bool gate) {
   bench::Banner(
       "E-P3 - exhaustive rows with the incremental chase-homomorphism split",
       "core/incremental_hom keeps candidate domains + a witness along the "
-      "DFS path (forward checking, witness extension, domain-guided "
-      "repair); best-of-3 absolute rows");
+      "DFS path (forward checking, witness extension, indexed repair); "
+      "best-of-3 absolute rows, work counts pinned under --gate");
   bench::Table table({"workload", "ms", "visits", "cand", "pushes",
-                      "wipeouts", "repairs", "repair fails"});
+                      "wipeouts", "repairs", "repair fails",
+                      "repair steps"});
+  int failures = 0;
   for (const Workload& w : Workloads()) {
     if (w.kind != Kind::kExhaustive) continue;
     // Best-of-3: the small rows finish in single-digit milliseconds, where
@@ -231,7 +250,8 @@ void HomRows(bench::JsonReport* report) {
                   std::to_string(o.hom.pushes),
                   std::to_string(o.hom.fc_rejects),
                   std::to_string(o.hom.repairs),
-                  std::to_string(o.hom.repair_fails)});
+                  std::to_string(o.hom.repair_fails),
+                  std::to_string(o.hom.repair_steps)});
     report->AddRow(
         "hom",
         {{"workload", bench::JsonReport::Str(w.name)},
@@ -243,9 +263,28 @@ void HomRows(bench::JsonReport* report) {
          {"hom_wipeouts", bench::JsonReport::Num(Count(o.hom.fc_rejects))},
          {"hom_repairs", bench::JsonReport::Num(Count(o.hom.repairs))},
          {"hom_repair_fails",
-          bench::JsonReport::Num(Count(o.hom.repair_fails))}});
+          bench::JsonReport::Num(Count(o.hom.repair_fails))},
+         {"hom_repair_steps",
+          bench::JsonReport::Num(Count(o.hom.repair_steps))}});
+    for (const PinnedHomCounts& pin : kPinnedHomCounts) {
+      if (w.name != pin.workload) continue;
+      if (o.visits == pin.visits && o.candidates_tested == pin.candidates &&
+          o.hom.pushes == pin.pushes && o.hom.fc_rejects == pin.wipeouts &&
+          o.hom.repair_fails == pin.repair_fails) {
+        continue;
+      }
+      std::printf(
+          "*** %s work counts moved: visits %zu (pinned %zu), candidates "
+          "%zu (%zu), pushes %zu (%zu), wipeouts %zu (%zu), repair fails "
+          "%zu (%zu)\n",
+          pin.workload, o.visits, pin.visits, o.candidates_tested,
+          pin.candidates, o.hom.pushes, pin.pushes, o.hom.fc_rejects,
+          pin.wipeouts, o.hom.repair_fails, pin.repair_fails);
+      if (gate) ++failures;
+    }
   }
   table.Print();
+  return failures;
 }
 
 /// The exhaustive strategy on 1 vs 2 and 4 work-stealing workers at
@@ -398,8 +437,8 @@ int main(int argc, char** argv) {
   }
   semacyc::bench::JsonReport report(argc, argv, "witness_pipeline");
   semacyc::WitnessRows(&report);
-  semacyc::HomRows(&report);
-  int failures = semacyc::ParallelShowdown(&report, gate);
+  int failures = semacyc::HomRows(&report, gate);
+  failures += semacyc::ParallelShowdown(&report, gate);
   semacyc::GammaRows(&report);
   return failures > 0 ? 1 : 0;
 }

@@ -69,6 +69,7 @@
 #include "data/columnar.h"
 #include "deps/classify.h"
 #include "semacyc/engine.h"
+#include "semacyc/witness_search.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 
@@ -191,9 +192,17 @@ int RunOneShot(const char* query_text, const char* sigma_text,
   semac.decide_threads = decide_threads;
   SemAcResult result = DecideSemanticAcyclicity(*q.value, *sigma.value, semac);
   if (result.strategy == Strategy::kDeadlineExceeded) {
-    std::printf("deadline:   exceeded after %lld ms (answer is unknown; "
-                "retry without --deadline-ms for the exact result)\n",
-                static_cast<long long>(deadline_ms));
+    // A rerun is only promised an exact answer when the small-query bound
+    // holds and Σ's chase terminates (conservative: a rewritable Σ may
+    // still decide exactly); a recursive guarded Σ, say, may end unknown
+    // however long it runs.
+    bool exact_on_rerun = result.bound_justified &&
+                          SchemaFacts::Compute(*sigma.value).chase_exact;
+    std::printf("deadline:   exceeded after %lld ms (answer is unknown; %s)\n",
+                static_cast<long long>(deadline_ms),
+                exact_on_rerun
+                    ? "retry without --deadline-ms for the exact result"
+                    : "a rerun without --deadline-ms may still end unknown");
   }
   std::printf(
       "semantically acyclic: %s (strategy: %s, exact: %s, bound %zu%s)\n",

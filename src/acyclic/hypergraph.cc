@@ -14,12 +14,6 @@ int Hypergraph::AddEdge(std::vector<int> verts) {
   return static_cast<int>(edges.size()) - 1;
 }
 
-size_t Hypergraph::TotalSize() const {
-  size_t total = 0;
-  for (const auto& e : edges) total += e.size();
-  return total;
-}
-
 std::vector<std::vector<int>> BuildIncidence(const Hypergraph& hg) {
   std::vector<std::vector<int>> incidence(
       static_cast<size_t>(hg.num_vertices));

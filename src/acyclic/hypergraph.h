@@ -24,8 +24,6 @@ struct Hypergraph {
   int AddEdge(std::vector<int> verts);
 
   size_t NumEdges() const { return edges.size(); }
-  /// Sum of edge sizes (the input size m in complexity statements).
-  size_t TotalSize() const;
 };
 
 /// Per-vertex incidence lists: incidence[v] = indices of edges containing v.

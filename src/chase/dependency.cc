@@ -152,12 +152,6 @@ std::vector<Predicate> DependencySet::Predicates() const {
   return out;
 }
 
-int DependencySet::MaxArity() const {
-  int m = 0;
-  for (Predicate p : Predicates()) m = std::max(m, p.arity());
-  return m;
-}
-
 std::string DependencySet::ToString() const {
   std::string out;
   for (const Tgd& t : tgds) out += t.ToString() + ".\n";

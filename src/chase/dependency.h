@@ -100,8 +100,6 @@ struct DependencySet {
 
   /// Predicates mentioned anywhere in the set.
   std::vector<Predicate> Predicates() const;
-  /// Maximum arity over all mentioned predicates.
-  int MaxArity() const;
 
   std::string ToString() const;
 };

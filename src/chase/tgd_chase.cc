@@ -21,15 +21,6 @@ Term ChaseResult::Resolve(Term t) const {
   return cur;
 }
 
-std::string ChaseResult::Summary() const {
-  std::string out = "chase: " + std::to_string(instance.size()) + " atoms, " +
-                    std::to_string(steps) + " steps, " +
-                    std::to_string(rounds) + " rounds, ";
-  out += saturated ? "saturated" : "truncated";
-  if (failed) out += ", FAILED";
-  return out;
-}
-
 namespace {
 
 /// A canonical string key for a trigger: tgd index plus the images of its

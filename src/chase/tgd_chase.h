@@ -54,8 +54,6 @@ struct ChaseResult {
 
   /// Resolves a term through `term_map` (identity if unmapped).
   Term Resolve(Term t) const;
-
-  std::string Summary() const;
 };
 
 /// Chases `start` with tgds only. Fair scheduling (round-robin over rounds,

@@ -1,8 +1,11 @@
 #ifndef SEMACYC_CORE_HOMOMORPHISM_H_
 #define SEMACYC_CORE_HOMOMORPHISM_H_
 
-#include <functional>
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/instance.h"
@@ -77,6 +80,201 @@ bool EvaluatesTrue(const ConjunctiveQuery& q, const Instance& instance);
 /// Homomorphic equivalence of instances (nulls mappable, constants fixed):
 /// used for chase(q,Σ) ≡ chase(q',Σ) checks (proof of Theorem 7).
 bool HomomorphicallyEquivalent(const Instance& a, const Instance& b);
+
+/// The one compiled homomorphism search. Three callers run it, each over
+/// its own view of the target:
+///   * FindHomomorphisms — an Instance, narrowed through its
+///     (predicate, position, term) index;
+///   * IncrementalHomomorphism's repair — the session's dense tuples, with
+///     each pushed atom's compatible tuples as its base list, a dense
+///     (predicate, position, value) bucket table as the index and domain
+///     membership as the per-variable filter;
+///   * ContainmentOracle's chase-free Chandra–Merlin check — a candidate
+///     body, no index, per-thread scratch.
+/// Source atoms are compiled to dense variable slots and ground values;
+/// the binding is an array over the slots with an undo stack.
+namespace hom {
+
+/// Slot of a ground (non-mappable) position of a compiled atom.
+inline constexpr uint32_t kGround = 0xffffffffu;
+
+/// A source atom compiled to dense slots — a view over caller-owned
+/// arrays. Position i carries the variable in slot[i], or, when slot[i] ==
+/// kGround, must carry ground[i] in the target.
+template <typename Value>
+struct CompiledAtom {
+  const uint32_t* slot;
+  const Value* ground;
+  size_t arity;
+};
+
+/// A run of target tuple ids: a base list or one index bucket.
+struct TupleSpan {
+  const uint32_t* data = nullptr;
+  size_t size = 0;
+};
+inline TupleSpan SpanOf(const std::vector<uint32_t>* v) {
+  return v == nullptr ? TupleSpan{} : TupleSpan{v->data(), v->size()};
+}
+
+/// Term-valued source atoms compiled to slots: each distinct mappable term
+/// (variable or null) gets the next slot in first-occurrence order.
+struct CompiledTerms {
+  std::vector<uint32_t> slots;  // flattened positions of every atom
+  std::vector<Term> ground;     // valid where slots[k] == kGround
+  std::vector<uint32_t> start;  // atom i spans [start[i], start[i + 1])
+  std::vector<Term> slot_term;  // slot -> source term
+  std::vector<Term> binding;    // slot -> its `fixed` image, or invalid
+  std::unordered_map<Term, uint32_t, TermHash> slot_of;
+
+  /// Replaces the compiled form. A constant that `fixed` maps elsewhere can
+  /// match no target term; it compiles to the invalid Term, which equals
+  /// no target argument.
+  void Compile(const std::vector<Atom>& atoms, const Substitution& fixed);
+  CompiledAtom<Term> atom(size_t i) const {
+    return {slots.data() + start[i], ground.data() + start[i],
+            start[i + 1] - start[i]};
+  }
+};
+
+/// Per-search scratch; pooling it makes repeated searches allocation-free.
+struct Scratch {
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> undo;
+  std::vector<char> bound;
+};
+
+/// Most-constrained-first order of `target`'s first `num_atoms` atoms,
+/// into scratch->order: repeatedly the atom with the most bound positions
+/// (ground, or a slot seeded in `binding` or bound by an earlier atom),
+/// ties to the shorter base list, then to the lower index.
+template <typename Value, typename Target>
+void OrderAtoms(const Target& target, size_t num_atoms,
+                const std::vector<Value>& binding, Value unbound,
+                Scratch* scratch) {
+  std::vector<char>& bound = scratch->bound;
+  bound.resize(binding.size());
+  for (size_t s = 0; s < bound.size(); ++s) bound[s] = binding[s] != unbound;
+  std::vector<uint32_t>& order = scratch->order;
+  order.resize(num_atoms);
+  for (size_t i = 0; i < num_atoms; ++i) order[i] = static_cast<uint32_t>(i);
+  for (size_t step = 0; step < num_atoms; ++step) {
+    size_t best = step;
+    int64_t best_score = 0;
+    for (size_t k = step; k < num_atoms; ++k) {
+      const CompiledAtom<Value> atom = target.AtomAt(order[k]);
+      int64_t score = -static_cast<int64_t>(target.Base(order[k]).size);
+      for (size_t pos = 0; pos < atom.arity; ++pos) {
+        uint32_t s = atom.slot[pos];
+        if (s == kGround || bound[s]) score += 1000000;
+      }
+      if (k == step || score > best_score) {
+        best = k;
+        best_score = score;
+      }
+    }
+    // Rotating keeps the rest in index order, so ties go to the lower.
+    std::rotate(order.begin() + step, order.begin() + best,
+                order.begin() + best + 1);
+    const CompiledAtom<Value> atom = target.AtomAt(order[step]);
+    for (size_t pos = 0; pos < atom.arity; ++pos) {
+      if (atom.slot[pos] != kGround) bound[atom.slot[pos]] = 1;
+    }
+  }
+}
+
+/// Backtracking over the atoms in `order` (OrderAtoms). Each atom takes its
+/// candidates from the smallest list among its base list and the index
+/// bucket of each bound or ground position (an empty bucket prunes); a
+/// candidate binds when its ground positions match, its bound slots agree
+/// and `Admits` accepts each newly bound slot. `Target` provides:
+///   CompiledAtom<Value> AtomAt(uint32_t i);   source atom i
+///   TupleSpan Base(uint32_t i);               its base candidate list
+///   TupleSpan Bucket(uint32_t i, size_t pos, Value v);  candidates with
+///                                             v at pos (unindexed: Base)
+///   Value Arg(uint32_t tuple, size_t pos);
+///   bool Admits(uint32_t slot, Value v);      per-variable filter
+///   bool Poll();                              true stops (cancelled)
+///   bool Emit();                              full binding; true stops
+/// `binding` holds one value per slot (`unbound` = free), seeded by the
+/// caller; it is restored on return unless the search stopped.
+template <typename Value, typename Target>
+class HomSearch {
+ public:
+  HomSearch(Target* target, const std::vector<uint32_t>& order,
+            std::vector<Value>* binding, std::vector<uint32_t>* undo,
+            Value unbound)
+      : target_(target),
+        order_(order),
+        binding_(binding->data()),
+        undo_(undo),
+        unbound_(unbound) {
+    undo->clear();
+  }
+
+  /// True when Emit or Poll stopped the search, false when it exhausted.
+  bool Run() { return Extend(0); }
+  /// Candidate tuples tried (the search's deterministic work count).
+  size_t steps() const { return steps_; }
+
+ private:
+  bool Extend(size_t depth) {
+    if (target_->Poll()) return true;
+    if (depth == order_.size()) return target_->Emit();
+    const uint32_t i = order_[depth];
+    const CompiledAtom<Value> atom = target_->AtomAt(i);
+    TupleSpan list = target_->Base(i);
+    bool narrowed = false;
+    for (size_t pos = 0; pos < atom.arity; ++pos) {
+      uint32_t s = atom.slot[pos];
+      Value v = s == kGround ? atom.ground[pos] : binding_[s];
+      if (v == unbound_) continue;
+      TupleSpan bucket = target_->Bucket(i, pos, v);
+      if (bucket.size == 0) return false;
+      // The first bucket wins a tie with the base list, as the index-only
+      // search this replaced did: FindHomomorphisms' order is pinned.
+      if (bucket.size < list.size || (!narrowed && bucket.size == list.size)) {
+        list = bucket;
+        narrowed = true;
+      }
+    }
+    std::vector<uint32_t>& undo = *undo_;
+    for (size_t k = 0; k < list.size; ++k) {
+      const uint32_t tuple = list.data[k];
+      ++steps_;
+      const size_t mark = undo.size();
+      bool ok = true;
+      for (size_t pos = 0; pos < atom.arity && ok; ++pos) {
+        Value d = target_->Arg(tuple, pos);
+        uint32_t s = atom.slot[pos];
+        if (s == kGround) {
+          ok = atom.ground[pos] == d;
+        } else if (binding_[s] != unbound_) {
+          ok = binding_[s] == d;
+        } else if (target_->Admits(s, d)) {
+          binding_[s] = d;
+          undo.push_back(s);
+        } else {
+          ok = false;
+        }
+      }
+      if (ok && Extend(depth + 1)) return true;
+      for (; undo.size() > mark; undo.pop_back()) {
+        binding_[undo.back()] = unbound_;
+      }
+    }
+    return false;
+  }
+
+  Target* target_;
+  const std::vector<uint32_t>& order_;
+  Value* binding_;
+  std::vector<uint32_t>* undo_;
+  Value unbound_;
+  size_t steps_ = 0;
+};
+
+}  // namespace hom
 
 }  // namespace semacyc
 

@@ -1,35 +1,55 @@
 #include "core/incremental_hom.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace semacyc {
 
-constexpr uint32_t IncrementalHomomorphism::kNoDense;
-
 IncrementalHomomorphism::IncrementalHomomorphism(const Instance& target)
     : target_(&target) {
   // Dense interning: one hash per distinct target term, once per session,
-  // so the per-push tuple scans run on integer arrays only.
+  // so the per-push tuple scans and the repair search run on integer
+  // arrays only.
   const std::vector<Atom>& atoms = target.atoms();
-  dense_tuples_.resize(atoms.size());
-  for (size_t i = 0; i < atoms.size(); ++i) {
-    std::vector<uint32_t>& tuple = dense_tuples_[i];
-    tuple.reserve(atoms[i].arity());
-    for (Term t : atoms[i].args()) {
-      auto [it, inserted] =
-          dense_of_.emplace(t, static_cast<uint32_t>(dense_terms_.size()));
-      if (inserted) dense_terms_.push_back(t);
-      tuple.push_back(it->second);
+  tuple_start_.reserve(atoms.size() + 1);
+  tuple_start_.push_back(0);
+  // Bucket table entries, one per argument: (key << 32 | value, tuple).
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  uint32_t num_keys = 0;
+  for (uint32_t i = 0; i < atoms.size(); ++i) {
+    const Atom& a = atoms[i];
+    auto [key, new_pred] = key_of_pred_.emplace(a.predicate().id(), num_keys);
+    if (new_pred) num_keys += static_cast<uint32_t>(a.arity());
+    for (size_t pos = 0; pos < a.arity(); ++pos) {
+      auto [it, inserted] = dense_of_.emplace(
+          a.arg(pos), static_cast<uint32_t>(dense_terms_.size()));
+      if (inserted) dense_terms_.push_back(a.arg(pos));
+      dense_args_.push_back(it->second);
+      uint64_t bucket = key->second + static_cast<uint32_t>(pos);
+      entries.emplace_back(bucket << 32 | it->second, i);
     }
+    tuple_start_.push_back(static_cast<uint32_t>(dense_args_.size()));
   }
+  std::sort(entries.begin(), entries.end());
+  for (const auto& [bucket, tuple] : entries) {
+    bucket_of_.push_back(bucket);
+    bucket_tuple_.push_back(tuple);
+  }
+}
+
+hom::TupleSpan IncrementalHomomorphism::Bucket(uint32_t key,
+                                               uint32_t value) const {
+  auto [lo, hi] = std::equal_range(bucket_of_.begin(), bucket_of_.end(),
+                                   uint64_t{key} << 32 | value);
+  return {bucket_tuple_.data() + (lo - bucket_of_.begin()),
+          static_cast<size_t>(hi - lo)};
 }
 
 void IncrementalHomomorphism::Reset(const Substitution& fixed) {
   depth_ = 0;
   while (vars_in_use_ > 0) ReleaseVar(static_cast<uint32_t>(vars_in_use_ - 1));
   found_ = true;
-  fixed_ = fixed;
-  for (const auto& [src, dst] : fixed_) {
+  for (const auto& [src, dst] : fixed) {
     VarState& v = vars_[InternVar(src)];
     v.is_fixed = true;
     v.fixed_term = dst;
@@ -90,34 +110,54 @@ void IncrementalHomomorphism::ShrinkDomain(uint32_t var_id, Level* level,
   }
 }
 
+/// The repair's view of the search: levels are the source atoms, their
+/// cached compatible tuples the base lists, the dense bucket table the
+/// index and the current domains the per-variable filter.
+struct IncrementalHomomorphism::RepairTarget {
+  IncrementalHomomorphism* self;
+
+  const Level& at(uint32_t i) const { return self->levels_[i]; }
+  hom::CompiledAtom<uint32_t> AtomAt(uint32_t i) const {
+    return {at(i).pos_var.data(), at(i).ground.data(), at(i).pos_var.size()};
+  }
+  hom::TupleSpan Base(uint32_t i) const { return hom::SpanOf(&at(i).tuples); }
+  hom::TupleSpan Bucket(uint32_t i, size_t pos, uint32_t value) const {
+    return self->Bucket(at(i).key_base + static_cast<uint32_t>(pos), value);
+  }
+  uint32_t Arg(uint32_t tuple, size_t pos) const {
+    return self->dense_args_[self->tuple_start_[tuple] + pos];
+  }
+  bool Admits(uint32_t var, uint32_t value) const {
+    return self->InDomain(self->vars_[var], value);
+  }
+  bool Poll() { return self->cancel_ != nullptr && self->cancel_->Poll(); }
+  bool Emit() { return true; }
+};
+
 bool IncrementalHomomorphism::Repair() {
   // Any homomorphism of the pushed atoms picks, for each level, a tuple
   // that was compatible when that level was pushed (its images lie in
-  // every domain along the way — domains only shrink), so a DFS over the
-  // cached per-level tuple lists is complete; it is sound because tuple
-  // consistency is re-checked against the dense bindings directly.
+  // every domain along the way — domains only shrink), so a search over
+  // the cached per-level tuple lists is complete. A bucket tuple passing
+  // the ground positions and the current domains is one of them, so the
+  // buckets narrow without losing anything.
   repair_binding_.assign(vars_in_use_, kNoDense);
   for (size_t id = 0; id < vars_in_use_; ++id) {
     if (vars_[id].is_fixed) repair_binding_[id] = vars_[id].bound;
   }
-  repair_undo_.clear();
-  // Most-constrained-first: levels with fewer compatible tuples bind their
-  // variables first, so the DFS fails (or commits) early. Insertion sort —
-  // depth is the candidate-atom bound, single digits.
-  repair_order_.resize(depth_);
-  for (size_t i = 0; i < depth_; ++i) repair_order_[i] = static_cast<uint32_t>(i);
-  for (size_t i = 1; i < depth_; ++i) {
-    uint32_t x = repair_order_[i];
-    size_t j = i;
-    while (j > 0 &&
-           levels_[repair_order_[j - 1]].tuples.size() >
-               levels_[x].tuples.size()) {
-      repair_order_[j] = repair_order_[j - 1];
-      --j;
-    }
-    repair_order_[j] = x;
-  }
-  if (!RepairDfs(0)) return false;
+  RepairTarget target{this};
+  hom::OrderAtoms(target, depth_, repair_binding_, kNoDense, &repair_scratch_);
+  hom::HomSearch<uint32_t, RepairTarget> search(
+      &target, repair_scratch_.order, &repair_binding_, &repair_scratch_.undo,
+      kNoDense);
+  // A fired token stops the search; the repair then fails as if the space
+  // were empty. The caller discards the whole outcome once the token has
+  // triggered, so the spurious NO is never observed as an answer, and the
+  // undo trail stays exact for pops.
+  bool found =
+      search.Run() && (cancel_ == nullptr || !cancel_->triggered());
+  stats_.repair_steps += search.steps();
+  if (!found) return false;
   // Adopt wholesale: every live variable occurs in some pushed atom (or is
   // a fixed seed), so the search bound them all. Overwritten bindings of
   // older variables stay valid after pops — a homomorphism restricted to
@@ -128,43 +168,6 @@ bool IncrementalHomomorphism::Repair() {
     }
   }
   return true;
-}
-
-bool IncrementalHomomorphism::RepairDfs(size_t level_idx) {
-  if (level_idx == depth_) return true;
-  if (cancel_ != nullptr && cancel_->Poll()) {
-    // Bail as if this subtree were empty; the caller discards the whole
-    // outcome once the token has triggered, so the spurious NO is never
-    // observed as an answer. The undo trail stays exact for later pops.
-    return false;
-  }
-  const Level& level = levels_[repair_order_[level_idx]];
-  for (uint32_t idx : level.tuples) {
-    const std::vector<uint32_t>& tgt = dense_tuples_[idx];
-    size_t undo_mark = repair_undo_.size();
-    bool ok = true;
-    for (size_t i = 0; i < tgt.size() && ok; ++i) {
-      uint32_t var = level.pos_var[i];
-      if (var == kNoDense) continue;  // ground: baked into the list
-      uint32_t& bound = repair_binding_[var];
-      if (bound == kNoDense) {
-        if (!InDomain(vars_[var], tgt[i])) {
-          ok = false;
-          continue;
-        }
-        bound = tgt[i];
-        repair_undo_.push_back(var);
-      } else if (bound != tgt[i]) {
-        ok = false;
-      }
-    }
-    if (ok && RepairDfs(level_idx + 1)) return true;
-    while (repair_undo_.size() > undo_mark) {
-      repair_binding_[repair_undo_.back()] = kNoDense;
-      repair_undo_.pop_back();
-    }
-  }
-  return false;
 }
 
 bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
@@ -185,13 +188,15 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
   }
 
   const size_t arity = atom.arity();
+  auto key = key_of_pred_.find(atom.predicate().id());
+  level.key_base = key == key_of_pred_.end() ? 0 : key->second;
 
   // Slot assembly: one slot per distinct mappable term of the atom. Terms
   // already interned (earlier atoms or fixed seeds — fixed constants count)
   // are mappable; otherwise variables and nulls are, constants are ground.
   size_t num_slots = 0;
   slot_of_position_.assign(arity, -1);
-  ground_dense_.assign(arity, kNoDense);
+  level.ground.assign(arity, kNoDense);
   level.pos_var.assign(arity, kNoDense);
   for (size_t i = 0; i < arity; ++i) {
     Term t = atom.arg(i);
@@ -207,7 +212,7 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
       // Ground: the position must carry exactly this term (a term outside
       // the target keeps the kNoDense sentinel and matches no tuple).
       auto dense = dense_of_.find(t);
-      if (dense != dense_of_.end()) ground_dense_[i] = dense->second;
+      if (dense != dense_of_.end()) level.ground[i] = dense->second;
       continue;
     }
     int slot = -1;
@@ -244,35 +249,25 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
   size_t best_sum = pred_bucket.size();
   bool impossible = pred_bucket.empty();
   scan_buckets_.clear();
-  if (!impossible) scan_buckets_.push_back(&pred_bucket);
+  if (!impossible) {
+    scan_buckets_.push_back({pred_bucket.data(), pred_bucket.size()});
+  }
   for (size_t i = 0; i < arity && !impossible; ++i) {
     int slot = slot_of_position_[i];
-    size_t sum = 0;
     probe_buckets_.clear();
     if (slot < 0) {
-      if (ground_dense_[i] == kNoDense) {
-        impossible = true;  // a term outside the target matches nothing
-        break;
-      }
-      const std::vector<uint32_t>* b =
-          target_->FindCandidates(atom.predicate(), i, atom.arg(i));
-      if (b != nullptr) {
-        sum = b->size();
-        probe_buckets_.push_back(b);
-      }
+      // A term outside the target (kNoDense) has an empty bucket.
+      probe_buckets_.push_back(Bucket(level.key_base + i, level.ground[i]));
     } else {
       const SlotScratch& sl = slots_[static_cast<size_t>(slot)];
       const VarState& v = vars_[sl.var];
-      if (sl.fresh) continue;
-      if (v.active > kMaxProbeValues) continue;
+      if (sl.fresh || v.active > kMaxProbeValues) continue;
       for (size_t k = 0; k < v.active; ++k) {
-        const std::vector<uint32_t>* b = target_->FindCandidates(
-            atom.predicate(), i, dense_terms_[v.values[k]]);
-        if (b == nullptr) continue;
-        sum += b->size();
-        probe_buckets_.push_back(b);
+        probe_buckets_.push_back(Bucket(level.key_base + i, v.values[k]));
       }
     }
+    size_t sum = 0;
+    for (const hom::TupleSpan& b : probe_buckets_) sum += b.size;
     if (sum == 0) {
       impossible = true;  // no tuple can satisfy this position
       break;
@@ -290,16 +285,17 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
   bool any_compatible = false;
   bool have_extension = false;
   tuple_vals_.assign(num_slots, kNoDense);
-  for (const std::vector<uint32_t>* bucket : scan_buckets_) {
-    for (uint32_t idx : *bucket) {
-      const std::vector<uint32_t>& tgt = dense_tuples_[idx];
+  for (const hom::TupleSpan& bucket : scan_buckets_) {
+    for (size_t k = 0; k < bucket.size; ++k) {
+      const uint32_t idx = bucket.data[k];
+      const uint32_t* tgt = &dense_args_[tuple_start_[idx]];
       bool ok = true;
       for (size_t s = 0; s < num_slots; ++s) tuple_vals_[s] = kNoDense;
       for (size_t i = 0; i < arity && ok; ++i) {
         uint32_t d = tgt[i];
         int slot = slot_of_position_[i];
         if (slot < 0) {
-          ok = ground_dense_[i] == d;
+          ok = level.ground[i] == d;
           continue;
         }
         uint32_t& tv = tuple_vals_[static_cast<size_t>(slot)];

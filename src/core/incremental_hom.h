@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/homomorphism.h"
 #include "core/instance.h"
 #include "core/interrupt.h"
 #include "core/query.h"
@@ -40,11 +41,14 @@ namespace semacyc {
 ///    new atom's fresh variables and the push is done — no search.
 ///  * Repair. Only when the prefix witness cannot be extended does a
 ///    backtracking search run over all pushed atoms (earlier choices may
-///    need revision) — a dense DFS over each level's cached
-///    compatible-tuple list, guided by the current domains. Its outcome is
-///    exact; a failure is remembered, and — homomorphisms being closed
-///    under restriction to a sub-conjunction — deeper pushes under a
-///    failed prefix are refuted for free.
+///    need revision). It is the one compiled search of core/homomorphism
+///    (hom::HomSearch): each level's cached compatible-tuple list is its
+///    base list, a dense (predicate, position, value) bucket table built
+///    at construction narrows every bound or ground position, and domain
+///    membership filters each binding. Its outcome is exact; a failure is
+///    remembered, and — homomorphisms being closed under restriction to a
+///    sub-conjunction — deeper pushes under a failed prefix are refuted
+///    for free.
 ///
 /// PopAtom undoes a push exactly: domain shrinkage is trail-based (each
 /// domain is a values array with an active prefix; shrinking swaps
@@ -76,6 +80,9 @@ class IncrementalHomomorphism {
     size_t repairs = 0;
     /// Repairs that came back empty (exact NO the hard way).
     size_t repair_fails = 0;
+    /// Candidate tuples the repair searches tried — their deterministic
+    /// work count.
+    size_t repair_steps = 0;
     /// Pushes onto an already-failed prefix (free, hereditary NO).
     size_t dead_prefix = 0;
   };
@@ -124,8 +131,9 @@ class IncrementalHomomorphism {
   /// construction into [0, num_dense), and the target's tuples are stored
   /// dense — so the per-tuple scan does array arithmetic only, no term
   /// hashing. The sentinel marks "not a target term" (such a ground source
-  /// argument can never match) and "unbound".
-  static constexpr uint32_t kNoDense = 0xffffffffu;
+  /// argument can never match) and "unbound"; it is hom::kGround, so a
+  /// level's variable-per-position array is a compiled atom's slot array.
+  static constexpr uint32_t kNoDense = hom::kGround;
 
   /// Candidate-domain state of one mappable term, over dense target ids.
   /// `values[0..active)` are the live candidates; shrinking permutes
@@ -154,9 +162,12 @@ class IncrementalHomomorphism {
     /// superset of what any homomorphism can pick for it (domains only
     /// shrink afterwards), so the repair DFS is complete over these lists.
     std::vector<uint32_t> tuples;
-    /// Per position: the variable id, or kNoDense for a ground position
-    /// (ground consistency is already baked into `tuples`).
+    /// Per position: the variable id, or kNoDense for a ground position,
+    /// whose dense value is in `ground`.
     std::vector<uint32_t> pos_var;
+    std::vector<uint32_t> ground;
+    /// Bucket-table key of (predicate, position 0); position i adds i.
+    uint32_t key_base = 0;
     bool saved_found = true;
     /// Push landed on an already-failed prefix: nothing to undo.
     bool dead_prefix = false;
@@ -183,19 +194,31 @@ class IncrementalHomomorphism {
   /// (skipped when nothing shrinks).
   void ShrinkDomain(uint32_t var_id, Level* level, const SlotScratch& slot);
   /// Exact backtracking search over all pushed atoms (the repair path):
-  /// a domain-guided DFS over the per-level compatible-tuple lists, with
-  /// dense bindings and an undo stack — no allocation, no re-scan.
+  /// hom::HomSearch over the per-level compatible-tuple lists, narrowed
+  /// by the bucket table, filtered by the domains — no allocation.
   bool Repair();
-  bool RepairDfs(size_t level_idx);
+  struct RepairTarget;
+
+  /// Target tuples whose position of bucket key `key` holds dense `value`,
+  /// ascending.
+  hom::TupleSpan Bucket(uint32_t key, uint32_t value) const;
 
   const Instance* target_;
-  Substitution fixed_;
 
   /// Dense interning of the target's terms and tuples (built once; the
-  /// target must not change during the session).
+  /// target must not change during the session). Tuple i's values are
+  /// dense_args_[tuple_start_[i]..).
   std::unordered_map<Term, uint32_t, TermHash> dense_of_;
   std::vector<Term> dense_terms_;
-  std::vector<std::vector<uint32_t>> dense_tuples_;
+  std::vector<uint32_t> dense_args_;
+  std::vector<uint32_t> tuple_start_;
+  /// Dense (predicate, position, value) index. A (predicate, position)
+  /// pair is one bucket key, key_of_pred_[predicate id] + position; one
+  /// entry per target argument, sorted by (key << 32 | value) in
+  /// bucket_of_ and then by tuple, which bucket_tuple_ holds.
+  std::unordered_map<uint32_t, uint32_t> key_of_pred_;
+  std::vector<uint64_t> bucket_of_;
+  std::vector<uint32_t> bucket_tuple_;
 
   /// Pooled variable records; vars_[0..vars_in_use_) are live. Fixed
   /// variables occupy the bottom of the stack and never die.
@@ -211,22 +234,19 @@ class IncrementalHomomorphism {
   Stats stats_;
   CancelToken* cancel_ = nullptr;
 
-  /// Repair scratch: per-variable dense binding (kNoDense = unbound), the
-  /// bound-order undo stack, and the most-constrained-first level order,
-  /// pooled across repairs.
+  /// Repair scratch, pooled across repairs: the per-variable dense
+  /// binding (kNoDense = unbound) and the search's order and undo stack.
   std::vector<uint32_t> repair_binding_;
-  std::vector<uint32_t> repair_undo_;
-  std::vector<uint32_t> repair_order_;
+  hom::Scratch repair_scratch_;
 
   /// Per-push scratch, pooled across pushes. Values are dense target ids.
   std::vector<SlotScratch> slots_;
   /// Buckets the scan walks this push (one per domain value of the most
   /// selective position, or the whole per-predicate list), plus the
   /// per-position scratch the selection compares against it.
-  std::vector<const std::vector<uint32_t>*> scan_buckets_;
-  std::vector<const std::vector<uint32_t>*> probe_buckets_;
+  std::vector<hom::TupleSpan> scan_buckets_;
+  std::vector<hom::TupleSpan> probe_buckets_;
   std::vector<int> slot_of_position_;   // -1 = ground position
-  std::vector<uint32_t> ground_dense_;  // per ground position: expected id
   std::vector<uint32_t> tuple_vals_;    // per-slot value of the current tuple
   std::vector<uint32_t> extend_vals_;   // per-slot values of the extension
 };

@@ -542,11 +542,12 @@ ColumnarEvalResult SemiJoinProgram::Execute(const ColumnarInstance& db,
 }
 
 int SemiJoinProgram::ExecuteBoolean(const ColumnarInstance& db,
-                                    const ExecOptions& opts) const {
+                                    const ExecOptions& opts,
+                                    ExecStats* stats) const {
   if (trivial_true_) return 1;
-  ExecStats stats;
+  ExecStats local;
   std::vector<std::vector<uint32_t>> sel;
-  return Reduce(db, opts, &sel, &stats);
+  return Reduce(db, opts, &sel, stats != nullptr ? stats : &local);
 }
 
 std::string SemiJoinProgram::ToString() const {

@@ -90,13 +90,10 @@ class SemiJoinProgram {
 
   /// Boolean fast path: stops after the bottom-up reduction.
   /// Returns 1/0, or -1 when the run was aborted by the cancel token.
-  int ExecuteBoolean(const ColumnarInstance& db,
-                     const ExecOptions& opts = {}) const;
-
-  size_t num_nodes() const { return nodes_.size(); }
-  size_t num_ops() const {
-    return nodes_.size() + bottom_up_.size() + top_down_.size() + dp_.size();
-  }
+  /// `stats` (nullptr = not wanted) receives the reduction's counters;
+  /// dp_rows stays 0.
+  int ExecuteBoolean(const ColumnarInstance& db, const ExecOptions& opts = {},
+                     ExecStats* stats = nullptr) const;
 
   /// Human-readable op listing (docs/DATAPLANE.md shows one).
   std::string ToString() const;

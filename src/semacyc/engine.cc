@@ -655,7 +655,16 @@ EvalOutcome Engine::Eval(const PreparedQuery& q,
       data::SemiJoinProgram::Compile(out.witness, *tree);
   data::ExecOptions exec;
   exec.cancel = cancel;
-  data::ColumnarEvalResult result = program.Execute(database, exec);
+  data::ColumnarEvalResult result;
+  if (out.witness.head().empty()) {
+    // A Boolean query is decided by the bottom-up reduction alone: no
+    // top-down pass, no answer DP.
+    int verdict = program.ExecuteBoolean(database, exec, &result.stats);
+    result.aborted = verdict < 0;
+    if (verdict > 0) result.answers.emplace_back();
+  } else {
+    result = program.Execute(database, exec);
+  }
   out.exec_stats = result.stats;
   metrics_.Add(obs::Counter::kEvalRowsScanned, result.stats.rows_scanned);
   metrics_.Add(obs::Counter::kEvalSemijoinProbes,

@@ -35,8 +35,9 @@ struct Status {
     kNotFound,
     /// The operation was aborted cooperatively (SemAcOptions::deadline_ms
     /// elapsed or a CancelToken fired) before it finished. The engine
-    /// stays fully reusable; retry without a deadline for the exact
-    /// answer.
+    /// stays fully reusable. A retry without a deadline is exact only when
+    /// the small-query bound is justified and Σ's chase terminates;
+    /// otherwise it may still end unknown.
     kDeadlineExceeded,
   };
 

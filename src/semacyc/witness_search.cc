@@ -54,6 +54,28 @@ SchemaFacts SchemaFacts::Compute(const DependencySet& sigma,
   return facts;
 }
 
+namespace {
+
+/// The chase-free check's view of the search: q's compiled atoms against
+/// the candidate's body, each q atom's base list being the body atoms of
+/// its predicate. No index (a bucket is the base list), no filter, no
+/// cancellation.
+struct CandidateBodyTarget {
+  const hom::CompiledTerms& q;
+  const std::vector<Atom>& body;
+  const std::vector<std::vector<uint32_t>>& base;
+
+  hom::CompiledAtom<Term> AtomAt(uint32_t i) const { return q.atom(i); }
+  hom::TupleSpan Base(uint32_t i) const { return hom::SpanOf(&base[i]); }
+  hom::TupleSpan Bucket(uint32_t i, size_t, Term) const { return Base(i); }
+  Term Arg(uint32_t tuple, size_t pos) const { return body[tuple].arg(pos); }
+  bool Admits(uint32_t, Term) const { return true; }
+  bool Poll() const { return false; }
+  bool Emit() const { return true; }
+};
+
+}  // namespace
+
 ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
                                      const DependencySet& sigma,
                                      const ChaseOptions& chase_options,
@@ -90,60 +112,21 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
       }
     }
     if (chase_free_) {
-      // Compile q once for the per-candidate check: dense variable
-      // indices, and a greedy connected atom order (most already-bound
-      // variables first, head variables counting as pre-bound) so the
-      // backtracking stays anchored.
-      std::unordered_map<Term, int, TermHash> vidx;
-      for (const Atom& a : q.body()) {
-        for (Term t : a.args()) {
-          if (t.IsVariable()) {
-            vidx.emplace(t, static_cast<int>(vidx.size()));
-          }
-        }
-      }
-      cm_num_vars_ = vidx.size();
+      chase_free_q_.Compile(q.body(), {});
+      std::vector<Term> head_bound(chase_free_q_.slot_term.size());
       for (Term h : q.head()) {
-        cm_head_var_.push_back(h.IsVariable() ? vidx.at(h) : -1);
+        auto it = chase_free_q_.slot_of.find(h);
+        bool is_slot = it != chase_free_q_.slot_of.end();
+        chase_free_head_.push_back(is_slot ? it->second : hom::kGround);
+        if (is_slot) head_bound[it->second] = h;
       }
-      std::vector<char> seen(cm_num_vars_, 0);
-      for (Term h : q.head()) {
-        if (h.IsVariable()) seen[static_cast<size_t>(vidx.at(h))] = 1;
-      }
-      std::vector<bool> used(q.body().size(), false);
-      for (size_t step = 0; step < q.body().size(); ++step) {
-        size_t best = q.body().size();
-        int best_score = -1;
-        for (size_t i = 0; i < q.body().size(); ++i) {
-          if (used[i]) continue;
-          int score = 0;
-          for (Term t : q.body()[i].args()) {
-            if (!t.IsVariable() || seen[static_cast<size_t>(vidx.at(t))]) {
-              ++score;
-            }
-          }
-          if (score > best_score) {
-            best_score = score;
-            best = i;
-          }
-        }
-        used[best] = true;
-        const Atom& a = q.body()[best];
-        CmAtom ca;
-        ca.pred = a.predicate();
-        for (Term t : a.args()) {
-          if (t.IsVariable()) {
-            int v = vidx.at(t);
-            ca.var_at.push_back(v);
-            ca.const_at.push_back(Term());
-            seen[static_cast<size_t>(v)] = 1;
-          } else {
-            ca.var_at.push_back(-1);
-            ca.const_at.push_back(t);
-          }
-        }
-        cm_atoms_.push_back(std::move(ca));
-      }
+      // Ordered once, before any candidate is seen: bound-first, ties to
+      // the lower index (every base list counts as empty here).
+      std::vector<std::vector<uint32_t>> no_base(q.body().size());
+      hom::Scratch scratch;
+      hom::OrderAtoms(CandidateBodyTarget{chase_free_q_, q.body(), no_base},
+                      q.body().size(), head_bound, Term(), &scratch);
+      chase_free_order_ = std::move(scratch.order);
     }
     prefilter_ = true;
     std::unordered_set<uint32_t> q_preds;
@@ -197,63 +180,38 @@ Tri ContainmentOracle::DecideChaseFree(
     const ConjunctiveQuery& candidate) const {
   // Chandra–Merlin against the candidate body itself: its variables act as
   // the frozen canonical constants (rigid instance terms), no freezing or
-  // chase needed. Exact in both directions. Runs the q-side compiled at
-  // construction (cm_atoms_) over a dense binding array — this is the
-  // per-candidate inner loop of exhaustive witness search, so it must not
-  // allocate or hash. Scratch is thread_local (retaining capacity across
-  // calls) so concurrent workers of a parallel search never contend: the
-  // compiled q-side they read is immutable.
+  // chase needed. Exact in both directions. This is the per-candidate
+  // inner loop of exhaustive witness search, so it must not allocate or
+  // hash: scratch is thread_local (retaining capacity across calls), so
+  // concurrent workers of a parallel search never contend — the compiled
+  // q side they read is immutable.
   thread_local std::vector<Term> binding;
-  thread_local std::vector<int> undo;
-  binding.assign(cm_num_vars_, Term());
+  thread_local std::vector<uint32_t> undo;
+  thread_local std::vector<std::vector<uint32_t>> base;
+  binding.assign(chase_free_q_.slot_term.size(), Term());
   for (size_t i = 0; i < q_.head().size(); ++i) {
     Term c = candidate.head()[i];
-    int v = cm_head_var_[i];
-    if (v < 0) {
-      if (q_.head()[i] != c) return Tri::kNo;
-      continue;
+    uint32_t v = chase_free_head_[i];
+    if (v == hom::kGround ? q_.head()[i] != c
+                          : binding[v].IsValid() && binding[v] != c) {
+      return Tri::kNo;
     }
-    Term& bound = binding[static_cast<size_t>(v)];
-    if (bound.IsValid()) {
-      if (bound != c) return Tri::kNo;
-    } else {
-      bound = c;
+    if (v != hom::kGround) binding[v] = c;
+  }
+  const std::vector<Atom>& body = candidate.body();
+  base.resize(q_.body().size());
+  for (size_t i = 0; i < base.size(); ++i) {
+    base[i].clear();
+    for (uint32_t j = 0; j < body.size(); ++j) {
+      if (body[j].predicate() == q_.body()[i].predicate()) base[i].push_back(j);
     }
   }
-  undo.clear();
-  return CmDfs(candidate.body(), 0, binding, undo) ? Tri::kYes : Tri::kNo;
-}
-
-bool ContainmentOracle::CmDfs(const std::vector<Atom>& target_atoms,
-                              size_t depth, std::vector<Term>& binding,
-                              std::vector<int>& undo) const {
-  if (depth == cm_atoms_.size()) return true;
-  const CmAtom& a = cm_atoms_[depth];
-  for (const Atom& t : target_atoms) {
-    if (t.predicate() != a.pred) continue;
-    size_t undo_mark = undo.size();
-    bool ok = true;
-    for (size_t i = 0; i < a.var_at.size() && ok; ++i) {
-      int v = a.var_at[i];
-      if (v < 0) {
-        ok = a.const_at[i] == t.arg(i);
-        continue;
-      }
-      Term& bound = binding[static_cast<size_t>(v)];
-      if (bound.IsValid()) {
-        ok = bound == t.arg(i);
-        continue;
-      }
-      bound = t.arg(i);
-      undo.push_back(v);
-    }
-    if (ok && CmDfs(target_atoms, depth + 1, binding, undo)) return true;
-    while (undo.size() > undo_mark) {
-      binding[static_cast<size_t>(undo.back())] = Term();
-      undo.pop_back();
-    }
-  }
-  return false;
+  CandidateBodyTarget target{chase_free_q_, body, base};
+  return hom::HomSearch<Term, CandidateBodyTarget>(
+             &target, chase_free_order_, &binding, &undo, Term())
+                 .Run()
+             ? Tri::kYes
+             : Tri::kNo;
 }
 
 Tri ContainmentOracle::ContainedInQ(const ConjunctiveQuery& candidate,
@@ -1027,6 +985,7 @@ class ExhaustiveWorker : public UnitWorker {
     outcome->hom.extends += hs.extends;
     outcome->hom.repairs += hs.repairs;
     outcome->hom.repair_fails += hs.repair_fails;
+    outcome->hom.repair_steps += hs.repair_steps;
     outcome->hom.dead_prefix += hs.dead_prefix;
   }
 

@@ -11,6 +11,7 @@
 
 #include "acyclic/classify.h"
 #include "chase/query_chase.h"
+#include "core/homomorphism.h"
 #include "core/incremental_hom.h"
 #include "core/obs.h"
 #include "core/worksteal.h"
@@ -65,7 +66,10 @@ struct SchemaFacts {
 ///  * when Σ is egd-free and no tgd head predicate occurs in q, the chase
 ///    of the candidate can never add an atom the q-homomorphism could
 ///    use, so containment degenerates to the classical Chandra–Merlin
-///    check against the candidate itself — exact and chase-free.
+///    check against the candidate itself — exact and chase-free. It runs
+///    the one homomorphism search (hom::HomSearch, core/homomorphism.h)
+///    with q compiled at construction and the candidate's body atoms as
+///    base lists.
 /// Answers are not memoized: the witness strategies drop repeated
 /// canonical candidates before they reach the oracle, and the Engine's
 /// decision cache absorbs repeated queries.
@@ -114,26 +118,14 @@ class ContainmentOracle {
   bool prefilter_ = false;
   /// Σ cannot contribute atoms over q's predicates: decide classically.
   bool chase_free_ = false;
-  /// Chase-free Chandra–Merlin machinery, compiled once from q at
-  /// construction: body variables dense-indexed, atoms pre-ordered
-  /// greedily connected (bound-variables-first), positions split into
-  /// variable/constant so the per-candidate check is an allocation-free
-  /// backtracking over a dense binding array. The compiled form is
-  /// immutable after construction; per-check scratch lives in
-  /// thread_local buffers (witness_search.cc), so this path — like the
-  /// prefilter — needs no lock even from concurrent workers.
-  struct CmAtom {
-    Predicate pred;
-    /// Per position: dense variable index, or -1 for a constant.
-    std::vector<int> var_at;
-    std::vector<Term> const_at;  // valid where var_at[i] < 0
-  };
-  std::vector<CmAtom> cm_atoms_;
-  size_t cm_num_vars_ = 0;
-  /// Per head position of q: dense variable index, or -1 (constant).
-  std::vector<int> cm_head_var_;
-  bool CmDfs(const std::vector<Atom>& target_atoms, size_t depth,
-             std::vector<Term>& binding, std::vector<int>& undo) const;
+  /// q's body compiled once for the chase-free check (hom::HomSearch over
+  /// the candidate's body): its atom order, and per head position its slot
+  /// (hom::kGround for a constant). Immutable after construction;
+  /// per-check scratch is thread_local (witness_search.cc), so this path —
+  /// like the prefilter — needs no lock even from concurrent workers.
+  hom::CompiledTerms chase_free_q_;
+  std::vector<uint32_t> chase_free_order_;
+  std::vector<uint32_t> chase_free_head_;
   std::vector<std::unordered_set<uint32_t>> q_pred_sources_;
 };
 

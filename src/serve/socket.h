@@ -42,13 +42,6 @@ class Socket {
   int fd() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
 
-  /// Releases ownership without closing.
-  int Release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
   void Close() {
     if (fd_ >= 0) {
       ::close(fd_);

@@ -961,6 +961,35 @@ TEST(EngineEvalTest, ColumnarIsDefaultAndMatchesRowPath) {
   EXPECT_TRUE(saw_eval);
 }
 
+TEST(EngineEvalTest, BooleanQueryTakesTheReductionOnlyPath) {
+  // q() over the star family: the bottom-up reduction decides it, so the
+  // columnar path materializes no DP rows, and answers {()} or {} exactly
+  // like the row path.
+  EvalWorkload star = MakeStarEvalWorkload(3, 4, 2000, 50, 100);
+  Engine engine(DependencySet{});
+  for (bool satisfiable : {true, false}) {
+    SCOPED_TRACE(satisfiable ? "true" : "false");
+    std::vector<Atom> body = star.q.body();
+    if (!satisfiable) {
+      body.push_back(Atom(Predicate::Get("R1", 2),
+                          {Term::Constant("absent"), Term::Variable("bz")}));
+    }
+    ConjunctiveQuery boolean_q({}, body);
+    PreparedQuery pq = engine.Prepare(boolean_q);
+    EvalOutcome columnar = engine.Eval(pq, star.database);
+    ASSERT_TRUE(columnar.status.ok()) << columnar.status.message;
+    ASSERT_TRUE(columnar.columnar);
+    EXPECT_EQ(columnar.exec_stats.dp_rows, 0u);
+    if (satisfiable) EXPECT_GT(columnar.exec_stats.rows_scanned, 0u);
+    EvalOptions row_opts;
+    row_opts.path = EvalOptions::Path::kRow;
+    EvalOutcome row = engine.Eval(pq, star.database, row_opts);
+    ASSERT_TRUE(row.status.ok());
+    EXPECT_EQ(columnar.evaluation.answers, row.evaluation.answers);
+    EXPECT_EQ(columnar.evaluation.answers.size(), satisfiable ? 1u : 0u);
+  }
+}
+
 TEST(EngineEvalTest, PreEncodedColumnarDatabase) {
   MusicStoreWorkload w = MakeMusicStoreWorkload(12, 5, 6, 3, 0.5);
   Engine engine(w.sigma);

@@ -196,5 +196,36 @@ TEST(IncrementalHomTest, RepeatedVariableAndGroundEdgeCases) {
   EXPECT_EQ(hom.Witness().at(x), Term::Constant("elsewhere"));
 }
 
+TEST(IncrementalHomTest, FailingRepairIsLinearOnAPath) {
+  // A triangle pushed onto a long directed path: forward checking keeps
+  // every domain large, the prefix witness cannot close the cycle, and the
+  // repair must refute it. Through the bucket table a bound variable
+  // selects one tuple per level, so the failing repair tries O(n) tuples
+  // (a scan of each level's whole tuple list per partial binding would be
+  // quadratic).
+  constexpr size_t kPath = 20000;
+  Predicate g = Predicate::Get("G", 2);
+  Instance target;
+  std::vector<Atom> path;
+  for (size_t i = 0; i < kPath; ++i) {
+    path.emplace_back(g, std::vector<Term>{
+                             Term::Constant("lp" + std::to_string(i)),
+                             Term::Constant("lp" + std::to_string(i + 1))});
+  }
+  target.InsertAll(path);
+  Term x = Term::Variable("lpx");
+  Term y = Term::Variable("lpy");
+  Term z = Term::Variable("lpz");
+  IncrementalHomomorphism hom(target);
+  hom.Reset();
+  EXPECT_TRUE(hom.PushAtom(Atom(g, {x, y})));
+  EXPECT_TRUE(hom.PushAtom(Atom(g, {y, z})));
+  EXPECT_FALSE(hom.PushAtom(Atom(g, {z, x})));
+  EXPECT_FALSE(hom.found());
+  EXPECT_EQ(hom.stats().repairs, 1u);
+  EXPECT_EQ(hom.stats().repair_fails, 1u);
+  EXPECT_LE(hom.stats().repair_steps, 4 * kPath);
+}
+
 }  // namespace
 }  // namespace semacyc
