@@ -15,6 +15,13 @@
 //        over interleaved rounds. Gated (--gate).
 //  E-P2  the worklist gamma decider on 1k/5k-atom Berge trees and a
 //        5k-edge path: single-digit milliseconds, verdict gamma-acyclic.
+//  E-P6  one containment-oracle call (ContainedInQ) on a fixed candidate
+//        per decide-hard schema class and on the chase-free path: ns per
+//        call (best of 5 rounds) and heap allocations per call, counted by
+//        this binary's replacement of the global operator new. Under
+//        --gate a row whose allocations rise above its committed ceiling
+//        fails; the count is deterministic, the time is reported only.
+//        (E-P5 is reserved for decision yield.)
 //
 // The E-P1/E-P3/E-P2 rows are absolute numbers for the CI regression diff
 // (scripts/bench_diff.py). The speedups of the retired baselines (legacy
@@ -24,8 +31,11 @@
 // Self-timed (no google-benchmark dependency); pass --json to emit
 // BENCH_witness_pipeline.json via bench_util's JsonReport.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +46,22 @@
 #include "core/parser.h"
 #include "gen/generators.h"
 #include "semacyc/witness_search.h"
+
+namespace {
+/// Heap allocations made by this thread (E-P6). Thread-local, so the E-P4
+/// workers never contend on it.
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+// The replaced global allocation functions behind E-P6's count; the array
+// and nothrow forms forward here.
+void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace semacyc {
 namespace {
@@ -287,6 +313,95 @@ int HomRows(bench::JsonReport* report, bool gate) {
   return failures;
 }
 
+/// One E-P6 row: a candidate body tested against q under Σ, with the
+/// committed ceiling on its heap allocations per call.
+struct OracleCase {
+  const char* name;
+  const char* sigma;
+  const char* q;
+  const char* candidate;
+  double max_allocations;
+};
+/// q is a decide-hard pool query of the schema's class; the candidate is
+/// a 4-atom body whose chase fires (merges, for the key). The chase-free
+/// row's Σ never derives an atom over q's predicate.
+constexpr OracleCase kOracleCases[] = {
+    {"guarded", "T(x,y) -> E(y,z), E(z,x).",
+     "E(x0,x3), T(x3,x2), T(x1,x3), E(x0,x2)",
+     "E(x0,x3), T(x3,x2), T(x1,x3), E(x4,x2)", 1e9},
+    {"nr", "B1(x,y), B2(y,z) -> B3(z,x).",
+     "B3(x0,x1), B2(x2,x1), B2(x3,x2), B1(x1,x3)",
+     "B1(x1,x3), B2(x3,x2), B2(x2,x1), B3(x0,x4)", 1e9},
+    {"sticky", "R(x,y), P(y,z) -> P(y,x).",
+     "R(x3,x2), P(x1,x3), P(x2,x0), R(x3,x0)",
+     "R(x3,x2), P(x2,x0), P(x1,x3), R(x4,x0)", 1e9},
+    {"egd", "R(a,b), R(a,c) -> b = c.",
+     "E(x0,x3), R(x2,x0), E(x2,x3), R(x0,x3)",
+     "R(x2,x0), R(x2,x1), E(x0,x3), E(x1,x3)", 1e9},
+    {"chase-free", "E(x,y) -> F(x,y).",
+     "E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x0)",
+     "E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x0)", 1e9},
+};
+
+/// Returns the number of rows above their allocation ceiling (0 when not
+/// gating).
+int OracleRows(bench::JsonReport* report, bool gate) {
+  constexpr int kCalls = 20000;
+  constexpr int kRounds = 5;
+  bench::Banner(
+      "E-P6 - one containment-oracle call per candidate",
+      "Lemma 1: candidate ⊆Σ q iff q maps into chase(candidate, Σ); the "
+      "oracle freezes, chases and checks one homomorphism per call. ns per "
+      "call (best of 5) and heap allocations per call, the latter gated");
+  bench::Table table({"schema", "answer", "ns/call", "allocs/call",
+                      "ceiling"});
+  int failures = 0;
+  for (const OracleCase& c : kOracleCases) {
+    DependencySet sigma = MustParseDependencySet(c.sigma);
+    ConjunctiveQuery q = MustParseQuery(c.q);
+    ConjunctiveQuery candidate = MustParseQuery(c.candidate);
+    obs::MetricsRegistry metrics{{}, {}};
+    ContainmentOracle oracle(q, sigma, ChaseOptions(), RewriteOptions(),
+                             SchemaFacts::Compute(sigma), &metrics);
+    // The search hands every call a token; this one never fires. The
+    // first call warms the thread-local scratch.
+    CancelToken cancel;
+    Tri answer = oracle.ContainedInQ(candidate, &cancel);
+    double best_ns = -1;
+    uint64_t allocations = 0;
+    for (int r = 0; r < kRounds; ++r) {
+      uint64_t before = t_allocations;
+      auto start = Clock::now();
+      for (int i = 0; i < kCalls; ++i) {
+        if (oracle.ContainedInQ(candidate, &cancel) != answer) {
+          std::printf("*** %s: the oracle's answer changed\n", c.name);
+        }
+      }
+      double ns = MillisSince(start) * 1e6 / kCalls;
+      allocations = t_allocations - before;
+      if (best_ns < 0 || ns < best_ns) best_ns = ns;
+    }
+    double per_call = static_cast<double>(allocations) / kCalls;
+    table.AddRow({c.name, ToString(answer), std::to_string(best_ns),
+                  std::to_string(per_call), std::to_string(c.max_allocations)});
+    report->AddRow(
+        "oracle",
+        {{"schema", bench::JsonReport::Str(c.name)},
+         {"answer", bench::JsonReport::Str(ToString(answer))},
+         {"ns_per_call", bench::JsonReport::Num(best_ns)},
+         {"allocations_per_call", bench::JsonReport::Num(per_call)},
+         {"allocation_ceiling", bench::JsonReport::Num(c.max_allocations)}});
+    if (per_call > c.max_allocations) {
+      std::printf("*** %s oracle call allocates %.2f times, above its "
+                  "ceiling of %.0f\n",
+                  c.name, per_call, c.max_allocations);
+      if (gate) ++failures;
+    }
+  }
+  table.Print();
+  return failures;
+}
+
 /// The exhaustive strategy on 1 vs 2 and 4 work-stealing workers at
 /// identical budgets. Parity is the correctness claim on EVERY row
 /// (bitwise: answer, candidates, visits, exhaustion, the witness itself);
@@ -438,6 +553,7 @@ int main(int argc, char** argv) {
   semacyc::bench::JsonReport report(argc, argv, "witness_pipeline");
   semacyc::WitnessRows(&report);
   int failures = semacyc::HomRows(&report, gate);
+  failures += semacyc::OracleRows(&report, gate);
   failures += semacyc::ParallelShowdown(&report, gate);
   semacyc::GammaRows(&report);
   return failures > 0 ? 1 : 0;

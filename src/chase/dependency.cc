@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include <type_traits>
 #include <unordered_set>
 
 namespace semacyc {
@@ -274,10 +273,11 @@ DepKind ParseOneDependency(Lexer* lexer, Tgd* tgd, Egd* egd,
   return DepKind::kTgd;
 }
 
-}  // namespace
-
-ParseResult<Tgd> ParseTgd(std::string_view text) {
-  ParseResult<Tgd> result;
+/// Parses exactly one dependency of kind `want`, with an optional final '.'.
+template <typename Dep>
+ParseResult<Dep> ParseSingle(std::string_view text, DepKind want,
+                             const char* wrong_kind) {
+  ParseResult<Dep> result;
   Lexer lexer(text);
   Tgd tgd;
   Egd egd;
@@ -287,8 +287,8 @@ ParseResult<Tgd> ParseTgd(std::string_view text) {
     result.error = error;
     return result;
   }
-  if (kind != DepKind::kTgd) {
-    result.error = "expected a tgd, found an egd";
+  if (kind != want) {
+    result.error = wrong_kind;
     return result;
   }
   Token tail = lexer.Next();
@@ -297,33 +297,22 @@ ParseResult<Tgd> ParseTgd(std::string_view text) {
     result.error = "trailing input";
     return result;
   }
-  result.value = std::move(tgd);
+  if constexpr (std::is_same_v<Dep, Tgd>) {
+    result.value = std::move(tgd);
+  } else {
+    result.value = std::move(egd);
+  }
   return result;
 }
 
+}  // namespace
+
+ParseResult<Tgd> ParseTgd(std::string_view text) {
+  return ParseSingle<Tgd>(text, DepKind::kTgd, "expected a tgd, found an egd");
+}
+
 ParseResult<Egd> ParseEgd(std::string_view text) {
-  ParseResult<Egd> result;
-  Lexer lexer(text);
-  Tgd tgd;
-  Egd egd;
-  std::string error;
-  DepKind kind = ParseOneDependency(&lexer, &tgd, &egd, &error);
-  if (kind == DepKind::kError) {
-    result.error = error;
-    return result;
-  }
-  if (kind != DepKind::kEgd) {
-    result.error = "expected an egd, found a tgd";
-    return result;
-  }
-  Token tail = lexer.Next();
-  if (tail.kind == Token::kDot) tail = lexer.Next();
-  if (tail.kind != Token::kEnd) {
-    result.error = "trailing input";
-    return result;
-  }
-  result.value = std::move(egd);
-  return result;
+  return ParseSingle<Egd>(text, DepKind::kEgd, "expected an egd, found a tgd");
 }
 
 ParseResult<DependencySet> ParseDependencySet(std::string_view text) {
@@ -359,35 +348,15 @@ ParseResult<DependencySet> ParseDependencySet(std::string_view text) {
 }
 
 Tgd MustParseTgd(std::string_view text) {
-  ParseResult<Tgd> result = ParseTgd(text);
-  if (!result.ok()) {
-    std::fprintf(stderr, "MustParseTgd(\"%.*s\"): %s\n",
-                 static_cast<int>(text.size()), text.data(),
-                 result.error.c_str());
-    std::abort();
-  }
-  return *result.value;
+  return ParseTgd(text).OrDie("MustParseTgd", text);
 }
 
 Egd MustParseEgd(std::string_view text) {
-  ParseResult<Egd> result = ParseEgd(text);
-  if (!result.ok()) {
-    std::fprintf(stderr, "MustParseEgd(\"%.*s\"): %s\n",
-                 static_cast<int>(text.size()), text.data(),
-                 result.error.c_str());
-    std::abort();
-  }
-  return *result.value;
+  return ParseEgd(text).OrDie("MustParseEgd", text);
 }
 
 DependencySet MustParseDependencySet(std::string_view text) {
-  ParseResult<DependencySet> result = ParseDependencySet(text);
-  if (!result.ok()) {
-    std::fprintf(stderr, "MustParseDependencySet: %s\n",
-                 result.error.c_str());
-    std::abort();
-  }
-  return *result.value;
+  return ParseDependencySet(text).OrDie("MustParseDependencySet", text);
 }
 
 }  // namespace semacyc

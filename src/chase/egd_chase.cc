@@ -1,38 +1,42 @@
 #include "chase/egd_chase.h"
 
-#include <cassert>
-
 #include "core/homomorphism.h"
 
 namespace semacyc {
 namespace {
 
-/// Finds one violating homomorphism for `egd` (body maps, equality fails).
-std::optional<Substitution> FindViolation(const Instance& instance,
-                                          const Egd& egd,
-                                          CancelToken* cancel) {
-  HomOptions options;
-  options.max_solutions = 0;
-  options.cancel = cancel;
-  HomResult result = FindHomomorphisms(egd.body(), instance, options);
-  for (Substitution& h : result.solutions) {
-    if (Apply(h, egd.lhs()) != Apply(h, egd.rhs())) return std::move(h);
-  }
-  return std::nullopt;
-}
+/// Per-thread state of the egd chase; it keeps its capacity across calls.
+/// Egd i's body is compiled into bodies[i] over slots in first-occurrence
+/// order.
+struct EgdScratch {
+  std::vector<hom::CompiledTerms> bodies;
+  hom::Scratch search;
+};
+thread_local EgdScratch t_scratch;
 
 }  // namespace
 
-EgdChaseResult ChaseEgds(const Instance& start, const std::vector<Egd>& egds,
+EgdChaseResult ChaseEgds(Instance start, const std::vector<Egd>& egds,
                          Substitution* term_map, CancelToken* cancel) {
   EgdChaseResult result;
-  result.instance = start;
-  if (egds.empty()) return result;
+  result.instance = std::move(start);
+  EgdScratch& s = t_scratch;
+  s.bodies.resize(egds.size());
+  for (size_t i = 0; i < egds.size(); ++i) {
+    s.bodies[i].Compile(egds[i].body(), {});
+  }
 
-  bool progress = true;
+  bool progress = !egds.empty();
   while (progress) {
     progress = false;
-    for (const Egd& egd : egds) {
+    for (size_t i = 0; i < egds.size(); ++i) {
+      hom::CompiledTerms& body = s.bodies[i];
+      std::vector<Term>& h = body.binding;
+      // A side the body does not bind stands for itself.
+      auto image = [&](Term side) {
+        uint32_t slot = body.SlotOf(side);
+        return slot == hom::kGround ? side : h[slot];
+      };
       while (true) {
         if (cancel != nullptr && cancel->Poll()) {
           // A violation may remain unrepaired; the caller must treat the
@@ -40,16 +44,17 @@ EgdChaseResult ChaseEgds(const Instance& start, const std::vector<Egd>& egds,
           result.truncated = true;
           return result;
         }
-        std::optional<Substitution> h =
-            FindViolation(result.instance, egd, cancel);
+        // The first violating match, in search order.
+        h.assign(h.size(), Term());
+        bool violated = hom::SearchInstance(
+            body, result.instance, &h, cancel, &s.search,
+            [&] { return image(egds[i].lhs()) != image(egds[i].rhs()); });
         if (cancel != nullptr && cancel->triggered()) {
           result.truncated = true;
           return result;
         }
-        if (!h.has_value()) break;
-        Term a = Apply(*h, egd.lhs());
-        Term b = Apply(*h, egd.rhs());
-        assert(a != b);
+        if (!violated) break;
+        Term a = image(egds[i].lhs()), b = image(egds[i].rhs());
         if (a.IsConstant() && b.IsConstant()) {
           result.failed = true;
           return result;

@@ -32,8 +32,10 @@ struct EgdChaseResult {
 /// resolving any prior term through the map yields its representative.
 /// `cancel` (nullptr = not cancellable) is polled per repaired violation
 /// and inside the violation search; a fired token returns early with
-/// `truncated` set.
-EgdChaseResult ChaseEgds(const Instance& start, const std::vector<Egd>& egds,
+/// `truncated` set. `start` is taken by value and chased in place: move an
+/// instance in to chase it without a copy. Each violation search stops at
+/// its first violating match.
+EgdChaseResult ChaseEgds(Instance start, const std::vector<Egd>& egds,
                          Substitution* term_map = nullptr,
                          CancelToken* cancel = nullptr);
 

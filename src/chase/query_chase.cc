@@ -22,19 +22,18 @@ QueryChaseResult ChaseQuery(const ConjunctiveQuery& q,
                             const DependencySet& sigma,
                             const ChaseOptions& options) {
   FrozenQuery frozen = Freeze(q, TermKind::kNull);
-  ChaseResult chase = Chase(frozen.instance, sigma, options);
+  ChaseResult chase = Chase(std::move(frozen.instance), sigma, options);
   QueryChaseResult result;
   result.instance = std::move(chase.instance);
   result.saturated = chase.saturated;
   result.failed = chase.failed;
   result.steps = chase.steps;
-  for (const auto& [var, frozen_term] : frozen.var_to_frozen) {
-    result.var_to_frozen[var] = chase.Resolve(frozen_term);
+  result.var_to_frozen = std::move(frozen.var_to_frozen);
+  for (auto& [var, frozen_term] : result.var_to_frozen) {
+    frozen_term = chase.Resolve(frozen_term);
   }
-  result.frozen_head.reserve(frozen.frozen_head.size());
-  for (Term t : frozen.frozen_head) {
-    result.frozen_head.push_back(chase.Resolve(t));
-  }
+  result.frozen_head = std::move(frozen.frozen_head);
+  for (Term& t : result.frozen_head) t = chase.Resolve(t);
   return result;
 }
 

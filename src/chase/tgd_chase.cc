@@ -1,10 +1,9 @@
 #include "chase/tgd_chase.h"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_set>
 
 #include "chase/egd_chase.h"
+#include "core/flat_table.h"
 #include "core/homomorphism.h"
 
 namespace semacyc {
@@ -23,223 +22,257 @@ Term ChaseResult::Resolve(Term t) const {
 
 namespace {
 
-/// A canonical string key for a trigger: tgd index plus the images of its
-/// body variables. Used to avoid re-firing the same trigger (this is what
-/// makes the oblivious chase "fire every trigger once", and saves the
-/// restricted chase from re-deriving).
-std::string TriggerKey(size_t tgd_index, const Tgd& tgd,
-                       const Substitution& h) {
-  std::string key = std::to_string(tgd_index) + "|";
-  for (Term v : tgd.body_variables()) {
-    key += std::to_string(Apply(h, v).raw_bits()) + ",";
+/// A tgd compiled once per chase call over one slot space: slot s below
+/// `body_vars` is body variable s (Tgd::body_variables order), the slots
+/// after it the existential variables in order. The trigger search binds
+/// the body slots; the head check and the firing read the same binding.
+struct CompiledTgd {
+  hom::CompiledTerms body;
+  hom::CompiledTerms head;
+  size_t body_vars = 0;
+  size_t slots = 0;
+};
+
+/// Per-thread chase state; it keeps its capacity across chase calls, so a
+/// small chase allocates only for the atoms it adds. The chase calls
+/// nothing that could re-enter it.
+struct TgdScratch {
+  std::vector<CompiledTgd> tgds;
+  std::vector<Term> binding;
+  /// The body images of the triggers one search found, body_vars each.
+  std::vector<Term> matches;
+  size_t num_matches = 0;
+  hom::Scratch search;
+  /// Fired triggers, exact: group g's key is the tuple (tgd index, body
+  /// images) at fired_keys[fired_start[g]...].
+  FlatKeyTable fired;
+  std::vector<uint32_t> fired_keys;
+  std::vector<uint32_t> fired_start;
+};
+thread_local TgdScratch t_scratch;
+/// Buffers larger than this are released after a chase.
+constexpr size_t kKeepTerms = 4096;
+
+void CompileAll(const std::vector<Tgd>& tgds, TgdScratch* s) {
+  s->tgds.resize(tgds.size());
+  for (size_t i = 0; i < tgds.size(); ++i) {
+    const std::vector<Term>& vars = tgds[i].body_variables();
+    const std::vector<Term>& exist = tgds[i].existential_variables();
+    auto slot_of = [&](Term v) {
+      auto it = std::find(vars.begin(), vars.end(), v);
+      if (it != vars.end()) return static_cast<uint32_t>(it - vars.begin());
+      return static_cast<uint32_t>(
+          vars.size() + (std::find(exist.begin(), exist.end(), v) -
+                         exist.begin()));
+    };
+    CompiledTgd& c = s->tgds[i];
+    c.body.Clear();
+    c.head.Clear();
+    for (const Atom& a : tgds[i].body()) c.body.Add(a, slot_of);
+    for (const Atom& a : tgds[i].head()) c.head.Add(a, slot_of);
+    c.body_vars = vars.size();
+    c.slots = vars.size() + exist.size();
   }
-  return key;
+}
+
+/// Fills s->matches with the triggers of `tgd` whose body atom `anchor`
+/// maps to the instance atom `target`, in search order. A fired token
+/// stops the search; the triggers found so far stay.
+void FindTriggers(const Instance& instance, const CompiledTgd& tgd,
+                  size_t anchor, const Atom& target, CancelToken* cancel,
+                  TgdScratch* s) {
+  s->matches.clear();
+  s->num_matches = 0;
+  if (tgd.body.preds[anchor] != target.predicate()) return;
+  std::vector<Term>& binding = s->binding;
+  binding.assign(tgd.slots, Term());
+  const hom::CompiledAtom<Term> pattern = tgd.body.atom(anchor);
+  for (size_t pos = 0; pos < pattern.arity; ++pos) {
+    const Term d = target.arg(pos);
+    const uint32_t slot = pattern.slot[pos];
+    if (slot == hom::kGround ? pattern.ground[pos] != d
+                             : binding[slot].IsValid() && binding[slot] != d) {
+      return;
+    }
+    if (slot != hom::kGround) binding[slot] = d;
+  }
+  hom::SearchInstance(tgd.body, instance, &binding, cancel, &s->search, [&] {
+    s->matches.insert(s->matches.end(), binding.begin(),
+                      binding.begin() + tgd.body_vars);
+    ++s->num_matches;
+    return false;
+  });
+}
+
+/// Records the trigger (tgd_index, images); false when it fired before.
+bool MarkFired(uint32_t tgd_index, const Term* images, size_t n,
+               TgdScratch* s) {
+  uint64_t key = tgd_index;
+  for (size_t k = 0; k < n; ++k) {
+    key = key * 0x9e3779b97f4a7c15ull + images[k].raw_bits();
+  }
+  uint32_t g = s->fired.Insert(key, [&](uint32_t group) {
+    const uint32_t* stored = s->fired_keys.data() + s->fired_start[group];
+    for (size_t k = 0; k < n; ++k) {
+      if (stored[1 + k] != images[k].raw_bits()) return false;
+    }
+    return stored[0] == tgd_index;
+  });
+  if (g < s->fired_start.size()) return false;
+  s->fired_start.push_back(static_cast<uint32_t>(s->fired_keys.size()));
+  s->fired_keys.push_back(tgd_index);
+  for (size_t k = 0; k < n; ++k) s->fired_keys.push_back(images[k].raw_bits());
+  return true;
 }
 
 /// Restricted-chase applicability: the head, with the frontier bound as in
-/// the trigger, already maps into the instance.
-bool HeadSatisfied(const Instance& instance, const Tgd& tgd,
-                   const Substitution& h, CancelToken* cancel) {
-  HomOptions options;
-  for (Term v : tgd.frontier()) options.fixed.emplace(v, Apply(h, v));
-  options.cancel = cancel;
-  // A cancelled check conservatively reports "not satisfied": the trigger
-  // fires redundantly, and the fired token then truncates the chase at
-  // the next budget check (saturated = false), so no answer depends on it.
-  return FindHomomorphisms(tgd.head(), instance, options).found;
+/// the trigger held in s->binding, already maps into the instance. A
+/// cancelled check conservatively reports "not satisfied": the trigger
+/// fires redundantly, and the fired token then truncates the chase at the
+/// next budget check (saturated = false), so no answer depends on it.
+bool HeadSatisfied(const Instance& instance, const CompiledTgd& tgd,
+                   CancelToken* cancel, TgdScratch* s) {
+  std::fill(s->binding.begin() + tgd.body_vars, s->binding.end(), Term());
+  return hom::SearchInstance(tgd.head, instance, &s->binding, cancel,
+                             &s->search, [] { return true; });
 }
 
-/// Fires the trigger: adds head atoms with fresh nulls for existential
-/// variables. Returns number of new atoms.
-size_t FireTrigger(Instance* instance, const Tgd& tgd, const Substitution& h) {
-  Substitution full = h;
-  for (Term z : tgd.existential_variables()) full[z] = Term::FreshNull();
-  size_t added = 0;
-  for (const Atom& head_atom : tgd.head()) {
-    if (instance->Insert(Apply(full, head_atom))) ++added;
+/// Fires the trigger in s->binding: adds the head atoms, with fresh nulls
+/// for the existential variables.
+void FireTrigger(Instance* instance, const CompiledTgd& tgd, TgdScratch* s) {
+  std::vector<Term>& binding = s->binding;
+  for (size_t slot = tgd.body_vars; slot < tgd.slots; ++slot) {
+    binding[slot] = Term::FreshNull();
   }
-  return added;
-}
-
-/// Enumerates the homomorphisms of `tgd`'s body into `instance` where the
-/// body atom at `anchor_index` maps to the instance atom `anchor_atom`.
-std::vector<Substitution> AnchoredBodyHoms(const Instance& instance,
-                                           const Tgd& tgd, size_t anchor_index,
-                                           uint32_t anchor_atom,
-                                           CancelToken* cancel) {
-  const Atom& pattern = tgd.body()[anchor_index];
-  const Atom& target = instance.atom(anchor_atom);
-  if (pattern.predicate() != target.predicate()) return {};
-  Substitution fixed;
-  for (size_t pos = 0; pos < pattern.arity(); ++pos) {
-    Term s = pattern.arg(pos);
-    Term d = target.arg(pos);
-    if (s.IsVariable()) {
-      auto it = fixed.find(s);
-      if (it != fixed.end()) {
-        if (it->second != d) return {};
-      } else {
-        fixed.emplace(s, d);
-      }
-    } else if (s != d) {
-      return {};
+  for (size_t i = 0; i < tgd.head.size(); ++i) {
+    const hom::CompiledAtom<Term> a = tgd.head.atom(i);
+    std::vector<Term> args(a.arity);
+    for (size_t pos = 0; pos < a.arity; ++pos) {
+      args[pos] = a.slot[pos] == hom::kGround ? a.ground[pos]
+                                              : binding[a.slot[pos]];
     }
+    instance->Insert(Atom(tgd.head.preds[i], std::move(args)));
   }
-  HomOptions options;
-  options.fixed = std::move(fixed);
-  options.max_solutions = 0;  // all
-  options.cancel = cancel;
-  HomResult result = FindHomomorphisms(tgd.body(), instance, options);
-  return std::move(result.solutions);
 }
 
-struct Budget {
-  const ChaseOptions& options;
-  size_t steps = 0;
-  bool Exhausted(const Instance& instance, size_t rounds) const {
-    // A fired cancellation token truncates exactly like a budget: every
-    // call site already maps "exhausted" to saturated = false.
-    if (options.cancel != nullptr && options.cancel->Poll()) return true;
-    if (options.max_steps > 0 && steps >= options.max_steps) return true;
-    if (options.max_atoms > 0 && instance.size() >= options.max_atoms) {
-      return true;
-    }
-    if (options.max_rounds > 0 && rounds >= options.max_rounds) return true;
-    return false;
-  }
-};
-
-}  // namespace
-
-ChaseResult ChaseTgds(const Instance& start, const std::vector<Tgd>& tgds,
-                      const ChaseOptions& options) {
-  ChaseResult result;
-  result.instance = start;
-  std::unordered_set<std::string> fired;
-  Budget budget{options};
-
-  // Delta-driven rounds: in round 0 consider every atom "new".
-  std::vector<uint32_t> delta(result.instance.size());
-  for (size_t i = 0; i < delta.size(); ++i) delta[i] = static_cast<uint32_t>(i);
-
+/// One tgd phase over result->instance with the tgds compiled in s->tgds:
+/// delta-driven rounds (round 0 treats every atom as new, later rounds the
+/// atoms the previous one added), each trigger fired at most once, so
+/// every applicable trigger is eventually fired. Steps count into
+/// result->steps against options.max_steps; options.max_rounds bounds this
+/// phase's rounds, which add to result->rounds. Returns false when a budget
+/// or the token cut the phase.
+bool RunTgdPhase(ChaseResult* result, const ChaseOptions& options,
+                 TgdScratch* s) {
+  Instance& instance = result->instance;
+  s->fired.Clear();
+  s->fired_keys.clear();
+  s->fired_start.clear();
+  size_t rounds = 0;
+  // A fired cancellation token truncates exactly like a budget: every
+  // call site already maps "exhausted" to saturated = false.
+  auto exhausted = [&] {
+    return (options.cancel != nullptr && options.cancel->Poll()) ||
+           (options.max_steps > 0 && result->steps >= options.max_steps) ||
+           (options.max_atoms > 0 && instance.size() >= options.max_atoms) ||
+           (options.max_rounds > 0 && rounds >= options.max_rounds);
+  };
   bool hit_budget = false;
-  while (!delta.empty() && !hit_budget) {
+  for (size_t begin = 0, end = instance.size(); begin < end && !hit_budget;
+       begin = end, end = instance.size()) {
     SEMACYC_FAILPOINT("chase.round", options.cancel);
-    if (budget.Exhausted(result.instance, result.rounds)) {
-      hit_budget = true;
-      break;
-    }
-    ++result.rounds;
-    size_t size_before = result.instance.size();
-    for (size_t ti = 0; ti < tgds.size() && !hit_budget; ++ti) {
-      const Tgd& tgd = tgds[ti];
-      for (size_t bi = 0; bi < tgd.body().size() && !hit_budget; ++bi) {
-        for (uint32_t atom_idx : delta) {
-          if (budget.Exhausted(result.instance, result.rounds)) {
-            hit_budget = true;
-            break;
-          }
-          for (Substitution& h : AnchoredBodyHoms(result.instance, tgd, bi,
-                                                  atom_idx, options.cancel)) {
-            std::string key = TriggerKey(ti, tgd, h);
-            if (!fired.insert(key).second) continue;
-            if (options.variant == ChaseOptions::Variant::kRestricted &&
-                HeadSatisfied(result.instance, tgd, h, options.cancel)) {
+    if ((hit_budget = exhausted())) break;
+    ++rounds;
+    for (size_t ti = 0; ti < s->tgds.size() && !hit_budget; ++ti) {
+      const CompiledTgd& tgd = s->tgds[ti];
+      for (size_t bi = 0; bi < tgd.body.size() && !hit_budget; ++bi) {
+        for (size_t a = begin; a < end && !hit_budget; ++a) {
+          if ((hit_budget = exhausted())) break;
+          FindTriggers(instance, tgd, bi, instance.atom(a), options.cancel, s);
+          for (size_t m = 0; m < s->num_matches && !hit_budget; ++m) {
+            const Term* images = s->matches.data() + m * tgd.body_vars;
+            if (!MarkFired(static_cast<uint32_t>(ti), images, tgd.body_vars,
+                           s)) {
               continue;
             }
-            FireTrigger(&result.instance, tgd, h);
-            ++budget.steps;
-            if (budget.Exhausted(result.instance, result.rounds)) {
-              hit_budget = true;
-              break;
+            std::copy(images, images + tgd.body_vars, s->binding.begin());
+            if (options.variant == ChaseOptions::Variant::kRestricted &&
+                HeadSatisfied(instance, tgd, options.cancel, s)) {
+              continue;
             }
+            FireTrigger(&instance, tgd, s);
+            ++result->steps;
+            hit_budget = exhausted();
           }
-          if (hit_budget) break;
         }
       }
     }
-    delta.clear();
-    for (size_t i = size_before; i < result.instance.size(); ++i) {
-      delta.push_back(static_cast<uint32_t>(i));
-    }
   }
+  // Only a small chase's buffers are kept for the next one.
+  if (s->fired_keys.capacity() > kKeepTerms) {
+    s->fired_keys = {};
+    s->fired_start = {};
+  }
+  if (s->matches.capacity() > kKeepTerms) s->matches = {};
+  result->rounds += rounds;
+  return !hit_budget;
+}
 
-  result.steps = budget.steps;
-  result.saturated = !hit_budget;
+}  // namespace
+
+ChaseResult ChaseTgds(Instance start, const std::vector<Tgd>& tgds,
+                      const ChaseOptions& options) {
+  ChaseResult result;
+  result.instance = std::move(start);
+  CompileAll(tgds, &t_scratch);
+  result.saturated = RunTgdPhase(&result, options, &t_scratch);
   return result;
 }
 
-ChaseResult Chase(const Instance& start, const DependencySet& sigma,
+ChaseResult Chase(Instance start, const DependencySet& sigma,
                   const ChaseOptions& options) {
-  if (!sigma.HasEgds()) return ChaseTgds(start, sigma.tgds, options);
-
+  if (!sigma.HasEgds()) return ChaseTgds(std::move(start), sigma.tgds, options);
   ChaseResult result;
-  result.instance = start;
-  Budget budget{options};
-
-  // Interleave: egd fixpoint, then one full tgd saturation round, repeat.
+  result.instance = std::move(start);
+  CompileAll(sigma.tgds, &t_scratch);
+  // Interleave: egd fixpoint, then one full tgd saturation phase, repeat.
   // Each phase runs on the merged instance; term merges are accumulated.
   bool changed = true;
   bool hit_budget = false;
   while (changed && !hit_budget) {
-    changed = false;
-    // Egd fixpoint.
-    EgdChaseResult egd_result = ChaseEgds(result.instance, sigma.egds,
-                                          &result.term_map, options.cancel);
-    if (egd_result.changed) changed = true;
-    result.instance = std::move(egd_result.instance);
-    if (egd_result.failed) {
+    EgdChaseResult egds =
+        ChaseEgds(std::move(result.instance), sigma.egds, &result.term_map,
+                  options.cancel);
+    changed = egds.changed;
+    result.instance = std::move(egds.instance);
+    if (egds.failed) {
       result.failed = true;
       result.saturated = true;
       return result;
     }
-    if (egd_result.truncated) {
-      hit_budget = true;
-      break;
-    }
-    if (!sigma.HasTgds()) break;
-    // One bounded tgd phase: run rounds until fixpoint or budget.
-    ChaseOptions phase = options;
-    if (options.max_steps > 0) {
-      if (budget.steps >= options.max_steps) {
-        hit_budget = true;
-        break;
-      }
-      phase.max_steps = options.max_steps - budget.steps;
-    }
-    ChaseResult tgd_result = ChaseTgds(result.instance, sigma.tgds, phase);
-    budget.steps += tgd_result.steps;
-    result.rounds += tgd_result.rounds;
-    if (tgd_result.instance.size() != result.instance.size()) changed = true;
-    result.instance = std::move(tgd_result.instance);
-    if (!tgd_result.saturated) hit_budget = true;
+    hit_budget = egds.truncated ||
+                 (sigma.HasTgds() && options.max_steps > 0 &&
+                  result.steps >= options.max_steps);
+    if (hit_budget || !sigma.HasTgds()) break;
+    const size_t size_before = result.instance.size();
+    hit_budget = !RunTgdPhase(&result, options, &t_scratch);
+    if (result.instance.size() != size_before) changed = true;
   }
-
-  result.steps = budget.steps;
   result.saturated = !hit_budget;
   return result;
 }
 
 bool Satisfies(const Instance& instance, const Tgd& tgd) {
-  HomOptions options;
-  options.max_solutions = 0;
-  HomResult result = FindHomomorphisms(tgd.body(), instance, options);
-  for (const Substitution& h : result.solutions) {
-    Substitution fixed;
-    for (Term v : tgd.frontier()) fixed.emplace(v, Apply(h, v));
-    if (!HasHomomorphism(tgd.head(), instance, fixed)) return false;
-  }
-  return true;
+  // The restricted chase fires exactly the triggers whose head does not
+  // map: one step is a violation.
+  ChaseOptions one_step;
+  one_step.max_steps = 1;
+  return ChaseTgds(instance, {tgd}, one_step).steps == 0;
 }
 
 bool Satisfies(const Instance& instance, const Egd& egd) {
-  HomOptions options;
-  options.max_solutions = 0;
-  HomResult result = FindHomomorphisms(egd.body(), instance, options);
-  for (const Substitution& h : result.solutions) {
-    if (Apply(h, egd.lhs()) != Apply(h, egd.rhs())) return false;
-  }
-  return true;
+  EgdChaseResult result = ChaseEgds(instance, {egd});
+  return !result.changed && !result.failed;
 }
 
 bool Satisfies(const Instance& instance, const DependencySet& sigma) {

@@ -59,12 +59,21 @@ struct ChaseResult {
 /// Chases `start` with tgds only. Fair scheduling (round-robin over rounds,
 /// anchored on newly derived atoms), so every applicable trigger is
 /// eventually fired.
-ChaseResult ChaseTgds(const Instance& start, const std::vector<Tgd>& tgds,
+///
+/// Each tgd is compiled once per call. Its triggers are found by one
+/// indexed homomorphism search (hom::SearchInstance) per newly derived
+/// atom, anchored on that atom; the head check and the firing read the
+/// body images from the same binding array, and a fired trigger is
+/// remembered as the exact integer tuple (tgd index, body images) in a
+/// flat table. `start` is taken by value and chased in place: move an
+/// instance in to chase it without a copy.
+ChaseResult ChaseTgds(Instance start, const std::vector<Tgd>& tgds,
                       const ChaseOptions& options = {});
 
 /// Chases `start` with a full dependency set (tgds + egds interleaved:
-/// each tgd round is followed by an egd fixpoint).
-ChaseResult Chase(const Instance& start, const DependencySet& sigma,
+/// each tgd round is followed by an egd fixpoint). Takes `start` by value,
+/// as ChaseTgds does.
+ChaseResult Chase(Instance start, const DependencySet& sigma,
                   const ChaseOptions& options = {});
 
 /// Does `instance` satisfy the dependency set? (Definition in §2: for tgds

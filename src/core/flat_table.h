@@ -1,16 +1,18 @@
-#ifndef SEMACYC_DATA_FLAT_TABLE_H_
-#define SEMACYC_DATA_FLAT_TABLE_H_
+#ifndef SEMACYC_CORE_FLAT_TABLE_H_
+#define SEMACYC_CORE_FLAT_TABLE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-namespace semacyc::data {
+namespace semacyc {
 
-/// The one hash kernel of the data plane: an open-addressing map from
-/// 64-bit keys to dense group ids, handed out 0, 1, 2, … in first-insert
-/// order. Callers keep per-group payload in plain vectors indexed by the
-/// group id — a dictionary's terms, a CSR row list, a dedup arena.
+/// The one hash kernel of the library: an open-addressing map from 64-bit
+/// keys to dense group ids, handed out 0, 1, 2, … in first-insert order.
+/// Callers keep per-group payload in plain vectors indexed by the group id
+/// — a dictionary's terms, a CSR row list, a dedup arena, an Instance's
+/// atoms and index buckets, the chase's fired triggers.
 ///
 /// The slot array holds 4-byte group ids, and the keys sit in a dense
 /// array indexed by group, so clearing a table sized for a whole selection
@@ -70,6 +72,25 @@ class FlatKeyTable {
     }
   }
 
+  /// Room for `n` keys in all before the table grows.
+  void Reserve(size_t n) {
+    keys_.reserve(n);
+    if (n * 2 > slots_.size()) Rehash(CapacityFor(n));
+  }
+
+  /// Forgets every key. A small table keeps its capacity, so refilling it
+  /// does not allocate; a large one is released, so a table reused for
+  /// many small key sets does not pay for clearing its largest one.
+  void Clear() {
+    if (slots_.size() > kKeepSlots) {
+      slots_ = {};
+      keys_ = {};
+    } else {
+      std::fill(slots_.begin(), slots_.end(), kNone);
+      keys_.clear();
+    }
+  }
+
   /// Number of groups (distinct keys) inserted.
   size_t size() const { return keys_.size(); }
   size_t capacity() const { return slots_.size(); }
@@ -89,6 +110,8 @@ class FlatKeyTable {
   }
 
  private:
+  static constexpr size_t kKeepSlots = 1024;
+
   struct AnyGroup {
     bool operator()(uint32_t) const { return true; }
   };
@@ -113,6 +136,6 @@ class FlatKeyTable {
   std::vector<uint64_t> keys_;   // key of each group
 };
 
-}  // namespace semacyc::data
+}  // namespace semacyc
 
-#endif  // SEMACYC_DATA_FLAT_TABLE_H_
+#endif  // SEMACYC_CORE_FLAT_TABLE_H_

@@ -7,14 +7,19 @@
 namespace semacyc {
 namespace hom {
 
-void CompiledTerms::Compile(const std::vector<Atom>& atoms,
-                            const Substitution& fixed) {
+void CompiledTerms::Clear() {
   slots.clear();
   ground.clear();
+  start.assign(1, 0);
+  preds.clear();
   slot_term.clear();
   binding.clear();
-  slot_of.clear();
-  start.assign(1, 0);
+  slot_ids.Clear();
+}
+
+void CompiledTerms::Compile(const std::vector<Atom>& atoms,
+                            const Substitution& fixed) {
+  Clear();
   for (const Atom& a : atoms) {
     for (Term t : a.args()) {
       auto image = fixed.find(t);
@@ -24,16 +29,16 @@ void CompiledTerms::Compile(const std::vector<Atom>& atoms,
         ground.push_back(seen.IsValid() && seen != t ? Term() : t);
         continue;
       }
-      auto [it, inserted] =
-          slot_of.emplace(t, static_cast<uint32_t>(slot_term.size()));
-      if (inserted) {
+      uint32_t slot = slot_ids.Insert(t.raw_bits());
+      if (slot == slot_term.size()) {
         slot_term.push_back(t);
         binding.push_back(seen);
       }
-      slots.push_back(it->second);
+      slots.push_back(slot);
       ground.push_back(Term());
     }
     start.push_back(static_cast<uint32_t>(slots.size()));
+    preds.push_back(a.predicate());
   }
 }
 
@@ -41,67 +46,50 @@ void CompiledTerms::Compile(const std::vector<Atom>& atoms,
 
 namespace {
 
-/// FindHomomorphisms' view of the search: the instance's per-predicate
-/// lists are the base lists, its (predicate, position, term) index the
-/// buckets; solutions are collected as substitutions.
-struct InstanceTarget {
-  const std::vector<Atom>& from;
-  const Instance& to;
-  const HomOptions& options;
-  HomResult* result;
-  const hom::CompiledTerms& source;
+// The compiled form and scratch keep their capacity across calls on a
+// thread; the searches call nothing that could re-enter this file. They
+// run on the compiled initial binding directly.
+thread_local hom::CompiledTerms t_source;
+thread_local hom::Scratch t_scratch;
 
-  hom::CompiledAtom<Term> AtomAt(uint32_t i) const { return source.atom(i); }
-  hom::TupleSpan Base(uint32_t i) const {
-    return hom::SpanOf(&to.AtomsOf(from[i].predicate()));
-  }
-  hom::TupleSpan Bucket(uint32_t i, size_t pos, Term v) const {
-    return hom::SpanOf(to.FindCandidates(from[i].predicate(), pos, v));
-  }
-  Term Arg(uint32_t tuple, size_t pos) const {
-    return to.atom(tuple).arg(pos);
-  }
-  bool Admits(uint32_t, Term v) const {
-    // An injective map avoids every fixed image and every bound one.
-    if (!options.injective) return true;
-    for (const auto& [src, dst] : options.fixed) {
-      if (dst == v) return false;
-    }
-    const std::vector<Term>& bound = source.binding;
-    return std::find(bound.begin(), bound.end(), v) == bound.end();
-  }
-  bool Poll() {
-    if (options.cancel == nullptr || !options.cancel->Poll()) return false;
-    result->budget_exhausted = true;  // a fired token truncates the search
-    return true;
-  }
-  bool Emit() {
-    Substitution h = options.fixed;
-    for (size_t s = 0; s < source.slot_term.size(); ++s) {
-      h.emplace(source.slot_term[s], source.binding[s]);
-    }
-    result->solutions.push_back(std::move(h));
-    return options.max_solutions > 0 &&
-           result->solutions.size() >= options.max_solutions;
-  }
-};
+/// Is there a homomorphism from `from` into `to` extending `fixed`? Builds
+/// no substitution. A cancelled search reports false.
+bool Exists(const std::vector<Atom>& from, const Instance& to,
+            const Substitution& fixed, CancelToken* cancel) {
+  t_source.Compile(from, fixed);
+  return hom::SearchInstance(t_source, to, &t_source.binding, cancel,
+                             &t_scratch, [] { return true; });
+}
 
 }  // namespace
 
 HomResult FindHomomorphisms(const std::vector<Atom>& from, const Instance& to,
                             const HomOptions& options) {
-  // The compiled form and scratch keep their capacity across calls on a
-  // thread; the search calls nothing that could re-enter this function.
-  // It runs on the compiled initial binding directly.
-  thread_local hom::CompiledTerms source;
-  thread_local hom::Scratch scratch;
-  source.Compile(from, options.fixed);
+  t_source.Compile(from, options.fixed);
   HomResult result;
-  InstanceTarget target{from, to, options, &result, source};
-  hom::OrderAtoms(target, from.size(), source.binding, Term(), &scratch);
-  hom::HomSearch<Term, InstanceTarget>(&target, scratch.order, &source.binding,
-                                       &scratch.undo, Term())
-      .Run();
+  auto emit = [&] {
+    Substitution h = options.fixed;
+    for (size_t s = 0; s < t_source.slot_term.size(); ++s) {
+      h.emplace(t_source.slot_term[s], t_source.binding[s]);
+    }
+    result.solutions.push_back(std::move(h));
+    return options.max_solutions > 0 &&
+           result.solutions.size() >= options.max_solutions;
+  };
+  auto admits = [&](uint32_t, Term v) {
+    // An injective map avoids every fixed image and every bound one.
+    if (!options.injective) return true;
+    for (const auto& [src, dst] : options.fixed) {
+      if (dst == v) return false;
+    }
+    const std::vector<Term>& bound = t_source.binding;
+    return std::find(bound.begin(), bound.end(), v) == bound.end();
+  };
+  hom::SearchInstance(t_source, to, &t_source.binding, options.cancel,
+                      &t_scratch, emit, admits);
+  // A fired token stopped the search (polls trip it for good).
+  result.budget_exhausted =
+      options.cancel != nullptr && options.cancel->triggered();
   result.found = !result.solutions.empty();
   return result;
 }
@@ -118,7 +106,7 @@ std::optional<Substitution> FindHomomorphism(const std::vector<Atom>& from,
 
 bool HasHomomorphism(const std::vector<Atom>& from, const Instance& to,
                      const Substitution& fixed) {
-  return FindHomomorphism(from, to, fixed).has_value();
+  return Exists(from, to, fixed, nullptr);
 }
 
 std::vector<std::vector<Term>> EvaluateQuery(const ConjunctiveQuery& q,
@@ -156,10 +144,7 @@ bool EvaluatesTo(const ConjunctiveQuery& q, const Instance& instance,
       fixed.emplace(h, tuple[i]);
     }
   }
-  HomOptions options;
-  options.fixed = std::move(fixed);
-  options.cancel = cancel;
-  return FindHomomorphisms(q.body(), instance, options).found;
+  return Exists(q.body(), instance, fixed, cancel);
 }
 
 bool EvaluatesTrue(const ConjunctiveQuery& q, const Instance& instance) {

@@ -5,9 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "core/flat_table.h"
 #include "core/instance.h"
 #include "core/interrupt.h"
 #include "core/query.h"
@@ -81,10 +81,11 @@ bool EvaluatesTrue(const ConjunctiveQuery& q, const Instance& instance);
 /// used for chase(q,Σ) ≡ chase(q',Σ) checks (proof of Theorem 7).
 bool HomomorphicallyEquivalent(const Instance& a, const Instance& b);
 
-/// The one compiled homomorphism search. Three callers run it, each over
-/// its own view of the target:
-///   * FindHomomorphisms — an Instance, narrowed through its
-///     (predicate, position, term) index;
+/// The one compiled homomorphism search. Its callers run it over three
+/// views of the target:
+///   * an Instance, narrowed through its (predicate, position, term) index
+///     (InstanceTarget): FindHomomorphisms and the chase's trigger, head
+///     and egd-violation searches;
 ///   * IncrementalHomomorphism's repair — the session's dense tuples, with
 ///     each pushed atom's compatible tuples as its base list, a dense
 ///     (predicate, position, value) bucket table as the index and domain
@@ -123,14 +124,34 @@ struct CompiledTerms {
   std::vector<uint32_t> slots;  // flattened positions of every atom
   std::vector<Term> ground;     // valid where slots[k] == kGround
   std::vector<uint32_t> start;  // atom i spans [start[i], start[i + 1])
+  std::vector<Predicate> preds;  // atom i's predicate
   std::vector<Term> slot_term;  // slot -> source term
   std::vector<Term> binding;    // slot -> its `fixed` image, or invalid
-  std::unordered_map<Term, uint32_t, TermHash> slot_of;
+  FlatKeyTable slot_ids;        // Compile: term bits -> slot
+
+  /// Compile's slot of a mappable term, or kGround when none has it.
+  uint32_t SlotOf(Term t) const { return slot_ids.Find(t.raw_bits()); }
 
   /// Replaces the compiled form. A constant that `fixed` maps elsewhere can
   /// match no target term; it compiles to the invalid Term, which equals
   /// no target argument.
   void Compile(const std::vector<Atom>& atoms, const Substitution& fixed);
+  /// Empties the compiled form, keeping its capacity. Callers that number
+  /// slots themselves then Add atoms one by one.
+  void Clear();
+  /// Appends `atom` with `slot_of_term(t)` as the slot of each of its
+  /// variables and nulls; every other term is ground.
+  template <typename SlotOf>
+  void Add(const Atom& atom, SlotOf slot_of_term) {
+    for (Term t : atom.args()) {
+      bool mappable = t.IsVariable() || t.IsNull();
+      slots.push_back(mappable ? slot_of_term(t) : kGround);
+      ground.push_back(mappable ? Term() : t);
+    }
+    start.push_back(static_cast<uint32_t>(slots.size()));
+    preds.push_back(atom.predicate());
+  }
+  size_t size() const { return preds.size(); }
   CompiledAtom<Term> atom(size_t i) const {
     return {slots.data() + start[i], ground.data() + start[i],
             start[i + 1] - start[i]};
@@ -273,6 +294,60 @@ class HomSearch {
   Value unbound_;
   size_t steps_ = 0;
 };
+
+/// Admits every image (the default filter of SearchInstance).
+struct AdmitAll {
+  bool operator()(uint32_t, Term) const { return true; }
+};
+
+/// An Instance as the target of compiled term atoms: atom i's base list is
+/// its predicate's atoms and its buckets are the instance's (predicate,
+/// position, term) index.
+template <typename EmitFn, typename AdmitsFn>
+struct InstanceTarget {
+  const CompiledTerms& source;
+  const Instance& to;
+  CancelToken* cancel;
+  EmitFn& emit;
+  AdmitsFn& admits;
+  bool cancelled = false;
+
+  CompiledAtom<Term> AtomAt(uint32_t i) const { return source.atom(i); }
+  TupleSpan Base(uint32_t i) const {
+    return SpanOf(&to.AtomsOf(source.preds[i]));
+  }
+  TupleSpan Bucket(uint32_t i, size_t pos, Term v) const {
+    return SpanOf(to.FindCandidates(source.preds[i], pos, v));
+  }
+  Term Arg(uint32_t tuple, size_t pos) const {
+    return to.atom(tuple).arg(pos);
+  }
+  bool Admits(uint32_t s, Term v) { return admits(s, v); }
+  bool Poll() {
+    if (cancel == nullptr || !cancel->Poll()) return false;
+    cancelled = true;
+    return true;
+  }
+  bool Emit() { return emit(); }
+};
+
+/// Orders `source`'s atoms against `to` and searches from `binding` (one
+/// term per slot, invalid = free), polling `cancel` per step. `emit()` runs
+/// on each full binding and returns true to stop; `admits(slot, term)`
+/// filters new images. Returns true when `emit` stopped the search, whose
+/// binding then stays in `binding`; false when the search was exhausted
+/// (`binding` restored) or `cancel` fired.
+template <typename EmitFn, typename AdmitsFn = AdmitAll>
+bool SearchInstance(const CompiledTerms& source, const Instance& to,
+                    std::vector<Term>* binding, CancelToken* cancel,
+                    Scratch* scratch, EmitFn emit, AdmitsFn admits = {}) {
+  InstanceTarget<EmitFn, AdmitsFn> target{source, to, cancel, emit, admits};
+  OrderAtoms(target, source.size(), *binding, Term(), scratch);
+  return HomSearch<Term, InstanceTarget<EmitFn, AdmitsFn>>(
+             &target, scratch->order, binding, &scratch->undo, Term())
+             .Run() &&
+         !target.cancelled;
+}
 
 }  // namespace hom
 

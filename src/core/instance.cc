@@ -2,14 +2,26 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_set>
 
 namespace semacyc {
+namespace {
+constexpr size_t kMinReserve = 16;
+constexpr size_t kMinBuckets = 32;
+}  // namespace
 
-bool Instance::Insert(const Atom& atom) {
-  auto [it, inserted] = atom_set_.insert(atom);
-  if (!inserted) return false;
-  atoms_.push_back(atom);
-  IndexAtom(static_cast<uint32_t>(atoms_.size() - 1));
+uint32_t Instance::FindAtom(const Atom& atom) const {
+  return atom_ids_.Find(AtomHash{}(atom),
+                        [&](uint32_t g) { return atoms_[g] == atom; });
+}
+
+bool Instance::Insert(Atom&& atom) {
+  // A new atom's group id is its index: groups are handed out in order.
+  uint32_t g = atom_ids_.Insert(AtomHash{}(atom),
+                                [&](uint32_t i) { return atoms_[i] == atom; });
+  if (g < atoms_.size()) return false;
+  atoms_.push_back(std::move(atom));
+  IndexAtom(g);
   return true;
 }
 
@@ -23,37 +35,63 @@ void Instance::Reserve(size_t n) {
   if (want <= atoms_.capacity()) return;
   // Growing to exactly size + n would reallocate on every call of a
   // caller that inserts in small batches (InsertAll once per parsed line).
-  want = std::max(want, 2 * atoms_.size());
+  want = std::max({want, 2 * atoms_.size(), kMinReserve});
   atoms_.reserve(want);
-  atom_set_.reserve(want);
+  atom_ids_.Reserve(want);
+}
+
+const std::vector<uint32_t>* Instance::Bucket(const IndexKey& key) const {
+  uint32_t g = bucket_ids_.Find(
+      key.Hash(), [&](uint32_t b) { return bucket_keys_[b] == key; });
+  return g == FlatKeyTable::kNone ? nullptr : &buckets_[g];
+}
+
+void Instance::AddToBucket(const IndexKey& key, uint32_t idx) {
+  uint32_t g = bucket_ids_.Insert(
+      key.Hash(), [&](uint32_t b) { return bucket_keys_[b] == key; });
+  if (g == bucket_keys_.size()) {
+    if (bucket_keys_.empty()) {
+      // Small instances (a frozen candidate and its chase) then never
+      // regrow the index.
+      bucket_ids_.Reserve(kMinBuckets);
+      bucket_keys_.reserve(kMinBuckets);
+      buckets_.reserve(kMinBuckets);
+    }
+    bucket_keys_.push_back(key);
+    // ReplaceTerm's rebuild leaves emptied buckets to reuse.
+    if (g == buckets_.size()) {
+      buckets_.emplace_back();
+      // Four ids fit the smallest heap block anyway; most stay that small.
+      buckets_.back().reserve(4);
+    }
+  }
+  buckets_[g].push_back(idx);
 }
 
 void Instance::IndexAtom(uint32_t idx) {
   const Atom& atom = atoms_[idx];
-  by_predicate_[atom.predicate().id()].push_back(idx);
+  const uint32_t pred = atom.predicate().id();
+  AddToBucket({pred, kAllPositions, Term()}, idx);
   for (size_t pos = 0; pos < atom.arity(); ++pos) {
-    by_position_[{atom.predicate().id(), static_cast<uint32_t>(pos),
-                  atom.arg(pos)}]
-        .push_back(idx);
+    AddToBucket({pred, static_cast<uint32_t>(pos), atom.arg(pos)}, idx);
   }
 }
 
 bool Instance::Contains(const Atom& atom) const {
-  return atom_set_.count(atom) > 0;
+  return FindAtom(atom) != FlatKeyTable::kNone;
 }
 
 const std::vector<uint32_t>& Instance::AtomsOf(Predicate pred) const {
   static const std::vector<uint32_t>* empty = new std::vector<uint32_t>();
-  auto it = by_predicate_.find(pred.id());
-  return it == by_predicate_.end() ? *empty : it->second;
+  const std::vector<uint32_t>* list =
+      Bucket({pred.id(), kAllPositions, Term()});
+  return list == nullptr ? *empty : *list;
 }
 
 const std::vector<uint32_t>* Instance::FindCandidates(Predicate pred,
                                                       size_t position,
                                                       Term t) const {
-  auto it = by_position_.find(
-      {pred.id(), static_cast<uint32_t>(position), t});
-  return it == by_position_.end() ? nullptr : &it->second;
+  return Bucket({pred.id(), static_cast<uint32_t>(position), t});
 }
 
 std::vector<Predicate> Instance::Predicates() const {
@@ -79,45 +117,40 @@ std::vector<Term> Instance::ActiveDomain() const {
 
 std::vector<uint32_t> Instance::AtomsMentioning(Term t) const {
   std::vector<uint32_t> out;
-  std::unordered_set<uint32_t> seen;
-  for (const auto& [key, indices] : by_position_) {
-    if (key.term != t) continue;
-    for (uint32_t idx : indices) {
-      if (seen.insert(idx).second) out.push_back(idx);
-    }
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    const IndexKey& key = bucket_keys_[b];
+    if (key.position == kAllPositions || key.term != t) continue;
+    out.insert(out.end(), buckets_[b].begin(), buckets_[b].end());
   }
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 size_t Instance::ReplaceTerm(Term from, Term to) {
   if (from == to) return 0;
   size_t changed = 0;
-  std::vector<Atom> rebuilt;
-  rebuilt.reserve(atoms_.size());
-  for (const Atom& a : atoms_) {
-    bool hit = false;
-    std::vector<Term> args = a.args();
-    for (Term& t : args) {
-      if (t == from) {
-        t = to;
-        hit = true;
-      }
-    }
-    if (hit) {
-      ++changed;
-      rebuilt.emplace_back(a.predicate(), std::move(args));
-    } else {
-      rebuilt.push_back(a);
-    }
-  }
+  for (const Atom& a : atoms_) changed += a.Mentions(from) ? 1 : 0;
   if (changed == 0) return 0;
-  // Rebuild all storage: collapsing terms may merge atoms.
-  atoms_.clear();
-  atom_set_.clear();
-  by_predicate_.clear();
-  by_position_.clear();
-  for (const Atom& a : rebuilt) Insert(a);
+  // Rebuild all storage in the old order, keeping the tables' and buckets'
+  // capacity: collapsing terms may merge atoms.
+  std::vector<Atom> old;
+  old.swap(atoms_);
+  atoms_.reserve(old.size());
+  atom_ids_.Clear();
+  bucket_ids_.Clear();
+  bucket_keys_.clear();
+  for (std::vector<uint32_t>& bucket : buckets_) bucket.clear();
+  for (Atom& a : old) {
+    if (!a.Mentions(from)) {
+      Insert(std::move(a));
+      continue;
+    }
+    std::vector<Term> args = a.args();
+    std::replace(args.begin(), args.end(), from, to);
+    Insert(Atom(a.predicate(), std::move(args)));
+  }
+  buckets_.resize(bucket_keys_.size());
   return changed;
 }
 

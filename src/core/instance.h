@@ -2,13 +2,11 @@
 #define SEMACYC_CORE_INSTANCE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/atom.h"
+#include "core/flat_table.h"
 
 namespace semacyc {
 
@@ -19,7 +17,12 @@ namespace semacyc {
 /// The instance maintains two access paths used throughout the library:
 ///   * per-predicate atom lists (`AtomsOf`), and
 ///   * a (predicate, position, term) inverted index (`FindCandidates`)
-///     feeding the homomorphism solver and the chase trigger scan.
+///     feeding the homomorphism solver and the chase trigger search.
+/// Both are buckets of one flat table (FlatKeyTable), and the duplicate
+/// check is a second one over the atoms themselves, so inserting an atom
+/// costs its argument vector plus amortised bucket growth — no hash-map
+/// node per atom or per position. Buckets list atom indices in insertion
+/// order.
 ///
 /// Atoms are append-only except for `ReplaceTerm`, which the egd chase uses
 /// to merge terms; that operation rebuilds the affected indexes.
@@ -28,16 +31,17 @@ class Instance {
   Instance() = default;
 
   /// Inserts an atom; returns true iff it was not already present.
-  bool Insert(const Atom& atom);
+  bool Insert(const Atom& atom) { return Insert(Atom(atom)); }
+  bool Insert(Atom&& atom);
   /// Inserts every atom of `atoms` (reserves for the batch up front).
   void InsertAll(const std::vector<Atom>& atoms);
 
-  /// Pre-sizes the atom vector and the dedup set for at least `n`
+  /// Pre-sizes the atom vector and the dedup table for at least `n`
   /// additional atoms so bulk loads (million-tuple instances; see
   /// src/data/) don't rehash and reallocate repeatedly. Growth is
   /// geometric, so many small reservations stay amortised O(1) per atom.
-  /// The per-position inverted index cannot be pre-sized (its key space is
-  /// data-dependent) and grows as usual.
+  /// The (predicate, position, term) index cannot be pre-sized (its key
+  /// space is data-dependent) and grows as usual.
   void Reserve(size_t n);
 
   bool Contains(const Atom& atom) const;
@@ -78,29 +82,33 @@ class Instance {
   friend bool operator==(const Instance& a, const Instance& b);
 
  private:
-  void IndexAtom(uint32_t idx);
-
-  std::vector<Atom> atoms_;
-  std::unordered_set<Atom, AtomHash> atom_set_;
-  std::unordered_map<uint32_t, std::vector<uint32_t>> by_predicate_;
-
-  struct PosKey {
+  /// An index bucket's key: (predicate, position, term), or
+  /// (predicate, kAllPositions, invalid term) for the predicate's list.
+  struct IndexKey {
     uint32_t pred;
     uint32_t position;
     Term term;
-    bool operator==(const PosKey& o) const {
+    bool operator==(const IndexKey& o) const {
       return pred == o.pred && position == o.position && term == o.term;
     }
-  };
-  struct PosKeyHash {
-    size_t operator()(const PosKey& k) const {
-      size_t seed = std::hash<uint32_t>{}(k.pred);
-      HashCombine(&seed, std::hash<uint32_t>{}(k.position));
-      HashCombine(&seed, TermHash{}(k.term));
-      return seed;
+    uint64_t Hash() const {
+      return ((uint64_t{pred} << 32) | term.raw_bits()) ^
+             (uint64_t{position} * 0x9e3779b97f4a7c15ull);
     }
   };
-  std::unordered_map<PosKey, std::vector<uint32_t>, PosKeyHash> by_position_;
+  static constexpr uint32_t kAllPositions = 0xffffffffu;
+
+  /// The atom's index, or FlatKeyTable::kNone.
+  uint32_t FindAtom(const Atom& atom) const;
+  const std::vector<uint32_t>* Bucket(const IndexKey& key) const;
+  void AddToBucket(const IndexKey& key, uint32_t idx);
+  void IndexAtom(uint32_t idx);
+
+  std::vector<Atom> atoms_;
+  FlatKeyTable atom_ids_;  // AtomHash -> atom index (group id = index)
+  FlatKeyTable bucket_ids_;  // IndexKey::Hash -> bucket
+  std::vector<IndexKey> bucket_keys_;
+  std::vector<std::vector<uint32_t>> buckets_;
 };
 
 }  // namespace semacyc

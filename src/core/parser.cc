@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 
 namespace semacyc {
 
@@ -292,25 +290,11 @@ ParseResult<ConjunctiveQuery> ParseQuery(std::string_view text) {
 }
 
 ConjunctiveQuery MustParseQuery(std::string_view text) {
-  ParseResult<ConjunctiveQuery> result = ParseQuery(text);
-  if (!result.ok()) {
-    std::fprintf(stderr, "MustParseQuery(\"%.*s\"): %s\n",
-                 static_cast<int>(text.size()), text.data(),
-                 result.error.c_str());
-    std::abort();
-  }
-  return *result.value;
+  return ParseQuery(text).OrDie("MustParseQuery", text);
 }
 
 std::vector<Atom> MustParseAtoms(std::string_view text) {
-  ParseResult<std::vector<Atom>> result = ParseAtoms(text);
-  if (!result.ok()) {
-    std::fprintf(stderr, "MustParseAtoms(\"%.*s\"): %s\n",
-                 static_cast<int>(text.size()), text.data(),
-                 result.error.c_str());
-    std::abort();
-  }
-  return *result.value;
+  return ParseAtoms(text).OrDie("MustParseAtoms", text);
 }
 
 }  // namespace semacyc

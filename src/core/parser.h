@@ -1,9 +1,12 @@
 #ifndef SEMACYC_CORE_PARSER_H_
 #define SEMACYC_CORE_PARSER_H_
 
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/query.h"
@@ -19,6 +22,17 @@ struct ParseResult {
   bool ok() const { return value.has_value(); }
   const T& operator*() const { return *value; }
   const T* operator->() const { return &*value; }
+
+  /// The value; on an error prints `what`, the text and the error, then
+  /// aborts (the MustParse functions).
+  T OrDie(const char* what, std::string_view text) && {
+    if (!ok()) {
+      std::fprintf(stderr, "%s(\"%.*s\"): %s\n", what,
+                   static_cast<int>(text.size()), text.data(), error.c_str());
+      std::abort();
+    }
+    return std::move(*value);
+  }
 };
 
 /// Text syntax (documented in README):

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <unordered_set>
 
+#include "core/flat_table.h"
+
 namespace semacyc {
 
 Term Apply(const Substitution& sub, Term t) {
@@ -49,15 +51,20 @@ ConjunctiveQuery::ConjunctiveQuery(std::vector<Term> head,
 }
 
 std::vector<Term> ConjunctiveQuery::Variables() const {
+  size_t terms = head_.size();
+  for (const Atom& a : body_) terms += a.arity();
   std::vector<Term> out;
-  std::unordered_set<Term> seen;
-  for (Term h : head_) {
-    if (h.IsVariable() && seen.insert(h).second) out.push_back(h);
-  }
-  for (const Atom& a : body_) {
-    for (Term t : a.args()) {
-      if (t.IsVariable() && seen.insert(t).second) out.push_back(t);
+  out.reserve(terms);
+  // A variable's group is its index in `out`: groups count up from 0.
+  FlatKeyTable seen(terms);
+  auto add = [&](Term t) {
+    if (t.IsVariable() && seen.Insert(t.raw_bits()) == out.size()) {
+      out.push_back(t);
     }
+  };
+  for (Term h : head_) add(h);
+  for (const Atom& a : body_) {
+    for (Term t : a.args()) add(t);
   }
   return out;
 }
@@ -157,7 +164,9 @@ Term FreshVariable() {
 
 FrozenQuery Freeze(const ConjunctiveQuery& q, TermKind freeze_kind) {
   FrozenQuery out;
-  for (Term v : q.Variables()) {
+  const std::vector<Term> vars = q.Variables();
+  out.var_to_frozen.reserve(vars.size());
+  for (Term v : vars) {
     if (freeze_kind == TermKind::kConstant) {
       // Distinct canonical constants per freeze call: c(x) must be fresh so
       // that two frozen queries never share canonical constants.
@@ -168,6 +177,7 @@ FrozenQuery Freeze(const ConjunctiveQuery& q, TermKind freeze_kind) {
       out.var_to_frozen[v] = Term::FreshNull();
     }
   }
+  out.instance.Reserve(q.body().size());
   for (const Atom& a : q.body()) {
     out.instance.Insert(Apply(out.var_to_frozen, a));
   }

@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/flat_table.h"
 #include "core/instance.h"
-#include "data/flat_table.h"
 
 /// semacyc::data — the columnar data plane (docs/DATAPLANE.md).
 ///

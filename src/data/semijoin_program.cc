@@ -4,7 +4,7 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "data/flat_table.h"
+#include "core/flat_table.h"
 
 namespace semacyc::data {
 namespace {

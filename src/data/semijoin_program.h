@@ -53,7 +53,7 @@ struct ColumnarEvalResult {
 ///              sorted-run index serves constant lookups)
 ///   semi-join  bottom-up parent ⋉ child then top-down child ⋉ parent:
 ///              the source selection fills a flat key → group table
-///              (FlatKeyTable, data/flat_table.h) and each target row
+///              (FlatKeyTable, core/flat_table.h) and each target row
 ///              probes it. Keys of 1–2 columns pack exactly into 64 bits;
 ///              wider keys hash, and a hash match re-verifies the columns
 ///              against the group's first source row, so collisions can

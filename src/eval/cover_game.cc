@@ -1,6 +1,7 @@
 #include "eval/cover_game.h"
 
 #include <cassert>
+#include <optional>
 #include <unordered_map>
 
 namespace semacyc {

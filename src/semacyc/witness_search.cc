@@ -115,10 +115,9 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
       chase_free_q_.Compile(q.body(), {});
       std::vector<Term> head_bound(chase_free_q_.slot_term.size());
       for (Term h : q.head()) {
-        auto it = chase_free_q_.slot_of.find(h);
-        bool is_slot = it != chase_free_q_.slot_of.end();
-        chase_free_head_.push_back(is_slot ? it->second : hom::kGround);
-        if (is_slot) head_bound[it->second] = h;
+        uint32_t slot = chase_free_q_.SlotOf(h);
+        chase_free_head_.push_back(slot);
+        if (slot != hom::kGround) head_bound[slot] = h;
       }
       // Ordered once, before any candidate is seen: bound-first, ties to
       // the lower index (every base list counts as empty here).

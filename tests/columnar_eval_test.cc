@@ -15,7 +15,7 @@
 #include "core/join_tree.h"
 #include "core/parser.h"
 #include "data/columnar.h"
-#include "data/flat_table.h"
+#include "core/flat_table.h"
 #include "data/semijoin_program.h"
 #include "eval/yannakakis.h"
 #include "gen/generators.h"
@@ -462,7 +462,7 @@ TEST(FactLoadTest, FromFileLoadsEmptyAndNonEmptyFiles) {
 // dictionary.
 
 TEST(FlatKeyTableTest, GroupIdsInFirstInsertOrder) {
-  data::FlatKeyTable table(4);
+  FlatKeyTable table(4);
   const uint64_t kMax = ~uint64_t{0};
   // 0 and ~0 are ordinary keys: emptiness lives in the slot, not the key.
   EXPECT_EQ(table.Insert(5), 0u);
@@ -475,25 +475,25 @@ TEST(FlatKeyTableTest, GroupIdsInFirstInsertOrder) {
   EXPECT_EQ(table.size(), 4u);
   EXPECT_EQ(table.Find(0), 1u);
   EXPECT_EQ(table.Find(kMax), 2u);
-  EXPECT_EQ(table.Find(kMax - 1), data::FlatKeyTable::kNone);
-  EXPECT_EQ(table.Find(6), data::FlatKeyTable::kNone);
+  EXPECT_EQ(table.Find(kMax - 1), FlatKeyTable::kNone);
+  EXPECT_EQ(table.Find(6), FlatKeyTable::kNone);
 }
 
 TEST(FlatKeyTableTest, EmptyAndOneKeyTables) {
-  data::FlatKeyTable empty(0);
+  FlatKeyTable empty(0);
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_EQ(empty.capacity(), 0u);  // nothing allocated until an insert
-  EXPECT_EQ(empty.Find(0), data::FlatKeyTable::kNone);
-  EXPECT_EQ(empty.Find(~uint64_t{0}), data::FlatKeyTable::kNone);
+  EXPECT_EQ(empty.Find(0), FlatKeyTable::kNone);
+  EXPECT_EQ(empty.Find(~uint64_t{0}), FlatKeyTable::kNone);
   EXPECT_EQ(empty.Insert(3), 0u);  // grows on demand
   EXPECT_EQ(empty.Find(3), 0u);
 
-  data::FlatKeyTable one(1);
+  FlatKeyTable one(1);
   EXPECT_GE(one.capacity(), 2u);
-  EXPECT_EQ(one.Find(9), data::FlatKeyTable::kNone);
+  EXPECT_EQ(one.Find(9), FlatKeyTable::kNone);
   EXPECT_EQ(one.Insert(9), 0u);
   EXPECT_EQ(one.Find(9), 0u);
-  EXPECT_EQ(one.Find(10), data::FlatKeyTable::kNone);
+  EXPECT_EQ(one.Find(10), FlatKeyTable::kNone);
 }
 
 TEST(FlatKeyTableTest, ForcedEqualHashesKeepDistinctGroups) {
@@ -501,7 +501,7 @@ TEST(FlatKeyTableTest, ForcedEqualHashesKeepDistinctGroups) {
   // `same` tells them apart. A collision must never merge two tuples.
   const std::vector<std::vector<uint32_t>> tuples = {
       {1, 2, 3}, {1, 2, 4}, {0, 0, 0}, {~0u, ~0u, ~0u}};
-  data::FlatKeyTable table(tuples.size());
+  FlatKeyTable table(tuples.size());
   std::vector<size_t> tuple_of;  // group -> index into `tuples`
   auto same_as = [&](const std::vector<uint32_t>& t) {
     return [&](uint32_t g) { return tuples[tuple_of[g]] == t; };
@@ -518,25 +518,25 @@ TEST(FlatKeyTableTest, ForcedEqualHashesKeepDistinctGroups) {
   for (size_t i = 0; i < tuples.size(); ++i) {
     EXPECT_EQ(table.Find(kKey, same_as(tuples[i])), i);
   }
-  EXPECT_EQ(table.Find(kKey, same_as({1, 2, 5})), data::FlatKeyTable::kNone);
+  EXPECT_EQ(table.Find(kKey, same_as({1, 2, 5})), FlatKeyTable::kNone);
   EXPECT_EQ(table.Find(kKey + 1, same_as(tuples[0])),
-            data::FlatKeyTable::kNone);
+            FlatKeyTable::kNone);
 }
 
 TEST(FlatKeyTableTest, ProbeRunsWrapAroundAndSurviveGrowth) {
   // Four keys whose home is the last slot of an 8-slot table fill slots
   // 7, 0, 1, 2: a probe run across the wrap-around.
-  data::FlatKeyTable table(4);
+  FlatKeyTable table(4);
   ASSERT_EQ(table.capacity(), 8u);
   std::vector<uint64_t> last_slot;
   for (uint64_t k = 0; last_slot.size() < 6; ++k) {
-    if ((data::FlatKeyTable::Mix(k) & 7) == 7) last_slot.push_back(k);
+    if ((FlatKeyTable::Mix(k) & 7) == 7) last_slot.push_back(k);
   }
   for (uint32_t i = 0; i < 4; ++i) EXPECT_EQ(table.Insert(last_slot[i]), i);
   EXPECT_EQ(table.capacity(), 8u);  // no growth at half load
   for (uint32_t i = 0; i < 4; ++i) EXPECT_EQ(table.Find(last_slot[i]), i);
   // An absent key with the same home walks the whole run to slot 3.
-  EXPECT_EQ(table.Find(last_slot[4]), data::FlatKeyTable::kNone);
+  EXPECT_EQ(table.Find(last_slot[4]), FlatKeyTable::kNone);
 
   // Growth rehashes every key and keeps its group id.
   EXPECT_EQ(table.Insert(last_slot[4]), 4u);
@@ -548,17 +548,17 @@ TEST(FlatKeyTableTest, ProbeRunsWrapAroundAndSurviveGrowth) {
   }
   EXPECT_GE(table.capacity(), 2 * keys.size());
   for (size_t g = 0; g < keys.size(); ++g) EXPECT_EQ(table.Find(keys[g]), g);
-  EXPECT_EQ(table.Find(last_slot[5]), data::FlatKeyTable::kNone);
+  EXPECT_EQ(table.Find(last_slot[5]), FlatKeyTable::kNone);
 }
 
 TEST(FlatKeyTableTest, DenseSmallKeysSpreadOverTheTable) {
   // One-column keys are dense value ids; unmixed they would fill one run.
-  data::FlatKeyTable table(1 << 12);
+  FlatKeyTable table(1 << 12);
   for (uint64_t k = 0; k < (1 << 12); ++k) table.Insert(k);
   std::vector<bool> used(table.capacity());
   size_t longest = 0, run = 0;
   for (uint64_t k = 0; k < (1 << 12); ++k) {
-    used[data::FlatKeyTable::Mix(k) & (table.capacity() - 1)] = true;
+    used[FlatKeyTable::Mix(k) & (table.capacity() - 1)] = true;
   }
   for (bool u : used) {
     run = u ? run + 1 : 0;
