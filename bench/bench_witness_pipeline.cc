@@ -328,19 +328,19 @@ struct OracleCase {
 constexpr OracleCase kOracleCases[] = {
     {"guarded", "T(x,y) -> E(y,z), E(z,x).",
      "E(x0,x3), T(x3,x2), T(x1,x3), E(x0,x2)",
-     "E(x0,x3), T(x3,x2), T(x1,x3), E(x4,x2)", 1e9},
+     "E(x0,x3), T(x3,x2), T(x1,x3), E(x4,x2)", 44},
     {"nr", "B1(x,y), B2(y,z) -> B3(z,x).",
      "B3(x0,x1), B2(x2,x1), B2(x3,x2), B1(x1,x3)",
-     "B1(x1,x3), B2(x3,x2), B2(x2,x1), B3(x0,x4)", 1e9},
+     "B1(x1,x3), B2(x3,x2), B2(x2,x1), B3(x0,x4)", 36},
     {"sticky", "R(x,y), P(y,z) -> P(y,x).",
      "R(x3,x2), P(x1,x3), P(x2,x0), R(x3,x0)",
-     "R(x3,x2), P(x2,x0), P(x1,x3), R(x4,x0)", 1e9},
+     "R(x3,x2), P(x2,x0), P(x1,x3), R(x4,x0)", 33},
     {"egd", "R(a,b), R(a,c) -> b = c.",
      "E(x0,x3), R(x2,x0), E(x2,x3), R(x0,x3)",
-     "R(x2,x0), R(x2,x1), E(x0,x3), E(x1,x3)", 1e9},
+     "R(x2,x0), R(x2,x1), E(x0,x3), E(x1,x3)", 34},
     {"chase-free", "E(x,y) -> F(x,y).",
      "E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x4), E(x4,x0)",
-     "E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x0)", 1e9},
+     "E(x0,x1), E(x1,x2), E(x2,x3), E(x3,x0)", 0},
 };
 
 /// Returns the number of rows above their allocation ceiling (0 when not
@@ -382,8 +382,11 @@ int OracleRows(bench::JsonReport* report, bool gate) {
       if (best_ns < 0 || ns < best_ns) best_ns = ns;
     }
     double per_call = static_cast<double>(allocations) / kCalls;
-    table.AddRow({c.name, ToString(answer), std::to_string(best_ns),
-                  std::to_string(per_call), std::to_string(c.max_allocations)});
+    char ns[32], allocs[32], ceiling[32];
+    std::snprintf(ns, sizeof(ns), "%.0f", best_ns);
+    std::snprintf(allocs, sizeof(allocs), "%.2f", per_call);
+    std::snprintf(ceiling, sizeof(ceiling), "%.0f", c.max_allocations);
+    table.AddRow({c.name, ToString(answer), ns, allocs, ceiling});
     report->AddRow(
         "oracle",
         {{"schema", bench::JsonReport::Str(c.name)},

@@ -10,11 +10,6 @@ constexpr size_t kMinReserve = 16;
 constexpr size_t kMinBuckets = 32;
 }  // namespace
 
-uint32_t Instance::FindAtom(const Atom& atom) const {
-  return atom_ids_.Find(AtomHash{}(atom),
-                        [&](uint32_t g) { return atoms_[g] == atom; });
-}
-
 bool Instance::Insert(Atom&& atom) {
   // A new atom's group id is its index: groups are handed out in order.
   uint32_t g = atom_ids_.Insert(AtomHash{}(atom),
@@ -78,7 +73,9 @@ void Instance::IndexAtom(uint32_t idx) {
 }
 
 bool Instance::Contains(const Atom& atom) const {
-  return FindAtom(atom) != FlatKeyTable::kNone;
+  return atom_ids_.Find(AtomHash{}(atom), [&](uint32_t g) {
+           return atoms_[g] == atom;
+         }) != FlatKeyTable::kNone;
 }
 
 const std::vector<uint32_t>& Instance::AtomsOf(Predicate pred) const {

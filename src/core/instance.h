@@ -98,8 +98,6 @@ class Instance {
   };
   static constexpr uint32_t kAllPositions = 0xffffffffu;
 
-  /// The atom's index, or FlatKeyTable::kNone.
-  uint32_t FindAtom(const Atom& atom) const;
   const std::vector<uint32_t>* Bucket(const IndexKey& key) const;
   void AddToBucket(const IndexKey& key, uint32_t idx);
   void IndexAtom(uint32_t idx);

@@ -47,13 +47,15 @@ void ParallelSearchPool::AdvanceCommits() {
       ++commit_next_;
       continue;
     }
-    // The sequential search runs out of budget inside this unit: its
-    // (budget + 1)-th visit attempt lands here. The unit contributes at
-    // most `allowance` countable visits before the truncating attempt.
+    // Either a cancel stopped the search inside this unit, after the
+    // visits the unit made, or the sequential search runs out of budget
+    // here: its (budget + 1)-th visit attempt lands in this unit, which
+    // contributes at most `allowance` countable visits before it.
+    const bool cut = o.cancelled && o.visits <= allowance;
     result_.truncated = true;
     result_.final_unit = commit_next_;
-    result_.final_unit_cutoff = allowance;
-    result_.official_visits = budget_ + 1;
+    result_.final_unit_cutoff = cut ? o.visits : allowance;
+    result_.official_visits = cut ? committed + o.visits : budget_ + 1;
     result_.committed_units = commit_next_;
     finalized_ = true;
     stopped_.store(true, std::memory_order_relaxed);

@@ -32,9 +32,11 @@
 ///  * Commit walks units in index order, carrying `committed` (visits
 ///    charged so far). Unit u's allowance is a_u = budget - committed.
 ///    A YES at local visit y <= a_u wins (official visits committed + y);
-///    an exhausted unit with visits <= a_u commits in full; anything else
-///    is exactly where the preorder search runs out of budget (official
-///    visits budget + 1, truncated).
+///    an exhausted unit with visits <= a_u commits in full; a cancelled
+///    unit with visits v <= a_u is where the search stopped (official
+///    visits committed + v, truncated); anything else is exactly where the
+///    preorder search runs out of budget (official visits budget + 1,
+///    truncated).
 ///  * Workers cap speculative exploration at Cap() = budget - committed
 ///    (a relaxed read). Because commits only ever grow `committed`,
 ///    Cap-at-poll >= the unit's final allowance — a capped unit has
@@ -75,6 +77,9 @@ struct SearchUnitOutcome {
   uint64_t visits = 0;
   /// The unit's whole subtree was explored (not capped, not cancelled).
   bool exhausted = false;
+  /// The decision's token stopped the unit (a deadline or a cancel, not
+  /// the cap): `visits` are the visits it made before it stopped.
+  bool cancelled = false;
   /// A witness was found inside the unit, at local visit `found_at`
   /// (1-based). The runner stops the unit at the find.
   bool found = false;
@@ -127,11 +132,12 @@ class ParallelSearchPool {
     /// (truncated); kNoUnit when every unit committed.
     size_t final_unit = kNoUnit;
     /// Local-visit cutoff inside final_unit: found_at for a win, the
-    /// unit's allowance for a truncation. Callers replay per-unit test
+    /// unit's allowance for a budget truncation, its visits for a cancel. Callers replay per-unit test
     /// events up to this cutoff to reconstruct preorder counters.
     uint64_t final_unit_cutoff = 0;
-    /// Total visits the preorder search reports (budget + 1 on
-    /// truncation, mirroring the post-increment budget check).
+    /// Total visits the preorder search reports (budget + 1 on a budget
+    /// truncation, mirroring the post-increment budget check; the visits
+    /// made when a cancel cut the search).
     uint64_t official_visits = 0;
 
     /// Whether local visit `visit` of `unit` lies in the official prefix.

@@ -389,6 +389,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
            {"extends", static_cast<int64_t>(exhaustive.hom.extends)},
            {"repairs", static_cast<int64_t>(exhaustive.hom.repairs)},
            {"repair_fails", static_cast<int64_t>(exhaustive.hom.repair_fails)},
+           {"repair_steps", static_cast<int64_t>(exhaustive.hom.repair_steps)},
            {"dead_prefix",
             static_cast<int64_t>(exhaustive.hom.dead_prefix)}});
     }

@@ -112,6 +112,13 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
       }
     }
     if (chase_free_) {
+      for (uint32_t i = 0; i < q.body().size(); ++i) {
+        Predicate p = q.body()[i].predicate();
+        auto it = std::find_if(q_atoms_of_.begin(), q_atoms_of_.end(),
+                               [p](const auto& e) { return e.first == p; });
+        if (it == q_atoms_of_.end()) it = q_atoms_of_.insert(it, {p, {}});
+        it->second.push_back(i);
+      }
       chase_free_q_.Compile(q.body(), {});
       std::vector<Term> head_bound(chase_free_q_.slot_term.size());
       for (Term h : q.head()) {
@@ -199,10 +206,12 @@ Tri ContainmentOracle::DecideChaseFree(
   }
   const std::vector<Atom>& body = candidate.body();
   base.resize(q_.body().size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    base[i].clear();
-    for (uint32_t j = 0; j < body.size(); ++j) {
-      if (body[j].predicate() == q_.body()[i].predicate()) base[i].push_back(j);
+  for (std::vector<uint32_t>& list : base) list.clear();
+  for (uint32_t j = 0; j < body.size(); ++j) {
+    for (const auto& [pred, q_atoms] : q_atoms_of_) {
+      if (pred != body[j].predicate()) continue;
+      for (uint32_t i : q_atoms) base[i].push_back(j);
+      break;
     }
   }
   CandidateBodyTarget target{chase_free_q_, body, base};
@@ -414,6 +423,7 @@ class UnitWorker {
     ctx_ = &ctx;
     visits_ = 0;
     truncated_ = false;
+    cancelled_ = false;
     found_ = false;
   }
 
@@ -428,7 +438,7 @@ class UnitWorker {
     }
     ++visits_;
     if (cancel_ != nullptr && cancel_->Poll()) {
-      truncated_ = true;
+      truncated_ = cancelled_ = true;
       return false;
     }
     return true;
@@ -464,11 +474,14 @@ class UnitWorker {
     // answer (kUnknown reads as "not contained"), so the unit never counts
     // as exhausted; and the decision aborts, whatever tripped the token.
     if (cancel_ != nullptr && child_.triggered()) {
+      // A unit the cap stopped first stays a budget truncation.
+      cancelled_ = cancelled_ || !truncated_;
       truncated_ = true;
       parent_->RequestCancel();
     }
     SearchUnitOutcome out;
     out.visits = visits_;
+    out.cancelled = cancelled_;
     out.found = found_;
     out.found_at = found_ ? found_at_ : 0;
     out.exhausted = !found_ && !truncated_;
@@ -484,6 +497,7 @@ class UnitWorker {
   ParallelSearchPool::WorkerContext* ctx_ = nullptr;
   uint64_t visits_ = 0;
   bool truncated_ = false;
+  bool cancelled_ = false;  // the token, not the cap, stopped the unit
   bool found_ = false;
 
  private:

@@ -7,6 +7,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "acyclic/classify.h"
@@ -126,6 +127,9 @@ class ContainmentOracle {
   hom::CompiledTerms chase_free_q_;
   std::vector<uint32_t> chase_free_order_;
   std::vector<uint32_t> chase_free_head_;
+  /// Each distinct predicate of q with the indices of its q atoms, so one
+  /// pass over a candidate body fills every q atom's base list.
+  std::vector<std::pair<Predicate, std::vector<uint32_t>>> q_atoms_of_;
   std::vector<std::unordered_set<uint32_t>> q_pred_sources_;
 };
 

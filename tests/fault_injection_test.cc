@@ -6,6 +6,7 @@
 
 #include "core/canonical.h"
 #include "core/interrupt.h"
+#include "core/obs.h"
 #include "core/parser.h"
 #include "gen/generators.h"
 #include "semacyc/engine.h"
@@ -319,6 +320,38 @@ TEST(FaultInjectionTest, SpecArmedFailpointFires) {
   CancelToken token;
   SemAcResult r = engine.Decide(engine.Prepare(gen.CycleQuery(4)), &token);
   ExpectAborted(r);
+}
+
+/// A cancel that cuts the witness search is not a budget truncation: the
+/// ENUMERATE span reports the visits the search made before the token
+/// fired, where it used to report the whole budget plus one.
+TEST(FaultInjectionTest, CancelledSearchReportsTheVisitsItMade) {
+  DisarmOnExit cleanup;
+  auto& reg = FailpointRegistry::Global();
+  obs::CollectingSink sink;
+  SemAcOptions options = SweepOptions();
+  options.trace_sink = &sink;
+  // No witness exists within the sweep budgets: the exhaustive search
+  // runs far past 100 visits.
+  Engine engine(MustParseDependencySet("T(x,y) -> E(y,z), E(z,x)"), options);
+  PreparedQuery pq =
+      engine.Prepare(MustParseQuery("T(x0,x2), E(x2,x1), E(x0,x1)"));
+  reg.Arm("exhaustive.visit", FailpointAction::kCancel, 100);
+  CancelToken token;
+  ExpectAborted(engine.Decide(pq, &token));
+  ASSERT_TRUE(reg.Fired("exhaustive.visit"));
+  std::vector<obs::DecisionTrace> traces = sink.Take();
+  ASSERT_EQ(traces.size(), 1u);
+  int64_t visits = -1;
+  for (const obs::Span& span : traces[0].spans) {
+    if (span.phase != obs::Phase::kEnumerate) continue;
+    for (const obs::SpanCounter& c : span.counters) {
+      if (std::string(c.name) == "visits") visits = c.value;
+    }
+  }
+  // The 100th visit requests the cancel and its own poll observes it.
+  EXPECT_EQ(visits, 100);
+  EXPECT_LT(visits, static_cast<int64_t>(options.exhaustive_budget));
 }
 
 #endif  // SEMACYC_FAILPOINTS_ENABLED
