@@ -163,7 +163,6 @@ struct Scratch {
   std::vector<uint32_t> order;
   std::vector<uint32_t> undo;
   std::vector<char> bound;
-  std::vector<size_t> base_size;
 };
 
 /// Most-constrained-first order of `target`'s first `num_atoms` atoms,
@@ -178,19 +177,14 @@ void OrderAtoms(const Target& target, size_t num_atoms,
   bound.resize(binding.size());
   for (size_t s = 0; s < bound.size(); ++s) bound[s] = binding[s] != unbound;
   std::vector<uint32_t>& order = scratch->order;
-  std::vector<size_t>& base_size = scratch->base_size;
   order.resize(num_atoms);
-  base_size.resize(num_atoms);
-  for (size_t i = 0; i < num_atoms; ++i) {
-    order[i] = static_cast<uint32_t>(i);
-    base_size[i] = target.Base(static_cast<uint32_t>(i)).size;
-  }
+  for (size_t i = 0; i < num_atoms; ++i) order[i] = static_cast<uint32_t>(i);
   for (size_t step = 0; step < num_atoms; ++step) {
     size_t best = step;
     int64_t best_score = 0;
     for (size_t k = step; k < num_atoms; ++k) {
       const CompiledAtom<Value> atom = target.AtomAt(order[k]);
-      int64_t score = -static_cast<int64_t>(base_size[order[k]]);
+      int64_t score = -static_cast<int64_t>(target.Base(order[k]).size);
       for (size_t pos = 0; pos < atom.arity; ++pos) {
         uint32_t s = atom.slot[pos];
         if (s == kGround || bound[s]) score += 1000000;
