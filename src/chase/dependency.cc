@@ -231,8 +231,19 @@ DepKind ParseOneDependency(Lexer* lexer, Tgd* tgd, Egd* egd,
       *error = "expected variable after '='";
       return DepKind::kError;
     }
-    *egd = Egd(std::move(body), Term::Variable(first.text),
-               Term::Variable(rhs.text));
+    Term lhs_var = Term::Variable(first.text);
+    Term rhs_var = Term::Variable(rhs.text);
+    // An equated variable the body does not bind would have the egd chase
+    // merge two terms no atom holds, in every round, and never end.
+    for (Term v : {lhs_var, rhs_var}) {
+      if (std::none_of(body.begin(), body.end(),
+                       [v](const Atom& a) { return a.Mentions(v); })) {
+        *error = "egd variable '" + v.ToString() +
+                 "' does not occur in the body";
+        return DepKind::kError;
+      }
+    }
+    *egd = Egd(std::move(body), lhs_var, rhs_var);
     return DepKind::kEgd;
   }
   // Tgd: re-parse the head atom list; we already consumed the predicate

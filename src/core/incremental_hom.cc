@@ -1,7 +1,7 @@
 #include "core/incremental_hom.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace semacyc {
 
@@ -9,40 +9,24 @@ IncrementalHomomorphism::IncrementalHomomorphism(const Instance& target)
     : target_(&target) {
   // Dense interning: one hash per distinct target term, once per session,
   // so the per-push tuple scans and the repair search run on integer
-  // arrays only.
+  // arrays only. A term's group id is its dense id.
   const std::vector<Atom>& atoms = target.atoms();
   tuple_start_.reserve(atoms.size() + 1);
   tuple_start_.push_back(0);
-  // Bucket table entries, one per argument: (key << 32 | value, tuple).
-  std::vector<std::pair<uint64_t, uint32_t>> entries;
-  uint32_t num_keys = 0;
-  for (uint32_t i = 0; i < atoms.size(); ++i) {
-    const Atom& a = atoms[i];
-    auto [key, new_pred] = key_of_pred_.emplace(a.predicate().id(), num_keys);
-    if (new_pred) num_keys += static_cast<uint32_t>(a.arity());
-    for (size_t pos = 0; pos < a.arity(); ++pos) {
-      auto [it, inserted] = dense_of_.emplace(
-          a.arg(pos), static_cast<uint32_t>(dense_terms_.size()));
-      if (inserted) dense_terms_.push_back(a.arg(pos));
-      dense_args_.push_back(it->second);
-      uint64_t bucket = key->second + static_cast<uint32_t>(pos);
-      entries.emplace_back(bucket << 32 | it->second, i);
+  for (const Atom& a : atoms) {
+    for (Term t : a.args()) {
+      uint32_t d = dense_of_.Insert(t.raw_bits());
+      if (d == dense_terms_.size()) dense_terms_.push_back(t);
+      dense_args_.push_back(d);
     }
     tuple_start_.push_back(static_cast<uint32_t>(dense_args_.size()));
   }
-  std::sort(entries.begin(), entries.end());
-  for (const auto& [bucket, tuple] : entries) {
-    bucket_of_.push_back(bucket);
-    bucket_tuple_.push_back(tuple);
-  }
 }
 
-hom::TupleSpan IncrementalHomomorphism::Bucket(uint32_t key,
-                                               uint32_t value) const {
-  auto [lo, hi] = std::equal_range(bucket_of_.begin(), bucket_of_.end(),
-                                   uint64_t{key} << 32 | value);
-  return {bucket_tuple_.data() + (lo - bucket_of_.begin()),
-          static_cast<size_t>(hi - lo)};
+hom::TupleSpan IncrementalHomomorphism::Bucket(Predicate pred, size_t pos,
+                                               uint32_t dense) const {
+  if (dense == kNoDense) return {};
+  return hom::SpanOf(target_->FindCandidates(pred, pos, dense_terms_[dense]));
 }
 
 void IncrementalHomomorphism::Reset(const Substitution& fixed) {
@@ -56,12 +40,12 @@ void IncrementalHomomorphism::Reset(const Substitution& fixed) {
     // A fixed image outside the target has an empty domain: any atom
     // mentioning the seed is then refuted by the scan, which is exact —
     // but the empty conjunction still maps, so found_ stays true here.
-    auto it = dense_of_.find(dst);
-    if (it == dense_of_.end()) continue;
-    v.values.push_back(it->second);
-    v.where[it->second] = 1;
+    uint32_t d = dense_of_.Find(dst.raw_bits());
+    if (d == kNoDense) continue;
+    v.values.push_back(d);
+    v.where[d] = 1;
     v.active = 1;
-    v.bound = it->second;
+    v.bound = d;
   }
 }
 
@@ -111,8 +95,9 @@ void IncrementalHomomorphism::ShrinkDomain(uint32_t var_id, Level* level,
 }
 
 /// The repair's view of the search: levels are the source atoms, their
-/// cached compatible tuples the base lists, the dense bucket table the
-/// index and the current domains the per-variable filter.
+/// cached compatible tuples the base lists, the target Instance's
+/// (predicate, position, term) buckets the index and the current domains
+/// the per-variable filter.
 struct IncrementalHomomorphism::RepairTarget {
   IncrementalHomomorphism* self;
 
@@ -122,7 +107,7 @@ struct IncrementalHomomorphism::RepairTarget {
   }
   hom::TupleSpan Base(uint32_t i) const { return hom::SpanOf(&at(i).tuples); }
   hom::TupleSpan Bucket(uint32_t i, size_t pos, uint32_t value) const {
-    return self->Bucket(at(i).key_base + static_cast<uint32_t>(pos), value);
+    return self->Bucket(at(i).pred, pos, value);
   }
   uint32_t Arg(uint32_t tuple, size_t pos) const {
     return self->dense_args_[self->tuple_start_[tuple] + pos];
@@ -188,8 +173,7 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
   }
 
   const size_t arity = atom.arity();
-  auto key = key_of_pred_.find(atom.predicate().id());
-  level.key_base = key == key_of_pred_.end() ? 0 : key->second;
+  level.pred = atom.predicate();
 
   // Slot assembly: one slot per distinct mappable term of the atom. Terms
   // already interned (earlier atoms or fixed seeds — fixed constants count)
@@ -211,8 +195,7 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
     } else {
       // Ground: the position must carry exactly this term (a term outside
       // the target keeps the kNoDense sentinel and matches no tuple).
-      auto dense = dense_of_.find(t);
-      if (dense != dense_of_.end()) level.ground[i] = dense->second;
+      level.ground[i] = dense_of_.Find(t.raw_bits());
       continue;
     }
     int slot = -1;
@@ -257,13 +240,13 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
     probe_buckets_.clear();
     if (slot < 0) {
       // A term outside the target (kNoDense) has an empty bucket.
-      probe_buckets_.push_back(Bucket(level.key_base + i, level.ground[i]));
+      probe_buckets_.push_back(Bucket(level.pred, i, level.ground[i]));
     } else {
       const SlotScratch& sl = slots_[static_cast<size_t>(slot)];
       const VarState& v = vars_[sl.var];
       if (sl.fresh || v.active > kMaxProbeValues) continue;
       for (size_t k = 0; k < v.active; ++k) {
-        probe_buckets_.push_back(Bucket(level.key_base + i, v.values[k]));
+        probe_buckets_.push_back(Bucket(level.pred, i, v.values[k]));
       }
     }
     size_t sum = 0;

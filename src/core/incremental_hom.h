@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/flat_table.h"
 #include "core/homomorphism.h"
 #include "core/instance.h"
 #include "core/interrupt.h"
@@ -43,12 +44,11 @@ namespace semacyc {
 ///    backtracking search run over all pushed atoms (earlier choices may
 ///    need revision). It is the one compiled search of core/homomorphism
 ///    (hom::HomSearch): each level's cached compatible-tuple list is its
-///    base list, a dense (predicate, position, value) bucket table built
-///    at construction narrows every bound or ground position, and domain
-///    membership filters each binding. Its outcome is exact; a failure is
-///    remembered, and — homomorphisms being closed under restriction to a
-///    sub-conjunction — deeper pushes under a failed prefix are refuted
-///    for free.
+///    base list, the target Instance's (predicate, position, term) buckets
+///    narrow every bound or ground position, and domain membership filters
+///    each binding. Its outcome is exact; a failure is remembered, and —
+///    homomorphisms being closed under restriction to a sub-conjunction —
+///    deeper pushes under a failed prefix are refuted for free.
 ///
 /// PopAtom undoes a push exactly: domain shrinkage is trail-based (each
 /// domain is a values array with an active prefix; shrinking swaps
@@ -132,8 +132,10 @@ class IncrementalHomomorphism {
   /// dense — so the per-tuple scan does array arithmetic only, no term
   /// hashing. The sentinel marks "not a target term" (such a ground source
   /// argument can never match) and "unbound"; it is hom::kGround, so a
-  /// level's variable-per-position array is a compiled atom's slot array.
+  /// level's variable-per-position array is a compiled atom's slot array,
+  /// and FlatKeyTable::kNone, so a failed dense_of_ lookup yields it.
   static constexpr uint32_t kNoDense = hom::kGround;
+  static_assert(kNoDense == FlatKeyTable::kNone);
 
   /// Candidate-domain state of one mappable term, over dense target ids.
   /// `values[0..active)` are the live candidates; shrinking permutes
@@ -166,8 +168,8 @@ class IncrementalHomomorphism {
     /// whose dense value is in `ground`.
     std::vector<uint32_t> pos_var;
     std::vector<uint32_t> ground;
-    /// Bucket-table key of (predicate, position 0); position i adds i.
-    uint32_t key_base = 0;
+    /// The pushed atom's predicate, which keys its index buckets.
+    Predicate pred;
     bool saved_found = true;
     /// Push landed on an already-failed prefix: nothing to undo.
     bool dead_prefix = false;
@@ -195,30 +197,24 @@ class IncrementalHomomorphism {
   void ShrinkDomain(uint32_t var_id, Level* level, const SlotScratch& slot);
   /// Exact backtracking search over all pushed atoms (the repair path):
   /// hom::HomSearch over the per-level compatible-tuple lists, narrowed
-  /// by the bucket table, filtered by the domains — no allocation.
+  /// by the target's index, filtered by the domains — no allocation.
   bool Repair();
   struct RepairTarget;
 
-  /// Target tuples whose position of bucket key `key` holds dense `value`,
-  /// ascending.
-  hom::TupleSpan Bucket(uint32_t key, uint32_t value) const;
+  /// The target's atoms of `pred` whose position `pos` holds dense term
+  /// `dense` — the Instance's bucket, so ascending; empty for kNoDense.
+  hom::TupleSpan Bucket(Predicate pred, size_t pos, uint32_t dense) const;
 
   const Instance* target_;
 
   /// Dense interning of the target's terms and tuples (built once; the
-  /// target must not change during the session). Tuple i's values are
+  /// target must not change during the session). dense_of_ maps a term's
+  /// raw bits to its dense id (the group id); tuple i's values are
   /// dense_args_[tuple_start_[i]..).
-  std::unordered_map<Term, uint32_t, TermHash> dense_of_;
+  FlatKeyTable dense_of_;
   std::vector<Term> dense_terms_;
   std::vector<uint32_t> dense_args_;
   std::vector<uint32_t> tuple_start_;
-  /// Dense (predicate, position, value) index. A (predicate, position)
-  /// pair is one bucket key, key_of_pred_[predicate id] + position; one
-  /// entry per target argument, sorted by (key << 32 | value) in
-  /// bucket_of_ and then by tuple, which bucket_tuple_ holds.
-  std::unordered_map<uint32_t, uint32_t> key_of_pred_;
-  std::vector<uint64_t> bucket_of_;
-  std::vector<uint32_t> bucket_tuple_;
 
   /// Pooled variable records; vars_[0..vars_in_use_) are live. Fixed
   /// variables occupy the bottom of the stack and never die.

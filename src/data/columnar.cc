@@ -130,67 +130,33 @@ const std::array<uint8_t, 256>& CharClasses() {
   return table;
 }
 
-/// Open-addressing map from (text, tag) to a 32-bit id, keyed by views
-/// into the text being loaded (which must outlive it). A lookup is one
-/// probe sequence over 24-byte slots and, on a hash match, one memcmp.
-class TextTable {
- public:
+/// (text, tag) keys as FlatKeyTable groups, each with the id `make` gave
+/// it. A key is its FNV-1a hash, and a group matches only its own text and
+/// tag, so a hash collision never merges two keys. The texts are views
+/// into the text being loaded, which must outlive the keys.
+struct TextIds {
+  struct Key {
+    std::string_view text;
+    uint32_t tag;
+    uint32_t id;
+  };
+  FlatKeyTable groups;
+  std::vector<Key> keys;  // per group
+
   /// The id of (text, tag); calls `make()` for the id of a new key.
   template <typename Make>
   uint32_t GetOrAdd(std::string_view text, uint32_t tag, Make make) {
-    if ((size_ + 1) * 2 > slots_.size()) Grow();
-    uint32_t hash = Hash(text, tag);
-    size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      Slot& slot = slots_[i];
-      if (slot.id == kEmpty) {
-        slot = {text.data(), static_cast<uint32_t>(text.size()), hash, tag,
-                make()};
-        ++size_;
-        return slot.id;
-      }
-      // A text of 4 GiB or more never matches its truncated length; it is
-      // added again and `make`, which interns, returns the same id.
-      if (slot.hash == hash && slot.tag == tag && slot.len == text.size() &&
-          std::memcmp(slot.data, text.data(), text.size()) == 0) {
-        return slot.id;
-      }
-    }
-  }
-
- private:
-  static constexpr uint32_t kEmpty = 0xffffffffu;
-  struct Slot {
-    const char* data = nullptr;
-    uint32_t len = 0;
-    uint32_t hash = 0;
-    uint32_t tag = 0;
-    uint32_t id = kEmpty;
-  };
-
-  static uint32_t Hash(std::string_view text, uint32_t tag) {
-    uint64_t h = 0xcbf29ce484222325ull ^ tag;  // FNV-1a
+    uint64_t hash = 0xcbf29ce484222325ull ^ tag;
     for (unsigned char c : text) {
-      h ^= c;
-      h *= 0x100000001b3ull;
+      hash ^= c;
+      hash *= 0x100000001b3ull;
     }
-    return static_cast<uint32_t>(h ^ (h >> 32));
+    uint32_t g = groups.Insert(hash, [&](uint32_t k) {
+      return keys[k].text == text && keys[k].tag == tag;
+    });
+    if (g == keys.size()) keys.push_back({text, tag, make()});
+    return keys[g].id;
   }
-
-  void Grow() {
-    std::vector<Slot> old(std::max<size_t>(64, slots_.size() * 2));
-    old.swap(slots_);
-    size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.id == kEmpty) continue;
-      size_t i = slot.hash & mask;
-      while (slots_[i].id != kEmpty) i = (i + 1) & mask;
-      slots_[i] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
 };
 
 }  // namespace
@@ -200,11 +166,11 @@ class TextTable {
 /// letter or '_' and continues alphanumerically; a constant is a digit run
 /// or a '...' / "..." quoted text (no escapes), keyed by its text alone, so
 /// 42, '42' and "42" are one constant; any isspace character separates
-/// tokens, and
-/// '%' outside quotes ends the line. Each distinct (name, arity) reaches
-/// Predicate::Get once and each distinct constant text reaches
-/// Term::Constant and Intern once per load; every later occurrence is one
-/// TextTable lookup.
+/// tokens, and '%' outside quotes ends the line. Constant texts and
+/// (name, arity) pairs are TextIds keys, views into the loaded text. Each
+/// distinct constant reaches Term::Constant and Intern once per load, each
+/// distinct (name, arity) Predicate::Get and RelationFor; every later
+/// occurrence is one FlatKeyTable probe and one comparison of the views.
 class ColumnarInstance::FactScanner {
  public:
   explicit FactScanner(ColumnarInstance* out) : out_(out) {}
@@ -308,8 +274,8 @@ class ColumnarInstance::FactScanner {
   std::string_view line_;
   size_t pos_ = 0;
   std::vector<uint32_t> args_;  // value ids of the atom being scanned
-  TextTable values_;            // constant text -> value id
-  TextTable predicates_;        // (name, arity) -> index in relations_
+  TextIds values_;              // constant text -> value id
+  TextIds predicates_;          // (name, arity) -> index in relations_
 };
 
 std::optional<ColumnarInstance> ColumnarInstance::FromText(

@@ -196,10 +196,79 @@ TEST(IncrementalHomTest, RepeatedVariableAndGroundEdgeCases) {
   EXPECT_EQ(hom.Witness().at(x), Term::Constant("elsewhere"));
 }
 
+TEST(IncrementalHomTest, RandomWalkOverATargetRebuiltByReplaceTerm) {
+  // The egd chase merges terms with Instance::ReplaceTerm, which rebuilds
+  // the (predicate, position, term) index the session's buckets are read
+  // from; merged atoms collapse, so atom ids shift.
+  Predicate e = Predicate::Get("RtE", 2);
+  Predicate f = Predicate::Get("RtF", 2);
+  Term a = Term::Constant("rta");
+  Term b = Term::Constant("rtb");
+  Term c = Term::Constant("rtc");
+  Term n1 = Term::FreshNull();
+  Term n2 = Term::FreshNull();
+  Term n3 = Term::FreshNull();
+  Instance target;
+  target.InsertAll({Atom(e, {a, n1}), Atom(e, {a, n2}), Atom(e, {n1, b}),
+                    Atom(e, {n2, b}), Atom(e, {b, n3}), Atom(f, {n2, a}),
+                    Atom(f, {n1, a}), Atom(e, {n3, n3}), Atom(f, {b, b}),
+                    Atom(e, {c, a})});
+  EXPECT_EQ(target.ReplaceTerm(n2, n1), 3u);  // three atoms merge away
+  EXPECT_EQ(target.ReplaceTerm(n3, c), 2u);
+  ASSERT_EQ(target.size(), 7u);
+
+  // Ground arguments: the target's constants, and one it lacks.
+  std::vector<Term> ground = {a, b, c, Term::Constant("rtAbsent")};
+  std::vector<Term> pool;
+  for (int i = 0; i < 4; ++i) {
+    pool.push_back(Term::Variable("rt$" + std::to_string(i)));
+  }
+  Substitution fixed = {{pool[0], a}};
+  std::mt19937_64 rng(61);
+  auto random_atom = [&]() {
+    std::vector<Term> args;
+    for (int i = 0; i < 2; ++i) {
+      args.push_back(rng() % 4 == 0 ? ground[rng() % ground.size()]
+                                    : pool[rng() % pool.size()]);
+    }
+    return Atom(rng() % 2 == 0 ? e : f, std::move(args));
+  };
+
+  IncrementalHomomorphism hom(target);
+  for (int walk = 0; walk < 40; ++walk) {
+    const Substitution& seeds = walk % 2 == 0 ? fixed : Substitution{};
+    hom.Reset(seeds);
+    std::vector<Atom> stack;
+    for (int step = 0; step < 20; ++step) {
+      if (stack.empty() || rng() % 3 != 0) {
+        stack.push_back(random_atom());
+        hom.PushAtom(stack.back());
+      } else {
+        stack.pop_back();
+        hom.PopAtom();
+      }
+      CheckAgainstBatch(hom, stack, target, seeds,
+                        "walk " + std::to_string(walk) + " step " +
+                            std::to_string(step));
+      if (HasFatalFailure()) return;
+    }
+    while (!stack.empty()) {
+      stack.pop_back();
+      hom.PopAtom();
+      CheckAgainstBatch(hom, stack, target, seeds,
+                        "unwind to " + std::to_string(stack.size()));
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(hom.stats().fc_rejects, 0u);
+  EXPECT_GT(hom.stats().extends, 0u);
+  EXPECT_GT(hom.stats().repairs, 0u);
+}
+
 TEST(IncrementalHomTest, FailingRepairIsLinearOnAPath) {
   // A triangle pushed onto a long directed path: forward checking keeps
   // every domain large, the prefix witness cannot close the cycle, and the
-  // repair must refute it. Through the bucket table a bound variable
+  // repair must refute it. Through the target's index a bound variable
   // selects one tuple per level, so the failing repair tries O(n) tuples
   // (a scan of each level's whole tuple list per partial binding would be
   // quadratic).

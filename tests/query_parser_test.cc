@@ -79,6 +79,22 @@ TEST(ParserTest, EgdParses) {
   EXPECT_EQ(egd.rhs(), Term::Variable("z"));
 }
 
+TEST(ParserTest, EgdVariableMissingFromBodyIsRejected) {
+  // Neither d nor e occurs in the body: the egd equates nothing and must
+  // not reach the chase.
+  const char* text = "R(a,b), R(a,c) -> d = e.";
+  ParseResult<Egd> egd = ParseEgd(text);
+  EXPECT_FALSE(egd.ok());
+  EXPECT_NE(egd.error.find("'d'"), std::string::npos) << egd.error;
+  ParseResult<DependencySet> set = ParseDependencySet(text);
+  EXPECT_FALSE(set.ok());
+  EXPECT_NE(set.error.find("'d'"), std::string::npos) << set.error;
+  // Only the right-hand side missing: the error names it.
+  ParseResult<Egd> rhs = ParseEgd("R(a,b), R(a,c) -> b = e");
+  EXPECT_FALSE(rhs.ok());
+  EXPECT_NE(rhs.error.find("'e'"), std::string::npos) << rhs.error;
+}
+
 TEST(ParserTest, DependencySetMixesTgdsAndEgds) {
   DependencySet set = MustParseDependencySet(
       "R(x,y) -> S(y).\n"
