@@ -7,7 +7,7 @@
 //               'Interest(x,z), Class(y,z) -> Owns(x,y).'
 //
 // Batch mode (many queries against one schema file, one JSON line per
-// decision, a single Engine / PreparedSchema shared by every call):
+// decision, a single Engine shared by every call):
 //   semacyc_cli [--stats] [--cache-mb <n>] --batch <schema-file> [<queries-file>]
 // The schema file holds a dependency set ('%' comments allowed); queries
 // come one per line from <queries-file> or stdin (blank lines and '%'

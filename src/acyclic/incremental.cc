@@ -11,46 +11,30 @@ IncrementalClassifier::IncrementalClassifier(AcyclicityClass target)
     : target_(target),
       hereditary_(static_cast<int>(target) >=
                   static_cast<int>(AcyclicityClass::kBeta)),
-      eager_(hereditary_),
       // Any two edges are mutually GYO-reducible (their shared vertices
       // are contained in either one), so α/β violations need >= 3 edges;
       // a γ-cycle needs three distinct edges too. A Berge cycle already
       // exists with two edges sharing two vertices.
       min_violating_edges_(target == AcyclicityClass::kBerge ? 2 : 3) {}
 
-int IncrementalClassifier::Find(int v) const {
-  // No path compression: rollback must be able to restore parents exactly.
-  while (parent_[static_cast<size_t>(v)] != v) {
-    v = parent_[static_cast<size_t>(v)];
-  }
-  return v;
-}
-
 void IncrementalClassifier::EnsureVertex(int v) {
-  while (static_cast<size_t>(v) >= parent_.size()) {
-    parent_.push_back(static_cast<int>(parent_.size()));
-    size_.push_back(1);
-    bad_.push_back(0);
-    edge_count_.push_back(0);
-    dense_id_.push_back(0);
-    dense_epoch_.push_back(0);
+  if (static_cast<size_t>(v) >= dense_id_.size()) {
+    dense_id_.resize(static_cast<size_t>(v) + 1, 0);
+    dense_epoch_.resize(static_cast<size_t>(v) + 1, 0);
   }
 }
 
-bool IncrementalClassifier::ComponentMeets(int root) {
-  if (target_ == AcyclicityClass::kCyclic) return true;
-  // Collect the component's edges and remap its vertices densely (epoch
-  // stamps avoid clearing the map between calls).
+bool IncrementalClassifier::StackMeets() {
+  // Intern the stack's edges with dense vertex ids (epoch stamps avoid
+  // clearing the map between calls).
   ++epoch_;
   int next_id = 0;
   work_count_ = 0;
   for (size_t f = 0; f < depth_; ++f) {
-    const std::vector<int>& edge = frames_[f].edge;
-    if (edge.empty() || Find(edge[0]) != root) continue;
     if (work_count_ == work_sets_.size()) work_sets_.emplace_back();
     std::vector<int>& verts = work_sets_[work_count_++];
     verts.clear();
-    for (int v : edge) {
+    for (int v : edges_[f]) {
       if (dense_epoch_[static_cast<size_t>(v)] != epoch_) {
         dense_epoch_[static_cast<size_t>(v)] = epoch_;
         dense_id_[static_cast<size_t>(v)] = next_id++;
@@ -69,7 +53,7 @@ bool IncrementalClassifier::LazyMeets() {
   // clearing the id map between calls); the path's vertex occurrences
   // bound its distinct vertices, hence the words a mask needs.
   size_t occurrences = 0;
-  for (size_t f = 0; f < depth_; ++f) occurrences += frames_[f].edge.size();
+  for (size_t f = 0; f < depth_; ++f) occurrences += edges_[f].size();
   const size_t words = std::max<size_t>(1, (occurrences + 63) / 64);
   // Edge masks, then the two masks BitsetAlpha counts alive edges into.
   scr_masks_.resize((depth_ + 2) * words);
@@ -78,7 +62,7 @@ bool IncrementalClassifier::LazyMeets() {
   int nv = 0;
   for (size_t f = 0; f < depth_; ++f) {
     uint64_t* mask = &scr_masks_[f * words];
-    for (int v : frames_[f].edge) {
+    for (int v : edges_[f]) {
       const size_t u = static_cast<size_t>(v);
       if (dense_epoch_[u] != epoch_) {
         dense_epoch_[u] = epoch_;
@@ -155,7 +139,7 @@ bool IncrementalClassifier::ScratchMeets(int nv) {
   switch (target_) {
     case AcyclicityClass::kCyclic:
     case AcyclicityClass::kAlpha:
-      // Lazy targets: verdicts come from LazyMeets, never per component.
+      // Lazy targets: verdicts come from LazyMeets.
       return true;
     case AcyclicityClass::kBeta:
       return ScratchBeta(nv);
@@ -298,103 +282,48 @@ bool IncrementalClassifier::ScratchBerge(int nv) {
 
 bool IncrementalClassifier::PushEdge(const std::vector<int>& verts) {
   ++pushes_;
-  const bool skip_decider = CannotRecover();
-  if (depth_ == frames_.size()) frames_.emplace_back();
-  Frame& f = frames_[depth_];
+  if (depth_ == edges_.size()) edges_.emplace_back();
+  std::vector<int>& edge = edges_[depth_];
   ++depth_;
-  f.edge.assign(verts.begin(), verts.end());
-  f.unions.clear();
-  f.old_roots.clear();
-  f.new_root = -1;
-  f.new_bad = 0;
-  for (int v : f.edge) {
+  edge.assign(verts.begin(), verts.end());
+  for (int v : edge) {
     assert(v >= 0);
     EnsureVertex(v);
   }
   // Lazy targets keep only the edge stack; verdicts are computed on
   // demand in Meets().
-  if (!eager_) return true;
-  std::sort(f.edge.begin(), f.edge.end());
-  f.edge.erase(std::unique(f.edge.begin(), f.edge.end()), f.edge.end());
+  if (!hereditary_) return true;
+  std::sort(edge.begin(), edge.end());
+  edge.erase(std::unique(edge.begin(), edge.end()), edge.end());
+  // Once violated, every deeper stack is a superset and stays violated.
+  if (violated_at_ == 0 &&
+      depth_ >= static_cast<size_t>(min_violating_edges_) && MayCloseCycle() &&
+      !StackMeets()) {
+    violated_at_ = depth_;
+  }
+  return violated_at_ == 0;
+}
 
-  // An empty edge (an atom with no connecting terms) is its own trivial
-  // component and satisfies every class — even as a duplicate.
-  if (f.edge.empty()) return Meets();
-
-  // Distinct pre-push roots among the edge's vertices, with their state.
-  int merged_edges = 1;
-  for (int v : f.edge) {
-    int r = Find(v);
-    bool seen = false;
-    for (const RootState& s : f.old_roots) {
-      if (s.root == r) {
-        seen = true;
+bool IncrementalClassifier::MayCloseCycle() const {
+  // The stack below met the target, so a violation now is a β-, γ- or
+  // Berge cycle through the top edge: the cycle enters and leaves it
+  // through two distinct vertices that lie in other edges.
+  int shared = 0;
+  for (int v : edges_[depth_ - 1]) {
+    for (size_t f = 0; f + 1 < depth_; ++f) {
+      if (std::binary_search(edges_[f].begin(), edges_[f].end(), v)) {
+        if (++shared == 2) return true;
         break;
       }
     }
-    if (seen) continue;
-    f.old_roots.push_back({r, bad_[static_cast<size_t>(r)],
-                           edge_count_[static_cast<size_t>(r)]});
-    merged_edges += edge_count_[static_cast<size_t>(r)];
   }
-
-  // Merge everything into one component (union by size, logged).
-  int acc = Find(f.edge[0]);
-  for (size_t i = 1; i < f.edge.size(); ++i) {
-    int r = Find(f.edge[i]);
-    if (r == acc) continue;
-    if (size_[static_cast<size_t>(acc)] < size_[static_cast<size_t>(r)]) {
-      std::swap(acc, r);
-    }
-    parent_[static_cast<size_t>(r)] = acc;
-    size_[static_cast<size_t>(acc)] += size_[static_cast<size_t>(r)];
-    f.unions.push_back({r, acc});
-  }
-  f.new_root = acc;
-
-  if (skip_decider) {
-    // Hereditary target already violated: this frame pops before the
-    // violating one (stack discipline), so the merged component's verdict
-    // is only needed for consistent accounting — and hereditarily, a
-    // component absorbing a bad one stays bad.
-    for (const RootState& s : f.old_roots) {
-      if (s.bad) f.new_bad = 1;
-    }
-  } else if (merged_edges < min_violating_edges_) {
-    // Too few edges to contain any cycle of the target kind. (No merged
-    // root can be bad either: bad components run the decider, which needs
-    // at least min_violating_edges_ edges.)
-    f.new_bad = 0;
-  } else {
-    f.new_bad = ComponentMeets(f.new_root) ? 0 : 1;
-  }
-
-  for (const RootState& s : f.old_roots) {
-    if (s.bad) --bad_components_;
-  }
-  bad_[static_cast<size_t>(f.new_root)] = f.new_bad;
-  edge_count_[static_cast<size_t>(f.new_root)] = merged_edges;
-  if (f.new_bad) ++bad_components_;
-  return Meets();
+  return false;
 }
 
 void IncrementalClassifier::PopEdge() {
   assert(depth_ > 0);
   ++pops_;
-  Frame& f = frames_[depth_ - 1];
-  if (!f.edge.empty()) {
-    if (f.new_bad) --bad_components_;
-    for (auto it = f.unions.rbegin(); it != f.unions.rend(); ++it) {
-      const auto& [child, par] = *it;
-      parent_[static_cast<size_t>(child)] = child;
-      size_[static_cast<size_t>(par)] -= size_[static_cast<size_t>(child)];
-    }
-    for (const RootState& s : f.old_roots) {
-      bad_[static_cast<size_t>(s.root)] = s.bad;
-      edge_count_[static_cast<size_t>(s.root)] = s.edge_count;
-      if (s.bad) ++bad_components_;
-    }
-  }
+  if (violated_at_ == depth_) violated_at_ = 0;
   --depth_;
 }
 

@@ -14,27 +14,28 @@ namespace semacyc::acyclic {
 /// search): PushEdge when the DFS descends, PopEdge when it backtracks.
 ///
 /// Invariants exploited:
-///  * Every class decides component-wise, so a push re-runs the target
-///    decider only on the connected component the new edge lands in; all
-///    other components keep their cached verdict.
-///  * Small components cannot violate: any two edges are mutually
-///    GYO-reducible and a γ-cycle needs three distinct edges, so α/β/γ
-///    need no decider run until a component reaches 3 edges (Berge: 2).
-///    This skips the decider for the bulk of DFS pushes.
 ///  * β-, γ- and Berge-acyclicity are *hereditary* (closed under taking a
-///    subset of the edges; Fagin, Brault-Baron), so once the current edge
-///    set violates such a target no extension can recover —
-///    `CannotRecover()` lets the DFS prune the whole subtree, and pushes
-///    made in a violated state skip the decider entirely (the verdict is
-///    forced). α-acyclicity is not hereditary (an edge covering a cycle
-///    repairs it), so for kAlpha `CannotRecover()` is always false, a
-///    push only records the edge, and Meets() decides the whole path on
-///    demand (bitset GYO; paths of fewer than 3 edges need no run).
+///    subset of the edges; Fagin, Brault-Baron), so once the stack
+///    violates such a target every deeper stack does too. The classifier
+///    keeps one number, the depth of the push that first violated the
+///    target (0 while none has): `CannotRecover()` lets the DFS prune the
+///    whole subtree, pushes above that depth skip the decider (the verdict
+///    is forced), and popping that push clears it.
+///  * A push in an unviolated state runs the target decider on the whole
+///    stack (scratch-reusing sweeps; DFS stacks hold a handful of edges),
+///    unless the push cannot have closed a cycle: small stacks cannot
+///    violate (any two edges are mutually GYO-reducible and a γ-cycle
+///    needs three distinct edges, so α/β/γ need no decider run below 3
+///    edges, Berge below 2), and a new cycle runs through the new edge,
+///    which then shares two vertices with the edges below it.
+///  * α-acyclicity is not hereditary (an edge covering a cycle repairs
+///    it), so for kAlpha `CannotRecover()` is always false, a push only
+///    records the edge, and Meets() decides the whole stack on demand
+///    (bitset GYO; stacks of fewer than 3 edges need no run).
 ///
 /// Vertices are caller-chosen non-negative ids; the universe grows on
-/// demand. Connectivity is tracked by a union-find with rollback (union by
-/// size, no path compression), so PopEdge restores the exact prior state.
-/// Frames are pooled: steady-state push/pop cycles allocate nothing.
+/// demand. Edge buffers are pooled: steady-state push/pop cycles allocate
+/// nothing.
 class IncrementalClassifier {
  public:
   explicit IncrementalClassifier(AcyclicityClass target);
@@ -47,17 +48,15 @@ class IncrementalClassifier {
   void PopEdge();
 
   /// True iff the current edge set lies in `target` (or stricter). For
-  /// hereditary targets this is O(1) (maintained eagerly so the DFS can
-  /// prune); for α — where pushes can repair violations, making eager
-  /// maintenance pay on every push for verdicts rarely consulted — it is
-  /// computed on demand over the pushed (pre-interned) edges.
-  bool Meets() {
-    return eager_ ? bad_components_ == 0 : LazyMeets();
-  }
+  /// hereditary targets this is O(1) (decided on push so the DFS can
+  /// prune); for α — where pushes can repair violations, making per-push
+  /// decisions pay for verdicts rarely consulted — it is computed on
+  /// demand over the pushed (pre-interned) edges.
+  bool Meets() { return hereditary_ ? violated_at_ == 0 : LazyMeets(); }
 
   /// True when no extension of the current edge set can reach `target`:
   /// the target is hereditary (kBeta/kGamma/kBerge) and already violated.
-  bool CannotRecover() const { return hereditary_ && bad_components_ > 0; }
+  bool CannotRecover() const { return hereditary_ && violated_at_ != 0; }
 
   size_t depth() const { return depth_; }
   AcyclicityClass target() const { return target_; }
@@ -69,10 +68,14 @@ class IncrementalClassifier {
   size_t pops() const { return pops_; }
 
  private:
-  int Find(int v) const;
   void EnsureVertex(int v);
-  /// Runs the target decider on the component rooted at `root`.
-  bool ComponentMeets(int root);
+  /// False when the top edge shares fewer than two vertices with the
+  /// edges below it: it then closes no cycle, and a hereditary verdict
+  /// that held below still holds.
+  bool MayCloseCycle() const;
+  /// Runs the target decider on the whole stack: interns its edges into
+  /// work_sets_ with epoch-dense vertex ids.
+  bool StackMeets();
   /// Batch verdict over all pushed edges (the lazy α path): interns the
   /// path's vertices to epoch-dense ids, builds one bitmask of as many
   /// 64-bit words as the path's vertex occurrences need per edge, and runs
@@ -82,9 +85,9 @@ class IncrementalClassifier {
   /// characterisation of α-acyclicity; Brault-Baron): allocation-free once
   /// the scratch has grown to the path's size.
   bool BitsetAlpha(size_t words);
-  /// Allocation-free deciders for the eager (hereditary) targets over
+  /// Allocation-free deciders for the hereditary targets over
   /// work_sets_[0..work_count_) with dense vertex ids [0, nv) — the
-  /// components seen here are DFS-path-sized, so scratch-reusing
+  /// stacks seen here are DFS-path-sized, so scratch-reusing
   /// O(m²)-ish sweeps beat the engine deciders' setup cost by an order of
   /// magnitude. Verdicts of every target agree with acyclic::Meets
   /// (pinned by the cross-checks in witness_pipeline_test).
@@ -93,41 +96,21 @@ class IncrementalClassifier {
   bool ScratchGamma(int nv);
   bool ScratchBerge(int nv);
 
-  struct RootState {
-    int root = -1;
-    char bad = 0;
-    int edge_count = 0;
-  };
-  struct Frame {
-    std::vector<int> edge;  // sorted, deduplicated vertex list
-    /// Union log: (child_root, parent_root) pairs, applied in order.
-    std::vector<std::pair<int, int>> unions;
-    /// Pre-push state of the distinct roots this push merged.
-    std::vector<RootState> old_roots;
-    int new_root = -1;
-    char new_bad = 0;
-  };
-
   AcyclicityClass target_;
   bool hereditary_;
-  /// Eager per-push maintenance (hereditary targets); lazy otherwise.
-  bool eager_;
-  /// Components with fewer edges than this cannot violate the target.
+  /// Stacks with fewer edges than this cannot violate the target.
   int min_violating_edges_;
-  std::vector<int> parent_;
-  std::vector<int> size_;
-  /// Per-root component state; meaningful only at the index of a current
-  /// root, restored exactly on PopEdge.
-  std::vector<char> bad_;
-  std::vector<int> edge_count_;
-  int bad_components_ = 0;
-  /// Pooled frame stack: frames_[0..depth_) are live; slots above depth_
-  /// keep their buffers for reuse.
-  std::vector<Frame> frames_;
+  /// Depth of the push that first violated the (hereditary) target; 0
+  /// while the stack meets it.
+  size_t violated_at_ = 0;
+  /// Pooled edge stack: edges_[0..depth_) are live (sorted and
+  /// deduplicated for hereditary targets); slots above depth_ keep their
+  /// buffers for reuse.
+  std::vector<std::vector<int>> edges_;
   size_t depth_ = 0;
   size_t pushes_ = 0;
   size_t pops_ = 0;
-  /// Scratch for ComponentMeets: dense vertex remapping by epoch stamps.
+  /// Dense vertex remapping by epoch stamps (StackMeets, LazyMeets).
   std::vector<int> dense_id_;
   std::vector<unsigned> dense_epoch_;
   unsigned epoch_ = 0;

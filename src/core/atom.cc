@@ -113,7 +113,7 @@ std::string Atom::ToString() const {
   out += "(";
   for (size_t i = 0; i < args_.size(); ++i) {
     if (i > 0) out += ",";
-    out += args_[i].ToString();
+    out += args_[i].ToQuotedString();
   }
   out += ")";
   return out;

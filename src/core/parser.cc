@@ -274,18 +274,13 @@ ParseResult<ConjunctiveQuery> ParseQuery(std::string_view text) {
         "trailing input at position " + std::to_string(tail.position);
     return result;
   }
-  // Safety: every head variable must be bound by the body.
-  for (Term h : head) {
-    if (!h.IsVariable()) continue;
-    bool bound = std::any_of(body->begin(), body->end(),
-                             [h](const Atom& a) { return a.Mentions(h); });
-    if (!bound) {
-      result.error = "head variable '" + h.ToString() +
-                     "' does not occur in the body";
-      return result;
-    }
+  ConjunctiveQuery q(std::move(head), std::move(*body));
+  if (std::optional<Term> h = q.UnboundHeadVariable()) {
+    result.error =
+        "head variable '" + h->ToString() + "' does not occur in the body";
+    return result;
   }
-  result.value = ConjunctiveQuery(std::move(head), std::move(*body));
+  result.value = std::move(q);
   return result;
 }
 

@@ -35,19 +35,17 @@ ConjunctiveQuery::ConjunctiveQuery(std::vector<Term> head,
   for ([[maybe_unused]] const Atom& a : body_) {
     assert(!a.MentionsKind(TermKind::kNull) && "query bodies contain no nulls");
   }
-#ifndef NDEBUG
+}
+
+std::optional<Term> ConjunctiveQuery::UnboundHeadVariable() const {
   for (Term h : head_) {
-    if (h.IsConstant()) continue;  // constants allowed in heads for generality
-    bool found = false;
-    for (const Atom& a : body_) {
-      if (a.Mentions(h)) {
-        found = true;
-        break;
-      }
+    if (h.IsVariable() &&
+        std::none_of(body_.begin(), body_.end(),
+                     [h](const Atom& a) { return a.Mentions(h); })) {
+      return h;
     }
-    assert(found && "every head variable must occur in the body");
   }
-#endif
+  return std::nullopt;
 }
 
 std::vector<Term> ConjunctiveQuery::Variables() const {
@@ -146,7 +144,7 @@ std::string ConjunctiveQuery::ToString() const {
   std::string out = "q(";
   for (size_t i = 0; i < head_.size(); ++i) {
     if (i > 0) out += ",";
-    out += head_[i].ToString();
+    out += head_[i].ToQuotedString();
   }
   out += ") :- ";
   out += AtomsToString(body_);

@@ -28,8 +28,9 @@ std::vector<Atom> Apply(const Substitution& sub,
 class ConjunctiveQuery {
  public:
   ConjunctiveQuery() = default;
-  /// Builds a query; aborts (assert) if a head variable does not occur in
-  /// the body or if the body mentions nulls.
+  /// Builds a query; aborts (assert) if the body mentions nulls. A head
+  /// variable missing from the body makes the query unsafe: ParseQuery
+  /// rejects it, and Engine::Prepare marks it (see UnboundHeadVariable).
   ConjunctiveQuery(std::vector<Term> head, std::vector<Atom> body);
 
   const std::vector<Term>& head() const { return head_; }
@@ -37,6 +38,9 @@ class ConjunctiveQuery {
   size_t arity() const { return head_.size(); }
   bool IsBoolean() const { return head_.empty(); }
   size_t size() const { return body_.size(); }  // |q| = number of atoms
+  /// The first head variable that occurs in no body atom (the query is
+  /// then unsafe), or nullopt for a safe query.
+  std::optional<Term> UnboundHeadVariable() const;
 
   /// All variables of the query in first-occurrence order (head first).
   std::vector<Term> Variables() const;

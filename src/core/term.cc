@@ -99,4 +99,10 @@ std::string Term::ToString() const {
   return "<unreachable>";
 }
 
+std::string Term::ToQuotedString() const {
+  if (!IsValid() || !IsConstant()) return ToString();
+  const char quote = name().find('\'') == std::string::npos ? '\'' : '"';
+  return quote + name() + quote;
+}
+
 }  // namespace semacyc

@@ -55,6 +55,10 @@ class Term {
   /// Human-readable rendering: constant/variable names from the symbol
   /// table, nulls as "_:<index>", the invalid term as "<invalid>".
   std::string ToString() const;
+  /// ToString with a constant in the quotes the parser reads back as a
+  /// constant ('a', or "a" when the name holds a single quote), so that
+  /// printed queries round-trip; variables and nulls print as ToString.
+  std::string ToQuotedString() const;
 
   /// The name of a constant or variable. Must not be called on nulls.
   const std::string& name() const;

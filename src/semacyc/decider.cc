@@ -4,7 +4,6 @@
 #include <cctype>
 #include <unordered_set>
 
-#include "deps/classify.h"
 #include "semacyc/engine.h"
 
 namespace semacyc {
@@ -47,22 +46,18 @@ const char* ToString(Strategy s) {
   return "?";
 }
 
-namespace {
-
-/// Shared bound logic of both SmallQueryBound overloads, off predigested
-/// schema flags.
-size_t BoundFromFacts(const ConjunctiveQuery& q, const DependencySet& sigma,
-                      bool egds_bounded, bool guarded, bool nr_or_sticky,
-                      bool* theoretically_justified) {
+size_t SmallQueryBound(const ConjunctiveQuery& q, const DependencySet& sigma,
+                       const SchemaFacts& facts,
+                       bool* theoretically_justified) {
   bool justified = false;
   size_t bound = 2 * std::max<size_t>(q.size(), 1);
   if (!sigma.HasTgds()) {
     // Egds: Theorem 21/Prop 22 machinery (K2 / unary FDs) gives 2·|q|.
-    justified = egds_bounded;
+    justified = facts.egds_bounded;
   } else if (!sigma.HasEgds()) {
-    if (guarded) {
+    if (facts.guarded) {
       justified = true;  // Prop 8 via Prop 12
-    } else if (nr_or_sticky) {
+    } else if (facts.nr_or_sticky) {
       justified = true;  // Prop 15 via Props 17/19
       bound = 2 * PaperRewriteHeightBound(q, sigma.tgds);
     }
@@ -71,29 +66,6 @@ size_t BoundFromFacts(const ConjunctiveQuery& q, const DependencySet& sigma,
     *theoretically_justified = justified;
   }
   return bound;
-}
-
-}  // namespace
-
-size_t SmallQueryBound(const ConjunctiveQuery& q, const DependencySet& sigma,
-                       bool* theoretically_justified) {
-  bool egds_bounded = IsK2Set(sigma.egds) || IsUnaryFdSet(sigma.egds);
-  bool guarded = false;
-  bool nr_or_sticky = false;
-  if (sigma.HasTgds() && !sigma.HasEgds()) {
-    TgdClassification cls = Classify(sigma.tgds);
-    guarded = cls.guarded;
-    nr_or_sticky = cls.non_recursive || cls.sticky;
-  }
-  return BoundFromFacts(q, sigma, egds_bounded, guarded, nr_or_sticky,
-                        theoretically_justified);
-}
-
-size_t SmallQueryBound(const ConjunctiveQuery& q, const DependencySet& sigma,
-                       const SchemaFacts& facts,
-                       bool* theoretically_justified) {
-  return BoundFromFacts(q, sigma, facts.egds_bounded, facts.guarded,
-                        facts.nr_or_sticky, theoretically_justified);
 }
 
 namespace {

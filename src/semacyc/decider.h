@@ -155,11 +155,7 @@ ConjunctiveQuery WithParseableVariables(const ConjunctiveQuery& witness);
 /// set of egds (acyclicity-preserving chase classes, Props 8/22), and
 /// 2·f_C(q,Σ) for UCQ-rewritable classes (Prop 15). For sets outside the
 /// studied classes, falls back to 2·|q| (heuristic, flagged non-exact).
-size_t SmallQueryBound(const ConjunctiveQuery& q, const DependencySet& sigma,
-                       bool* theoretically_justified = nullptr);
-
-/// Same bound from precomputed Σ facts (the Engine path: the per-schema
-/// classification is done once, not per query).
+/// `facts` is SchemaFacts::Compute(sigma), computed once per schema.
 size_t SmallQueryBound(const ConjunctiveQuery& q, const DependencySet& sigma,
                        const SchemaFacts& facts,
                        bool* theoretically_justified = nullptr);

@@ -9,7 +9,6 @@
 #include "core/canonical.h"
 #include "core/core_min.h"
 #include "core/hypergraph.h"
-#include "deps/classify.h"
 #include "semacyc/compaction.h"
 
 namespace semacyc {
@@ -45,21 +44,21 @@ Engine::Engine(DependencySet sigma, SemAcOptions options,
       decisions_(decision_cache_bytes),
       metrics_(StrategyNames(), AnswerNames()) {
   obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kSchemaAnalyze);
-  schema_.sigma = std::move(sigma);
-  if (schema_.sigma.HasTgds()) {
-    schema_.tgd_classes = Classify(schema_.sigma.tgds);
-  }
-  schema_.facts = SchemaFacts::Compute(schema_.sigma, schema_.tgd_classes);
+  sigma_ = std::move(sigma);
+  facts_ = SchemaFacts::Compute(sigma_);
 }
 
 PreparedQuery Engine::Prepare(const ConjunctiveQuery& q) const {
   obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kPrepare);
   PreparedQuery out;
   out.q_ = q;
+  if (std::optional<Term> h = q.UnboundHeadVariable()) {
+    out.unsafe_ = "unsafe query: head variable '" + h->ToString() +
+                  "' does not occur in the body";
+  }
   out.fp_ = CanonicalFingerprint(q);
   out.cls_ = ClassifyQuery(q);
-  out.bound_ = SmallQueryBound(q, schema_.sigma, schema_.facts,
-                               &out.bound_justified_);
+  out.bound_ = SmallQueryBound(q, sigma_, facts_, &out.bound_justified_);
   return out;
 }
 
@@ -118,9 +117,10 @@ SemAcResult Engine::DecideWithToken(const PreparedQuery& q,
           r.strategy = Strategy::kDeadlineExceeded;
           r.exact = false;
         }
-        if (r.strategy == Strategy::kDeadlineExceeded) {
+        if (r.strategy == Strategy::kDeadlineExceeded || !q.unsafe_.empty()) {
           // Aborted results are never cached (a later call must get the
-          // real answer); carried out via the side channel instead.
+          // real answer), nor are an unsafe query's; carried out via the
+          // side channel instead.
           aborted = std::make_shared<const SemAcResult>(std::move(r));
           return nullptr;
         }
@@ -156,7 +156,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
                                    CancelToken* cancel,
                                    const QueryChaseResult* prechased) const {
   const ConjunctiveQuery& q = pq.query();
-  const DependencySet& sigma = schema_.sigma;
+  const DependencySet& sigma = sigma_;
   const acyclic::AcyclicityClass target = options_.target_class;
 
   SemAcResult result;
@@ -177,6 +177,12 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
   // phase would stall before its first in-loop poll.
   SEMACYC_FAILPOINT("decide.start", cancel);
   if (cancel != nullptr && cancel->PollNow()) return abort_result();
+  if (!pq.unsafe_.empty()) {
+    // No strategy's answer is certified for an unsafe query.
+    result.answer = SemAcAnswer::kUnknown;
+    result.exact = false;
+    return result;
+  }
 
   // Records a witness together with its (tightest) classification. Every
   // YES witness of every strategy passes through here, so this is the one
@@ -255,8 +261,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kOracle);
     RewriteOptions rewrite = options_.rewrite;
     rewrite.cancel = cancel;
-    oracle.emplace(q, sigma, options_.chase, rewrite, schema_.facts,
-                   &metrics_);
+    oracle.emplace(q, sigma, options_.chase, rewrite, facts_, &metrics_);
     if (const RewriteResult* rw = oracle->rewriting()) {
       metrics_.RecordPhase(obs::Phase::kRewrite, rw->build_ns);
       if (tracer != nullptr) {
@@ -295,16 +300,64 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
                                   options_.witness_atoms_cap);
   result.bound_used = bound;
 
+  // Books one witness strategy's work: the decision's candidate total,
+  // the registry counters, and the counters of the strategy's phase span
+  // (plus a counter-only HOM_CHECK child span when the strategy ran the
+  // incremental hom session: its per-push work is the hot loop, so it is
+  // harvested once from the strategy's own bookkeeping instead of timing
+  // individual pushes). `budget` is the strategy's visit budget; images
+  // has none and reports whether it exhausted its homomorphisms instead.
+  auto book = [&](const WitnessSearchOutcome& o, std::optional<size_t> budget,
+                  obs::PhaseTimer& timer) {
+    result.candidates_tested += o.candidates_tested;
+    metrics_.Add(obs::Counter::kCandidatesTested, o.candidates_tested);
+    metrics_.Add(obs::Counter::kEnumVisits, o.visits);
+    metrics_.Add(obs::Counter::kClassifierPushes, o.classifier_pushes);
+    metrics_.Add(obs::Counter::kClassifierPops, o.classifier_pops);
+    metrics_.Add(obs::Counter::kHomPushes, o.hom.pushes);
+    metrics_.Add(obs::Counter::kHomDomainWipeouts, o.hom.fc_rejects);
+    metrics_.Add(obs::Counter::kHomExtends, o.hom.extends);
+    metrics_.Add(obs::Counter::kHomRepairs, o.hom.repairs);
+    metrics_.Add(obs::Counter::kHomRepairFails, o.hom.repair_fails);
+    metrics_.Add(obs::Counter::kHomDeadPrefix, o.hom.dead_prefix);
+    metrics_.Add(obs::Counter::kParallelUnits, o.parallel.units_claimed);
+    metrics_.Add(obs::Counter::kParallelSteals, o.parallel.steals);
+    metrics_.Add(obs::Counter::kParallelReplays, o.parallel.replays);
+    metrics_.Add(obs::Counter::kParallelWastedVisits, o.parallel.wasted_visits);
+    metrics_.Add(obs::Counter::kParallelCommitWaits, o.parallel.commit_waits);
+    timer.Counter("candidates_tested",
+                  static_cast<int64_t>(o.candidates_tested));
+    if (!budget.has_value()) {
+      timer.Counter("exhausted", o.exhausted ? 1 : 0);
+    } else {
+      timer.Counter("visits", static_cast<int64_t>(o.visits));
+      timer.Counter("classifier_pushes",
+                    static_cast<int64_t>(o.classifier_pushes));
+      timer.Counter("classifier_pops", static_cast<int64_t>(o.classifier_pops));
+      timer.Counter("budget", static_cast<int64_t>(*budget));
+      timer.Counter("budget_remaining",
+                    static_cast<int64_t>(*budget -
+                                         std::min(o.visits, *budget)));
+    }
+    if (tracer != nullptr && o.hom.pushes > 0) {
+      tracer->CounterSpan(
+          obs::Phase::kHomCheck,
+          {{"pushes", static_cast<int64_t>(o.hom.pushes)},
+           {"domain_wipeouts", static_cast<int64_t>(o.hom.fc_rejects)},
+           {"extends", static_cast<int64_t>(o.hom.extends)},
+           {"repairs", static_cast<int64_t>(o.hom.repairs)},
+           {"repair_fails", static_cast<int64_t>(o.hom.repair_fails)},
+           {"repair_steps", static_cast<int64_t>(o.hom.repair_steps)},
+           {"dead_prefix", static_cast<int64_t>(o.hom.dead_prefix)}});
+    }
+  };
+
   // Strategy 3: homomorphic images of q inside the chase.
   if (options_.enable_images) {
     obs::PhaseTimer timer(&metrics_, tracer, obs::Phase::kImages);
     WitnessSearchOutcome images = FindWitnessInQueryImages(
         q, chase, *oracle, options_.image_homs, target, cancel);
-    result.candidates_tested += images.candidates_tested;
-    metrics_.Add(obs::Counter::kCandidatesTested, images.candidates_tested);
-    timer.Counter("candidates_tested",
-                  static_cast<int64_t>(images.candidates_tested));
-    timer.Counter("exhausted", images.exhausted ? 1 : 0);
+    book(images, std::nullopt, timer);
     if (images.answer == Tri::kYes) {
       accept(*images.witness, Strategy::kImages);
       return result;
@@ -319,24 +372,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
     WitnessSearchOutcome subsets = FindWitnessInChaseSubsets(
         chase, *oracle, bound, options_.subset_budget,
         options_.decide_threads, target, cancel);
-    AddParallelStats(subsets.parallel);
-    result.candidates_tested += subsets.candidates_tested;
-    metrics_.Add(obs::Counter::kCandidatesTested, subsets.candidates_tested);
-    metrics_.Add(obs::Counter::kEnumVisits, subsets.visits);
-    metrics_.Add(obs::Counter::kClassifierPushes, subsets.classifier_pushes);
-    metrics_.Add(obs::Counter::kClassifierPops, subsets.classifier_pops);
-    timer.Counter("candidates_tested",
-                  static_cast<int64_t>(subsets.candidates_tested));
-    timer.Counter("visits", static_cast<int64_t>(subsets.visits));
-    timer.Counter("classifier_pushes",
-                  static_cast<int64_t>(subsets.classifier_pushes));
-    timer.Counter("classifier_pops",
-                  static_cast<int64_t>(subsets.classifier_pops));
-    timer.Counter("budget", static_cast<int64_t>(options_.subset_budget));
-    timer.Counter("budget_remaining",
-                  static_cast<int64_t>(options_.subset_budget -
-                                       std::min(subsets.visits,
-                                                options_.subset_budget)));
+    book(subsets, options_.subset_budget, timer);
     if (subsets.answer == Tri::kYes) {
       accept(*subsets.witness, Strategy::kSubsets);
       return result;
@@ -351,48 +387,7 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
     WitnessSearchOutcome exhaustive = ExhaustiveWitnessSearch(
         q, sigma, chase, *oracle, bound, options_.exhaustive_budget,
         options_.decide_threads, target, cancel);
-    AddParallelStats(exhaustive.parallel);
-    result.candidates_tested += exhaustive.candidates_tested;
-    metrics_.Add(obs::Counter::kCandidatesTested,
-                 exhaustive.candidates_tested);
-    metrics_.Add(obs::Counter::kEnumVisits, exhaustive.visits);
-    metrics_.Add(obs::Counter::kClassifierPushes,
-                 exhaustive.classifier_pushes);
-    metrics_.Add(obs::Counter::kClassifierPops, exhaustive.classifier_pops);
-    metrics_.Add(obs::Counter::kHomPushes, exhaustive.hom.pushes);
-    metrics_.Add(obs::Counter::kHomDomainWipeouts, exhaustive.hom.fc_rejects);
-    metrics_.Add(obs::Counter::kHomExtends, exhaustive.hom.extends);
-    metrics_.Add(obs::Counter::kHomRepairs, exhaustive.hom.repairs);
-    metrics_.Add(obs::Counter::kHomRepairFails, exhaustive.hom.repair_fails);
-    metrics_.Add(obs::Counter::kHomDeadPrefix, exhaustive.hom.dead_prefix);
-    timer.Counter("candidates_tested",
-                  static_cast<int64_t>(exhaustive.candidates_tested));
-    timer.Counter("visits", static_cast<int64_t>(exhaustive.visits));
-    timer.Counter("classifier_pushes",
-                  static_cast<int64_t>(exhaustive.classifier_pushes));
-    timer.Counter("classifier_pops",
-                  static_cast<int64_t>(exhaustive.classifier_pops));
-    timer.Counter("budget", static_cast<int64_t>(options_.exhaustive_budget));
-    timer.Counter(
-        "budget_remaining",
-        static_cast<int64_t>(options_.exhaustive_budget -
-                             std::min(exhaustive.visits,
-                                      options_.exhaustive_budget)));
-    if (tracer != nullptr && exhaustive.hom.pushes > 0) {
-      // Counter-only child span: the per-push hom session is the hot loop,
-      // so its telemetry is harvested once from the strategy's own
-      // bookkeeping instead of timing individual pushes.
-      tracer->CounterSpan(
-          obs::Phase::kHomCheck,
-          {{"pushes", static_cast<int64_t>(exhaustive.hom.pushes)},
-           {"domain_wipeouts", static_cast<int64_t>(exhaustive.hom.fc_rejects)},
-           {"extends", static_cast<int64_t>(exhaustive.hom.extends)},
-           {"repairs", static_cast<int64_t>(exhaustive.hom.repairs)},
-           {"repair_fails", static_cast<int64_t>(exhaustive.hom.repair_fails)},
-           {"repair_steps", static_cast<int64_t>(exhaustive.hom.repair_steps)},
-           {"dead_prefix",
-            static_cast<int64_t>(exhaustive.hom.dead_prefix)}});
-    }
+    book(exhaustive, options_.exhaustive_budget, timer);
     if (exhaustive.answer == Tri::kYes) {
       accept(*exhaustive.witness, Strategy::kExhaustive);
       return result;
@@ -463,14 +458,6 @@ std::vector<SemAcResult> Engine::DecideBatch(
   return out;
 }
 
-void Engine::AddParallelStats(const WorkStealStats& s) const {
-  metrics_.Add(obs::Counter::kParallelUnits, s.units_claimed);
-  metrics_.Add(obs::Counter::kParallelSteals, s.steals);
-  metrics_.Add(obs::Counter::kParallelReplays, s.replays);
-  metrics_.Add(obs::Counter::kParallelWastedVisits, s.wasted_visits);
-  metrics_.Add(obs::Counter::kParallelCommitWaits, s.commit_waits);
-}
-
 UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
   UcqSemAcResult result;
   const auto& disjuncts = Q.disjuncts();
@@ -494,7 +481,7 @@ UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
   auto contained = [&](size_t a, size_t b) {
     if (!chases[a].has_value()) {
       obs::PhaseTimer timer(&metrics_, nullptr, obs::Phase::kChase);
-      chases[a] = ChaseQuery(disjuncts[a], schema_.sigma, chase_options);
+      chases[a] = ChaseQuery(disjuncts[a], sigma_, chase_options);
     }
     return Lemma1Verdict(*chases[a], &disjuncts[b], 1, cancel);
   };
@@ -557,6 +544,10 @@ UcqSemAcResult Engine::DecideUcq(const UnionQuery& Q) const {
 
 ApproximateOutcome Engine::Approximate(const PreparedQuery& pq) const {
   ApproximateOutcome out;
+  if (!pq.unsafe_.empty()) {
+    out.status = Status::Unsupported(pq.unsafe_);
+    return out;
+  }
   // Constants in q block the generic fallback witness (footnote in §8.2).
   for (const Atom& a : pq.query().body()) {
     if (a.MentionsKind(TermKind::kConstant)) {
@@ -589,6 +580,10 @@ ApproximateOutcome Engine::Approximate(const PreparedQuery& pq) const {
 bool Engine::EvalPrologue(const PreparedQuery& q, CancelToken* cancel,
                           EvalOutcome* out,
                           std::optional<JoinTreeView>* tree) const {
+  if (!q.unsafe_.empty()) {
+    out->status = Status::Unsupported(q.unsafe_);
+    return false;
+  }
   SemAcResult decision = DecideWithToken(q, cancel);
   if (decision.strategy == Strategy::kDeadlineExceeded) {
     out->status = Status::DeadlineExceeded(

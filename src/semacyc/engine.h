@@ -12,7 +12,6 @@
 #include "core/obs.h"
 #include "data/columnar.h"
 #include "data/semijoin_program.h"
-#include "deps/classify.h"
 #include "eval/yannakakis.h"
 #include "semacyc/approximation.h"
 #include "semacyc/decider.h"
@@ -57,18 +56,6 @@ struct Status {
   }
 };
 
-/// Σ analyzed once, shared by every decision against this schema: the
-/// dependency-set classification, the guardedness/stickiness/termination
-/// facts, and the predicate-level reachability graph behind the oracle
-/// prefilter. Built by Engine's constructor; immutable afterwards.
-struct PreparedSchema {
-  DependencySet sigma;
-  /// Classification of sigma.tgds (all flags false when there are none).
-  TgdClassification tgd_classes;
-  /// Derived facts consumed by oracles and the small-query bound.
-  SchemaFacts facts;
-};
-
 /// A query analyzed once against an Engine's schema: hypergraph
 /// classification (with certificates), canonical fingerprint (the shared
 /// cache key) and the paper's small-query bound. Cheap to copy; valid for
@@ -98,6 +85,10 @@ class PreparedQuery {
   acyclic::Classification cls_;
   size_t bound_ = 0;
   bool bound_justified_ = false;
+  /// Why q is unsafe (a head variable missing from the body), or empty.
+  /// Such a query gets no exact answer: Decide reports kUnknown (never
+  /// cached), Approximate and Eval Status::kUnsupported.
+  std::string unsafe_;
 };
 
 /// Result of Engine::Approximate — ApproximationResult plus an explicit
@@ -140,8 +131,8 @@ struct EvalOutcome {
 /// against one fixed Σ. An Engine analyzes the schema once and keeps two
 /// things alive across calls:
 ///
-///   * the PreparedSchema (dependency classification, termination and
-///     boundedness facts, the predicate-reachability graph);
+///   * Σ with its SchemaFacts (termination and boundedness facts, the
+///     predicate-reachability graph);
 ///   * a decision cache serving repeat (or isomorphic) queries instantly.
 ///
 /// The cache is a FingerprintCache: unbounded by default, one LRU under
@@ -176,13 +167,12 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  const PreparedSchema& schema() const { return schema_; }
-  const DependencySet& sigma() const { return schema_.sigma; }
+  const DependencySet& sigma() const { return sigma_; }
   const SemAcOptions& options() const { return options_; }
 
-  /// Analyzes q against this schema (classification with certificates,
-  /// fingerprint, small-query bound). Prepared state is immutable and
-  /// copyable; prepare once, decide many times.
+  /// Analyzes q against this schema (safety, classification with
+  /// certificates, fingerprint, small-query bound). Prepared state is
+  /// immutable and copyable; prepare once, decide many times.
   PreparedQuery Prepare(const ConjunctiveQuery& q) const;
 
   /// Decides whether q is semantically acyclic under the schema (same
@@ -295,10 +285,6 @@ class Engine {
                              obs::DecisionTracer* tracer, CancelToken* cancel,
                              const QueryChaseResult* prechased) const;
 
-  /// Folds one budgeted witness search's work-stealing stats into the
-  /// registry (units and replays count at every thread count).
-  void AddParallelStats(const WorkStealStats& s) const;
-
   /// Shared Eval prologue: decide under `cancel` (deadline already folded
   /// in by WithDeadline), extract the witness into `out` and build its
   /// join-tree view. Returns false with out->status set on any non-Ok
@@ -306,7 +292,10 @@ class Engine {
   bool EvalPrologue(const PreparedQuery& q, CancelToken* cancel,
                     EvalOutcome* out, std::optional<JoinTreeView>* tree) const;
 
-  PreparedSchema schema_;
+  DependencySet sigma_;
+  /// Σ analyzed once (in the constructor), shared by every decision: the
+  /// facts consumed by oracles and the small-query bound.
+  SchemaFacts facts_;
   SemAcOptions options_;
 
   mutable FingerprintCache<SemAcResult> decisions_;

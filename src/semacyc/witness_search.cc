@@ -18,12 +18,6 @@
 namespace semacyc {
 
 SchemaFacts SchemaFacts::Compute(const DependencySet& sigma) {
-  return Compute(sigma, sigma.HasTgds() ? Classify(sigma.tgds)
-                                        : TgdClassification{});
-}
-
-SchemaFacts SchemaFacts::Compute(const DependencySet& sigma,
-                                 const TgdClassification& tgd_classes) {
   SchemaFacts facts;
   // Static guarantees for the chase-based path: egd-only chases always
   // terminate; weakly acyclic tgd sets (which subsume NR and all full
@@ -34,7 +28,7 @@ SchemaFacts SchemaFacts::Compute(const DependencySet& sigma,
     facts.chase_exact = true;
   }
   if (sigma.HasTgds()) {
-    const TgdClassification& cls = tgd_classes;
+    const TgdClassification cls = Classify(sigma.tgds);
     facts.rewritable = cls.non_recursive || cls.sticky || cls.linear;
     facts.guarded = cls.guarded;
     facts.nr_or_sticky = cls.non_recursive || cls.sticky;
@@ -286,7 +280,7 @@ struct SubsetsSpace {
 
 /// Enumeration signature of the exhaustive strategy: the predicates that
 /// can occur in chase(q,Σ), the constants available to candidates, and
-/// the ordered fresh-variable pool with its index. The construction
+/// the ordered fresh-variable pool. The construction
 /// ORDER of these vectors fixes the enumeration order — the sequential
 /// enumerator and the parallel unit plan must agree on it exactly (the
 /// parity suite pins this), hence the single shared builder.
@@ -294,7 +288,6 @@ struct EnumSignature {
   std::vector<Predicate> predicates;
   std::vector<Term> constants;
   std::vector<Term> pool;
-  std::unordered_map<Term, size_t, TermHash> pool_index;
 
   EnumSignature(const ConjunctiveQuery& q, const DependencySet& sigma,
                 size_t max_atoms) {
@@ -344,7 +337,6 @@ struct EnumSignature {
     size_t n = max_atoms * static_cast<size_t>(max_arity);
     for (size_t i = 0; i < n; ++i) {
       pool.push_back(Term::Variable("w$" + std::to_string(i)));
-      pool_index.emplace(pool.back(), i);
     }
   }
 };
@@ -621,8 +613,8 @@ struct SubsetsUnit {
 /// One worker of the subsets search: own classifier session, coverage
 /// counters and variable pool over the shared immutable SubsetsSpace.
 /// A push/pop classifier threaded along the DFS path and required-term
-/// coverage maintained by counters make a DFS node cost a component-local
-/// re-check instead of an Instance build plus a from-scratch
+/// coverage maintained by counters make a DFS node cost one scratch
+/// re-check of the path instead of an Instance build plus a from-scratch
 /// classification.
 class SubsetsWorker : public UnitWorker {
  public:
@@ -815,6 +807,15 @@ void ForEachChoice(const HpPlan& hp, const EnumSignature& sig, size_t used,
   for (Term c : sig.constants) fn(c, used, -1);
 }
 
+/// One prefix atom of the unit plan, with what the DFS knows when it
+/// pushes the atom: the pool frontier after it and its classifier vertices
+/// (ForEachChoice's numbering, constants left out).
+struct PlanAtom {
+  Atom atom;
+  size_t frontier;
+  std::vector<int> verts;
+};
+
 /// One unit of the exhaustive search: the node of head pattern `hp` at
 /// prefix [a1, a2] (indices into ExhaustivePlan::atoms; kNoAtom ends the
 /// prefix early), either that node's visit alone or its whole subtree.
@@ -828,7 +829,7 @@ struct ExhUnit {
 
 struct ExhaustivePlan {
   std::vector<HpPlan> hps;
-  std::vector<Atom> atoms;
+  std::vector<PlanAtom> atoms;
   std::vector<ExhUnit> units;
 };
 
@@ -893,23 +894,26 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
   patterns(0, 0);
 
   // Argument-tuple enumeration, exactly as BuildArgs walks it: the
-  // `used` frontier threaded down the positions.
+  // `used` frontier threaded down the positions, the vertices collected.
   auto for_each_atom = [&](Predicate p, const HpPlan& hp, size_t used0,
-                           const std::function<void(Atom&&, size_t)>& fn) {
+                           const std::function<void(PlanAtom&&)>& fn) {
     std::vector<Term> args(static_cast<size_t>(p.arity()));
+    std::vector<int> verts;
     std::function<void(size_t, size_t)> go = [&](size_t pos, size_t used) {
       if (pos == args.size()) {
-        fn(Atom(p, args), used);
+        fn({Atom(p, args), used, verts});
         return;
       }
-      ForEachChoice(hp, sig, used, [&](Term t, size_t next_used, int) {
+      ForEachChoice(hp, sig, used, [&](Term t, size_t next_used, int vertex) {
         args[pos] = t;
+        if (vertex >= 0) verts.push_back(vertex);
         go(pos + 1, next_used);
+        if (vertex >= 0) verts.pop_back();
       });
     };
     go(0, used0);
   };
-  auto add_atom = [&](Atom&& a) {
+  auto add_atom = [&](PlanAtom&& a) {
     plan.atoms.push_back(std::move(a));
     return static_cast<uint32_t>(plan.atoms.size() - 1);
   };
@@ -924,7 +928,8 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
     if (max_atoms == 0) continue;
     const HpPlan& hp = plan.hps[h];
     for (Predicate p : sig.predicates) {
-      for_each_atom(p, hp, 0, [&](Atom&& a1, size_t f1) {
+      for_each_atom(p, hp, 0, [&](PlanAtom&& a1) {
+        const size_t f1 = a1.frontier;
         const uint32_t i1 = add_atom(std::move(a1));
         if (plan.units.size() >= kSplitBudget) {
           plan.units.push_back({h, i1, kNoAtom, true});
@@ -934,11 +939,13 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
         plan.units.push_back({h, i1, kNoAtom, false});
         if (max_atoms == 1) return;
         for (Predicate p2 : sig.predicates) {
-          for_each_atom(p2, hp, f1, [&](Atom&& a2, size_t) {
+          for_each_atom(p2, hp, f1, [&](PlanAtom&& a2) {
             // Canonical growth: strictly increasing atom order (the
             // BuildArgs rejection at depth 1).
-            const Atom& first = plan.atoms[i1];
-            if (!AtomOrderLess(first, a2.predicate(), a2.args())) return;
+            const Atom& first = plan.atoms[i1].atom;
+            if (!AtomOrderLess(first, a2.atom.predicate(), a2.atom.args())) {
+              return;
+            }
             plan.units.push_back({h, i1, add_atom(std::move(a2)), true});
           });
         }
@@ -1043,14 +1050,14 @@ class ExhaustiveWorker : public UnitWorker {
 
   /// Pushes one prefix atom with the DFS push nesting (classifier first,
   /// then hom). False = pruned, with both sessions restored.
-  bool PushPrefixAtom(const Atom& atom) {
+  bool PushPrefixAtom(const PlanAtom& pa) {
     size_t saved_frontier = used_frontier_;
-    atoms_.push_back(atom);
-    used_frontier_ = FrontierAfter(atom, saved_frontier);
-    inc_.PushEdge(VarVertices(atom));
+    atoms_.push_back(pa.atom);
+    used_frontier_ = pa.frontier;
+    inc_.PushEdge(pa.verts);
     bool ok = !inc_.CannotRecover();
     if (ok) {
-      ok = hom_.PushAtom(atom);
+      ok = hom_.PushAtom(pa.atom);
       if (!ok) hom_.PopAtom();
     }
     if (!ok) {
@@ -1072,34 +1079,6 @@ class ExhaustiveWorker : public UnitWorker {
       frontier_stack_.pop_back();
       prefix_.pop_back();
     }
-  }
-
-  /// The in-order-introduction frontier after `atom`, from pool-index
-  /// lookups — the same value BuildArgs threads down its recursion.
-  size_t FrontierAfter(const Atom& atom, size_t used) const {
-    for (Term t : atom.args()) {
-      auto it = sig_.pool_index.find(t);
-      if (it != sig_.pool_index.end()) used = std::max(used, it->second + 1);
-    }
-    return used;
-  }
-
-  /// The atom's connecting vertices (kVariables: constants never connect)
-  /// under ForEachChoice's numbering, looked up from its terms — for the
-  /// prefix atoms; the DFS gets them from the choice walk. Fills the shared
-  /// scratch buffer (the classifier copies it).
-  const std::vector<int>& VarVertices(const Atom& atom) {
-    const std::vector<Term>& heads = hp_plan_->head_vars;
-    verts_scratch_.clear();
-    for (Term t : atom.args()) {
-      if (!t.IsVariable()) continue;
-      auto h = std::find(heads.begin(), heads.end(), t);
-      verts_scratch_.push_back(
-          h != heads.end()
-              ? static_cast<int>(h - heads.begin())
-              : static_cast<int>(heads.size() + sig_.pool_index.at(t)));
-    }
-    return verts_scratch_;
   }
 
   bool HeadCovered() const {

@@ -16,16 +16,15 @@
 #include "core/incremental_hom.h"
 #include "core/obs.h"
 #include "core/worksteal.h"
-#include "deps/classify.h"
 #include "rewrite/ucq_rewriter.h"
 
 namespace semacyc {
 
 /// Σ-only facts shared by every per-query containment oracle and by the
 /// small-query-bound computation for a fixed schema — the analyze-once
-/// payload of semacyc::Engine's prepared schema. An Engine computes them
-/// once and hands them to every oracle it builds; the free-function
-/// entrypoints wrap a transient Engine, so they recompute them per call.
+/// payload of a semacyc::Engine. An Engine computes them once and hands
+/// them to every oracle it builds; the free-function entrypoints wrap a
+/// transient Engine, so they recompute them per call.
 struct SchemaFacts {
   /// Chase-based containment answers are exact: Σ is egd-only, or a
   /// weakly acyclic tgd-only set (chase termination is guaranteed).
@@ -46,10 +45,6 @@ struct SchemaFacts {
   std::unordered_set<uint32_t> tgd_head_preds;
 
   static SchemaFacts Compute(const DependencySet& sigma);
-  /// Same facts from an already-computed tgd classification (the Engine
-  /// classifies Σ once and reuses it here).
-  static SchemaFacts Compute(const DependencySet& sigma,
-                             const TgdClassification& tgd_classes);
 };
 
 /// Oracle answering "candidate ⊆Σ q" for a fixed (q, Σ). When Σ is

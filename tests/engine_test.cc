@@ -101,7 +101,9 @@ TEST(EngineTest, PreparedStateMatchesDirectAnalysis) {
     EXPECT_EQ(pq.fingerprint(), CanonicalFingerprint(q));
     EXPECT_EQ(pq.classification().cls, ClassifyQuery(q).cls);
     bool justified = false;
-    EXPECT_EQ(pq.small_query_bound(), SmallQueryBound(q, w.sigma, &justified));
+    EXPECT_EQ(pq.small_query_bound(),
+              SmallQueryBound(q, w.sigma, SchemaFacts::Compute(w.sigma),
+                              &justified));
     EXPECT_EQ(pq.bound_justified(), justified);
   }
 }
@@ -296,6 +298,45 @@ TEST(EngineTest, EvalReportsWhyWithoutReformulation) {
   EXPECT_FALSE(out.reformulated);
   EXPECT_EQ(out.status.code, Status::Code::kNotFound);
   EXPECT_FALSE(out.status.message.empty());
+}
+
+TEST(EngineTest, UnsafeQueryBuiltInCodeGetsNoExactAnswer) {
+  // q(w) :- E(x,y), E(y,z), E(z,x): ParseQuery rejects the head, but a
+  // query built in code reaches the engine. With Σ = ∅ the triangle core
+  // would decide it to an exact NO (strategy core).
+  const ConjunctiveQuery q({Term::Variable("w")},
+                           *ParseAtoms("E(x,y), E(y,z), E(z,x)"));
+  ASSERT_EQ(q.UnboundHeadVariable(), Term::Variable("w"));
+  Engine engine(DependencySet{});
+  const PreparedQuery pq = engine.Prepare(q);
+  for (int round = 0; round < 2; ++round) {
+    SemAcResult r = engine.Decide(pq);
+    EXPECT_EQ(r.answer, SemAcAnswer::kUnknown);
+    EXPECT_FALSE(r.exact);
+    EXPECT_FALSE(r.witness.has_value());
+  }
+  EXPECT_EQ(engine.Stats().entries, 0u);  // never cached
+  EXPECT_EQ(engine.Stats().hits, 0u);
+  ApproximateOutcome approx = engine.Approximate(pq);
+  EXPECT_EQ(approx.status.code, Status::Code::kUnsupported);
+  EXPECT_NE(approx.status.message.find("'w'"), std::string::npos)
+      << approx.status.message;
+  for (EvalOptions::Path path :
+       {EvalOptions::Path::kColumnar, EvalOptions::Path::kRow}) {
+    EvalOptions opts;
+    opts.path = path;
+    EvalOutcome eval = engine.Eval(pq, Instance{}, opts);
+    EXPECT_FALSE(eval.reformulated);
+    EXPECT_EQ(eval.status.code, Status::Code::kUnsupported);
+    EXPECT_NE(eval.status.message.find("'w'"), std::string::npos)
+        << eval.status.message;
+  }
+  // The same body with a bound head still decides exactly.
+  const ConjunctiveQuery safe({Term::Variable("x")}, q.body());
+  EXPECT_FALSE(safe.UnboundHeadVariable().has_value());
+  SemAcResult r = engine.Decide(safe);
+  EXPECT_EQ(r.answer, SemAcAnswer::kNo);
+  EXPECT_TRUE(r.exact);
 }
 
 TEST(EngineTest, ApproximateReportsUnsupportedOnConstants) {

@@ -112,9 +112,9 @@ testing::AssertionResult ContainedTwice(const ConjunctiveQuery& q1,
 
 /// Checks one YES decision of q under Σ against `target`: the witness
 /// meets the target class and the class the engine reported, q ≡Σ
-/// witness in both directions, and — for constant-free witnesses, whose
-/// printed form is unambiguous — the printed witness parses back to the
-/// same query. A YES without a witness must come from a failing chase.
+/// witness in both directions, and the printed witness (constants quoted)
+/// parses back to the same query. A YES without a witness must come from
+/// a failing chase.
 testing::AssertionResult CheckYes(const ConjunctiveQuery& q,
                                   const DependencySet& sigma,
                                   const SemAcResult& r,
@@ -141,22 +141,16 @@ testing::AssertionResult CheckYes(const ConjunctiveQuery& q,
            << "witness " << w.ToString() << " is " << acyclic::ToString(cls)
            << " but reported " << acyclic::ToString(r.witness_class);
   }
-  bool has_constants = false;
-  for (const Atom& a : w.body()) {
-    has_constants = has_constants || a.MentionsKind(TermKind::kConstant);
+  ParseResult<ConjunctiveQuery> parsed = ParseQuery(w.ToString());
+  if (!parsed.ok()) {
+    return testing::AssertionFailure()
+           << "printed witness " << w.ToString()
+           << " does not parse: " << parsed.error;
   }
-  if (!has_constants) {
-    ParseResult<ConjunctiveQuery> parsed = ParseQuery(w.ToString());
-    if (!parsed.ok()) {
-      return testing::AssertionFailure()
-             << "printed witness " << w.ToString()
-             << " does not parse: " << parsed.error;
-    }
-    if (!(*parsed == w)) {
-      return testing::AssertionFailure()
-             << "printed witness " << w.ToString() << " parses as "
-             << parsed->ToString();
-    }
+  if (!(*parsed == w)) {
+    return testing::AssertionFailure()
+           << "printed witness " << w.ToString() << " parses as "
+           << parsed->ToString();
   }
   testing::AssertionResult forward = ContainedTwice(q, w, sigma);
   if (!forward) return forward;
@@ -250,6 +244,17 @@ std::vector<Workload> Workloads() {
   {
     KeyGridWorkload grid = MakeKeyGridWorkload(1);
     out.push_back({"figure4", grid.sigma, {grid.q}});
+  }
+  {
+    // Constants in queries and witnesses: read back as variables, 'a'
+    // would join E(x,a) and E(a,x) into a Berge cycle.
+    Workload w{"constants", MustParseDependencySet("E(x,y) -> E(y,x)"), {}};
+    w.queries.push_back(MustParseQuery("q(x) :- E(x,'a'), E('a',x), E(x,x)"));
+    w.queries.push_back(
+        MustParseQuery("q(x,y) :- E(x,y), E(y,x), R(x,'a'), R(y,'b')"));
+    w.queries.push_back(
+        MustParseQuery("q('c',x) :- E(x,y), E(y,'c'), E('c',x)"));
+    out.push_back(std::move(w));
   }
   {
     EvalWorkload star = MakeStarEvalWorkload(3, 3, 4, 2, 4);

@@ -183,21 +183,27 @@ TEST(SemAcTest, UnsatisfiableUnderEgdsIsYes) {
   EXPECT_EQ(result.strategy, Strategy::kFailingChase);
 }
 
+/// The small-query bound off freshly computed schema facts.
+size_t Bound(const ConjunctiveQuery& q, const DependencySet& sigma,
+             bool* justified) {
+  return SmallQueryBound(q, sigma, SchemaFacts::Compute(sigma), justified);
+}
+
 TEST(SemAcTest, SmallQueryBoundsPerClass) {
   ConjunctiveQuery q = MustParseQuery("E(x,y), E(y,z), E(z,x)");
   bool justified = false;
   DependencySet guarded = MustParseDependencySet("E(x,y) -> E(y,w)");
-  EXPECT_EQ(SmallQueryBound(q, guarded, &justified), 2 * q.size());
+  EXPECT_EQ(Bound(q, guarded, &justified), 2 * q.size());
   EXPECT_TRUE(justified);
   DependencySet k2 = MustParseDependencySet("E(x,y), E(x,z) -> y = z");
-  EXPECT_EQ(SmallQueryBound(q, k2, &justified), 2 * q.size());
+  EXPECT_EQ(Bound(q, k2, &justified), 2 * q.size());
   EXPECT_TRUE(justified);
   DependencySet nr = MustParseDependencySet("A(x) -> E(x,w)");
-  EXPECT_GE(SmallQueryBound(q, nr, &justified), 2 * q.size());
+  EXPECT_GE(Bound(q, nr, &justified), 2 * q.size());
   EXPECT_TRUE(justified);
   // Full recursive sets get the heuristic bound, not a justified one.
   DependencySet full = MustParseDependencySet("E(x,y), E(y,z) -> E(x,z)");
-  SmallQueryBound(q, full, &justified);
+  Bound(q, full, &justified);
   EXPECT_FALSE(justified);
 }
 

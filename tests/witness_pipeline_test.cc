@@ -28,11 +28,18 @@ const AcyclicityClass kAllTargets[] = {
     AcyclicityClass::kAlpha, AcyclicityClass::kBeta, AcyclicityClass::kGamma,
     AcyclicityClass::kBerge};
 
+/// β-, γ- and Berge-acyclicity are hereditary; α is not.
+bool Hereditary(AcyclicityClass target) {
+  return target != AcyclicityClass::kAlpha;
+}
+
 // ------------------------------- incremental vs batch classification --
 
 /// Pushes hg's edges one at a time, checking Meets() against the batch
 /// decider on each prefix; then pops them all, re-checking each prefix on
-/// the way back down. Exercises exactly the DFS access pattern.
+/// the way back down. Exercises exactly the DFS access pattern. After
+/// every push and pop, CannotRecover() must hold exactly when the target
+/// is hereditary and the stack violates it.
 void CheckPushPopAgainstBatch(const acyclic::Hypergraph& hg,
                               AcyclicityClass target) {
   IncrementalClassifier inc(target);
@@ -48,16 +55,17 @@ void CheckPushPopAgainstBatch(const acyclic::Hypergraph& hg,
     ASSERT_EQ(inc.Meets(), batch)
         << "push prefix of " << e + 1 << " edges, target "
         << acyclic::ToString(target);
-    if (inc.CannotRecover()) {
-      // CannotRecover is only claimed for hereditary targets on violated
-      // sets — both facts must hold.
-      ASSERT_FALSE(batch);
-      ASSERT_NE(target, AcyclicityClass::kAlpha);
-    }
+    ASSERT_EQ(inc.CannotRecover(), Hereditary(target) && !batch)
+        << "push prefix of " << e + 1 << " edges, target "
+        << acyclic::ToString(target);
   }
   for (size_t e = hg.edges.size(); e-- > 0;) {
     inc.PopEdge();
-    ASSERT_EQ(inc.Meets(), acyclic::Meets(prefixes[e], target))
+    const bool batch = acyclic::Meets(prefixes[e], target);
+    ASSERT_EQ(inc.Meets(), batch)
+        << "pop back to prefix of " << e << " edges, target "
+        << acyclic::ToString(target);
+    ASSERT_EQ(inc.CannotRecover(), Hereditary(target) && !batch)
         << "pop back to prefix of " << e << " edges, target "
         << acyclic::ToString(target);
   }
@@ -103,7 +111,8 @@ TEST(IncrementalClassifierTest, MatchesBatchOnAllFourEdgeHypergraphs) {
 TEST(IncrementalClassifierTest, RandomDfsInterleavingMatchesBatch) {
   // Random push/pop interleavings (not just push-all-pop-all): at every
   // step the classifier must agree with the batch decider on the current
-  // stack of edges.
+  // stack of edges, and CannotRecover() must report exactly a violated
+  // hereditary target — also after a pop below the violating push.
   std::mt19937_64 rng(17);
   for (AcyclicityClass target : kAllTargets) {
     for (int iter = 0; iter < 200; ++iter) {
@@ -127,7 +136,11 @@ TEST(IncrementalClassifierTest, RandomDfsInterleavingMatchesBatch) {
         acyclic::Hypergraph hg;
         hg.num_vertices = n;
         hg.edges = stack;
-        ASSERT_EQ(inc.Meets(), acyclic::Meets(hg, target))
+        const bool batch = acyclic::Meets(hg, target);
+        ASSERT_EQ(inc.Meets(), batch)
+            << "target " << acyclic::ToString(target) << " iter " << iter
+            << " step " << step;
+        ASSERT_EQ(inc.CannotRecover(), Hereditary(target) && !batch)
             << "target " << acyclic::ToString(target) << " iter " << iter
             << " step " << step;
       }
