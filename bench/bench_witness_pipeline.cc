@@ -2,9 +2,11 @@
 //
 // Sections:
 //  E-P1  every workload through its strategy's one per-candidate pipeline
-//        (push/pop classification with hereditary pruning, fingerprint
-//        dedup, prefiltering oracle): ms, DFS visits, candidates tested
-//        and prefilter rejections per row.
+//        (push/pop classification with hereditary pruning, incremental
+//        candidate-key dedup, prefiltering oracle): best-of-3 ms, DFS
+//        visits, candidates tested and prefilter rejections per row.
+//        Under --gate every row's work counts must equal the committed
+//        ones.
 //  E-P3  the exhaustive rows best-of-3 with the incremental chase-
 //        homomorphism session split (pushes, domain wipeouts, repairs and
 //        the candidate tuples they tried). Under --gate every row's
@@ -12,7 +14,9 @@
 //  E-P4  the exhaustive strategy on 1 vs 2 and 4 work-stealing workers at
 //        identical budgets: bitwise outcome parity on every row, >= 2x at
 //        4 threads on the long exhaustive-alpha-k4 row, best-of-5 per side
-//        over interleaved rounds. Gated (--gate).
+//        over interleaved rounds. Gated (--gate). Per distinct key and
+//        thread count it also reports oracle calls and shared NO-set lock
+//        acquisitions (not gated).
 //  E-P2  the worklist gamma decider on 1k/5k-atom Berge trees and a
 //        5k-edge path: single-digit milliseconds, verdict gamma-acyclic.
 //  E-P6  one containment-oracle call (ContainedInQ) on a fixed candidate
@@ -170,6 +174,8 @@ class StrategyRunner {
   }
 
   void Once(size_t threads) {
+    const size_t prefiltered =
+        metrics_.Count(obs::Counter::kOraclePrefiltered);
     auto start = Clock::now();
     run_.outcome =
         w_.kind == Kind::kSubsets
@@ -180,7 +186,8 @@ class StrategyRunner {
                                       w_.target);
     double ms = MillisSince(start);
     if (run_.ms < 0 || ms < run_.ms) run_.ms = ms;
-    run_.prefiltered = metrics_.Count(obs::Counter::kOraclePrefiltered);
+    run_.prefiltered =
+        metrics_.Count(obs::Counter::kOraclePrefiltered) - prefiltered;
   }
 
   const StrategyRun& run() const { return run_; }
@@ -204,16 +211,37 @@ StrategyRun RunStrategy(const Workload& w, int reps, size_t threads = 1) {
 
 double Count(size_t n) { return static_cast<double>(n); }
 
-void WitnessRows(bench::JsonReport* report) {
+/// E-P1's committed work counts, noise-free like E-P3's.
+struct PinnedWitnessCounts {
+  const char* workload;
+  size_t visits, candidates, prefiltered;
+};
+constexpr PinnedWitnessCounts kPinnedWitnessCounts[] = {
+    {"subsets-alpha-c8", 71057, 14256, 1792},
+    {"subsets-beta-k4", 61012, 1452, 36},
+    {"subsets-gamma-k4", 61012, 1452, 36},
+    {"subsets-berge-k5", 88205, 34992, 2380},
+    {"exhaustive-alpha-c6", 7224, 3403, 726},
+    {"exhaustive-beta-k4", 2636, 1008, 83},
+    {"exhaustive-berge-k4", 1741, 616, 62},
+    {"exhaustive-alpha-k4", 607719, 109072, 6789},
+};
+
+/// Returns the number of rows whose work counts moved (0 when not gating).
+int WitnessRows(bench::JsonReport* report, bool gate) {
   bench::Banner(
       "E-P1 - witness search, one per-candidate pipeline per strategy",
-      "push/pop classification, hereditary pruning, fingerprint dedup and "
-      "a prefiltering containment oracle; absolute rows");
+      "push/pop classification, hereditary pruning, incremental key dedup "
+      "and a prefiltering containment oracle; best-of-3 absolute rows, "
+      "work counts pinned under --gate");
   bench::Table table({"workload", "ms", "visits", "cand", "prefiltered",
                       "answer"});
   double total_ms = 0;
+  int failures = 0;
   for (const Workload& w : Workloads()) {
-    StrategyRun run = RunStrategy(w, 1);
+    // Best-of-3: one-shot times of one binary can differ by more than
+    // half from run to run.
+    StrategyRun run = RunStrategy(w, 3);
     const WitnessSearchOutcome& o = run.outcome;
     total_ms += run.ms;
     table.AddRow({w.name, std::to_string(run.ms), std::to_string(o.visits),
@@ -234,10 +262,24 @@ void WitnessRows(bench::JsonReport* report) {
       std::printf("*** %s did not exhaust its search space\n",
                   w.name.c_str());
     }
+    for (const PinnedWitnessCounts& pin : kPinnedWitnessCounts) {
+      if (w.name != pin.workload) continue;
+      if (o.visits == pin.visits && o.candidates_tested == pin.candidates &&
+          run.prefiltered == pin.prefiltered) {
+        continue;
+      }
+      std::printf(
+          "*** %s work counts moved: visits %zu (pinned %zu), candidates "
+          "%zu (%zu), prefiltered %zu (%zu)\n",
+          pin.workload, o.visits, pin.visits, o.candidates_tested,
+          pin.candidates, run.prefiltered, pin.prefiltered);
+      if (gate) ++failures;
+    }
   }
   table.Print();
   std::printf("total wall clock across all workloads: %.1f ms\n", total_ms);
   report->AddRow("witness_total", {{"ms", bench::JsonReport::Num(total_ms)}});
+  return failures;
 }
 
 /// E-P3's committed work counts. They are noise-free, so any difference is
@@ -416,7 +458,11 @@ int OracleRows(bench::JsonReport* report, bool gate) {
 /// than the whole row to be scheduled (runs at 0.9x with a single steal,
 /// about one in four). Each side keeps its best of kRounds, and the rounds
 /// interleave 1/2/4 workers so a shift in host speed hits all three sides
-/// alike. Returns the number of gate violations (0 when not gating).
+/// alike. A second table reports, per distinct key (official
+/// candidates_tested) and thread count, the oracle calls — each builds
+/// its candidate, so they are also the candidate builds — and the lock
+/// acquisitions on the shared NO-set: the per-key overhead extra workers
+/// add. Returns the number of gate violations (0 when not gating).
 int ParallelShowdown(bench::JsonReport* report, bool gate) {
   constexpr int kRounds = 5;
   bench::Banner(
@@ -434,6 +480,8 @@ int ParallelShowdown(bench::JsonReport* report, bool gate) {
   int failures = 0;
   bench::Table table({"workload", "1 worker ms", "2t ms", "4t ms", "x2", "x4",
                       "steals", "waste", "parity"});
+  bench::Table per_key({"workload", "keys", "calls/key 1t", "2t", "4t",
+                        "locks/key 1t", "2t", "4t"});
   for (const Workload& w : Workloads()) {
     if (w.kind != Kind::kExhaustive) continue;
     StrategyRunner one_runner(w), two_runner(w), four_runner(w);
@@ -445,6 +493,19 @@ int ParallelShowdown(bench::JsonReport* report, bool gate) {
     const StrategyRun& one = one_runner.run();
     const StrategyRun& p2 = two_runner.run();
     const StrategyRun& p4 = four_runner.run();
+    const size_t keys = one.outcome.candidates_tested;
+    auto per = [keys](size_t n) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.3f",
+                    keys == 0 ? 0.0 : Count(n) / Count(keys));
+      return std::string(buf);
+    };
+    per_key.AddRow({w.name, std::to_string(keys),
+                    per(one.outcome.oracle_calls), per(p2.outcome.oracle_calls),
+                    per(p4.outcome.oracle_calls),
+                    per(one.outcome.shared_set_locks),
+                    per(p2.outcome.shared_set_locks),
+                    per(p4.outcome.shared_set_locks)});
     double x2 = one.ms / p2.ms;
     double x4 = one.ms / p4.ms;
     auto bitwise = [&](const WitnessSearchOutcome& p) {
@@ -483,6 +544,17 @@ int ParallelShowdown(bench::JsonReport* report, bool gate) {
          {"wasted_visits",
           bench::JsonReport::Num(
               static_cast<double>(p4.outcome.parallel.wasted_visits))},
+         {"keys", bench::JsonReport::Num(Count(keys))},
+         {"oracle_calls1", bench::JsonReport::Num(
+                               Count(one.outcome.oracle_calls))},
+         {"oracle_calls2", bench::JsonReport::Num(
+                               Count(p2.outcome.oracle_calls))},
+         {"oracle_calls4", bench::JsonReport::Num(
+                               Count(p4.outcome.oracle_calls))},
+         {"shared_set_locks2", bench::JsonReport::Num(
+                                   Count(p2.outcome.shared_set_locks))},
+         {"shared_set_locks4", bench::JsonReport::Num(
+                                   Count(p4.outcome.shared_set_locks))},
          {"gated", gated ? "true" : "false"},
          {"parity", parity ? "true" : "false"}});
     if (!parity) {
@@ -497,6 +569,8 @@ int ParallelShowdown(bench::JsonReport* report, bool gate) {
     }
   }
   table.Print();
+  std::printf("per distinct key (reported, not gated):\n");
+  per_key.Print();
   return failures;
 }
 
@@ -554,8 +628,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--gate") == 0) gate = true;
   }
   semacyc::bench::JsonReport report(argc, argv, "witness_pipeline");
-  semacyc::WitnessRows(&report);
-  int failures = semacyc::HomRows(&report, gate);
+  int failures = semacyc::WitnessRows(&report, gate);
+  failures += semacyc::HomRows(&report, gate);
   failures += semacyc::OracleRows(&report, gate);
   failures += semacyc::ParallelShowdown(&report, gate);
   semacyc::GammaRows(&report);

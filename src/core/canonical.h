@@ -1,6 +1,8 @@
 #ifndef SEMACYC_CORE_CANONICAL_H_
 #define SEMACYC_CORE_CANONICAL_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -39,11 +41,75 @@ uint64_t CanonicalFingerprint(const ConjunctiveQuery& q, uint64_t salt = 0);
 inline constexpr uint64_t kSecondFingerprintSalt = 0x9e3779b97f4a7c15ull;
 std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
     const ConjunctiveQuery& q);
-/// The same key for the query with this head and body, without building
-/// it (the witness searches fingerprint a candidate before constructing
-/// it, and only dedup survivors are built).
-std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
-    const std::vector<Term>& head, const std::vector<Atom>& body);
+
+/// A 128-bit candidate key over CanonicalFingerprint128's invariant,
+/// maintained under a stack of atom pushes (the witness searches' DFS
+/// path) instead of recomputed per candidate. The caller numbers the
+/// candidate's variables as small vertex ids and hands each pushed
+/// atom's per-position ids (-1 for a constant, keyed by its raw bits).
+///
+/// Per vertex, two commutative accumulators (one per salt) start from a
+/// hash of the vertex's first head position and sum a mixed (predicate,
+/// position) hash over its occurrences — Push adds and Pop subtracts, so
+/// the occurrence multiset is kept exactly — next to an occurrence
+/// count. Key() folds them: each atom key chains the predicate and, per
+/// position, (first equal position, the vertex's accumulator) or the
+/// constant's hash; atom keys are summed and the head size mixed in.
+/// That encodes what FingerprintChains encodes — the occurrence multiset
+/// and first head position per variable, each atom's equality pattern,
+/// the atom multiset and the head size — so two candidates get equal keys
+/// iff their CanonicalFingerprint128 keys are equal (up to 128-bit hash
+/// conflations). The hash values differ from CanonicalFingerprint128's:
+/// keys compare only with keys of this class. A steady-state push, pop
+/// or Key() allocates nothing.
+class IncrementalCandidateKey {
+ public:
+  /// Empties the stack and sets the head: `head[i]` is the vertex at head
+  /// position i, or -1 for a constant (which, as in FingerprintChains,
+  /// only counts toward the head size).
+  void Reset(const std::vector<int>& head);
+
+  /// Pushes `atom`, whose position i holds vertex `verts[i]` (-1 = the
+  /// constant atom.arg(i)).
+  void Push(const Atom& atom, const int* verts);
+
+  /// Undoes the most recent Push. Must not be called at depth 0.
+  void Pop();
+
+  size_t depth() const { return atoms_.size(); }
+
+  /// Occurrences of vertex `v` in the pushed atoms.
+  uint32_t Count(int v) const {
+    return static_cast<size_t>(v) < count_.size() ? count_[v] : 0;
+  }
+
+  /// The key of the pushed atoms under the head.
+  std::pair<uint64_t, uint64_t> Key() const;
+
+ private:
+  /// One pushed position: its vertex (-1 for a constant), its first equal
+  /// position in the atom, and per chain the occurrence hash it added to
+  /// the vertex's accumulator, or the constant's hash.
+  struct Position {
+    int vertex;
+    uint32_t first;
+    uint64_t code[2];
+  };
+  /// A pushed atom: where its positions start, and per chain the hash of
+  /// its predicate that its key starts from.
+  struct PushedAtom {
+    uint32_t begin;
+    uint64_t seed[2];
+  };
+
+  void Grow(size_t vertex);
+
+  std::vector<std::array<uint64_t, 2>> acc_;
+  std::vector<uint32_t> count_;
+  size_t head_size_ = 0;
+  std::vector<PushedAtom> atoms_;
+  std::vector<Position> positions_;
+};
 
 }  // namespace semacyc
 

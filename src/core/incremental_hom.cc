@@ -49,6 +49,13 @@ void IncrementalHomomorphism::Reset(const Substitution& fixed) {
   }
 }
 
+uint32_t IncrementalHomomorphism::FindVar(Term t) const {
+  for (size_t id = 0; id < vars_in_use_; ++id) {
+    if (vars_[id].term == t) return static_cast<uint32_t>(id);
+  }
+  return kNoDense;
+}
+
 uint32_t IncrementalHomomorphism::InternVar(Term t) {
   uint32_t id = static_cast<uint32_t>(vars_in_use_++);
   if (id == vars_.size()) vars_.emplace_back();
@@ -62,7 +69,6 @@ uint32_t IncrementalHomomorphism::InternVar(Term t) {
   v.bound = kNoDense;
   v.fixed_term = Term();
   v.is_fixed = false;
-  var_index_.emplace(t, id);
   return id;
 }
 
@@ -70,7 +76,6 @@ void IncrementalHomomorphism::ReleaseVar(uint32_t id) {
   assert(id + 1 == vars_in_use_);
   VarState& v = vars_[id];
   for (uint32_t d : v.values) v.where[d] = 0;
-  var_index_.erase(v.term);
   --vars_in_use_;
 }
 
@@ -184,19 +189,17 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
   level.pos_var.assign(arity, kNoDense);
   for (size_t i = 0; i < arity; ++i) {
     Term t = atom.arg(i);
-    uint32_t var_id;
-    bool interned_now = false;
-    auto it = var_index_.find(t);
-    if (it != var_index_.end()) {
-      var_id = it->second;
-    } else if (t.IsVariable() || t.IsNull()) {
+    uint32_t var_id = FindVar(t);
+    const bool interned_now = var_id == kNoDense;
+    if (interned_now) {
+      if (!t.IsVariable() && !t.IsNull()) {
+        // Ground: the position must carry exactly this term (a term
+        // outside the target keeps the kNoDense sentinel and matches no
+        // tuple).
+        level.ground[i] = dense_of_.Find(t.raw_bits());
+        continue;
+      }
       var_id = InternVar(t);
-      interned_now = true;
-    } else {
-      // Ground: the position must carry exactly this term (a term outside
-      // the target keeps the kNoDense sentinel and matches no tuple).
-      level.ground[i] = dense_of_.Find(t.raw_bits());
-      continue;
     }
     int slot = -1;
     for (size_t s = 0; s < num_slots; ++s) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/flat_table.h"
@@ -61,8 +60,11 @@ namespace semacyc {
 ///
 /// Sessions are reusable: Reset() clears the stack and re-seeds the fixed
 /// bindings (the enumerator resets once per head pattern). Steady-state
-/// push/pop cycles allocate nothing — levels, domains and scratch buffers
-/// are pooled.
+/// push/pop cycles allocate nothing (pinned by incremental_hom_test):
+/// levels, variable records, domains and scratch buffers are pooled, and
+/// a source term finds its variable record by a scan of the live
+/// variable stack — the source side is one small candidate plus its head,
+/// so no hash table is kept.
 ///
 /// Not thread-safe; one session per search, like IncrementalClassifier.
 class IncrementalHomomorphism {
@@ -186,6 +188,10 @@ class IncrementalHomomorphism {
     uint32_t epoch = 0;
   };
 
+  /// The live variable record of `t`, or kNoDense. A linear scan of the
+  /// variable stack: the source side is one small candidate plus its
+  /// head, so this beats hashing and keeps interning allocation-free.
+  uint32_t FindVar(Term t) const;
   uint32_t InternVar(Term t);
   void ReleaseVar(uint32_t id);
   bool InDomain(const VarState& v, uint32_t dense) const {
@@ -216,11 +222,11 @@ class IncrementalHomomorphism {
   std::vector<uint32_t> dense_args_;
   std::vector<uint32_t> tuple_start_;
 
-  /// Pooled variable records; vars_[0..vars_in_use_) are live. Fixed
-  /// variables occupy the bottom of the stack and never die.
+  /// Pooled variable records; vars_[0..vars_in_use_) are live, one per
+  /// distinct mappable term (FindVar looks them up). Fixed variables
+  /// occupy the bottom of the stack and never die.
   std::vector<VarState> vars_;
   size_t vars_in_use_ = 0;
-  std::unordered_map<Term, uint32_t, TermHash> var_index_;
 
   /// Pooled per-push undo records; levels_[0..depth_) are live.
   std::vector<Level> levels_;

@@ -236,44 +236,46 @@ Tri ContainmentOracle::ContainedInQ(const ConjunctiveQuery& candidate,
 
 namespace {
 
-/// Distinct terms that every candidate sub-instance must mention so the
-/// head is expressible.
-std::vector<Term> RequiredHeadTerms(const QueryChaseResult& chase) {
-  std::vector<Term> out;
-  for (Term t : chase.frozen_head) {
-    if (t.IsConstant() && !t.IsFrozenNull()) continue;  // genuine constant
-    if (std::find(out.begin(), out.end(), t) == out.end()) out.push_back(t);
-  }
-  return out;
-}
+/// A constant of q or Σ, as opposed to a frozen variable or a labeled
+/// null: candidates keep it as a constant.
+bool IsGenuineConstant(Term t) { return t.IsConstant() && !t.IsFrozenNull(); }
 
 /// Read-only view of the subsets search space, precomputed once per
-/// search: connecting vertices per chase atom (one vertex numbering for
-/// every classifier session) and the required head terms each atom
-/// covers. Nothing here mutates after construction, so parallel workers
-/// share it.
+/// search over one vertex numbering of the chase's terms: the connecting
+/// vertices per chase atom (for every classifier session), and the
+/// candidate key's per-position vertices per chase atom and per frozen
+/// head position (genuine constants, which PoolSubset keeps as
+/// constants, are -1). Nothing here mutates after construction, so
+/// parallel workers share it.
 struct SubsetsSpace {
   const std::vector<Atom>* atoms;
-  std::vector<Term> required;
   std::vector<std::vector<int>> atom_verts;
-  std::vector<std::vector<size_t>> atom_required;
+  std::vector<std::vector<int>> key_verts;
+  std::vector<int> head_verts;
 
   explicit SubsetsSpace(const QueryChaseResult& chase)
-      : atoms(&chase.instance.atoms()), required(RequiredHeadTerms(chase)) {
+      : atoms(&chase.instance.atoms()) {
     const size_t m = atoms->size();
     atom_verts.resize(m);
-    atom_required.resize(m);
+    key_verts.resize(m);
     std::unordered_map<Term, int, TermHash> vertex_of;
+    auto vertex = [&](Term t) {
+      return vertex_of.emplace(t, static_cast<int>(vertex_of.size()))
+          .first->second;
+    };
     for (size_t i = 0; i < m; ++i) {
       // kAllTerms: in a frozen-query chase every term connects.
       for (Term t : (*atoms)[i].DistinctTerms()) {
-        atom_verts[i].push_back(
-            vertex_of.emplace(t, static_cast<int>(vertex_of.size()))
-                .first->second);
+        atom_verts[i].push_back(vertex(t));
       }
-      for (size_t k = 0; k < required.size(); ++k) {
-        if ((*atoms)[i].Mentions(required[k])) atom_required[i].push_back(k);
+      for (Term t : (*atoms)[i].args()) {
+        key_verts[i].push_back(IsGenuineConstant(t) ? -1 : vertex(t));
       }
+    }
+    // A head term no chase atom mentions gets a vertex no push ever
+    // counts, so no subset covers it.
+    for (Term t : chase.frozen_head) {
+      head_verts.push_back(IsGenuineConstant(t) ? -1 : vertex(t));
     }
   }
 };
@@ -406,6 +408,8 @@ class UnitWorker {
   void AddStats(WitnessSearchOutcome* outcome) const {
     outcome->classifier_pushes += inc_.pushes();
     outcome->classifier_pops += inc_.pops();
+    outcome->oracle_calls += oracle_calls_;
+    outcome->shared_set_locks += shared_set_locks_;
   }
 
  protected:
@@ -436,20 +440,33 @@ class UnitWorker {
     return true;
   }
 
-  /// Tests one candidate at the current visit; true on a witness. The
-  /// worker-wide dedup never drops an event the official count needs: a
-  /// worker claims units in index order, so the earlier test of the same
-  /// key is in the official prefix whenever this one is. The shared
-  /// NO-set only suppresses oracle CALLS for candidates other workers
-  /// refuted (kYes stops the search, kUnknown is never inserted —
-  /// answer-invariant). The candidate is fingerprinted from the caller's
-  /// (head, body) views and built only once it survives both dedups.
-  bool Test(const std::vector<Term>& head, const std::vector<Atom>& body) {
-    Key128 key = CanonicalFingerprint128(head, body);
-    if (!seen_.insert(key).second) return false;
+  /// Whether the visit's candidate, with key `key`, is to be tested: the
+  /// key is new to this worker and the path meets the target. The probe
+  /// runs first and is exact: seen_ only holds keys of candidates that met
+  /// the target, so a hit is a candidate Test would drop anyway — and it
+  /// skips the α verdict on every repeat.
+  bool Admits(const Key128& key) {
+    return seen_.count(key) == 0 && inc_.Meets();
+  }
+
+  /// Tests the admitted candidate (head, body) with key `key`; true on a
+  /// witness. The worker-wide dedup never drops an event the official
+  /// count needs: a worker claims units in index order, so the earlier
+  /// test of the same key is in the official prefix whenever this one is.
+  /// The shared NO-set only suppresses oracle CALLS for candidates other
+  /// workers refuted (kYes stops the search, kUnknown is never inserted —
+  /// answer-invariant). The candidate is built only once it survives
+  /// both dedups.
+  bool Test(const Key128& key, const std::vector<Term>& head,
+            const std::vector<Atom>& body) {
+    seen_.insert(key);
     events_.push_back({unit_, visits_, key});
-    if (shared_no_ != nullptr && shared_no_->Contains(key)) return false;
+    if (shared_no_ != nullptr) {
+      ++shared_set_locks_;
+      if (shared_no_->Contains(key)) return false;
+    }
     ConjunctiveQuery candidate(head, body);
+    ++oracle_calls_;
     Tri r = oracle_.ContainedInQ(candidate, cancel_);
     if (r == Tri::kYes) {
       found_ = true;
@@ -457,7 +474,10 @@ class UnitWorker {
       witnesses_.emplace_back(unit_, std::move(candidate));
       return true;
     }
-    if (r == Tri::kNo && shared_no_ != nullptr) shared_no_->Insert(key);
+    if (r == Tri::kNo && shared_no_ != nullptr) {
+      ++shared_set_locks_;
+      shared_no_->Insert(key);
+    }
     return false;
   }
 
@@ -495,6 +515,8 @@ class UnitWorker {
  private:
   size_t unit_ = 0;
   uint64_t found_at_ = 0;
+  size_t oracle_calls_ = 0;
+  size_t shared_set_locks_ = 0;
   std::unordered_set<Key128, Key128Hash> seen_;
   std::vector<CandidateEvent> events_;
   std::vector<std::pair<size_t, ConjunctiveQuery>> witnesses_;
@@ -610,12 +632,12 @@ struct SubsetsUnit {
   int64_t first;
 };
 
-/// One worker of the subsets search: own classifier session, coverage
-/// counters and variable pool over the shared immutable SubsetsSpace.
-/// A push/pop classifier threaded along the DFS path and required-term
-/// coverage maintained by counters make a DFS node cost one scratch
-/// re-check of the path instead of an Instance build plus a from-scratch
-/// classification.
+/// One worker of the subsets search: own classifier session, candidate
+/// key and variable pool over the shared immutable SubsetsSpace. A
+/// push/pop classifier and key threaded along the DFS path (the key's
+/// vertex counts give the head cover) make a DFS node cost one key fold
+/// plus a lookup instead of an Instance build, a from-scratch
+/// classification and a fingerprint.
 class SubsetsWorker : public UnitWorker {
  public:
   SubsetsWorker(const std::vector<SubsetsUnit>& units,
@@ -626,8 +648,9 @@ class SubsetsWorker : public UnitWorker {
       : UnitWorker(oracle, target, parent, shared_no),
         units_(units),
         space_(space),
-        chase_(chase),
-        req_cover_(space.required.size(), 0) {}
+        chase_(chase) {
+    key_.Reset(space.head_verts);
+  }
 
   SearchUnitOutcome RunUnit(size_t unit,
                             ParallelSearchPool::WorkerContext& ctx) {
@@ -645,7 +668,7 @@ class SubsetsWorker : public UnitWorker {
       const size_t i = static_cast<size_t>(u.first);
       Push(i);
       if (!inc_.CannotRecover()) Dfs(i + 1, u.limit);
-      Pop(i);
+      Pop();
     }
     return EndUnit();
   }
@@ -653,22 +676,28 @@ class SubsetsWorker : public UnitWorker {
  private:
   void Push(size_t i) {
     subset_.push_back(static_cast<uint32_t>(i));
-    for (size_t k : space_.atom_required[i]) {
-      if (req_cover_[k]++ == 0) ++covered_;
-    }
+    key_.Push((*space_.atoms)[i], space_.key_verts[i].data());
     inc_.PushEdge(space_.atom_verts[i]);
   }
 
-  void Pop(size_t i) {
+  void Pop() {
     inc_.PopEdge();
-    for (size_t k : space_.atom_required[i]) {
-      if (--req_cover_[k] == 0) --covered_;
-    }
+    key_.Pop();
     subset_.pop_back();
   }
 
+  /// Whether the subset mentions every head term but the genuine
+  /// constants, so the head is expressible.
+  bool Covered() const {
+    for (int v : space_.head_verts) {
+      if (v >= 0 && key_.Count(v) == 0) return false;
+    }
+    return true;
+  }
+
   /// Inverse freezing of subset_ over a stable variable pool into
-  /// pooled_head_/pooled_body_: fresh per-candidate names would intern a
+  /// pooled_head_/pooled_body_ (run only for a candidate that passed
+  /// Admits): fresh per-candidate names would intern a
   /// new symbol for every variable of every candidate; reusing "s$<i>"
   /// across candidates interns each name exactly once per process, and
   /// every worker builds bitwise-identical candidates for the same subset.
@@ -677,7 +706,7 @@ class SubsetsWorker : public UnitWorker {
   void PoolSubset() {
     rename_.clear();
     auto var_of = [&](Term t) -> Term {
-      if (t.IsConstant() && !t.IsFrozenNull()) return t;  // real constant
+      if (IsGenuineConstant(t)) return t;
       for (const auto& [from, to] : rename_) {
         if (from == t) return to;
       }
@@ -701,13 +730,15 @@ class SubsetsWorker : public UnitWorker {
   }
 
   /// DFS over index-increasing subsets, testing each acyclic subset that
-  /// covers the required terms.
+  /// covers the head.
   bool Dfs(size_t next, size_t limit) {
     if (!Visit("subsets.visit")) return false;
-    if (!subset_.empty() && covered_ == space_.required.size() &&
-        inc_.Meets()) {
-      PoolSubset();
-      if (Test(pooled_head_, pooled_body_)) return true;
+    if (!subset_.empty() && Covered()) {
+      const Key128 key = key_.Key();
+      if (Admits(key)) {
+        PoolSubset();
+        if (Test(key, pooled_head_, pooled_body_)) return true;
+      }
     }
     if (subset_.size() >= limit) return false;
     const size_t m = space_.atoms->size();
@@ -716,7 +747,7 @@ class SubsetsWorker : public UnitWorker {
       // β/γ/Berge are hereditary: a violated prefix can never recover, so
       // the whole subtree (including this subset itself) is dead.
       bool found = !inc_.CannotRecover() && Dfs(i + 1, limit);
-      Pop(i);
+      Pop();
       if (found) return true;
       if (truncated_) return false;
     }
@@ -726,8 +757,7 @@ class SubsetsWorker : public UnitWorker {
   const std::vector<SubsetsUnit>& units_;
   const SubsetsSpace& space_;
   const QueryChaseResult& chase_;
-  std::vector<int> req_cover_;
-  size_t covered_ = 0;
+  IncrementalCandidateKey key_;
   std::vector<uint32_t> subset_;
   std::vector<Term> var_pool_;
   /// PoolSubset's scratch and output (capacity kept across candidates).
@@ -783,6 +813,9 @@ struct HpPlan {
   Substitution fixed;
   /// The distinct head variables, in first-occurrence order.
   std::vector<Term> head_vars;
+  /// Per head position: the vertex of its variable (its index in
+  /// head_vars).
+  std::vector<int> head_verts;
 };
 
 /// The argument choices at one atom position, in enumeration order: the
@@ -808,8 +841,8 @@ void ForEachChoice(const HpPlan& hp, const EnumSignature& sig, size_t used,
 }
 
 /// One prefix atom of the unit plan, with what the DFS knows when it
-/// pushes the atom: the pool frontier after it and its classifier vertices
-/// (ForEachChoice's numbering, constants left out).
+/// pushes the atom: the pool frontier after it and each position's vertex
+/// (ForEachChoice's numbering, -1 for a constant).
 struct PlanAtom {
   Atom atom;
   size_t frontier;
@@ -868,10 +901,9 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
         hp.fixed[hp.head[i]] = chase.frozen_head[i];
       }
       for (Term h : hp.head) {
-        if (std::find(hp.head_vars.begin(), hp.head_vars.end(), h) ==
-            hp.head_vars.end()) {
-          hp.head_vars.push_back(h);
-        }
+        auto it = std::find(hp.head_vars.begin(), hp.head_vars.end(), h);
+        hp.head_verts.push_back(static_cast<int>(it - hp.head_vars.begin()));
+        if (it == hp.head_vars.end()) hp.head_vars.push_back(h);
       }
       plan.hps.push_back(std::move(hp));
       return;
@@ -894,7 +926,7 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
   patterns(0, 0);
 
   // Argument-tuple enumeration, exactly as BuildArgs walks it: the
-  // `used` frontier threaded down the positions, the vertices collected.
+  // `used` frontier threaded down the positions, the vertices recorded.
   auto for_each_atom = [&](Predicate p, const HpPlan& hp, size_t used0,
                            const std::function<void(PlanAtom&&)>& fn) {
     std::vector<Term> args(static_cast<size_t>(p.arity()));
@@ -906,9 +938,9 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
       }
       ForEachChoice(hp, sig, used, [&](Term t, size_t next_used, int vertex) {
         args[pos] = t;
-        if (vertex >= 0) verts.push_back(vertex);
+        verts.push_back(vertex);
         go(pos + 1, next_used);
-        if (vertex >= 0) verts.pop_back();
+        verts.pop_back();
       });
     };
     go(0, used0);
@@ -957,10 +989,11 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
 
 /// One worker of the exhaustive search (see the header for the
 /// completeness contract): canonical enumeration of acyclic candidate
-/// queries below the unit's prefix, with its own classifier and
-/// incremental chase-homomorphism sessions. Consecutive units replay only
-/// the suffix where their prefixes differ, so one worker running every
-/// unit in order pushes each prefix atom exactly once, like a single DFS.
+/// queries below the unit's prefix, with its own classifier, incremental
+/// chase-homomorphism session and candidate key. Consecutive units replay
+/// only the suffix where their prefixes differ, so one worker running
+/// every unit in order pushes each prefix atom exactly once, like a
+/// single DFS.
 class ExhaustiveWorker : public UnitWorker {
  public:
   ExhaustiveWorker(const ExhaustivePlan& plan, const EnumSignature& sig,
@@ -1028,6 +1061,7 @@ class ExhaustiveWorker : public UnitWorker {
       const HpPlan& h = plan_.hps[u.hp];
       hp_plan_ = &h;
       hom_.Reset(h.fixed);
+      key_.Reset(h.head_verts);
       hp_ = u.hp;
     }
     for (; depth < 2 && want[depth] != ExhUnit::kNoAtom; ++depth) {
@@ -1049,12 +1083,12 @@ class ExhaustiveWorker : public UnitWorker {
   }
 
   /// Pushes one prefix atom with the DFS push nesting (classifier first,
-  /// then hom). False = pruned, with both sessions restored.
+  /// then hom, then the key). False = pruned, with every session restored.
   bool PushPrefixAtom(const PlanAtom& pa) {
     size_t saved_frontier = used_frontier_;
     atoms_.push_back(pa.atom);
     used_frontier_ = pa.frontier;
-    inc_.PushEdge(pa.verts);
+    PushEdge(pa.verts);
     bool ok = !inc_.CannotRecover();
     if (ok) {
       ok = hom_.PushAtom(pa.atom);
@@ -1066,12 +1100,14 @@ class ExhaustiveWorker : public UnitWorker {
       used_frontier_ = saved_frontier;
       return false;
     }
+    key_.Push(pa.atom, pa.verts.data());
     frontier_stack_.push_back(saved_frontier);
     return true;
   }
 
   void PopTo(size_t depth) {
     while (prefix_.size() > depth) {
+      key_.Pop();
       hom_.PopAtom();
       inc_.PopEdge();
       atoms_.pop_back();
@@ -1081,23 +1117,28 @@ class ExhaustiveWorker : public UnitWorker {
     }
   }
 
+  /// Classifier push of one atom's per-position vertices; constants
+  /// (-1) never connect, so they are left out.
+  void PushEdge(const std::vector<int>& verts) {
+    verts_scratch_.clear();
+    for (int v : verts) {
+      if (v >= 0) verts_scratch_.push_back(v);
+    }
+    inc_.PushEdge(verts_scratch_);
+  }
+
+  /// Head variable j is vertex j.
   bool HeadCovered() const {
-    for (Term h : hp_plan_->head) {
-      bool found = false;
-      for (const Atom& a : atoms_) {
-        if (a.Mentions(h)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
+    for (size_t j = 0; j < hp_plan_->head_vars.size(); ++j) {
+      if (key_.Count(static_cast<int>(j)) == 0) return false;
     }
     return true;
   }
 
   void TestCandidate() {
-    if (atoms_.empty() || !HeadCovered() || !inc_.Meets()) return;
-    Test(hp_plan_->head, atoms_);
+    if (atoms_.empty() || !HeadCovered()) return;
+    const Key128 key = key_.Key();
+    if (Admits(key)) Test(key, hp_plan_->head, atoms_);
   }
 
   void Search() {
@@ -1138,17 +1179,18 @@ class ExhaustiveWorker : public UnitWorker {
       // runs before the chase homomorphism: a hereditarily violated prefix
       // can never recover, and pruning it here skips the hom for the whole
       // subtree.
-      verts_scratch_.clear();
-      for (int v : slot.verts) {
-        if (v >= 0) verts_scratch_.push_back(v);
-      }
-      inc_.PushEdge(verts_scratch_);
+      PushEdge(slot.verts);
       if (!inc_.CannotRecover()) {
         // Incremental per-atom chase check, mirroring the classifier's
         // push/pop discipline: the session's stack tracks atoms_ along the
         // DFS path, so this push costs O(what the atom changed) instead of
-        // a from-scratch backtracking search.
-        if (hom_.PushAtom(atom)) Search();
+        // a from-scratch backtracking search. The key follows only the
+        // pushes the DFS descends into.
+        if (hom_.PushAtom(atom)) {
+          key_.Push(atom, slot.verts.data());
+          Search();
+          key_.Pop();
+        }
         hom_.PopAtom();
       }
       inc_.PopEdge();
@@ -1174,6 +1216,9 @@ class ExhaustiveWorker : public UnitWorker {
   /// PushEdge/PopEdge along the DFS path — the certificate that the
   /// candidate maps into the chase with the head bound position-wise.
   IncrementalHomomorphism hom_;
+  /// The candidate key of atoms_ at every visit (ForEachChoice's vertex
+  /// numbering; its counts give the head cover).
+  IncrementalCandidateKey key_;
   /// The current head pattern's invariants (owned by the plan).
   uint32_t hp_ = ExhUnit::kNoAtom;
   const HpPlan* hp_plan_ = nullptr;

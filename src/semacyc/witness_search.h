@@ -147,6 +147,12 @@ struct WitnessSearchOutcome {
   /// over workers — real work performed, scheduling-dependent at
   /// threads > 1, and deliberately outside the parity contract.
   IncrementalHomomorphism::Stats hom;
+  /// Containment-oracle calls (each on a freshly built candidate) and
+  /// lock acquisitions on the shared NO-set, summed over workers of the
+  /// subsets/exhaustive strategies: like `hom`, scheduling-dependent at
+  /// threads > 1 and outside the parity contract.
+  size_t oracle_calls = 0;
+  size_t shared_set_locks = 0;
   /// Work-stealing bookkeeping of the subsets/exhaustive strategies (at
   /// every thread count; all-zero for images).
   WorkStealStats parallel;
@@ -155,8 +161,9 @@ struct WitnessSearchOutcome {
 /// Each strategy has exactly one search body and one per-candidate
 /// pipeline: push/pop acyclicity classification along the DFS path (with
 /// hereditary subtree pruning for β/γ/Berge targets), an incrementally
-/// maintained chase homomorphism (exhaustive), and 128-bit fingerprint
-/// candidate dedup.
+/// maintained chase homomorphism (exhaustive), and candidate dedup on a
+/// 128-bit key kept along the path (IncrementalCandidateKey; the images
+/// strategy fingerprints each built candidate).
 ///
 /// Every strategy takes a `target` acyclicity class: candidates are kept
 /// only when their hypergraph lies in `target` or a stricter class. kAlpha

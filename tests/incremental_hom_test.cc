@@ -4,6 +4,9 @@
 // witness validity).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <string>
 #include <vector>
@@ -13,6 +16,22 @@
 #include "core/incremental_hom.h"
 #include "core/parser.h"
 #include "gen/generators.h"
+
+namespace {
+/// Heap allocations made by this thread, counted by this binary's
+/// replacement of the global operator new (the steady-state test below).
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+// The replaced global allocation functions behind the count; the array
+// and nothrow forms forward here.
+void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace semacyc {
 namespace {
@@ -294,6 +313,47 @@ TEST(IncrementalHomTest, FailingRepairIsLinearOnAPath) {
   EXPECT_EQ(hom.stats().repairs, 1u);
   EXPECT_EQ(hom.stats().repair_fails, 1u);
   EXPECT_LE(hom.stats().repair_steps, 4 * kPath);
+}
+
+TEST(IncrementalHomTest, SteadyStatePushPopCyclesAllocateNothing) {
+  // One push/pop cycle that takes every push path with fresh variables:
+  // E(x,y) extends the witness (x=a, y=b), E(y,z) forces a repair (y
+  // must move to e), E(z,w) is refuted by forward checking (f has no
+  // successor). After one warm-up cycle the pooled levels, domains and
+  // scratch hold their capacity, so a further cycle — whose variables are
+  // interned afresh — must not touch the heap.
+  Predicate e = Predicate::Get("E", 2);
+  auto c = [](const char* name) { return Term::Constant(name); };
+  Instance target;
+  target.InsertAll({Atom(e, {c("sa"), c("sb")}), Atom(e, {c("sd"), c("se")}),
+                    Atom(e, {c("se"), c("sf")})});
+  Term x = Term::Variable("ssx");
+  Term y = Term::Variable("ssy");
+  Term z = Term::Variable("ssz");
+  Term w = Term::Variable("ssw");
+  const std::vector<Atom> cycle = {Atom(e, {x, y}), Atom(e, {y, z}),
+                                   Atom(e, {z, w})};
+  IncrementalHomomorphism hom(target);
+  hom.Reset();
+  auto run_cycle = [&] {
+    bool ok = hom.PushAtom(cycle[0]);
+    ok = hom.PushAtom(cycle[1]) && ok;
+    ok = !hom.PushAtom(cycle[2]) && ok;
+    for (size_t i = 0; i < cycle.size(); ++i) hom.PopAtom();
+    return ok;
+  };
+  ASSERT_TRUE(run_cycle());
+  ASSERT_EQ(hom.stats().extends, 1u);
+  ASSERT_EQ(hom.stats().repairs, 1u);
+  ASSERT_EQ(hom.stats().repair_fails, 0u);
+  ASSERT_EQ(hom.stats().fc_rejects, 1u);
+  const uint64_t before = t_allocations;
+  const bool ok = run_cycle();
+  const uint64_t allocations = t_allocations - before;
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(hom.stats().repairs, 2u);
+  EXPECT_EQ(hom.depth(), 0u);
 }
 
 }  // namespace

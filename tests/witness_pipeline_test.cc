@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <random>
 #include <unordered_map>
 #include <utility>
@@ -375,12 +376,21 @@ std::array<uint64_t, N> ReferenceChains(const std::vector<Term>& head,
   return key;
 }
 
-TEST(CanonicalFingerprintTest, FlatKeysEqualTheMapBasedReference) {
-  // Random queries: predicates of arity 0–4 (two per arity), bodies of
-  // 0–8 atoms over a small variable pool (so variables repeat inside an
-  // atom and across atoms) and three constants; heads of 0–4 positions
-  // that repeat variables and sometimes carry a constant. Both overloads
-  // and a salted 64-bit key must equal the reference bit for bit.
+/// One query of the random fingerprint corpus, with the salt its
+/// 64-bit key is also checked under.
+struct CorpusQuery {
+  std::vector<Term> head;
+  std::vector<Atom> body;
+  uint64_t salt;
+  bool has_const;
+  bool repeat_in_atom;
+};
+
+/// 3,000 random queries: predicates of arity 0–4 (two per arity), bodies
+/// of 0–8 atoms over a small variable pool (so variables repeat inside an
+/// atom and across atoms) and three constants; heads of 0–4 positions
+/// that repeat variables and sometimes carry a constant.
+std::vector<CorpusQuery> FingerprintCorpus() {
   std::mt19937_64 rng(43);
   std::vector<Predicate> preds;
   for (int arity = 0; arity <= 4; ++arity) {
@@ -395,43 +405,56 @@ TEST(CanonicalFingerprintTest, FlatKeysEqualTheMapBasedReference) {
   }
   const std::vector<Term> consts = {Term::Constant("fa"), Term::Constant("fb"),
                                     Term::Constant("fc")};
-  int boolean_heads = 0;
-  int with_constants = 0;
-  int repeated_in_atom = 0;
-  int repeated_head = 0;
+  std::vector<CorpusQuery> corpus;
   for (int iter = 0; iter < 3000; ++iter) {
-    std::vector<Atom> body;
+    CorpusQuery c;
+    c.has_const = false;
+    c.repeat_in_atom = false;
     const int num_atoms = static_cast<int>(rng() % 9);
-    bool has_const = false;
-    bool repeat_in_atom = false;
     for (int i = 0; i < num_atoms; ++i) {
       Predicate p = preds[rng() % preds.size()];
       std::vector<Term> args;
       for (int pos = 0; pos < p.arity(); ++pos) {
         if (rng() % 5 == 0) {
           args.push_back(consts[rng() % consts.size()]);
-          has_const = true;
+          c.has_const = true;
         } else {
           Term v = vars[rng() % vars.size()];
-          repeat_in_atom = repeat_in_atom ||
-                           std::find(args.begin(), args.end(), v) != args.end();
+          c.repeat_in_atom = c.repeat_in_atom ||
+                             std::find(args.begin(), args.end(), v) !=
+                                 args.end();
           args.push_back(v);
         }
       }
-      body.push_back(Atom(p, std::move(args)));
+      c.body.push_back(Atom(p, std::move(args)));
     }
     std::vector<Term> body_vars;
-    for (const Atom& a : body) {
+    for (const Atom& a : c.body) {
       for (Term t : a.args()) {
         if (t.IsVariable()) body_vars.push_back(t);
       }
     }
-    std::vector<Term> head;
     const int arity = body_vars.empty() ? 0 : static_cast<int>(rng() % 5);
     for (int i = 0; i < arity; ++i) {
-      head.push_back(rng() % 6 == 0 ? consts[rng() % consts.size()]
-                                    : body_vars[rng() % body_vars.size()]);
+      c.head.push_back(rng() % 6 == 0 ? consts[rng() % consts.size()]
+                                      : body_vars[rng() % body_vars.size()]);
     }
+    c.salt = rng();
+    corpus.push_back(std::move(c));
+  }
+  return corpus;
+}
+
+TEST(CanonicalFingerprintTest, FlatKeysEqualTheMapBasedReference) {
+  // Both keys and a salted 64-bit key must equal the reference bit for
+  // bit on every corpus query.
+  int boolean_heads = 0;
+  int with_constants = 0;
+  int repeated_in_atom = 0;
+  int repeated_head = 0;
+  for (const CorpusQuery& c : FingerprintCorpus()) {
+    const std::vector<Term>& head = c.head;
+    const std::vector<Atom>& body = c.body;
     bool head_repeats = false;
     for (size_t i = 0; i < head.size(); ++i) {
       for (size_t j = 0; j < i; ++j) {
@@ -440,19 +463,17 @@ TEST(CanonicalFingerprintTest, FlatKeysEqualTheMapBasedReference) {
     }
     repeated_head += head_repeats ? 1 : 0;
     boolean_heads += head.empty() ? 1 : 0;
-    with_constants += has_const ? 1 : 0;
-    repeated_in_atom += repeat_in_atom ? 1 : 0;
+    with_constants += c.has_const ? 1 : 0;
+    repeated_in_atom += c.repeat_in_atom ? 1 : 0;
     const ConjunctiveQuery q(head, body);
     const std::array<uint64_t, 2> ref =
         ReferenceChains<2>(head, body, {0, kSecondFingerprintSalt});
     const std::pair<uint64_t, uint64_t> want{ref[0], ref[1]};
     ASSERT_EQ(CanonicalFingerprint128(q), want) << q.ToString();
-    ASSERT_EQ(CanonicalFingerprint128(head, body), want) << q.ToString();
     ASSERT_EQ(CanonicalFingerprint(q), ReferenceChains<1>(head, body, {0})[0])
         << q.ToString();
-    const uint64_t salt = rng();
-    ASSERT_EQ(CanonicalFingerprint(q, salt),
-              ReferenceChains<1>(head, body, {salt})[0])
+    ASSERT_EQ(CanonicalFingerprint(q, c.salt),
+              ReferenceChains<1>(head, body, {c.salt})[0])
         << q.ToString();
   }
   EXPECT_GT(boolean_heads, 300);
@@ -461,19 +482,138 @@ TEST(CanonicalFingerprintTest, FlatKeysEqualTheMapBasedReference) {
   EXPECT_GT(repeated_head, 100);
 }
 
-TEST(CanonicalFingerprintTest, HeadBodyOverloadMatchesReferenceOnNulls) {
-  // The (head, body) overload also takes atoms no query could hold: a
-  // term that is neither a constant nor a variable (a labeled null here)
-  // contributes the all-zero signature, exactly as in the reference.
-  Predicate r = Predicate::Get("FPN", 3);
-  Term x = Term::Variable("fpn$x");
-  Term n = Term::NullAt(7);
-  const std::vector<Atom> body = {Atom(r, {x, n, n}), Atom(r, {n, x, x})};
-  const std::vector<Term> head = {x};
-  const std::array<uint64_t, 2> ref =
-      ReferenceChains<2>(head, body, {0, kSecondFingerprintSalt});
-  EXPECT_EQ(CanonicalFingerprint128(head, body),
-            std::make_pair(ref[0], ref[1]));
+/// Pushes (head, body) into `key` atom by atom, numbering variables by
+/// first occurrence from `first_vertex` on (so each query gets its own
+/// numbering), then pops it back to empty, checking after every pop that
+/// the key equals the one recorded at that depth on the way down and
+/// that every vertex's count is its occurrences in the remaining atoms.
+/// Returns the full query's key.
+std::pair<uint64_t, uint64_t> PushPopKey(IncrementalCandidateKey* key,
+                                         const std::vector<Term>& head,
+                                         const std::vector<Atom>& body,
+                                         int first_vertex) {
+  std::vector<Term> named;
+  auto vertex = [&](Term t) {
+    if (!t.IsVariable()) return -1;
+    auto it = std::find(named.begin(), named.end(), t);
+    if (it == named.end()) it = named.insert(named.end(), t);
+    return first_vertex + static_cast<int>(it - named.begin());
+  };
+  std::vector<int> head_verts;
+  for (Term t : head) head_verts.push_back(vertex(t));
+  key->Reset(head_verts);
+  std::vector<std::pair<uint64_t, uint64_t>> down = {key->Key()};
+  for (const Atom& a : body) {
+    std::vector<int> verts;
+    for (Term t : a.args()) verts.push_back(vertex(t));
+    key->Push(a, verts.data());
+    down.push_back(key->Key());
+  }
+  for (size_t depth = body.size(); depth-- > 0;) {
+    key->Pop();
+    EXPECT_EQ(key->depth(), depth);
+    EXPECT_EQ(key->Key(), down[depth]) << "after the pop to depth " << depth;
+    for (Term t : named) {
+      uint32_t occurrences = 0;
+      for (size_t i = 0; i < depth; ++i) {
+        for (Term arg : body[i].args()) occurrences += arg == t ? 1 : 0;
+      }
+      EXPECT_EQ(key->Count(vertex(t)), occurrences) << t.ToString();
+    }
+  }
+  return down.back();
+}
+
+TEST(CanonicalFingerprintTest, IncrementalKeySeparatesLikeTheReference) {
+  // Every corpus query plus a renamed, body-shuffled copy of each (so
+  // many pairs are equal), then systematically the shapes the exhaustive
+  // search enumerates: every body of 1–3 distinct atoms over a binary and
+  // a unary predicate and four variables, under five heads. Two queries
+  // get equal incremental keys iff their reference keys are equal. One
+  // key object serves every query, so Reset and the pops must leave
+  // nothing behind.
+  std::mt19937_64 rng(47);
+  std::vector<Term> renamed_vars;
+  for (int i = 0; i < 6; ++i) {
+    renamed_vars.push_back(Term::Variable("fq$" + std::to_string(i)));
+  }
+  IncrementalCandidateKey key;
+  std::map<std::array<uint64_t, 2>, std::pair<uint64_t, uint64_t>> by_ref;
+  std::map<std::pair<uint64_t, uint64_t>, std::array<uint64_t, 2>> by_key;
+  int equal_pairs = 0;
+  int vertex_offset = 0;
+  auto check = [&](const std::vector<Term>& head,
+                   const std::vector<Atom>& body) {
+    const std::array<uint64_t, 2> ref =
+        ReferenceChains<2>(head, body, {0, kSecondFingerprintSalt});
+    vertex_offset = (vertex_offset + 5) % 17;
+    const std::pair<uint64_t, uint64_t> k =
+        PushPopKey(&key, head, body, vertex_offset);
+    auto [r, new_ref] = by_ref.emplace(ref, k);
+    auto [n, new_key] = by_key.emplace(k, ref);
+    ASSERT_EQ(r->second, k) << ConjunctiveQuery(head, body).ToString();
+    ASSERT_EQ(n->second, ref) << ConjunctiveQuery(head, body).ToString();
+    equal_pairs += new_ref ? 0 : 1;
+  };
+  for (const CorpusQuery& c : FingerprintCorpus()) {
+    check(c.head, c.body);
+    // The copy: a random permutation of the variable names, applied to
+    // head and body, and a shuffled body.
+    std::vector<size_t> perm = {0, 1, 2, 3, 4, 5};
+    std::shuffle(perm.begin(), perm.end(), rng);
+    auto rename = [&](Term t) {
+      if (!t.IsVariable()) return t;
+      const std::string& name = t.name();
+      return renamed_vars[perm[static_cast<size_t>(name.back() - '0')]];
+    };
+    std::vector<Term> head;
+    for (Term t : c.head) head.push_back(rename(t));
+    std::vector<Atom> body;
+    for (const Atom& a : c.body) {
+      std::vector<Term> args;
+      for (Term t : a.args()) args.push_back(rename(t));
+      body.push_back(Atom(a.predicate(), std::move(args)));
+    }
+    std::shuffle(body.begin(), body.end(), rng);
+    check(head, body);
+  }
+  EXPECT_GT(equal_pairs, 3000);
+  EXPECT_GT(by_ref.size(), 2000u);
+
+  Predicate e = Predicate::Get("SK2", 2);
+  Predicate u = Predicate::Get("SK1", 1);
+  std::vector<Term> v;
+  for (int i = 0; i < 4; ++i) {
+    v.push_back(Term::Variable("sk$" + std::to_string(i)));
+  }
+  std::vector<Atom> atoms;
+  for (Term a : v) {
+    atoms.push_back(Atom(u, {a}));
+    for (Term b : v) atoms.push_back(Atom(e, {a, b}));
+  }
+  const std::vector<std::vector<Term>> heads = {
+      {}, {v[0]}, {v[0], v[1]}, {v[1], v[0]}, {v[0], v[0]}};
+  const size_t n = atoms.size();
+  const size_t keys_before = by_ref.size();
+  int small_queries = 0;
+  auto check_heads = [&](const std::vector<Atom>& body) {
+    for (const std::vector<Term>& head : heads) {
+      check(head, body);
+      ++small_queries;
+    }
+  };
+  for (size_t i = 0; i < n; ++i) {
+    check_heads({atoms[i]});
+    for (size_t j = i + 1; j < n; ++j) {
+      check_heads({atoms[i], atoms[j]});
+      for (size_t k = j + 1; k < n; ++k) {
+        check_heads({atoms[i], atoms[j], atoms[k]});
+      }
+    }
+  }
+  EXPECT_EQ(small_queries, 6750);
+  // Renamings make most of them equal to an earlier one.
+  EXPECT_LT((by_ref.size() - keys_before) * 2, 6750u);
 }
 
 // ---------------------------------------------------- containment oracle --
