@@ -9,8 +9,11 @@
 //        ones.
 //  E-P3  the exhaustive rows best-of-3 with the incremental chase-
 //        homomorphism session split (pushes, domain wipeouts, repairs and
-//        the candidate tuples they tried). Under --gate every row's
-//        deterministic work counts must equal the committed ones.
+//        the candidate tuples they tried) and the heap allocations per
+//        DFS visit, counted like E-P6's. Under --gate every row's
+//        deterministic work counts but the repair ones must equal the
+//        committed ones, and a row whose allocations per visit rise
+//        above its committed ceiling fails.
 //  E-P4  the exhaustive strategy on 1 vs 2 and 4 work-stealing workers at
 //        identical budgets: bitwise outcome parity on every row, >= 2x at
 //        4 threads on the long exhaustive-alpha-k4 row, best-of-5 per side
@@ -34,6 +37,7 @@
 //
 // Self-timed (no google-benchmark dependency); pass --json to emit
 // BENCH_witness_pipeline.json via bench_util's JsonReport.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -52,13 +56,13 @@
 #include "semacyc/witness_search.h"
 
 namespace {
-/// Heap allocations made by this thread (E-P6). Thread-local, so the E-P4
-/// workers never contend on it.
+/// Heap allocations made by this thread (E-P3, E-P6). Thread-local, so
+/// the E-P4 workers never contend on it.
 thread_local uint64_t t_allocations = 0;
 }  // namespace
 
-// The replaced global allocation functions behind E-P6's count; the array
-// and nothrow forms forward here.
+// The replaced global allocation functions behind the E-P3 and E-P6
+// counts; the array and nothrow forms forward here.
 void* operator new(std::size_t size) {
   ++t_allocations;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
@@ -283,17 +287,24 @@ int WitnessRows(bench::JsonReport* report, bool gate) {
 }
 
 /// E-P3's committed work counts. They are noise-free, so any difference is
-/// a change in what the search does, not in how fast. `repairs` is left
-/// out: it depends on which homomorphism a successful repair adopts.
+/// a change in what the search does, not in how fast. `repairs` and
+/// `repair_steps` are left out: they depend on which homomorphism a
+/// successful repair adopts.
+/// `max_allocations` is the ceiling on heap allocations per visit of one
+/// single-threaded run (the last of the three, so the thread-local
+/// oracle scratch is warm): deterministic too. It is per tested
+/// candidate (its atoms, the oracle's chase) or per run (the plan, the
+/// sessions, the dedup tables' growth); a DFS push allocates nothing.
 struct PinnedHomCounts {
   const char* workload;
   size_t visits, candidates, pushes, wipeouts, repair_fails;
+  double max_allocations;
 };
 constexpr PinnedHomCounts kPinnedHomCounts[] = {
-    {"exhaustive-alpha-k4", 607719, 109072, 711084, 103366, 0},
-    {"exhaustive-alpha-c6", 7224, 3403, 11858, 2199, 2436},
-    {"exhaustive-beta-k4", 2636, 1008, 3371, 736, 0},
-    {"exhaustive-berge-k4", 1741, 616, 2298, 558, 0},
+    {"exhaustive-alpha-k4", 607719, 109072, 711084, 103366, 0, 1.09},
+    {"exhaustive-alpha-c6", 7224, 3403, 11858, 2199, 2436, 2.40},
+    {"exhaustive-beta-k4", 2636, 1008, 3371, 736, 0, 2.03},
+    {"exhaustive-berge-k4", 1741, 616, 2298, 558, 0, 1.98},
 };
 
 /// Returns the number of rows whose work counts moved (0 when not gating).
@@ -302,24 +313,42 @@ int HomRows(bench::JsonReport* report, bool gate) {
       "E-P3 - exhaustive rows with the incremental chase-homomorphism split",
       "core/incremental_hom keeps candidate domains + a witness along the "
       "DFS path (forward checking, witness extension, indexed repair); "
-      "best-of-3 absolute rows, work counts pinned under --gate");
+      "best-of-3 absolute rows, work counts and allocations per visit "
+      "gated under --gate");
   bench::Table table({"workload", "ms", "visits", "cand", "pushes",
                       "wipeouts", "repairs", "repair fails",
-                      "repair steps"});
+                      "repair steps", "allocs/visit", "ceiling"});
   int failures = 0;
   for (const Workload& w : Workloads()) {
     if (w.kind != Kind::kExhaustive) continue;
     // Best-of-3: the small rows finish in single-digit milliseconds, where
-    // one-shot timing is noise-bound.
-    StrategyRun run = RunStrategy(w, 3);
+    // one-shot timing is noise-bound. One thread, so every allocation of
+    // the search lands in this thread's count.
+    StrategyRunner runner(w);
+    uint64_t allocations = 0;
+    for (int r = 0; r < 3; ++r) {
+      const uint64_t before = t_allocations;
+      runner.Once(1);
+      allocations = t_allocations - before;
+    }
+    const StrategyRun& run = runner.run();
     const WitnessSearchOutcome& o = run.outcome;
+    const double per_visit =
+        static_cast<double>(allocations) / Count(std::max<size_t>(o.visits, 1));
+    double ceiling = 0;
+    for (const PinnedHomCounts& pin : kPinnedHomCounts) {
+      if (w.name == pin.workload) ceiling = pin.max_allocations;
+    }
+    char allocs[32], ceiling_text[32];
+    std::snprintf(allocs, sizeof(allocs), "%.3f", per_visit);
+    std::snprintf(ceiling_text, sizeof(ceiling_text), "%.3f", ceiling);
     table.AddRow({w.name, std::to_string(run.ms), std::to_string(o.visits),
                   std::to_string(o.candidates_tested),
                   std::to_string(o.hom.pushes),
                   std::to_string(o.hom.fc_rejects),
                   std::to_string(o.hom.repairs),
                   std::to_string(o.hom.repair_fails),
-                  std::to_string(o.hom.repair_steps)});
+                  std::to_string(o.hom.repair_steps), allocs, ceiling_text});
     report->AddRow(
         "hom",
         {{"workload", bench::JsonReport::Str(w.name)},
@@ -333,7 +362,15 @@ int HomRows(bench::JsonReport* report, bool gate) {
          {"hom_repair_fails",
           bench::JsonReport::Num(Count(o.hom.repair_fails))},
          {"hom_repair_steps",
-          bench::JsonReport::Num(Count(o.hom.repair_steps))}});
+          bench::JsonReport::Num(Count(o.hom.repair_steps))},
+         {"allocations_per_visit", bench::JsonReport::Num(per_visit)},
+         {"allocation_ceiling", bench::JsonReport::Num(ceiling)}});
+    if (per_visit > ceiling) {
+      std::printf("*** %s allocates %.3f times per visit, above its "
+                  "ceiling of %.3f\n",
+                  w.name.c_str(), per_visit, ceiling);
+      if (gate) ++failures;
+    }
     for (const PinnedHomCounts& pin : kPinnedHomCounts) {
       if (w.name != pin.workload) continue;
       if (o.visits == pin.visits && o.candidates_tested == pin.candidates &&

@@ -78,6 +78,19 @@ class Atom {
   std::vector<Term> args_;
 };
 
+/// A non-owning view of an atom: its predicate and `arity` arguments at
+/// `args`. The witness searches push atoms whose arguments sit in pooled
+/// per-depth scratch, so no Atom is built for a pushed tuple.
+struct AtomView {
+  Predicate pred;
+  const Term* args;
+  size_t arity;
+
+  static AtomView Of(const Atom& a) {
+    return {a.predicate(), a.args().data(), a.arity()};
+  }
+};
+
 struct AtomHash {
   size_t operator()(const Atom& a) const {
     size_t seed = PredicateHash{}(a.predicate());

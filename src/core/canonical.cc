@@ -260,14 +260,14 @@ void IncrementalCandidateKey::Reset(const std::vector<int>& head) {
   }
 }
 
-void IncrementalCandidateKey::Push(const Atom& atom, const int* verts) {
-  const uint64_t pred = atom.predicate().id();
+void IncrementalCandidateKey::Push(AtomView atom, const int* verts) {
+  const uint64_t pred = atom.pred.id();
   atoms_.push_back({static_cast<uint32_t>(positions_.size()),
                     {Mix(kKeySalts[0], pred), Mix(kKeySalts[1], pred)}});
-  for (size_t pos = 0; pos < atom.arity(); ++pos) {
+  for (size_t pos = 0; pos < atom.arity; ++pos) {
     const int v = verts[pos];
     if (v < 0) {
-      const uint64_t bits = atom.arg(pos).raw_bits();
+      const uint64_t bits = atom.args[pos].raw_bits();
       positions_.push_back({-1,
                             0,
                             {Mix(Mix(kKeySalts[0], 0xc0ull), bits),

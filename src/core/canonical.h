@@ -70,8 +70,8 @@ class IncrementalCandidateKey {
   void Reset(const std::vector<int>& head);
 
   /// Pushes `atom`, whose position i holds vertex `verts[i]` (-1 = the
-  /// constant atom.arg(i)).
-  void Push(const Atom& atom, const int* verts);
+  /// constant atom.args[i]).
+  void Push(AtomView atom, const int* verts);
 
   /// Undoes the most recent Push. Must not be called at depth 0.
   void Pop();

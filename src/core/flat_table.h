@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace semacyc {
@@ -134,6 +135,34 @@ class FlatKeyTable {
 
   std::vector<uint32_t> slots_;  // group id per slot, kNone when empty
   std::vector<uint64_t> keys_;   // key of each group
+};
+
+/// A set of 128-bit keys (the witness searches' candidate fingerprints)
+/// on FlatKeyTable: the low word is the table key and the high word,
+/// kept per group, is compared by same(g), so two keys meet only when all
+/// 128 bits do.
+class Key128Set {
+ public:
+  using Key = std::pair<uint64_t, uint64_t>;
+
+  /// True iff `key` was not in the set.
+  bool Insert(const Key& key) {
+    uint32_t g = table_.Insert(
+        key.first, [&](uint32_t h) { return high_[h] == key.second; });
+    if (g < high_.size()) return false;
+    high_.push_back(key.second);
+    return true;
+  }
+
+  bool Contains(const Key& key) const {
+    return table_.Find(key.first, [&](uint32_t h) {
+             return high_[h] == key.second;
+           }) != FlatKeyTable::kNone;
+  }
+
+ private:
+  FlatKeyTable table_;
+  std::vector<uint64_t> high_;  // high word of each group's key
 };
 
 }  // namespace semacyc

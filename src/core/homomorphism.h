@@ -86,10 +86,11 @@ bool HomomorphicallyEquivalent(const Instance& a, const Instance& b);
 ///   * an Instance, narrowed through its (predicate, position, term) index
 ///     (InstanceTarget): FindHomomorphisms and the chase's trigger, head
 ///     and egd-violation searches;
-///   * IncrementalHomomorphism's repair — the session's dense copy of an
-///     Instance's tuples, with each pushed atom's compatible tuples as its
-///     base list, that Instance's (predicate, position, term) buckets as
-///     the index and domain membership as the per-variable filter;
+///   * IncrementalHomomorphism's repair — the session's DenseTarget (an
+///     Instance's tuples over dense term ids), with each pushed atom's
+///     compatible tuples as its base list, the DenseTarget's (predicate,
+///     position, term) buckets as the index and domain membership as the
+///     per-variable filter;
 ///   * ContainmentOracle's chase-free Chandra–Merlin check — a candidate
 ///     body, no index, per-thread scratch.
 /// Source atoms are compiled to dense variable slots and ground values;

@@ -1,37 +1,102 @@
 #include "core/incremental_hom.h"
 
+#include <algorithm>
 #include <cassert>
+#include <tuple>
 #include <utility>
 
 namespace semacyc {
 
-IncrementalHomomorphism::IncrementalHomomorphism(const Instance& target)
-    : target_(&target) {
-  // Dense interning: one hash per distinct target term, once per session,
-  // so the per-push tuple scans and the repair search run on integer
-  // arrays only. A term's group id is its dense id.
+DenseTarget::DenseTarget(const Instance& target) {
+  // Interning: one hash per distinct target term, once per session. A
+  // term's group id is its dense id.
   const std::vector<Atom>& atoms = target.atoms();
   tuple_start_.reserve(atoms.size() + 1);
   tuple_start_.push_back(0);
   for (const Atom& a : atoms) {
     for (Term t : a.args()) {
       uint32_t d = dense_of_.Insert(t.raw_bits());
-      if (d == dense_terms_.size()) dense_terms_.push_back(t);
-      dense_args_.push_back(d);
+      if (d == terms_.size()) terms_.push_back(t);
+      args_.push_back(d);
     }
-    tuple_start_.push_back(static_cast<uint32_t>(dense_args_.size()));
+    tuple_start_.push_back(static_cast<uint32_t>(args_.size()));
+    pred_ids_.push_back(a.predicate().id());
   }
+  std::sort(pred_ids_.begin(), pred_ids_.end());
+  pred_ids_.erase(std::unique(pred_ids_.begin(), pred_ids_.end()),
+                  pred_ids_.end());
+  pred_ids_.shrink_to_fit();
+
+  // Per local predicate: its columns (a predicate fixes its arity) and
+  // its atoms, ascending.
+  const size_t num_preds = pred_ids_.size();
+  std::vector<uint32_t> arity(num_preds);
+  std::vector<std::vector<uint32_t>> atoms_of(num_preds);
+  for (uint32_t i = 0; i < atoms.size(); ++i) {
+    const uint32_t lp = LocalPred(atoms[i].predicate());
+    arity[lp] = static_cast<uint32_t>(atoms[i].arity());
+    atoms_of[lp].push_back(i);
+  }
+  column_start_.push_back(0);
+  pred_start_.push_back(0);
+  for (size_t lp = 0; lp < num_preds; ++lp) {
+    column_start_.push_back(column_start_.back() + arity[lp]);
+    pred_atoms_.insert(pred_atoms_.end(), atoms_of[lp].begin(),
+                       atoms_of[lp].end());
+    pred_start_.push_back(static_cast<uint32_t>(pred_atoms_.size()));
+  }
+
+  // The directory: every argument as (term, column, atom), sorted, so
+  // each term's runs come out by column and each run's atoms ascending.
+  struct Occurrence {
+    uint32_t term, column, atom;
+    bool operator<(const Occurrence& o) const {
+      return std::tie(term, column, atom) < std::tie(o.term, o.column, o.atom);
+    }
+  };
+  std::vector<Occurrence> occurrences;
+  occurrences.reserve(args_.size());
+  for (size_t lp = 0; lp < num_preds; ++lp) {
+    for (uint32_t i : atoms_of[lp]) {
+      for (uint32_t pos = 0; pos < arity[lp]; ++pos) {
+        occurrences.push_back(
+            {args_[tuple_start_[i] + pos], column_start_[lp] + pos, i});
+      }
+    }
+  }
+  std::sort(occurrences.begin(), occurrences.end());
+  atoms_at_.reserve(occurrences.size());
+  term_runs_.reserve(terms_.size() + 1);
+  for (size_t j = 0; j < occurrences.size(); ++j) {
+    const Occurrence& o = occurrences[j];
+    const bool new_term = j == 0 || o.term != occurrences[j - 1].term;
+    // Every term occurs, so terms arrive as 0, 1, 2, ...
+    if (new_term) term_runs_.push_back(static_cast<uint32_t>(runs_.size()));
+    if (new_term || o.column != occurrences[j - 1].column) {
+      runs_.push_back({o.column, static_cast<uint32_t>(j)});
+    }
+    atoms_at_.push_back(o.atom);
+  }
+  term_runs_.push_back(static_cast<uint32_t>(runs_.size()));
+  runs_.push_back({kNone, static_cast<uint32_t>(atoms_at_.size())});
+  runs_.shrink_to_fit();
 }
 
-hom::TupleSpan IncrementalHomomorphism::Bucket(Predicate pred, size_t pos,
-                                               uint32_t dense) const {
-  if (dense == kNoDense) return {};
-  return hom::SpanOf(target_->FindCandidates(pred, pos, dense_terms_[dense]));
+size_t DenseTarget::DirectoryBytes() const {
+  auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
+  return bytes(pred_ids_) + bytes(column_start_) + bytes(pred_start_) +
+         bytes(pred_atoms_) + bytes(term_runs_) + bytes(runs_) +
+         bytes(atoms_at_);
 }
+
+IncrementalHomomorphism::IncrementalHomomorphism(const Instance& target)
+    : target_(target) {}
 
 void IncrementalHomomorphism::Reset(const Substitution& fixed) {
   depth_ = 0;
-  while (vars_in_use_ > 0) ReleaseVar(static_cast<uint32_t>(vars_in_use_ - 1));
+  while (!var_terms_.empty()) {
+    ReleaseVar(static_cast<uint32_t>(var_terms_.size() - 1));
+  }
   found_ = true;
   for (const auto& [src, dst] : fixed) {
     VarState& v = vars_[InternVar(src)];
@@ -40,7 +105,7 @@ void IncrementalHomomorphism::Reset(const Substitution& fixed) {
     // A fixed image outside the target has an empty domain: any atom
     // mentioning the seed is then refuted by the scan, which is exact —
     // but the empty conjunction still maps, so found_ stays true here.
-    uint32_t d = dense_of_.Find(dst.raw_bits());
+    uint32_t d = target_.DenseOf(dst);
     if (d == kNoDense) continue;
     v.values.push_back(d);
     v.where[d] = 1;
@@ -50,21 +115,21 @@ void IncrementalHomomorphism::Reset(const Substitution& fixed) {
 }
 
 uint32_t IncrementalHomomorphism::FindVar(Term t) const {
-  for (size_t id = 0; id < vars_in_use_; ++id) {
-    if (vars_[id].term == t) return static_cast<uint32_t>(id);
+  for (size_t id = 0; id < var_terms_.size(); ++id) {
+    if (var_terms_[id] == t) return static_cast<uint32_t>(id);
   }
   return kNoDense;
 }
 
 uint32_t IncrementalHomomorphism::InternVar(Term t) {
-  uint32_t id = static_cast<uint32_t>(vars_in_use_++);
+  uint32_t id = static_cast<uint32_t>(var_terms_.size());
+  var_terms_.push_back(t);
   if (id == vars_.size()) vars_.emplace_back();
   VarState& v = vars_[id];
-  v.term = t;
   v.values.clear();
   // `where` stays all-zero between occupants (ReleaseVar clears only the
   // entries its values touched), so reuse is O(1).
-  v.where.resize(dense_terms_.size(), 0);
+  v.where.resize(target_.num_terms(), 0);
   v.active = 0;
   v.bound = kNoDense;
   v.fixed_term = Term();
@@ -73,10 +138,19 @@ uint32_t IncrementalHomomorphism::InternVar(Term t) {
 }
 
 void IncrementalHomomorphism::ReleaseVar(uint32_t id) {
-  assert(id + 1 == vars_in_use_);
+  assert(id + 1 == var_terms_.size());
   VarState& v = vars_[id];
   for (uint32_t d : v.values) v.where[d] = 0;
-  --vars_in_use_;
+  var_terms_.pop_back();
+}
+
+uint32_t IncrementalHomomorphism::GroundDense(Term t) {
+  for (const auto& [term, dense] : ground_memo_) {
+    if (term == t) return dense;
+  }
+  const uint32_t dense = target_.DenseOf(t);
+  if (ground_memo_.size() < kGroundMemo) ground_memo_.emplace_back(t, dense);
+  return dense;
 }
 
 void IncrementalHomomorphism::ShrinkDomain(uint32_t var_id, Level* level,
@@ -100,9 +174,8 @@ void IncrementalHomomorphism::ShrinkDomain(uint32_t var_id, Level* level,
 }
 
 /// The repair's view of the search: levels are the source atoms, their
-/// cached compatible tuples the base lists, the target Instance's
-/// (predicate, position, term) buckets the index and the current domains
-/// the per-variable filter.
+/// cached compatible tuples the base lists, the DenseTarget's buckets the
+/// index and the current domains the per-variable filter.
 struct IncrementalHomomorphism::RepairTarget {
   IncrementalHomomorphism* self;
 
@@ -112,10 +185,10 @@ struct IncrementalHomomorphism::RepairTarget {
   }
   hom::TupleSpan Base(uint32_t i) const { return hom::SpanOf(&at(i).tuples); }
   hom::TupleSpan Bucket(uint32_t i, size_t pos, uint32_t value) const {
-    return self->Bucket(at(i).pred, pos, value);
+    return self->target_.Bucket(at(i).pred, pos, value);
   }
   uint32_t Arg(uint32_t tuple, size_t pos) const {
-    return self->dense_args_[self->tuple_start_[tuple] + pos];
+    return self->target_.Args(tuple)[pos];
   }
   bool Admits(uint32_t var, uint32_t value) const {
     return self->InDomain(self->vars_[var], value);
@@ -131,8 +204,8 @@ bool IncrementalHomomorphism::Repair() {
   // the cached per-level tuple lists is complete. A bucket tuple passing
   // the ground positions and the current domains is one of them, so the
   // buckets narrow without losing anything.
-  repair_binding_.assign(vars_in_use_, kNoDense);
-  for (size_t id = 0; id < vars_in_use_; ++id) {
+  repair_binding_.assign(var_terms_.size(), kNoDense);
+  for (size_t id = 0; id < var_terms_.size(); ++id) {
     if (vars_[id].is_fixed) repair_binding_[id] = vars_[id].bound;
   }
   RepairTarget target{this};
@@ -152,7 +225,7 @@ bool IncrementalHomomorphism::Repair() {
   // a fixed seed), so the search bound them all. Overwritten bindings of
   // older variables stay valid after pops — a homomorphism restricted to
   // fewer atoms is still a homomorphism.
-  for (size_t id = 0; id < vars_in_use_; ++id) {
+  for (size_t id = 0; id < var_terms_.size(); ++id) {
     if (!vars_[id].is_fixed && repair_binding_[id] != kNoDense) {
       vars_[id].bound = repair_binding_[id];
     }
@@ -160,7 +233,7 @@ bool IncrementalHomomorphism::Repair() {
   return true;
 }
 
-bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
+bool IncrementalHomomorphism::PushAtom(AtomView atom) {
   ++stats_.pushes;
   if (depth_ == levels_.size()) levels_.emplace_back();
   Level& level = levels_[depth_];
@@ -177,18 +250,20 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
     return false;
   }
 
-  const size_t arity = atom.arity();
-  level.pred = atom.predicate();
+  const size_t arity = atom.arity;
+  level.pred = target_.LocalPred(atom.pred);
 
   // Slot assembly: one slot per distinct mappable term of the atom. Terms
   // already interned (earlier atoms or fixed seeds — fixed constants count)
   // are mappable; otherwise variables and nulls are, constants are ground.
+  // Every position's entries are written here, so the arrays are only
+  // resized, never re-filled.
   size_t num_slots = 0;
-  slot_of_position_.assign(arity, -1);
-  level.ground.assign(arity, kNoDense);
-  level.pos_var.assign(arity, kNoDense);
+  slot_of_position_.resize(arity);
+  level.ground.resize(arity);
+  level.pos_var.resize(arity);
   for (size_t i = 0; i < arity; ++i) {
-    Term t = atom.arg(i);
+    Term t = atom.args[i];
     uint32_t var_id = FindVar(t);
     const bool interned_now = var_id == kNoDense;
     if (interned_now) {
@@ -196,7 +271,9 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
         // Ground: the position must carry exactly this term (a term
         // outside the target keeps the kNoDense sentinel and matches no
         // tuple).
-        level.ground[i] = dense_of_.Find(t.raw_bits());
+        slot_of_position_[i] = -1;
+        level.pos_var[i] = kNoDense;
+        level.ground[i] = GroundDense(t);
         continue;
       }
       var_id = InternVar(t);
@@ -214,42 +291,40 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
       sl.var = var_id;
       sl.fresh = interned_now;
       sl.support_list.clear();
-      sl.stamp.resize(dense_terms_.size(), 0);
+      sl.stamp.resize(target_.num_terms(), 0);
       ++sl.epoch;
       slot = static_cast<int>(num_slots++);
       if (interned_now) level.fresh.push_back(var_id);
     }
     slot_of_position_[i] = slot;
     level.pos_var[i] = var_id;
+    level.ground[i] = kNoDense;
   }
 
-  // Probe selection: scan the smallest tuple set the index offers. A
+  // Probe selection: scan the smallest tuple set the buckets offer. A
   // ground position contributes its (predicate, position, term) bucket; a
   // position carrying a small-domain variable contributes the union of the
   // per-value buckets (disjoint, so no dedup) — complete either way, since
   // a compatible tuple's value at the position must be the ground term
   // resp. lie in the domain. Fallback: the whole per-predicate list.
   constexpr size_t kMaxProbeValues = 3;
-  const std::vector<uint32_t>& pred_bucket =
-      target_->AtomsOf(atom.predicate());
-  size_t best_sum = pred_bucket.size();
-  bool impossible = pred_bucket.empty();
+  const hom::TupleSpan pred_bucket = target_.AtomsOf(level.pred);
+  size_t best_sum = pred_bucket.size;
+  bool impossible = pred_bucket.size == 0;
   scan_buckets_.clear();
-  if (!impossible) {
-    scan_buckets_.push_back({pred_bucket.data(), pred_bucket.size()});
-  }
+  if (!impossible) scan_buckets_.push_back(pred_bucket);
   for (size_t i = 0; i < arity && !impossible; ++i) {
     int slot = slot_of_position_[i];
     probe_buckets_.clear();
     if (slot < 0) {
       // A term outside the target (kNoDense) has an empty bucket.
-      probe_buckets_.push_back(Bucket(level.pred, i, level.ground[i]));
+      probe_buckets_.push_back(target_.Bucket(level.pred, i, level.ground[i]));
     } else {
       const SlotScratch& sl = slots_[static_cast<size_t>(slot)];
       const VarState& v = vars_[sl.var];
       if (sl.fresh || v.active > kMaxProbeValues) continue;
       for (size_t k = 0; k < v.active; ++k) {
-        probe_buckets_.push_back(Bucket(level.pred, i, v.values[k]));
+        probe_buckets_.push_back(target_.Bucket(level.pred, i, v.values[k]));
       }
     }
     size_t sum = 0;
@@ -270,11 +345,11 @@ bool IncrementalHomomorphism::PushAtom(const Atom& atom) {
   // check, and the hunt for a tuple extending the current witness.
   bool any_compatible = false;
   bool have_extension = false;
-  tuple_vals_.assign(num_slots, kNoDense);
+  tuple_vals_.resize(num_slots);
   for (const hom::TupleSpan& bucket : scan_buckets_) {
     for (size_t k = 0; k < bucket.size; ++k) {
       const uint32_t idx = bucket.data[k];
-      const uint32_t* tgt = &dense_args_[tuple_start_[idx]];
+      const uint32_t* tgt = target_.Args(idx);
       bool ok = true;
       for (size_t s = 0; s < num_slots; ++s) tuple_vals_[s] = kNoDense;
       for (size_t i = 0; i < arity && ok; ++i) {
@@ -386,12 +461,12 @@ void IncrementalHomomorphism::PopAtom() {
 
 Substitution IncrementalHomomorphism::Witness() const {
   Substitution out;
-  for (size_t id = 0; id < vars_in_use_; ++id) {
+  for (size_t id = 0; id < var_terms_.size(); ++id) {
     const VarState& v = vars_[id];
     if (v.is_fixed) {
-      out.emplace(v.term, v.fixed_term);
+      out.emplace(var_terms_[id], v.fixed_term);
     } else if (v.bound != kNoDense) {
-      out.emplace(v.term, dense_terms_[v.bound]);
+      out.emplace(var_terms_[id], target_.term(v.bound));
     }
   }
   return out;

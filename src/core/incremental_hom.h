@@ -1,8 +1,10 @@
 #ifndef SEMACYC_CORE_INCREMENTAL_HOM_H_
 #define SEMACYC_CORE_INCREMENTAL_HOM_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/flat_table.h"
@@ -12,6 +14,92 @@
 #include "core/query.h"
 
 namespace semacyc {
+
+/// A fixed target Instance in integer form, read by the incremental
+/// session's pushes and repairs without hashing. Every distinct term is
+/// interned once into a dense id in [0, num_terms()), every predicate of
+/// the target gets a local id (ascending global id), and tuple i's values
+/// are dense ids. A bucket directory built at construction answers the
+/// Instance's two index reads by array arithmetic:
+///  * AtomsOf(lp): the atoms of local predicate lp;
+///  * Bucket(lp, pos, d): the atoms of lp whose position pos holds d.
+/// Both list atom ids ascending, which is the Instance's bucket order.
+///
+/// The directory is term-major: per dense term, its runs of (column,
+/// atoms), where column numbers a (local predicate, position) pair. Each
+/// argument of each atom lands in exactly one run, so its size is linear
+/// in the target's argument count (a predicates x positions x terms table
+/// is not: the recursive guarded probe's chase has 400k atoms). A lookup
+/// binary-searches the term's runs, of which there are at most as many as
+/// columns.
+class DenseTarget {
+ public:
+  /// "Not a target term / predicate"; also FlatKeyTable's miss value.
+  static constexpr uint32_t kNone = FlatKeyTable::kNone;
+
+  explicit DenseTarget(const Instance& target);
+
+  size_t num_terms() const { return terms_.size(); }
+  Term term(uint32_t dense) const { return terms_[dense]; }
+  /// The dense id of `t`, or kNone (one hash lookup).
+  uint32_t DenseOf(Term t) const { return dense_of_.Find(t.raw_bits()); }
+  /// The local id of `pred`, or kNone when no target atom has it.
+  uint32_t LocalPred(Predicate pred) const {
+    auto it = std::lower_bound(pred_ids_.begin(), pred_ids_.end(), pred.id());
+    if (it == pred_ids_.end() || *it != pred.id()) return kNone;
+    return static_cast<uint32_t>(it - pred_ids_.begin());
+  }
+  /// Tuple `tuple`'s dense values, one per position.
+  const uint32_t* Args(uint32_t tuple) const {
+    return &args_[tuple_start_[tuple]];
+  }
+  /// The atoms of local predicate `lp`; empty for kNone.
+  hom::TupleSpan AtomsOf(uint32_t lp) const {
+    if (lp == kNone) return {};
+    return {pred_atoms_.data() + pred_start_[lp],
+            pred_start_[lp + 1] - pred_start_[lp]};
+  }
+  /// The atoms of local predicate `lp` whose position `pos` holds dense
+  /// term `dense`; empty when either is kNone.
+  hom::TupleSpan Bucket(uint32_t lp, size_t pos, uint32_t dense) const {
+    if (lp == kNone || dense == kNone) return {};
+    const uint32_t column = column_start_[lp] + static_cast<uint32_t>(pos);
+    const Run* last = runs_.data() + term_runs_[dense + 1];
+    const Run* run = std::lower_bound(
+        runs_.data() + term_runs_[dense], last, column,
+        [](const Run& r, uint32_t c) { return r.column < c; });
+    if (run == last || run->column != column) return {};
+    return {atoms_at_.data() + run->begin, run[1].begin - run->begin};
+  }
+  /// Heap bytes of the bucket directory (not of the interned tuples).
+  size_t DirectoryBytes() const;
+
+ private:
+  /// One run of a term's directory: the term's atoms at one column are
+  /// atoms_at_[begin .. the next run's begin).
+  struct Run {
+    uint32_t column;
+    uint32_t begin;
+  };
+
+  FlatKeyTable dense_of_;  // a term's raw bits -> its dense id
+  std::vector<Term> terms_;
+  std::vector<uint32_t> args_;
+  std::vector<uint32_t> tuple_start_;  // tuple i: args_[tuple_start_[i]..)
+  /// Local predicate lp: global id pred_ids_[lp], columns column_start_[lp]
+  /// .. column_start_[lp + 1], atoms pred_atoms_[pred_start_[lp] ..
+  /// pred_start_[lp + 1]).
+  std::vector<uint32_t> pred_ids_;
+  std::vector<uint32_t> column_start_;
+  std::vector<uint32_t> pred_start_;
+  std::vector<uint32_t> pred_atoms_;
+  /// Term d's runs are runs_[term_runs_[d] .. term_runs_[d + 1]), in
+  /// ascending column; runs_ ends with a sentinel whose begin is the size
+  /// of atoms_at_.
+  std::vector<uint32_t> term_runs_;
+  std::vector<Run> runs_;
+  std::vector<uint32_t> atoms_at_;
+};
 
 /// Exact decision of "do the pushed atoms map homomorphically into a fixed
 /// target instance?" maintained incrementally under a *stack* of atoms —
@@ -29,7 +117,7 @@ namespace semacyc {
 ///    domain*: the target terms it can still take under the per-atom
 ///    constraints seen so far. A push scans the new atom's candidate
 ///    tuples — the target's per-predicate list, narrowed through the
-///    (predicate, position, term) index by any ground or domain-singleton
+///    (predicate, position, term) buckets by any ground or small-domain
 ///    position — and intersects each variable's domain with the values the
 ///    compatible tuples support. An emptied domain (or an empty candidate
 ///    list) refutes the push in O(affected): domains over-approximate the
@@ -43,11 +131,11 @@ namespace semacyc {
 ///    backtracking search run over all pushed atoms (earlier choices may
 ///    need revision). It is the one compiled search of core/homomorphism
 ///    (hom::HomSearch): each level's cached compatible-tuple list is its
-///    base list, the target Instance's (predicate, position, term) buckets
-///    narrow every bound or ground position, and domain membership filters
-///    each binding. Its outcome is exact; a failure is remembered, and —
-///    homomorphisms being closed under restriction to a sub-conjunction —
-///    deeper pushes under a failed prefix are refuted for free.
+///    base list, the (predicate, position, term) buckets narrow every bound
+///    or ground position, and domain membership filters each binding. Its
+///    outcome is exact; a failure is remembered, and — homomorphisms being
+///    closed under restriction to a sub-conjunction — deeper pushes under a
+///    failed prefix are refuted for free.
 ///
 /// PopAtom undoes a push exactly: domain shrinkage is trail-based (each
 /// domain is a values array with an active prefix; shrinking swaps
@@ -58,13 +146,19 @@ namespace semacyc {
 /// breaks it — so repaired bindings of older variables are kept, not
 /// rolled back.
 ///
+/// Both paths read the target through a DenseTarget built at construction:
+/// the scan, the buckets and the repair's tuple reads are array indexing
+/// over dense ids, and a push hashes nothing. A source term finds its
+/// variable record by a scan of the live variable stack (the source side
+/// is one small candidate plus its head), a ground term its dense id in a
+/// small memo of the ground terms pushed so far, and the predicate its
+/// local id by a binary search over the target's few predicates.
+///
 /// Sessions are reusable: Reset() clears the stack and re-seeds the fixed
 /// bindings (the enumerator resets once per head pattern). Steady-state
 /// push/pop cycles allocate nothing (pinned by incremental_hom_test):
 /// levels, variable records, domains and scratch buffers are pooled, and
-/// a source term finds its variable record by a scan of the live
-/// variable stack — the source side is one small candidate plus its head,
-/// so no hash table is kept.
+/// each push writes its per-position arrays in place.
 ///
 /// Not thread-safe; one session per search, like IncrementalClassifier.
 class IncrementalHomomorphism {
@@ -89,10 +183,10 @@ class IncrementalHomomorphism {
     size_t dead_prefix = 0;
   };
 
-  /// Binds the session to `target` (kept by reference — it must outlive
-  /// the session and stay unchanged while atoms are pushed). The session
-  /// starts at depth 0 with no fixed bindings and found() == true (the
-  /// empty conjunction maps trivially).
+  /// Binds the session to `target`, interned once into a DenseTarget (the
+  /// Instance is not read afterwards). The session starts at depth 0 with
+  /// no fixed bindings and found() == true (the empty conjunction maps
+  /// trivially).
   explicit IncrementalHomomorphism(const Instance& target);
 
   /// Clears the stack and re-seeds the pre-bound mappings (e.g. head
@@ -102,8 +196,9 @@ class IncrementalHomomorphism {
 
   /// Pushes an atom and returns found(): whether all pushed atoms still
   /// map into the target (with the fixed bindings respected). Variables
-  /// and nulls are mappable; constants map to themselves.
-  bool PushAtom(const Atom& atom);
+  /// and nulls are mappable; constants map to themselves. Only the
+  /// arguments are read, during the call.
+  bool PushAtom(AtomView atom);
 
   /// Undoes the most recent PushAtom. Must not be called at depth 0.
   void PopAtom();
@@ -129,15 +224,13 @@ class IncrementalHomomorphism {
   void SetCancel(CancelToken* cancel) { cancel_ = cancel; }
 
  private:
-  /// Dense ids: every distinct term of the target is interned once at
-  /// construction into [0, num_dense), and the target's tuples are stored
-  /// dense — so the per-tuple scan does array arithmetic only, no term
-  /// hashing. The sentinel marks "not a target term" (such a ground source
-  /// argument can never match) and "unbound"; it is hom::kGround, so a
-  /// level's variable-per-position array is a compiled atom's slot array,
-  /// and FlatKeyTable::kNone, so a failed dense_of_ lookup yields it.
+  /// Values are the target's dense ids. The sentinel marks "not a target
+  /// term" (such a ground source argument can never match), "not a target
+  /// predicate" and "unbound"; it is hom::kGround, so a level's
+  /// variable-per-position array is a compiled atom's slot array, and
+  /// DenseTarget::kNone, so a failed lookup yields it.
   static constexpr uint32_t kNoDense = hom::kGround;
-  static_assert(kNoDense == FlatKeyTable::kNone);
+  static_assert(kNoDense == DenseTarget::kNone);
 
   /// Candidate-domain state of one mappable term, over dense target ids.
   /// `values[0..active)` are the live candidates; shrinking permutes
@@ -145,9 +238,8 @@ class IncrementalHomomorphism {
   /// it exactly. `where[d]` is 1 + the slot of dense id d in `values`
   /// (0 = absent), maintained across the permutations for O(1) membership.
   struct VarState {
-    Term term;
     std::vector<uint32_t> values;
-    std::vector<uint32_t> where;  // sized num_dense; zeroed on release
+    std::vector<uint32_t> where;  // sized num_terms; zeroed on release
     size_t active = 0;
     uint32_t bound = kNoDense;  // dense witness image; kNoDense = unbound
     Term fixed_term;            // witness image of a fixed seed (verbatim)
@@ -167,11 +259,11 @@ class IncrementalHomomorphism {
     /// shrink afterwards), so the repair DFS is complete over these lists.
     std::vector<uint32_t> tuples;
     /// Per position: the variable id, or kNoDense for a ground position,
-    /// whose dense value is in `ground`.
+    /// whose dense value is in `ground`. Written in place per push.
     std::vector<uint32_t> pos_var;
     std::vector<uint32_t> ground;
-    /// The pushed atom's predicate, which keys its index buckets.
-    Predicate pred;
+    /// The pushed atom's local predicate, which keys its buckets.
+    uint32_t pred = kNoDense;
     bool saved_found = true;
     /// Push landed on an already-failed prefix: nothing to undo.
     bool dead_prefix = false;
@@ -184,7 +276,7 @@ class IncrementalHomomorphism {
     uint32_t var = 0;
     bool fresh = false;
     std::vector<uint32_t> support_list;
-    std::vector<uint32_t> stamp;  // sized num_dense
+    std::vector<uint32_t> stamp;  // sized num_terms
     uint32_t epoch = 0;
   };
 
@@ -206,27 +298,21 @@ class IncrementalHomomorphism {
   /// by the target's index, filtered by the domains — no allocation.
   bool Repair();
   struct RepairTarget;
+  /// The dense id of ground term `t` (kNoDense outside the target): a scan
+  /// of ground_memo_, which keeps the first kGroundMemo ground terms
+  /// pushed; only a term past those costs a hash lookup.
+  uint32_t GroundDense(Term t);
 
-  /// The target's atoms of `pred` whose position `pos` holds dense term
-  /// `dense` — the Instance's bucket, so ascending; empty for kNoDense.
-  hom::TupleSpan Bucket(Predicate pred, size_t pos, uint32_t dense) const;
+  const DenseTarget target_;
+  static constexpr size_t kGroundMemo = 16;
+  std::vector<std::pair<Term, uint32_t>> ground_memo_;
 
-  const Instance* target_;
-
-  /// Dense interning of the target's terms and tuples (built once; the
-  /// target must not change during the session). dense_of_ maps a term's
-  /// raw bits to its dense id (the group id); tuple i's values are
-  /// dense_args_[tuple_start_[i]..).
-  FlatKeyTable dense_of_;
-  std::vector<Term> dense_terms_;
-  std::vector<uint32_t> dense_args_;
-  std::vector<uint32_t> tuple_start_;
-
-  /// Pooled variable records; vars_[0..vars_in_use_) are live, one per
-  /// distinct mappable term (FindVar looks them up). Fixed variables
+  /// The live variables' terms, one per distinct mappable term, in a
+  /// compact array that FindVar scans; vars_[id] is var_terms_[id]'s
+  /// record (vars_ is pooled beyond the live ones). Fixed variables
   /// occupy the bottom of the stack and never die.
+  std::vector<Term> var_terms_;
   std::vector<VarState> vars_;
-  size_t vars_in_use_ = 0;
 
   /// Pooled per-push undo records; levels_[0..depth_) are live.
   std::vector<Level> levels_;
@@ -245,7 +331,8 @@ class IncrementalHomomorphism {
   std::vector<SlotScratch> slots_;
   /// Buckets the scan walks this push (one per domain value of the most
   /// selective position, or the whole per-predicate list), plus the
-  /// per-position scratch the selection compares against it.
+  /// per-position scratch the selection compares against it. All of these
+  /// are resized and written in place, never re-filled.
   std::vector<hom::TupleSpan> scan_buckets_;
   std::vector<hom::TupleSpan> probe_buckets_;
   std::vector<int> slot_of_position_;   // -1 = ground position

@@ -7,9 +7,10 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <unordered_set>
 #include <utility>
 #include <vector>
+
+#include "core/flat_table.h"
 
 /// Deterministic work-stealing for a single budgeted DFS
 /// (docs/ARCHITECTURE.md, "Parallel single decision").
@@ -197,30 +198,25 @@ class ParallelSearchPool {
 /// of candidates the oracle refuted.
 class ConcurrentFingerprintSet {
  public:
-  using Key = std::pair<uint64_t, uint64_t>;
+  using Key = Key128Set::Key;
 
   bool Contains(const Key& k) const {
     const Shard& s = ShardOf(k);
     std::lock_guard<std::mutex> lock(s.mu);
-    return s.set.count(k) != 0;
+    return s.set.Contains(k);
   }
 
   /// True when newly inserted.
   bool Insert(const Key& k) {
     Shard& s = ShardOf(k);
     std::lock_guard<std::mutex> lock(s.mu);
-    return s.set.insert(k).second;
+    return s.set.Insert(k);
   }
 
  private:
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ull));
-    }
-  };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_set<Key, KeyHash> set;
+    Key128Set set;
   };
   static constexpr size_t kShards = 16;
   /// Shard by high bits; the set's hash consumes the low ones.

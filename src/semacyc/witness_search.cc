@@ -288,6 +288,9 @@ struct SubsetsSpace {
 /// parity suite pins this), hence the single shared builder.
 struct EnumSignature {
   std::vector<Predicate> predicates;
+  /// Per predicate, read per DFS node (Predicate::arity() takes the
+  /// predicate table's lock).
+  std::vector<size_t> arities;
   std::vector<Term> constants;
   std::vector<Term> pool;
 
@@ -333,6 +336,7 @@ struct EnumSignature {
     }
     int max_arity = 1;
     for (Predicate p : predicates) {
+      arities.push_back(static_cast<size_t>(p.arity()));
       max_arity = std::max(max_arity, p.arity());
     }
     // Variable pool: enough for max_atoms atoms of maximal arity.
@@ -343,27 +347,12 @@ struct EnumSignature {
   }
 };
 
-using Key128 = std::pair<uint64_t, uint64_t>;
-struct Key128Hash {
-  size_t operator()(const Key128& k) const {
-    return static_cast<size_t>(k.first ^ (k.second * 0x9e3779b97f4a7c15ull));
-  }
-};
-
-/// Candidate dedup modulo the renaming-invariant key: a 128-bit salted
-/// fingerprint pair of the canonical invariant (conflations are never
-/// resolved) — the conflation probability a dropped candidate rides on is
-/// ~n²/2¹²⁸, negligible against every other failure mode.
-class CandidateDedup {
- public:
-  /// True iff the candidate was not seen before.
-  bool Insert(const ConjunctiveQuery& q) {
-    return keys_.insert(CanonicalFingerprint128(q)).second;
-  }
-
- private:
-  std::unordered_set<Key128, Key128Hash> keys_;
-};
+/// Candidate dedup is modulo a 128-bit renaming-invariant key (a salted
+/// fingerprint pair of the canonical invariant, or IncrementalCandidateKey
+/// along a DFS path) kept in a Key128Set. Conflations are never resolved:
+/// the probability a dropped candidate rides on is ~n²/2¹²⁸, negligible
+/// against every other failure mode.
+using Key128 = Key128Set::Key;
 
 /// One candidate test, logged by the worker that ran its unit. The
 /// official candidates_tested counts the distinct keys among the events
@@ -446,26 +435,26 @@ class UnitWorker {
   /// the target, so a hit is a candidate Test would drop anyway — and it
   /// skips the α verdict on every repeat.
   bool Admits(const Key128& key) {
-    return seen_.count(key) == 0 && inc_.Meets();
+    return !seen_.Contains(key) && inc_.Meets();
   }
 
-  /// Tests the admitted candidate (head, body) with key `key`; true on a
-  /// witness. The worker-wide dedup never drops an event the official
-  /// count needs: a worker claims units in index order, so the earlier
-  /// test of the same key is in the official prefix whenever this one is.
-  /// The shared NO-set only suppresses oracle CALLS for candidates other
-  /// workers refuted (kYes stops the search, kUnknown is never inserted —
-  /// answer-invariant). The candidate is built only once it survives
-  /// both dedups.
-  bool Test(const Key128& key, const std::vector<Term>& head,
-            const std::vector<Atom>& body) {
-    seen_.insert(key);
+  /// Tests the admitted candidate with key `key`, which `build()` returns
+  /// as a ConjunctiveQuery; true on a witness. The worker-wide dedup never
+  /// drops an event the official count needs: a worker claims units in
+  /// index order, so the earlier test of the same key is in the official
+  /// prefix whenever this one is. The shared NO-set only suppresses oracle
+  /// CALLS for candidates other workers refuted (kYes stops the search,
+  /// kUnknown is never inserted — answer-invariant). The candidate is
+  /// built only once it survives both dedups.
+  template <typename Build>
+  bool Test(const Key128& key, Build&& build) {
+    seen_.Insert(key);
     events_.push_back({unit_, visits_, key});
     if (shared_no_ != nullptr) {
       ++shared_set_locks_;
       if (shared_no_->Contains(key)) return false;
     }
-    ConjunctiveQuery candidate(head, body);
+    ConjunctiveQuery candidate = build();
     ++oracle_calls_;
     Tri r = oracle_.ContainedInQ(candidate, cancel_);
     if (r == Tri::kYes) {
@@ -517,7 +506,7 @@ class UnitWorker {
   uint64_t found_at_ = 0;
   size_t oracle_calls_ = 0;
   size_t shared_set_locks_ = 0;
-  std::unordered_set<Key128, Key128Hash> seen_;
+  Key128Set seen_;
   std::vector<CandidateEvent> events_;
   std::vector<std::pair<size_t, ConjunctiveQuery>> witnesses_;
 };
@@ -549,7 +538,7 @@ WitnessSearchOutcome RunUnits(size_t units, size_t threads, size_t budget,
       res.truncated || (cancel != nullptr && cancel->triggered());
   // Keys are distinct within one worker's log, so only the keys of
   // earlier logs need remembering.
-  std::unordered_set<Key128, Key128Hash> earlier;
+  Key128Set earlier;
   for (size_t i = 0; i < workers.size(); ++i) {
     Worker* w = workers[i].get();
     if (w == nullptr) continue;
@@ -557,11 +546,11 @@ WitnessSearchOutcome RunUnits(size_t units, size_t threads, size_t budget,
       outcome.witness = w->TakeWitness(res.final_unit);
     }
     for (const CandidateEvent& e : w->events()) {
-      if (!res.InPrefix(e.unit, e.local_visit) || earlier.count(e.key) != 0) {
+      if (!res.InPrefix(e.unit, e.local_visit) || earlier.Contains(e.key)) {
         continue;
       }
       ++outcome.candidates_tested;
-      if (i + 1 < workers.size()) earlier.insert(e.key);
+      if (i + 1 < workers.size()) earlier.Insert(e.key);
     }
     w->AddStats(&outcome);
   }
@@ -597,7 +586,7 @@ WitnessSearchOutcome FindWitnessInQueryImages(const ConjunctiveQuery& q,
   HomResult homs = FindHomomorphisms(q.body(), chase.instance, options);
   outcome.exhausted = !homs.budget_exhausted &&
                       (max_homs == 0 || homs.solutions.size() < max_homs);
-  CandidateDedup tested;
+  Key128Set tested;
   for (const Substitution& h : homs.solutions) {
     if (cancel != nullptr && cancel->Poll()) {
       outcome.exhausted = false;
@@ -610,7 +599,7 @@ WitnessSearchOutcome FindWitnessInQueryImages(const ConjunctiveQuery& q,
       continue;
     }
     ConjunctiveQuery candidate = QueryFromInstance(image, chase.frozen_head);
-    if (!tested.Insert(candidate)) continue;
+    if (!tested.Insert(CanonicalFingerprint128(candidate))) continue;
     ++outcome.candidates_tested;
     if (oracle.ContainedInQ(candidate, cancel) == Tri::kYes) {
       outcome.answer = Tri::kYes;
@@ -676,7 +665,7 @@ class SubsetsWorker : public UnitWorker {
  private:
   void Push(size_t i) {
     subset_.push_back(static_cast<uint32_t>(i));
-    key_.Push((*space_.atoms)[i], space_.key_verts[i].data());
+    key_.Push(AtomView::Of((*space_.atoms)[i]), space_.key_verts[i].data());
     inc_.PushEdge(space_.atom_verts[i]);
   }
 
@@ -695,15 +684,14 @@ class SubsetsWorker : public UnitWorker {
     return true;
   }
 
-  /// Inverse freezing of subset_ over a stable variable pool into
-  /// pooled_head_/pooled_body_ (run only for a candidate that passed
-  /// Admits): fresh per-candidate names would intern a
-  /// new symbol for every variable of every candidate; reusing "s$<i>"
-  /// across candidates interns each name exactly once per process, and
-  /// every worker builds bitwise-identical candidates for the same subset.
-  /// Subsets hold at most max_atoms atoms, so the renaming is a flat table
-  /// with a linear lookup.
-  void PoolSubset() {
+  /// The candidate of subset_, inverse-frozen over a stable variable pool
+  /// (built only for a candidate Test runs): fresh per-candidate names
+  /// would intern a new symbol for every variable of every candidate;
+  /// reusing "s$<i>" across candidates interns each name exactly once per
+  /// process, and every worker builds bitwise-identical candidates for
+  /// the same subset. Subsets hold at most max_atoms atoms, so the
+  /// renaming is a flat table with a linear lookup.
+  ConjunctiveQuery PoolSubset() {
     rename_.clear();
     auto var_of = [&](Term t) -> Term {
       if (IsGenuineConstant(t)) return t;
@@ -718,15 +706,19 @@ class SubsetsWorker : public UnitWorker {
       rename_.emplace_back(t, v);
       return v;
     };
-    pooled_body_.clear();
+    std::vector<Atom> body;
+    body.reserve(subset_.size());
     for (uint32_t i : subset_) {
       const Atom& a = (*space_.atoms)[i];
-      args_.clear();
-      for (Term t : a.args()) args_.push_back(var_of(t));
-      pooled_body_.emplace_back(a.predicate(), args_);
+      std::vector<Term> args;
+      args.reserve(a.arity());
+      for (Term t : a.args()) args.push_back(var_of(t));
+      body.emplace_back(a.predicate(), std::move(args));
     }
-    pooled_head_.clear();
-    for (Term t : chase_.frozen_head) pooled_head_.push_back(var_of(t));
+    std::vector<Term> head;
+    head.reserve(chase_.frozen_head.size());
+    for (Term t : chase_.frozen_head) head.push_back(var_of(t));
+    return ConjunctiveQuery(std::move(head), std::move(body));
   }
 
   /// DFS over index-increasing subsets, testing each acyclic subset that
@@ -736,8 +728,7 @@ class SubsetsWorker : public UnitWorker {
     if (!subset_.empty() && Covered()) {
       const Key128 key = key_.Key();
       if (Admits(key)) {
-        PoolSubset();
-        if (Test(key, pooled_head_, pooled_body_)) return true;
+        if (Test(key, [&] { return PoolSubset(); })) return true;
       }
     }
     if (subset_.size() >= limit) return false;
@@ -760,11 +751,8 @@ class SubsetsWorker : public UnitWorker {
   IncrementalCandidateKey key_;
   std::vector<uint32_t> subset_;
   std::vector<Term> var_pool_;
-  /// PoolSubset's scratch and output (capacity kept across candidates).
+  /// PoolSubset's renaming (capacity kept across candidates).
   std::vector<std::pair<Term, Term>> rename_;
-  std::vector<Term> args_;
-  std::vector<Term> pooled_head_;
-  std::vector<Atom> pooled_body_;
 };
 
 }  // namespace
@@ -795,16 +783,18 @@ WitnessSearchOutcome FindWitnessInChaseSubsets(
 namespace {
 
 /// Fixed total order on atoms for canonical-growth enumeration: predicate
-/// id, then argument handles lexicographically. `b` is given as its
-/// predicate and argument tuple, so a tuple is ordered before any atom is
-/// built for it. A predicate fixes its arity, so order-equal atoms are
-/// identical: "strictly above the last atom" also rules out duplicates.
-bool AtomOrderLess(const Atom& a, Predicate bp, const std::vector<Term>& b) {
-  if (a.predicate() != bp) return a.predicate().id() < bp.id();
-  for (size_t i = 0; i < a.arity() && i < b.size(); ++i) {
-    if (a.arg(i) != b[i]) return a.arg(i).raw_bits() < b[i].raw_bits();
+/// id, then argument handles lexicographically. Views, so a tuple is
+/// ordered before any atom is built for it. A predicate fixes its arity,
+/// so order-equal atoms are identical: "strictly above the last atom"
+/// also rules out duplicates.
+bool AtomOrderLess(AtomView a, AtomView b) {
+  if (a.pred != b.pred) return a.pred.id() < b.pred.id();
+  for (size_t i = 0; i < a.arity && i < b.arity; ++i) {
+    if (a.args[i] != b.args[i]) {
+      return a.args[i].raw_bits() < b.args[i].raw_bits();
+    }
   }
-  return a.arity() < b.size();
+  return a.arity < b.arity;
 }
 
 /// Per-head-pattern invariants of the exhaustive enumeration.
@@ -974,8 +964,8 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
           for_each_atom(p2, hp, f1, [&](PlanAtom&& a2) {
             // Canonical growth: strictly increasing atom order (the
             // BuildArgs rejection at depth 1).
-            const Atom& first = plan.atoms[i1].atom;
-            if (!AtomOrderLess(first, a2.atom.predicate(), a2.atom.args())) {
+            if (!AtomOrderLess(AtomView::Of(plan.atoms[i1].atom),
+                               AtomView::Of(a2.atom))) {
               return;
             }
             plan.units.push_back({h, i1, add_atom(std::move(a2)), true});
@@ -1006,7 +996,7 @@ class ExhaustiveWorker : public UnitWorker {
         sig_(sig),
         max_atoms_(max_atoms),
         hom_(chase.instance),
-        slots_(max_atoms) {
+        path_(max_atoms) {
     // The incremental session bails from repair search once the token
     // fires; RunUnit then reports the unit truncated.
     hom_.SetCancel(cancel_);
@@ -1043,6 +1033,17 @@ class ExhaustiveWorker : public UnitWorker {
   }
 
  private:
+  /// The atom at one DFS depth: its predicate and argument tuple, with
+  /// each position's classifier vertex (-1 for a constant). The vectors
+  /// keep their capacity, so writing an atom here allocates nothing.
+  struct ArgSlot {
+    Predicate pred;
+    std::vector<Term> args;
+    std::vector<int> verts;
+
+    AtomView view() const { return {pred, args.data(), args.size()}; }
+  };
+
   /// Brings the sessions to the unit's head pattern and prefix, popping
   /// and pushing only where it differs from the previous unit's. False =
   /// the prefix is pruned exactly where the DFS prunes it (a zero-visit
@@ -1082,26 +1083,29 @@ class ExhaustiveWorker : public UnitWorker {
     ctx.NoteReplay();
   }
 
-  /// Pushes one prefix atom with the DFS push nesting (classifier first,
-  /// then hom, then the key). False = pruned, with every session restored.
+  /// Pushes one prefix atom, copied into the path, with the DFS push
+  /// nesting (classifier first, then hom, then the key). False = pruned,
+  /// with every session restored.
   bool PushPrefixAtom(const PlanAtom& pa) {
-    size_t saved_frontier = used_frontier_;
-    atoms_.push_back(pa.atom);
-    used_frontier_ = pa.frontier;
-    PushEdge(pa.verts);
+    ArgSlot& slot = path_[depth_];
+    slot.pred = pa.atom.predicate();
+    slot.args.assign(pa.atom.args().begin(), pa.atom.args().end());
+    slot.verts.assign(pa.verts.begin(), pa.verts.end());
+    const AtomView atom = slot.view();
+    PushEdge(slot.verts);
     bool ok = !inc_.CannotRecover();
     if (ok) {
-      ok = hom_.PushAtom(pa.atom);
+      ok = hom_.PushAtom(atom);
       if (!ok) hom_.PopAtom();
     }
     if (!ok) {
       inc_.PopEdge();
-      atoms_.pop_back();
-      used_frontier_ = saved_frontier;
       return false;
     }
-    key_.Push(pa.atom, pa.verts.data());
-    frontier_stack_.push_back(saved_frontier);
+    key_.Push(atom, slot.verts.data());
+    frontier_stack_.push_back(used_frontier_);
+    used_frontier_ = pa.frontier;
+    ++depth_;
     return true;
   }
 
@@ -1110,7 +1114,7 @@ class ExhaustiveWorker : public UnitWorker {
       key_.Pop();
       hom_.PopAtom();
       inc_.PopEdge();
-      atoms_.pop_back();
+      --depth_;
       used_frontier_ = frontier_stack_.back();
       frontier_stack_.pop_back();
       prefix_.pop_back();
@@ -1135,44 +1139,48 @@ class ExhaustiveWorker : public UnitWorker {
     return true;
   }
 
+  /// Tests the path's candidate; its atoms are built only for a key that
+  /// passed Admits.
   void TestCandidate() {
-    if (atoms_.empty() || !HeadCovered()) return;
+    if (depth_ == 0 || !HeadCovered()) return;
     const Key128 key = key_.Key();
-    if (Admits(key)) Test(key, hp_plan_->head, atoms_);
+    if (!Admits(key)) return;
+    Test(key, [&] {
+      std::vector<Atom> body;
+      body.reserve(depth_);
+      for (size_t d = 0; d < depth_; ++d) {
+        body.emplace_back(path_[d].pred, path_[d].args);
+      }
+      return ConjunctiveQuery(hp_plan_->head, std::move(body));
+    });
   }
 
   void Search() {
     if (!Visit("exhaustive.visit")) return;
     TestCandidate();
-    if (found_ || atoms_.size() >= max_atoms_) return;
+    if (found_ || depth_ >= max_atoms_) return;
     // Search runs below max_atoms_ atoms, so its depth has a slot.
-    ArgSlot& slot = slots_[atoms_.size()];
-    for (Predicate p : sig_.predicates) {
-      slot.args.resize(static_cast<size_t>(p.arity()));
-      slot.verts.resize(slot.args.size());
-      BuildArgs(p, 0, slot, used_frontier_);
+    ArgSlot& slot = path_[depth_];
+    for (size_t k = 0; k < sig_.predicates.size(); ++k) {
+      slot.pred = sig_.predicates[k];
+      slot.args.resize(sig_.arities[k]);
+      slot.verts.resize(sig_.arities[k]);
+      BuildArgs(slot, 0, used_frontier_);
       if (truncated_ || found_) return;
     }
   }
 
-  /// The argument tuple under construction at one DFS depth, with each
-  /// position's classifier vertex (-1 for a constant).
-  struct ArgSlot {
-    std::vector<Term> args;
-    std::vector<int> verts;
-  };
-
-  void BuildArgs(Predicate p, size_t pos, ArgSlot& slot, size_t used) {
+  /// Fills `slot` (the path's next depth) position by position; a full
+  /// tuple above the path's last atom is pushed and searched below.
+  void BuildArgs(ArgSlot& slot, size_t pos, size_t used) {
     if (truncated_ || found_) return;
     if (pos == slot.args.size()) {
       // Canonical growth: strictly increasing atom order (so no duplicate
-      // atoms), checked on the tuple; only a pushed tuple becomes an Atom.
-      if (!atoms_.empty() && !AtomOrderLess(atoms_.back(), p, slot.args)) {
+      // atoms), checked on the tuple.
+      const AtomView atom = slot.view();
+      if (depth_ > 0 && !AtomOrderLess(path_[depth_ - 1].view(), atom)) {
         return;
       }
-      atoms_.emplace_back(p, slot.args);
-      // Not used past Search(), whose pushes may move atoms_'s storage.
-      const Atom& atom = atoms_.back();
       size_t saved_frontier = used_frontier_;
       used_frontier_ = used;
       // The classifier push costs nanoseconds (scratch deciders), so it
@@ -1182,30 +1190,31 @@ class ExhaustiveWorker : public UnitWorker {
       PushEdge(slot.verts);
       if (!inc_.CannotRecover()) {
         // Incremental per-atom chase check, mirroring the classifier's
-        // push/pop discipline: the session's stack tracks atoms_ along the
-        // DFS path, so this push costs O(what the atom changed) instead of
-        // a from-scratch backtracking search. The key follows only the
+        // push/pop discipline: the session's stack tracks the path, so
+        // this push costs O(what the atom changed) instead of a
+        // from-scratch backtracking search. The key follows only the
         // pushes the DFS descends into.
         if (hom_.PushAtom(atom)) {
           key_.Push(atom, slot.verts.data());
+          ++depth_;
           Search();
+          --depth_;
           key_.Pop();
         }
         hom_.PopAtom();
       }
       inc_.PopEdge();
       used_frontier_ = saved_frontier;
-      atoms_.pop_back();
       return;
     }
-    // `used` carries the frontier (pool variables consumed by atoms_ plus
-    // the args prefix) down the recursion instead of rescanning atoms and
-    // prefix.
+    // `used` carries the frontier (pool variables consumed by the path
+    // plus the args prefix) down the recursion instead of rescanning the
+    // path and prefix.
     ForEachChoice(*hp_plan_, sig_, used,
                   [&](Term t, size_t next_used, int vertex) {
                     slot.args[pos] = t;
                     slot.verts[pos] = vertex;
-                    BuildArgs(p, pos + 1, slot, next_used);
+                    BuildArgs(slot, pos + 1, next_used);
                   });
   }
 
@@ -1216,7 +1225,7 @@ class ExhaustiveWorker : public UnitWorker {
   /// PushEdge/PopEdge along the DFS path — the certificate that the
   /// candidate maps into the chase with the head bound position-wise.
   IncrementalHomomorphism hom_;
-  /// The candidate key of atoms_ at every visit (ForEachChoice's vertex
+  /// The candidate key of the path at every visit (ForEachChoice's vertex
   /// numbering; its counts give the head cover).
   IncrementalCandidateKey key_;
   /// The current head pattern's invariants (owned by the plan).
@@ -1226,11 +1235,12 @@ class ExhaustiveWorker : public UnitWorker {
   /// whose push was pruned.
   std::vector<uint32_t> prefix_;
   uint32_t dead_ = ExhUnit::kNoAtom;
-  std::vector<Atom> atoms_;
-  /// One argument slot per DFS depth below max_atoms_.
-  std::vector<ArgSlot> slots_;
+  /// The DFS path: its atoms are path_[0 .. depth_), one slot per depth
+  /// below max_atoms_ (the unit prefix's atoms are copied in).
+  std::vector<ArgSlot> path_;
+  size_t depth_ = 0;
   std::vector<int> verts_scratch_;
-  /// Pool variables consumed by atoms_ (the in-order-introduction
+  /// Pool variables consumed by the path (the in-order-introduction
   /// frontier), maintained incrementally across atom pushes/pops.
   size_t used_frontier_ = 0;
   std::vector<size_t> frontier_stack_;

@@ -150,7 +150,7 @@ TEST(IncrementalHomTest, RandomWalkMatchesBatchOverGeneratorFamilies) {
         if (push) {
           Atom a = random_atom();
           stack.push_back(a);
-          hom.PushAtom(a);
+          hom.PushAtom(AtomView::Of(a));
         } else {
           stack.pop_back();
           hom.PopAtom();
@@ -192,11 +192,11 @@ TEST(IncrementalHomTest, RepeatedVariableAndGroundEdgeCases) {
   IncrementalHomomorphism hom(target);
   hom.Reset();
   // E(x,x) only maps onto E(b,b).
-  EXPECT_TRUE(hom.PushAtom(Atom(e, {x, x})));
+  EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(e, {x, x}))));
   EXPECT_EQ(hom.Witness().at(x), b);
   // E(x,y) with x=b forces y=b; then ground E(a,a) is impossible.
-  EXPECT_TRUE(hom.PushAtom(Atom(e, {x, y})));
-  EXPECT_FALSE(hom.PushAtom(Atom(e, {a, a})));
+  EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(e, {x, y}))));
+  EXPECT_FALSE(hom.PushAtom(AtomView::Of(Atom(e, {a, a}))));
   hom.PopAtom();
   EXPECT_TRUE(hom.found());
   hom.PopAtom();
@@ -209,16 +209,16 @@ TEST(IncrementalHomTest, RepeatedVariableAndGroundEdgeCases) {
   fixed.emplace(x, Term::Constant("elsewhere"));
   hom.Reset(fixed);
   EXPECT_TRUE(hom.found());
-  EXPECT_FALSE(hom.PushAtom(Atom(e, {x, y})));
+  EXPECT_FALSE(hom.PushAtom(AtomView::Of(Atom(e, {x, y}))));
   hom.PopAtom();
-  EXPECT_TRUE(hom.PushAtom(Atom(e, {y, y})));  // seed unused: fine
+  // The seed is unused: fine.
+  EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(e, {y, y}))));
   EXPECT_EQ(hom.Witness().at(x), Term::Constant("elsewhere"));
 }
 
-TEST(IncrementalHomTest, RandomWalkOverATargetRebuiltByReplaceTerm) {
-  // The egd chase merges terms with Instance::ReplaceTerm, which rebuilds
-  // the (predicate, position, term) index the session's buckets are read
-  // from; merged atoms collapse, so atom ids shift.
+/// A target rebuilt by Instance::ReplaceTerm, as the egd chase merges
+/// terms: merged atoms collapse, so atom ids shift.
+Instance ReplaceTermTarget() {
   Predicate e = Predicate::Get("RtE", 2);
   Predicate f = Predicate::Get("RtF", 2);
   Term a = Term::Constant("rta");
@@ -234,7 +234,122 @@ TEST(IncrementalHomTest, RandomWalkOverATargetRebuiltByReplaceTerm) {
                     Atom(e, {c, a})});
   EXPECT_EQ(target.ReplaceTerm(n2, n1), 3u);  // three atoms merge away
   EXPECT_EQ(target.ReplaceTerm(n3, c), 2u);
+  EXPECT_EQ(target.size(), 7u);
+  return target;
+}
+
+std::vector<uint32_t> Ids(hom::TupleSpan span) {
+  return std::vector<uint32_t>(span.data, span.data + span.size);
+}
+
+/// Checks every lookup of a DenseTarget of `target` against the
+/// Instance's own index: each target predicate's list equals AtomsOf, and
+/// each (predicate, position, term) bucket — over every target term and
+/// one term outside the target — equals FindCandidates, ids and order
+/// alike (a missing bucket is empty).
+void ExpectDirectoryMatches(const Instance& target, const std::string& name) {
+  const DenseTarget dense(target);
+  std::vector<Term> terms = target.ActiveDomain();
+  ASSERT_EQ(dense.num_terms(), terms.size()) << name;
+  terms.push_back(Term::Constant("dirAbsent"));
+  for (Predicate p : target.Predicates()) {
+    const uint32_t lp = dense.LocalPred(p);
+    ASSERT_NE(lp, DenseTarget::kNone) << name << " " << p.ToString();
+    EXPECT_EQ(Ids(dense.AtomsOf(lp)), target.AtomsOf(p))
+        << name << " " << p.ToString();
+    for (size_t pos = 0; pos < static_cast<size_t>(p.arity()); ++pos) {
+      for (Term t : terms) {
+        const std::vector<uint32_t>* bucket =
+            target.FindCandidates(p, pos, t);
+        EXPECT_EQ(Ids(dense.Bucket(lp, pos, dense.DenseOf(t))),
+                  bucket == nullptr ? std::vector<uint32_t>{} : *bucket)
+            << name << " " << p.ToString() << " position " << pos << " "
+            << t.ToString();
+      }
+    }
+  }
+}
+
+TEST(IncrementalHomTest, DirectoryMatchesTheInstanceIndex) {
+  ChaseOptions chase_options;
+  for (const ChaseCase& c : ChaseCases()) {
+    QueryChaseResult chase = ChaseQuery(c.q, c.sigma, chase_options);
+    ASSERT_FALSE(chase.failed) << c.name;
+    ExpectDirectoryMatches(chase.instance, c.name);
+  }
+  ExpectDirectoryMatches(ReplaceTermTarget(), "replace-term");
+}
+
+TEST(IncrementalHomTest, DirectoryEdgeCases) {
+  // A pushed predicate the target lacks, and a ground constant it lacks:
+  // both have no local id resp. dense id, empty lists, and a push over
+  // them is refuted by forward checking.
+  Predicate e = Predicate::Get("DeE", 2);
+  Predicate absent = Predicate::Get("DeAbsent", 2);
+  Term a = Term::Constant("dea");
+  Term b = Term::Constant("deb");
+  Term gone = Term::Constant("deGone");
+  Term x = Term::Variable("dex");
+  Instance target;
+  target.InsertAll({Atom(e, {a, b}), Atom(e, {b, a})});
+  const DenseTarget dense(target);
+  const uint32_t lp = dense.LocalPred(e);
+  ASSERT_NE(lp, DenseTarget::kNone);
+  EXPECT_EQ(dense.LocalPred(absent), DenseTarget::kNone);
+  EXPECT_EQ(dense.AtomsOf(DenseTarget::kNone).size, 0u);
+  EXPECT_EQ(dense.DenseOf(gone), DenseTarget::kNone);
+  EXPECT_EQ(dense.Bucket(lp, 0, DenseTarget::kNone).size, 0u);
+  EXPECT_EQ(dense.Bucket(DenseTarget::kNone, 0, dense.DenseOf(a)).size, 0u);
+  EXPECT_EQ(Ids(dense.Bucket(lp, 1, dense.DenseOf(a))),
+            std::vector<uint32_t>{1});
+
+  IncrementalHomomorphism hom(target);
+  hom.Reset();
+  EXPECT_FALSE(hom.PushAtom(AtomView::Of(Atom(absent, {x, x}))));
+  hom.PopAtom();
+  EXPECT_FALSE(hom.PushAtom(AtomView::Of(Atom(e, {gone, x}))));
+  hom.PopAtom();
+  EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(e, {a, x}))));
+  EXPECT_EQ(hom.Witness().at(x), b);
+  EXPECT_EQ(hom.stats().fc_rejects, 2u);
+}
+
+TEST(IncrementalHomTest, DirectoryIsLinearInTheArguments) {
+  // 64 binary predicates over 1,000 terms, 40 atoms each: 5,120
+  // arguments. A predicates x positions x terms table would take 128,000
+  // entries; the term-major directory stays within a few words per
+  // argument.
+  std::mt19937_64 rng(67);
+  std::vector<Term> terms;
+  for (int i = 0; i < 1000; ++i) {
+    terms.push_back(Term::Constant("dl" + std::to_string(i)));
+  }
+  Instance target;
+  size_t arguments = 0;
+  for (int p = 0; p < 64; ++p) {
+    Predicate pred = Predicate::Get("DirL" + std::to_string(p), 2);
+    for (int i = 0; i < 40; ++i) {
+      if (target.Insert(Atom(pred, {terms[rng() % terms.size()],
+                                    terms[rng() % terms.size()]}))) {
+        arguments += 2;
+      }
+    }
+  }
+  const DenseTarget dense(target);
+  EXPECT_LE(dense.DirectoryBytes(), 5 * sizeof(uint32_t) * arguments);
+  ExpectDirectoryMatches(target, "64-predicates");
+}
+
+TEST(IncrementalHomTest, RandomWalkOverATargetRebuiltByReplaceTerm) {
+  // The session interns the rebuilt target, whose (predicate, position,
+  // term) index ReplaceTerm rebuilt.
+  const Instance target = ReplaceTermTarget();
   ASSERT_EQ(target.size(), 7u);
+  Predicate e = Predicate::Get("RtE", 2);
+  Predicate f = Predicate::Get("RtF", 2);
+  Term a = Term::Constant("rta");
+  Term b = Term::Constant("rtb");
+  Term c = Term::Constant("rtc");
 
   // Ground arguments: the target's constants, and one it lacks.
   std::vector<Term> ground = {a, b, c, Term::Constant("rtAbsent")};
@@ -261,7 +376,7 @@ TEST(IncrementalHomTest, RandomWalkOverATargetRebuiltByReplaceTerm) {
     for (int step = 0; step < 20; ++step) {
       if (stack.empty() || rng() % 3 != 0) {
         stack.push_back(random_atom());
-        hom.PushAtom(stack.back());
+        hom.PushAtom(AtomView::Of(stack.back()));
       } else {
         stack.pop_back();
         hom.PopAtom();
@@ -306,9 +421,9 @@ TEST(IncrementalHomTest, FailingRepairIsLinearOnAPath) {
   Term z = Term::Variable("lpz");
   IncrementalHomomorphism hom(target);
   hom.Reset();
-  EXPECT_TRUE(hom.PushAtom(Atom(g, {x, y})));
-  EXPECT_TRUE(hom.PushAtom(Atom(g, {y, z})));
-  EXPECT_FALSE(hom.PushAtom(Atom(g, {z, x})));
+  EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(g, {x, y}))));
+  EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(g, {y, z}))));
+  EXPECT_FALSE(hom.PushAtom(AtomView::Of(Atom(g, {z, x}))));
   EXPECT_FALSE(hom.found());
   EXPECT_EQ(hom.stats().repairs, 1u);
   EXPECT_EQ(hom.stats().repair_fails, 1u);
@@ -336,9 +451,9 @@ TEST(IncrementalHomTest, SteadyStatePushPopCyclesAllocateNothing) {
   IncrementalHomomorphism hom(target);
   hom.Reset();
   auto run_cycle = [&] {
-    bool ok = hom.PushAtom(cycle[0]);
-    ok = hom.PushAtom(cycle[1]) && ok;
-    ok = !hom.PushAtom(cycle[2]) && ok;
+    bool ok = hom.PushAtom(AtomView::Of(cycle[0]));
+    ok = hom.PushAtom(AtomView::Of(cycle[1])) && ok;
+    ok = !hom.PushAtom(AtomView::Of(cycle[2])) && ok;
     for (size_t i = 0; i < cycle.size(); ++i) hom.PopAtom();
     return ok;
   };

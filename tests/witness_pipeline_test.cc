@@ -506,7 +506,7 @@ std::pair<uint64_t, uint64_t> PushPopKey(IncrementalCandidateKey* key,
   for (const Atom& a : body) {
     std::vector<int> verts;
     for (Term t : a.args()) verts.push_back(vertex(t));
-    key->Push(a, verts.data());
+    key->Push(AtomView::Of(a), verts.data());
     down.push_back(key->Key());
   }
   for (size_t depth = body.size(); depth-- > 0;) {
