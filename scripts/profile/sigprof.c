@@ -7,8 +7,8 @@
 //
 // The interval timer is ITIMER_PROF (setitimer), which counts the CPU
 // time of this process alone, user and system, over all its threads. The
-// kernel sends SIGPROF every SIGPROF_HZ-th of a CPU second (default 997,
-// prime so that sampling does not lock onto a periodic loop); the handler
+// kernel sends SIGPROF 997 times per CPU second (prime, so that sampling
+// does not lock onto a periodic loop); the handler
 // records the interrupted program counter. Nothing outside the process is
 // touched: no system setting, no other process.
 //
@@ -34,6 +34,7 @@
 #include <unistd.h>
 
 enum { kMaxSamples = 1 << 22 };  // 32 MiB of program counters
+enum { kHz = 997 };
 
 static uintptr_t samples[kMaxSamples];
 static atomic_size_t num_samples;
@@ -67,12 +68,9 @@ __attribute__((constructor)) static void StartSampling(void) {
   action.sa_flags = SA_SIGINFO | SA_RESTART;
   sigemptyset(&action.sa_mask);
   if (sigaction(SIGPROF, &action, NULL) != 0) return;
-  const char* hz_text = getenv("SIGPROF_HZ");
-  long hz = hz_text != NULL ? strtol(hz_text, NULL, 10) : 997;
-  if (hz <= 0 || hz > 100000) hz = 997;
   struct itimerval timer;
   timer.it_interval.tv_sec = 0;
-  timer.it_interval.tv_usec = 1000000 / hz;
+  timer.it_interval.tv_usec = 1000000 / kHz;
   timer.it_value = timer.it_interval;
   setitimer(ITIMER_PROF, &timer, NULL);
 }

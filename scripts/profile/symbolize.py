@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Attributes the samples of scripts/profile/sigprof.c to functions.
 
-    python3 scripts/profile/symbolize.py sigprof.<pid> [--top N] [--modules]
+    python3 scripts/profile/symbolize.py sigprof.<pid> [--modules]
 
 Each sampled program counter is located in the memory map the sampler
 recorded, turned into an address of its ELF file (the program itself,
@@ -9,9 +9,9 @@ libc, libstdc++, ...) through that file's PT_LOAD program headers, and
 attributed to the enclosing function symbol. Symbols come from
 `nm --defined-only` (the full symbol table), or from `nm -D` (the dynamic
 one) for a stripped shared library such as libc, so time spent in
-malloc/free or memcpy shows under its own name. Prints a flat profile:
-share of samples, sample count, function, module. --modules adds the
-per-module totals.
+malloc/free or memcpy shows under its own name. Prints a flat profile of
+the 40 busiest functions: share of samples, sample count, function,
+module. --modules adds the per-module totals.
 """
 
 import argparse
@@ -110,7 +110,6 @@ class Module:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("profile")
-    parser.add_argument("--top", type=int, default=40)
     parser.add_argument("--modules", action="store_true")
     args = parser.parse_args()
 
@@ -141,7 +140,7 @@ def main():
     total = len(pcs)
     print(header)
     print("%7s %8s  %s" % ("share", "samples", "function [module]"))
-    for (function, module), count in by_function.most_common(args.top):
+    for (function, module), count in by_function.most_common(40):
         print("%6.2f%% %8d  %s [%s]" % (100.0 * count / total, count,
                                         function, module))
     if args.modules:

@@ -86,8 +86,8 @@ bool HomomorphicallyEquivalent(const Instance& a, const Instance& b);
 ///   * an Instance, narrowed through its (predicate, position, term) index
 ///     (InstanceTarget): FindHomomorphisms and the chase's trigger, head
 ///     and egd-violation searches;
-///   * IncrementalHomomorphism's repair — the session's DenseTarget (an
-///     Instance's tuples over dense term ids), with each pushed atom's
+///   * IncrementalHomomorphism's repair — its DenseTarget (an Instance's
+///     tuples over dense term ids), with each pushed atom's
 ///     compatible tuples as its base list, the DenseTarget's (predicate,
 ///     position, term) buckets as the index and domain membership as the
 ///     per-variable filter;

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <tuple>
 #include <utility>
 
 namespace semacyc {
 
 DenseTarget::DenseTarget(const Instance& target) {
-  // Interning: one hash per distinct target term, once per session. A
-  // term's group id is its dense id.
+  // Interning: one hash per target argument, once per target. A term's
+  // group id is its dense id.
   const std::vector<Atom>& atoms = target.atoms();
   tuple_start_.reserve(atoms.size() + 1);
   tuple_start_.push_back(0);
@@ -20,62 +19,61 @@ DenseTarget::DenseTarget(const Instance& target) {
       args_.push_back(d);
     }
     tuple_start_.push_back(static_cast<uint32_t>(args_.size()));
-    pred_ids_.push_back(a.predicate().id());
+    if (LocalPred(a.predicate()) == kNone) {
+      const uint32_t id = a.predicate().id();
+      pred_ids_.insert(
+          std::lower_bound(pred_ids_.begin(), pred_ids_.end(), id), id);
+    }
   }
-  std::sort(pred_ids_.begin(), pred_ids_.end());
-  pred_ids_.erase(std::unique(pred_ids_.begin(), pred_ids_.end()),
-                  pred_ids_.end());
-  pred_ids_.shrink_to_fit();
 
   // Per local predicate: its columns (a predicate fixes its arity) and
-  // its atoms, ascending.
+  // its atoms, ascending (a counting sort by local predicate).
   const size_t num_preds = pred_ids_.size();
   std::vector<uint32_t> arity(num_preds);
-  std::vector<std::vector<uint32_t>> atoms_of(num_preds);
+  std::vector<uint32_t> local(atoms.size());
+  pred_start_.assign(num_preds + 1, 0);
   for (uint32_t i = 0; i < atoms.size(); ++i) {
-    const uint32_t lp = LocalPred(atoms[i].predicate());
-    arity[lp] = static_cast<uint32_t>(atoms[i].arity());
-    atoms_of[lp].push_back(i);
+    local[i] = LocalPred(atoms[i].predicate());
+    arity[local[i]] = static_cast<uint32_t>(atoms[i].arity());
+    ++pred_start_[local[i] + 1];
   }
-  column_start_.push_back(0);
-  pred_start_.push_back(0);
+  column_start_.assign(num_preds + 1, 0);
   for (size_t lp = 0; lp < num_preds; ++lp) {
-    column_start_.push_back(column_start_.back() + arity[lp]);
-    pred_atoms_.insert(pred_atoms_.end(), atoms_of[lp].begin(),
-                       atoms_of[lp].end());
-    pred_start_.push_back(static_cast<uint32_t>(pred_atoms_.size()));
+    column_start_[lp + 1] = column_start_[lp] + arity[lp];
+    pred_start_[lp + 1] += pred_start_[lp];
   }
+  pred_atoms_.resize(atoms.size());
+  std::vector<uint32_t> fill(pred_start_.begin(), pred_start_.end() - 1);
+  for (uint32_t i = 0; i < atoms.size(); ++i) pred_atoms_[fill[local[i]]++] = i;
 
-  // The directory: every argument as (term, column, atom), sorted, so
-  // each term's runs come out by column and each run's atoms ascending.
-  struct Occurrence {
-    uint32_t term, column, atom;
-    bool operator<(const Occurrence& o) const {
-      return std::tie(term, column, atom) < std::tie(o.term, o.column, o.atom);
-    }
-  };
-  std::vector<Occurrence> occurrences;
-  occurrences.reserve(args_.size());
+  // The directory, by a counting sort on the term: visiting the columns
+  // in ascending order and each column's atoms ascending, every argument
+  // goes to its term's next free slot, so each term's runs come out by
+  // column and each run's atoms ascending.
+  fill.assign(terms_.size() + 1, 0);
+  for (uint32_t d : args_) ++fill[d + 1];
+  for (size_t d = 0; d < terms_.size(); ++d) fill[d + 1] += fill[d];
+  std::vector<uint32_t> column_at(args_.size());
+  atoms_at_.resize(args_.size());
   for (size_t lp = 0; lp < num_preds; ++lp) {
-    for (uint32_t i : atoms_of[lp]) {
-      for (uint32_t pos = 0; pos < arity[lp]; ++pos) {
-        occurrences.push_back(
-            {args_[tuple_start_[i] + pos], column_start_[lp] + pos, i});
+    for (uint32_t pos = 0; pos < arity[lp]; ++pos) {
+      for (uint32_t j = pred_start_[lp]; j < pred_start_[lp + 1]; ++j) {
+        const uint32_t i = pred_atoms_[j];
+        const uint32_t k = fill[args_[tuple_start_[i] + pos]]++;
+        atoms_at_[k] = i;
+        column_at[k] = column_start_[lp] + pos;
       }
     }
   }
-  std::sort(occurrences.begin(), occurrences.end());
-  atoms_at_.reserve(occurrences.size());
+  // fill[d] is now the end of term d's slots, the start of term d + 1's.
   term_runs_.reserve(terms_.size() + 1);
-  for (size_t j = 0; j < occurrences.size(); ++j) {
-    const Occurrence& o = occurrences[j];
-    const bool new_term = j == 0 || o.term != occurrences[j - 1].term;
-    // Every term occurs, so terms arrive as 0, 1, 2, ...
-    if (new_term) term_runs_.push_back(static_cast<uint32_t>(runs_.size()));
-    if (new_term || o.column != occurrences[j - 1].column) {
-      runs_.push_back({o.column, static_cast<uint32_t>(j)});
+  for (size_t d = 0, k = 0; d < terms_.size(); ++d) {
+    term_runs_.push_back(static_cast<uint32_t>(runs_.size()));
+    for (const size_t first = k; k < fill[d]; ++k) {
+      if (k == first || column_at[k] != column_at[k - 1]) {
+        runs_.push_back({column_at[k], static_cast<uint32_t>(k)});
+      }
     }
-    atoms_at_.push_back(o.atom);
   }
   term_runs_.push_back(static_cast<uint32_t>(runs_.size()));
   runs_.push_back({kNone, static_cast<uint32_t>(atoms_at_.size())});
@@ -89,7 +87,7 @@ size_t DenseTarget::DirectoryBytes() const {
          bytes(atoms_at_);
 }
 
-IncrementalHomomorphism::IncrementalHomomorphism(const Instance& target)
+IncrementalHomomorphism::IncrementalHomomorphism(const DenseTarget& target)
     : target_(target) {}
 
 void IncrementalHomomorphism::Reset(const Substitution& fixed) {
@@ -142,15 +140,6 @@ void IncrementalHomomorphism::ReleaseVar(uint32_t id) {
   VarState& v = vars_[id];
   for (uint32_t d : v.values) v.where[d] = 0;
   var_terms_.pop_back();
-}
-
-uint32_t IncrementalHomomorphism::GroundDense(Term t) {
-  for (const auto& [term, dense] : ground_memo_) {
-    if (term == t) return dense;
-  }
-  const uint32_t dense = target_.DenseOf(t);
-  if (ground_memo_.size() < kGroundMemo) ground_memo_.emplace_back(t, dense);
-  return dense;
 }
 
 void IncrementalHomomorphism::ShrinkDomain(uint32_t var_id, Level* level,
@@ -273,7 +262,7 @@ bool IncrementalHomomorphism::PushAtom(AtomView atom) {
         // tuple).
         slot_of_position_[i] = -1;
         level.pos_var[i] = kNoDense;
-        level.ground[i] = GroundDense(t);
+        level.ground[i] = target_.DenseOf(t);
         continue;
       }
       var_id = InternVar(t);

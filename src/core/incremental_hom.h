@@ -31,7 +31,8 @@ namespace semacyc {
 /// in the target's argument count (a predicates x positions x terms table
 /// is not: the recursive guarded probe's chase has 400k atoms). A lookup
 /// binary-searches the term's runs, of which there are at most as many as
-/// columns.
+/// columns. It is immutable after construction, so the sessions of all
+/// search workers over one chase share a single DenseTarget.
 class DenseTarget {
  public:
   /// "Not a target term / predicate"; also FlatKeyTable's miss value.
@@ -146,13 +147,14 @@ class DenseTarget {
 /// breaks it — so repaired bindings of older variables are kept, not
 /// rolled back.
 ///
-/// Both paths read the target through a DenseTarget built at construction:
-/// the scan, the buckets and the repair's tuple reads are array indexing
-/// over dense ids, and a push hashes nothing. A source term finds its
-/// variable record by a scan of the live variable stack (the source side
-/// is one small candidate plus its head), a ground term its dense id in a
-/// small memo of the ground terms pushed so far, and the predicate its
-/// local id by a binary search over the target's few predicates.
+/// Both paths read the target through a DenseTarget, which the session
+/// shares read-only with any other sessions over the same target: the
+/// scan, the buckets and the repair's tuple reads are array indexing over
+/// dense ids. A source term finds its variable record by a scan of the
+/// live variable stack (the source side is one small candidate plus its
+/// head) and the predicate its local id by a binary search over the
+/// target's few predicates, so a push of constant-free atoms hashes
+/// nothing; a ground argument costs one DenseOf lookup.
 ///
 /// Sessions are reusable: Reset() clears the stack and re-seeds the fixed
 /// bindings (the enumerator resets once per head pattern). Steady-state
@@ -183,11 +185,12 @@ class IncrementalHomomorphism {
     size_t dead_prefix = 0;
   };
 
-  /// Binds the session to `target`, interned once into a DenseTarget (the
-  /// Instance is not read afterwards). The session starts at depth 0 with
-  /// no fixed bindings and found() == true (the empty conjunction maps
-  /// trivially).
-  explicit IncrementalHomomorphism(const Instance& target);
+  /// Binds the session to `target`, which must outlive it and may be
+  /// shared by several sessions (each on its own thread). The session
+  /// starts at depth 0 with no fixed bindings and found() == true (the
+  /// empty conjunction maps trivially).
+  explicit IncrementalHomomorphism(const DenseTarget& target);
+  IncrementalHomomorphism(DenseTarget&&) = delete;
 
   /// Clears the stack and re-seeds the pre-bound mappings (e.g. head
   /// variables to frozen head terms). Terms bound here are used verbatim,
@@ -298,14 +301,8 @@ class IncrementalHomomorphism {
   /// by the target's index, filtered by the domains — no allocation.
   bool Repair();
   struct RepairTarget;
-  /// The dense id of ground term `t` (kNoDense outside the target): a scan
-  /// of ground_memo_, which keeps the first kGroundMemo ground terms
-  /// pushed; only a term past those costs a hash lookup.
-  uint32_t GroundDense(Term t);
 
-  const DenseTarget target_;
-  static constexpr size_t kGroundMemo = 16;
-  std::vector<std::pair<Term, uint32_t>> ground_memo_;
+  const DenseTarget& target_;
 
   /// The live variables' terms, one per distinct mappable term, in a
   /// compact array that FindVar scans; vars_[id] is var_terms_[id]'s

@@ -987,7 +987,7 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
 class ExhaustiveWorker : public UnitWorker {
  public:
   ExhaustiveWorker(const ExhaustivePlan& plan, const EnumSignature& sig,
-                   const QueryChaseResult& chase,
+                   const DenseTarget& chase,
                    const ContainmentOracle& oracle, size_t max_atoms,
                    acyclic::AcyclicityClass target, CancelToken* parent,
                    ConcurrentFingerprintSet* shared_no)
@@ -995,7 +995,7 @@ class ExhaustiveWorker : public UnitWorker {
         plan_(plan),
         sig_(sig),
         max_atoms_(max_atoms),
-        hom_(chase.instance),
+        hom_(chase),
         path_(max_atoms) {
     // The incremental session bails from repair search once the token
     // fires; RunUnit then reports the unit truncated.
@@ -1255,11 +1255,14 @@ WitnessSearchOutcome ExhaustiveWitnessSearch(
     acyclic::AcyclicityClass target, CancelToken* cancel) {
   const EnumSignature sig(q, sigma, max_atoms);
   const ExhaustivePlan plan = BuildExhaustivePlan(q, chase, sig, max_atoms);
+  // One read-only directory of the chase for every worker's hom session.
+  const DenseTarget dense_chase(chase.instance);
   return RunUnits<ExhaustiveWorker>(
       plan.units.size(), threads, budget, cancel,
       [&](ConcurrentFingerprintSet* shared_no) {
-        return std::make_unique<ExhaustiveWorker>(
-            plan, sig, chase, oracle, max_atoms, target, cancel, shared_no);
+        return std::make_unique<ExhaustiveWorker>(plan, sig, dense_chase,
+                                                  oracle, max_atoms, target,
+                                                  cancel, shared_no);
       });
 }
 

@@ -139,7 +139,8 @@ TEST(IncrementalHomTest, RandomWalkMatchesBatchOverGeneratorFamilies) {
       return Atom(p, std::move(args));
     };
 
-    IncrementalHomomorphism hom(target);
+    const DenseTarget dense_target(target);
+    IncrementalHomomorphism hom(dense_target);
     for (int walk = 0; walk < 25; ++walk) {
       bool with_fixed = walk % 2 == 0;
       const Substitution& seeds = with_fixed ? fixed : Substitution{};
@@ -189,7 +190,8 @@ TEST(IncrementalHomTest, RepeatedVariableAndGroundEdgeCases) {
 
   Term x = Term::Variable("ehx");
   Term y = Term::Variable("ehy");
-  IncrementalHomomorphism hom(target);
+  const DenseTarget dense_target(target);
+  IncrementalHomomorphism hom(dense_target);
   hom.Reset();
   // E(x,x) only maps onto E(b,b).
   EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(e, {x, x}))));
@@ -303,7 +305,7 @@ TEST(IncrementalHomTest, DirectoryEdgeCases) {
   EXPECT_EQ(Ids(dense.Bucket(lp, 1, dense.DenseOf(a))),
             std::vector<uint32_t>{1});
 
-  IncrementalHomomorphism hom(target);
+  IncrementalHomomorphism hom(dense);
   hom.Reset();
   EXPECT_FALSE(hom.PushAtom(AtomView::Of(Atom(absent, {x, x}))));
   hom.PopAtom();
@@ -368,7 +370,8 @@ TEST(IncrementalHomTest, RandomWalkOverATargetRebuiltByReplaceTerm) {
     return Atom(rng() % 2 == 0 ? e : f, std::move(args));
   };
 
-  IncrementalHomomorphism hom(target);
+  const DenseTarget dense_target(target);
+  IncrementalHomomorphism hom(dense_target);
   for (int walk = 0; walk < 40; ++walk) {
     const Substitution& seeds = walk % 2 == 0 ? fixed : Substitution{};
     hom.Reset(seeds);
@@ -419,7 +422,8 @@ TEST(IncrementalHomTest, FailingRepairIsLinearOnAPath) {
   Term x = Term::Variable("lpx");
   Term y = Term::Variable("lpy");
   Term z = Term::Variable("lpz");
-  IncrementalHomomorphism hom(target);
+  const DenseTarget dense_target(target);
+  IncrementalHomomorphism hom(dense_target);
   hom.Reset();
   EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(g, {x, y}))));
   EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(g, {y, z}))));
@@ -448,7 +452,8 @@ TEST(IncrementalHomTest, SteadyStatePushPopCyclesAllocateNothing) {
   Term w = Term::Variable("ssw");
   const std::vector<Atom> cycle = {Atom(e, {x, y}), Atom(e, {y, z}),
                                    Atom(e, {z, w})};
-  IncrementalHomomorphism hom(target);
+  const DenseTarget dense_target(target);
+  IncrementalHomomorphism hom(dense_target);
   hom.Reset();
   auto run_cycle = [&] {
     bool ok = hom.PushAtom(AtomView::Of(cycle[0]));
