@@ -26,10 +26,14 @@ EgdChaseResult ChaseEgds(Instance start, const std::vector<Egd>& egds,
     s.bodies[i].Compile(egds[i].body(), {});
   }
 
-  bool progress = !egds.empty();
-  while (progress) {
-    progress = false;
-    for (size_t i = 0; i < egds.size(); ++i) {
+  // Egds are repaired round-robin, each to its own fixpoint; the chase
+  // ends once every egd in a row found nothing. An egd repaired since the
+  // last merge needs no second look, so the run stops as soon as the
+  // egds after the last merging one (wrapping around) find nothing.
+  const size_t n = egds.size();
+  for (size_t i = 0, quiet = 0; quiet < n; i = (i + 1) % n) {
+    bool merged = false;
+    {
       hom::CompiledTerms& body = s.bodies[i];
       std::vector<Term>& h = body.binding;
       // A side the body does not bind stands for itself.
@@ -75,9 +79,11 @@ EgdChaseResult ChaseEgds(Instance start, const std::vector<Egd>& egds,
         }
         ++result.merges;
         result.changed = true;
-        progress = true;
+        merged = true;
       }
     }
+    // The egd that merged is at its fixpoint: the n - 1 others remain.
+    quiet = merged ? 1 : quiet + 1;
   }
   return result;
 }

@@ -22,22 +22,14 @@ Term ChaseResult::Resolve(Term t) const {
 
 namespace {
 
-/// A tgd compiled once per chase call over one slot space: slot s below
-/// `body_vars` is body variable s (Tgd::body_variables order), the slots
-/// after it the existential variables in order. The trigger search binds
-/// the body slots; the head check and the firing read the same binding.
-struct CompiledTgd {
-  hom::CompiledTerms body;
-  hom::CompiledTerms head;
-  size_t body_vars = 0;
-  size_t slots = 0;
-};
+using CompiledTgd = CompiledTgds::Rule;
 
 /// Per-thread chase state; it keeps its capacity across chase calls, so a
 /// small chase allocates only for the atoms it adds. The chase calls
 /// nothing that could re-enter it.
 struct TgdScratch {
-  std::vector<CompiledTgd> tgds;
+  /// ChaseTgds' and Chase's own compiled set.
+  CompiledTgds tgds;
   std::vector<Term> binding;
   /// The body images of the triggers one search found, body_vars each.
   std::vector<Term> matches;
@@ -52,28 +44,6 @@ struct TgdScratch {
 thread_local TgdScratch t_scratch;
 /// Buffers larger than this are released after a chase.
 constexpr size_t kKeepTerms = 4096;
-
-void CompileAll(const std::vector<Tgd>& tgds, TgdScratch* s) {
-  s->tgds.resize(tgds.size());
-  for (size_t i = 0; i < tgds.size(); ++i) {
-    const std::vector<Term>& vars = tgds[i].body_variables();
-    const std::vector<Term>& exist = tgds[i].existential_variables();
-    auto slot_of = [&](Term v) {
-      auto it = std::find(vars.begin(), vars.end(), v);
-      if (it != vars.end()) return static_cast<uint32_t>(it - vars.begin());
-      return static_cast<uint32_t>(
-          vars.size() + (std::find(exist.begin(), exist.end(), v) -
-                         exist.begin()));
-    };
-    CompiledTgd& c = s->tgds[i];
-    c.body.Clear();
-    c.head.Clear();
-    for (const Atom& a : tgds[i].body()) c.body.Add(a, slot_of);
-    for (const Atom& a : tgds[i].head()) c.head.Add(a, slot_of);
-    c.body_vars = vars.size();
-    c.slots = vars.size() + exist.size();
-  }
-}
 
 /// Fills s->matches with the triggers of `tgd` whose body atom `anchor`
 /// maps to the instance atom `target`, in search order. A fired token
@@ -96,12 +66,17 @@ void FindTriggers(const Instance& instance, const CompiledTgd& tgd,
     }
     if (slot != hom::kGround) binding[slot] = d;
   }
-  hom::SearchInstance(tgd.body, instance, &binding, cancel, &s->search, [&] {
-    s->matches.insert(s->matches.end(), binding.begin(),
-                      binding.begin() + tgd.body_vars);
-    ++s->num_matches;
-    return false;
-  });
+  // The anchor atom is matched by `target` already (an instance holds no
+  // duplicate atoms, so the search would only find it again).
+  hom::SearchInstance(
+      tgd.body, instance, &binding, cancel, &s->search,
+      [&] {
+        s->matches.insert(s->matches.end(), binding.begin(),
+                          binding.begin() + tgd.body_vars);
+        ++s->num_matches;
+        return false;
+      },
+      hom::AdmitAll{}, static_cast<uint32_t>(anchor));
 }
 
 /// Records the trigger (tgd_index, images); false when it fired before.
@@ -155,15 +130,15 @@ void FireTrigger(Instance* instance, const CompiledTgd& tgd, TgdScratch* s) {
   }
 }
 
-/// One tgd phase over result->instance with the tgds compiled in s->tgds:
+/// One tgd phase over result->instance with the compiled `tgds`:
 /// delta-driven rounds (round 0 treats every atom as new, later rounds the
 /// atoms the previous one added), each trigger fired at most once, so
 /// every applicable trigger is eventually fired. Steps count into
 /// result->steps against options.max_steps; options.max_rounds bounds this
 /// phase's rounds, which add to result->rounds. Returns false when a budget
 /// or the token cut the phase.
-bool RunTgdPhase(ChaseResult* result, const ChaseOptions& options,
-                 TgdScratch* s) {
+bool RunTgdPhase(ChaseResult* result, const CompiledTgds& tgds,
+                 const ChaseOptions& options, TgdScratch* s) {
   Instance& instance = result->instance;
   s->fired.Clear();
   s->fired_keys.clear();
@@ -183,8 +158,8 @@ bool RunTgdPhase(ChaseResult* result, const ChaseOptions& options,
     SEMACYC_FAILPOINT("chase.round", options.cancel);
     if ((hit_budget = exhausted())) break;
     ++rounds;
-    for (size_t ti = 0; ti < s->tgds.size() && !hit_budget; ++ti) {
-      const CompiledTgd& tgd = s->tgds[ti];
+    for (size_t ti = 0; ti < tgds.rules().size() && !hit_budget; ++ti) {
+      const CompiledTgd& tgd = tgds.rules()[ti];
       for (size_t bi = 0; bi < tgd.body.size() && !hit_budget; ++bi) {
         for (size_t a = begin; a < end && !hit_budget; ++a) {
           if ((hit_budget = exhausted())) break;
@@ -220,21 +195,51 @@ bool RunTgdPhase(ChaseResult* result, const ChaseOptions& options,
 
 }  // namespace
 
+void CompiledTgds::Compile(const std::vector<Tgd>& tgds) {
+  rules_.resize(tgds.size());
+  for (size_t i = 0; i < tgds.size(); ++i) {
+    const std::vector<Term>& vars = tgds[i].body_variables();
+    const std::vector<Term>& exist = tgds[i].existential_variables();
+    auto slot_of = [&](Term v) {
+      auto it = std::find(vars.begin(), vars.end(), v);
+      if (it != vars.end()) return static_cast<uint32_t>(it - vars.begin());
+      return static_cast<uint32_t>(
+          vars.size() + (std::find(exist.begin(), exist.end(), v) -
+                         exist.begin()));
+    };
+    Rule& c = rules_[i];
+    c.body.Clear();
+    c.head.Clear();
+    for (const Atom& a : tgds[i].body()) c.body.Add(a, slot_of);
+    for (const Atom& a : tgds[i].head()) c.head.Add(a, slot_of);
+    c.body_vars = vars.size();
+    c.slots = vars.size() + exist.size();
+  }
+}
+
 ChaseResult ChaseTgds(Instance start, const std::vector<Tgd>& tgds,
                       const ChaseOptions& options) {
   ChaseResult result;
   result.instance = std::move(start);
-  CompileAll(tgds, &t_scratch);
-  result.saturated = RunTgdPhase(&result, options, &t_scratch);
+  t_scratch.tgds.Compile(tgds);
+  result.saturated = RunTgdPhase(&result, t_scratch.tgds, options, &t_scratch);
   return result;
 }
 
 ChaseResult Chase(Instance start, const DependencySet& sigma,
                   const ChaseOptions& options) {
-  if (!sigma.HasEgds()) return ChaseTgds(std::move(start), sigma.tgds, options);
+  t_scratch.tgds.Compile(sigma.tgds);
+  return Chase(std::move(start), sigma, t_scratch.tgds, options);
+}
+
+ChaseResult Chase(Instance start, const DependencySet& sigma,
+                  const CompiledTgds& tgds, const ChaseOptions& options) {
   ChaseResult result;
   result.instance = std::move(start);
-  CompileAll(sigma.tgds, &t_scratch);
+  if (!sigma.HasEgds()) {
+    result.saturated = RunTgdPhase(&result, tgds, options, &t_scratch);
+    return result;
+  }
   // Interleave: egd fixpoint, then one full tgd saturation phase, repeat.
   // Each phase runs on the merged instance; term merges are accumulated.
   bool changed = true;
@@ -255,7 +260,7 @@ ChaseResult Chase(Instance start, const DependencySet& sigma,
                   result.steps >= options.max_steps);
     if (hit_budget || !sigma.HasTgds()) break;
     const size_t size_before = result.instance.size();
-    hit_budget = !RunTgdPhase(&result, options, &t_scratch);
+    hit_budget = !RunTgdPhase(&result, tgds, options, &t_scratch);
     if (result.instance.size() != size_before) changed = true;
   }
   result.saturated = !hit_budget;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "chase/dependency.h"
+#include "core/homomorphism.h"
 #include "core/instance.h"
 #include "core/interrupt.h"
 
@@ -56,11 +57,37 @@ struct ChaseResult {
   Term Resolve(Term t) const;
 };
 
+/// A tgd set compiled for the chase. Rule i is tgd i over one slot space:
+/// slot s below `body_vars` is body variable s (Tgd::body_variables
+/// order), the slots after it the existential variables in order. The
+/// trigger search binds the body slots; the head check and the firing
+/// read the same binding. Read-only while chasing, so one compiled set
+/// serves any number of chases on any number of threads.
+class CompiledTgds {
+ public:
+  struct Rule {
+    hom::CompiledTerms body;
+    hom::CompiledTerms head;
+    size_t body_vars = 0;
+    size_t slots = 0;
+  };
+
+  CompiledTgds() = default;
+  explicit CompiledTgds(const std::vector<Tgd>& tgds) { Compile(tgds); }
+
+  /// Replaces the compiled set, keeping its capacity.
+  void Compile(const std::vector<Tgd>& tgds);
+  const std::vector<Rule>& rules() const { return rules_; }
+
+ private:
+  std::vector<Rule> rules_;
+};
+
 /// Chases `start` with tgds only. Fair scheduling (round-robin over rounds,
 /// anchored on newly derived atoms), so every applicable trigger is
 /// eventually fired.
 ///
-/// Each tgd is compiled once per call. Its triggers are found by one
+/// Each tgd is compiled once per call (CompiledTgds). Its triggers are found by one
 /// indexed homomorphism search (hom::SearchInstance) per newly derived
 /// atom, anchored on that atom; the head check and the firing read the
 /// body images from the same binding array, and a fired trigger is
@@ -75,6 +102,11 @@ ChaseResult ChaseTgds(Instance start, const std::vector<Tgd>& tgds,
 /// as ChaseTgds does.
 ChaseResult Chase(Instance start, const DependencySet& sigma,
                   const ChaseOptions& options = {});
+/// The same chase with Σ's tgds compiled by the caller: `tgds` must be
+/// CompiledTgds(sigma.tgds). The chase a caller runs many times (the
+/// containment oracle's, once per witness candidate) compiles once.
+ChaseResult Chase(Instance start, const DependencySet& sigma,
+                  const CompiledTgds& tgds, const ChaseOptions& options = {});
 
 /// Does `instance` satisfy the dependency set? (Definition in §2: for tgds
 /// via containment of the body query in the head query; for egds via

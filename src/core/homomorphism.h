@@ -84,8 +84,8 @@ bool HomomorphicallyEquivalent(const Instance& a, const Instance& b);
 /// The one compiled homomorphism search. Its callers run it over three
 /// views of the target:
 ///   * an Instance, narrowed through its (predicate, position, term) index
-///     (InstanceTarget): FindHomomorphisms and the chase's trigger, head
-///     and egd-violation searches;
+///     (InstanceTarget): FindHomomorphisms, the chase's trigger, head
+///     and egd-violation searches and ContainmentOracle's Lemma 1 verdict;
 ///   * IncrementalHomomorphism's repair — its DenseTarget (an Instance's
 ///     tuples over dense term ids), with each pushed atom's
 ///     compatible tuples as its base list, the DenseTarget's (predicate,
@@ -164,6 +164,8 @@ struct Scratch {
   std::vector<uint32_t> order;
   std::vector<uint32_t> undo;
   std::vector<char> bound;
+  /// SearchInstance: each source atom's base list, looked up once.
+  std::vector<TupleSpan> base;
 };
 
 /// Most-constrained-first order of `target`'s first `num_atoms` atoms,
@@ -302,21 +304,21 @@ struct AdmitAll {
 };
 
 /// An Instance as the target of compiled term atoms: atom i's base list is
-/// its predicate's atoms and its buckets are the instance's (predicate,
-/// position, term) index.
+/// its predicate's atoms (`base[i]`, looked up once per search: the
+/// instance does not change during one) and its buckets are the
+/// instance's (predicate, position, term) index.
 template <typename EmitFn, typename AdmitsFn>
 struct InstanceTarget {
   const CompiledTerms& source;
   const Instance& to;
+  const TupleSpan* base;
   CancelToken* cancel;
   EmitFn& emit;
   AdmitsFn& admits;
   bool cancelled = false;
 
   CompiledAtom<Term> AtomAt(uint32_t i) const { return source.atom(i); }
-  TupleSpan Base(uint32_t i) const {
-    return SpanOf(&to.AtomsOf(source.preds[i]));
-  }
+  TupleSpan Base(uint32_t i) const { return base[i]; }
   TupleSpan Bucket(uint32_t i, size_t pos, Term v) const {
     return SpanOf(to.FindCandidates(source.preds[i], pos, v));
   }
@@ -332,18 +334,37 @@ struct InstanceTarget {
   bool Emit() { return emit(); }
 };
 
+/// No source atom is skipped (SearchInstance's default).
+inline constexpr uint32_t kNoAtom = 0xffffffffu;
+
 /// Orders `source`'s atoms against `to` and searches from `binding` (one
 /// term per slot, invalid = free), polling `cancel` per step. `emit()` runs
 /// on each full binding and returns true to stop; `admits(slot, term)`
-/// filters new images. Returns true when `emit` stopped the search, whose
-/// binding then stays in `binding`; false when the search was exhausted
-/// (`binding` restored) or `cancel` fired.
+/// filters new images. Source atom `matched`, when given, is already
+/// matched by the seeded binding and is left out of the search (the
+/// chase's anchored trigger search; the other atoms keep their order).
+/// Returns true when `emit` stopped the search, whose binding then stays
+/// in `binding`; false when the search was exhausted (`binding` restored)
+/// or `cancel` fired.
 template <typename EmitFn, typename AdmitsFn = AdmitAll>
 bool SearchInstance(const CompiledTerms& source, const Instance& to,
                     std::vector<Term>* binding, CancelToken* cancel,
-                    Scratch* scratch, EmitFn emit, AdmitsFn admits = {}) {
-  InstanceTarget<EmitFn, AdmitsFn> target{source, to, cancel, emit, admits};
+                    Scratch* scratch, EmitFn emit, AdmitsFn admits = {},
+                    uint32_t matched = kNoAtom) {
+  scratch->base.resize(source.size());
+  for (size_t i = 0; i < source.size(); ++i) {
+    scratch->base[i] = i > 0 && source.preds[i] == source.preds[i - 1]
+                           ? scratch->base[i - 1]
+                           : SpanOf(&to.AtomsOf(source.preds[i]));
+  }
+  InstanceTarget<EmitFn, AdmitsFn> target{source, to, scratch->base.data(),
+                                          cancel, emit, admits};
   OrderAtoms(target, source.size(), *binding, Term(), scratch);
+  if (matched != kNoAtom) {
+    // Its slots are all bound, so its place changed no other atom's.
+    std::vector<uint32_t>& order = scratch->order;
+    order.erase(std::find(order.begin(), order.end(), matched));
+  }
   return HomSearch<Term, InstanceTarget<EmitFn, AdmitsFn>>(
              &target, scratch->order, binding, &scratch->undo, Term())
              .Run() &&

@@ -20,6 +20,18 @@ bool Instance::Insert(Atom&& atom) {
   return true;
 }
 
+void Instance::Clear() {
+  if (atoms_.capacity() > kKeepAtoms) {
+    *this = Instance();
+    return;
+  }
+  atoms_.clear();
+  atom_ids_.Clear();
+  bucket_ids_.Clear();
+  bucket_keys_.clear();
+  for (std::vector<uint32_t>& bucket : buckets_) bucket.clear();
+}
+
 void Instance::InsertAll(const std::vector<Atom>& atoms) {
   Reserve(atoms.size());
   for (const Atom& a : atoms) Insert(a);
@@ -53,7 +65,7 @@ void Instance::AddToBucket(const IndexKey& key, uint32_t idx) {
       buckets_.reserve(kMinBuckets);
     }
     bucket_keys_.push_back(key);
-    // ReplaceTerm's rebuild leaves emptied buckets to reuse.
+    // Clear and ReplaceTerm leave emptied buckets to reuse.
     if (g == buckets_.size()) {
       buckets_.emplace_back();
       // Four ids fit the smallest heap block anyway; most stay that small.
@@ -114,7 +126,7 @@ std::vector<Term> Instance::ActiveDomain() const {
 
 std::vector<uint32_t> Instance::AtomsMentioning(Term t) const {
   std::vector<uint32_t> out;
-  for (size_t b = 0; b < buckets_.size(); ++b) {
+  for (size_t b = 0; b < bucket_keys_.size(); ++b) {
     const IndexKey& key = bucket_keys_[b];
     if (key.position == kAllPositions || key.term != t) continue;
     out.insert(out.end(), buckets_[b].begin(), buckets_[b].end());
@@ -133,11 +145,8 @@ size_t Instance::ReplaceTerm(Term from, Term to) {
   // capacity: collapsing terms may merge atoms.
   std::vector<Atom> old;
   old.swap(atoms_);
+  Clear();
   atoms_.reserve(old.size());
-  atom_ids_.Clear();
-  bucket_ids_.Clear();
-  bucket_keys_.clear();
-  for (std::vector<uint32_t>& bucket : buckets_) bucket.clear();
   for (Atom& a : old) {
     if (!a.Mentions(from)) {
       Insert(std::move(a));
@@ -147,7 +156,6 @@ size_t Instance::ReplaceTerm(Term from, Term to) {
     std::replace(args.begin(), args.end(), from, to);
     Insert(Atom(a.predicate(), std::move(args)));
   }
-  buckets_.resize(bucket_keys_.size());
   return changed;
 }
 

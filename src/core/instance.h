@@ -44,6 +44,14 @@ class Instance {
   /// space is data-dependent) and grows as usual.
   void Reserve(size_t n);
 
+  /// Empties the instance for reuse. An instance of at most kKeepAtoms
+  /// atoms keeps its tables and its bucket vectors, so refilling it
+  /// allocates only the new atoms' argument vectors; a larger one releases
+  /// them (FlatKeyTable::Clear's policy), so a pooled instance does not
+  /// hold on to its largest fill.
+  void Clear();
+  static constexpr size_t kKeepAtoms = 1024;
+
   bool Contains(const Atom& atom) const;
   size_t size() const { return atoms_.size(); }
   bool empty() const { return atoms_.empty(); }
@@ -106,6 +114,8 @@ class Instance {
   FlatKeyTable atom_ids_;  // AtomHash -> atom index (group id = index)
   FlatKeyTable bucket_ids_;  // IndexKey::Hash -> bucket
   std::vector<IndexKey> bucket_keys_;
+  /// Bucket b < bucket_keys_.size() lists bucket_keys_[b]'s atoms; the
+  /// emptied buckets past it (left by Clear and ReplaceTerm) are reused.
   std::vector<std::vector<uint32_t>> buckets_;
 };
 

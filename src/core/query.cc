@@ -49,22 +49,10 @@ std::optional<Term> ConjunctiveQuery::UnboundHeadVariable() const {
 }
 
 std::vector<Term> ConjunctiveQuery::Variables() const {
-  size_t terms = head_.size();
-  for (const Atom& a : body_) terms += a.arity();
-  std::vector<Term> out;
-  out.reserve(terms);
-  // A variable's group is its index in `out`: groups count up from 0.
-  FlatKeyTable seen(terms);
-  auto add = [&](Term t) {
-    if (t.IsVariable() && seen.Insert(t.raw_bits()) == out.size()) {
-      out.push_back(t);
-    }
-  };
-  for (Term h : head_) add(h);
-  for (const Atom& a : body_) {
-    for (Term t : a.args()) add(t);
-  }
-  return out;
+  std::vector<AtomView> atoms;
+  QueryFreezer freezer;
+  freezer.Number(QueryView::Of(*this, &atoms));
+  return std::move(freezer).variables();
 }
 
 std::vector<Term> ConjunctiveQuery::FreeVariables() const {
@@ -160,29 +148,84 @@ Term FreshVariable() {
   return Term::Variable("v$" + std::to_string(g_fresh_var_counter.fetch_add(1)));
 }
 
+QueryView QueryView::Of(const ConjunctiveQuery& q,
+                        std::vector<AtomView>* atoms) {
+  atoms->clear();
+  atoms->reserve(q.body().size());
+  for (const Atom& a : q.body()) atoms->push_back(AtomView::Of(a));
+  return {q.head().data(), q.arity(), atoms->data(), atoms->size()};
+}
+
+ConjunctiveQuery QueryView::ToQuery() const {
+  std::vector<Atom> atoms;
+  atoms.reserve(size);
+  for (size_t i = 0; i < size; ++i) {
+    atoms.emplace_back(body[i].pred,
+                       std::vector<Term>(body[i].args,
+                                         body[i].args + body[i].arity));
+  }
+  return ConjunctiveQuery(std::vector<Term>(head, head + arity),
+                          std::move(atoms));
+}
+
+size_t QueryFreezer::Number(QueryView q) {
+  size_t terms = q.arity;
+  for (size_t i = 0; i < q.size; ++i) terms += q.body[i].arity;
+  ids_.Clear();
+  ids_.Reserve(terms);
+  vars_.clear();
+  vars_.reserve(terms);
+  // A variable's group is its number: groups count up from 0.
+  auto add = [&](Term t) {
+    if (t.IsVariable() && ids_.Insert(t.raw_bits()) == vars_.size()) {
+      vars_.push_back(t);
+    }
+  };
+  for (size_t i = 0; i < q.arity; ++i) add(q.head[i]);
+  for (size_t i = 0; i < q.size; ++i) {
+    for (size_t pos = 0; pos < q.body[i].arity; ++pos) add(q.body[i].args[pos]);
+  }
+  return vars_.size();
+}
+
+void QueryFreezer::Write(QueryView q, const Term* images, Instance* instance,
+                         std::vector<Term>* frozen_head) const {
+  auto image = [&](Term t) {
+    return t.IsVariable() ? images[ids_.Find(t.raw_bits())] : t;
+  };
+  for (size_t i = 0; i < q.size; ++i) {
+    const AtomView& a = q.body[i];
+    std::vector<Term> args(a.arity);
+    for (size_t pos = 0; pos < a.arity; ++pos) args[pos] = image(a.args[pos]);
+    instance->Insert(Atom(a.pred, std::move(args)));
+  }
+  frozen_head->resize(q.arity);
+  for (size_t i = 0; i < q.arity; ++i) (*frozen_head)[i] = image(q.head[i]);
+}
+
 FrozenQuery Freeze(const ConjunctiveQuery& q, TermKind freeze_kind) {
+  std::vector<AtomView> atoms;
+  const QueryView view = QueryView::Of(q, &atoms);
+  QueryFreezer freezer;
+  const size_t n = freezer.Number(view);
+  std::vector<Term> images(n);
   FrozenQuery out;
-  const std::vector<Term> vars = q.Variables();
-  out.var_to_frozen.reserve(vars.size());
-  for (Term v : vars) {
+  out.var_to_frozen.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    const Term v = freezer.variables()[k];
     if (freeze_kind == TermKind::kConstant) {
       // Distinct canonical constants per freeze call: c(x) must be fresh so
       // that two frozen queries never share canonical constants.
-      out.var_to_frozen[v] = Term::Constant(
+      images[k] = Term::Constant(
           "@" + std::to_string(g_fresh_const_counter.fetch_add(1)) + ":" +
           v.name());
     } else {
-      out.var_to_frozen[v] = Term::FreshNull();
+      images[k] = Term::FreshNull();
     }
+    out.var_to_frozen[v] = images[k];
   }
   out.instance.Reserve(q.body().size());
-  for (const Atom& a : q.body()) {
-    out.instance.Insert(Apply(out.var_to_frozen, a));
-  }
-  out.frozen_head.reserve(q.head().size());
-  for (Term h : q.head()) {
-    out.frozen_head.push_back(Apply(out.var_to_frozen, h));
-  }
+  freezer.Write(view, images.data(), &out.instance, &out.frozen_head);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/atom.h"
@@ -74,6 +75,46 @@ class ConjunctiveQuery {
  private:
   std::vector<Term> head_;
   std::vector<Atom> body_;
+};
+
+/// A non-owning view of a conjunctive query: `arity` head terms at `head`
+/// and `size` body atoms at `body`. The witness searches hand their
+/// candidates to the containment oracle as views, so no query is built for
+/// a candidate the oracle refutes.
+struct QueryView {
+  const Term* head;
+  size_t arity;
+  const AtomView* body;
+  size_t size;
+
+  /// A view of `q` whose body views are written to `*atoms`.
+  static QueryView Of(const ConjunctiveQuery& q, std::vector<AtomView>* atoms);
+  /// The query the view shows.
+  ConjunctiveQuery ToQuery() const;
+};
+
+/// The one freeze routine, behind Freeze, ChaseQuery and the containment
+/// oracle's per-candidate chase. Number() numbers a query's distinct
+/// variables in first-occurrence order, head first (the order of
+/// ConjunctiveQuery::Variables()); Write() writes the query with variable
+/// k replaced by images[k]. The numbering table keeps its capacity, so a
+/// freezer reused across queries allocates only the written atoms.
+class QueryFreezer {
+ public:
+  /// Numbers the variables of `q`; returns how many it has.
+  size_t Number(QueryView q);
+  /// The variables Number() found, variable k at index k.
+  const std::vector<Term>& variables() const& { return vars_; }
+  std::vector<Term> variables() && { return std::move(vars_); }
+  /// Inserts the body of `q` (the query last numbered) into `*instance`
+  /// and sets `*frozen_head` to its head, each variable replaced by its
+  /// image; constants are kept.
+  void Write(QueryView q, const Term* images, Instance* instance,
+             std::vector<Term>* frozen_head) const;
+
+ private:
+  FlatKeyTable ids_;  // variable bits -> its number
+  std::vector<Term> vars_;
 };
 
 /// A frozen query: the canonical database D_q of §2/§5 plus the image of the

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <shared_mutex>
@@ -54,6 +56,8 @@ class SymbolTable {
 };
 
 std::atomic<uint32_t> g_null_counter{0};
+/// The number of null indices: a handle keeps 30 bits of index.
+constexpr uint32_t kNullIndices = 1u << 30;
 
 }  // namespace
 
@@ -73,7 +77,21 @@ Term Term::Variable(const std::string& name) {
 }
 
 Term Term::FreshNull() {
-  return Make(TermKind::kNull, g_null_counter.fetch_add(1));
+  const uint32_t index = g_null_counter.fetch_add(1);
+  if (index >= kNullIndices) {
+    // Index 2^30 would alias null 0 and index 2^31 would be no null at
+    // all: a chase on such terms answers wrongly without a sign.
+    std::fprintf(stderr,
+                 "semacyc: labeled nulls exhausted: all %u null indices of "
+                 "this process are used (see docs/ROBUSTNESS.md)\n",
+                 kNullIndices);
+    std::abort();
+  }
+  return Make(TermKind::kNull, index);
+}
+
+uint32_t internal::ExchangeNextNullIndexForTesting(uint32_t next) {
+  return g_null_counter.exchange(next);
 }
 
 Term Term::NullAt(uint32_t index) { return Make(TermKind::kNull, index); }

@@ -21,7 +21,9 @@ enum class TermKind : uint8_t {
 /// Constant and variable handles are interned by name in the process-wide
 /// SymbolTable (see symbols.h helpers below); nulls are anonymous and minted
 /// from a global counter, so every call to Term::FreshNull() yields a null
-/// distinct from all previously created ones.
+/// distinct from all previously created ones. The 30-bit index bounds a
+/// process to 2^30 nulls: FreshNull aborts with a message once they are
+/// used up, rather than hand out a null that aliases an earlier one.
 class Term {
  public:
   /// Default-constructed terms are an explicit "invalid" sentinel, distinct
@@ -32,7 +34,8 @@ class Term {
   static Term Constant(const std::string& name);
   /// Interns (or looks up) the variable with the given name.
   static Term Variable(const std::string& name);
-  /// Mints a fresh labeled null, distinct from all existing nulls.
+  /// Mints a fresh labeled null, distinct from all existing nulls. Aborts
+  /// the process with a message when the 2^30 null indices are used up.
   static Term FreshNull();
   /// Returns the null with a specific index (used by deserialization/tests).
   static Term NullAt(uint32_t index);
@@ -76,6 +79,13 @@ class Term {
 
   uint32_t bits_;
 };
+
+namespace internal {
+/// Test seam: makes `next` the index the next Term::FreshNull() mints and
+/// returns the index it would have minted, so a test can reach the end of
+/// the null index space without minting 2^30 nulls.
+uint32_t ExchangeNextNullIndexForTesting(uint32_t next);
+}  // namespace internal
 
 struct TermHash {
   size_t operator()(Term t) const {

@@ -338,6 +338,9 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
       timer.Counter("budget_remaining",
                     static_cast<int64_t>(*budget -
                                          std::min(o.visits, *budget)));
+      timer.Counter("oracle_calls", static_cast<int64_t>(o.oracle_calls));
+      timer.Counter("oracle_check_us",
+                    static_cast<int64_t>(o.oracle_check_ns / 1000));
     }
     if (tracer != nullptr && o.hom.pushes > 0) {
       tracer->CounterSpan(

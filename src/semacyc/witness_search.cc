@@ -1,6 +1,8 @@
 #include "semacyc/witness_search.h"
 
 #include <algorithm>
+#include <cassert>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <unordered_set>
@@ -56,17 +58,39 @@ namespace {
 /// cancellation.
 struct CandidateBodyTarget {
   const hom::CompiledTerms& q;
-  const std::vector<Atom>& body;
+  const AtomView* body;
   const std::vector<std::vector<uint32_t>>& base;
 
   hom::CompiledAtom<Term> AtomAt(uint32_t i) const { return q.atom(i); }
   hom::TupleSpan Base(uint32_t i) const { return hom::SpanOf(&base[i]); }
   hom::TupleSpan Bucket(uint32_t i, size_t, Term) const { return Base(i); }
-  Term Arg(uint32_t tuple, size_t pos) const { return body[tuple].arg(pos); }
+  Term Arg(uint32_t tuple, size_t pos) const { return body[tuple].args[pos]; }
   bool Admits(uint32_t, Term) const { return true; }
   bool Poll() const { return false; }
   bool Emit() const { return true; }
 };
+
+/// The containment oracle's per-thread state, pooled across checks and
+/// oracles: nothing an oracle check calls re-enters the oracle. Each
+/// buffer keeps its capacity; the instance is cleared after every check
+/// (Instance::Clear releases a large one).
+struct OracleScratch {
+  /// Lemma 1 check: the candidate's numbering, null k freezing its
+  /// variable k, its frozen body and head, and the verdict's search.
+  QueryFreezer freezer;
+  std::vector<Term> nulls;
+  Instance instance;
+  std::vector<Term> head;
+  std::vector<Term> binding;
+  hom::Scratch search;
+  /// Chase-free check: the search's undo stack and per q atom the
+  /// candidate body atoms of its predicate.
+  std::vector<uint32_t> undo;
+  std::vector<std::vector<uint32_t>> base;
+  /// The body views of a candidate handed over as a ConjunctiveQuery.
+  std::vector<AtomView> views;
+};
+thread_local OracleScratch t_oracle;
 
 }  // namespace
 
@@ -76,7 +100,11 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
                                      const RewriteOptions& rewrite_options,
                                      const SchemaFacts& facts,
                                      obs::MetricsRegistry* metrics)
-    : q_(q), sigma_(sigma), chase_options_(chase_options), metrics_(metrics) {
+    : q_(q),
+      sigma_(sigma),
+      chase_options_(chase_options),
+      tgds_(sigma.tgds),
+      metrics_(metrics) {
   exact_ = facts.chase_exact;
   // Rewriting is only worth its (possibly exponential) construction cost
   // when the chase may diverge — i.e. outside the weakly acyclic classes.
@@ -113,20 +141,6 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
         if (it == q_atoms_of_.end()) it = q_atoms_of_.insert(it, {p, {}});
         it->second.push_back(i);
       }
-      chase_free_q_.Compile(q.body(), {});
-      std::vector<Term> head_bound(chase_free_q_.slot_term.size());
-      for (Term h : q.head()) {
-        uint32_t slot = chase_free_q_.SlotOf(h);
-        chase_free_head_.push_back(slot);
-        if (slot != hom::kGround) head_bound[slot] = h;
-      }
-      // Ordered once, before any candidate is seen: bound-first, ties to
-      // the lower index (every base list counts as empty here).
-      std::vector<std::vector<uint32_t>> no_base(q.body().size());
-      hom::Scratch scratch;
-      hom::OrderAtoms(CandidateBodyTarget{chase_free_q_, q.body(), no_base},
-                      q.body().size(), head_bound, Term(), &scratch);
-      chase_free_order_ = std::move(scratch.order);
     }
     prefilter_ = true;
     std::unordered_set<uint32_t> q_preds;
@@ -147,14 +161,29 @@ ContainmentOracle::ContainmentOracle(const ConjunctiveQuery& q,
       q_pred_sources_.push_back(std::move(sources));
     }
   }
+  q_compiled_.Compile(q.body(), {});
+  std::vector<Term> head_bound(q_compiled_.slot_term.size());
+  for (Term h : q.head()) {
+    uint32_t slot = q_compiled_.SlotOf(h);
+    q_head_slots_.push_back(slot);
+    if (slot != hom::kGround) head_bound[slot] = h;
+  }
+  if (chase_free_) {
+    // Ordered once, before any candidate is seen: bound-first, ties to
+    // the lower index (every base list counts as empty here).
+    std::vector<std::vector<uint32_t>> no_base(q.body().size());
+    hom::Scratch scratch;
+    hom::OrderAtoms(CandidateBodyTarget{q_compiled_, nullptr, no_base},
+                    q.body().size(), head_bound, Term(), &scratch);
+    chase_free_order_ = std::move(scratch.order);
+  }
 }
 
-bool ContainmentOracle::PassesPredicateFilter(
-    const ConjunctiveQuery& candidate) const {
+bool ContainmentOracle::PassesPredicateFilter(QueryView candidate) const {
   for (const auto& sources : q_pred_sources_) {
     bool reachable = false;
-    for (const Atom& a : candidate.body()) {
-      if (sources.count(a.predicate().id())) {
+    for (size_t i = 0; i < candidate.size; ++i) {
+      if (sources.count(candidate.body[i].pred.id())) {
         reachable = true;
         break;
       }
@@ -164,20 +193,64 @@ bool ContainmentOracle::PassesPredicateFilter(
   return true;
 }
 
-Tri ContainmentOracle::Decide(const ConjunctiveQuery& candidate,
-                              CancelToken* cancel) const {
-  if (rewriting_ != nullptr) {
-    // Rewriting evaluation is one frozen-query UCQ check — cheap relative
-    // to the per-candidate poll granularity, so it runs to completion.
-    return RewriteContained(candidate, *rewriting_);
+bool ContainmentOracle::BindHead(const Term* tuple,
+                                 std::vector<Term>* binding) const {
+  binding->assign(q_compiled_.slot_term.size(), Term());
+  const std::vector<Term>& head = q_.head();
+  for (size_t i = 0; i < head.size(); ++i) {
+    const Term c = tuple[i];
+    const uint32_t v = q_head_slots_[i];
+    if (v != hom::kGround) {
+      if ((*binding)[v].IsValid() && (*binding)[v] != c) return false;
+      (*binding)[v] = c;
+      continue;
+    }
+    // A constant must meet itself; a variable the body lacks only its own
+    // other head positions.
+    if (!head[i].IsVariable()) {
+      if (head[i] != c) return false;
+      continue;
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (head[j] == head[i] && tuple[j] != c) return false;
+    }
   }
-  ChaseOptions options = chase_options_;
-  options.cancel = cancel;
-  return ContainedUnder(candidate, q_, sigma_, options);
+  return true;
 }
 
-Tri ContainmentOracle::DecideChaseFree(
-    const ConjunctiveQuery& candidate) const {
+Tri ContainmentOracle::DecideByChase(QueryView candidate,
+                                     CancelToken* cancel) const {
+  assert(candidate.arity == q_.arity());
+  OracleScratch& s = t_oracle;
+  // Freeze: candidate variable k becomes the thread's null k.
+  const size_t vars = s.freezer.Number(candidate);
+  while (s.nulls.size() < vars) s.nulls.push_back(Term::FreshNull());
+  s.freezer.Write(candidate, s.nulls.data(), &s.instance, &s.head);
+  ChaseOptions options = chase_options_;
+  options.cancel = cancel;
+  ChaseResult chased = Chase(std::move(s.instance), sigma_, tgds_, options);
+  // Lemma1Verdict over the pooled chase.
+  Tri answer;
+  if (chased.failed) {
+    answer = Tri::kYes;  // the candidate is empty on every model of Σ
+  } else {
+    for (Term& t : s.head) t = chased.Resolve(t);
+    if (BindHead(s.head.data(), &s.binding) &&
+        hom::SearchInstance(q_compiled_, chased.instance, &s.binding, cancel,
+                            &s.search, [] { return true; })) {
+      answer = Tri::kYes;  // a found homomorphism is sound when cancelled
+    } else if (cancel != nullptr && cancel->triggered()) {
+      answer = Tri::kUnknown;  // the hom search may have been truncated
+    } else {
+      answer = chased.saturated ? Tri::kNo : Tri::kUnknown;
+    }
+  }
+  s.instance = std::move(chased.instance);
+  s.instance.Clear();
+  return answer;
+}
+
+Tri ContainmentOracle::DecideChaseFree(QueryView candidate) const {
   // Chandra–Merlin against the candidate body itself: its variables act as
   // the frozen canonical constants (rigid instance terms), no freezing or
   // chase needed. Exact in both directions. This is the per-candidate
@@ -185,53 +258,51 @@ Tri ContainmentOracle::DecideChaseFree(
   // hash: scratch is thread_local (retaining capacity across calls), so
   // concurrent workers of a parallel search never contend — the compiled
   // q side they read is immutable.
-  thread_local std::vector<Term> binding;
-  thread_local std::vector<uint32_t> undo;
-  thread_local std::vector<std::vector<uint32_t>> base;
-  binding.assign(chase_free_q_.slot_term.size(), Term());
-  for (size_t i = 0; i < q_.head().size(); ++i) {
-    Term c = candidate.head()[i];
-    uint32_t v = chase_free_head_[i];
-    if (v == hom::kGround ? q_.head()[i] != c
-                          : binding[v].IsValid() && binding[v] != c) {
-      return Tri::kNo;
-    }
-    if (v != hom::kGround) binding[v] = c;
-  }
-  const std::vector<Atom>& body = candidate.body();
-  base.resize(q_.body().size());
-  for (std::vector<uint32_t>& list : base) list.clear();
-  for (uint32_t j = 0; j < body.size(); ++j) {
+  OracleScratch& s = t_oracle;
+  if (!BindHead(candidate.head, &s.binding)) return Tri::kNo;
+  s.base.resize(q_.body().size());
+  for (std::vector<uint32_t>& list : s.base) list.clear();
+  for (uint32_t j = 0; j < candidate.size; ++j) {
     for (const auto& [pred, q_atoms] : q_atoms_of_) {
-      if (pred != body[j].predicate()) continue;
-      for (uint32_t i : q_atoms) base[i].push_back(j);
+      if (pred != candidate.body[j].pred) continue;
+      for (uint32_t i : q_atoms) s.base[i].push_back(j);
       break;
     }
   }
-  CandidateBodyTarget target{chase_free_q_, body, base};
+  CandidateBodyTarget target{q_compiled_, candidate.body, s.base};
   return hom::HomSearch<Term, CandidateBodyTarget>(
-             &target, chase_free_order_, &binding, &undo, Term())
+             &target, chase_free_order_, &s.binding, &s.undo, Term())
                  .Run()
              ? Tri::kYes
              : Tri::kNo;
 }
 
-Tri ContainmentOracle::ContainedInQ(const ConjunctiveQuery& candidate,
+Tri ContainmentOracle::ContainedInQ(QueryView candidate,
                                     CancelToken* cancel) const {
   SEMACYC_FAILPOINT("oracle.candidate", cancel);
   if (cancel != nullptr && cancel->Poll()) return Tri::kUnknown;
   // Every path reads only state frozen at construction (plus relaxed
-  // counter bumps), so concurrent workers never contend.
+  // counter bumps and thread_local scratch), so concurrent workers never
+  // contend.
   if (prefilter_ && !PassesPredicateFilter(candidate)) {
     metrics_->Add(obs::Counter::kOraclePrefiltered, 1);
     return Tri::kNo;
   }
   if (chase_free_) return DecideChaseFree(candidate);
-  Tri answer = Decide(candidate, cancel);
+  // Rewriting evaluation is one frozen-query UCQ check — cheap relative
+  // to the per-candidate poll granularity, so it runs to completion.
+  Tri answer = rewriting_ != nullptr
+                   ? RewriteContained(candidate.ToQuery(), *rewriting_)
+                   : DecideByChase(candidate, cancel);
   // An answer computed under a fired token may rest on a truncated chase
   // or hom search.
   if (cancel != nullptr && cancel->triggered()) return Tri::kUnknown;
   return answer;
+}
+
+Tri ContainmentOracle::ContainedInQ(const ConjunctiveQuery& candidate,
+                                    CancelToken* cancel) const {
+  return ContainedInQ(QueryView::Of(candidate, &t_oracle.views), cancel);
 }
 
 namespace {
@@ -349,9 +420,10 @@ struct EnumSignature {
 
 /// Candidate dedup is modulo a 128-bit renaming-invariant key (a salted
 /// fingerprint pair of the canonical invariant, or IncrementalCandidateKey
-/// along a DFS path) kept in a Key128Set. Conflations are never resolved:
-/// the probability a dropped candidate rides on is ~n²/2¹²⁸, negligible
-/// against every other failure mode.
+/// along a DFS path) kept in a Key128Set. Conflations are never resolved.
+/// Hash collisions are negligible (~n²/2¹²⁸), but the invariant itself
+/// gives some non-isomorphic candidates equal keys (ExhaustiveWitnessSearch
+/// in the header), so a dropped candidate can be one never tested.
 using Key128 = Key128Set::Key;
 
 /// One candidate test, logged by the worker that ran its unit. The
@@ -398,6 +470,7 @@ class UnitWorker {
     outcome->classifier_pushes += inc_.pushes();
     outcome->classifier_pops += inc_.pops();
     outcome->oracle_calls += oracle_calls_;
+    outcome->oracle_check_ns += oracle_sampled_ns_ * kOracleSample;
     outcome->shared_set_locks += shared_set_locks_;
   }
 
@@ -438,29 +511,26 @@ class UnitWorker {
     return !seen_.Contains(key) && inc_.Meets();
   }
 
-  /// Tests the admitted candidate with key `key`, which `build()` returns
-  /// as a ConjunctiveQuery; true on a witness. The worker-wide dedup never
-  /// drops an event the official count needs: a worker claims units in
-  /// index order, so the earlier test of the same key is in the official
-  /// prefix whenever this one is. The shared NO-set only suppresses oracle
-  /// CALLS for candidates other workers refuted (kYes stops the search,
-  /// kUnknown is never inserted — answer-invariant). The candidate is
-  /// built only once it survives both dedups.
-  template <typename Build>
-  bool Test(const Key128& key, Build&& build) {
+  /// Tests the admitted candidate with key `key`, handed over as the view
+  /// `candidate`; true on a witness. The worker-wide dedup never drops an
+  /// event the official count needs: a worker claims units in index
+  /// order, so the earlier test of the same key is in the official prefix
+  /// whenever this one is. The shared NO-set only suppresses oracle CALLS
+  /// for candidates other workers refuted (kYes stops the search, kUnknown
+  /// is never inserted — answer-invariant). A query is built only for a
+  /// witness.
+  bool Test(const Key128& key, QueryView candidate) {
     seen_.Insert(key);
     events_.push_back({unit_, visits_, key});
     if (shared_no_ != nullptr) {
       ++shared_set_locks_;
       if (shared_no_->Contains(key)) return false;
     }
-    ConjunctiveQuery candidate = build();
-    ++oracle_calls_;
-    Tri r = oracle_.ContainedInQ(candidate, cancel_);
+    Tri r = TimedOracleCall(candidate);
     if (r == Tri::kYes) {
       found_ = true;
       found_at_ = visits_;
-      witnesses_.emplace_back(unit_, std::move(candidate));
+      witnesses_.emplace_back(unit_, candidate.ToQuery());
       return true;
     }
     if (r == Tri::kNo && shared_no_ != nullptr) {
@@ -469,6 +539,23 @@ class UnitWorker {
     }
     return false;
   }
+
+  /// One oracle call; every kOracleSample-th call of a worker (the first
+  /// included) is timed, so the sampled time times kOracleSample
+  /// estimates the worker's oracle time at two clock reads per sample.
+  Tri TimedOracleCall(QueryView candidate) {
+    if (oracle_calls_++ % kOracleSample != 0) {
+      return oracle_.ContainedInQ(candidate, cancel_);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    const Tri r = oracle_.ContainedInQ(candidate, cancel_);
+    oracle_sampled_ns_ += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    return r;
+  }
+  static constexpr uint64_t kOracleSample = 16;
 
   SearchUnitOutcome EndUnit() {
     // A trip during the unit's last oracle check may have hidden an
@@ -505,6 +592,7 @@ class UnitWorker {
   size_t unit_ = 0;
   uint64_t found_at_ = 0;
   size_t oracle_calls_ = 0;
+  uint64_t oracle_sampled_ns_ = 0;
   size_t shared_set_locks_ = 0;
   Key128Set seen_;
   std::vector<CandidateEvent> events_;
@@ -685,13 +773,14 @@ class SubsetsWorker : public UnitWorker {
   }
 
   /// The candidate of subset_, inverse-frozen over a stable variable pool
-  /// (built only for a candidate Test runs): fresh per-candidate names
-  /// would intern a new symbol for every variable of every candidate;
-  /// reusing "s$<i>" across candidates interns each name exactly once per
-  /// process, and every worker builds bitwise-identical candidates for
-  /// the same subset. Subsets hold at most max_atoms atoms, so the
-  /// renaming is a flat table with a linear lookup.
-  ConjunctiveQuery PoolSubset() {
+  /// into per-worker buffers and viewed there (written only for a
+  /// candidate Test runs): fresh per-candidate names would intern a new
+  /// symbol for every variable of every candidate; reusing "s$<i>" across
+  /// candidates interns each name exactly once per process, and every
+  /// worker writes bitwise-identical candidates for the same subset.
+  /// Subsets hold at most max_atoms atoms, so the renaming is a flat
+  /// table with a linear lookup.
+  QueryView PoolSubset() {
     rename_.clear();
     auto var_of = [&](Term t) -> Term {
       if (IsGenuineConstant(t)) return t;
@@ -706,19 +795,20 @@ class SubsetsWorker : public UnitWorker {
       rename_.emplace_back(t, v);
       return v;
     };
-    std::vector<Atom> body;
-    body.reserve(subset_.size());
+    args_.clear();
+    for (uint32_t i : subset_) {
+      for (Term t : (*space_.atoms)[i].args()) args_.push_back(var_of(t));
+    }
+    head_.clear();
+    for (Term t : chase_.frozen_head) head_.push_back(var_of(t));
+    views_.clear();
+    const Term* args = args_.data();
     for (uint32_t i : subset_) {
       const Atom& a = (*space_.atoms)[i];
-      std::vector<Term> args;
-      args.reserve(a.arity());
-      for (Term t : a.args()) args.push_back(var_of(t));
-      body.emplace_back(a.predicate(), std::move(args));
+      views_.push_back({a.predicate(), args, a.arity()});
+      args += a.arity();
     }
-    std::vector<Term> head;
-    head.reserve(chase_.frozen_head.size());
-    for (Term t : chase_.frozen_head) head.push_back(var_of(t));
-    return ConjunctiveQuery(std::move(head), std::move(body));
+    return {head_.data(), head_.size(), views_.data(), views_.size()};
   }
 
   /// DFS over index-increasing subsets, testing each acyclic subset that
@@ -728,7 +818,7 @@ class SubsetsWorker : public UnitWorker {
     if (!subset_.empty() && Covered()) {
       const Key128 key = key_.Key();
       if (Admits(key)) {
-        if (Test(key, [&] { return PoolSubset(); })) return true;
+        if (Test(key, PoolSubset())) return true;
       }
     }
     if (subset_.size() >= limit) return false;
@@ -751,8 +841,12 @@ class SubsetsWorker : public UnitWorker {
   IncrementalCandidateKey key_;
   std::vector<uint32_t> subset_;
   std::vector<Term> var_pool_;
-  /// PoolSubset's renaming (capacity kept across candidates).
+  /// PoolSubset's renaming, the candidate's arguments, head and body
+  /// views (capacity kept across candidates).
   std::vector<std::pair<Term, Term>> rename_;
+  std::vector<Term> args_;
+  std::vector<Term> head_;
+  std::vector<AtomView> views_;
 };
 
 }  // namespace
@@ -1139,20 +1233,16 @@ class ExhaustiveWorker : public UnitWorker {
     return true;
   }
 
-  /// Tests the path's candidate; its atoms are built only for a key that
-  /// passed Admits.
+  /// Tests the path's candidate, handed to the oracle as views of the
+  /// path's slots under the pattern's head.
   void TestCandidate() {
     if (depth_ == 0 || !HeadCovered()) return;
     const Key128 key = key_.Key();
     if (!Admits(key)) return;
-    Test(key, [&] {
-      std::vector<Atom> body;
-      body.reserve(depth_);
-      for (size_t d = 0; d < depth_; ++d) {
-        body.emplace_back(path_[d].pred, path_[d].args);
-      }
-      return ConjunctiveQuery(hp_plan_->head, std::move(body));
-    });
+    views_.clear();
+    for (size_t d = 0; d < depth_; ++d) views_.push_back(path_[d].view());
+    Test(key, {hp_plan_->head.data(), hp_plan_->head.size(), views_.data(),
+               depth_});
   }
 
   void Search() {
@@ -1239,6 +1329,8 @@ class ExhaustiveWorker : public UnitWorker {
   /// below max_atoms_ (the unit prefix's atoms are copied in).
   std::vector<ArgSlot> path_;
   size_t depth_ = 0;
+  /// The candidate's body views (TestCandidate).
+  std::vector<AtomView> views_;
   std::vector<int> verts_scratch_;
   /// Pool variables consumed by the path (the in-order-introduction
   /// frontier), maintained incrementally across atom pushes/pops.

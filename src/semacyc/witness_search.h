@@ -66,6 +66,16 @@ struct SchemaFacts {
 ///    the one homomorphism search (hom::HomSearch, core/homomorphism.h)
 ///    with q compiled at construction and the candidate's body atoms as
 ///    base lists.
+/// Otherwise a candidate is decided by Lemma 1 on state compiled once per
+/// oracle and pooled per thread: Σ's tgds and q's body are compiled at
+/// construction; a check writes the candidate's frozen body into a pooled
+/// Instance, its variables frozen to a per-thread block of nulls reused
+/// across checks (minted in first-occurrence order once, so within one
+/// check they are ascending and older than the chase's nulls, as
+/// Freeze's would be), chases it there with the compiled tgds, and runs
+/// one hom::SearchInstance of the compiled q with the head slots
+/// pre-bound to the frozen head. The verdict is Lemma1Verdict's, so it
+/// equals ContainedUnder(candidate, q, Σ) on every call.
 /// Answers are not memoized: the witness strategies drop repeated
 /// canonical candidates before they reach the oracle, and the Engine's
 /// decision cache absorbs repeated queries.
@@ -73,7 +83,8 @@ struct SchemaFacts {
 /// certifies with the plain chase (ContainedUnder), sharing none of it.
 ///
 /// ContainedInQ is safe to call from concurrent threads without a lock:
-/// every path reads only state frozen at construction.
+/// every path reads only state frozen at construction, and the pooled
+/// per-check state is thread_local.
 class ContainmentOracle {
  public:
   /// `facts` carries the Σ-only analysis (consumed during construction,
@@ -85,10 +96,13 @@ class ContainmentOracle {
                     const RewriteOptions& rewrite_options,
                     const SchemaFacts& facts, obs::MetricsRegistry* metrics);
 
-  /// candidate ⊆Σ q. `cancel` (nullptr = not cancellable) is polled per
-  /// check and threaded into the candidate's chase; once the token has
-  /// triggered the answer is kUnknown (it may rest on a truncated chase
-  /// or hom search).
+  /// candidate ⊆Σ q, for a candidate of q's arity handed over as a view
+  /// (the witness searches' path). `cancel` (nullptr = not cancellable)
+  /// is polled per check and threaded into the candidate's chase; once
+  /// the token has triggered the answer is kUnknown (it may rest on a
+  /// truncated chase or hom search).
+  Tri ContainedInQ(QueryView candidate, CancelToken* cancel = nullptr) const;
+  /// The same check on a built query.
   Tri ContainedInQ(const ConjunctiveQuery& candidate,
                    CancelToken* cancel = nullptr) const;
   /// True when kNo answers are exact.
@@ -98,13 +112,17 @@ class ContainmentOracle {
   /// construction.
   const RewriteResult* rewriting() const { return rewriting_.get(); }
  private:
-  Tri Decide(const ConjunctiveQuery& candidate, CancelToken* cancel) const;
-  Tri DecideChaseFree(const ConjunctiveQuery& candidate) const;
-  bool PassesPredicateFilter(const ConjunctiveQuery& candidate) const;
+  Tri DecideByChase(QueryView candidate, CancelToken* cancel) const;
+  Tri DecideChaseFree(QueryView candidate) const;
+  bool PassesPredicateFilter(QueryView candidate) const;
+  /// Seeds `*binding` with q's head mapped position-wise onto `tuple`, as
+  /// EvaluatesTo does; false when no homomorphism can do that.
+  bool BindHead(const Term* tuple, std::vector<Term>* binding) const;
 
   const ConjunctiveQuery& q_;
   const DependencySet& sigma_;
   ChaseOptions chase_options_;
+  CompiledTgds tgds_;
   std::unique_ptr<const RewriteResult> rewriting_;
   bool exact_ = false;
   obs::MetricsRegistry* metrics_;
@@ -114,14 +132,16 @@ class ContainmentOracle {
   bool prefilter_ = false;
   /// Σ cannot contribute atoms over q's predicates: decide classically.
   bool chase_free_ = false;
-  /// q's body compiled once for the chase-free check (hom::HomSearch over
-  /// the candidate's body): its atom order, and per head position its slot
-  /// (hom::kGround for a constant). Immutable after construction;
-  /// per-check scratch is thread_local (witness_search.cc), so this path —
-  /// like the prefilter — needs no lock even from concurrent workers.
-  hom::CompiledTerms chase_free_q_;
+  /// q's body compiled once, for the Lemma 1 verdict and the chase-free
+  /// check, with per head position its slot (hom::kGround for a constant
+  /// or a variable the body lacks). Immutable after construction;
+  /// per-check scratch is thread_local (witness_search.cc), so neither
+  /// path — like the prefilter — needs a lock from concurrent workers.
+  hom::CompiledTerms q_compiled_;
+  std::vector<uint32_t> q_head_slots_;
+  /// The chase-free check's atom order (hom::HomSearch over the
+  /// candidate's body).
   std::vector<uint32_t> chase_free_order_;
-  std::vector<uint32_t> chase_free_head_;
   /// Each distinct predicate of q with the indices of its q atoms, so one
   /// pass over a candidate body fills every q atom's base list.
   std::vector<std::pair<Predicate, std::vector<uint32_t>>> q_atoms_of_;
@@ -147,11 +167,13 @@ struct WitnessSearchOutcome {
   /// over workers — real work performed, scheduling-dependent at
   /// threads > 1, and deliberately outside the parity contract.
   IncrementalHomomorphism::Stats hom;
-  /// Containment-oracle calls (each on a freshly built candidate) and
-  /// lock acquisitions on the shared NO-set, summed over workers of the
-  /// subsets/exhaustive strategies: like `hom`, scheduling-dependent at
-  /// threads > 1 and outside the parity contract.
+  /// Containment-oracle calls and lock acquisitions on the shared
+  /// NO-set, summed over workers of the subsets/exhaustive strategies:
+  /// like `hom`, scheduling-dependent at threads > 1 and outside the
+  /// parity contract. `oracle_check_ns` estimates the time inside those
+  /// calls from every 16th call of each worker, timed and scaled by 16.
   size_t oracle_calls = 0;
+  uint64_t oracle_check_ns = 0;
   size_t shared_set_locks = 0;
   /// Work-stealing bookkeeping of the subsets/exhaustive strategies (at
   /// every thread count; all-zero for images).
@@ -214,12 +236,18 @@ WitnessSearchOutcome FindWitnessInChaseSubsets(
 /// Strategy "exhaustive": canonical enumeration of `target`-acyclic CQs up
 /// to `max_atoms` atoms over the predicates that can occur in chase(q,Σ),
 /// pruned by requiring a homomorphism into the chase (this certifies
-/// q ⊆Σ candidate); at most `budget` DFS visits. Complete — i.e., a kNo
-/// answer is definitive — when (a) the enumeration exhausted (no budget
-/// hit), (b) the chase saturated, (c) the oracle is exact, (d)
+/// q ⊆Σ candidate); at most `budget` DFS visits. A kNo covers every
+/// candidate the search tested when (a) the enumeration exhausted (no
+/// budget hit), (b) the chase saturated, (c) the oracle is exact, (d)
 /// `max_atoms` is at least the paper's small-query bound, and (e) target
 /// == kAlpha (the small-query theorems are proven for α-acyclic witnesses
-/// only). The caller checks (b)–(e).
+/// only); the caller checks (b)–(e). It is not complete: the dedup key
+/// (IncrementalCandidateKey) is no isomorphism invariant, so two
+/// non-isomorphic candidates can share it and only the first one met is
+/// tested — T(a,b), T(b,a), T(c,d), T(d,e) and T(a,b), T(b,c), T(c,d),
+/// T(d,e) do (CanonicalFingerprintTest.
+/// ConflatesTwoNonIsomorphicAcyclicBodies). A kNo is definitive only if
+/// no skipped candidate is a witness.
 WitnessSearchOutcome ExhaustiveWitnessSearch(
     const ConjunctiveQuery& q, const DependencySet& sigma,
     const QueryChaseResult& chase, const ContainmentOracle& oracle,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/atom.h"
 #include "core/instance.h"
 #include "core/parser.h"
@@ -114,6 +117,77 @@ TEST(InstanceTest, AtomsMentioning) {
   EXPECT_EQ(inst.AtomsMentioning(C("b")).size(), 2u);
   EXPECT_EQ(inst.AtomsMentioning(C("d")).size(), 1u);
   EXPECT_TRUE(inst.AtomsMentioning(C("q")).empty());
+}
+
+/// Every lookup of `got` equals the same lookup of `want`: atoms and
+/// their order, each predicate's list and each (predicate, position,
+/// term) bucket of `want`'s atoms, and `absent`'s terms and predicates.
+void ExpectSameIndex(const Instance& got, const Instance& want,
+                     const std::vector<Atom>& absent) {
+  ASSERT_EQ(got.atoms(), want.atoms());
+  std::vector<Atom> probes = want.atoms();
+  probes.insert(probes.end(), absent.begin(), absent.end());
+  for (const Atom& a : probes) {
+    EXPECT_EQ(got.AtomsOf(a.predicate()), want.AtomsOf(a.predicate()));
+    for (size_t pos = 0; pos < a.arity(); ++pos) {
+      const std::vector<uint32_t>* g =
+          got.FindCandidates(a.predicate(), pos, a.arg(pos));
+      const std::vector<uint32_t>* w =
+          want.FindCandidates(a.predicate(), pos, a.arg(pos));
+      ASSERT_EQ(g == nullptr, w == nullptr) << a.ToString() << " @" << pos;
+      if (w != nullptr) EXPECT_EQ(*g, *w) << a.ToString() << " @" << pos;
+      EXPECT_EQ(got.AtomsMentioning(a.arg(pos)),
+                want.AtomsMentioning(a.arg(pos)));
+    }
+  }
+}
+
+TEST(InstanceTest, ClearedInstanceIndexesLikeAFreshOne) {
+  const std::vector<Atom> first = MustParseAtoms(
+      "R('a','b'), R('b','c'), S('c'), T('a','b','c'), R('c','a')");
+  const std::vector<Atom> second =
+      MustParseAtoms("S('d'), R('d','e'), R('e','d'), S('e'), R('d','d')");
+  Instance fresh;
+  fresh.InsertAll(second);
+  Instance pooled;
+  pooled.InsertAll(first);
+  pooled.Clear();
+  EXPECT_TRUE(pooled.empty());
+  pooled.InsertAll(second);
+  ExpectSameIndex(pooled, fresh, first);
+  // After a merge has rebuilt the index (and left emptied buckets behind),
+  // a cleared instance still indexes a refill like a fresh one.
+  pooled.ReplaceTerm(C("e"), C("d"));
+  pooled.Clear();
+  pooled.InsertAll(second);
+  ExpectSameIndex(pooled, fresh, first);
+  pooled.Clear();
+  pooled.InsertAll(first);
+  Instance fresh_first;
+  fresh_first.InsertAll(first);
+  ExpectSameIndex(pooled, fresh_first, second);
+}
+
+TEST(InstanceTest, ClearKeepsSmallBuffersAndReleasesLargeOnes) {
+  Predicate r = Predicate::Get("R", 2);
+  auto fill = [&](Instance* inst, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      inst->Insert(Atom(r, {C("k" + std::to_string(i)), C("k0")}));
+    }
+  };
+  Instance small;
+  fill(&small, 8);
+  small.Clear();
+  EXPECT_GE(small.atoms().capacity(), 8u);
+  Instance large;
+  fill(&large, Instance::kKeepAtoms + 1);
+  large.Clear();
+  EXPECT_EQ(large.atoms().capacity(), 0u);
+  // Either way the instance refills like a fresh one.
+  Instance fresh;
+  fill(&fresh, 8);
+  fill(&large, 8);
+  ExpectSameIndex(large, fresh, {});
 }
 
 TEST(InstanceTest, EqualityIsSetEquality) {

@@ -45,6 +45,27 @@ TEST(TermTest, ConstantAndVariableWithSameNameDiffer) {
   EXPECT_EQ(v.kind(), TermKind::kVariable);
 }
 
+TEST(TermTest, NullIndicesRunToTheLastOne) {
+  const uint32_t saved =
+      internal::ExchangeNextNullIndexForTesting((1u << 30) - 1);
+  Term last = Term::FreshNull();
+  internal::ExchangeNextNullIndexForTesting(saved);
+  EXPECT_TRUE(last.IsNull());
+  EXPECT_EQ(last.index(), (1u << 30) - 1);
+  EXPECT_NE(last, Term::NullAt(0));
+}
+
+TEST(TermTest, FreshNullFailsLoudlyOnceTheIndicesAreUsedUp) {
+  // Past the last index a null would alias null 0 (and past 2^31 it would
+  // not be a null at all), so FreshNull aborts with a message instead.
+  EXPECT_DEATH(
+      {
+        internal::ExchangeNextNullIndexForTesting(1u << 30);
+        Term::FreshNull();
+      },
+      "labeled nulls exhausted");
+}
+
 TEST(TermTest, FreshNullsAreDistinct) {
   std::set<Term> nulls;
   for (int i = 0; i < 1000; ++i) {

@@ -9,12 +9,16 @@
 #include <functional>
 #include <map>
 #include <random>
+#include <string>
+#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "acyclic/incremental.h"
 #include "core/canonical.h"
+#include "core/hypergraph.h"
 #include "core/parser.h"
 #include "gen/generators.h"
 #include "semacyc/witness_search.h"
@@ -524,6 +528,25 @@ std::pair<uint64_t, uint64_t> PushPopKey(IncrementalCandidateKey* key,
   return down.back();
 }
 
+TEST(CanonicalFingerprintTest, ConflatesTwoNonIsomorphicAcyclicBodies) {
+  // The key encodes each variable's occurrence multiset and each atom's
+  // equality pattern, not how the atoms link: a 2-cycle plus a 2-path and
+  // a 4-path give every variable and atom the same local view. Both are
+  // α-acyclic, so the witness searches' dedup tests only the first one it
+  // meets and never the other (witness_search.h, "not complete").
+  ConjunctiveQuery cycle_path =
+      MustParseQuery("T(a,b), T(b,a), T(c,d), T(d,e)");
+  ConjunctiveQuery path = MustParseQuery("T(a,b), T(b,c), T(c,d), T(d,e)");
+  EXPECT_TRUE(IsAcyclic(cycle_path));
+  EXPECT_TRUE(IsAcyclic(path));
+  EXPECT_FALSE(AreIsomorphic(cycle_path, path));
+  EXPECT_EQ(CanonicalFingerprint128(cycle_path),
+            CanonicalFingerprint128(path));
+  IncrementalCandidateKey key;
+  EXPECT_EQ(PushPopKey(&key, {}, cycle_path.body(), 0),
+            PushPopKey(&key, {}, path.body(), 0));
+}
+
 TEST(CanonicalFingerprintTest, IncrementalKeySeparatesLikeTheReference) {
   // Every corpus query plus a renamed, body-shuffled copy of each (so
   // many pairs are equal), then systematically the shapes the exhaustive
@@ -723,6 +746,127 @@ TEST(ContainmentOracleTest, ChaseFreeAgreesWithChasedOnConstantsAndHeads) {
     ++agreements;
   }
   EXPECT_GT(agreements, 100u);
+}
+
+/// One schema of the pooled-oracle agreement test: Σ, q, and the
+/// candidates' predicates and constants.
+struct PooledCase {
+  const char* sigma;
+  const char* q;
+  const char* unary;   // a unary predicate of the case, or nullptr
+  const char* binary;  // the binary predicates, space-separated
+};
+
+TEST(ContainmentOracleTest, PooledChecksAgreeWithContainedUnderOnAnyThread) {
+  // The pooled Lemma 1 check against the plain ContainedUnder on random
+  // candidates over each schema's predicates: the decide-hard classes, a
+  // key whose merges collapse atoms and whose constant clashes fail the
+  // chase, tgds and egds together, a recursive Σ whose chase is cut by
+  // its step budget (kUnknown on both sides), and a generated guarded
+  // family. Every candidate is checked on 1 thread and again by 4
+  // threads at once on the same oracle, each thread with its own pooled
+  // state.
+  const PooledCase kCases[] = {
+      {"T(x,y) -> E(y,z), E(z,x).", "E(x0,x3), T(x3,x2), T(x1,x3), E(x0,x2)",
+       nullptr, "E T"},
+      {"B1(x,y), B2(y,z) -> B3(z,x).",
+       "q(x0) :- B3(x0,x1), B2(x2,x1), B2(x3,x2), B1(x1,x3)", nullptr,
+       "B1 B2 B3"},
+      {"R(x,y), P(y,z) -> P(y,x).", "R(x3,x2), P(x1,x3), P(x2,x0), R(x3,x0)",
+       nullptr, "R P"},
+      {"R(a,b), R(a,c) -> b = c.",
+       "q(x0) :- E(x0,x3), R(x2,x0), E(x2,x3), R(x0,x3)", nullptr, "R E"},
+      {"R(a,b), R(a,c) -> b = c. A(x) -> R(x,y).",
+       "q(x) :- R(x,y), E(y,z), A(z)", "A", "R E"},
+      {"E(x,y), E(y,z) -> E(z,w).", "E(x,y), E(y,z), E(z,x)", nullptr, "E"},
+      {nullptr, "G0(x,y), G1(y,z), G0(z,x)", nullptr, "G0 G1"},
+  };
+  ChaseOptions chase_options;
+  chase_options.max_steps = 300;
+  std::mt19937_64 rng(53);
+  size_t failed_chases = 0, merged_chases = 0, cut_chases = 0, yes = 0;
+  for (const PooledCase& c : kCases) {
+    std::vector<Predicate> binary;
+    std::string names = c.binary;
+    for (size_t at = 0; at < names.size();) {
+      size_t end = names.find(' ', at);
+      if (end == std::string::npos) end = names.size();
+      binary.push_back(Predicate::Get(names.substr(at, end - at), 2));
+      at = end + 1;
+    }
+    DependencySet sigma;
+    if (c.sigma != nullptr) {
+      sigma = MustParseDependencySet(c.sigma);
+    } else {
+      Generator gen(59);
+      sigma.tgds = gen.RandomGuardedTgds(binary, 3, 2);
+    }
+    const ConjunctiveQuery q = MustParseQuery(c.q);
+    obs::MetricsRegistry metrics({}, {});
+    ContainmentOracle oracle(q, sigma, chase_options, RewriteOptions(),
+                             SchemaFacts::Compute(sigma), &metrics);
+    ASSERT_EQ(oracle.rewriting(), nullptr) << c.q;
+
+    std::vector<Term> terms;
+    for (int i = 0; i < 5; ++i) {
+      terms.push_back(Term::Variable("po$" + std::to_string(i)));
+    }
+    terms.push_back(Term::Constant("a"));
+    terms.push_back(Term::Constant("b"));
+    std::vector<ConjunctiveQuery> candidates;
+    while (candidates.size() < 150) {
+      std::vector<Atom> body;
+      const int num_atoms = 1 + static_cast<int>(rng() % 4);
+      for (int i = 0; i < num_atoms; ++i) {
+        auto term = [&] { return terms[rng() % terms.size()]; };
+        if (c.unary != nullptr && rng() % 4 == 0) {
+          body.push_back(Atom(Predicate::Get(c.unary, 1), {term()}));
+        } else {
+          body.push_back(Atom(binary[rng() % binary.size()], {term(), term()}));
+        }
+      }
+      std::vector<Term> head;
+      if (q.arity() == 1) {
+        Term h = body[rng() % body.size()].arg(0);
+        if (!h.IsVariable()) continue;
+        head.push_back(h);
+      }
+      candidates.emplace_back(std::move(head), std::move(body));
+    }
+    std::vector<Tri> want;
+    for (const ConjunctiveQuery& cand : candidates) {
+      want.push_back(ContainedUnder(cand, q, sigma, chase_options));
+      ASSERT_EQ(oracle.ContainedInQ(cand), want.back()) << cand.ToString();
+      QueryChaseResult chased = ChaseQuery(cand, sigma, chase_options);
+      failed_chases += chased.failed ? 1 : 0;
+      std::unordered_set<Term> images;
+      for (const auto& [var, image] : chased.var_to_frozen) {
+        images.insert(image);
+      }
+      merged_chases += images.size() < chased.var_to_frozen.size() ? 1 : 0;
+      cut_chases += chased.saturated ? 0 : 1;
+      yes += want.back() == Tri::kYes ? 1 : 0;
+    }
+    std::vector<std::vector<Tri>> got(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < got.size(); ++t) {
+      threads.emplace_back([&, t] {
+        // Each thread walks the candidates from its own offset, so the
+        // threads' checks interleave differently.
+        got[t].resize(candidates.size());
+        for (size_t k = 0; k < candidates.size(); ++k) {
+          const size_t i = (k + t * 37) % candidates.size();
+          got[t][i] = oracle.ContainedInQ(candidates[i]);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (const std::vector<Tri>& answers : got) EXPECT_EQ(answers, want);
+  }
+  EXPECT_GT(failed_chases, 0u);
+  EXPECT_GT(merged_chases, 0u);
+  EXPECT_GT(cut_chases, 0u);
+  EXPECT_GT(yes, 0u);
 }
 
 }  // namespace
