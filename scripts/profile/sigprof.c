@@ -6,15 +6,20 @@
 //   python3 scripts/profile/symbolize.py prof.txt.<pid>
 //
 // The interval timer is ITIMER_PROF (setitimer), which counts the CPU
-// time of this process alone, user and system, over all its threads. The
-// kernel sends SIGPROF 997 times per CPU second (prime, so that sampling
-// does not lock onto a periodic loop); the handler
-// records the interrupted program counter. Nothing outside the process is
+// time of this process alone, user and system, over all its threads. It
+// asks for SIGPROF 997 times per CPU second (prime, so that sampling does
+// not lock onto a periodic loop); the handler records the interrupted
+// program counter. The kernel rounds the interval up to its scheduler
+// tick, so a kernel built with a 250 Hz tick delivers about 250 samples
+// per CPU second: fewer samples, but each still lands on CPU time of the
+// process, so the shares stay valid. Nothing outside the process is
 // touched: no system setting, no other process.
 //
 // At exit the sampler writes SIGPROF_OUT.<pid> (default sigprof.<pid>):
-// the process's memory map (a copy of /proc/self/maps), then one
-// hexadecimal program counter per sample. The pid suffix keeps the files
+// the process's memory map (a copy of /proc/self/maps), then a header
+// line with the sample count, the dropped samples, the process's CPU
+// seconds and the requested rate, then one hexadecimal program counter
+// per sample. The pid suffix keeps the files
 // of a program's children apart (they inherit LD_PRELOAD). A process that
 // ends without running its exit handlers (_exit, a fatal signal) writes
 // nothing.
@@ -30,6 +35,7 @@
 #include <stdlib.h>
 #include <string.h>
 #include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 #include <unistd.h>
 
@@ -94,8 +100,12 @@ __attribute__((destructor)) static void WriteSamples(void) {
   }
   size_t n = atomic_load(&num_samples);
   if (n > kMaxSamples) n = kMaxSamples;
-  fprintf(out, "# sigprof samples %zu dropped %zu\n", n,
-          atomic_load(&dropped));
+  struct timespec cpu;
+  double cpu_s = clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu) == 0
+                     ? (double)cpu.tv_sec + 1e-9 * (double)cpu.tv_nsec
+                     : 0.0;
+  fprintf(out, "# sigprof samples %zu dropped %zu cpu_s %.6f hz %d\n", n,
+          atomic_load(&dropped), cpu_s, kHz);
   for (size_t i = 0; i < n; ++i) fprintf(out, "%lx\n", (unsigned long)samples[i]);
   fclose(out);
 }

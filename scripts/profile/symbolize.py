@@ -9,9 +9,11 @@ libc, libstdc++, ...) through that file's PT_LOAD program headers, and
 attributed to the enclosing function symbol. Symbols come from
 `nm --defined-only` (the full symbol table), or from `nm -D` (the dynamic
 one) for a stripped shared library such as libc, so time spent in
-malloc/free or memcpy shows under its own name. Prints a flat profile of
-the 40 busiest functions: share of samples, sample count, function,
-module. --modules adds the per-module totals.
+malloc/free or memcpy shows under its own name. Prints the achieved
+samples per CPU second against the requested rate (the kernel tick may
+cap it), then a flat profile of the 40 busiest functions: share of
+samples, sample count, function, module. --modules adds the per-module
+totals.
 """
 
 import argparse
@@ -139,6 +141,14 @@ def main():
 
     total = len(pcs)
     print(header)
+    # "# sigprof samples N dropped D cpu_s S hz R": name/value pairs.
+    fields = header.split()[2:]
+    stats = dict(zip(fields[::2], fields[1::2]))
+    cpu_s = float(stats.get("cpu_s", 0))
+    if cpu_s > 0:
+        delivered = int(stats["samples"]) + int(stats["dropped"])
+        print("achieved %.0f samples per CPU second (requested %s)" %
+              (delivered / cpu_s, stats.get("hz", "?")))
     print("%7s %8s  %s" % ("share", "samples", "function [module]"))
     for (function, module), count in by_function.most_common(40):
         print("%6.2f%% %8d  %s [%s]" % (100.0 * count / total, count,

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/flat_table.h"
+
 /// Helpers shared by the engine's translation units. Not part of the
 /// subsystem's public surface.
 namespace semacyc::acyclic::internal {
@@ -23,19 +25,11 @@ inline bool IsSubsetSorted(const std::vector<int>& a,
   return true;
 }
 
-/// Order-sensitive splitmix64-style hash of an int sequence (used to bucket
-/// sorted edge sets and incidence signatures).
+/// Order-sensitive hash of an int sequence, one splitmix step per element
+/// (used to bucket sorted edge sets and incidence signatures).
 inline uint64_t HashInts(const std::vector<int>& xs) {
   uint64_t h = 0x9e3779b97f4a7c15ull + xs.size();
-  for (int v : xs) {
-    uint64_t x = static_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ull + h;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    h = x;
-  }
+  for (int v : xs) h = Mix(h, static_cast<uint64_t>(v));
   return h;
 }
 

@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/flat_table.h"
 #include "core/homomorphism.h"
 
 namespace semacyc {
@@ -48,185 +49,16 @@ bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
 
 namespace {
 
-/// splitmix64 avalanche step, the mixing primitive for all fingerprints.
-uint64_t Mix(uint64_t h, uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull + h;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
-
-namespace {
-
-/// One body occurrence of a variable: (var, pred, pos) is the sort key,
-/// with var and pred packed into `var_pred`; `slot` is the flattened body
-/// position it came from.
-struct Occurrence {
-  uint64_t var_pred;
-  uint32_t pos;
-  uint32_t slot;
-
-  uint32_t var() const { return static_cast<uint32_t>(var_pred >> 32); }
-  uint32_t pred() const { return static_cast<uint32_t>(var_pred); }
-};
-
-/// Per-thread flat scratch of FingerprintChains: every buffer keeps its
-/// capacity across calls, so a steady-state call allocates nothing.
-template <size_t N>
-struct FingerprintScratch {
-  std::vector<Occurrence> occ;
-  /// (variable, head position) pairs of the head, sorted.
-  std::vector<std::pair<uint32_t, uint32_t>> head;
-  /// Per flattened body position holding a variable: its index in `sigs`.
-  std::vector<uint32_t> slot_sig;
-  std::vector<std::array<uint64_t, N>> sigs;
-  std::vector<std::array<uint64_t, N>> atom_keys;
-};
-
-/// The renaming/reordering invariant, hash-mixed: per-variable occurrence
-/// signatures (sorted (pred, pos) multiset plus first head position),
-/// folded into per-atom hashes over the intra-atom equality pattern,
-/// combined order-independently by sorting.
-/// N independent salted chains are computed in one walk; each salt
-/// perturbs every leaf, so the chains collide independently.
-/// One sort of the (var, pred, pos) occurrences groups each variable's
-/// occurrences into a run already in (pred, pos) order, so the
-/// signatures need no per-variable table; each run writes its signature
-/// index back to the body positions it came from.
-template <size_t N>
-std::array<uint64_t, N> FingerprintChains(
-    const std::vector<Term>& head, const std::vector<Atom>& body,
-    const std::array<uint64_t, N>& salts) {
-  thread_local FingerprintScratch<N> scratch;
-  FingerprintScratch<N>& s = scratch;
-  s.occ.clear();
-  uint32_t slots = 0;
-  for (const Atom& a : body) {
-    for (size_t pos = 0; pos < a.arity(); ++pos, ++slots) {
-      Term t = a.arg(pos);
-      if (t.IsVariable()) {
-        s.occ.push_back({uint64_t{t.raw_bits()} << 32 | a.predicate().id(),
-                         static_cast<uint32_t>(pos), slots});
-      }
-    }
-  }
-  std::sort(s.occ.begin(), s.occ.end(),
-            [](const Occurrence& x, const Occurrence& y) {
-              if (x.var_pred != y.var_pred) return x.var_pred < y.var_pred;
-              return x.pos < y.pos;
-            });
-  s.head.clear();
-  for (size_t i = 0; i < head.size(); ++i) {
-    if (head[i].IsVariable()) {
-      s.head.push_back({head[i].raw_bits(), static_cast<uint32_t>(i)});
-    }
-  }
-  std::sort(s.head.begin(), s.head.end());
-  s.slot_sig.resize(slots);
-  s.sigs.clear();
-  size_t h = 0;
-  for (size_t i = 0; i < s.occ.size();) {
-    const uint32_t var = s.occ[i].var();
-    std::array<uint64_t, N> sig;
-    for (size_t n = 0; n < N; ++n) {
-      sig[n] = Mix(0x53454d4143594331ull, salts[n]);  // salted domain tag
-    }
-    const uint32_t index = static_cast<uint32_t>(s.sigs.size());
-    for (; i < s.occ.size() && s.occ[i].var() == var; ++i) {
-      for (size_t n = 0; n < N; ++n) {
-        sig[n] = Mix(sig[n], s.occ[i].pred());
-        sig[n] = Mix(sig[n], s.occ[i].pos);
-      }
-      s.slot_sig[s.occ[i].slot] = index;
-    }
-    // Both arrays are sorted by variable: the first head entry of `var`
-    // carries its first head position.
-    while (h < s.head.size() && s.head[h].first < var) ++h;
-    uint64_t hp = h < s.head.size() && s.head[h].first == var
-                      ? static_cast<uint64_t>(s.head[h].second)
-                      : ~0ull;
-    for (size_t n = 0; n < N; ++n) sig[n] = Mix(sig[n], hp);
-    s.sigs.push_back(sig);
-  }
-  s.atom_keys.clear();
-  uint32_t slot = 0;
-  for (const Atom& a : body) {
-    std::array<uint64_t, N> key;
-    for (size_t n = 0; n < N; ++n) key[n] = Mix(salts[n], a.predicate().id());
-    for (size_t pos = 0; pos < a.arity(); ++pos, ++slot) {
-      Term t = a.arg(pos);
-      if (t.IsConstant()) {
-        for (size_t n = 0; n < N; ++n) {
-          key[n] = Mix(key[n], 0xc0ull);
-          key[n] = Mix(key[n], t.raw_bits());
-        }
-        continue;
-      }
-      size_t first = pos;
-      for (size_t k = 0; k < pos; ++k) {
-        if (a.arg(k) == t) {
-          first = k;
-          break;
-        }
-      }
-      // A term that is neither constant nor variable has no occurrence
-      // run; it contributes the all-zero signature.
-      std::array<uint64_t, N> sig{};
-      if (t.IsVariable()) sig = s.sigs[s.slot_sig[slot]];
-      for (size_t n = 0; n < N; ++n) {
-        key[n] = Mix(key[n], static_cast<uint64_t>(first));
-        key[n] = Mix(key[n], sig[n]);
-      }
-    }
-    s.atom_keys.push_back(key);
-  }
-  // Lexicographic, as std::array's operator< (spelled out: it inlines).
-  std::sort(s.atom_keys.begin(), s.atom_keys.end(),
-            [](const std::array<uint64_t, N>& x,
-               const std::array<uint64_t, N>& y) {
-              for (size_t n = 0; n < N; ++n) {
-                if (x[n] != y[n]) return x[n] < y[n];
-              }
-              return false;
-            });
-  std::array<uint64_t, N> key;
-  for (size_t n = 0; n < N; ++n) key[n] = Mix(salts[n], head.size());
-  for (const auto& k : s.atom_keys) {
-    for (size_t n = 0; n < N; ++n) key[n] = Mix(key[n], k[n]);
-  }
-  return key;
-}
-
-}  // namespace
-
-uint64_t CanonicalFingerprint(const ConjunctiveQuery& q, uint64_t salt) {
-  return FingerprintChains<1>(q.head(), q.body(), {salt})[0];
-}
-
-std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
-    const ConjunctiveQuery& q) {
-  std::array<uint64_t, 2> key =
-      FingerprintChains<2>(q.head(), q.body(), {0, kSecondFingerprintSalt});
-  return {key[0], key[1]};
-}
-
-namespace {
-
-constexpr uint64_t kKeySalts[2] = {0, kSecondFingerprintSalt};
+/// One salt per chain: each perturbs every leaf of its chain's hash, so
+/// the two 64-bit halves of a key collide independently.
+constexpr uint64_t kKeySalts[2] = {0, 0x9e3779b97f4a7c15ull};
 constexpr uint64_t kKeyTag = 0x53454d4143594331ull;
 /// Stands in for the predicate in a head-position hash: no predicate id
 /// reaches 2^32, so head seeds and occurrence hashes never share a
 /// Mix chain.
 constexpr uint64_t kHeadDomain = uint64_t{1} << 32;
 
-/// Chain n's hash of one occurrence at (pred, pos). Mix(h, x) depends on
-/// h + x only, so the predicate and the position are chained, never
-/// added into one operand.
+/// Chain n's hash of one occurrence at (pred, pos).
 uint64_t OccurrenceHash(size_t n, uint64_t pred, uint64_t pos) {
   return Mix(Mix(kKeyTag ^ kKeySalts[n], pred), pos);
 }
@@ -332,6 +164,37 @@ std::pair<uint64_t, uint64_t> IncrementalCandidateKey::Key() const {
   }
   return {Mix(Mix(kKeySalts[0], head_size_), sum0),
           Mix(Mix(kKeySalts[1], head_size_), sum1)};
+}
+
+uint64_t CanonicalFingerprint(const ConjunctiveQuery& q) {
+  return CanonicalFingerprint128(q).first;
+}
+
+std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
+    const ConjunctiveQuery& q) {
+  // Per-thread scratch that keeps its capacity: a steady-state call
+  // allocates nothing.
+  struct Scratch {
+    FlatKeyTable vertices;  // term bits -> vertex id, first occurrence first
+    std::vector<int> verts;
+    IncrementalCandidateKey key;
+  };
+  thread_local Scratch s;
+  s.vertices.Clear();
+  auto vertex = [](Term t) {
+    return static_cast<int>(s.vertices.Insert(t.raw_bits()));
+  };
+  // As in AreIsomorphic, a head position is a vertex only for a variable,
+  // while the body maps variables and nulls alike.
+  s.verts.clear();
+  for (Term t : q.head()) s.verts.push_back(t.IsVariable() ? vertex(t) : -1);
+  s.key.Reset(s.verts);
+  for (const Atom& a : q.body()) {
+    s.verts.clear();
+    for (Term t : a.args()) s.verts.push_back(t.IsConstant() ? -1 : vertex(t));
+    s.key.Push(AtomView::Of(a), s.verts.data());
+  }
+  return s.key.Key();
 }
 
 }  // namespace semacyc

@@ -17,56 +17,47 @@ namespace semacyc {
 /// decision-cache probes.
 bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 
-/// A hash-interned canonical form: a 64-bit fingerprint of a
-/// renaming/reordering invariant — per-variable occurrence signatures
-/// folded over each atom's equality pattern (isomorphic queries get equal
-/// fingerprints; unequal fingerprints imply non-isomorphic). No string
-/// building and no hash table: one sorted (var, pred, pos) occurrence
-/// array yields the per-variable signatures, and every buffer is
-/// per-thread flat scratch that keeps its capacity, so a steady-state
-/// call allocates nothing. Exact stores
-/// resolve fingerprint collisions with AreIsomorphic; pure-hash dedup
-/// should combine two fingerprints with different `salt`s (the salt
-/// perturbs every leaf of the hash, so the two values collide
-/// independently — a 128-bit key whose conflation probability is
-/// negligible against the invariant's own conflations, which candidate
-/// dedup accepts).
-uint64_t CanonicalFingerprint(const ConjunctiveQuery& q, uint64_t salt = 0);
-
-/// A 128-bit key computed in one walk of the query (for pure-hash dedup
-/// stores): the first component equals CanonicalFingerprint(q); the
-/// second is an independent salted chain over the same invariant (its
-/// fold order follows the combined sort, so it is its own invariant, not
-/// literally CanonicalFingerprint(q, salt)).
-inline constexpr uint64_t kSecondFingerprintSalt = 0x9e3779b97f4a7c15ull;
+/// The canonical key of a query: a 128-bit hash of a renaming/reordering
+/// invariant — each variable's occurrence multiset and first head
+/// position, each atom's equality pattern, the atom multiset and the head
+/// size. Isomorphic queries get equal keys; unequal keys imply
+/// non-isomorphic. The converse fails: the invariant does not encode how
+/// atoms link, so some non-isomorphic queries share a key (see
+/// ExhaustiveWitnessSearch). Exact stores resolve a key hit with
+/// AreIsomorphic; pure-hash dedup (Key128Set) accepts the conflations.
+///
+/// Computed by pushing q through a per-thread IncrementalCandidateKey, so
+/// it equals the incremental key of the same query under any vertex
+/// numbering: batch and push/pop keys compare directly. A steady-state
+/// call allocates nothing.
 std::pair<uint64_t, uint64_t> CanonicalFingerprint128(
     const ConjunctiveQuery& q);
 
-/// A 128-bit candidate key over CanonicalFingerprint128's invariant,
-/// maintained under a stack of atom pushes (the witness searches' DFS
-/// path) instead of recomputed per candidate. The caller numbers the
-/// candidate's variables as small vertex ids and hands each pushed
-/// atom's per-position ids (-1 for a constant, keyed by its raw bits).
+/// The first 64 bits of CanonicalFingerprint128(q), for stores that
+/// resolve hits with AreIsomorphic (the decision cache, the rewriter's
+/// disjunct store).
+uint64_t CanonicalFingerprint(const ConjunctiveQuery& q);
+
+/// The canonical key, maintained under a stack of atom pushes (the
+/// witness searches' DFS path) instead of recomputed per candidate. The
+/// caller numbers the candidate's variables as small vertex ids and hands
+/// each pushed atom's per-position ids (-1 for a constant, keyed by its
+/// raw bits).
 ///
-/// Per vertex, two commutative accumulators (one per salt) start from a
-/// hash of the vertex's first head position and sum a mixed (predicate,
-/// position) hash over its occurrences — Push adds and Pop subtracts, so
-/// the occurrence multiset is kept exactly — next to an occurrence
-/// count. Key() folds them: each atom key chains the predicate and, per
-/// position, (first equal position, the vertex's accumulator) or the
-/// constant's hash; atom keys are summed and the head size mixed in.
-/// That encodes what FingerprintChains encodes — the occurrence multiset
-/// and first head position per variable, each atom's equality pattern,
-/// the atom multiset and the head size — so two candidates get equal keys
-/// iff their CanonicalFingerprint128 keys are equal (up to 128-bit hash
-/// conflations). The hash values differ from CanonicalFingerprint128's:
-/// keys compare only with keys of this class. A steady-state push, pop
-/// or Key() allocates nothing.
+/// Per vertex, two commutative accumulators (one per 64-bit half) start
+/// from a hash of the vertex's first head position and sum a mixed
+/// (predicate, position) hash over its occurrences — Push adds and Pop
+/// subtracts, so the occurrence multiset is kept exactly — next to an
+/// occurrence count. Key() folds them: each atom key chains the predicate
+/// and, per position, (first equal position, the vertex's accumulator)
+/// or the constant's hash; atom keys are summed and the head size mixed
+/// in. Key() is the only place the canonical key is folded. A
+/// steady-state push, pop or Key() allocates nothing.
 class IncrementalCandidateKey {
  public:
   /// Empties the stack and sets the head: `head[i]` is the vertex at head
-  /// position i, or -1 for a constant (which, as in FingerprintChains,
-  /// only counts toward the head size).
+  /// position i, or -1 for a constant (which only counts toward the
+  /// head size).
   void Reset(const std::vector<int>& head);
 
   /// Pushes `atom`, whose position i holds vertex `verts[i]` (-1 = the

@@ -9,6 +9,20 @@
 
 namespace semacyc {
 
+/// One splitmix64 step folding `x` into the chain value `h`: the mixing
+/// primitive of the canonical query keys (core/canonical.h) and of the
+/// acyclicity engine's int-sequence buckets. The output depends on h + x
+/// only, so callers chain two values, never add them into one operand.
+inline uint64_t Mix(uint64_t h, uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull + h;
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
 /// The one hash kernel of the library: an open-addressing map from 64-bit
 /// keys to dense group ids, handed out 0, 1, 2, … in first-insert order.
 /// Callers keep per-group payload in plain vectors indexed by the group id

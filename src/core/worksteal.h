@@ -193,9 +193,9 @@ class ParallelSearchPool {
 /// witness-search workers. Only definitive NO answers are inserted (YES
 /// stops the search, kUnknown is never recorded), so a hit merely
 /// suppresses a redundant oracle call and can never change an answer.
-/// Keys are the candidates' 128-bit IncrementalCandidateKey values
-/// (core/canonical.h); one set serves one search and holds only the keys
-/// of candidates the oracle refuted.
+/// Keys are the candidates' 128-bit canonical keys (core/canonical.h);
+/// one set serves one search and holds only the keys of candidates the
+/// oracle refuted.
 class ConcurrentFingerprintSet {
  public:
   using Key = Key128Set::Key;

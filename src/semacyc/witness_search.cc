@@ -418,9 +418,10 @@ struct EnumSignature {
   }
 };
 
-/// Candidate dedup is modulo a 128-bit renaming-invariant key (a salted
-/// fingerprint pair of the canonical invariant, or IncrementalCandidateKey
-/// along a DFS path) kept in a Key128Set. Conflations are never resolved.
+/// Candidate dedup is modulo the 128-bit canonical key (core/canonical.h:
+/// CanonicalFingerprint128 of a built candidate, IncrementalCandidateKey
+/// along a DFS path; both fold the same key) kept in a Key128Set.
+/// Conflations are never resolved.
 /// Hash collisions are negligible (~n²/2¹²⁸), but the invariant itself
 /// gives some non-isomorphic candidates equal keys (ExhaustiveWitnessSearch
 /// in the header), so a dropped candidate can be one never tested.

@@ -291,10 +291,11 @@ TEST(CanonicalFingerprintTest, SeparatesKnownNonIsomorphicPairs) {
   EXPECT_NE(CanonicalFingerprint(loop), CanonicalFingerprint(cycle));
 }
 
-/// The map-based fingerprint the flat one replaced, kept verbatim as the
-/// reference: the keys feed candidate dedup, candidates_tested and the
-/// decision-cache key, so the flat implementation must reproduce them
-/// bit for bit.
+/// An independent reference for the canonical key's equality relation:
+/// a map-based fold of the same invariant (sorted per-variable occurrence
+/// lists, sorted atom keys) with its own hash values. The key feeds
+/// candidate dedup, candidates_tested and the decision-cache key, so it
+/// must separate queries exactly as this reference does.
 uint64_t ReferenceMix(uint64_t h, uint64_t x) {
   x += 0x9e3779b97f4a7c15ull + h;
   x ^= x >> 30;
@@ -304,6 +305,9 @@ uint64_t ReferenceMix(uint64_t h, uint64_t x) {
   x ^= x >> 31;
   return x;
 }
+
+/// The salt of the reference's second chain.
+constexpr uint64_t kReferenceSecondSalt = 0x9e3779b97f4a7c15ull;
 
 template <size_t N>
 std::array<uint64_t, N> ReferenceChains(const std::vector<Term>& head,
@@ -380,12 +384,15 @@ std::array<uint64_t, N> ReferenceChains(const std::vector<Term>& head,
   return key;
 }
 
-/// One query of the random fingerprint corpus, with the salt its
-/// 64-bit key is also checked under.
+std::array<uint64_t, 2> ReferenceKey(const std::vector<Term>& head,
+                                     const std::vector<Atom>& body) {
+  return ReferenceChains<2>(head, body, {0, kReferenceSecondSalt});
+}
+
+/// One query of the random fingerprint corpus.
 struct CorpusQuery {
   std::vector<Term> head;
   std::vector<Atom> body;
-  uint64_t salt;
   bool has_const;
   bool repeat_in_atom;
 };
@@ -443,47 +450,9 @@ std::vector<CorpusQuery> FingerprintCorpus() {
       c.head.push_back(rng() % 6 == 0 ? consts[rng() % consts.size()]
                                       : body_vars[rng() % body_vars.size()]);
     }
-    c.salt = rng();
     corpus.push_back(std::move(c));
   }
   return corpus;
-}
-
-TEST(CanonicalFingerprintTest, FlatKeysEqualTheMapBasedReference) {
-  // Both keys and a salted 64-bit key must equal the reference bit for
-  // bit on every corpus query.
-  int boolean_heads = 0;
-  int with_constants = 0;
-  int repeated_in_atom = 0;
-  int repeated_head = 0;
-  for (const CorpusQuery& c : FingerprintCorpus()) {
-    const std::vector<Term>& head = c.head;
-    const std::vector<Atom>& body = c.body;
-    bool head_repeats = false;
-    for (size_t i = 0; i < head.size(); ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (head[i].IsVariable() && head[i] == head[j]) head_repeats = true;
-      }
-    }
-    repeated_head += head_repeats ? 1 : 0;
-    boolean_heads += head.empty() ? 1 : 0;
-    with_constants += c.has_const ? 1 : 0;
-    repeated_in_atom += c.repeat_in_atom ? 1 : 0;
-    const ConjunctiveQuery q(head, body);
-    const std::array<uint64_t, 2> ref =
-        ReferenceChains<2>(head, body, {0, kSecondFingerprintSalt});
-    const std::pair<uint64_t, uint64_t> want{ref[0], ref[1]};
-    ASSERT_EQ(CanonicalFingerprint128(q), want) << q.ToString();
-    ASSERT_EQ(CanonicalFingerprint(q), ReferenceChains<1>(head, body, {0})[0])
-        << q.ToString();
-    ASSERT_EQ(CanonicalFingerprint(q, c.salt),
-              ReferenceChains<1>(head, body, {c.salt})[0])
-        << q.ToString();
-  }
-  EXPECT_GT(boolean_heads, 300);
-  EXPECT_GT(with_constants, 300);
-  EXPECT_GT(repeated_in_atom, 300);
-  EXPECT_GT(repeated_head, 100);
 }
 
 /// Pushes (head, body) into `key` atom by atom, numbering variables by
@@ -528,6 +497,60 @@ std::pair<uint64_t, uint64_t> PushPopKey(IncrementalCandidateKey* key,
   return down.back();
 }
 
+/// Records (reference key, key) pairs of a stream of queries and checks
+/// that the two keyings define one equality relation: a reference key
+/// always meets the same key, and a key the same reference key.
+struct KeyRelation {
+  std::map<std::array<uint64_t, 2>, std::pair<uint64_t, uint64_t>> by_ref;
+  std::map<std::pair<uint64_t, uint64_t>, std::array<uint64_t, 2>> by_key;
+  int equal_pairs = 0;
+
+  /// True iff the pair agrees with every pair recorded before it.
+  bool Add(const std::array<uint64_t, 2>& ref,
+           const std::pair<uint64_t, uint64_t>& key) {
+    auto r = by_ref.emplace(ref, key);
+    auto k = by_key.emplace(key, ref);
+    equal_pairs += r.second ? 0 : 1;
+    return r.first->second == key && k.first->second == ref;
+  }
+};
+
+TEST(CanonicalFingerprintTest, BatchKeyIsThePushPopKey) {
+  // On every corpus query the batch key equals the key pushed atom by
+  // atom bit for bit, the 64-bit fingerprint is its first half, and the
+  // batch keys separate the corpus exactly as the reference does.
+  int boolean_heads = 0;
+  int with_constants = 0;
+  int repeated_in_atom = 0;
+  int repeated_head = 0;
+  IncrementalCandidateKey key;
+  KeyRelation relation;
+  for (const CorpusQuery& c : FingerprintCorpus()) {
+    const std::vector<Term>& head = c.head;
+    bool head_repeats = false;
+    for (size_t i = 0; i < head.size(); ++i) {
+      for (size_t j = 0; j < i; ++j) {
+        if (head[i].IsVariable() && head[i] == head[j]) head_repeats = true;
+      }
+    }
+    repeated_head += head_repeats ? 1 : 0;
+    boolean_heads += head.empty() ? 1 : 0;
+    with_constants += c.has_const ? 1 : 0;
+    repeated_in_atom += c.repeat_in_atom ? 1 : 0;
+    const ConjunctiveQuery q(head, c.body);
+    const std::pair<uint64_t, uint64_t> batch = CanonicalFingerprint128(q);
+    ASSERT_EQ(batch, PushPopKey(&key, head, c.body, 0)) << q.ToString();
+    ASSERT_EQ(CanonicalFingerprint(q), batch.first) << q.ToString();
+    ASSERT_TRUE(relation.Add(ReferenceKey(head, c.body), batch))
+        << q.ToString();
+  }
+  EXPECT_GT(boolean_heads, 300);
+  EXPECT_GT(with_constants, 300);
+  EXPECT_GT(repeated_in_atom, 300);
+  EXPECT_GT(repeated_head, 100);
+  EXPECT_GT(relation.by_ref.size(), 2000u);
+}
+
 TEST(CanonicalFingerprintTest, ConflatesTwoNonIsomorphicAcyclicBodies) {
   // The key encodes each variable's occurrence multiset and each atom's
   // equality pattern, not how the atoms link: a 2-cycle plus a 2-path and
@@ -561,22 +584,14 @@ TEST(CanonicalFingerprintTest, IncrementalKeySeparatesLikeTheReference) {
     renamed_vars.push_back(Term::Variable("fq$" + std::to_string(i)));
   }
   IncrementalCandidateKey key;
-  std::map<std::array<uint64_t, 2>, std::pair<uint64_t, uint64_t>> by_ref;
-  std::map<std::pair<uint64_t, uint64_t>, std::array<uint64_t, 2>> by_key;
-  int equal_pairs = 0;
+  KeyRelation relation;
   int vertex_offset = 0;
   auto check = [&](const std::vector<Term>& head,
                    const std::vector<Atom>& body) {
-    const std::array<uint64_t, 2> ref =
-        ReferenceChains<2>(head, body, {0, kSecondFingerprintSalt});
     vertex_offset = (vertex_offset + 5) % 17;
-    const std::pair<uint64_t, uint64_t> k =
-        PushPopKey(&key, head, body, vertex_offset);
-    auto [r, new_ref] = by_ref.emplace(ref, k);
-    auto [n, new_key] = by_key.emplace(k, ref);
-    ASSERT_EQ(r->second, k) << ConjunctiveQuery(head, body).ToString();
-    ASSERT_EQ(n->second, ref) << ConjunctiveQuery(head, body).ToString();
-    equal_pairs += new_ref ? 0 : 1;
+    ASSERT_TRUE(relation.Add(ReferenceKey(head, body),
+                             PushPopKey(&key, head, body, vertex_offset)))
+        << ConjunctiveQuery(head, body).ToString();
   };
   for (const CorpusQuery& c : FingerprintCorpus()) {
     check(c.head, c.body);
@@ -600,8 +615,8 @@ TEST(CanonicalFingerprintTest, IncrementalKeySeparatesLikeTheReference) {
     std::shuffle(body.begin(), body.end(), rng);
     check(head, body);
   }
-  EXPECT_GT(equal_pairs, 3000);
-  EXPECT_GT(by_ref.size(), 2000u);
+  EXPECT_GT(relation.equal_pairs, 3000);
+  EXPECT_GT(relation.by_ref.size(), 2000u);
 
   Predicate e = Predicate::Get("SK2", 2);
   Predicate u = Predicate::Get("SK1", 1);
@@ -617,7 +632,7 @@ TEST(CanonicalFingerprintTest, IncrementalKeySeparatesLikeTheReference) {
   const std::vector<std::vector<Term>> heads = {
       {}, {v[0]}, {v[0], v[1]}, {v[1], v[0]}, {v[0], v[0]}};
   const size_t n = atoms.size();
-  const size_t keys_before = by_ref.size();
+  const size_t keys_before = relation.by_ref.size();
   int small_queries = 0;
   auto check_heads = [&](const std::vector<Atom>& body) {
     for (const std::vector<Term>& head : heads) {
@@ -636,7 +651,7 @@ TEST(CanonicalFingerprintTest, IncrementalKeySeparatesLikeTheReference) {
   }
   EXPECT_EQ(small_queries, 6750);
   // Renamings make most of them equal to an earlier one.
-  EXPECT_LT((by_ref.size() - keys_before) * 2, 6750u);
+  EXPECT_LT((relation.by_ref.size() - keys_before) * 2, 6750u);
 }
 
 // ---------------------------------------------------- containment oracle --
