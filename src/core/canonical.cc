@@ -15,7 +15,9 @@ bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
   if (q1.body().size() != q2.body().size()) return false;
   if (q1.Variables().size() != q2.Variables().size()) return false;
 
-  // Head correspondence must be position-wise; constants must agree.
+  // Head correspondence must be position-wise; constants and nulls must
+  // agree. A head null is also mappable in the body, so it is pinned to
+  // itself there.
   Substitution fixed;
   for (size_t i = 0; i < q1.head().size(); ++i) {
     Term a = q1.head()[i];
@@ -23,6 +25,7 @@ bool AreIsomorphic(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2) {
     if (a.IsVariable() != b.IsVariable()) return false;
     if (!a.IsVariable()) {
       if (a != b) return false;
+      if (a.IsNull()) fixed.emplace(a, a);
       continue;
     }
     auto it = fixed.find(a);

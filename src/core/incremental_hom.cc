@@ -78,13 +78,22 @@ DenseTarget::DenseTarget(const Instance& target) {
   term_runs_.push_back(static_cast<uint32_t>(runs_.size()));
   runs_.push_back({kNone, static_cast<uint32_t>(atoms_at_.size())});
   runs_.shrink_to_fit();
+
+  // One bit per run: a term's runs are exactly the columns it occurs in.
+  const bool fits = column_start_.back() <= kMaskColumns;
+  column_masks_.assign(terms_.size(), fits ? 0 : ~uint64_t{0});
+  for (size_t d = 0; fits && d < terms_.size(); ++d) {
+    for (uint32_t r = term_runs_[d]; r < term_runs_[d + 1]; ++r) {
+      column_masks_[d] |= uint64_t{1} << runs_[r].column;
+    }
+  }
 }
 
 size_t DenseTarget::DirectoryBytes() const {
   auto bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return bytes(pred_ids_) + bytes(column_start_) + bytes(pred_start_) +
          bytes(pred_atoms_) + bytes(term_runs_) + bytes(runs_) +
-         bytes(atoms_at_);
+         bytes(atoms_at_) + bytes(column_masks_);
 }
 
 IncrementalHomomorphism::IncrementalHomomorphism(const DenseTarget& target)
@@ -108,6 +117,7 @@ void IncrementalHomomorphism::Reset(const Substitution& fixed) {
     v.values.push_back(d);
     v.where[d] = 1;
     v.active = 1;
+    v.mask = target_.ColumnMask(d);
     v.bound = d;
   }
 }
@@ -129,6 +139,7 @@ uint32_t IncrementalHomomorphism::InternVar(Term t) {
   // entries its values touched), so reuse is O(1).
   v.where.resize(target_.num_terms(), 0);
   v.active = 0;
+  v.mask = 0;
   v.bound = kNoDense;
   v.fixed_term = Term();
   v.is_fixed = false;
@@ -145,11 +156,13 @@ void IncrementalHomomorphism::ReleaseVar(uint32_t id) {
 void IncrementalHomomorphism::ShrinkDomain(uint32_t var_id, Level* level,
                                            const SlotScratch& slot) {
   VarState& v = vars_[var_id];
-  level->trail.emplace_back(var_id, static_cast<uint32_t>(v.active));
+  level->trail.push_back({var_id, static_cast<uint32_t>(v.active), v.mask});
+  v.mask = 0;
   size_t i = 0;
   while (i < v.active) {
     uint32_t d = v.values[i];
     if (slot.stamp[d] == slot.epoch) {
+      v.mask |= target_.ColumnMask(d);
       ++i;
       continue;
     }
@@ -406,6 +419,7 @@ bool IncrementalHomomorphism::PushAtom(AtomView atom) {
       v.values = sl.support_list;
       for (uint32_t k = 0; k < v.values.size(); ++k) {
         v.where[v.values[k]] = k + 1;
+        v.mask |= target_.ColumnMask(v.values[k]);
       }
       v.active = v.values.size();
     } else if (sl.support_list.size() != v.active) {
@@ -441,11 +455,20 @@ void IncrementalHomomorphism::PopAtom() {
   found_ = level.saved_found;
   if (level.dead_prefix) return;
   for (size_t i = level.trail.size(); i-- > 0;) {
-    vars_[level.trail[i].first].active = level.trail[i].second;
+    VarState& v = vars_[level.trail[i].var];
+    v.active = level.trail[i].active;
+    v.mask = level.trail[i].mask;
   }
   // Fresh variables die with their introducing atom; they sit on top of
   // the variable stack in interning order, so reverse release unwinds it.
   for (size_t i = level.fresh.size(); i-- > 0;) ReleaseVar(level.fresh[i]);
+}
+
+std::vector<uint32_t> IncrementalHomomorphism::Domain(Term t) const {
+  const uint32_t id = FindVar(t);
+  if (id == kNoDense) return {};
+  const VarState& v = vars_[id];
+  return std::vector<uint32_t>(v.values.begin(), v.values.begin() + v.active);
 }
 
 Substitution IncrementalHomomorphism::Witness() const {

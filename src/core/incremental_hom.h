@@ -33,10 +33,21 @@ namespace semacyc {
 /// binary-searches the term's runs, of which there are at most as many as
 /// columns. It is immutable after construction, so the sessions of all
 /// search workers over one chase share a single DenseTarget.
+///
+/// Column masks summarize the directory in one word per term: bit c of
+/// ColumnMask(d) is set iff term d occurs in column c, read off d's runs
+/// at construction (8 bytes per term). A caller tests "can an argument
+/// whose candidates have mask m sit at (lp, pos)?" as
+/// `m & ColumnBit(lp, pos)`. A target with more than 64 columns does not
+/// fit a word: there every term's mask is all ones and ColumnBit is bit
+/// 0, so the test passes for every target term and prunes nothing but
+/// terms outside the target. Exact either way, only coarser.
 class DenseTarget {
  public:
   /// "Not a target term / predicate"; also FlatKeyTable's miss value.
   static constexpr uint32_t kNone = FlatKeyTable::kNone;
+  /// Columns a mask word can hold.
+  static constexpr uint32_t kMaskColumns = 64;
 
   explicit DenseTarget(const Instance& target);
 
@@ -72,6 +83,18 @@ class DenseTarget {
     if (run == last || run->column != column) return {};
     return {atoms_at_.data() + run->begin, run[1].begin - run->begin};
   }
+  /// The columns dense term `dense` occurs in, one bit per column.
+  uint64_t ColumnMask(uint32_t dense) const { return column_masks_[dense]; }
+  /// ColumnMask of any term: 0 for a term outside the target.
+  uint64_t TermColumnMask(Term t) const {
+    const uint32_t d = DenseOf(t);
+    return d == kNone ? 0 : column_masks_[d];
+  }
+  /// The mask bit of column (lp, pos); lp must be a target predicate.
+  uint64_t ColumnBit(uint32_t lp, size_t pos) const {
+    if (column_start_.back() > kMaskColumns) return 1;
+    return uint64_t{1} << (column_start_[lp] + pos);
+  }
   /// Heap bytes of the bucket directory (not of the interned tuples).
   size_t DirectoryBytes() const;
 
@@ -100,6 +123,7 @@ class DenseTarget {
   std::vector<uint32_t> term_runs_;
   std::vector<Run> runs_;
   std::vector<uint32_t> atoms_at_;
+  std::vector<uint64_t> column_masks_;  // per dense term
 };
 
 /// Exact decision of "do the pushed atoms map homomorphically into a fixed
@@ -113,6 +137,14 @@ class DenseTarget {
 ///
 /// How a push is absorbed, cheapest case first:
 ///
+///  * Argument forward check (before the push, by the caller). Each live
+///    variable keeps the OR of its domain values' column masks
+///    (DenseTarget), so ColumnMask(t) & ColumnBit(lp, pos) == 0 says in
+///    O(1) that no tuple the scan below could accept has a candidate of
+///    `t` at (lp, pos): an atom with `t` there is refuted, and a caller
+///    building atoms argument by argument skips the choice without
+///    pushing it. The mask is set when a domain is born, recomputed when
+///    it shrinks and restored by the trail on pop.
 ///  * Forward checking. Every mappable term (variable or null; terms bound
 ///    by `fixed` count as pre-bound variables) carries a *candidate
 ///    domain*: the target terms it can still take under the per-atom
@@ -183,6 +215,10 @@ class IncrementalHomomorphism {
     size_t repair_steps = 0;
     /// Pushes onto an already-failed prefix (free, hereditary NO).
     size_t dead_prefix = 0;
+    /// Argument choices a caller skipped on ColumnMask instead of pushing
+    /// them. The session never counts these itself; the caller that reads
+    /// the masks adds its own count where it reports the session's.
+    size_t arg_prunes = 0;
   };
 
   /// Binds the session to `target`, which must outlive it and may be
@@ -218,6 +254,24 @@ class IncrementalHomomorphism {
 
   const Stats& stats() const { return stats_; }
 
+  /// The target columns a pushed atom may still hold `t` in (DenseTarget's
+  /// column masks): for a live variable, the OR over its domain (0 for a
+  /// fixed seed whose image is outside the target); all ones for a
+  /// variable or null the pushed atoms do not mention; for a constant, its
+  /// own mask (0 outside the target). A bit `ColumnBit(lp, pos)` missing
+  /// from it means an atom with `t` at (lp, pos) is refuted by PushAtom.
+  /// One scan of the live variables; no hashing for a variable.
+  uint64_t ColumnMask(Term t) const {
+    const uint32_t id = FindVar(t);
+    if (id != kNoDense) return vars_[id].mask;
+    if (t.IsVariable() || t.IsNull()) return ~uint64_t{0};
+    return target_.TermColumnMask(t);
+  }
+
+  /// The live candidate domain of `t` as dense target ids, in no order;
+  /// empty when `t` is not a live variable. For tests.
+  std::vector<uint32_t> Domain(Term t) const;
+
   /// Attaches a cooperative cancellation token polled inside the repair
   /// DFS (the only super-linear path; nullptr = not cancellable, the
   /// default). A fired token makes the in-flight repair fail as if the
@@ -240,10 +294,12 @@ class IncrementalHomomorphism {
   /// survivors into that prefix so a trail entry (old active size) undoes
   /// it exactly. `where[d]` is 1 + the slot of dense id d in `values`
   /// (0 = absent), maintained across the permutations for O(1) membership.
+  /// `mask` is the OR of the active values' column masks.
   struct VarState {
     std::vector<uint32_t> values;
     std::vector<uint32_t> where;  // sized num_terms; zeroed on release
     size_t active = 0;
+    uint64_t mask = 0;
     uint32_t bound = kNoDense;  // dense witness image; kNoDense = unbound
     Term fixed_term;            // witness image of a fixed seed (verbatim)
     bool is_fixed = false;
@@ -252,8 +308,13 @@ class IncrementalHomomorphism {
   /// Undo record of one push, plus the level's slice of the repair search
   /// space (its compatible tuples and its position→variable pattern).
   struct Level {
-    /// (var index, active size before this push's shrink).
-    std::vector<std::pair<uint32_t, uint32_t>> trail;
+    /// A variable's state before this push's shrink.
+    struct Shrink {
+      uint32_t var;
+      uint32_t active;
+      uint64_t mask;
+    };
+    std::vector<Shrink> trail;
     /// Variables first seen in this push (a suffix of the var stack);
     /// PopAtom releases them, so lifetime is purely stack-based.
     std::vector<uint32_t> fresh;

@@ -351,7 +351,8 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
            {"repairs", static_cast<int64_t>(o.hom.repairs)},
            {"repair_fails", static_cast<int64_t>(o.hom.repair_fails)},
            {"repair_steps", static_cast<int64_t>(o.hom.repair_steps)},
-           {"dead_prefix", static_cast<int64_t>(o.hom.dead_prefix)}});
+           {"dead_prefix", static_cast<int64_t>(o.hom.dead_prefix)},
+           {"arg_prunes", static_cast<int64_t>(o.hom.arg_prunes)}});
     }
   };
 

@@ -907,22 +907,29 @@ struct HpPlan {
 /// distinct head variables, the pool variables up to the next fresh one
 /// (fresh variables are introduced in order; `used` is the frontier of
 /// pool variables consumed so far), then the known constants. Calls
-/// fn(term, frontier after the term, classifier vertex of the term): head
-/// variable j is vertex j, pool variable i is vertex |head_vars| + i, and
-/// constants (which never connect) are -1. The plan builder and the
-/// workers share this walk, so they enumerate in the same order.
+/// fn(term, frontier after the term, classifier vertex of the term, choice
+/// index of the term): head variable j is vertex j, pool variable i is
+/// vertex |head_vars| + i, and constants (which never connect) are -1.
+/// The choice index numbers the constants first, so it does not depend on
+/// the head pattern: constant c is choice c, pool variable i is choice
+/// |constants| + i and head variable j is choice |constants| + |pool| +
+/// j. The plan builder and the workers share this walk, so they enumerate
+/// in the same order.
 template <typename Fn>
 void ForEachChoice(const HpPlan& hp, const EnumSignature& sig, size_t used,
                    Fn&& fn) {
   const size_t heads = hp.head_vars.size();
+  const size_t constants = sig.constants.size();
+  const size_t head_choice = constants + sig.pool.size();
   for (size_t j = 0; j < heads; ++j) {
-    fn(hp.head_vars[j], used, static_cast<int>(j));
+    fn(hp.head_vars[j], used, static_cast<int>(j), head_choice + j);
   }
   const size_t usable = std::min(used + 1, sig.pool.size());
   for (size_t i = 0; i < usable; ++i) {
-    fn(sig.pool[i], std::max(used, i + 1), static_cast<int>(heads + i));
+    fn(sig.pool[i], std::max(used, i + 1), static_cast<int>(heads + i),
+       constants + i);
   }
-  for (Term c : sig.constants) fn(c, used, -1);
+  for (size_t c = 0; c < constants; ++c) fn(sig.constants[c], used, -1, c);
 }
 
 /// One prefix atom of the unit plan, with what the DFS knows when it
@@ -1021,12 +1028,13 @@ ExhaustivePlan BuildExhaustivePlan(const ConjunctiveQuery& q,
         fn({Atom(p, args), used, verts});
         return;
       }
-      ForEachChoice(hp, sig, used, [&](Term t, size_t next_used, int vertex) {
-        args[pos] = t;
-        verts.push_back(vertex);
-        go(pos + 1, next_used);
-        verts.pop_back();
-      });
+      ForEachChoice(hp, sig, used,
+                    [&](Term t, size_t next_used, int vertex, size_t) {
+                      args[pos] = t;
+                      verts.push_back(vertex);
+                      go(pos + 1, next_used);
+                      verts.pop_back();
+                    });
     };
     go(0, used0);
   };
@@ -1090,11 +1098,26 @@ class ExhaustiveWorker : public UnitWorker {
         plan_(plan),
         sig_(sig),
         max_atoms_(max_atoms),
+        chase_(chase),
         hom_(chase),
         path_(max_atoms) {
     // The incremental session bails from repair search once the token
     // fires; RunUnit then reports the unit truncated.
     hom_.SetCancel(cancel_);
+    // One row of choice masks per DFS depth, allocated here once. The
+    // constants' masks lead every row and never change.
+    size_t heads = 0;
+    for (const HpPlan& hp : plan.hps) {
+      heads = std::max(heads, hp.head_vars.size());
+    }
+    mask_stride_ = sig.constants.size() + sig.pool.size() + heads;
+    choice_masks_.resize(max_atoms * mask_stride_);
+    for (size_t d = 0; d < max_atoms; ++d) {
+      for (size_t c = 0; c < sig.constants.size(); ++c) {
+        choice_masks_[d * mask_stride_ + c] =
+            chase.TermColumnMask(sig.constants[c]);
+      }
+    }
   }
 
   SearchUnitOutcome RunUnit(size_t unit,
@@ -1125,6 +1148,7 @@ class ExhaustiveWorker : public UnitWorker {
     outcome->hom.repair_fails += hs.repair_fails;
     outcome->hom.repair_steps += hs.repair_steps;
     outcome->hom.dead_prefix += hs.dead_prefix;
+    outcome->hom.arg_prunes += arg_prunes_;
   }
 
  private:
@@ -1252,18 +1276,45 @@ class ExhaustiveWorker : public UnitWorker {
     if (found_ || depth_ >= max_atoms_) return;
     // Search runs below max_atoms_ atoms, so its depth has a slot.
     ArgSlot& slot = path_[depth_];
+    FillChoiceMasks();
     for (size_t k = 0; k < sig_.predicates.size(); ++k) {
+      // No chase atom has the predicate: every push of it is refuted.
+      const uint32_t lp = chase_.LocalPred(sig_.predicates[k]);
+      if (lp == DenseTarget::kNone) continue;
       slot.pred = sig_.predicates[k];
       slot.args.resize(sig_.arities[k]);
       slot.verts.resize(sig_.arities[k]);
-      BuildArgs(slot, 0, used_frontier_);
+      BuildArgs(slot, lp, 0, used_frontier_);
       if (truncated_ || found_) return;
     }
   }
 
-  /// Fills `slot` (the path's next depth) position by position; a full
-  /// tuple above the path's last atom is pushed and searched below.
-  void BuildArgs(ArgSlot& slot, size_t pos, size_t used) {
+  /// The argument forward check's masks at this node, in depth_'s row
+  /// after the constants' (written once by the constructor): the columns
+  /// the hom session still allows each pool and head variable. Pool
+  /// variables past the path's frontier are in no pushed atom, so every
+  /// column is open to them.
+  void FillChoiceMasks() {
+    uint64_t* pool_masks = &choice_masks_[depth_ * mask_stride_] +
+                           sig_.constants.size();
+    for (size_t i = 0; i < sig_.pool.size(); ++i) {
+      pool_masks[i] =
+          i < used_frontier_ ? hom_.ColumnMask(sig_.pool[i]) : ~uint64_t{0};
+    }
+    uint64_t* head_masks = pool_masks + sig_.pool.size();
+    for (size_t j = 0; j < hp_plan_->head_vars.size(); ++j) {
+      head_masks[j] = hom_.ColumnMask(hp_plan_->head_vars[j]);
+    }
+  }
+
+  /// Fills `slot` (the path's next depth, of chase predicate `lp`)
+  /// position by position; a full tuple above the path's last atom is
+  /// pushed and searched below. A choice whose mask lacks its position's
+  /// column bit is skipped: every atom completing it would be refuted by
+  /// the hom push's scan (no chase tuple has a candidate of the term at
+  /// that column), so no visit, candidate or truncation point moves —
+  /// only pushes that would fail are saved.
+  void BuildArgs(ArgSlot& slot, uint32_t lp, size_t pos, size_t used) {
     if (truncated_ || found_) return;
     if (pos == slot.args.size()) {
       // Canonical growth: strictly increasing atom order (so no duplicate
@@ -1301,17 +1352,24 @@ class ExhaustiveWorker : public UnitWorker {
     // `used` carries the frontier (pool variables consumed by the path
     // plus the args prefix) down the recursion instead of rescanning the
     // path and prefix.
+    const uint64_t* masks = &choice_masks_[depth_ * mask_stride_];
+    const uint64_t bit = chase_.ColumnBit(lp, pos);
     ForEachChoice(*hp_plan_, sig_, used,
-                  [&](Term t, size_t next_used, int vertex) {
+                  [&](Term t, size_t next_used, int vertex, size_t choice) {
+                    if ((masks[choice] & bit) == 0) {
+                      ++arg_prunes_;
+                      return;
+                    }
                     slot.args[pos] = t;
                     slot.verts[pos] = vertex;
-                    BuildArgs(slot, pos + 1, next_used);
+                    BuildArgs(slot, lp, pos + 1, next_used);
                   });
   }
 
   const ExhaustivePlan& plan_;
   const EnumSignature& sig_;
   const size_t max_atoms_;
+  const DenseTarget& chase_;
   /// Incremental chase-homomorphism session: PushAtom/PopAtom mirror inc_'s
   /// PushEdge/PopEdge along the DFS path — the certificate that the
   /// candidate maps into the chase with the head bound position-wise.
@@ -1337,6 +1395,12 @@ class ExhaustiveWorker : public UnitWorker {
   /// frontier), maintained incrementally across atom pushes/pops.
   size_t used_frontier_ = 0;
   std::vector<size_t> frontier_stack_;
+  /// The argument forward check (BuildArgs): per DFS depth, a row of
+  /// mask_stride_ masks, one per choice (ForEachChoice's index), and the
+  /// count of choices it skipped.
+  size_t mask_stride_ = 0;
+  std::vector<uint64_t> choice_masks_;
+  size_t arg_prunes_ = 0;
 };
 
 }  // namespace

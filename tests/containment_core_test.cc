@@ -150,6 +150,25 @@ TEST(IsomorphismTest, ConstantsMustAgree) {
   EXPECT_TRUE(AreIsomorphic(q1, q3));
 }
 
+TEST(IsomorphismTest, HeadNullsStayPutInTheBody) {
+  // A labeled null in the head is compared by identity, and the body
+  // homomorphism must keep it there: q(_:0) :- R(_:0), S(_:1) and
+  // q(_:0) :- R(_:1), S(_:0) differ (the head null sits in R resp. S),
+  // while renaming the body-only null is an isomorphism.
+  Predicate r = Predicate::Get("IsoNullR", 1);
+  Predicate s = Predicate::Get("IsoNullS", 1);
+  Term n0 = Term::FreshNull();
+  Term n1 = Term::FreshNull();
+  Term n2 = Term::FreshNull();
+  ConjunctiveQuery q1({n0}, {Atom(r, {n0}), Atom(s, {n1})});
+  ConjunctiveQuery swapped({n0}, {Atom(r, {n1}), Atom(s, {n0})});
+  ConjunctiveQuery renamed({n0}, {Atom(r, {n0}), Atom(s, {n2})});
+  EXPECT_FALSE(AreIsomorphic(q1, swapped));
+  EXPECT_FALSE(AreIsomorphic(swapped, q1));
+  EXPECT_TRUE(AreIsomorphic(q1, renamed));
+  EXPECT_TRUE(AreIsomorphic(renamed, q1));
+}
+
 TEST(IsomorphismTest, RepeatedVariablePatterns) {
   ConjunctiveQuery q1 = MustParseQuery("T(x,x,y)");
   ConjunctiveQuery q2 = MustParseQuery("T(u,u,v)");

@@ -434,6 +434,212 @@ TEST(IncrementalHomTest, FailingRepairIsLinearOnAPath) {
   EXPECT_LE(hom.stats().repair_steps, 4 * kPath);
 }
 
+/// Checks the argument forward check's masks against the domains. For
+/// every term in `live`, the bit of column (lp, pos) is set iff some
+/// domain value has a non-empty Bucket(lp, pos, value), and no bit past
+/// the target's columns is set; a term in `unmentioned` (a variable no
+/// pushed atom holds) has every column open. Targets of at most 64
+/// columns only.
+void ExpectMasksMatchDomains(const IncrementalHomomorphism& hom,
+                             const DenseTarget& dense,
+                             const std::vector<Predicate>& preds,
+                             const std::vector<Term>& live,
+                             const std::vector<Term>& unmentioned,
+                             const std::string& context) {
+  size_t columns = 0;
+  for (Predicate p : preds) columns += static_cast<size_t>(p.arity());
+  ASSERT_LE(columns, DenseTarget::kMaskColumns);
+  for (Term t : live) {
+    const uint64_t mask = hom.ColumnMask(t);
+    const std::vector<uint32_t> domain = hom.Domain(t);
+    if (columns < 64) {
+      ASSERT_EQ(mask >> columns, 0u) << context << " " << t.ToString();
+    }
+    for (Predicate p : preds) {
+      const uint32_t lp = dense.LocalPred(p);
+      for (size_t pos = 0; pos < static_cast<size_t>(p.arity()); ++pos) {
+        bool occurs = false;
+        for (uint32_t d : domain) {
+          occurs = occurs || dense.Bucket(lp, pos, d).size > 0;
+        }
+        ASSERT_EQ((mask & dense.ColumnBit(lp, pos)) != 0, occurs)
+            << context << " " << t.ToString() << " at " << p.ToString()
+            << " position " << pos;
+      }
+    }
+  }
+  for (Term t : unmentioned) {
+    ASSERT_EQ(hom.ColumnMask(t), ~uint64_t{0})
+        << context << " " << t.ToString();
+  }
+}
+
+TEST(IncrementalHomTest, ColumnMasksTrackTheDomainsThroughPushAndPop) {
+  // Random small targets over unary, binary and ternary predicates (six
+  // columns), random push/pop walks over pool variables, a head variable
+  // seeded into the target, a seed whose image is outside it, target
+  // constants and a constant outside the target. Whenever the stack maps,
+  // every variable's mask must equal the OR of its domain's columns — so
+  // a mask left shrunk by a pop, or not narrowed by a push, shows.
+  std::mt19937_64 rng(71);
+  const std::vector<Predicate> preds = {Predicate::Get("CmA", 1),
+                                        Predicate::Get("CmB", 2),
+                                        Predicate::Get("CmC", 3)};
+  std::vector<Term> constants;
+  for (int i = 0; i < 6; ++i) {
+    constants.push_back(Term::Constant("cm" + std::to_string(i)));
+  }
+  const Term outside = Term::Constant("cmOutside");
+  const Term head = Term::Variable("cmHead");
+  const Term gone = Term::Variable("cmGone");
+  std::vector<Term> pool;
+  for (int i = 0; i < 4; ++i) {
+    pool.push_back(Term::Variable("cm$" + std::to_string(i)));
+  }
+  size_t checks = 0;
+  size_t shrinking_pops = 0;
+  for (int round = 0; round < 30; ++round) {
+    Instance target;
+    const int atoms = 4 + static_cast<int>(rng() % 12);
+    for (int i = 0; i < atoms; ++i) {
+      const Predicate p = preds[rng() % preds.size()];
+      std::vector<Term> args;
+      // The last constant is rarely used, so it is often outside.
+      for (int a = 0; a < p.arity(); ++a) {
+        args.push_back(constants[rng() % (rng() % 8 == 0 ? 6 : 5)]);
+      }
+      target.Insert(Atom(p, std::move(args)));
+    }
+    const DenseTarget dense(target);
+    const std::vector<Predicate> present = target.Predicates();
+    const std::string name = "round " + std::to_string(round);
+
+    // A constant's mask is its own columns, 0 outside the target.
+    IncrementalHomomorphism hom(dense);
+    hom.Reset();
+    EXPECT_EQ(hom.ColumnMask(outside), 0u) << name;
+    EXPECT_EQ(dense.TermColumnMask(outside), 0u) << name;
+    for (Term c : constants) {
+      const uint32_t d = dense.DenseOf(c);
+      EXPECT_EQ(hom.ColumnMask(c),
+                d == DenseTarget::kNone ? 0 : dense.ColumnMask(d))
+          << name << " " << c.ToString();
+    }
+
+    const std::vector<Term> domain_terms = target.ActiveDomain();
+    for (int walk = 0; walk < 16; ++walk) {
+      Substitution seeds;
+      if (walk % 2 == 1) {
+        seeds.emplace(head, domain_terms[rng() % domain_terms.size()]);
+        seeds.emplace(gone, outside);
+      }
+      hom.Reset(seeds);
+      if (!seeds.empty()) {
+        // A seed outside the target has no column open.
+        EXPECT_EQ(hom.ColumnMask(gone), 0u) << name;
+      }
+      std::vector<Atom> stack;
+      auto check = [&](const std::string& context) {
+        if (!hom.found()) return;
+        std::vector<Term> live, unmentioned;
+        std::vector<Term> vars = pool;
+        for (Term v : {head, gone}) {
+          (seeds.count(v) != 0 ? live : vars).push_back(v);
+        }
+        for (Term v : vars) {
+          bool mentioned = false;
+          for (const Atom& a : stack) {
+            for (Term t : a.args()) mentioned = mentioned || t == v;
+          }
+          (mentioned ? live : unmentioned).push_back(v);
+        }
+        ExpectMasksMatchDomains(hom, dense, present, live, unmentioned,
+                                context);
+        ++checks;
+      };
+      for (int step = 0; step < 16; ++step) {
+        const std::string context = name + " walk " + std::to_string(walk) +
+                                    " step " + std::to_string(step);
+        if (stack.empty() || rng() % 3 != 0) {
+          const Predicate p = present[rng() % present.size()];
+          std::vector<Term> args;
+          for (int a = 0; a < p.arity(); ++a) {
+            const uint64_t kind = rng() % 10;
+            args.push_back(kind == 0   ? constants[rng() % constants.size()]
+                           : kind == 1 ? outside
+                           : kind == 2 ? head
+                           : kind == 3 ? gone
+                                       : pool[rng() % pool.size()]);
+          }
+          stack.emplace_back(p, std::move(args));
+          hom.PushAtom(AtomView::Of(stack.back()));
+        } else {
+          // Count the pops that widen an older variable's domain again:
+          // the check after them catches a mask the trail left narrow.
+          std::vector<std::vector<uint32_t>> domains;
+          for (Term v : pool) domains.push_back(hom.Domain(v));
+          stack.pop_back();
+          hom.PopAtom();
+          for (size_t i = 0; i < pool.size(); ++i) {
+            if (hom.Domain(pool[i]).size() > domains[i].size() &&
+                !domains[i].empty()) {
+              ++shrinking_pops;
+            }
+          }
+        }
+        check(context);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(checks, 500u);
+  EXPECT_GT(shrinking_pops, 20u);
+}
+
+TEST(IncrementalHomTest, ColumnMasksFallBackToAllOnesPastSixtyFourColumns) {
+  // 33 binary predicates make 66 columns, more than a mask word holds:
+  // every target term's mask is all ones and every column bit is bit 0,
+  // so only a term outside the target (or a seed mapped there) has a
+  // column closed. Pushes stay exact regardless.
+  Instance target;
+  std::vector<Predicate> preds;
+  for (int i = 0; i < 33; ++i) {
+    preds.push_back(Predicate::Get("FbP" + std::to_string(i), 2));
+    target.Insert(Atom(preds.back(),
+                       {Term::Constant("fb" + std::to_string(i)),
+                        Term::Constant("fb" + std::to_string(i + 1))}));
+  }
+  const DenseTarget dense(target);
+  for (Predicate p : preds) {
+    const uint32_t lp = dense.LocalPred(p);
+    ASSERT_NE(lp, DenseTarget::kNone);
+    EXPECT_EQ(dense.ColumnBit(lp, 0), 1u);
+    EXPECT_EQ(dense.ColumnBit(lp, 1), 1u);
+  }
+  for (uint32_t d = 0; d < dense.num_terms(); ++d) {
+    EXPECT_EQ(dense.ColumnMask(d), ~uint64_t{0});
+  }
+  const Term outside = Term::Constant("fbOutside");
+  EXPECT_EQ(dense.TermColumnMask(outside), 0u);
+
+  Term x = Term::Variable("fbx");
+  Term y = Term::Variable("fby");
+  Term seed = Term::Variable("fbSeed");
+  IncrementalHomomorphism hom(dense);
+  hom.Reset({{seed, outside}});
+  EXPECT_EQ(hom.ColumnMask(seed), 0u);
+  EXPECT_EQ(hom.ColumnMask(outside), 0u);
+  EXPECT_EQ(hom.ColumnMask(x), ~uint64_t{0});
+  EXPECT_TRUE(hom.PushAtom(AtomView::Of(Atom(preds[0], {x, y}))));
+  EXPECT_EQ(hom.ColumnMask(x), ~uint64_t{0});
+  EXPECT_EQ(hom.Domain(x).size(), 1u);
+  // x is fb0, which no FbP5 tuple has first: the open mask does not
+  // prune it, and the push refutes it exactly.
+  EXPECT_NE(hom.ColumnMask(x) & dense.ColumnBit(dense.LocalPred(preds[5]), 0),
+            0u);
+  EXPECT_FALSE(hom.PushAtom(AtomView::Of(Atom(preds[5], {x, y}))));
+}
+
 TEST(IncrementalHomTest, SteadyStatePushPopCyclesAllocateNothing) {
   // One push/pop cycle that takes every push path with fresh variables:
   // E(x,y) extends the witness (x=a, y=b), E(y,z) forces a repair (y
