@@ -884,5 +884,77 @@ TEST(ContainmentOracleTest, PooledChecksAgreeWithContainedUnderOnAnyThread) {
   EXPECT_GT(yes, 0u);
 }
 
+// ------------------------------------------------- exhaustive search pins --
+
+/// One exhaustive search and its committed outcome: the work counts, the
+/// answer and the witness text ("" when there is none).
+struct ExhaustivePin {
+  const char* q;
+  const char* sigma;
+  size_t max_atoms;
+  size_t budget;
+  size_t visits, candidates, hom_pushes, classifier_pushes;
+  const char* answer;
+  const char* witness;
+};
+
+TEST(ExhaustiveSearchTest, TernaryConstantHeadOutcomesArePinned) {
+  // The canonical-growth order compares predicate ids, then argument
+  // handles by raw bits, so it interleaves head variables ("h$<j>"), pool
+  // variables ("w$<i>") and constants by interning order. The rows of
+  // bench_witness_pipeline use binary predicates and the decide-hard
+  // queries are Boolean; these use a ternary predicate, a constant and a
+  // non-Boolean head. The predicates and variable names are interned here
+  // first, in a fixed order (Ep below Tp, though the queries mention Tp
+  // first; head and pool variables alternating), so the enumeration does
+  // not depend on which tests ran before; the assertions check that it
+  // took. The pinned values were recorded before the argument walk was
+  // bounded by the order, and hold after it.
+  const uint32_t ep = Predicate::Get("Ep", 2).id();
+  ASSERT_LT(ep, Predicate::Get("Tp", 3).id());
+  const char* kOrder[] = {"w$0", "h$0", "w$1", "h$1", "w$2", "w$3", "h$2"};
+  std::vector<uint32_t> bits;
+  for (const char* name : kOrder) {
+    bits.push_back(Term::Variable(name).raw_bits());
+  }
+  for (size_t i = 1; i < bits.size(); ++i) {
+    ASSERT_LT(bits[i - 1], bits[i])
+        << kOrder[i - 1] << " was interned after " << kOrder[i];
+  }
+  const ExhaustivePin kPins[] = {
+      {"q(x,z) :- Tp(x,y,'pin'), Tp(y,z,x), Ep(z,x), Ep(x,y)",
+       "Tp(x,y,w), Tp(y,z,x) -> Ep(z,x), Ep(x,y).", 3, 5000, 72, 11, 193,
+       193, "yes",
+       "q(h$0,h$1) :- Tp(h$0,w$0,w$1), Tp(h$0,w$2,'pin'), Tp(w$2,h$1,h$0)"},
+      {"q(x,x,y) :- Tp(x,y,z), Ep(y,z), Ep(z,x), Ep(z,'pin')",
+       "Tp(x,y,z) -> Ep(y,z), Ep(z,x).", 3, 5000, 968, 243, 2295, 2295,
+       "yes",
+       "q(h$0,h$0,h$1) :- Ep(w$0,h$0), Ep(w$1,'pin'), Tp(h$0,h$1,w$1)"},
+      {"q(y,x) :- Tp(x,y,z), Tp(z,y,x), Ep(z,'pin'), Ep(x,z)",
+       "Tp(x,y,z) -> Tp(z,y,x).", 4, 3000, 3001, 929, 5171, 5171, "unknown",
+       ""},
+  };
+  for (const ExhaustivePin& pin : kPins) {
+    const ConjunctiveQuery q = MustParseQuery(pin.q);
+    const DependencySet sigma = MustParseDependencySet(pin.sigma);
+    ChaseOptions chase_options;
+    obs::MetricsRegistry metrics({}, {});
+    const QueryChaseResult chase = ChaseQuery(q, sigma, chase_options);
+    const ContainmentOracle oracle(q, sigma, chase_options, RewriteOptions(),
+                                   SchemaFacts::Compute(sigma), &metrics);
+    const WitnessSearchOutcome o = ExhaustiveWitnessSearch(
+        q, sigma, chase, oracle, pin.max_atoms, pin.budget, 1,
+        AcyclicityClass::kAlpha);
+    EXPECT_EQ(o.visits, pin.visits) << pin.q;
+    EXPECT_EQ(o.candidates_tested, pin.candidates) << pin.q;
+    EXPECT_EQ(o.hom.pushes, pin.hom_pushes) << pin.q;
+    EXPECT_EQ(o.classifier_pushes, pin.classifier_pushes) << pin.q;
+    EXPECT_STREQ(ToString(o.answer), pin.answer) << pin.q;
+    EXPECT_EQ(o.witness.has_value() ? o.witness->ToString() : "",
+              pin.witness)
+        << pin.q;
+  }
+}
+
 }  // namespace
 }  // namespace semacyc
