@@ -10,8 +10,10 @@
 //  E-P3  the exhaustive rows best-of-3 with the incremental chase-
 //        homomorphism session split (pushes, domain wipeouts, repairs and
 //        the candidate tuples they tried, and the argument choices the
-//        DFS skipped on the session's column masks before any push) and
-//        the heap allocations per DFS visit, counted like E-P6's. Under
+//        DFS skipped on the session's column masks before any push), the
+//        classifier's alpha verdicts by route (bitset GYO run or
+//        inherited across an ear push) and the heap allocations per DFS
+//        visit, counted like E-P6's. Under
 //        --gate every row's deterministic work counts but the repair ones
 //        must equal the committed ones, and a row whose allocations per
 //        visit rise above its committed ceiling fails.
@@ -309,21 +311,27 @@ int WitnessRows(bench::JsonReport* report, bool gate) {
 /// a candidate reaches the oracle as views, unbuilt. The guarded row's
 /// ceiling is the oracle's: it chases about one candidate per five
 /// visits, at eight allocations each (E-P6's guarded row).
-/// `arg_prunes` is the argument choices the DFS skipped before any push;
-/// the clique and cycle rows, whose every chase term sits in every
-/// column, never skip one.
+/// `arg_prunes` is the argument choices the DFS skipped on the column
+/// masks before any push (choices the canonical-growth order rules out
+/// first are not tried, so not counted); the clique and cycle rows, whose
+/// every chase term sits in every column, never skip one. `gyo_runs` and
+/// `inherited` are the classifier's α verdicts by route: a bitset GYO run,
+/// or the verdict below an ear push (0 for the β and Berge rows).
 struct PinnedHomCounts {
   const char* workload;
   size_t visits, candidates, pushes, wipeouts, repair_fails, arg_prunes;
+  size_t gyo_runs, inherited;
   double max_allocations;
 };
 constexpr PinnedHomCounts kPinnedHomCounts[] = {
-    {"exhaustive-alpha-k4", 607719, 109072, 711084, 103366, 0, 0, 0.02},
-    {"exhaustive-alpha-c6", 7224, 3403, 11858, 2199, 2436, 0, 0.10},
-    {"exhaustive-beta-k4", 2636, 1008, 3371, 736, 0, 0, 0.17},
-    {"exhaustive-berge-k4", 1741, 616, 2298, 558, 0, 0, 0.26},
-    {"exhaustive-alpha-guarded", 10001, 2115, 15018, 2338, 2680, 47530,
-     1.92},
+    {"exhaustive-alpha-k4", 607719, 109072, 711084, 103366, 0, 0, 93020,
+     22404, 0.02},
+    {"exhaustive-alpha-c6", 7224, 3403, 11858, 2199, 2436, 0, 531, 2958,
+     0.10},
+    {"exhaustive-beta-k4", 2636, 1008, 3371, 736, 0, 0, 0, 0, 0.17},
+    {"exhaustive-berge-k4", 1741, 616, 2298, 558, 0, 0, 0, 0, 0.26},
+    {"exhaustive-alpha-guarded", 10001, 2115, 15018, 2338, 2680, 12873,
+     1180, 2785, 1.92},
 };
 
 /// Returns the number of rows whose work counts moved (0 when not gating).
@@ -336,8 +344,8 @@ int HomRows(bench::JsonReport* report, bool gate) {
       "gated under --gate");
   bench::Table table({"workload", "ms", "visits", "cand", "pushes",
                       "wipeouts", "repairs", "repair fails",
-                      "repair steps", "arg prunes", "allocs/visit",
-                      "ceiling"});
+                      "repair steps", "arg prunes", "gyo runs",
+                      "inherited", "allocs/visit", "ceiling"});
   int failures = 0;
   for (const Workload& w : Workloads()) {
     if (w.kind != Kind::kExhaustive) continue;
@@ -369,7 +377,9 @@ int HomRows(bench::JsonReport* report, bool gate) {
                   std::to_string(o.hom.repairs),
                   std::to_string(o.hom.repair_fails),
                   std::to_string(o.hom.repair_steps),
-                  std::to_string(o.hom.arg_prunes), allocs, ceiling_text});
+                  std::to_string(o.hom.arg_prunes),
+                  std::to_string(o.alpha_gyo_runs),
+                  std::to_string(o.alpha_inherited), allocs, ceiling_text});
     report->AddRow(
         "hom",
         {{"workload", bench::JsonReport::Str(w.name)},
@@ -385,6 +395,9 @@ int HomRows(bench::JsonReport* report, bool gate) {
          {"hom_repair_steps",
           bench::JsonReport::Num(Count(o.hom.repair_steps))},
          {"arg_prunes", bench::JsonReport::Num(Count(o.hom.arg_prunes))},
+         {"alpha_gyo_runs", bench::JsonReport::Num(Count(o.alpha_gyo_runs))},
+         {"alpha_inherited",
+          bench::JsonReport::Num(Count(o.alpha_inherited))},
          {"allocations_per_visit", bench::JsonReport::Num(per_visit)},
          {"allocation_ceiling", bench::JsonReport::Num(ceiling)}});
     if (per_visit > ceiling) {
@@ -398,17 +411,21 @@ int HomRows(bench::JsonReport* report, bool gate) {
       if (o.visits == pin.visits && o.candidates_tested == pin.candidates &&
           o.hom.pushes == pin.pushes && o.hom.fc_rejects == pin.wipeouts &&
           o.hom.repair_fails == pin.repair_fails &&
-          o.hom.arg_prunes == pin.arg_prunes) {
+          o.hom.arg_prunes == pin.arg_prunes &&
+          o.alpha_gyo_runs == pin.gyo_runs &&
+          o.alpha_inherited == pin.inherited) {
         continue;
       }
       std::printf(
           "*** %s work counts moved: visits %zu (pinned %zu), candidates "
           "%zu (%zu), pushes %zu (%zu), wipeouts %zu (%zu), repair fails "
-          "%zu (%zu), arg prunes %zu (%zu)\n",
+          "%zu (%zu), arg prunes %zu (%zu), gyo runs %zu (%zu), inherited "
+          "%zu (%zu)\n",
           pin.workload, o.visits, pin.visits, o.candidates_tested,
           pin.candidates, o.hom.pushes, pin.pushes, o.hom.fc_rejects,
           pin.wipeouts, o.hom.repair_fails, pin.repair_fails,
-          o.hom.arg_prunes, pin.arg_prunes);
+          o.hom.arg_prunes, pin.arg_prunes, o.alpha_gyo_runs, pin.gyo_runs,
+          o.alpha_inherited, pin.inherited);
       if (gate) ++failures;
     }
   }

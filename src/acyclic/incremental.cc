@@ -18,9 +18,8 @@ IncrementalClassifier::IncrementalClassifier(AcyclicityClass target)
       min_violating_edges_(target == AcyclicityClass::kBerge ? 2 : 3) {}
 
 void IncrementalClassifier::EnsureVertex(int v) {
-  if (static_cast<size_t>(v) >= dense_id_.size()) {
-    dense_id_.resize(static_cast<size_t>(v) + 1, 0);
-    dense_epoch_.resize(static_cast<size_t>(v) + 1, 0);
+  if (static_cast<size_t>(v) >= vertices_.size()) {
+    vertices_.resize(static_cast<size_t>(v) + 1);
   }
 }
 
@@ -34,12 +33,13 @@ bool IncrementalClassifier::StackMeets() {
     if (work_count_ == work_sets_.size()) work_sets_.emplace_back();
     std::vector<int>& verts = work_sets_[work_count_++];
     verts.clear();
-    for (int v : edges_[f]) {
-      if (dense_epoch_[static_cast<size_t>(v)] != epoch_) {
-        dense_epoch_[static_cast<size_t>(v)] = epoch_;
-        dense_id_[static_cast<size_t>(v)] = next_id++;
+    for (int v : edges_[f].verts) {
+      VertexSlot& slot = vertices_[static_cast<size_t>(v)];
+      if (slot.epoch != epoch_) {
+        slot.epoch = epoch_;
+        slot.dense_id = next_id++;
       }
-      verts.push_back(dense_id_[static_cast<size_t>(v)]);
+      verts.push_back(slot.dense_id);
     }
     std::sort(verts.begin(), verts.end());
   }
@@ -48,12 +48,46 @@ bool IncrementalClassifier::StackMeets() {
 
 bool IncrementalClassifier::LazyMeets() {
   if (target_ == AcyclicityClass::kCyclic) return true;
-  if (depth_ < static_cast<size_t>(min_violating_edges_)) return true;
+  const size_t small = static_cast<size_t>(min_violating_edges_);
+  if (depth_ < small) return true;
+  Verdict& verdict = edges_[depth_ - 1].alpha;
+  if (verdict == Verdict::kUnknown) {
+    // The stack below: too small to violate, or decided since its top
+    // edge was pushed.
+    const Verdict below = depth_ - 1 < small ? Verdict::kMeets
+                                             : edges_[depth_ - 2].alpha;
+    if (below != Verdict::kUnknown && TopIsEar()) {
+      verdict = below;
+      ++alpha_inherited_;
+    } else {
+      verdict = AlphaRun() ? Verdict::kMeets : Verdict::kFails;
+      ++alpha_gyo_runs_;
+    }
+  }
+  return verdict == Verdict::kMeets;
+}
+
+bool IncrementalClassifier::TopIsEar() const {
+  const std::vector<int>& top = edges_[depth_ - 1].verts;
+  for (size_t f = 0; f + 1 < depth_; ++f) {
+    const std::vector<int>& below = edges_[f].verts;
+    bool holds = true;
+    for (size_t i = 0; i < top.size() && holds; ++i) {
+      const int v = top[i];
+      holds = vertices_[static_cast<size_t>(v)].edges == 1 ||
+              std::find(below.begin(), below.end(), v) != below.end();
+    }
+    if (holds) return true;
+  }
+  return false;
+}
+
+bool IncrementalClassifier::AlphaRun() {
   // One vertex bitmask per edge over dense ids (epoch stamps avoid
   // clearing the id map between calls); the path's vertex occurrences
   // bound its distinct vertices, hence the words a mask needs.
   size_t occurrences = 0;
-  for (size_t f = 0; f < depth_; ++f) occurrences += edges_[f].size();
+  for (size_t f = 0; f < depth_; ++f) occurrences += edges_[f].verts.size();
   const size_t words = std::max<size_t>(1, (occurrences + 63) / 64);
   // Edge masks, then the two masks BitsetAlpha counts alive edges into.
   scr_masks_.resize((depth_ + 2) * words);
@@ -62,13 +96,13 @@ bool IncrementalClassifier::LazyMeets() {
   int nv = 0;
   for (size_t f = 0; f < depth_; ++f) {
     uint64_t* mask = &scr_masks_[f * words];
-    for (int v : edges_[f]) {
-      const size_t u = static_cast<size_t>(v);
-      if (dense_epoch_[u] != epoch_) {
-        dense_epoch_[u] = epoch_;
-        dense_id_[u] = nv++;
+    for (int v : edges_[f].verts) {
+      VertexSlot& slot = vertices_[static_cast<size_t>(v)];
+      if (slot.epoch != epoch_) {
+        slot.epoch = epoch_;
+        slot.dense_id = nv++;
       }
-      const size_t id = static_cast<size_t>(dense_id_[u]);
+      const size_t id = static_cast<size_t>(slot.dense_id);
       mask[id / 64] |= uint64_t{1} << (id % 64);
     }
   }
@@ -283,18 +317,23 @@ bool IncrementalClassifier::ScratchBerge(int nv) {
 bool IncrementalClassifier::PushEdge(const std::vector<int>& verts) {
   ++pushes_;
   if (depth_ == edges_.size()) edges_.emplace_back();
-  std::vector<int>& edge = edges_[depth_];
+  Edge& slot = edges_[depth_];
   ++depth_;
-  edge.assign(verts.begin(), verts.end());
-  for (int v : edge) {
-    assert(v >= 0);
+  // Edges are a handful of vertices: a linear scan deduplicates them.
+  std::vector<int>& edge = slot.verts;
+  edge.clear();
+  for (int v : verts) {
+    if (v < 0 || std::find(edge.begin(), edge.end(), v) != edge.end()) {
+      continue;
+    }
+    edge.push_back(v);
     EnsureVertex(v);
+    ++vertices_[static_cast<size_t>(v)].edges;
   }
+  slot.alpha = Verdict::kUnknown;
   // Lazy targets keep only the edge stack; verdicts are computed on
   // demand in Meets().
   if (!hereditary_) return true;
-  std::sort(edge.begin(), edge.end());
-  edge.erase(std::unique(edge.begin(), edge.end()), edge.end());
   // Once violated, every deeper stack is a superset and stays violated.
   if (violated_at_ == 0 &&
       depth_ >= static_cast<size_t>(min_violating_edges_) && MayCloseCycle() &&
@@ -309,12 +348,9 @@ bool IncrementalClassifier::MayCloseCycle() const {
   // Berge cycle through the top edge: the cycle enters and leaves it
   // through two distinct vertices that lie in other edges.
   int shared = 0;
-  for (int v : edges_[depth_ - 1]) {
-    for (size_t f = 0; f + 1 < depth_; ++f) {
-      if (std::binary_search(edges_[f].begin(), edges_[f].end(), v)) {
-        if (++shared == 2) return true;
-        break;
-      }
+  for (int v : edges_[depth_ - 1].verts) {
+    if (vertices_[static_cast<size_t>(v)].edges > 1 && ++shared == 2) {
+      return true;
     }
   }
   return false;
@@ -325,6 +361,9 @@ void IncrementalClassifier::PopEdge() {
   ++pops_;
   if (violated_at_ == depth_) violated_at_ = 0;
   --depth_;
+  for (int v : edges_[depth_].verts) {
+    --vertices_[static_cast<size_t>(v)].edges;
+  }
 }
 
 }  // namespace semacyc::acyclic

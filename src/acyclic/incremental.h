@@ -30,17 +30,28 @@ namespace semacyc::acyclic {
 ///    which then shares two vertices with the edges below it.
 ///  * α-acyclicity is not hereditary (an edge covering a cycle repairs
 ///    it), so for kAlpha `CannotRecover()` is always false, a push only
-///    records the edge, and Meets() decides the whole stack on demand
-///    (bitset GYO; stacks of fewer than 3 edges need no run).
+///    records the edge, and Meets() decides the stack on demand, once per
+///    depth: the verdict is cached beside the depth's edge until the next
+///    push to that depth. Stacks of fewer than 3 edges need no decision.
+///    When the top edge is an *ear* — its vertices that occur in an edge
+///    below it all lie in one edge below it — and the stack below has a
+///    verdict, that verdict is inherited: GYO reduction is confluent
+///    (Brault-Baron), and removing the top edge's private vertices leaves
+///    it contained in that edge, so it goes too and exactly the stack
+///    below remains. Otherwise a bitset GYO run decides the whole stack.
+///    Per-vertex edge counts (kept with every target) find the shared
+///    vertices.
 ///
 /// Vertices are caller-chosen non-negative ids; the universe grows on
-/// demand. Edge buffers are pooled: steady-state push/pop cycles allocate
+/// demand. A negative id stands for a term that connects nothing (a
+/// constant) and is left out of the edge. Edge buffers are pooled: steady-state push/pop cycles allocate
 /// nothing.
 class IncrementalClassifier {
  public:
   explicit IncrementalClassifier(AcyclicityClass target);
 
-  /// Pushes an edge (vertex list; duplicates within the list are ignored).
+  /// Pushes an edge (vertex list; duplicates within the list and
+  /// negative ids are ignored).
   /// Returns Meets() for hereditary targets (for lazy targets the return
   /// value is always true; query Meets() when the verdict is needed).
   bool PushEdge(const std::vector<int>& verts);
@@ -66,21 +77,46 @@ class IncrementalClassifier {
   /// pushes() - pops() == depth().
   size_t pushes() const { return pushes_; }
   size_t pops() const { return pops_; }
+  /// Lifetime α verdicts by route (lazy path only; cached repeats count
+  /// in neither): decided by a bitset GYO run, or inherited from the
+  /// stack below an ear push.
+  size_t alpha_gyo_runs() const { return alpha_gyo_runs_; }
+  size_t alpha_inherited() const { return alpha_inherited_; }
 
  private:
+  enum class Verdict : uint8_t { kUnknown, kMeets, kFails };
+  /// One pooled stack slot: the edge's distinct vertices and, for the
+  /// lazy α path, the verdict of the stack up to and including it.
+  struct Edge {
+    std::vector<int> verts;
+    Verdict alpha = Verdict::kUnknown;
+  };
+  /// Per vertex id: the dense-id remapping by epoch stamps (StackMeets,
+  /// LazyMeets) and the number of live edges that contain the vertex.
+  struct VertexSlot {
+    int dense_id = 0;
+    unsigned epoch = 0;
+    int edges = 0;
+  };
+
   void EnsureVertex(int v);
   /// False when the top edge shares fewer than two vertices with the
   /// edges below it: it then closes no cycle, and a hereditary verdict
   /// that held below still holds.
   bool MayCloseCycle() const;
+  /// True when the top edge's vertices that occur in an edge below it all
+  /// lie in one edge below it (there is one: depth_ >= 2).
+  bool TopIsEar() const;
   /// Runs the target decider on the whole stack: interns its edges into
   /// work_sets_ with epoch-dense vertex ids.
   bool StackMeets();
-  /// Batch verdict over all pushed edges (the lazy α path): interns the
-  /// path's vertices to epoch-dense ids, builds one bitmask of as many
-  /// 64-bit words as the path's vertex occurrences need per edge, and runs
-  /// BitsetAlpha.
+  /// The lazy α verdict of the stack: cached per depth, inherited across
+  /// an ear push, else AlphaRun.
   bool LazyMeets();
+  /// Batch verdict over all pushed edges: interns the path's vertices to
+  /// epoch-dense ids, builds one bitmask of as many 64-bit words as the
+  /// path's vertex occurrences need per edge, and runs BitsetAlpha.
+  bool AlphaRun();
   /// GYO reduction over the per-edge bitmasks in scr_masks_ (the ear
   /// characterisation of α-acyclicity; Brault-Baron): allocation-free once
   /// the scratch has grown to the path's size.
@@ -103,16 +139,15 @@ class IncrementalClassifier {
   /// Depth of the push that first violated the (hereditary) target; 0
   /// while the stack meets it.
   size_t violated_at_ = 0;
-  /// Pooled edge stack: edges_[0..depth_) are live (sorted and
-  /// deduplicated for hereditary targets); slots above depth_ keep their
-  /// buffers for reuse.
-  std::vector<std::vector<int>> edges_;
+  /// Pooled edge stack: edges_[0..depth_) are live; slots above depth_
+  /// keep their buffers for reuse.
+  std::vector<Edge> edges_;
   size_t depth_ = 0;
   size_t pushes_ = 0;
   size_t pops_ = 0;
-  /// Dense vertex remapping by epoch stamps (StackMeets, LazyMeets).
-  std::vector<int> dense_id_;
-  std::vector<unsigned> dense_epoch_;
+  size_t alpha_gyo_runs_ = 0;
+  size_t alpha_inherited_ = 0;
+  std::vector<VertexSlot> vertices_;
   unsigned epoch_ = 0;
   /// Scratch edge sets for the allocation-free deciders. Inner vectors
   /// keep their capacity across calls; work_count_ bounds the live ones.

@@ -334,6 +334,9 @@ SemAcResult Engine::DecideUncached(const PreparedQuery& pq,
       timer.Counter("classifier_pushes",
                     static_cast<int64_t>(o.classifier_pushes));
       timer.Counter("classifier_pops", static_cast<int64_t>(o.classifier_pops));
+      timer.Counter("alpha_gyo_runs", static_cast<int64_t>(o.alpha_gyo_runs));
+      timer.Counter("alpha_inherited",
+                    static_cast<int64_t>(o.alpha_inherited));
       timer.Counter("budget", static_cast<int64_t>(*budget));
       timer.Counter("budget_remaining",
                     static_cast<int64_t>(*budget -

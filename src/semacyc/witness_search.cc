@@ -470,6 +470,8 @@ class UnitWorker {
   void AddStats(WitnessSearchOutcome* outcome) const {
     outcome->classifier_pushes += inc_.pushes();
     outcome->classifier_pops += inc_.pops();
+    outcome->alpha_gyo_runs += inc_.alpha_gyo_runs();
+    outcome->alpha_inherited += inc_.alpha_inherited();
     outcome->oracle_calls += oracle_calls_;
     outcome->oracle_check_ns += oracle_sampled_ns_ * kOracleSample;
     outcome->shared_set_locks += shared_set_locks_;
@@ -881,7 +883,8 @@ namespace {
 /// id, then argument handles lexicographically. Views, so a tuple is
 /// ordered before any atom is built for it. A predicate fixes its arity,
 /// so order-equal atoms are identical: "strictly above the last atom"
-/// also rules out duplicates.
+/// also rules out duplicates. The plan builder tests it on whole tuples;
+/// the workers' argument walk decides it position by position.
 bool AtomOrderLess(AtomView a, AtomView b) {
   if (a.pred != b.pred) return a.pred.id() < b.pred.id();
   for (size_t i = 0; i < a.arity && i < b.arity; ++i) {
@@ -1211,7 +1214,7 @@ class ExhaustiveWorker : public UnitWorker {
     slot.args.assign(pa.atom.args().begin(), pa.atom.args().end());
     slot.verts.assign(pa.verts.begin(), pa.verts.end());
     const AtomView atom = slot.view();
-    PushEdge(slot.verts);
+    inc_.PushEdge(slot.verts);
     bool ok = !inc_.CannotRecover();
     if (ok) {
       ok = hom_.PushAtom(atom);
@@ -1238,16 +1241,6 @@ class ExhaustiveWorker : public UnitWorker {
       frontier_stack_.pop_back();
       prefix_.pop_back();
     }
-  }
-
-  /// Classifier push of one atom's per-position vertices; constants
-  /// (-1) never connect, so they are left out.
-  void PushEdge(const std::vector<int>& verts) {
-    verts_scratch_.clear();
-    for (int v : verts) {
-      if (v >= 0) verts_scratch_.push_back(v);
-    }
-    inc_.PushEdge(verts_scratch_);
   }
 
   /// Head variable j is vertex j.
@@ -1277,14 +1270,20 @@ class ExhaustiveWorker : public UnitWorker {
     // Search runs below max_atoms_ atoms, so its depth has a slot.
     ArgSlot& slot = path_[depth_];
     FillChoiceMasks();
+    const ArgSlot* last = depth_ > 0 ? &path_[depth_ - 1] : nullptr;
     for (size_t k = 0; k < sig_.predicates.size(); ++k) {
+      const Predicate p = sig_.predicates[k];
+      // Canonical growth: no tuple of a predicate below the last atom's
+      // is above the last atom.
+      if (last != nullptr && p.id() < last->pred.id()) continue;
       // No chase atom has the predicate: every push of it is refuted.
-      const uint32_t lp = chase_.LocalPred(sig_.predicates[k]);
+      const uint32_t lp = chase_.LocalPred(p);
       if (lp == DenseTarget::kNone) continue;
-      slot.pred = sig_.predicates[k];
+      slot.pred = p;
       slot.args.resize(sig_.arities[k]);
       slot.verts.resize(sig_.arities[k]);
-      BuildArgs(slot, lp, 0, used_frontier_);
+      BuildArgs(slot, lp, 0, used_frontier_,
+                last != nullptr && p == last->pred);
       if (truncated_ || found_) return;
     }
   }
@@ -1309,27 +1308,31 @@ class ExhaustiveWorker : public UnitWorker {
 
   /// Fills `slot` (the path's next depth, of chase predicate `lp`)
   /// position by position; a full tuple above the path's last atom is
-  /// pushed and searched below. A choice whose mask lacks its position's
-  /// column bit is skipped: every atom completing it would be refuted by
-  /// the hom push's scan (no chase tuple has a candidate of the term at
-  /// that column), so no visit, candidate or truncation point moves —
-  /// only pushes that would fail are saved.
-  void BuildArgs(ArgSlot& slot, uint32_t lp, size_t pos, size_t used) {
+  /// pushed and searched below. Canonical growth (strictly increasing
+  /// AtomOrderLess, so no duplicate atoms) is decided position by
+  /// position: `tight` says the slot has the last atom's predicate and
+  /// the arguments so far equal its prefix, so a choice below the last
+  /// atom's argument at `pos` starts no tuple above it, an equal one
+  /// stays tight and a greater one frees the remaining positions; a tuple
+  /// still tight when complete is the last atom itself. A choice whose
+  /// mask lacks its position's column bit is skipped too: every atom
+  /// completing it would be refuted by the hom push's scan (no chase tuple
+  /// has a candidate of the term at that column). Either way no visit,
+  /// candidate or truncation point moves — only tuples that would be
+  /// dropped or pushes that would fail are saved.
+  void BuildArgs(ArgSlot& slot, uint32_t lp, size_t pos, size_t used,
+                 bool tight) {
     if (truncated_ || found_) return;
     if (pos == slot.args.size()) {
-      // Canonical growth: strictly increasing atom order (so no duplicate
-      // atoms), checked on the tuple.
+      if (tight) return;
       const AtomView atom = slot.view();
-      if (depth_ > 0 && !AtomOrderLess(path_[depth_ - 1].view(), atom)) {
-        return;
-      }
       size_t saved_frontier = used_frontier_;
       used_frontier_ = used;
       // The classifier push costs nanoseconds (scratch deciders), so it
       // runs before the chase homomorphism: a hereditarily violated prefix
       // can never recover, and pruning it here skips the hom for the whole
       // subtree.
-      PushEdge(slot.verts);
+      inc_.PushEdge(slot.verts);
       if (!inc_.CannotRecover()) {
         // Incremental per-atom chase check, mirroring the classifier's
         // push/pop discipline: the session's stack tracks the path, so
@@ -1354,15 +1357,18 @@ class ExhaustiveWorker : public UnitWorker {
     // path and prefix.
     const uint64_t* masks = &choice_masks_[depth_ * mask_stride_];
     const uint64_t bit = chase_.ColumnBit(lp, pos);
+    const uint32_t bound = tight ? path_[depth_ - 1].args[pos].raw_bits() : 0;
     ForEachChoice(*hp_plan_, sig_, used,
                   [&](Term t, size_t next_used, int vertex, size_t choice) {
+                    if (tight && t.raw_bits() < bound) return;
                     if ((masks[choice] & bit) == 0) {
                       ++arg_prunes_;
                       return;
                     }
                     slot.args[pos] = t;
                     slot.verts[pos] = vertex;
-                    BuildArgs(slot, lp, pos + 1, next_used);
+                    BuildArgs(slot, lp, pos + 1, next_used,
+                              tight && t.raw_bits() == bound);
                   });
   }
 
@@ -1390,7 +1396,6 @@ class ExhaustiveWorker : public UnitWorker {
   size_t depth_ = 0;
   /// The candidate's body views (TestCandidate).
   std::vector<AtomView> views_;
-  std::vector<int> verts_scratch_;
   /// Pool variables consumed by the path (the in-order-introduction
   /// frontier), maintained incrementally across atom pushes/pops.
   size_t used_frontier_ = 0;

@@ -162,6 +162,10 @@ struct WitnessSearchOutcome {
   size_t visits = 0;
   size_t classifier_pushes = 0;
   size_t classifier_pops = 0;
+  /// The classifier's α verdicts by route (IncrementalClassifier::
+  /// alpha_gyo_runs / alpha_inherited), summed like the push counts.
+  size_t alpha_gyo_runs = 0;
+  size_t alpha_inherited = 0;
   /// Incremental chase-homomorphism session totals (exhaustive strategy
   /// only; all-zero otherwise). Like the classifier counters they sum
   /// over workers — real work performed, scheduling-dependent at

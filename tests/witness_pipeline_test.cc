@@ -232,6 +232,74 @@ TEST(IncrementalClassifierTest, LazyAlphaMatchesBatchOnWidePaths) {
   EXPECT_GT(wide_cyclic, 50);
 }
 
+TEST(IncrementalClassifierTest, SparseMeetsQueriesMatchBatch) {
+  // The lazy α path caches one verdict per depth and inherits the verdict
+  // of the stack below an ear push. Random push/pop walks ask Meets() at
+  // random steps only, so a depth is often pushed again after its verdict
+  // was cached (the cache must go) and the verdict below is often unknown
+  // (nothing to inherit). Edges have 1–4 vertices over a 5-vertex
+  // universe, with repeats; some are disconnected (fresh vertices), and
+  // some cover the vertices of the top three edges, which repairs a
+  // cyclic stack though the cover is no ear.
+  std::mt19937_64 rng(61);
+  int fresh = 100;
+  long checked = 0;
+  long repaired = 0;
+  size_t gyo_runs = 0;
+  size_t inherited = 0;
+  auto cyclic = [](const std::vector<std::vector<int>>& stack) {
+    acyclic::Hypergraph hg;
+    for (const std::vector<int>& e : stack) hg.AddEdge(e);
+    return !acyclic::Meets(hg, AcyclicityClass::kAlpha);
+  };
+  for (int iter = 0; iter < 400; ++iter) {
+    IncrementalClassifier inc(AcyclicityClass::kAlpha);
+    std::vector<std::vector<int>> stack;
+    for (int step = 0; step < 40; ++step) {
+      bool repairs = false;
+      if (stack.size() < 2 || rng() % 3 != 0) {
+        std::vector<int> e;
+        const int kind = static_cast<int>(rng() % 8);
+        if (kind == 0) {
+          const int size = 1 + static_cast<int>(rng() % 3);
+          for (int k = 0; k < size; ++k) e.push_back(fresh++);
+        } else if (kind <= 2 && stack.size() >= 3) {
+          for (size_t f = stack.size() - 3; f < stack.size(); ++f) {
+            for (int v : stack[f]) {
+              if (e.size() < 4 && std::find(e.begin(), e.end(), v) == e.end()) {
+                e.push_back(v);
+              }
+            }
+          }
+          repairs = cyclic(stack);
+        } else {
+          const int size = 1 + static_cast<int>(rng() % 4);
+          for (int k = 0; k < size; ++k) e.push_back(static_cast<int>(rng() % 5));
+        }
+        if (rng() % 4 == 0) e.push_back(e[rng() % e.size()]);
+        std::shuffle(e.begin(), e.end(), rng);
+        stack.push_back(e);
+        inc.PushEdge(e);
+      } else {
+        stack.pop_back();
+        inc.PopEdge();
+      }
+      if (rng() % 3 != 0) continue;
+      const bool batch = !cyclic(stack);
+      ASSERT_EQ(inc.Meets(), batch)
+          << "iter " << iter << " step " << step << " depth " << stack.size();
+      ++checked;
+      if (repairs && batch) ++repaired;
+    }
+    gyo_runs += inc.alpha_gyo_runs();
+    inherited += inc.alpha_inherited();
+  }
+  EXPECT_GT(checked, 4000);
+  EXPECT_GT(repaired, 20);
+  EXPECT_GT(gyo_runs, 1500u);
+  EXPECT_GT(inherited, 800u);
+}
+
 TEST(IncrementalClassifierTest, ShallowStacksWithEmptyAndRepeatedEdges) {
   // Every stack of depth <= 3 over edges drawn from a small pool that
   // includes empty edges, repeated vertices and duplicate edges, pushed
